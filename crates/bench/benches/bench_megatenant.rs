@@ -47,6 +47,13 @@ struct Rung {
     meta: Measurement,
     data: Measurement,
     snap: PathStatsSnapshot,
+    /// Longest wait of any `map` on another tenant's write lease inside
+    /// the two measured phases (gated: lease recall, DESIGN.md §21, keeps
+    /// it in µs — at the start of phase 1 every tenant but one wants the
+    /// root that the last set-up `mkdir` left write-leased).
+    lease_wait_max_ns: u64,
+    /// Lease-recall counters, set-up included.
+    resilience: trio_kernel::quarantine::ResilienceSnapshot,
 }
 
 /// Runs one rung: a fresh kernel, `n` mounted LibFS instances, all
@@ -71,6 +78,7 @@ fn run_rung(n: usize) -> Rung {
     // Phase 1: metadata churn, no delegation involved.
     let setup_tenants = Arc::clone(&tenants);
     let work_tenants = Arc::clone(&tenants);
+    let k_setup = Arc::clone(&kernel);
     let meta = run_parallel(
         42 + n as u64,
         n,
@@ -79,6 +87,10 @@ fn run_rung(n: usize) -> Rung {
             for (i, fs) in setup_tenants.iter().enumerate() {
                 fs.mkdir(&format!("/t{i}"), Mode(0o777)).expect("tenant mkdir");
             }
+            // Phase timings are drain-style: drop what set-up accrued
+            // (one thread drives every mount, so each `mkdir` sits out
+            // the previous tenant's lease on the root).
+            let _ = k_setup.take_phase_stats();
         },
         move |i| {
             let fs = &work_tenants[i];
@@ -127,7 +139,14 @@ fn run_rung(n: usize) -> Rung {
         },
     );
 
-    Rung { n, meta, data, snap: stats.snapshot() }
+    Rung {
+        n,
+        meta,
+        data,
+        snap: stats.snapshot(),
+        lease_wait_max_ns: kernel.take_phase_stats().lease_wait_max_ns,
+        resilience: kernel.resilience_stats().snapshot(),
+    }
 }
 
 /// Ops per virtual second per tenant.
@@ -180,6 +199,10 @@ fn main() {
         ),
         ("scaling_8_to_128", format!("{scaling:.4}")),
         ("max_hot_registry_locks", max_hot_locks.to_string()),
+        ("lease_wait_max_ns", last.lease_wait_max_ns.to_string()),
+        ("recalls_posted", last.resilience.recalls_posted.to_string()),
+        ("recalls_honoured", last.resilience.recalls_honoured.to_string()),
+        ("recalls_expired", last.resilience.recalls_expired.to_string()),
     ]);
     let out = std::env::var("TRIO_BENCH_OUT").unwrap_or_else(|_| "BENCH_megatenant.json".into());
     std::fs::write(&out, format!("{json}\n")).expect("write bench json");

@@ -12,16 +12,22 @@ use std::sync::Arc;
 
 use trio_fsapi::{DirEntry, FsError, FsResult, Mode, Stat};
 use trio_layout::{
-    CoreFileType, DirentData, DirentRef, IndexPageRef, SuperblockRef,
+    CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, Ino, SuperblockRef,
     ENTRIES_PER_INDEX, ROOT_INO,
 };
 use trio_sim::{in_sim, now};
 
 use crate::libfs::ArckFs;
-use crate::node::{DirEntryAux, FileNode, MapState};
+use crate::node::{DirAux, DirEntryAux, FileNode, MapState};
 
 impl ArckFs {
     /// Creates a child (file or directory) under `parent`.
+    ///
+    /// Handover-safe: the parent's size field lives in the *grandparent's*
+    /// page, which a concurrent hand-over of the grandparent unmaps. A
+    /// fault there strikes after the dirent is published, so the retry
+    /// that `with_mapped` drives must finish the op, never run it again —
+    /// `landed` carries the published entry across the remap.
     pub(crate) fn create_entry(
         &self,
         parent: &Arc<FileNode>,
@@ -30,57 +36,18 @@ impl ArckFs {
         mode: Mode,
     ) -> FsResult<Arc<FileNode>> {
         trio_fsapi::path::validate_name(name)?;
+        let mut landed: Option<(Ino, DirentLoc, Arc<DirAux>)> = None;
         self.with_mapped(parent, true, |fs| {
             let g = parent.inner.read();
             if g.map != MapState::Write {
                 return Err(FsError::Stale);
             }
             let aux = g.dir.as_ref().ok_or(FsError::NotDir)?.clone();
-            // Reserve a slot, growing the directory as needed.
-            let shard = if trio_sim::in_sim() { trio_sim::current_tid() } else { 0 };
-            let loc = loop {
-                if let Some(s) = aux.take_slot(shard) {
-                    break s;
-                }
-                fs.grow_dir(parent, &aux)?;
-            };
-            // Reserve the name in the hash table (atomic exists+insert).
-            let reserved = aux.with_bucket(name, |b| {
-                if b.iter().any(|e| e.name == name) {
-                    return false;
-                }
-                b.push(DirEntryAux { name: name.to_string(), ino: 0, loc, ftype });
-                true
-            });
-            if !reserved {
-                aux.put_slot(loc);
-                return Err(FsError::Exists);
-            }
-            // Write the core state: prepare (ino 0) then publish (§4.4).
-            let ino = match fs.inos.take() {
-                Ok(i) => i,
-                Err(e) => {
-                    aux.with_bucket(name, |b| b.retain(|x| x.name != name));
-                    aux.put_slot(loc);
-                    return Err(e);
-                }
-            };
-            let d = DirentData::new(name.as_bytes(), ftype, mode, fs.uid, fs.gid);
-            let dref = DirentRef::new(&fs.h, loc);
-            let res = dref.prepare(&d).and_then(|w| dref.publish(ino, &w));
-            if let Err(e) = res {
-                aux.with_bucket(name, |b| b.retain(|x| x.name != name));
-                aux.put_slot(loc);
-                fs.inos.put(ino);
-                return Err(Self::fault(e));
-            }
-            // Fill in the reserved aux entry's ino.
-            aux.with_bucket(name, |b| {
-                if let Some(e) = b.iter_mut().find(|e| e.name == name) {
-                    e.ino = ino;
-                }
-            });
-            fs.bump_dir_size(parent, &aux, 1)?;
+            let (ino, loc, touched) = run_once(&mut landed, || {
+                let (ino, loc) = fs.publish_entry(parent, &aux, name, ftype, mode)?;
+                Ok((ino, loc, Arc::clone(&aux)))
+            })?;
+            fs.settle_dir_size(parent, &aux, &touched, 1)?;
             let n = fs.intern_node(ino, ftype, parent.ino, loc);
             // A file this LibFS just created is writable *by construction*:
             // its dirent page is mapped through the parent's write grant
@@ -95,7 +62,7 @@ impl ArckFs {
                     gi.size = 0;
                     gi.mtime = now_or_zero();
                     if ftype == CoreFileType::Directory {
-                        gi.dir = Some(Arc::new(crate::node::DirAux::new()));
+                        gi.dir = Some(Arc::new(DirAux::new()));
                     }
                 }
             }
@@ -103,48 +70,93 @@ impl ArckFs {
         })
     }
 
+    /// The mutating half of `create_entry`: reserves a slot and the name
+    /// in `aux`, then writes the dirent — prepare (ino 0), publish (§4.4).
+    /// Any failure leaves aux and core state as they were.
+    fn publish_entry(
+        &self,
+        parent: &Arc<FileNode>,
+        aux: &DirAux,
+        name: &str,
+        ftype: CoreFileType,
+        mode: Mode,
+    ) -> FsResult<(Ino, DirentLoc)> {
+        // Reserve a slot, growing the directory as needed.
+        let shard = if trio_sim::in_sim() { trio_sim::current_tid() } else { 0 };
+        let loc = loop {
+            if let Some(s) = aux.take_slot(shard) {
+                break s;
+            }
+            self.grow_dir(parent, aux)?;
+        };
+        // Reserve the name in the hash table (atomic exists+insert).
+        let reserved = aux.with_bucket(name, |b| {
+            if b.iter().any(|e| e.name == name) {
+                return false;
+            }
+            b.push(DirEntryAux { name: name.to_string(), ino: 0, loc, ftype, fresh: true });
+            true
+        });
+        if !reserved {
+            aux.put_slot(loc);
+            return Err(FsError::Exists);
+        }
+        let ino = match self.inos.take() {
+            Ok(i) => i,
+            Err(e) => {
+                aux.with_bucket(name, |b| b.retain(|x| x.name != name));
+                aux.put_slot(loc);
+                return Err(e);
+            }
+        };
+        let d = DirentData::new(name.as_bytes(), ftype, mode, self.uid, self.gid);
+        let dref = DirentRef::new(&self.h, loc);
+        let res = dref.prepare(&d).and_then(|w| dref.publish(ino, &w));
+        if let Err(e) = res {
+            aux.with_bucket(name, |b| b.retain(|x| x.name != name));
+            aux.put_slot(loc);
+            self.inos.put(ino);
+            return Err(Self::fault(e));
+        }
+        // Fill in the reserved aux entry's ino.
+        aux.with_bucket(name, |b| {
+            if let Some(e) = b.iter_mut().find(|e| e.name == name) {
+                e.ino = ino;
+            }
+        });
+        Ok((ino, loc))
+    }
+
     /// Removes a child. `want_dir` selects unlink (false) vs rmdir (true).
+    /// Handover-safe like [`ArckFs::create_entry`]: once the dirent is
+    /// cleared, `gone` makes a retry resume at the size update.
     pub(crate) fn remove_entry(
         &self,
         parent: &Arc<FileNode>,
         name: &str,
         want_dir: bool,
     ) -> FsResult<()> {
+        let mut gone: Option<(DirEntryAux, u64, Arc<DirAux>)> = None;
         self.with_mapped(parent, true, |fs| {
             let g = parent.inner.read();
             if g.map != MapState::Write {
                 return Err(FsError::Stale);
             }
             let aux = g.dir.as_ref().ok_or(FsError::NotDir)?.clone();
-            let e = aux.lookup(name).ok_or(FsError::NotFound)?;
-            match (e.ftype, want_dir) {
-                (CoreFileType::Directory, false) => return Err(FsError::IsDir),
-                (CoreFileType::Regular, true) => return Err(FsError::NotDir),
-                _ => {}
-            }
-            let dref = DirentRef::new(&fs.h, e.loc);
-            if want_dir {
-                // rmdir: the directory must be empty (semantic attack #2 of
-                // §2.3.2 — removing non-empty directories — is what I3
-                // protects against across LibFSes; within one LibFS we just
-                // refuse).
-                let sz = dref.size().map_err(Self::fault)?;
-                if sz != 0 {
-                    return Err(FsError::NotEmpty);
-                }
-            }
-            let first_index = dref.first_index().map_err(Self::fault)?;
-            dref.clear().map_err(Self::fault)?;
-            aux.remove(name);
-            aux.put_slot(e.loc);
-            fs.bump_dir_size(parent, &aux, -1)?;
-            fs.forget_node(e.ino);
-            if first_index == 0 {
-                // Empty file: only the ino needs reclaiming — batch it
-                // (this is the hot unlink path, e.g. FxMark MWUL).
+            let (entry, first_index, touched) = run_once(&mut gone, || {
+                let (entry, first_index) = fs.clear_entry(&aux, name, want_dir)?;
+                Ok((entry, first_index, Arc::clone(&aux)))
+            })?;
+            let ino = entry.ino;
+            fs.settle_dir_size(parent, &aux, &touched, -1)?;
+            fs.forget_node(ino);
+            if first_index == 0 && entry.fresh {
+                // Empty file the kernel has never seen: only the ino needs
+                // reclaiming — batch it (this is the hot unlink path, e.g.
+                // FxMark MWUL).
                 let flush_now = {
                     let mut q = fs.reclaim.lock();
-                    q.push((parent.ino, e.ino, first_index));
+                    q.push((parent.ino, ino, first_index));
                     q.len() >= fs.cfg.reclaim_batch
                 };
                 if flush_now {
@@ -153,15 +165,47 @@ impl ArckFs {
             } else {
                 // A file with pages reclaims eagerly: its chain head is only
                 // meaningful *now* — deferring would let the pages be
-                // recycled into live files before the kernel walks them.
-                let recycled =
-                    fs.kernel.reclaim_file(fs.actor, parent.ino, e.ino, first_index)?;
+                // recycled into live files before the kernel walks them. So
+                // does one the kernel may know (`DirEntryAux::fresh`).
+                let recycled = fs.kernel.reclaim_file(fs.actor, parent.ino, ino, first_index)?;
                 for p in recycled {
                     fs.pages.put(p);
                 }
             }
             Ok(())
         })
+    }
+
+    /// The mutating half of `remove_entry`: checks the entry, clears its
+    /// dirent and drops it from `aux`. Returns it and its chain head.
+    fn clear_entry(
+        &self,
+        aux: &DirAux,
+        name: &str,
+        want_dir: bool,
+    ) -> FsResult<(DirEntryAux, u64)> {
+        let e = aux.lookup(name).ok_or(FsError::NotFound)?;
+        match (e.ftype, want_dir) {
+            (CoreFileType::Directory, false) => return Err(FsError::IsDir),
+            (CoreFileType::Regular, true) => return Err(FsError::NotDir),
+            _ => {}
+        }
+        let dref = DirentRef::new(&self.h, e.loc);
+        if want_dir {
+            // rmdir: the directory must be empty (semantic attack #2 of
+            // §2.3.2 — removing non-empty directories — is what I3
+            // protects against across LibFSes; within one LibFS we just
+            // refuse).
+            let sz = dref.size().map_err(Self::fault)?;
+            if sz != 0 {
+                return Err(FsError::NotEmpty);
+            }
+        }
+        let first_index = dref.first_index().map_err(Self::fault)?;
+        dref.clear().map_err(Self::fault)?;
+        aux.remove(name);
+        aux.put_slot(e.loc);
+        Ok((e, first_index))
     }
 
     /// Lists a directory from its aux table.
@@ -263,7 +307,23 @@ impl ArckFs {
             Err(e) => return Err(e),
         }
 
-        self.with_mapped(&sp, true, |fs| {
+        // Handover-safe like `create_entry`: once the dirent has moved and
+        // the journal is disarmed, `moved` holds the auxes the move went
+        // through and a retry only settles the two sizes (a directory
+        // settled before the fault is merely persisted again).
+        // `retry_mapped` remaps `sp` after a fault; a fault on `dp`'s size
+        // field must drop `dp`'s mapping too.
+        let mut moved: Option<(Ino, DirentLoc, Arc<DirAux>, Arc<DirAux>)> = None;
+        let mut dp_stale = false;
+        // Both directories' gates, in ino order (two renames in opposite
+        // directions must not wait on each other).
+        let (lo, hi) = if sp.ino <= dp.ino { (&sp, &dp) } else { (&dp, &sp) };
+        let _lo = lo.gate.read();
+        let _hi = (lo.ino != hi.ino).then(|| hi.gate.read());
+        self.retry_mapped(&sp, true, |fs| {
+            if std::mem::take(&mut dp_stale) {
+                dp.invalidate();
+            }
             fs.ensure_mapped(&dp, true)?;
             let sg = sp.inner.read();
             let dg = dp.inner.read();
@@ -272,54 +332,20 @@ impl ArckFs {
             }
             let saux = sg.dir.as_ref().ok_or(FsError::NotDir)?.clone();
             let daux = dg.dir.as_ref().ok_or(FsError::NotDir)?.clone();
-            let e = saux.lookup(sname).ok_or(FsError::NotFound)?;
-
-            // Reserve the destination slot and name.
-            let shard = if in_sim() { trio_sim::current_tid() } else { 0 };
-            let dloc = loop {
-                if let Some(s) = daux.take_slot(shard) {
-                    break s;
-                }
-                fs.grow_dir(&dp, &daux)?;
-            };
-            let reserved = daux.with_bucket(dname, |b| {
-                if b.iter().any(|x| x.name == dname) {
-                    return false;
-                }
-                b.push(DirEntryAux { name: dname.to_string(), ino: e.ino, loc: dloc, ftype: e.ftype });
-                true
-            });
-            if !reserved {
-                daux.put_slot(dloc);
-                return Err(FsError::Exists);
-            }
-
-            // Journal, then move the dirent.
-            let mut src_img = [0u8; trio_layout::DIRENT_SIZE];
-            fs.h.read_untimed(e.loc.page, e.loc.byte_off(), &mut src_img).map_err(Self::fault)?;
-            let mut moved = DirentData::decode_bytes(&src_img);
-            moved.name = dname.as_bytes().to_vec();
-            let guard = fs.journal.begin_rename(&fs.h, shard, e.loc, dloc, &src_img, || {
-                fs.pages.take(trio_nvm::handle::home_node())
+            let (ino, dloc, stouched, dtouched) = run_once(&mut moved, || {
+                let (ino, dloc) = fs.move_entry(&dp, &saux, &daux, sname, dname)?;
+                Ok((ino, dloc, Arc::clone(&saux), Arc::clone(&daux)))
             })?;
-            let dref = DirentRef::new(&fs.h, dloc);
-            let w = dref.prepare(&moved).map_err(Self::fault)?;
-            dref.publish(e.ino, &w).map_err(Self::fault)?;
-            DirentRef::new(&fs.h, e.loc).clear().map_err(Self::fault)?;
-            guard.disarm().map_err(Self::fault)?;
-
-            // Aux updates.
-            saux.remove(sname);
-            saux.put_slot(e.loc);
             if sp.ino == dp.ino {
                 // Same directory: net entry count unchanged.
                 fs.touch_dir(&sp)?;
             } else {
-                fs.bump_dir_size(&sp, &saux, -1)?;
-                fs.bump_dir_size(&dp, &daux, 1)?;
+                fs.settle_dir_size(&sp, &saux, &stouched, -1)?;
+                fs.settle_dir_size(&dp, &daux, &dtouched, 1)
+                    .inspect_err(|e| dp_stale = *e == FsError::Stale)?;
             }
             // Update the interned node's placement.
-            if let Some(n) = fs.node_by_ino(e.ino) {
+            if let Some(n) = fs.node_by_ino(ino) {
                 let mut place = n.place.write();
                 place.parent = dp.ino;
                 place.loc = Some(dloc);
@@ -328,13 +354,65 @@ impl ArckFs {
         })
     }
 
+    /// The mutating half of `rename_entry`: reserves `dname` in `daux`,
+    /// moves `sname`'s dirent there under the undo journal, and drops the
+    /// old entry from `saux`. Returns the moved ino and its new slot.
+    fn move_entry(
+        &self,
+        dp: &Arc<FileNode>,
+        saux: &DirAux,
+        daux: &DirAux,
+        sname: &str,
+        dname: &str,
+    ) -> FsResult<(Ino, DirentLoc)> {
+        let e = saux.lookup(sname).ok_or(FsError::NotFound)?;
+
+        // Reserve the destination slot and name.
+        let shard = if in_sim() { trio_sim::current_tid() } else { 0 };
+        let dloc = loop {
+            if let Some(s) = daux.take_slot(shard) {
+                break s;
+            }
+            self.grow_dir(dp, daux)?;
+        };
+        let reserved = daux.with_bucket(dname, |b| {
+            if b.iter().any(|x| x.name == dname) {
+                return false;
+            }
+            b.push(DirEntryAux { name: dname.to_string(), loc: dloc, ..e.clone() });
+            true
+        });
+        if !reserved {
+            daux.put_slot(dloc);
+            return Err(FsError::Exists);
+        }
+
+        // Journal, then move the dirent.
+        let mut src_img = [0u8; trio_layout::DIRENT_SIZE];
+        self.h.read_untimed(e.loc.page, e.loc.byte_off(), &mut src_img).map_err(Self::fault)?;
+        let mut moved = DirentData::decode_bytes(&src_img);
+        moved.name = dname.as_bytes().to_vec();
+        let guard = self.journal.begin_rename(&self.h, shard, e.loc, dloc, &src_img, || {
+            self.pages.take(trio_nvm::handle::home_node())
+        })?;
+        let dref = DirentRef::new(&self.h, dloc);
+        let w = dref.prepare(&moved).map_err(Self::fault)?;
+        dref.publish(e.ino, &w).map_err(Self::fault)?;
+        DirentRef::new(&self.h, e.loc).clear().map_err(Self::fault)?;
+        guard.disarm().map_err(Self::fault)?;
+
+        saux.remove(sname);
+        saux.put_slot(e.loc);
+        Ok((e.ino, dloc))
+    }
+
     // -----------------------------------------------------------------
     // Directory growth & size accounting.
     // -----------------------------------------------------------------
 
     /// Adds one data page (16 slots) to a directory, extending its index
     /// chain (paper: the "index tail").
-    pub(crate) fn grow_dir(&self, dir: &Arc<FileNode>, aux: &crate::node::DirAux) -> FsResult<()> {
+    pub(crate) fn grow_dir(&self, dir: &Arc<FileNode>, aux: &DirAux) -> FsResult<()> {
         let mut it = aux.index_tail.lock();
         let home = trio_nvm::handle::home_node();
         let dpage = self.pages.take(home)?;
@@ -372,7 +450,7 @@ impl ArckFs {
     pub(crate) fn bump_dir_size(
         &self,
         dir: &Arc<FileNode>,
-        aux: &crate::node::DirAux,
+        aux: &DirAux,
         delta: i64,
     ) -> FsResult<()> {
         let _sz = aux.size_lock.lock();
@@ -391,6 +469,21 @@ impl ArckFs {
         Ok(())
     }
 
+    /// [`ArckFs::bump_dir_size`] for an op that has already changed `dir`'s
+    /// entries in the aux `touched`. While that is still the live aux the
+    /// count moves by `delta`; an aux rebuilt since (the op lost its
+    /// mapping half-way and is being resumed) has counted the entries
+    /// itself, and only the persisted size and mtime are left to bring up.
+    fn settle_dir_size(
+        &self,
+        dir: &Arc<FileNode>,
+        aux: &Arc<DirAux>,
+        touched: &Arc<DirAux>,
+        delta: i64,
+    ) -> FsResult<()> {
+        self.bump_dir_size(dir, aux, if Arc::ptr_eq(aux, touched) { delta } else { 0 })
+    }
+
     /// Updates a directory's mtime only.
     pub(crate) fn touch_dir(&self, dir: &Arc<FileNode>) -> FsResult<()> {
         let t = now_or_zero();
@@ -398,6 +491,16 @@ impl ArckFs {
             Some(loc) => DirentRef::new(&self.h, loc).set_mtime(t).map_err(Self::fault),
             None => self.kernel.update_root(self.actor, None, None, Some(t)),
         }
+    }
+}
+
+/// Runs `f` on the first call and hands its result back on every later
+/// one: the mutating half of a directory op must not run again when
+/// `with_mapped` retries the op after a handover.
+fn run_once<T: Clone>(done: &mut Option<T>, f: impl FnOnce() -> FsResult<T>) -> FsResult<T> {
+    match done {
+        Some(v) => Ok(v.clone()),
+        None => Ok(done.insert(f()?).clone()),
     }
 }
 

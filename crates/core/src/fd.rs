@@ -43,9 +43,10 @@ impl FdTable {
         &self.shards[fd as usize % FD_SHARDS]
     }
 
-    /// Allocates a descriptor for `entry`.
+    /// Allocates a descriptor for `entry`, pinning its file's grant.
     pub fn insert(&self, entry: FdEntry) -> Fd {
         let fd = self.next.fetch_add(1, Ordering::Relaxed);
+        entry.node.pin();
         self.shard(fd).lock().insert(fd, entry);
         Fd(fd)
     }
@@ -55,9 +56,12 @@ impl FdTable {
         self.shard(fd.0).lock().get(&fd.0).cloned().ok_or(FsError::BadFd)
     }
 
-    /// Removes a descriptor.
-    pub fn remove(&self, fd: Fd) -> FsResult<FdEntry> {
-        self.shard(fd.0).lock().remove(&fd.0).ok_or(FsError::BadFd)
+    /// Removes a descriptor. The flag says it was the file's last user
+    /// with a lease recall parked on it: the caller owes the yield.
+    pub fn remove(&self, fd: Fd) -> FsResult<(FdEntry, bool)> {
+        let e = self.shard(fd.0).lock().remove(&fd.0).ok_or(FsError::BadFd)?;
+        let idle = e.node.unpin();
+        Ok((e, idle))
     }
 
     /// Open descriptor count (tests).
@@ -90,7 +94,7 @@ mod tests {
         assert!(fd.0 >= 3);
         assert_eq!(t.get(fd).unwrap().node.ino, 7);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.remove(fd).unwrap().node.ino, 7);
+        assert_eq!(t.remove(fd).unwrap().0.node.ino, 7);
         assert_eq!(t.get(fd).err(), Some(FsError::BadFd));
         assert!(t.is_empty());
     }

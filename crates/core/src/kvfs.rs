@@ -224,7 +224,15 @@ impl KeyValueFs for KvFs {
                 Some(n) => n,
                 None => self.create(name)?,
             };
-            match self.set_inner(&node, data) {
+            // Every KV file's dirent lives in the directory's pages and
+            // `set_inner` writes it directly: the directory's gate keeps
+            // its grant from being yielded to a lease recall (DESIGN.md
+            // §21) half-way through.
+            let res = {
+                let _op = self.dir.gate.read();
+                self.set_inner(&node, data)
+            };
+            match res {
                 Err(FsError::Stale) => {
                     self.shard(name).lock().remove(name);
                     self.fs.ensure_mapped(&self.dir, true)?;

@@ -98,7 +98,15 @@ impl FileSystem for ArckFs {
     }
 
     fn close(&self, fd: Fd) -> FsResult<()> {
-        self.fds.remove(fd).map(|_| ())
+        // The one call that uses a file without going through
+        // `with_mapped`: look at the recall page here too, so that a
+        // recall of the file is parked on it before the pin goes.
+        self.poll_recalls();
+        let (e, idle) = self.fds.remove(fd)?;
+        if idle {
+            self.yield_if_idle(&e.node);
+        }
+        Ok(())
     }
 
     fn pread(&self, fd: Fd, off: u64, buf: &mut [u8]) -> FsResult<usize> {

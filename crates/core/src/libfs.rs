@@ -148,6 +148,8 @@ pub struct ArckFs {
     /// Cumulative virtual time spent rebuilding auxiliary state from core
     /// state (Figure 8 instrumentation).
     pub(crate) rebuild_ns: std::sync::atomic::AtomicU64,
+    /// The page the kernel posts lease recalls on (DESIGN.md §21).
+    pub(crate) recall: Arc<trio_kernel::registry::RecallPage>,
 }
 
 impl ArckFs {
@@ -173,6 +175,7 @@ impl ArckFs {
             write_knee,
             read_knee,
             rebuild_ns: std::sync::atomic::AtomicU64::new(0),
+            recall: reg.recall,
             cfg,
             kernel,
         })
@@ -361,6 +364,7 @@ impl ArckFs {
                 None => MapTarget::Root,
             }
         };
+        node.forget_recall();
         let grant = self.kernel.map(self.actor, target, write)?;
         let t0 = if in_sim() { trio_sim::now() } else { 0 };
         g.index_pages = grant.pages.index_pages;
@@ -430,6 +434,7 @@ impl ArckFs {
                     ino: d.ino,
                     loc: DirentLoc { page: *page, slot: s },
                     ftype,
+                    fresh: false,
                 });
             }
             aux.pages.lock().push(*page);
@@ -464,16 +469,32 @@ impl ArckFs {
 
     /// Runs `f` with `node` mapped, invalidating + remapping on revocation
     /// faults ([`FsError::Stale`]) — the LibFS-side half of the lease
-    /// protocol.
+    /// protocol. Every operation on a file or directory comes through
+    /// here, so this is also where the LibFS looks at its recall page
+    /// (DESIGN.md §21), and where the operation takes the node's gate to
+    /// keep the grant from being yielded under it.
     pub(crate) fn with_mapped<R>(
+        &self,
+        node: &Arc<FileNode>,
+        write: bool,
+        f: impl FnMut(&Self) -> FsResult<R>,
+    ) -> FsResult<R> {
+        self.poll_recalls();
+        let _op = node.gate.read();
+        self.retry_mapped(node, write, f)
+    }
+
+    /// [`ArckFs::with_mapped`] for a caller that holds `node`'s gate.
+    pub(crate) fn retry_mapped<R>(
         &self,
         node: &Arc<FileNode>,
         write: bool,
         mut f: impl FnMut(&Self) -> FsResult<R>,
     ) -> FsResult<R> {
         for _ in 0..MAX_RETRIES {
-            self.ensure_mapped(node, write)?;
-            match f(self) {
+            // (`Stale` from the mapping step itself: a reader has no lease,
+            // and a writer took the file back while the aux was being built.)
+            match self.ensure_mapped(node, write).and_then(|()| f(self)) {
                 Err(FsError::Stale) => {
                     node.invalidate();
                     continue;
@@ -564,6 +585,12 @@ impl ArckFs {
     /// 5). The next cross-LibFS map triggers verification.
     pub fn release_path(&self, path: &str) -> FsResult<()> {
         let node = self.resolve_node(path)?;
+        self.yield_node(&node)
+    }
+
+    /// Gives `node`'s grant back to the kernel and drops the aux state
+    /// built on it.
+    fn yield_node(&self, node: &FileNode) -> FsResult<()> {
         self.flush_reclaim()?;
         match self.kernel.release(self.actor, node.ino) {
             // A by-construction mapping (file created and never kernel-
@@ -575,6 +602,41 @@ impl ArckFs {
         }
         node.invalidate();
         Ok(())
+    }
+
+    /// The recall check (DESIGN.md §21): one relaxed load of the shared
+    /// recall word — no trap, no virtual time — and nothing else unless
+    /// another LibFS is waiting.
+    #[inline]
+    pub(crate) fn poll_recalls(&self) {
+        if self.recall.pending() {
+            self.honour_recalls();
+        }
+    }
+
+    /// Yields every recalled grant no open descriptor is using; a pinned
+    /// one stays until its last `close` (or lease expiry). Best effort
+    /// throughout: a recall the LibFS fails to honour costs the waiter
+    /// the rest of the lease, never more.
+    #[cold]
+    fn honour_recalls(&self) {
+        for ino in self.recall.take() {
+            if let Some(node) = self.node_by_ino(ino) {
+                if node.park_recall() {
+                    self.yield_if_idle(&node);
+                }
+            }
+        }
+    }
+
+    /// Honours the recall parked on `node`, unless a descriptor was opened
+    /// meanwhile, once the operations sibling threads have in flight on it
+    /// are through. The caller must hold no gate itself.
+    pub(crate) fn yield_if_idle(&self, node: &FileNode) {
+        let _drained = node.gate.write();
+        if node.claim_recall() {
+            let _ = self.yield_node(node);
+        }
     }
 
     /// Commits `path`'s current state as the new rollback checkpoint

@@ -6,7 +6,7 @@
 //! lock for disjoint concurrent writes, and for directories the resizable
 //! hash table, per-data-page insertion tails, and the index tail.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use trio_layout::{CoreFileType, DirentLoc, Ino};
@@ -76,6 +76,18 @@ pub struct FileNode {
     demoted_until: AtomicU64,
     /// Pool recovery epoch observed when the demotion was recorded.
     demote_epoch: AtomicU64,
+    /// Held shared by every operation on the file for as long as it runs
+    /// (retries included), exclusively by a thread about to yield the
+    /// grant to a lease recall (DESIGN.md §21): threads of one LibFS share
+    /// its grants, and a hand-over must find none of them half-way through
+    /// an update. FIFO-fair, so a yield waits for the operations in flight
+    /// and goes before later ones. Costs no virtual time.
+    pub(crate) gate: SimRwLock<()>,
+    /// Open descriptors on this file. While non-zero the grant is *pinned*:
+    /// a lease recall is not honoured but parked…
+    open_fds: AtomicU32,
+    /// …here, and honoured by whoever closes the last descriptor.
+    recall_parked: AtomicBool,
 }
 
 /// Where the file hangs in the tree.
@@ -98,7 +110,44 @@ impl FileNode {
             range: RangeLock::new(),
             demoted_until: AtomicU64::new(0),
             demote_epoch: AtomicU64::new(0),
+            gate: SimRwLock::with_costs((), 0, 0),
+            open_fds: AtomicU32::new(0),
+            recall_parked: AtomicBool::new(false),
         })
+    }
+
+    /// A descriptor was opened on the file.
+    pub(crate) fn pin(&self) {
+        self.open_fds.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The descriptor was closed. `true` when it was the last one and a
+    /// recall is parked: the caller now owes [`crate::ArckFs::yield_if_idle`].
+    pub(crate) fn unpin(&self) -> bool {
+        self.open_fds.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.recall_parked.load(Ordering::SeqCst)
+    }
+
+    /// A recall arrived for this file: parks it. `true` when no descriptor
+    /// pins the grant and the caller should yield it now. SeqCst on both
+    /// sides: of a racing close and recall, at least one sees the other.
+    pub(crate) fn park_recall(&self) -> bool {
+        self.recall_parked.store(true, Ordering::SeqCst);
+        self.open_fds.load(Ordering::SeqCst) == 0
+    }
+
+    /// Claims the parked recall for the caller — once, and only while no
+    /// descriptor pins the grant.
+    pub(crate) fn claim_recall(&self) -> bool {
+        self.open_fds.load(Ordering::SeqCst) == 0
+            && self.recall_parked.swap(false, Ordering::SeqCst)
+    }
+
+    /// A fresh grant is about to be asked for: whatever recall is parked
+    /// was for a lease that has ended (by expiry, if no `close` came in
+    /// time) and must not cost the new one a hand-over.
+    pub(crate) fn forget_recall(&self) {
+        self.recall_parked.store(false, Ordering::SeqCst);
     }
 
     /// Demotes this file to direct access until `until` (virtual ns),
@@ -143,6 +192,12 @@ pub struct DirEntryAux {
     pub loc: DirentLoc,
     /// Child type.
     pub ftype: CoreFileType,
+    /// Linked under the directory's current grant, so the kernel has not
+    /// seen it: if it is unlinked again its reclamation can wait in the
+    /// batch. An entry the kernel may know (every entry of an aux rebuilt
+    /// from core state) is reclaimed at once — revoked with it pending,
+    /// the directory would fail verification (child gone, ino in use).
+    pub fresh: bool,
 }
 
 /// Insertion tail for one directory data page (paper: per-page logging
@@ -389,12 +444,14 @@ mod tests {
             ino: 5,
             loc: DirentLoc { page: PageId(1), slot: 0 },
             ftype: CoreFileType::Regular,
+            fresh: true,
         }));
         assert!(!aux.insert(DirEntryAux {
             name: "a".into(),
             ino: 6,
             loc: DirentLoc { page: PageId(1), slot: 1 },
             ftype: CoreFileType::Regular,
+            fresh: true,
         }));
         assert_eq!(aux.lookup("a").unwrap().ino, 5);
         assert!(aux.lookup("b").is_none());

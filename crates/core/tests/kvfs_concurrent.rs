@@ -106,3 +106,56 @@ fn oversized_values_rejected_cleanly() {
     });
     rt.run();
 }
+
+/// KVFS writes dirents and file pages behind the generic view's back, and
+/// the generic view is what honours lease recalls (DESIGN.md §21): another
+/// mount listing the KV directory while three threads `set` in it must
+/// find every hand-over verifiable, and no value is lost.
+#[test]
+fn recall_of_the_kv_directory_spares_sets_in_flight() {
+    use trio_fsapi::FileSystem;
+    let (rt, fs) = world();
+    let kernel = Arc::clone(fs.kernel());
+    let other = ArckFs::mount(Arc::clone(&kernel), 100, 100, ArckFsConfig::no_delegation());
+    rt.spawn("main", move || {
+        let kv = KvFs::new(fs, "/kv").unwrap();
+        let mut hs = Vec::new();
+        for t in 0..3u64 {
+            let kv = Arc::clone(&kv);
+            hs.push(trio_sim::spawn("setter", move || {
+                for i in 0..60u64 {
+                    // New keys and overwrites, one to three pages long.
+                    let val = vec![(t * 60 + i) as u8; 1000 + (i as usize % 3) * 4096];
+                    kv.kv_set(&format!("t{t}-k{}", i % 20), &val).unwrap();
+                }
+            }));
+        }
+        hs.push(trio_sim::spawn("lister", move || {
+            for _ in 0..30 {
+                other.readdir("/kv").unwrap();
+                other.release_path("/kv").unwrap();
+                trio_sim::work(20_000);
+            }
+        }));
+        for h in hs {
+            h.join();
+        }
+        let mut buf = vec![0u8; 16 * 1024];
+        for t in 0..3u64 {
+            for k in 0..20u64 {
+                let i = 40 + k; // The last round that wrote key k.
+                let n = kv.kv_get(&format!("t{t}-k{k}"), &mut buf).unwrap();
+                assert_eq!(n, 1000 + (i as usize % 3) * 4096);
+                assert!(buf[..n].iter().all(|&b| b == (t * 60 + i) as u8));
+            }
+        }
+    });
+    rt.run();
+    // (The setters finish first; the lister's last recall finds the KVFS
+    // mount idle and ends in a plain revocation at lease expiry.)
+    use trio_kernel::registry::KernelEvent as E;
+    let events = kernel.take_events();
+    assert!(events.iter().all(|e| matches!(e, E::LeaseRevoked { .. })), "{events:?}");
+    let r = kernel.resilience_stats().snapshot();
+    assert!(r.total_violations() == 0 && r.recalls_honoured > 10, "{r:?}");
+}

@@ -88,12 +88,6 @@ pub struct KernelConfig {
     /// [`KernelController::repair_quarantined`] is called — the mode the
     /// isolation tests and the fuzzer use to observe the contained window.
     pub auto_repair: bool,
-    /// Backoff policy for waiting out another actor's write lease in
-    /// [`KernelController::map`]. The default (base = lease duration,
-    /// jitter off) waits exactly the remaining lease on the first
-    /// attempt, matching the pre-policy behaviour bit for bit; every
-    /// wait is additionally clamped to the remaining lease.
-    pub lease_retry: RetryPolicy,
     /// Media-fault observations a page may accumulate before the patrol
     /// scrubber retires it (DESIGN.md §19).
     pub retire_fault_threshold: u32,
@@ -113,7 +107,6 @@ impl Default for KernelConfig {
             max_index_pages: 1 << 16,
             max_dir_entries: 1 << 20,
             auto_repair: true,
-            lease_retry: RetryPolicy::new(100 * MILLIS, 0, 8, 400 * MILLIS).no_jitter(),
             retire_fault_threshold: 3,
             scrub_budget_pages: 256,
         }
@@ -127,6 +120,8 @@ pub struct LibFsRegistration {
     pub actor: ActorId,
     /// NVM handle authenticated as `actor`.
     pub handle: NvmHandle,
+    /// The recall page shared with the kernel (DESIGN.md §21).
+    pub recall: Arc<registry::RecallPage>,
 }
 
 /// The kernel controller. One per mounted file system.
@@ -213,6 +208,10 @@ pub struct PhaseStats {
     pub verify_ns: Nanos,
     /// Checkpointing before write grants.
     pub checkpoint_ns: Nanos,
+    /// Mappers blocked on another actor's write lease: all waits summed…
+    pub lease_wait_ns: Nanos,
+    /// …and the longest single one.
+    pub lease_wait_max_ns: Nanos,
 }
 
 impl KernelController {
@@ -656,11 +655,13 @@ impl KernelController {
     /// returned registration). Grants read access to the superblock.
     pub fn register_libfs(&self, uid: u32, gid: u32) -> LibFsRegistration {
         self.trap();
+        let recall = Arc::new(registry::RecallPage::new());
         let actor = {
             let mut reg = self.reg_lock(RegistryLockSite::Register);
             let id = ActorId(reg.next_actor);
             reg.next_actor += 1;
             reg.actors.insert(id, Credentials { uid, gid });
+            reg.recall_pages.insert(id, Arc::clone(&recall));
             id
         };
         // Page 0 always exists, so this cannot fail; if it ever did the
@@ -676,7 +677,7 @@ impl KernelController {
         if in_sim() {
             work(cost::MMU_PROGRAM_PAGE_NS);
         }
-        LibFsRegistration { actor, handle: NvmHandle::new(Arc::clone(&self.dev), actor) }
+        LibFsRegistration { actor, handle: NvmHandle::new(Arc::clone(&self.dev), actor), recall }
     }
 
     /// Credentials of a registered actor.
@@ -726,7 +727,8 @@ impl KernelController {
             if let Some(meta) = reg.files.get_mut(ino) {
                 let pages = meta.mapped_pages.remove(&actor).unwrap_or_default();
                 meta.readers.remove(&actor);
-                if meta.writer == Some(actor) {
+                let was_writer = meta.writer == Some(actor);
+                if was_writer {
                     meta.writer = None;
                     meta.dirty_by = Some(actor);
                 }
@@ -736,8 +738,12 @@ impl KernelController {
                 if in_sim() {
                     work(pages.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
                 }
+                if was_writer {
+                    self.end_lease_wait(&mut reg, *ino, actor, true);
+                }
             }
         }
+        reg.recall_pages.remove(&actor);
         // Drop the credentials *before* vetting: a departing LibFS has no
         // further access to contain, so failed verifications below roll
         // back / privatize without entering the quarantine machine.

@@ -18,8 +18,12 @@
 //!   are gone) — paper §4.3's trim/pad policy.
 //! * Checkpointed pages are pinned: freeing them is deferred until the
 //!   checkpoint is replaced, so rollback images always restore safely.
+//! * A mapper that meets another actor's unexpired write lease *recalls*
+//!   it (DESIGN.md §21): it posts the ino on the holder's recall page and
+//!   blocks until the holder lets go, with the lease expiry as deadline.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
 use trio_layout::{
@@ -27,6 +31,7 @@ use trio_layout::{
     SuperblockRef, DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
 };
 use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, PAGE_SIZE};
+use trio_sim::sync::SimChannel;
 use trio_sim::{cost, in_sim, now, work, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
 
@@ -68,24 +73,25 @@ pub enum MapTarget {
 
 impl KernelController {
     /// Maps a file into `actor`'s address space (Figure 2 steps 1–2 and
-    /// 6–9). Blocks (in virtual time) while another actor holds an
-    /// unexpired write lease.
+    /// 6–9). While another actor holds an unexpired write lease, recalls
+    /// it and blocks (in virtual time) until the holder lets go or the
+    /// lease runs out.
     pub fn map(&self, actor: ActorId, target: MapTarget, write: bool) -> FsResult<MapGrant> {
         self.trap();
         if in_sim() {
             work(cost::MAP_CALL_BASE_NS);
         }
         self.check_not_quarantined(actor)?;
-        let mut lease_attempt = 0u32;
         loop {
             let mut reg = self.reg_lock(RegistryLockSite::Map);
             // ---- Identify the file from its committed core state. ----
-            let (ino, ftype, _first_index0, dirent, parent, size) = match target {
+            let (ino, ftype, dirent, parent, size) = match target {
                 MapTarget::Root => {
                     let sb = SuperblockRef::new(self.kernel_handle());
-                    let fi = sb.root_first_index().map_err(|_| FsError::NotFound)?;
+                    // An unreadable superblock has no root to map.
+                    sb.root_first_index().map_err(|_| FsError::NotFound)?;
                     let sz = sb.root_size().unwrap_or(0);
-                    (ROOT_INO, CoreFileType::Directory, fi, None, ROOT_INO, sz)
+                    (ROOT_INO, CoreFileType::Directory, None, ROOT_INO, sz)
                 }
                 MapTarget::Dirent { parent, loc } => {
                     let d =
@@ -94,7 +100,7 @@ impl KernelController {
                         return Err(FsError::NotFound);
                     }
                     let ft = d.ftype().ok_or(FsError::Corrupted)?;
-                    (d.ino, ft, d.first_index, Some(loc), parent, d.size)
+                    (d.ino, ft, Some(loc), parent, d.size)
                 }
             };
 
@@ -136,15 +142,30 @@ impl KernelController {
                     let lease = meta.lease_until;
                     let t = now();
                     if t < lease {
+                        // Recall: tell the holder, then sleep until it
+                        // lets go — or, if it will not, until the lease
+                        // runs out (the one upper bound, as ever).
+                        let wake = Arc::clone(
+                            reg.lease_waiters
+                                .entry(ino)
+                                .or_insert_with(|| Arc::new(SimChannel::unbounded())),
+                        );
+                        if reg.recall_pages.get(&w).is_some_and(|page| page.post(ino)) {
+                            self.resilience_stats().record_recall_posted();
+                        }
                         drop(reg);
-                        // Wait out the lease via the unified retry policy,
-                        // clamped to the remaining lease (the default
-                        // policy makes attempt 0 exactly the remainder).
-                        let w = self.config().lease_retry.window_ns(lease_attempt, 0);
-                        crate::obs::lease_retry(lease_attempt, w);
                         self.stats.record_lease_retry();
-                        lease_attempt = lease_attempt.saturating_add(1);
-                        work(w.min(lease - t).max(1));
+                        crate::obs::lease_wait_begin(actor.0, w.0, ino);
+                        let _ = wake.recv_deadline(lease);
+                        let waited = now().saturating_sub(t);
+                        crate::obs::lease_wait_end(actor.0, w.0, waited);
+                        self.charge_phase(
+                            |p, ns| {
+                                p.lease_wait_ns += ns;
+                                p.lease_wait_max_ns = p.lease_wait_max_ns.max(ns);
+                            },
+                            waited,
+                        );
                         continue;
                     }
                     self.revoke_writer_locked(&mut reg, ino);
@@ -208,7 +229,6 @@ impl KernelController {
                     DirentRef::new(self.kernel_handle(), loc).first_index().map_err(|_| FsError::NotFound)?
                 }
             };
-            let _ = first_index;
             let pages = match walk_file(self.kernel_handle(), first_index, self.config().max_index_pages)
             {
                 Ok(p) => p,
@@ -292,6 +312,7 @@ impl KernelController {
                     pmeta.dirty_by = Some(actor);
                 }
             }
+            self.end_lease_wait(&mut reg, ino, actor, true);
         }
         for p in &to_unmap {
             let _ = self.device().mmu_unmap(actor, *p);
@@ -464,6 +485,9 @@ impl KernelController {
                 for p in pages {
                     let _ = self.device().mmu_unmap(*a, *p);
                 }
+            }
+            if let Some(w) = meta.writer {
+                self.end_lease_wait(&mut reg, ino, w, true);
             }
             if let Some(ck) = &meta.checkpoint {
                 let pages: Vec<PageId> = ck.images.iter().map(|(p, _)| *p).collect();
@@ -643,6 +667,29 @@ impl KernelController {
             }
         }
         self.push_event(KernelEvent::LeaseRevoked { ino, actor: w });
+        self.end_lease_wait(reg, ino, w, false);
+    }
+
+    /// `holder`'s write lease on `ino` is over: withdraws the recall from
+    /// its page and wakes every mapper blocked on the lease. `honoured`
+    /// says whether the holder let go itself or ran into expiry.
+    pub(crate) fn end_lease_wait(
+        &self,
+        reg: &mut Registry,
+        ino: Ino,
+        holder: ActorId,
+        honoured: bool,
+    ) {
+        let Some(wake) = reg.lease_waiters.remove(&ino) else {
+            return;
+        };
+        if let Some(page) = reg.recall_pages.get(&holder) {
+            page.withdraw(ino);
+        }
+        self.resilience_stats().record_recall_end(honoured);
+        if in_sim() {
+            wake.close();
+        }
     }
 
     /// Runs the integrity verifier on `ino` (which must be dirty). On a

@@ -113,19 +113,22 @@ mod real {
         event(op, kind(write), Stage::Retry, Phase::Open, attempt as u64, u32::MAX, window_ns);
     }
 
-    /// The lease-wait path is backing off for `window_ns` before
-    /// re-checking the lease (`attempt` 0-based).
+    /// Mapper `waiter` starts waiting on `holder`'s write lease of `ino`
+    /// (DESIGN.md §21). With [`lease_wait_end`] this is a span whose
+    /// `actor` is who waits and whose `node` is who must yield.
     #[inline]
-    pub(crate) fn lease_retry(attempt: u32, window_ns: u64) {
-        event(
-            trio_obs::current_op(),
-            OpKind::Harness,
-            Stage::Retry,
-            Phase::Open,
-            attempt as u64,
-            u32::MAX,
-            window_ns,
-        );
+    pub(crate) fn lease_wait_begin(waiter: u32, holder: u32, ino: u64) {
+        let op = trio_obs::current_op();
+        event(op, OpKind::Harness, Stage::Retry, Phase::Open, waiter as u64, holder, ino);
+    }
+
+    /// The wait is over after `waited_ns`: the holder let go, or the
+    /// lease ran out.
+    #[inline]
+    pub(crate) fn lease_wait_end(waiter: u32, holder: u32, waited_ns: u64) {
+        let op = trio_obs::current_op();
+        event(op, OpKind::Harness, Stage::Retry, Phase::Close, waiter as u64, holder, waited_ns);
+        record_latency(OpKind::Harness, Stage::Retry, waited_ns);
     }
 
     /// The watchdog reaped a dead delegation worker.
@@ -249,7 +252,10 @@ mod noop {
     pub(crate) fn retry_decision(_op: u64, _write: bool, _attempt: u32, _window_ns: u64) {}
 
     #[inline(always)]
-    pub(crate) fn lease_retry(_attempt: u32, _window_ns: u64) {}
+    pub(crate) fn lease_wait_begin(_waiter: u32, _holder: u32, _ino: u64) {}
+
+    #[inline(always)]
+    pub(crate) fn lease_wait_end(_waiter: u32, _holder: u32, _waited_ns: u64) {}
 
     #[inline(always)]
     pub(crate) fn worker_death(_node: usize, _worker: u64) {}

@@ -1,6 +1,7 @@
 //! Resilience counters for the adversarial containment path (DESIGN.md
 //! §14): violations by kind, quarantine entries/exits, repair outcomes,
-//! and verification walk budgets hit. One [`ResilienceStats`] instance
+//! verification walk budgets hit, and how lease recalls ended (§21:
+//! honoured by the holder, or left to expire). One [`ResilienceStats`] instance
 //! lives in the kernel controller next to [`trio_nvm::PathStats`] so a
 //! fuzz campaign (or an operator) can snapshot detection *and* repair
 //! behaviour the same way benches snapshot the data path. Counters are
@@ -34,6 +35,12 @@ pub struct ResilienceStats {
     repairs_clean: AtomicU64,
     repairs_rolled_back: AtomicU64,
     repairs_privatized: AtomicU64,
+    /// Lease recalls (DESIGN.md §21), one per (holder, file): posted to
+    /// the holder's recall page; ended by the holder letting go; ended by
+    /// lease expiry with the mapper still waiting.
+    recalls_posted: AtomicU64,
+    recalls_honoured: AtomicU64,
+    recalls_expired: AtomicU64,
 }
 
 impl ResilienceStats {
@@ -86,6 +93,18 @@ impl ResilienceStats {
         Self::bump(c);
     }
 
+    /// A blocked mapper posted a new recall to a holder's page.
+    pub fn record_recall_posted(&self) {
+        Self::bump(&self.recalls_posted);
+    }
+
+    /// A write lease with mappers waiting on it ended: by the holder's
+    /// own release (`honoured`), or by the kernel taking it away — at
+    /// expiry, or with everything else a quarantined LibFS held.
+    pub fn record_recall_end(&self, honoured: bool) {
+        Self::bump(if honoured { &self.recalls_honoured } else { &self.recalls_expired });
+    }
+
     /// Coherent-enough copy of every counter.
     pub fn snapshot(&self) -> ResilienceSnapshot {
         let mut by_kind = [0u64; VIOLATION_KINDS.len()];
@@ -102,6 +121,9 @@ impl ResilienceStats {
             repairs_clean: self.repairs_clean.load(Ordering::Relaxed),
             repairs_rolled_back: self.repairs_rolled_back.load(Ordering::Relaxed),
             repairs_privatized: self.repairs_privatized.load(Ordering::Relaxed),
+            recalls_posted: self.recalls_posted.load(Ordering::Relaxed),
+            recalls_honoured: self.recalls_honoured.load(Ordering::Relaxed),
+            recalls_expired: self.recalls_expired.load(Ordering::Relaxed),
         }
     }
 }
@@ -138,6 +160,12 @@ pub struct ResilienceSnapshot {
     pub repairs_rolled_back: u64,
     /// Files privatized during repair.
     pub repairs_privatized: u64,
+    /// Lease recalls posted to a holder's recall page.
+    pub recalls_posted: u64,
+    /// Recalled leases the holder let go of before expiry.
+    pub recalls_honoured: u64,
+    /// Recalled leases that ran to expiry and were revoked.
+    pub recalls_expired: u64,
 }
 
 impl ResilienceSnapshot {
@@ -174,7 +202,10 @@ impl ResilienceSnapshot {
         push("quarantine_exits", self.quarantine_exits);
         push("repairs_clean", self.repairs_clean);
         push("repairs_rolled_back", self.repairs_rolled_back);
-        out.push_str(&format!("  \"repairs_privatized\": {}\n", self.repairs_privatized));
+        push("repairs_privatized", self.repairs_privatized);
+        push("recalls_posted", self.recalls_posted);
+        push("recalls_honoured", self.recalls_honoured);
+        out.push_str(&format!("  \"recalls_expired\": {}\n", self.recalls_expired));
         out.push('}');
         out
     }
@@ -202,11 +233,13 @@ impl KernelController {
             return;
         }
         let mut tainted: HashSet<Ino> = HashSet::new();
+        let mut leases_ended: Vec<Ino> = Vec::new();
         for (ino, meta) in reg.files.iter_mut() {
             if meta.writer == Some(offender) {
                 meta.writer = None;
                 meta.lease_until = 0;
                 meta.dirty_by = Some(offender);
+                leases_ended.push(*ino);
             }
             meta.readers.remove(&offender);
             meta.mapped_pages.remove(&offender);
@@ -218,6 +251,10 @@ impl KernelController {
             if *actor == offender {
                 tainted.insert(*ino);
             }
+        }
+        // Mappers blocked on the offender's leases need not sit them out.
+        for ino in leases_ended {
+            self.end_lease_wait(reg, ino, offender, false);
         }
         self.device().revoke_actor(offender);
         // Its grant windows go with the MMU grants: a contained LibFS's
@@ -345,8 +382,15 @@ mod tests {
         s.record_quarantine_exit();
         s.record_repair(RepairOutcome::RolledBack);
         s.record_budget_hit();
+        s.record_recall_posted();
+        s.record_recall_posted();
+        s.record_recall_end(true);
+        s.record_recall_end(false);
         let j = s.snapshot().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"recalls_posted\": 2,"));
+        assert!(j.contains("\"recalls_honoured\": 1,"));
+        assert!(j.ends_with("\"recalls_expired\": 1\n}"));
         assert!(j.contains("\"bad_name\": 1"));
         assert!(j.contains("\"quarantine_entries\": 1"));
         assert!(j.contains("\"repairs_rolled_back\": 1"));

@@ -9,11 +9,67 @@
 //! [`trio_verifier::ResourceView`] adapter.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use trio_layout::{CoreFileType, DirentLoc, FilePages, Ino, ROOT_INO};
 use trio_nvm::{ActorId, PageId};
+use trio_sim::sync::{SimChannel, SimMutex};
 use trio_sim::Nanos;
 use trio_verifier::ShadowAttr;
+
+/// The page the kernel shares with one LibFS from `register` on — the
+/// model of a shared page plus a signal (DESIGN.md §21). A mapper blocked
+/// on a write lease this LibFS holds posts the file's ino here; the LibFS
+/// polls [`RecallPage::pending`] whenever an operation enters a file or
+/// directory and yields what it can. Purely advisory: a LibFS that never
+/// looks loses its grant at lease expiry, exactly as if the page did not
+/// exist.
+pub struct RecallPage {
+    /// The *recall word*: how many inos are posted. Only a hint that the
+    /// list is worth taking — the list itself is behind the lock — so
+    /// relaxed accesses suffice.
+    word: AtomicU64,
+    inos: SimMutex<Vec<Ino>>,
+}
+
+impl RecallPage {
+    pub(crate) fn new() -> Self {
+        RecallPage { word: AtomicU64::new(0), inos: SimMutex::new(Vec::new()) }
+    }
+
+    /// Whether any recall is posted. One relaxed load: no trap, no
+    /// virtual time, not a scheduling point.
+    #[inline]
+    pub fn pending(&self) -> bool {
+        self.word.load(Ordering::Relaxed) != 0
+    }
+
+    /// Takes every posted ino, clearing the word (the LibFS side).
+    pub fn take(&self) -> Vec<Ino> {
+        let mut inos = self.inos.lock();
+        self.word.store(0, Ordering::Relaxed);
+        std::mem::take(&mut *inos)
+    }
+
+    /// Posts `ino`; `false` if it already was.
+    pub(crate) fn post(&self, ino: Ino) -> bool {
+        let mut inos = self.inos.lock();
+        let fresh = !inos.contains(&ino);
+        if fresh {
+            inos.push(ino);
+            self.word.store(inos.len() as u64, Ordering::Relaxed);
+        }
+        fresh
+    }
+
+    /// Withdraws `ino` (its lease ended before the holder looked).
+    pub(crate) fn withdraw(&self, ino: Ino) {
+        let mut inos = self.inos.lock();
+        inos.retain(|i| *i != ino);
+        self.word.store(inos.len() as u64, Ordering::Relaxed);
+    }
+}
 
 /// Credentials of a registered LibFS (one per process or trust group).
 #[derive(Clone, Copy, Debug)]
@@ -202,6 +258,11 @@ pub struct Registry {
     pub pending_dirty: HashMap<Ino, trio_nvm::ActorId>,
     /// Next actor id to hand out.
     pub next_actor: u32,
+    /// Each registered LibFS's recall page (DESIGN.md §21).
+    pub recall_pages: HashMap<ActorId, Arc<RecallPage>>,
+    /// Mappers blocked on a file's write lease wait on its channel;
+    /// whoever ends the lease removes and closes it, waking them all.
+    pub lease_waiters: HashMap<Ino, Arc<SimChannel<()>>>,
     /// LibFSes currently quarantined after a confirmed violation, with the
     /// subtree each one tainted.
     pub quarantine: HashMap<ActorId, QuarantineInfo>,
@@ -236,6 +297,8 @@ impl Registry {
             files,
             pending_dirty: HashMap::new(),
             next_actor: 1,
+            recall_pages: HashMap::new(),
+            lease_waiters: HashMap::new(),
             quarantine: HashMap::new(),
             tainted_index: HashMap::new(),
             repairing: false,
@@ -298,6 +361,21 @@ mod tests {
         let r = Registry::new();
         assert!(r.files.contains_key(&ROOT_INO));
         assert!(!r.files[&ROOT_INO].is_mapped());
+    }
+
+    #[test]
+    fn recall_page_word_follows_the_list() {
+        let p = RecallPage::new();
+        assert!(!p.pending());
+        assert!(p.post(7));
+        assert!(!p.post(7), "one entry per ino, however many mappers wait");
+        assert!(p.post(9));
+        p.withdraw(7);
+        assert!(p.pending());
+        assert_eq!(p.take(), [9]);
+        assert!(!p.pending());
+        p.withdraw(9); // Already taken: nothing to withdraw.
+        assert!(p.take().is_empty());
     }
 
     #[test]

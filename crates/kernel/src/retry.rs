@@ -1,9 +1,9 @@
-//! Unified retry policy for every bounded-wait path (DESIGN.md §16).
+//! Unified retry policy for the bounded-wait paths (DESIGN.md §16).
 //!
-//! PR 1 grew three ad-hoc copies of the same idea — delegation deadlines
-//! that double per attempt, lease waits that sleep the remaining lease,
-//! allocation refills that failed on first exhaustion. [`RetryPolicy`]
-//! replaces all of them with one declarative state machine:
+//! PR 1 grew ad-hoc copies of the same idea — delegation deadlines that
+//! double per attempt, allocation refills that failed on first
+//! exhaustion. [`RetryPolicy`] replaces them with one declarative state
+//! machine (the lease wait is not a retry but one deadline wait, §21):
 //!
 //! ```text
 //!   attempt 0: window = base + remaining_bytes·per_byte      (+ jitter)
@@ -22,7 +22,7 @@ use trio_sim::rng::with_rng;
 use trio_sim::{in_sim, Nanos};
 
 /// Declarative deadline/backoff/budget policy shared by the delegation
-/// submit path, the allocation refill path, and the lease-wait path.
+/// submit path and the allocation refill path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Base window for a zero-byte request, in virtual ns.
@@ -48,7 +48,7 @@ impl RetryPolicy {
     }
 
     /// Disables jitter (paths that must stay bit-identical to the
-    /// pre-policy behaviour, e.g. the lease wait).
+    /// pre-policy behaviour, e.g. the pool refill).
     pub const fn no_jitter(mut self) -> Self {
         self.jitter = false;
         self

@@ -69,9 +69,11 @@ pub enum Stage {
     VerifierWalk = 4,
     /// Measured harness window (open at barrier release, close at join).
     Window = 5,
-    /// One retry decision on the delegation/refill/lease paths: open
-    /// carries the attempt number in `actor` and the chosen backoff
-    /// window (ns) in `aux`.
+    /// One retry decision on the delegation/refill paths: open carries
+    /// the attempt number in `actor` and the chosen backoff window (ns)
+    /// in `aux`. Under `OpKind::Harness` with a real `node`, a lease wait
+    /// (DESIGN.md §21): `actor` waits for LibFS `node` to yield; open
+    /// carries the ino in `aux`, close the waited ns.
     Retry = 6,
     /// Failure-domain transition: worker death/restart and degraded-mode
     /// enter/exit. Open = failure observed, close = recovered.

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Full verification gate: tier-1 tests, the exhaustive crash-point sweep
-# at the pinned seed, and the standalone no-faults bench build that
-# proves the injection hooks compile to no-ops outside the `faults`
-# feature. Run from anywhere inside the repo.
+# Full verification gate: tier-1 tests widened to every crate's own suite
+# (`--workspace`; tier-1 itself stays the root package's), the exhaustive
+# crash-point sweep at the pinned seed, and the standalone no-faults bench
+# build that proves the injection hooks compile to no-ops outside the
+# `faults` feature. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: cargo build --release && cargo test -q =="
+echo "== tier-1 and every crate's suite: cargo build --release && cargo test -q --workspace =="
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 
 echo
 echo "== lint gate: cargo clippy --workspace -- -D warnings =="
@@ -227,22 +228,27 @@ rm -f /tmp/trio_datapath.$$
 echo
 echo "== mega-tenant gate: 128 concurrent LibFS instances, lock-free control plane =="
 # DESIGN.md §20: one kernel, N = {8, 32, 128} independent LibFS tenants
-# doing metadata churn plus delegated writes. Gates: per-tenant metadata
-# throughput at 128 tenants stays within 0.8x of the 8-tenant rate
-# (near-linear control-plane scaling), and the hot-path registry-lock
-# budget holds across every rung.
+# doing metadata churn plus delegated writes. Gates: the hot-path
+# registry-lock budget holds across every rung, and — DESIGN.md §21 — when
+# 127 tenants want the root the 128th holds, the recall hands it over: no
+# `map` inside the measured phases waits on a lease for more than 1 ms (it
+# was 100 ms), and the 128-tenant per-tenant metadata rate stays above
+# 20 000 ops/s (882 before recall). The old gate, "the 128-tenant rate is
+# within 0.8x of the 8-tenant rate", held only because every rung's window
+# was the same 100 ms sleep; with the sleep gone the window is the root
+# hand-over — 2N maps queueing on the registry lock — and the ratio is
+# printed, not gated, until the bench separates hand-over from churn
+# (ROADMAP 1(d)).
 TRIO_BENCH_OUT=/tmp/trio_megatenant.$$ \
     cargo bench -p trio-bench --bench bench_megatenant
 python3 - /tmp/trio_megatenant.$$ <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
-scaling = float(r["scaling_8_to_128"])
-if scaling < 0.8:
-    sys.exit(
-        f"FAIL: per-tenant metadata scaling 8->128 = {scaling:.3f} (< 0.8x); "
-        f"per-rung rates: {r.get('meta_ops_per_sec_per_tenant')}"
-    )
-print(f"OK: per-tenant metadata scaling 8->128 = {scaling:.3f} (>= 0.8x).")
+rates = r["meta_ops_per_sec_per_tenant"]
+print(f"NOTE: per-tenant metadata rates {rates}, scaling 8->128 = {r['scaling_8_to_128']} (not gated).")
+if rates[-1] < 20_000:
+    sys.exit(f"FAIL: per-tenant metadata rate at 128 tenants = {rates[-1]} ops/s (< 20000)")
+print(f"OK: per-tenant metadata rate at 128 tenants = {rates[-1]} ops/s (>= 20000).")
 hot = int(r["max_hot_registry_locks"])
 if hot > 10:
     sys.exit(
@@ -250,6 +256,12 @@ if hot > 10:
         f"per-site: {r.get('registry_lock_sites')}"
     )
 print(f"OK: hot-path registry locks = {hot} across all rungs (<= 10).")
+wait_ns = int(r["lease_wait_max_ns"])
+if int(r["recalls_honoured"]) < 1:
+    sys.exit("FAIL: no lease recall was honoured at the 128-tenant rung")
+if wait_ns > 1_000_000:
+    sys.exit(f"FAIL: a map waited {wait_ns} ns on a lease at the 128-tenant rung (> 1 ms)")
+print(f"OK: longest lease wait at 128 tenants = {wait_ns} ns (<= 1 ms; recall honoured).")
 EOF
 rm -f /tmp/trio_megatenant.$$
 

@@ -67,10 +67,18 @@ fn concurrent_readers_share_without_transfer() {
     rt.run();
 }
 
-#[test]
-fn writer_lease_ping_pong_preserves_all_writes() {
-    let (_, a, b) = world(1); // 1ms lease: force many transfers.
-    let rt = SimRuntime::new(3);
+/// Two LibFSes write disjoint halves of one file, 200 writes each, the
+/// grant bouncing between them; returns the kernel events of the run.
+/// `hold_fd`: each writer keeps one descriptor open throughout (the grant
+/// is pinned and moves only at lease expiry), or opens and closes around
+/// every write (the grant moves by recall at every op boundary, the old
+/// holder racing to re-acquire it for its next write).
+fn ping_pong(lease_ms: u64, hold_fd: bool, seed: u64) -> Vec<trio_kernel::registry::KernelEvent> {
+    let (kernel, a, b) = world(lease_ms);
+    let rd = Arc::new(trio_sim::RaceDetector::new());
+    assert!(kernel.device().set_race_detector(rd));
+    let rt = SimRuntime::new(seed);
+    rt.enable_race_detection();
     let procs = [Arc::clone(&a), Arc::clone(&b)];
     let check = Arc::clone(&a);
     rt.spawn("main", move || {
@@ -80,12 +88,17 @@ fn writer_lease_ping_pong_preserves_all_writes() {
         for (i, fs) in procs.iter().enumerate() {
             let fs = Arc::clone(fs);
             hs.push(trio_sim::spawn("writer", move || {
-                let fd = fs.open("/pp", OpenFlags::RDWR, Mode(0o666)).unwrap();
+                let open = || fs.open("/pp", OpenFlags::RDWR, Mode(0o666)).unwrap();
+                let mut fd = open();
                 let block = vec![i as u8 + 1; 4096];
                 // Each process owns a disjoint half of the file.
                 for k in 0..200u64 {
                     let off = (i as u64 * 8 + (k % 8)) * 4096;
                     fs.pwrite(fd, off, &block).unwrap();
+                    if !hold_fd {
+                        fs.close(fd).unwrap();
+                        fd = open();
+                    }
                 }
                 let _ = fs.close(fd);
             }));
@@ -99,7 +112,21 @@ fn writer_lease_ping_pong_preserves_all_writes() {
         assert!(data[..8 * 4096].iter().all(|&x| x == 1), "A's half intact");
         assert!(data[8 * 4096..16 * 4096].iter().all(|&x| x == 2), "B's half intact");
     });
+    // The detector panics the whole run on any unsynchronized hand-off.
     rt.run();
+    kernel.take_events()
+}
+
+#[test]
+fn writer_lease_ping_pong_preserves_all_writes() {
+    use trio_kernel::registry::KernelEvent as E;
+    // Pinned by open descriptors, 1 ms lease: the grant moves at expiry or
+    // at a writer's close, whichever comes first.
+    ping_pong(1, true, 3);
+    // Unpinned, paper's lease: every transfer is an honoured recall, the
+    // old holder re-acquiring concurrently — and still no write is lost.
+    let events = ping_pong(100, false, 3);
+    assert!(!events.iter().any(|e| matches!(e, E::LeaseRevoked { .. })), "{events:?}");
 }
 
 #[test]
@@ -410,4 +437,355 @@ fn lease_expiry_vs_concurrent_reacquire_is_race_free() {
     // The detector panics the whole run on any unsynchronized hand-off.
     let out = catch_unwind(AssertUnwindSafe(|| rt.run()));
     assert!(out.is_ok(), "lease hand-off raced under the detector");
+}
+
+// ---------------------------------------------------------------------
+// Cooperative lease recall (DESIGN.md §21).
+// ---------------------------------------------------------------------
+
+/// Runs `holder` and `waiter` as two sim-threads (two processes).
+fn run_pair(seed: u64, holder: impl FnOnce() + Send + 'static, waiter: impl FnOnce() + Send + 'static) {
+    let rt = SimRuntime::new(seed);
+    rt.spawn("holder", holder);
+    rt.spawn("waiter", waiter);
+    rt.run();
+}
+
+/// A holds write grants on `/` and `/d` it is not using; its process is
+/// busy elsewhere. B's readdir of `/d` recalls both and gets them within
+/// microseconds — not after the 100 ms lease.
+#[test]
+fn idle_directory_grant_yields_to_a_reader_in_microseconds() {
+    let (kernel, a, b) = world(100);
+    let took = Arc::new(Mutex::new(0u64));
+    let took2 = Arc::clone(&took);
+    run_pair(
+        20,
+        move || {
+            a.mkdir("/d", Mode(0o777)).unwrap();
+            // Through the kernel, not by construction: a real lease on `/d`.
+            a.release_path("/d").unwrap();
+            a.create("/d/f", Mode(0o666)).unwrap();
+            a.mkdir("/private", Mode(0o777)).unwrap();
+            for _ in 0..500 {
+                a.stat("/private").unwrap(); // An op boundary every ~10 us.
+                trio_sim::work(10_000);
+            }
+        },
+        move || {
+            trio_sim::work(MILLIS);
+            let t0 = trio_sim::now();
+            let names: Vec<String> = b.readdir("/d").unwrap().into_iter().map(|e| e.name).collect();
+            *took2.lock() = trio_sim::now() - t0;
+            assert_eq!(names, ["f"]);
+        },
+    );
+    let took = *took.lock();
+    assert!(took < MILLIS, "recall must hand `/` and `/d` over in < 1 ms, took {took} ns");
+    let r = kernel.resilience_stats().snapshot();
+    assert_eq!((r.recalls_posted, r.recalls_honoured, r.recalls_expired), (2, 2, 0));
+    use trio_kernel::registry::KernelEvent as E;
+    assert!(!kernel.take_events().iter().any(|e| matches!(e, E::LeaseRevoked { .. })));
+}
+
+/// The pin rule: a file grant an open descriptor is using is not yielded
+/// at the op boundary but at the last `close`; and a holder that does not
+/// close in time is revoked at lease expiry, neither sooner nor later.
+#[test]
+fn open_descriptor_pins_a_grant_until_close_or_expiry() {
+    for never_close in [false, true] {
+        let (kernel, a, b) = world(20);
+        // (A's first pwrite: before, after), A's close, B's pwrite done.
+        let times = Arc::new(Mutex::new([0u64; 4]));
+        let (ta, tb, ka) = (Arc::clone(&times), Arc::clone(&times), Arc::clone(&kernel));
+        run_pair(
+            21,
+            move || {
+                write_file(&*a, "/f", &vec![0u8; 8192]).unwrap();
+                a.release_path("/f").unwrap();
+                a.release_path("/").unwrap();
+                let fd = a.open("/f", OpenFlags::RDWR, Mode(0o666)).unwrap();
+                ta.lock()[0] = trio_sim::now();
+                a.pwrite(fd, 0, b"A").unwrap();
+                ta.lock()[1] = trio_sim::now();
+                let until = if never_close { 40 * MILLIS } else { 5 * MILLIS };
+                while trio_sim::now() < until {
+                    a.pwrite(fd, 0, b"A").unwrap(); // Op boundaries galore.
+                    trio_sim::work(10_000);
+                }
+                ta.lock()[2] = trio_sim::now();
+                let releases = || {
+                    let s = ka.path_stats().snapshot();
+                    s.registry_lock_site(trio_nvm::RegistryLockSite::Release)
+                };
+                let before = releases();
+                a.close(fd).unwrap();
+                // The revoked holder took the file back with its next
+                // pwrite: the recall that was parked on the old lease must
+                // not make this close give the new one away.
+                assert_eq!(releases() - before, if never_close { 0 } else { 1 });
+            },
+            move || {
+                trio_sim::work(MILLIS);
+                let fd = b.open("/f", OpenFlags::RDWR, Mode(0o666)).unwrap();
+                b.pwrite(fd, 4096, b"B").unwrap();
+                tb.lock()[3] = trio_sim::now();
+                b.close(fd).unwrap();
+            },
+        );
+        let [map0, map1, closed, b_done] = *times.lock();
+        let r = kernel.resilience_stats().snapshot();
+        use trio_kernel::registry::KernelEvent as E;
+        let revoked = kernel.take_events().iter().any(|e| matches!(e, E::LeaseRevoked { .. }));
+        if never_close {
+            // The lease began somewhere inside A's first pwrite.
+            assert!(b_done >= map0 + 20 * MILLIS, "revoked before expiry: {b_done}");
+            assert!(b_done < map1 + 21 * MILLIS, "revoked long after expiry: {b_done}");
+            assert!(revoked);
+            assert_eq!(r.recalls_expired, 1);
+        } else {
+            assert!(b_done >= closed, "yielded while pinned: B done {b_done}, A closed {closed}");
+            assert!(b_done < closed + MILLIS, "not yielded at close: {b_done} vs {closed}");
+            assert!(!revoked);
+            assert_eq!((r.recalls_honoured, r.recalls_expired), (1, 0));
+            assert_eq!(r.recalls_posted, 1);
+        }
+    }
+}
+
+/// A hostile (or merely old) LibFS that never looks at its recall page —
+/// driven here through the raw kernel API — gains nothing and costs the
+/// waiter exactly what it cost before recall existed: the rest of the lease.
+#[test]
+fn holder_that_ignores_the_recall_is_revoked_at_expiry() {
+    use trio_kernel::mapping::MapTarget;
+    let (kernel, _, b) = world(30);
+    let (k1, k2) = (Arc::clone(&kernel), Arc::clone(&kernel));
+    let lease = Arc::new(Mutex::new(0u64));
+    let lease2 = Arc::clone(&lease);
+    run_pair(
+        22,
+        move || {
+            let h = k1.register_libfs(1000, 1000);
+            *lease2.lock() = k1.map(h.actor, MapTarget::Root, true).unwrap().lease_until;
+            trio_sim::work(2 * MILLIS);
+            assert!(h.recall.pending(), "the recall was posted");
+            trio_sim::work(60 * MILLIS); // Never yields.
+            assert!(!h.recall.pending(), "and withdrawn when the lease ended");
+        },
+        move || {
+            trio_sim::work(MILLIS);
+            b.readdir("/").unwrap();
+            let (now, lease) = (trio_sim::now(), *lease.lock());
+            assert!(now >= lease, "woke before expiry: {now} < {lease}");
+            assert!(now < lease + MILLIS, "woke long after expiry: {now} vs {lease}");
+            use trio_kernel::registry::KernelEvent as E;
+            assert!(k2.take_events().iter().any(|e| matches!(e, E::LeaseRevoked { .. })));
+        },
+    );
+    let r = kernel.resilience_stats().snapshot();
+    assert_eq!((r.recalls_posted, r.recalls_honoured, r.recalls_expired), (1, 0, 1));
+}
+
+/// The permission check comes first: a LibFS that may not map the file
+/// cannot make its holder yield (or even learn that anyone asked).
+#[test]
+fn mapper_without_permission_posts_no_recall() {
+    let dev = Arc::new(NvmDevice::new(DeviceConfig {
+        topology: Topology::new(1, 32 * 1024),
+        ..DeviceConfig::small()
+    }));
+    let kernel = KernelController::format(dev, KernelConfig::default());
+    let alice = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
+    let eve = ArckFs::mount(Arc::clone(&kernel), 2000, 2000, ArckFsConfig::no_delegation());
+    run_pair(
+        23,
+        move || {
+            write_file(&*alice, "/secret", b"alice only").unwrap(); // Mode 0600.
+            alice.release_path("/").unwrap();
+            alice.release_path("/secret").unwrap();
+            let fd = alice.open("/secret", OpenFlags::RDWR, Mode::empty()).unwrap();
+            alice.pwrite(fd, 0, b"ALICE").unwrap(); // Write grant, pinned.
+            trio_sim::work(5 * MILLIS);
+            alice.close(fd).unwrap();
+        },
+        move || {
+            trio_sim::work(MILLIS);
+            let fd = eve.open("/secret", OpenFlags::RDONLY, Mode::empty()).unwrap();
+            let t0 = trio_sim::now();
+            let mut buf = [0u8; 16];
+            assert_eq!(eve.pread(fd, 0, &mut buf).err(), Some(FsError::PermissionDenied));
+            assert!(trio_sim::now() - t0 < MILLIS / 10, "refused at once, not after a wait");
+            eve.close(fd).unwrap();
+        },
+    );
+    assert_eq!(kernel.resilience_stats().snapshot().recalls_posted, 0);
+}
+
+/// PR 11's recipe for the retry that was not idempotent: a *prefilled*
+/// directory whose own dirent (and so its size field) lives in a root
+/// page, and the root handed to another mount between the tenant's calls.
+/// Each call then publishes its entry, faults on the size update, remaps —
+/// and must finish, not run again (`create` used to return `Exists`,
+/// `unlink` and `rename` `NotFound`).
+#[test]
+fn dir_ops_survive_a_root_handover_in_mid_script() {
+    let (_, a, b) = world(2);
+    let rt = SimRuntime::new(24);
+    rt.spawn("t", move || {
+        let mut model = std::collections::BTreeSet::new();
+        a.mkdir("/ta", Mode(0o777)).unwrap();
+        a.mkdir("/ta/sub", Mode(0o777)).unwrap();
+        model.insert("sub".to_string());
+        for i in 0..20 {
+            a.create(&format!("/ta/f{i}"), Mode(0o666)).unwrap();
+            model.insert(format!("f{i}"));
+        }
+        for i in 0..5 {
+            // Hand the root to B; A's next call waits out B's (2 ms) lease,
+            // and the verification of `/` strips A of the page its `/ta`
+            // dirent lives in.
+            a.release_path("/").unwrap();
+            b.create(&format!("/b{i}"), Mode(0o666)).unwrap();
+            match i {
+                0 => {
+                    a.create("/ta/new", Mode(0o666)).unwrap();
+                    model.insert("new".into());
+                }
+                1 => {
+                    a.unlink("/ta/f0").unwrap();
+                    model.remove("f0");
+                }
+                2 => {
+                    a.rename("/ta/f1", "/ta/g1").unwrap();
+                    model.remove("f1");
+                    model.insert("g1".into());
+                }
+                3 => {
+                    a.rename("/ta/f2", "/ta/sub/f2").unwrap();
+                    model.remove("f2");
+                }
+                _ => {
+                    a.rename("/ta/sub/f2", "/ta/h2").unwrap();
+                    model.insert("h2".into());
+                }
+            }
+        }
+        let want: Vec<String> = model.into_iter().collect();
+        let names = |fs: &ArckFs, p: &str| -> Vec<String> {
+            fs.readdir(p).unwrap().into_iter().map(|e| e.name).collect()
+        };
+        assert_eq!(names(&a, "/ta"), want);
+        assert_eq!(a.stat("/ta").unwrap().size, want.len() as u64);
+        assert_eq!(a.stat("/ta/sub").unwrap().size, 0);
+        // B's view goes through the kernel's verification of `/ta`.
+        a.release_path("/ta").unwrap();
+        a.release_path("/ta/sub").unwrap();
+        assert_eq!(names(&b, "/ta"), want);
+        assert!(names(&b, "/ta/sub").is_empty());
+    });
+    rt.run();
+}
+
+/// A recall must not pull a directory from under the holder's *own*
+/// sibling threads: mount A runs three threads creating and unlinking in
+/// `/shared` while mount B creates there too, so every recall reaches A
+/// with ops in flight on the directory. An honest multi-threaded LibFS is
+/// never flagged: no kernel event at all, no failed op, and the tree is
+/// the model.
+#[test]
+fn recall_waits_for_the_holders_sibling_threads() {
+    for seed in 25..29 {
+        // (No race detector: `map` identifies the file by reading its
+        // dirent before it looks at the lease, on the very cache line the
+        // holder's size updates go to.)
+        let (kernel, a, b) = world(100);
+        let rt = SimRuntime::new(seed);
+        rt.spawn("main", move || {
+            a.mkdir("/shared", Mode(0o777)).unwrap();
+            let b_done = Arc::new(Mutex::new(false));
+            let left = Arc::new(Mutex::new(Vec::new()));
+            let mut hs = Vec::new();
+            for t in 0..3 {
+                let (fs, b_done, left) = (Arc::clone(&a), Arc::clone(&b_done), Arc::clone(&left));
+                hs.push(trio_sim::spawn("a", move || {
+                    // Create k, unlink k-1: a{t}_{last} is what stays.
+                    let mut k = 0;
+                    while k < 8 || !*b_done.lock() {
+                        fs.create(&format!("/shared/a{t}_{k}"), Mode(0o666)).unwrap();
+                        if k > 0 {
+                            fs.unlink(&format!("/shared/a{t}_{}", k - 1)).unwrap();
+                        }
+                        k += 1;
+                    }
+                    left.lock().push(format!("a{t}_{}", k - 1));
+                }));
+            }
+            let fb = Arc::clone(&b);
+            hs.push(trio_sim::spawn("b", move || {
+                for k in 0..40 {
+                    fb.create(&format!("/shared/b{k}"), Mode(0o666)).unwrap();
+                }
+                fb.release_path("/shared").unwrap();
+                *b_done.lock() = true;
+            }));
+            for h in hs {
+                h.join();
+            }
+            let mut want: Vec<String> = std::mem::take(&mut *left.lock());
+            want.extend((0..40).map(|k| format!("b{k}")));
+            want.sort();
+            for fs in [&a, &b] {
+                let names: Vec<String> =
+                    fs.readdir("/shared").unwrap().into_iter().map(|e| e.name).collect();
+                assert_eq!(names, want);
+                assert_eq!(fs.stat("/shared").unwrap().size, want.len() as u64);
+                fs.release_path("/shared").unwrap();
+            }
+        });
+        rt.run();
+        let events = kernel.take_events();
+        assert!(events.is_empty(), "seed {seed}: {events:?}");
+        let r = kernel.resilience_stats().snapshot();
+        assert_eq!(r.total_violations(), 0);
+        assert!(r.recalls_honoured >= 40 && r.recalls_expired == 0, "seed {seed}: {r:?}");
+    }
+}
+
+/// A LibFS that goes quiet on a directory lease is revoked at expiry in
+/// whatever state it left — and that state must verify. Unlinks of
+/// children the kernel knows are therefore reclaimed at once, not left in
+/// the LibFS's batch: revoked with one pending, the directory used to fail
+/// verification (child gone, its ino still in use) and the honest LibFS
+/// was rolled back and quarantined.
+#[test]
+fn idle_holder_revoked_after_an_unlink_is_not_flagged() {
+    let (kernel, a, b) = world(5);
+    let rt = SimRuntime::new(27);
+    let k = Arc::clone(&kernel);
+    rt.spawn("t", move || {
+        a.mkdir("/shared", Mode(0o777)).unwrap();
+        for i in 0..4 {
+            a.create(&format!("/shared/f{i}"), Mode(0o666)).unwrap();
+        }
+        a.release_path("/shared").unwrap();
+        a.release_path("/").unwrap();
+        // B's map verifies `/shared`: the kernel now knows f0..f3.
+        b.create("/shared/b0", Mode(0o666)).unwrap();
+        b.release_path("/shared").unwrap();
+        a.unlink("/shared/f0").unwrap();
+        a.create("/shared/new", Mode(0o666)).unwrap();
+        a.unlink("/shared/new").unwrap(); // Never seen by the kernel: batched.
+        // A says no more (one thread drives both mounts, so it cannot
+        // honour the recall either): B sits out the lease.
+        b.create("/shared/b1", Mode(0o666)).unwrap();
+        let names: Vec<String> =
+            b.readdir("/shared").unwrap().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["b0", "b1", "f1", "f2", "f3"]);
+        use trio_kernel::registry::KernelEvent as E;
+        let events = k.take_events();
+        assert!(matches!(events[..], [E::LeaseRevoked { .. }]), "{events:?}");
+    });
+    rt.run();
+    assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
 }
