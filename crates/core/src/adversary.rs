@@ -24,6 +24,7 @@ use trio_kernel::delegation::{DelegReply, DelegReq, DelegRun};
 use trio_kernel::grant::GrantRef;
 use trio_layout::{CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, DIRENTS_PER_PAGE};
 use trio_nvm::{PageId, PAGE_SIZE};
+use trio_sim::metrics::{quoted, JsonObject};
 use trio_sim::rng::SimRng;
 use trio_sim::sync::SimChannel;
 use trio_sim::{in_sim, now};
@@ -589,8 +590,7 @@ fn free_slot_in(fs: &ArckFs, dir_data: &[Option<PageId>]) -> FsResult<DirentLoc>
 }
 
 /// Aggregate results of one fuzz campaign, dumped as
-/// `target/adversary-report.json` by the harness. Hand-rolled JSON in the
-/// style of [`trio_nvm::sanitize`] — the workspace is dependency-free.
+/// `target/adversary-report.json` by the harness.
 #[derive(Clone, Debug, Default)]
 pub struct AdversaryReport {
     /// Campaign seed (iteration RNGs derive from `(seed, iteration)`).
@@ -628,41 +628,28 @@ impl AdversaryReport {
         self.applied_by_kind.iter().sum()
     }
 
-    /// JSON object for `target/adversary-report.json`.
+    /// JSON object for `target/adversary-report.json` (only the mutation
+    /// kinds that landed appear under `applied_by_kind`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"iterations\": {},\n", self.iterations));
-        out.push_str("  \"applied_by_kind\": {");
-        let mut first = true;
-        for (i, m) in ALL_MUTATIONS.iter().enumerate() {
-            if self.applied_by_kind[i] == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": {}", m.name(), self.applied_by_kind[i]));
-        }
-        out.push_str("},\n");
-        let mut push = |k: &str, v: u64| out.push_str(&format!("  \"{k}\": {v},\n"));
-        push("total_applied", self.total_applied());
-        push("skipped", self.skipped);
-        push("victim_consistent", self.victim_consistent);
-        push("detections", self.detections);
-        push("quarantines", self.quarantines);
-        push("readmissions", self.readmissions);
-        push("deleg_rejected", self.deleg_rejected);
-        out.push_str("  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", f.replace('\\', "\\\\").replace('"', "\\\"")));
-        }
-        out.push_str("]\n}");
-        out
+        let mut w = JsonObject::new();
+        w.field("seed", self.seed)
+            .field("iterations", self.iterations)
+            .object("applied_by_kind", |o| {
+                for (m, n) in ALL_MUTATIONS.iter().zip(self.applied_by_kind) {
+                    if n > 0 {
+                        o.field(m.name(), n);
+                    }
+                }
+            })
+            .field("total_applied", self.total_applied())
+            .field("skipped", self.skipped)
+            .field("victim_consistent", self.victim_consistent)
+            .field("detections", self.detections)
+            .field("quarantines", self.quarantines)
+            .field("readmissions", self.readmissions)
+            .field("deleg_rejected", self.deleg_rejected)
+            .array("failures", self.failures.iter().map(|f| quoted(f)));
+        w.finish()
     }
 
     /// Writes the report to `target/adversary-report.json`, returning the

@@ -20,6 +20,10 @@ use trio_sim::{in_sim, now};
 use crate::libfs::ArckFs;
 use crate::node::{DirAux, DirEntryAux, FileNode, MapState};
 
+/// Unlinks of never-shared empty files queued before one batched kernel
+/// reclaim.
+const RECLAIM_BATCH: usize = 32;
+
 impl ArckFs {
     /// Creates a child (file or directory) under `parent`.
     ///
@@ -157,7 +161,7 @@ impl ArckFs {
                 let flush_now = {
                     let mut q = fs.reclaim.lock();
                     q.push((parent.ino, ino, first_index));
-                    q.len() >= fs.cfg.reclaim_batch
+                    q.len() >= RECLAIM_BATCH
                 };
                 if flush_now {
                     fs.flush_reclaim()?;

@@ -18,6 +18,32 @@ use trio_sim::{in_sim, now};
 use crate::libfs::ArckFs;
 use crate::node::{FileNode, MapState, NodeInner};
 
+/// Static policy (paper §4.5): reads below this go direct.
+const STATIC_READ_MIN: usize = 32 * 1024;
+/// Static policy (paper §4.5): writes below this go direct.
+const STATIC_WRITE_MIN: usize = 256;
+/// Adaptive policy: accesses at/above this size always delegate.
+const ADAPTIVE_DELEGATE_BYTES: usize = 64 * 1024;
+/// Adaptive policy: accesses below this size never delegate; in between,
+/// node load and remoteness decide.
+const ADAPTIVE_FLOOR_BYTES: usize = 4096;
+
+/// Pages per stripe unit (16 × 4 KiB = 64 KiB).
+const STRIPE_PAGES: usize = 16;
+
+/// The delegation retry policy (DESIGN.md §16): a 5 ms budget for one
+/// delegated request, doubled per attempt up to a 40 ms backoff cap, three
+/// attempts before falling back to direct access, and sim-RNG jitter so
+/// synchronized clients don't retry in lockstep. The 8 ns per payload byte
+/// is there because a saturated device legitimately takes ~4 ns/byte of
+/// queueing per thread at full fan-in; without it, large ops at high
+/// thread counts time out on healthy (merely busy) workers and the retries
+/// collapse throughput. The pool recomputes the window from the
+/// *remaining* bytes each attempt, so retries of a partially completed
+/// batch get windows scaled to what is actually left.
+const DELEGATION_RETRY: RetryPolicy =
+    RetryPolicy::new(5 * trio_sim::MILLIS, 8, 3, 40 * trio_sim::MILLIS);
+
 /// A write's payload source. `data` is always readable (the caller's
 /// slice, or its snapshot of a registered buffer) and serves the direct
 /// path; when `grant` is set, the delegation path submits the window by
@@ -262,19 +288,14 @@ impl ArckFs {
         }
         match self.cfg.delegation_policy {
             crate::libfs::DelegationPolicy::Static => {
-                let min = if is_write {
-                    self.cfg.delegation_write_min
-                } else {
-                    self.cfg.delegation_read_min
-                };
-                len >= min
+                len >= if is_write { STATIC_WRITE_MIN } else { STATIC_READ_MIN }
             }
             crate::libfs::DelegationPolicy::Adaptive => {
                 let delegate = 'decide: {
-                    if len >= self.cfg.adaptive_delegate_bytes {
+                    if len >= ADAPTIVE_DELEGATE_BYTES {
                         break 'decide true;
                     }
-                    if len < self.cfg.adaptive_floor_bytes {
+                    if len < ADAPTIVE_FLOOR_BYTES {
                         break 'decide false;
                     }
                     let dev = self.kernel.device();
@@ -302,32 +323,13 @@ impl ArckFs {
         }
     }
 
-    /// The unified delegation retry policy (DESIGN.md §16): base budget
-    /// plus a per-byte term — recomputed by the pool from the *remaining*
-    /// bytes each attempt, so large ops on a saturated-but-healthy device
-    /// are not mistaken for wedged workers, and retries of a partially
-    /// completed batch get windows scaled to what is actually left.
-    fn delegation_policy(&self) -> RetryPolicy {
-        let p = RetryPolicy::new(
-            self.cfg.delegation_timeout_ns,
-            self.cfg.delegation_timeout_ns_per_byte,
-            self.cfg.delegation_attempts,
-            self.cfg.delegation_backoff_cap_ns,
-        );
-        if self.cfg.delegation_jitter {
-            p
-        } else {
-            p.no_jitter()
-        }
-    }
-
     /// On a whole-op delegation timeout, demote this file to direct
     /// access for a few op-deadlines so a struggling pool is not hammered
     /// with doomed submissions; the pool's recovery epoch re-promotes it
     /// early when a worker restart or degraded-mode exit lands.
     fn demote_after_fallback(&self, node: &Arc<FileNode>, len: usize) {
         let pool = self.kernel.delegation();
-        let hold = self.delegation_policy().base_window_ns(0, len).saturating_mul(4);
+        let hold = DELEGATION_RETRY.base_window_ns(0, len).saturating_mul(4);
         node.demote_delegation(pool.recovery_epoch(), now().saturating_add(hold));
     }
 
@@ -345,7 +347,7 @@ impl ArckFs {
             // ring after a watchdog pass; a timed-out read only filled an
             // unspecified prefix, and re-reading is idempotent.
             let pool = self.kernel.delegation();
-            match pool.try_read_extent(self.actor, pages, start, buf, &self.delegation_policy()) {
+            match pool.try_read_extent(self.actor, pages, start, buf, &DELEGATION_RETRY) {
                 Ok(()) => return Ok(()),
                 Err(DelegationError::Fault(e)) => return Err(Self::fault(e)),
                 // Graceful degradation: serve directly (correct, merely
@@ -376,12 +378,11 @@ impl ArckFs {
             // makes the application exactly-once even when a worker died
             // after applying but before replying.
             let pool = self.kernel.delegation();
-            let policy = self.delegation_policy();
             // Registered buffers submit by reference (the grant window);
             // only the legacy slice path materializes a transient grant.
             let r = match src.grant {
-                Some(gref) => pool.try_write_extent_granted(self.actor, pages, start, gref, &policy),
-                None => pool.try_write_extent(self.actor, pages, start, src.data, &policy),
+                Some(gref) => pool.try_write_extent_granted(self.actor, pages, start, gref, &DELEGATION_RETRY),
+                None => pool.try_write_extent(self.actor, pages, start, src.data, &DELEGATION_RETRY),
             };
             match r {
                 Ok(()) => return Ok(()),
@@ -399,7 +400,7 @@ impl ArckFs {
     }
 
     /// NUMA node for logical page `lp` of file `ino`: striped across nodes
-    /// in `stripe_pages` units with a per-file phase, or the caller's home
+    /// in [`STRIPE_PAGES`] units with a per-file phase, or the caller's home
     /// node.
     ///
     /// The phase matters under load: identical workers sweeping their own
@@ -411,7 +412,7 @@ impl ArckFs {
     fn placement_node(&self, ino: u64, lp: usize) -> usize {
         let nodes = self.kernel.device().topology().nodes;
         if self.cfg.stripe && nodes > 1 {
-            (lp / self.cfg.stripe_pages + ino as usize) % nodes
+            (lp / STRIPE_PAGES + ino as usize) % nodes
         } else {
             trio_nvm::handle::home_node()
         }

@@ -27,8 +27,8 @@ use crate::pool::{InoPool, PagePool};
 /// How data operations choose between direct access and delegation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DelegationPolicy {
-    /// Fixed size thresholds (`delegation_read_min` / `delegation_write_min`)
-    /// — the paper's original policy, kept as the A/B baseline.
+    /// Fixed size thresholds (reads from 32 KiB, writes from 256 B) — the
+    /// paper's original policy, kept as the A/B baseline.
     Static,
     /// Load-aware routing: huge accesses always delegate (multi-node
     /// aggregation), tiny ones never do (ring round-trip dominates), and
@@ -47,39 +47,6 @@ pub struct ArckFsConfig {
     pub delegation_policy: DelegationPolicy,
     /// Stripe file data pages across NUMA nodes.
     pub stripe: bool,
-    /// Pages per stripe unit (16 × 4 KiB = 64 KiB).
-    pub stripe_pages: usize,
-    /// Static policy: reads below this go direct (paper: 32 KiB).
-    pub delegation_read_min: usize,
-    /// Static policy: writes below this go direct (paper: 256 B).
-    pub delegation_write_min: usize,
-    /// Adaptive policy: accesses at/above this size always delegate.
-    pub adaptive_delegate_bytes: usize,
-    /// Adaptive policy: accesses below this size never delegate; in
-    /// between, node load and remoteness decide.
-    pub adaptive_floor_bytes: usize,
-    /// Page-pool refill batch.
-    pub page_batch: usize,
-    /// Ino-pool refill batch.
-    pub ino_batch: u64,
-    /// Unlink reclamation batch.
-    pub reclaim_batch: usize,
-    /// Virtual-time budget for one delegated request before the client
-    /// retries (doubled per attempt — retry with backoff).
-    pub delegation_timeout_ns: u64,
-    /// Extra deadline per payload byte. A saturated device legitimately
-    /// takes ~4 ns/byte of queueing per thread at full fan-in; without
-    /// this term, large ops at high thread counts time out on healthy
-    /// (merely busy) workers and the retries collapse throughput.
-    pub delegation_timeout_ns_per_byte: u64,
-    /// Delegated attempts before falling back to direct access.
-    pub delegation_attempts: u32,
-    /// Ceiling on the per-attempt exponential backoff (the size-scaled
-    /// first window is never capped; see [`trio_kernel::RetryPolicy`]).
-    pub delegation_backoff_cap_ns: u64,
-    /// Add deterministic jitter (sim-RNG-drawn, up to +12.5%) to each
-    /// retry window so synchronized clients don't retry in lockstep.
-    pub delegation_jitter: bool,
 }
 
 impl Default for ArckFsConfig {
@@ -88,19 +55,6 @@ impl Default for ArckFsConfig {
             delegation: true,
             delegation_policy: DelegationPolicy::Adaptive,
             stripe: true,
-            stripe_pages: 16,
-            delegation_read_min: 32 * 1024,
-            delegation_write_min: 256,
-            adaptive_delegate_bytes: 64 * 1024,
-            adaptive_floor_bytes: 4096,
-            page_batch: 64,
-            ino_batch: 64,
-            reclaim_batch: 32,
-            delegation_timeout_ns: 5 * trio_sim::MILLIS,
-            delegation_timeout_ns_per_byte: 8,
-            delegation_attempts: 3,
-            delegation_backoff_cap_ns: 40 * trio_sim::MILLIS,
-            delegation_jitter: true,
         }
     }
 }
@@ -167,8 +121,8 @@ impl ArckFs {
             root,
             nodes: (0..NODE_SHARDS).map(|_| SimRwLock::new(HashMap::new())).collect(),
             fds: FdTable::new(),
-            pages: PagePool::new(Arc::clone(&kernel), reg.actor, cfg.page_batch),
-            inos: InoPool::new(Arc::clone(&kernel), reg.actor, cfg.ino_batch),
+            pages: PagePool::new(Arc::clone(&kernel), reg.actor),
+            inos: InoPool::new(Arc::clone(&kernel), reg.actor),
             reclaim: SimMutex::new(Vec::new()),
             journal: Journal::new(),
             stats: Arc::clone(kernel.path_stats()),

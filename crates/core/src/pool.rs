@@ -21,22 +21,23 @@ use trio_sim::{in_sim, work};
 /// ask before the failure propagates to the syscall.
 const REFILL_RETRY: RetryPolicy = RetryPolicy::new(50_000, 0, 3, 400_000).no_jitter();
 
+/// Pages one refill asks the kernel for.
+const PAGE_BATCH: usize = 64;
+
 /// Batched page pool, one bucket per NUMA node.
 pub struct PagePool {
     kernel: Arc<KernelController>,
     actor: ActorId,
-    batch: usize,
     per_node: Vec<SimMutex<Vec<PageId>>>,
 }
 
 impl PagePool {
-    /// Creates an empty pool refilling `batch` pages at a time.
-    pub fn new(kernel: Arc<KernelController>, actor: ActorId, batch: usize) -> Self {
+    /// Creates an empty pool refilling [`PAGE_BATCH`] pages at a time.
+    pub fn new(kernel: Arc<KernelController>, actor: ActorId) -> Self {
         let nodes = kernel.device().topology().nodes;
         PagePool {
             kernel,
             actor,
-            batch,
             per_node: (0..nodes).map(|_| SimMutex::new(Vec::new())).collect(),
         }
     }
@@ -46,7 +47,7 @@ impl PagePool {
     /// the ask (a smaller batch can succeed where a full one cannot);
     /// never returns fewer than `need` pages.
     fn refill(&self, node: usize, need: usize) -> FsResult<Vec<PageId>> {
-        let mut want = self.batch.max(need);
+        let mut want = PAGE_BATCH.max(need);
         let mut attempt = 0u32;
         loop {
             match self.kernel.alloc_pages(self.actor, want, Some(node)) {
@@ -135,19 +136,20 @@ impl PagePool {
 pub struct InoPool {
     kernel: Arc<KernelController>,
     actor: ActorId,
-    batch: u64,
     shards: Vec<SimMutex<Vec<Ino>>>,
 }
 
 const INO_SHARDS: usize = 16;
 
+/// Inos one shard's refill asks the kernel for.
+const INO_BATCH: u64 = 64;
+
 impl InoPool {
-    /// Creates an empty pool refilling `batch` inos at a time per shard.
-    pub fn new(kernel: Arc<KernelController>, actor: ActorId, batch: u64) -> Self {
+    /// Creates an empty pool refilling [`INO_BATCH`] inos at a time per shard.
+    pub fn new(kernel: Arc<KernelController>, actor: ActorId) -> Self {
         InoPool {
             kernel,
             actor,
-            batch,
             shards: (0..INO_SHARDS).map(|_| SimMutex::new(Vec::new())).collect(),
         }
     }
@@ -163,7 +165,7 @@ impl InoPool {
         if let Some(i) = pool.pop() {
             return Ok(i);
         }
-        let refill = self.kernel.alloc_inos(self.actor, self.batch)?;
+        let refill = self.kernel.alloc_inos(self.actor, INO_BATCH)?;
         pool.extend(refill);
         Ok(pool.pop().expect("batch is non-empty"))
     }

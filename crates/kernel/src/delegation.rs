@@ -69,6 +69,11 @@ use crate::retry::RetryPolicy;
 /// worker reply to an abandoned (timed-out) op never blocks the worker.
 const REPLY_RING_CAP: usize = 512;
 
+/// Capacity of each submission ring: ~5 ops of headroom per delegation
+/// thread. A full ring counts as backpressure in [`PathStats`] before the
+/// producer blocks.
+const RING_CAPACITY: usize = 64;
+
 /// Minimum bytes per fan-out chunk. A single-node run is split across the
 /// node's worker slots only in page-aligned chunks at least this large:
 /// big ops reach the concurrency the bandwidth model rewards (per-node
@@ -194,24 +199,6 @@ pub struct DelegReq {
     pub tag: usize,
     /// Completion ring (one per op, pooled).
     pub reply: Arc<SimChannel<DelegReply>>,
-}
-
-/// Sizing knobs for the pool; see [`crate::KernelConfig`].
-#[derive(Clone, Copy, Debug)]
-pub struct DelegationConfig {
-    /// Delegation threads (and rings) per NUMA node.
-    pub threads_per_node: usize,
-    /// Submission-ring capacity; a full ring is counted as backpressure
-    /// and the producer blocks.
-    pub ring_capacity: usize,
-}
-
-impl Default for DelegationConfig {
-    fn default() -> Self {
-        // 12 threads matches OdinFS's per-node writer pool; 64 slots per
-        // ring keeps ~5 ops of headroom per thread before backpressure.
-        DelegationConfig { threads_per_node: 12, ring_capacity: 64 }
-    }
 }
 
 /// Why a deadline-bounded delegated access did not complete.
@@ -441,21 +428,19 @@ pub struct DelegationPool {
 }
 
 impl DelegationPool {
-    /// Builds rings for `threads_per_node` delegation threads on each node,
-    /// with default ring capacity and private counters.
+    /// Builds rings for `threads_per_node` delegation threads on each node
+    /// (12 matches OdinFS's per-node writer pool), with private counters.
     pub fn new(dev: Arc<NvmDevice>, threads_per_node: usize) -> Self {
-        let config = DelegationConfig { threads_per_node, ..DelegationConfig::default() };
-        Self::with_config(dev, config, Arc::new(PathStats::new()))
+        Self::with_stats(dev, threads_per_node, Arc::new(PathStats::new()))
     }
 
-    /// Builds the pool with explicit sizing and a shared counter sink.
-    pub fn with_config(dev: Arc<NvmDevice>, config: DelegationConfig, stats: Arc<PathStats>) -> Self {
+    /// Builds the pool with a shared counter sink.
+    pub fn with_stats(dev: Arc<NvmDevice>, threads_per_node: usize, stats: Arc<PathStats>) -> Self {
         let nodes = dev.topology().nodes;
-        let cap = config.ring_capacity.max(1);
         let rings: Vec<Vec<Arc<SimChannel<DelegReq>>>> = (0..nodes)
             .map(|_| {
-                (0..config.threads_per_node.max(1))
-                    .map(|_| Arc::new(SimChannel::bounded(cap)))
+                (0..threads_per_node.max(1))
+                    .map(|_| Arc::new(SimChannel::bounded(RING_CAPACITY)))
                     .collect()
             })
             .collect();
@@ -1101,8 +1086,7 @@ impl DelegationPool {
     /// policy it waits forever (the baseline-compatible blocking mode).
     /// `buf` receives scattered read data.
     ///
-    /// This wrapper also maintains the in-flight gauge that guards
-    /// [`PathStats::reset`], feeds the degradation state machine, and
+    /// This wrapper also feeds the degradation state machine and
     /// auto-dumps the obs flight recorder when the whole op times out.
     #[allow(clippy::too_many_arguments)]
     fn run_batches(
@@ -1115,9 +1099,7 @@ impl DelegationPool {
         buf: Option<&mut [u8]>,
         policy: Option<&RetryPolicy>,
     ) -> Result<(), DelegationError> {
-        self.stats.enter_delegated_op();
         let r = self.run_batches_inner(actor, pages, start, len, grant, buf, policy);
-        self.stats.exit_delegated_op();
         match &r {
             Ok(()) => self.note_op_success(),
             Err(DelegationError::Timeout) => {

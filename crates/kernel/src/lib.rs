@@ -53,7 +53,7 @@ use trio_verifier::{
     InoProvenance, PageProvenance, ResourceView, ShadowAttr, Verifier, VerifyRequest, Violation,
 };
 
-use delegation::{DelegationConfig, DelegationPool};
+use delegation::DelegationPool;
 use quarantine::ResilienceStats;
 use registry::{Credentials, KernelEvent, Registry};
 use scrub::{JournalTwin, RetireState};
@@ -67,33 +67,12 @@ pub struct KernelConfig {
     pub lease_ns: Nanos,
     /// Delegation threads per NUMA node (paper/OdinFS default: 12).
     pub delegation_threads_per_node: usize,
-    /// Capacity of each delegation submission ring; a full ring counts as
-    /// backpressure in [`PathStats`] before the producer blocks.
-    pub delegation_ring_capacity: usize,
-    /// Extra pages a per-actor allocator-cache refill stocks beyond the
-    /// immediate request, so subsequent `alloc_pages` calls skip the
-    /// global pools and registry entirely.
-    pub alloc_cache_refill: usize,
-    /// Per-actor cache size past which freed pages spill back to the
-    /// global pools.
-    pub alloc_cache_high_water: usize,
-    /// Upper bound on a file's index-page chain (defensive walks).
-    pub max_index_pages: usize,
-    /// Explicit budget on directory entries one verification may examine
-    /// (hostile entry bombs are cut off and rejected past this).
-    pub max_dir_entries: u64,
     /// Run the quarantine repair pass inline as soon as an offender is
     /// contained (models the background repair thread having completed).
     /// With `false`, tainted subtrees answer `FsError::Quarantined` until
     /// [`KernelController::repair_quarantined`] is called — the mode the
     /// isolation tests and the fuzzer use to observe the contained window.
     pub auto_repair: bool,
-    /// Media-fault observations a page may accumulate before the patrol
-    /// scrubber retires it (DESIGN.md §19).
-    pub retire_fault_threshold: u32,
-    /// Pages one patrol pass probes (the scrub budget bounds background
-    /// interference with the data path).
-    pub scrub_budget_pages: usize,
 }
 
 impl Default for KernelConfig {
@@ -101,17 +80,17 @@ impl Default for KernelConfig {
         KernelConfig {
             lease_ns: 100 * MILLIS,
             delegation_threads_per_node: 12,
-            delegation_ring_capacity: 64,
-            alloc_cache_refill: 192,
-            alloc_cache_high_water: 512,
-            max_index_pages: 1 << 16,
-            max_dir_entries: 1 << 20,
             auto_repair: true,
-            retire_fault_threshold: 3,
-            scrub_budget_pages: 256,
         }
     }
 }
+
+/// Upper bound on a file's index-page chain (defensive walks).
+pub(crate) const MAX_INDEX_PAGES: usize = 1 << 16;
+
+/// Explicit budget on directory entries one verification may examine
+/// (hostile entry bombs are cut off and rejected past this).
+pub(crate) const MAX_DIR_ENTRIES: u64 = 1 << 20;
 
 /// A LibFS registration: its principal and its (initially superblock-only)
 /// window onto the device.
@@ -180,6 +159,15 @@ pub struct KernelController {
     config: KernelConfig,
 }
 
+/// Extra pages a per-actor allocator-cache refill stocks beyond the
+/// immediate request, so subsequent `alloc_pages` calls skip the global
+/// pools and registry entirely.
+const ALLOC_CACHE_REFILL: usize = 192;
+
+/// Per-actor cache size past which freed pages spill back to the global
+/// pools.
+const ALLOC_CACHE_HIGH_WATER: usize = 512;
+
 /// One actor's sharded allocation cache. Pages here are invisible to every
 /// MMU (freed pages stay inaccessible), read as zeros (scrubbed on entry),
 /// and carry `AllocatedTo` provenance — so granting one needs only an MMU
@@ -243,12 +231,9 @@ impl KernelController {
         }
 
         let stats = Arc::new(PathStats::new());
-        let delegation = DelegationPool::with_config(
+        let delegation = DelegationPool::with_stats(
             Arc::clone(&dev),
-            DelegationConfig {
-                threads_per_node: config.delegation_threads_per_node,
-                ring_capacity: config.delegation_ring_capacity,
-            },
+            config.delegation_threads_per_node,
             Arc::clone(&stats),
         );
 
@@ -348,7 +333,7 @@ impl KernelController {
                 }
                 Ok(())
             };
-            let pages = match walk_file(&kh, fi, config.max_index_pages) {
+            let pages = match walk_file(&kh, fi, MAX_INDEX_PAGES) {
                 Ok(p) => p,
                 Err(_) => {
                     trim(false)?;
@@ -440,12 +425,9 @@ impl KernelController {
         }
 
         let stats = Arc::new(PathStats::new());
-        let delegation = DelegationPool::with_config(
+        let delegation = DelegationPool::with_stats(
             Arc::clone(&dev),
-            DelegationConfig {
-                threads_per_node: config.delegation_threads_per_node,
-                ring_capacity: config.delegation_ring_capacity,
-            },
+            config.delegation_threads_per_node,
             Arc::clone(&stats),
         );
         Ok(Arc::new(KernelController {
@@ -538,8 +520,8 @@ impl KernelController {
                 first_index,
                 dirty_actor: KERNEL_ACTOR,
                 checkpoint_children: None,
-                max_index_pages: self.config.max_index_pages,
-                max_dir_entries: self.config.max_dir_entries,
+                max_index_pages: MAX_INDEX_PAGES,
+                max_dir_entries: MAX_DIR_ENTRIES,
             };
             let report = self.verifier.verify(&req, &self.view(&reg));
             if report.budget_hit {
@@ -793,8 +775,8 @@ impl KernelController {
     /// Fast path: the pages come out of the actor's cache — provenance is
     /// already recorded, so no global pool or registry lock is touched and
     /// the only privileged work is programming the MMU. Otherwise one
-    /// batch refill pulls the request plus [`KernelConfig::alloc_cache_refill`]
-    /// extra pages from the pools under a single registry acquisition.
+    /// batch refill pulls the request plus `ALLOC_CACHE_REFILL` extra
+    /// pages from the pools under a single registry acquisition.
     pub fn alloc_pages(
         &self,
         actor: ActorId,
@@ -834,7 +816,7 @@ impl KernelController {
             out = c.per_node[start].split_off(0);
             c.total -= have;
             let need = n - have;
-            let refill = self.config.alloc_cache_refill;
+            let refill = ALLOC_CACHE_REFILL;
             let mut fresh: Vec<PageId> = Vec::new();
             {
                 let mut pool = self.pools[start].lock();
@@ -1052,8 +1034,8 @@ impl KernelController {
             work(cacheable.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
         }
         let mut spill: Vec<PageId> = Vec::new();
-        if c.total > self.config.alloc_cache_high_water {
-            let mut excess = c.total - self.config.alloc_cache_high_water;
+        if c.total > ALLOC_CACHE_HIGH_WATER {
+            let mut excess = c.total - ALLOC_CACHE_HIGH_WATER;
             for per_node in c.per_node.iter_mut() {
                 let k = excess.min(per_node.len());
                 // Drain the cold end (the bottom of the LIFO).

@@ -229,7 +229,7 @@ impl KernelController {
                     DirentRef::new(self.kernel_handle(), loc).first_index().map_err(|_| FsError::NotFound)?
                 }
             };
-            let pages = match walk_file(self.kernel_handle(), first_index, self.config().max_index_pages)
+            let pages = match walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
             {
                 Ok(p) => p,
                 Err(_) => return Err(FsError::Corrupted),
@@ -303,7 +303,7 @@ impl KernelController {
             // pool grant; revoke those too by walking the current chain.
             let first_index = self.current_first_index(ino, dirent);
             if let Ok(fi) = first_index {
-                if let Ok(pages) = walk_file(self.kernel_handle(), fi, self.config().max_index_pages) {
+                if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
                     to_unmap.extend(pages.all_pages());
                 }
             }
@@ -347,7 +347,7 @@ impl KernelController {
         // Re-checkpoint at the newly verified state and restore the
         // writer's mappings (verification cleared them).
         let fi = self.current_first_index(ino, dirent).map_err(|_| FsError::Corrupted)?;
-        let pages = walk_file(self.kernel_handle(), fi, self.config().max_index_pages)
+        let pages = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES)
             .map_err(|_| FsError::Corrupted)?;
         self.take_checkpoint_locked(&mut reg, ino, &pages, dirent);
         let mut grant_pages: Vec<PageId> = pages.all_pages().collect();
@@ -502,7 +502,7 @@ impl KernelController {
         // and — without full authorization — only the caller's own pool
         // pages or pages of the verified-dead file.
         let mut freeable: Vec<PageId> = Vec::new();
-        if let Ok(pages) = walk_file(self.kernel_handle(), first_index, self.config().max_index_pages) {
+        if let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES) {
             for p in pages.all_pages() {
                 match self.prov.get(p.0) {
                     Some(PageProvenance::InFile(f)) if f == ino => freeable.push(p),
@@ -649,7 +649,7 @@ impl KernelController {
         let parent = meta.parent;
         let mut to_unmap: HashSet<PageId> = granted.into_iter().collect();
         if let Ok(fi) = self.current_first_index(ino, dirent) {
-            if let Ok(pages) = walk_file(self.kernel_handle(), fi, self.config().max_index_pages) {
+            if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
                 to_unmap.extend(pages.all_pages());
             }
         }
@@ -727,8 +727,8 @@ impl KernelController {
             first_index,
             dirty_actor,
             checkpoint_children: ck_children.as_ref(),
-            max_index_pages: self.config().max_index_pages,
-            max_dir_entries: self.config().max_dir_entries,
+            max_index_pages: crate::MAX_INDEX_PAGES,
+            max_dir_entries: crate::MAX_DIR_ENTRIES,
         };
         let report = self.verifier().verify(&req, &self.view(reg));
         if report.budget_hit {
@@ -848,7 +848,7 @@ impl KernelController {
         self.trim_foreign_slots(ino, fi, dirty_actor);
         // 4. For directories, reconcile each surviving child's chain too.
         if ftype == CoreFileType::Directory {
-            if let Ok(pages) = walk_file(self.kernel_handle(), fi, self.config().max_index_pages) {
+            if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
                 let mut children = Vec::new();
                 for dp in pages.data_pages.iter().flatten() {
                     for slot in 0..DIRENTS_PER_PAGE {
@@ -890,7 +890,7 @@ impl KernelController {
         }
         // 5. Re-claim the restored pages and strip the dirty actor's
         //    residual access.
-        if let Ok(pages) = walk_file(self.kernel_handle(), fi, self.config().max_index_pages) {
+        if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
             self.claim_pages_for_file(ino, &pages);
             if let Some(da) = dirty_actor {
                 for p in pages.all_pages() {
@@ -904,7 +904,7 @@ impl KernelController {
     }
 
     fn chain_is_broken(&self, first_index: u64) -> bool {
-        walk_file(self.kernel_handle(), first_index, self.config().max_index_pages).is_err()
+        walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES).is_err()
     }
 
     /// Clears index slots pointing at pages that neither belong to `ino`
@@ -915,7 +915,7 @@ impl KernelController {
         first_index: u64,
         dirty_actor: Option<ActorId>,
     ) {
-        let Ok(pages) = walk_file(self.kernel_handle(), first_index, self.config().max_index_pages)
+        let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
         else {
             return;
         };
@@ -949,7 +949,7 @@ impl KernelController {
         first_index: u64,
         dirty_actor: Option<ActorId>,
     ) -> bool {
-        let Ok(pages) = walk_file(self.kernel_handle(), first_index, self.config().max_index_pages)
+        let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
         else {
             return false;
         };

@@ -12,43 +12,45 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use trio_layout::{superblock::SUPERBLOCK_PAGE, Ino};
 use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, KERNEL_ACTOR};
+use trio_sim::metrics::JsonObject;
 use trio_verifier::{PageProvenance, RepairClass, Violation, VIOLATION_KINDS};
 
 use crate::registry::{KernelEvent, QuarantineInfo, Registry};
 use crate::KernelController;
 
-/// Shared relaxed-atomic counters for detection, quarantine, and repair.
-#[derive(Default)]
-pub struct ResilienceStats {
-    /// Violations seen, indexed like [`VIOLATION_KINDS`].
-    by_kind: [AtomicU64; VIOLATION_KINDS.len()],
-    /// Violations classified repairable / reject (repair-or-reject
-    /// contract; sums to the total violation count).
-    class_repairable: AtomicU64,
-    class_reject: AtomicU64,
-    /// Verification walks that hit an explicit budget (hostile graphs).
-    walk_budget_hits: AtomicU64,
-    /// LibFSes entering / leaving quarantine.
-    quarantine_entries: AtomicU64,
-    quarantine_exits: AtomicU64,
-    /// Repair-pass outcomes per tainted file.
-    repairs_clean: AtomicU64,
-    repairs_rolled_back: AtomicU64,
-    repairs_privatized: AtomicU64,
-    /// Lease recalls (DESIGN.md §21), one per (holder, file): posted to
-    /// the holder's recall page; ended by the holder letting go; ended by
-    /// lease expiry with the mapper still waiting.
-    recalls_posted: AtomicU64,
-    recalls_honoured: AtomicU64,
-    recalls_expired: AtomicU64,
+trio_sim::counters! {
+    /// Shared relaxed-atomic counters for detection, quarantine, and repair.
+    pub struct ResilienceStats => pub struct ResilienceSnapshot {
+        /// Violations seen, indexed like [`VIOLATION_KINDS`].
+        by_kind: [VIOLATION_KINDS.len()],
+        /// Violations classified repairable under the repair-or-reject
+        /// contract (with `class_reject`, sums to the total violation count).
+        class_repairable,
+        /// Violations classified reject.
+        class_reject,
+        /// Verification walks that hit an explicit budget (hostile graphs).
+        walk_budget_hits,
+        /// Quarantine entries (one per offending LibFS containment).
+        quarantine_entries,
+        /// Quarantine exits (re-admissions).
+        quarantine_exits,
+        /// Repair-pass outcomes per tainted file: re-verified clean.
+        repairs_clean,
+        /// Files restored from checkpoint during repair.
+        repairs_rolled_back,
+        /// Files privatized during repair.
+        repairs_privatized,
+        /// Lease recalls (DESIGN.md §21), one per (holder, file), posted to
+        /// the holder's recall page.
+        recalls_posted,
+        /// Recalled leases the holder let go of before expiry.
+        recalls_honoured,
+        /// Recalled leases that ran to expiry with the mapper still waiting.
+        recalls_expired,
+    }
 }
 
 impl ResilienceStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     fn bump(c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
@@ -104,28 +106,6 @@ impl ResilienceStats {
     pub fn record_recall_end(&self, honoured: bool) {
         Self::bump(if honoured { &self.recalls_honoured } else { &self.recalls_expired });
     }
-
-    /// Coherent-enough copy of every counter.
-    pub fn snapshot(&self) -> ResilienceSnapshot {
-        let mut by_kind = [0u64; VIOLATION_KINDS.len()];
-        for (i, c) in self.by_kind.iter().enumerate() {
-            by_kind[i] = c.load(Ordering::Relaxed);
-        }
-        ResilienceSnapshot {
-            by_kind,
-            class_repairable: self.class_repairable.load(Ordering::Relaxed),
-            class_reject: self.class_reject.load(Ordering::Relaxed),
-            walk_budget_hits: self.walk_budget_hits.load(Ordering::Relaxed),
-            quarantine_entries: self.quarantine_entries.load(Ordering::Relaxed),
-            quarantine_exits: self.quarantine_exits.load(Ordering::Relaxed),
-            repairs_clean: self.repairs_clean.load(Ordering::Relaxed),
-            repairs_rolled_back: self.repairs_rolled_back.load(Ordering::Relaxed),
-            repairs_privatized: self.repairs_privatized.load(Ordering::Relaxed),
-            recalls_posted: self.recalls_posted.load(Ordering::Relaxed),
-            recalls_honoured: self.recalls_honoured.load(Ordering::Relaxed),
-            recalls_expired: self.recalls_expired.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// What the repair pass did with one tainted file.
@@ -139,75 +119,31 @@ pub enum RepairOutcome {
     Privatized,
 }
 
-/// Plain-value snapshot of [`ResilienceStats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ResilienceSnapshot {
-    /// Violation counts, indexed like [`VIOLATION_KINDS`].
-    pub by_kind: [u64; VIOLATION_KINDS.len()],
-    /// Violations classified repairable under the repair-or-reject contract.
-    pub class_repairable: u64,
-    /// Violations classified reject.
-    pub class_reject: u64,
-    /// Verification walks cut off by an explicit budget.
-    pub walk_budget_hits: u64,
-    /// Quarantine entries (one per offending LibFS containment).
-    pub quarantine_entries: u64,
-    /// Quarantine exits (re-admissions).
-    pub quarantine_exits: u64,
-    /// Repair outcomes.
-    pub repairs_clean: u64,
-    /// Files restored from checkpoint during repair.
-    pub repairs_rolled_back: u64,
-    /// Files privatized during repair.
-    pub repairs_privatized: u64,
-    /// Lease recalls posted to a holder's recall page.
-    pub recalls_posted: u64,
-    /// Recalled leases the holder let go of before expiry.
-    pub recalls_honoured: u64,
-    /// Recalled leases that ran to expiry and were revoked.
-    pub recalls_expired: u64,
-}
-
 impl ResilienceSnapshot {
     /// Total violations recorded.
     pub fn total_violations(&self) -> u64 {
         self.by_kind.iter().sum()
     }
 
-    /// Hand-rolled JSON object (the workspace is dependency-free), in the
-    /// style of `PathStatsSnapshot::to_json`.
+    /// JSON object: the non-zero violation kinds by name under
+    /// `violations_by_kind`, their total, then one key per counter.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"violations_by_kind\": {");
-        let mut first = true;
-        for (i, kind) in VIOLATION_KINDS.iter().enumerate() {
-            if self.by_kind[i] == 0 {
-                continue;
+        let mut w = JsonObject::new();
+        self.visit(|name, v| {
+            if name == "by_kind" {
+                w.object("violations_by_kind", |o| {
+                    for (kind, n) in VIOLATION_KINDS.iter().zip(self.by_kind) {
+                        if n > 0 {
+                            o.field(kind, n);
+                        }
+                    }
+                });
+                w.field("total_violations", self.total_violations());
+            } else {
+                w.value(name, v);
             }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{kind}\": {}", self.by_kind[i]));
-        }
-        out.push_str("},\n");
-        let mut push = |k: &str, v: u64| {
-            out.push_str(&format!("  \"{k}\": {v},\n"));
-        };
-        push("total_violations", self.total_violations());
-        push("class_repairable", self.class_repairable);
-        push("class_reject", self.class_reject);
-        push("walk_budget_hits", self.walk_budget_hits);
-        push("quarantine_entries", self.quarantine_entries);
-        push("quarantine_exits", self.quarantine_exits);
-        push("repairs_clean", self.repairs_clean);
-        push("repairs_rolled_back", self.repairs_rolled_back);
-        push("repairs_privatized", self.repairs_privatized);
-        push("recalls_posted", self.recalls_posted);
-        push("recalls_honoured", self.recalls_honoured);
-        out.push_str(&format!("  \"recalls_expired\": {}\n", self.recalls_expired));
-        out.push('}');
-        out
+        });
+        w.finish()
     }
 }
 
@@ -391,7 +327,8 @@ mod tests {
         assert!(j.contains("\"recalls_posted\": 2,"));
         assert!(j.contains("\"recalls_honoured\": 1,"));
         assert!(j.ends_with("\"recalls_expired\": 1\n}"));
-        assert!(j.contains("\"bad_name\": 1"));
+        assert!(j.contains("\"violations_by_kind\": {\"bad_name\": 1},"));
+        assert!(j.contains("\"total_violations\": 1,"));
         assert!(j.contains("\"quarantine_entries\": 1"));
         assert!(j.contains("\"repairs_rolled_back\": 1"));
         assert!(j.contains("\"walk_budget_hits\": 1"));

@@ -27,7 +27,7 @@
 //! be healed; the scrubber **fences the page off** — marks every line
 //! unreadable — so later reads fail loudly instead of returning wrong
 //! bytes. Pages that keep faulting accumulate a per-page count; at
-//! [`crate::KernelConfig::retire_fault_threshold`] the page is *retired*:
+//! `RETIRE_FAULT_THRESHOLD` the page is *retired*:
 //! pulled from the free pool, or migrated (content + sidecar moved to a
 //! fresh page, index slot swung, mappings re-pointed) and then taken out
 //! of circulation. The allocator's conservation ledger becomes
@@ -43,15 +43,21 @@ use trio_layout::{
     superblock::SUPERBLOCK_PAGE, superblock_replica_page, walk_file, CoreFileType, IndexPageRef,
     SbHealth, SuperblockRef,
 };
-use trio_nvm::{ActorId, PageId, RegistryLockSite, CACHE_LINE, KERNEL_ACTOR};
+use trio_nvm::{ActorId, PageId, RegistryLockSite, CACHE_LINE, HIST_BUCKETS, KERNEL_ACTOR};
+use trio_sim::metrics::{bucket_index, quantile_ns, JsonObject};
 use trio_sim::sync::SimMutex;
 use trio_sim::{in_sim, now, Nanos};
 use trio_verifier::PageProvenance;
 
 use crate::KernelController;
 
-/// Log-2 latency histogram size (same bucketing as `trio_nvm::PathStats`).
-const HIST_BUCKETS: usize = 24;
+/// Media-fault observations a page may accumulate before the patrol
+/// scrubber retires it.
+const RETIRE_FAULT_THRESHOLD: u32 = 3;
+
+/// Pages one patrol pass probes when the caller names no budget (the
+/// budget bounds background interference with the data path).
+const SCRUB_BUDGET_PAGES: usize = 256;
 
 fn now_or_zero() -> Nanos {
     if in_sim() {
@@ -59,16 +65,6 @@ fn now_or_zero() -> Nanos {
     } else {
         0
     }
-}
-
-fn bucket_of(ns: u64) -> usize {
-    (63 - ns.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1)
-}
-
-fn bucket_midpoint_ns(i: usize) -> u64 {
-    // Geometric midpoint of [2^i, 2^(i+1)).
-    let lo = 1u64 << i;
-    lo + lo / 2
 }
 
 /// One shard's registered journal mirror pair: the pages, their owner,
@@ -132,32 +128,30 @@ impl ScrubReport {
     }
 }
 
-/// Media-fault counters (DESIGN.md §19), the media companion to
-/// [`trio_nvm::PathStats`]: lifetime scrub/repair totals plus a log-2
-/// histogram of repair latencies. All relaxed atomics — the scrubber must
-/// never impose ordering on the data path.
-#[derive(Default)]
-pub struct MediaStats {
-    scrub_passes: AtomicU64,
-    pages_scanned: AtomicU64,
-    poison_lines_found: AtomicU64,
-    rot_pages_found: AtomicU64,
-    sb_repairs: AtomicU64,
-    journal_repairs: AtomicU64,
-    files_routed: AtomicU64,
-    pool_scrubs: AtomicU64,
-    pages_fenced_off: AtomicU64,
-    pages_migrated: AtomicU64,
-    pages_retired: AtomicU64,
-    unrecoverable: AtomicU64,
-    repair_hist: [AtomicU64; HIST_BUCKETS],
+trio_sim::counters! {
+    /// Media-fault counters (DESIGN.md §19), the media companion to
+    /// [`trio_nvm::PathStats`]: lifetime scrub/repair totals plus a log-2
+    /// histogram of repair latencies. All relaxed atomics — the scrubber must
+    /// never impose ordering on the data path.
+    pub struct MediaStats => pub struct MediaStatsSnapshot {
+        scrub_passes,
+        pages_scanned,
+        poison_lines_found,
+        rot_pages_found,
+        sb_repairs,
+        journal_repairs,
+        files_routed,
+        pool_scrubs,
+        pages_fenced_off,
+        pages_migrated,
+        pages_retired,
+        unrecoverable,
+        /// Repair latencies (0 ns shares bucket 0 with 1 ns).
+        repair_hist: [HIST_BUCKETS],
+    }
 }
 
 impl MediaStats {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     pub(crate) fn record_pass(&self, scanned: u64) {
         self.scrub_passes.fetch_add(1, Ordering::Relaxed);
         self.pages_scanned.fetch_add(scanned, Ordering::Relaxed);
@@ -170,49 +164,8 @@ impl MediaStats {
 
     pub(crate) fn record_repair(&self, counter: &AtomicU64, latency_ns: u64) {
         counter.fetch_add(1, Ordering::Relaxed);
-        self.repair_hist[bucket_of(latency_ns)].fetch_add(1, Ordering::Relaxed);
+        self.repair_hist[bucket_index(latency_ns, HIST_BUCKETS)].fetch_add(1, Ordering::Relaxed);
     }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MediaStatsSnapshot {
-        let mut repair_hist = [0u64; HIST_BUCKETS];
-        for (o, i) in repair_hist.iter_mut().zip(self.repair_hist.iter()) {
-            *o = i.load(Ordering::Relaxed);
-        }
-        MediaStatsSnapshot {
-            scrub_passes: self.scrub_passes.load(Ordering::Relaxed),
-            pages_scanned: self.pages_scanned.load(Ordering::Relaxed),
-            poison_lines_found: self.poison_lines_found.load(Ordering::Relaxed),
-            rot_pages_found: self.rot_pages_found.load(Ordering::Relaxed),
-            sb_repairs: self.sb_repairs.load(Ordering::Relaxed),
-            journal_repairs: self.journal_repairs.load(Ordering::Relaxed),
-            files_routed: self.files_routed.load(Ordering::Relaxed),
-            pool_scrubs: self.pool_scrubs.load(Ordering::Relaxed),
-            pages_fenced_off: self.pages_fenced_off.load(Ordering::Relaxed),
-            pages_migrated: self.pages_migrated.load(Ordering::Relaxed),
-            pages_retired: self.pages_retired.load(Ordering::Relaxed),
-            unrecoverable: self.unrecoverable.load(Ordering::Relaxed),
-            repair_hist,
-        }
-    }
-}
-
-/// Point-in-time [`MediaStats`] values.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MediaStatsSnapshot {
-    pub scrub_passes: u64,
-    pub pages_scanned: u64,
-    pub poison_lines_found: u64,
-    pub rot_pages_found: u64,
-    pub sb_repairs: u64,
-    pub journal_repairs: u64,
-    pub files_routed: u64,
-    pub pool_scrubs: u64,
-    pub pages_fenced_off: u64,
-    pub pages_migrated: u64,
-    pub pages_retired: u64,
-    pub unrecoverable: u64,
-    pub repair_hist: [u64; HIST_BUCKETS],
 }
 
 impl MediaStatsSnapshot {
@@ -221,47 +174,35 @@ impl MediaStatsSnapshot {
         self.repair_hist.iter().sum()
     }
 
-    /// Approximate repair-latency percentile (geometric bucket midpoints;
-    /// 0 when no repair has been recorded).
-    pub fn repair_latency_pct(&self, pct: f64) -> u64 {
-        let total = self.repairs();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * pct / 100.0).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, c) in self.repair_hist.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return bucket_midpoint_ns(i);
-            }
-        }
-        bucket_midpoint_ns(HIST_BUCKETS - 1)
+    /// Median repair latency (geometric bucket midpoint; 0 when no repair
+    /// has been recorded), in ns.
+    pub fn repair_p50_ns(&self) -> u64 {
+        quantile_ns(0, &self.repair_hist, 1, 2)
     }
 
-    /// Machine-readable form for gate scripts (media-report.json).
+    /// 99th-percentile repair latency, in ns.
+    pub fn repair_p99_ns(&self) -> u64 {
+        quantile_ns(0, &self.repair_hist, 99, 100)
+    }
+
+    /// Machine-readable form for gate scripts: one key per counter, the
+    /// histogram as its total and quantiles, then `extra` (values already
+    /// JSON text).
     pub fn to_json(&self, extra: &[(&str, String)]) -> String {
-        let mut fields: Vec<String> = vec![
-            format!("\"scrub_passes\": {}", self.scrub_passes),
-            format!("\"pages_scanned\": {}", self.pages_scanned),
-            format!("\"poison_lines_found\": {}", self.poison_lines_found),
-            format!("\"rot_pages_found\": {}", self.rot_pages_found),
-            format!("\"sb_repairs\": {}", self.sb_repairs),
-            format!("\"journal_repairs\": {}", self.journal_repairs),
-            format!("\"files_routed\": {}", self.files_routed),
-            format!("\"pool_scrubs\": {}", self.pool_scrubs),
-            format!("\"pages_fenced_off\": {}", self.pages_fenced_off),
-            format!("\"pages_migrated\": {}", self.pages_migrated),
-            format!("\"pages_retired\": {}", self.pages_retired),
-            format!("\"unrecoverable\": {}", self.unrecoverable),
-            format!("\"repairs\": {}", self.repairs()),
-            format!("\"repair_p50_ns\": {}", self.repair_latency_pct(50.0)),
-            format!("\"repair_p99_ns\": {}", self.repair_latency_pct(99.0)),
-        ];
+        let mut w = JsonObject::new();
+        self.visit(|name, v| {
+            if name == "repair_hist" {
+                w.field("repairs", self.repairs());
+                w.field("repair_p50_ns", self.repair_p50_ns());
+                w.field("repair_p99_ns", self.repair_p99_ns());
+            } else {
+                w.value(name, v);
+            }
+        });
         for (k, v) in extra {
-            fields.push(format!("\"{k}\": {v}"));
+            w.field(k, v);
         }
-        format!("{{{}}}", fields.join(", "))
+        w.finish()
     }
 }
 
@@ -310,14 +251,14 @@ impl KernelController {
 
     /// Spawns the patrol daemon: a low-priority sim-thread running
     /// [`KernelController::scrub_pass`] every `interval_ns` of virtual
-    /// time (`budget` pages per pass; 0 means the configured
-    /// `scrub_budget_pages`). Opt-in — nothing starts it implicitly, so
-    /// workloads that never call this carry zero scrub overhead.
+    /// time (`budget` pages per pass; 0 means `SCRUB_BUDGET_PAGES`). Opt-in
+    /// — nothing starts it implicitly, so workloads that never call this
+    /// carry zero scrub overhead.
     pub fn start_patrol(self: &Arc<Self>, budget: usize, interval_ns: Nanos) -> PatrolHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let me = Arc::clone(self);
         let flag = Arc::clone(&stop);
-        let budget = if budget == 0 { self.config.scrub_budget_pages } else { budget };
+        let budget = if budget == 0 { SCRUB_BUDGET_PAGES } else { budget };
         let join = trio_sim::spawn("patrol-scrub", move || {
             while !flag.load(Ordering::SeqCst) {
                 me.scrub_pass(budget);
@@ -413,7 +354,7 @@ impl KernelController {
                 let r = self.retire.lock();
                 !r.retired.contains(&page.0)
                     && r.fault_counts.get(&page.0).copied().unwrap_or(0)
-                        >= self.config.retire_fault_threshold
+                        >= RETIRE_FAULT_THRESHOLD
             };
             if due {
                 self.try_retire(page, rep);
@@ -619,7 +560,7 @@ impl KernelController {
             *c = c.saturating_add(1);
             *c
         };
-        if count < self.config.retire_fault_threshold {
+        if count < RETIRE_FAULT_THRESHOLD {
             return;
         }
         self.try_retire(page, rep);
@@ -689,7 +630,7 @@ impl KernelController {
         let Ok(first_index) = self.current_first_index(ino, dirent) else {
             return false;
         };
-        let Ok(pages) = walk_file(&self.kh, first_index, self.config.max_index_pages) else {
+        let Ok(pages) = walk_file(&self.kh, first_index, crate::MAX_INDEX_PAGES) else {
             return false;
         };
         if !pages.data_pages.iter().flatten().any(|p| *p == old) {

@@ -30,6 +30,8 @@
 //! The hooks are compiled in only under the `faults` cargo feature; release
 //! benchmarks build without it and [`faults_compiled`] reports `false`.
 
+use trio_sim::metrics::JsonObject;
+
 use crate::topology::PageId;
 
 /// Whether fault-injection hooks are compiled into this build. The bench
@@ -135,20 +137,14 @@ pub struct CrashReport {
 }
 
 impl CrashReport {
-    /// Hand-rolled JSON for CI artifacts (the workspace is dependency-free
-    /// by policy, so no serde; see [`crate::sanitize`] module docs).
+    /// JSON for CI artifacts; `crash_point` is `null` when no plan fired.
     pub fn to_json(&self) -> String {
-        let pages: Vec<String> = self.affected_pages.iter().map(|p| p.0.to_string()).collect();
-        format!(
-            "{{\"lost_lines\":{},\"affected_pages\":[{}],\"points_seen\":{},\"crash_point\":{}}}",
-            self.lost_lines,
-            pages.join(","),
-            self.points_seen,
-            match self.crash_point {
-                Some(k) => k.to_string(),
-                None => "null".to_string(),
-            }
-        )
+        let mut w = JsonObject::new();
+        w.field("lost_lines", self.lost_lines)
+            .array("affected_pages", self.affected_pages.iter().map(|p| p.0))
+            .field("points_seen", self.points_seen)
+            .field("crash_point", self.crash_point.map_or("null".into(), |k| k.to_string()));
+        w.finish()
     }
 }
 
@@ -219,7 +215,8 @@ mod tests {
         };
         assert_eq!(
             r.to_json(),
-            "{\"lost_lines\":2,\"affected_pages\":[4,9],\"points_seen\":120,\"crash_point\":57}"
+            "{\n  \"lost_lines\": 2,\n  \"affected_pages\": [4, 9],\n  \
+             \"points_seen\": 120,\n  \"crash_point\": 57\n}"
         );
         let none = CrashReport {
             lost_lines: 0,
@@ -227,6 +224,6 @@ mod tests {
             points_seen: 0,
             crash_point: None,
         };
-        assert!(none.to_json().ends_with("\"crash_point\":null}"));
+        assert!(none.to_json().ends_with("\"crash_point\": null\n}"));
     }
 }

@@ -13,12 +13,14 @@
 //! # Serialization
 //!
 //! The workspace is dependency-free by policy, so instead of deriving
-//! `serde::Serialize` the reports hand-roll the tiny JSON subset they need
-//! ([`SanitizeReport::to_json`], [`crate::CrashReport::to_json`]) and CI
-//! dumps them with [`dump_artifact`]. The output is plain JSON; anything
-//! that can read a serde dump can read these.
+//! `serde::Serialize` the reports ([`SanitizeReport::to_json`],
+//! [`crate::CrashReport::to_json`]) go through the workspace's one JSON
+//! writer, [`trio_sim::metrics::JsonObject`], and CI dumps them with
+//! [`dump_artifact`].
 
 use std::fmt;
+
+use trio_sim::metrics::{quoted, JsonObject};
 
 /// One persistence-ordering violation observed by the tracker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,18 +81,6 @@ pub struct Hazard {
     pub point: u64,
 }
 
-impl Hazard {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"kind\":\"{}\",\"page\":{},\"line\":{},\"point\":{}}}",
-            self.kind.as_str(),
-            self.page,
-            self.line,
-            self.point
-        )
-    }
-}
-
 impl fmt::Display for Hazard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -122,10 +112,16 @@ impl SanitizeReport {
         self.hazards.iter().copied().filter(|h| h.kind == kind).collect()
     }
 
-    /// Hand-rolled JSON (see module docs for why not serde).
+    /// JSON for CI artifacts: the seed and one object per hazard.
     pub fn to_json(&self) -> String {
-        let hazards: Vec<String> = self.hazards.iter().map(|h| h.to_json()).collect();
-        format!("{{\"seed\":{},\"hazards\":[{}]}}", self.seed, hazards.join(","))
+        let mut w = JsonObject::new();
+        w.field("seed", self.seed).objects("hazards", &self.hazards, |o, h| {
+            o.field("kind", quoted(h.kind.as_str()))
+                .field("page", h.page)
+                .field("line", h.line)
+                .field("point", h.point);
+        });
+        w.finish()
     }
 }
 
@@ -176,9 +172,9 @@ mod tests {
         };
         assert_eq!(
             r.to_json(),
-            "{\"seed\":7,\"hazards\":[\
-             {\"kind\":\"missing-fence\",\"page\":4,\"line\":2,\"point\":19},\
-             {\"kind\":\"redundant-flush\",\"page\":9,\"line\":0,\"point\":33}]}"
+            "{\n  \"seed\": 7,\n  \"hazards\": [\n    \
+             {\"kind\": \"missing-fence\", \"page\": 4, \"line\": 2, \"point\": 19},\n    \
+             {\"kind\": \"redundant-flush\", \"page\": 9, \"line\": 0, \"point\": 33}\n  ]\n}"
         );
     }
 
@@ -186,7 +182,7 @@ mod tests {
     fn clean_report() {
         let r = SanitizeReport { seed: 1, hazards: Vec::new() };
         assert!(r.is_clean());
-        assert_eq!(r.to_json(), "{\"seed\":1,\"hazards\":[]}");
+        assert_eq!(r.to_json(), "{\n  \"seed\": 1,\n  \"hazards\": []\n}");
         assert!(r.to_string().contains("clean"));
     }
 

@@ -7,9 +7,13 @@
 //! round-trip latency distributes, and how well the allocator fast path
 //! is doing. Counters are relaxed atomics — the recording cost must stay
 //! negligible next to the modeled media costs — and recording never
-//! charges virtual time.
+//! charges virtual time. The set is one [`trio_sim::counters!`]
+//! declaration: a counter is named there and in its `record_*` method,
+//! and a measured window is two snapshots and a `delta`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use trio_sim::metrics::{bucket_index, quantile_ns, JsonObject};
 
 /// Power-of-two histogram buckets for ring round-trip latency. Bucket `i`
 /// covers `[2^i, 2^(i+1))` ns (zero-ns hops have their own dedicated
@@ -117,117 +121,96 @@ impl RegistryLockSite {
     }
 }
 
-/// Geometric midpoint of log bucket `i` (`[2^i, 2^(i+1))`): `2^i·√2`, the
-/// unbiased point estimate for a log-uniform sample. Reporting this
-/// instead of the lower bound removes the up-to-2× downward bias the old
-/// `1 << i` readout carried. Bucket 0 holds only the value 1.
-fn bucket_midpoint_ns(i: usize) -> u64 {
-    if i == 0 {
-        1
-    } else {
-        ((1u64 << i) as f64 * std::f64::consts::SQRT_2) as u64
+trio_sim::counters! {
+    /// Shared relaxed-atomic counters for the hot data path.
+    pub struct PathStats => pub struct PathStatsSnapshot {
+        // -- delegation client --
+        delegated_read_bytes,
+        delegated_write_bytes,
+        direct_read_bytes,
+        direct_write_bytes,
+        /// Scatter-gather node-batches submitted to delegation rings.
+        deleg_requests,
+        /// Node-contiguous runs carried inside those batches.
+        deleg_runs,
+        /// Node-batches re-enqueued after a deadline miss.
+        deleg_retries,
+        /// Deadline misses observed by clients.
+        deleg_timeouts,
+        /// Whole ops that exhausted the attempt budget and went direct.
+        deleg_fallbacks,
+        /// Write-payload buffer materializations (one `Arc<[u8]>` per op on
+        /// the zero-copy path; retries must not add to this).
+        payload_copies,
+        /// Submissions that found the ring full and had to block.
+        ring_backpressure,
+        /// Malformed / out-of-bounds delegation requests the workers refused
+        /// to serve (hostile or corrupt run lists; see DESIGN.md §14).
+        deleg_rejected,
+        /// Payload bytes checksummed inline by a delegation worker's single
+        /// write pass (DESIGN.md §17). On a healthy path this equals
+        /// `delegated_write_bytes`: every delegated byte was hashed on its way
+        /// into NVM, for free.
+        checksummed_bytes,
+        /// Grant windows registered (persistent buffer registrations and
+        /// transient per-op grants alike).
+        grant_registers,
+        /// Grant windows revoked (completion, fallback, unregister, quarantine).
+        grant_revokes,
+        /// Requests refused because their grant was missing, foreign, revoked,
+        /// or mutated mid-flight — the submitter broke the grant contract.
+        grant_faults,
+        /// Ring round-trip latency (submit → reply) histogram.
+        ring_hop_hist: [HIST_BUCKETS],
+        /// Ring hops measured at exactly 0 ns (same-instant reply in virtual
+        /// time). Kept out of the log buckets so a zero-cost sim hop is never
+        /// aliased with a 1 ns one.
+        ring_hop_zero,
+        // -- adaptive policy --
+        /// Policy decisions that kept an eligible access on the direct path.
+        adaptive_direct,
+        /// Policy decisions that sent an access through delegation.
+        adaptive_delegated,
+        // -- kernel allocator --
+        /// `alloc_pages` calls served entirely from the per-actor cache.
+        alloc_fast_hits,
+        /// Batch refills of a per-actor cache from the global pools.
+        alloc_refills,
+        /// Pages moved by those refills.
+        alloc_refill_pages,
+        /// Freed pages parked in the per-actor cache.
+        free_cached,
+        /// Freed pages spilled past the cache high-water mark to the pools.
+        free_spills,
+        /// Global registry lock acquisitions on the alloc/free path.
+        registry_locks,
+        /// Per-call-site registry lock acquisitions (attribution for the
+        /// headline counter; indexed by [`RegistryLockSite`]).
+        registry_lock_sites: [RegistryLockSite::COUNT],
+        /// Kernel events evicted from the bounded event ring by overflow.
+        events_dropped,
+        // -- failure domains --
+        /// Delegation workers observed dead by the watchdog.
+        worker_deaths,
+        /// Dead workers respawned by the watchdog.
+        worker_restarts,
+        /// Orphaned in-flight requests re-dispatched after a worker death.
+        deleg_redispatches,
+        /// Write requests skipped because their idempotence token was already
+        /// recorded (the dead worker had applied them before dying).
+        deleg_dedup_hits,
+        /// Transitions into degraded (direct-access) mode.
+        degraded_enters,
+        /// Transitions back out of degraded mode.
+        degraded_exits,
+        /// Allocation-cache refills retried after transient exhaustion.
+        refill_retries,
+        /// Lease-wait retries on the mapping path.
+        lease_retries,
     }
-}
-
-/// Shared relaxed-atomic counters for the hot data path.
-#[derive(Default)]
-pub struct PathStats {
-    // -- delegation client --
-    delegated_read_bytes: AtomicU64,
-    delegated_write_bytes: AtomicU64,
-    direct_read_bytes: AtomicU64,
-    direct_write_bytes: AtomicU64,
-    /// Scatter-gather node-batches submitted to delegation rings.
-    deleg_requests: AtomicU64,
-    /// Node-contiguous runs carried inside those batches.
-    deleg_runs: AtomicU64,
-    /// Node-batches re-enqueued after a deadline miss.
-    deleg_retries: AtomicU64,
-    /// Deadline misses observed by clients.
-    deleg_timeouts: AtomicU64,
-    /// Whole ops that exhausted the attempt budget and went direct.
-    deleg_fallbacks: AtomicU64,
-    /// Write-payload buffer materializations (one `Arc<[u8]>` per op on
-    /// the zero-copy path; retries must not add to this).
-    payload_copies: AtomicU64,
-    /// Submissions that found the ring full and had to block.
-    ring_backpressure: AtomicU64,
-    /// Malformed / out-of-bounds delegation requests the workers refused
-    /// to serve (hostile or corrupt run lists; see DESIGN.md §14).
-    deleg_rejected: AtomicU64,
-    /// Payload bytes checksummed inline by a delegation worker's single
-    /// write pass (DESIGN.md §17). On a healthy path this equals
-    /// `delegated_write_bytes`: every delegated byte was hashed on its way
-    /// into NVM, for free.
-    checksummed_bytes: AtomicU64,
-    /// Grant windows registered (persistent buffer registrations and
-    /// transient per-op grants alike).
-    grant_registers: AtomicU64,
-    /// Grant windows revoked (completion, fallback, unregister, quarantine).
-    grant_revokes: AtomicU64,
-    /// Requests refused because their grant was missing, foreign, revoked,
-    /// or mutated mid-flight — the submitter broke the grant contract.
-    grant_faults: AtomicU64,
-    /// Ring round-trip latency (submit → reply) histogram.
-    ring_hop_hist: [AtomicU64; HIST_BUCKETS],
-    /// Ring hops measured at exactly 0 ns (same-instant reply in virtual
-    /// time). Kept out of the log buckets so a zero-cost sim hop is never
-    /// aliased with a 1 ns one.
-    ring_hop_zero: AtomicU64,
-    /// Delegated ops currently between submit and completion — a gauge,
-    /// not a counter. `reset()` debug-asserts it is 0: resetting while
-    /// workers are in flight would mix pre/post-reset counts in one
-    /// measured window (use snapshot deltas instead).
-    in_flight: AtomicU64,
-    // -- adaptive policy --
-    /// Policy decisions that kept an eligible access on the direct path.
-    adaptive_direct: AtomicU64,
-    /// Policy decisions that sent an access through delegation.
-    adaptive_delegated: AtomicU64,
-    // -- kernel allocator --
-    /// `alloc_pages` calls served entirely from the per-actor cache.
-    alloc_fast_hits: AtomicU64,
-    /// Batch refills of a per-actor cache from the global pools.
-    alloc_refills: AtomicU64,
-    /// Pages moved by those refills.
-    alloc_refill_pages: AtomicU64,
-    /// Freed pages parked in the per-actor cache.
-    free_cached: AtomicU64,
-    /// Freed pages spilled past the cache high-water mark to the pools.
-    free_spills: AtomicU64,
-    /// Global registry lock acquisitions on the alloc/free path.
-    registry_locks: AtomicU64,
-    /// Per-call-site registry lock acquisitions (attribution for the
-    /// headline counter; indexed by [`RegistryLockSite`]).
-    registry_lock_sites: [AtomicU64; RegistryLockSite::COUNT],
-    /// Kernel events evicted from the bounded event ring by overflow.
-    events_dropped: AtomicU64,
-    // -- failure domains --
-    /// Delegation workers observed dead by the watchdog.
-    worker_deaths: AtomicU64,
-    /// Dead workers respawned by the watchdog.
-    worker_restarts: AtomicU64,
-    /// Orphaned in-flight requests re-dispatched after a worker death.
-    deleg_redispatches: AtomicU64,
-    /// Write requests skipped because their idempotence token was already
-    /// recorded (the dead worker had applied them before dying).
-    deleg_dedup_hits: AtomicU64,
-    /// Transitions into degraded (direct-access) mode.
-    degraded_enters: AtomicU64,
-    /// Transitions back out of degraded mode.
-    degraded_exits: AtomicU64,
-    /// Allocation-cache refills retried after transient exhaustion.
-    refill_retries: AtomicU64,
-    /// Lease-wait retries on the mapping path.
-    lease_retries: AtomicU64,
 }
 
 impl PathStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     fn bump(c: &AtomicU64, by: u64) {
         c.fetch_add(by, Ordering::Relaxed);
@@ -322,25 +305,7 @@ impl PathStats {
             Self::bump(&self.ring_hop_zero, 1);
             return;
         }
-        let bucket = (63 - ns.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        Self::bump(&self.ring_hop_hist[bucket], 1);
-    }
-
-    /// A delegated op entered the submit-and-collect loop.
-    #[inline]
-    pub fn enter_delegated_op(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A delegated op left the submit-and-collect loop (any outcome).
-    #[inline]
-    pub fn exit_delegated_op(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Delegated ops currently in flight (gauge; not part of snapshots).
-    pub fn delegated_in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
+        Self::bump(&self.ring_hop_hist[bucket_index(ns, HIST_BUCKETS)], 1);
     }
 
     /// The adaptive policy routed an eligible access.
@@ -369,12 +334,6 @@ impl PathStats {
     pub fn record_free(&self, cached: usize, spilled: usize) {
         Self::bump(&self.free_cached, cached as u64);
         Self::bump(&self.free_spills, spilled as u64);
-    }
-
-    /// The global registry lock was taken on the alloc/free path.
-    #[inline]
-    pub fn record_registry_lock(&self) {
-        Self::bump(&self.registry_locks, 1);
     }
 
     /// The registry control lock was taken at `site`. Always attributed
@@ -437,155 +396,6 @@ impl PathStats {
     pub fn record_lease_retry(&self) {
         Self::bump(&self.lease_retries, 1);
     }
-
-    /// Coherent-enough copy of every counter (relaxed loads; exact once
-    /// the workload has quiesced).
-    pub fn snapshot(&self) -> PathStatsSnapshot {
-        let mut hist = [0u64; HIST_BUCKETS];
-        for (i, b) in self.ring_hop_hist.iter().enumerate() {
-            hist[i] = b.load(Ordering::Relaxed);
-        }
-        let mut sites = [0u64; RegistryLockSite::COUNT];
-        for (i, s) in self.registry_lock_sites.iter().enumerate() {
-            sites[i] = s.load(Ordering::Relaxed);
-        }
-        PathStatsSnapshot {
-            delegated_read_bytes: self.delegated_read_bytes.load(Ordering::Relaxed),
-            delegated_write_bytes: self.delegated_write_bytes.load(Ordering::Relaxed),
-            direct_read_bytes: self.direct_read_bytes.load(Ordering::Relaxed),
-            direct_write_bytes: self.direct_write_bytes.load(Ordering::Relaxed),
-            deleg_requests: self.deleg_requests.load(Ordering::Relaxed),
-            deleg_runs: self.deleg_runs.load(Ordering::Relaxed),
-            deleg_retries: self.deleg_retries.load(Ordering::Relaxed),
-            deleg_timeouts: self.deleg_timeouts.load(Ordering::Relaxed),
-            deleg_fallbacks: self.deleg_fallbacks.load(Ordering::Relaxed),
-            payload_copies: self.payload_copies.load(Ordering::Relaxed),
-            ring_backpressure: self.ring_backpressure.load(Ordering::Relaxed),
-            deleg_rejected: self.deleg_rejected.load(Ordering::Relaxed),
-            checksummed_bytes: self.checksummed_bytes.load(Ordering::Relaxed),
-            grant_registers: self.grant_registers.load(Ordering::Relaxed),
-            grant_revokes: self.grant_revokes.load(Ordering::Relaxed),
-            grant_faults: self.grant_faults.load(Ordering::Relaxed),
-            ring_hop_hist: hist,
-            ring_hop_zero: self.ring_hop_zero.load(Ordering::Relaxed),
-            adaptive_direct: self.adaptive_direct.load(Ordering::Relaxed),
-            adaptive_delegated: self.adaptive_delegated.load(Ordering::Relaxed),
-            alloc_fast_hits: self.alloc_fast_hits.load(Ordering::Relaxed),
-            alloc_refills: self.alloc_refills.load(Ordering::Relaxed),
-            alloc_refill_pages: self.alloc_refill_pages.load(Ordering::Relaxed),
-            free_cached: self.free_cached.load(Ordering::Relaxed),
-            free_spills: self.free_spills.load(Ordering::Relaxed),
-            registry_locks: self.registry_locks.load(Ordering::Relaxed),
-            registry_lock_sites: sites,
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            deleg_redispatches: self.deleg_redispatches.load(Ordering::Relaxed),
-            deleg_dedup_hits: self.deleg_dedup_hits.load(Ordering::Relaxed),
-            degraded_enters: self.degraded_enters.load(Ordering::Relaxed),
-            degraded_exits: self.degraded_exits.load(Ordering::Relaxed),
-            refill_retries: self.refill_retries.load(Ordering::Relaxed),
-            lease_retries: self.lease_retries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets every counter to zero.
-    ///
-    /// Only valid on a quiesced path: resetting while delegated ops are in
-    /// flight tears the measured window (a worker that entered before the
-    /// reset keeps bumping counters after it). Bench and test windows
-    /// should prefer [`PathStatsSnapshot::delta`] arithmetic, which needs
-    /// no quiescence at all.
-    pub fn reset(&self) {
-        debug_assert_eq!(
-            self.delegated_in_flight(),
-            0,
-            "PathStats::reset() with delegated ops in flight; \
-             use snapshot deltas for measured windows"
-        );
-        self.delegated_read_bytes.store(0, Ordering::Relaxed);
-        self.delegated_write_bytes.store(0, Ordering::Relaxed);
-        self.direct_read_bytes.store(0, Ordering::Relaxed);
-        self.direct_write_bytes.store(0, Ordering::Relaxed);
-        self.deleg_requests.store(0, Ordering::Relaxed);
-        self.deleg_runs.store(0, Ordering::Relaxed);
-        self.deleg_retries.store(0, Ordering::Relaxed);
-        self.deleg_timeouts.store(0, Ordering::Relaxed);
-        self.deleg_fallbacks.store(0, Ordering::Relaxed);
-        self.payload_copies.store(0, Ordering::Relaxed);
-        self.ring_backpressure.store(0, Ordering::Relaxed);
-        self.deleg_rejected.store(0, Ordering::Relaxed);
-        self.checksummed_bytes.store(0, Ordering::Relaxed);
-        self.grant_registers.store(0, Ordering::Relaxed);
-        self.grant_revokes.store(0, Ordering::Relaxed);
-        self.grant_faults.store(0, Ordering::Relaxed);
-        for b in &self.ring_hop_hist {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.ring_hop_zero.store(0, Ordering::Relaxed);
-        // `in_flight` is a gauge, not a counter: it survives the reset.
-        self.adaptive_direct.store(0, Ordering::Relaxed);
-        self.adaptive_delegated.store(0, Ordering::Relaxed);
-        self.alloc_fast_hits.store(0, Ordering::Relaxed);
-        self.alloc_refills.store(0, Ordering::Relaxed);
-        self.alloc_refill_pages.store(0, Ordering::Relaxed);
-        self.free_cached.store(0, Ordering::Relaxed);
-        self.free_spills.store(0, Ordering::Relaxed);
-        self.registry_locks.store(0, Ordering::Relaxed);
-        for s in &self.registry_lock_sites {
-            s.store(0, Ordering::Relaxed);
-        }
-        self.events_dropped.store(0, Ordering::Relaxed);
-        self.worker_deaths.store(0, Ordering::Relaxed);
-        self.worker_restarts.store(0, Ordering::Relaxed);
-        self.deleg_redispatches.store(0, Ordering::Relaxed);
-        self.deleg_dedup_hits.store(0, Ordering::Relaxed);
-        self.degraded_enters.store(0, Ordering::Relaxed);
-        self.degraded_exits.store(0, Ordering::Relaxed);
-        self.refill_retries.store(0, Ordering::Relaxed);
-        self.lease_retries.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Plain-value snapshot of [`PathStats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PathStatsSnapshot {
-    pub delegated_read_bytes: u64,
-    pub delegated_write_bytes: u64,
-    pub direct_read_bytes: u64,
-    pub direct_write_bytes: u64,
-    pub deleg_requests: u64,
-    pub deleg_runs: u64,
-    pub deleg_retries: u64,
-    pub deleg_timeouts: u64,
-    pub deleg_fallbacks: u64,
-    pub payload_copies: u64,
-    pub ring_backpressure: u64,
-    pub deleg_rejected: u64,
-    pub checksummed_bytes: u64,
-    pub grant_registers: u64,
-    pub grant_revokes: u64,
-    pub grant_faults: u64,
-    pub ring_hop_hist: [u64; HIST_BUCKETS],
-    pub ring_hop_zero: u64,
-    pub adaptive_direct: u64,
-    pub adaptive_delegated: u64,
-    pub alloc_fast_hits: u64,
-    pub alloc_refills: u64,
-    pub alloc_refill_pages: u64,
-    pub free_cached: u64,
-    pub free_spills: u64,
-    pub registry_locks: u64,
-    pub registry_lock_sites: [u64; RegistryLockSite::COUNT],
-    pub events_dropped: u64,
-    pub worker_deaths: u64,
-    pub worker_restarts: u64,
-    pub deleg_redispatches: u64,
-    pub deleg_dedup_hits: u64,
-    pub degraded_enters: u64,
-    pub degraded_exits: u64,
-    pub refill_retries: u64,
-    pub lease_retries: u64,
 }
 
 impl PathStatsSnapshot {
@@ -604,150 +414,40 @@ impl PathStatsSnapshot {
         }
     }
 
-    /// Latency at the `num/den` quantile of the ring-hop distribution, in
-    /// ns. Zero-ns hops count below bucket 0; samples inside a bucket are
-    /// reported at the bucket's geometric midpoint (`2^i·√2`), not its
-    /// lower bound — the lower bound understated skewed tails by up to 2×.
-    /// Returns 0 when no hops were recorded.
-    fn ring_hop_percentile_ns(&self, num: u64, den: u64) -> u64 {
-        let total = self.ring_hop_zero + self.ring_hop_hist.iter().sum::<u64>();
-        if total == 0 {
-            return 0;
-        }
-        let mut seen = self.ring_hop_zero;
-        if seen * den >= num * total {
-            return 0;
-        }
-        for (i, &n) in self.ring_hop_hist.iter().enumerate() {
-            seen += n;
-            if seen * den >= num * total {
-                return bucket_midpoint_ns(i);
-            }
-        }
-        bucket_midpoint_ns(HIST_BUCKETS - 1)
-    }
-
     /// Median ring hop latency (geometric bucket midpoint), in ns.
     pub fn ring_hop_p50_ns(&self) -> u64 {
-        self.ring_hop_percentile_ns(1, 2)
+        quantile_ns(self.ring_hop_zero, &self.ring_hop_hist, 1, 2)
     }
 
     /// 99th-percentile ring hop latency (geometric bucket midpoint), in ns.
     pub fn ring_hop_p99_ns(&self) -> u64 {
-        self.ring_hop_percentile_ns(99, 100)
+        quantile_ns(self.ring_hop_zero, &self.ring_hop_hist, 99, 100)
     }
 
-    /// Counters accumulated since `earlier` (field-wise saturating
-    /// subtraction). The race-free way to carve a measured window out of a
-    /// shared live [`PathStats`]: snapshot before, snapshot after, delta —
-    /// no quiescence needed, unlike [`PathStats::reset`].
-    pub fn delta(&self, earlier: &PathStatsSnapshot) -> PathStatsSnapshot {
-        let mut hist = [0u64; HIST_BUCKETS];
-        for (i, h) in hist.iter_mut().enumerate() {
-            *h = self.ring_hop_hist[i].saturating_sub(earlier.ring_hop_hist[i]);
-        }
-        let mut sites = [0u64; RegistryLockSite::COUNT];
-        for (i, s) in sites.iter_mut().enumerate() {
-            *s = self.registry_lock_sites[i].saturating_sub(earlier.registry_lock_sites[i]);
-        }
-        PathStatsSnapshot {
-            delegated_read_bytes: self.delegated_read_bytes.saturating_sub(earlier.delegated_read_bytes),
-            delegated_write_bytes: self.delegated_write_bytes.saturating_sub(earlier.delegated_write_bytes),
-            direct_read_bytes: self.direct_read_bytes.saturating_sub(earlier.direct_read_bytes),
-            direct_write_bytes: self.direct_write_bytes.saturating_sub(earlier.direct_write_bytes),
-            deleg_requests: self.deleg_requests.saturating_sub(earlier.deleg_requests),
-            deleg_runs: self.deleg_runs.saturating_sub(earlier.deleg_runs),
-            deleg_retries: self.deleg_retries.saturating_sub(earlier.deleg_retries),
-            deleg_timeouts: self.deleg_timeouts.saturating_sub(earlier.deleg_timeouts),
-            deleg_fallbacks: self.deleg_fallbacks.saturating_sub(earlier.deleg_fallbacks),
-            payload_copies: self.payload_copies.saturating_sub(earlier.payload_copies),
-            ring_backpressure: self.ring_backpressure.saturating_sub(earlier.ring_backpressure),
-            deleg_rejected: self.deleg_rejected.saturating_sub(earlier.deleg_rejected),
-            checksummed_bytes: self.checksummed_bytes.saturating_sub(earlier.checksummed_bytes),
-            grant_registers: self.grant_registers.saturating_sub(earlier.grant_registers),
-            grant_revokes: self.grant_revokes.saturating_sub(earlier.grant_revokes),
-            grant_faults: self.grant_faults.saturating_sub(earlier.grant_faults),
-            ring_hop_hist: hist,
-            ring_hop_zero: self.ring_hop_zero.saturating_sub(earlier.ring_hop_zero),
-            adaptive_direct: self.adaptive_direct.saturating_sub(earlier.adaptive_direct),
-            adaptive_delegated: self.adaptive_delegated.saturating_sub(earlier.adaptive_delegated),
-            alloc_fast_hits: self.alloc_fast_hits.saturating_sub(earlier.alloc_fast_hits),
-            alloc_refills: self.alloc_refills.saturating_sub(earlier.alloc_refills),
-            alloc_refill_pages: self.alloc_refill_pages.saturating_sub(earlier.alloc_refill_pages),
-            free_cached: self.free_cached.saturating_sub(earlier.free_cached),
-            free_spills: self.free_spills.saturating_sub(earlier.free_spills),
-            registry_locks: self.registry_locks.saturating_sub(earlier.registry_locks),
-            registry_lock_sites: sites,
-            events_dropped: self.events_dropped.saturating_sub(earlier.events_dropped),
-            worker_deaths: self.worker_deaths.saturating_sub(earlier.worker_deaths),
-            worker_restarts: self.worker_restarts.saturating_sub(earlier.worker_restarts),
-            deleg_redispatches: self
-                .deleg_redispatches
-                .saturating_sub(earlier.deleg_redispatches),
-            deleg_dedup_hits: self.deleg_dedup_hits.saturating_sub(earlier.deleg_dedup_hits),
-            degraded_enters: self.degraded_enters.saturating_sub(earlier.degraded_enters),
-            degraded_exits: self.degraded_exits.saturating_sub(earlier.degraded_exits),
-            refill_retries: self.refill_retries.saturating_sub(earlier.refill_retries),
-            lease_retries: self.lease_retries.saturating_sub(earlier.lease_retries),
-        }
-    }
-
-    /// Hand-rolled JSON object (the workspace is dependency-free). Keys
-    /// are stable; `extra` appends caller context such as bench geometry.
+    /// JSON object with one key per counter (the call sites by name under
+    /// `registry_lock_sites`) plus the derived hit rate and ring-hop
+    /// quantiles. Keys are stable; `extra` prepends caller context such as
+    /// bench geometry, each value already JSON text.
     pub fn to_json(&self, extra: &[(&str, String)]) -> String {
-        let mut out = String::from("{\n");
-        let mut push = |k: &str, v: String| {
-            out.push_str(&format!("  \"{k}\": {v},\n"));
-        };
+        let mut w = JsonObject::new();
         for (k, v) in extra {
-            push(k, v.clone());
+            w.field(k, v);
         }
-        push("delegated_read_bytes", self.delegated_read_bytes.to_string());
-        push("delegated_write_bytes", self.delegated_write_bytes.to_string());
-        push("direct_read_bytes", self.direct_read_bytes.to_string());
-        push("direct_write_bytes", self.direct_write_bytes.to_string());
-        push("deleg_requests", self.deleg_requests.to_string());
-        push("deleg_runs", self.deleg_runs.to_string());
-        push("deleg_retries", self.deleg_retries.to_string());
-        push("deleg_timeouts", self.deleg_timeouts.to_string());
-        push("deleg_fallbacks", self.deleg_fallbacks.to_string());
-        push("payload_copies", self.payload_copies.to_string());
-        push("ring_backpressure", self.ring_backpressure.to_string());
-        push("deleg_rejected", self.deleg_rejected.to_string());
-        push("checksummed_bytes", self.checksummed_bytes.to_string());
-        push("grant_registers", self.grant_registers.to_string());
-        push("grant_revokes", self.grant_revokes.to_string());
-        push("grant_faults", self.grant_faults.to_string());
-        push("adaptive_direct", self.adaptive_direct.to_string());
-        push("adaptive_delegated", self.adaptive_delegated.to_string());
-        push("alloc_fast_hits", self.alloc_fast_hits.to_string());
-        push("alloc_refills", self.alloc_refills.to_string());
-        push("alloc_refill_pages", self.alloc_refill_pages.to_string());
-        push("free_cached", self.free_cached.to_string());
-        push("free_spills", self.free_spills.to_string());
-        push("registry_locks", self.registry_locks.to_string());
-        let sites: Vec<String> = RegistryLockSite::ALL
-            .iter()
-            .map(|s| format!("\"{}\": {}", s.as_str(), self.registry_lock_site(*s)))
-            .collect();
-        push("registry_lock_sites", format!("{{{}}}", sites.join(", ")));
-        push("events_dropped", self.events_dropped.to_string());
-        push("worker_deaths", self.worker_deaths.to_string());
-        push("worker_restarts", self.worker_restarts.to_string());
-        push("deleg_redispatches", self.deleg_redispatches.to_string());
-        push("deleg_dedup_hits", self.deleg_dedup_hits.to_string());
-        push("degraded_enters", self.degraded_enters.to_string());
-        push("degraded_exits", self.degraded_exits.to_string());
-        push("refill_retries", self.refill_retries.to_string());
-        push("lease_retries", self.lease_retries.to_string());
-        push("alloc_fast_hit_rate", format!("{:.4}", self.alloc_fast_hit_rate()));
-        push("ring_hop_p50_ns", self.ring_hop_p50_ns().to_string());
-        push("ring_hop_p99_ns", self.ring_hop_p99_ns().to_string());
-        push("ring_hop_zero", self.ring_hop_zero.to_string());
-        let hist: Vec<String> = self.ring_hop_hist.iter().map(|v| v.to_string()).collect();
-        out.push_str(&format!("  \"ring_hop_hist\": [{}]\n", hist.join(", ")));
-        out.push('}');
-        out
+        self.visit(|name, v| {
+            if name == "registry_lock_sites" {
+                w.object(name, |o| {
+                    for site in RegistryLockSite::ALL {
+                        o.field(site.as_str(), self.registry_lock_site(site));
+                    }
+                });
+            } else {
+                w.value(name, v);
+            }
+        });
+        w.field("alloc_fast_hit_rate", format_args!("{:.4}", self.alloc_fast_hit_rate()));
+        w.field("ring_hop_p50_ns", self.ring_hop_p50_ns());
+        w.field("ring_hop_p99_ns", self.ring_hop_p99_ns());
+        w.finish()
     }
 
     /// One-line human summary for bench footers.
@@ -799,7 +499,6 @@ mod tests {
         s.record_alloc_fast_hit();
         s.record_alloc_refill(64);
         s.record_free(10, 2);
-        s.record_registry_lock();
         s.record_registry_lock_site(RegistryLockSite::AllocRefill); // hot: headline too
         s.record_registry_lock_site(RegistryLockSite::Fsck); // cold: site only
         s.record_event_dropped();
@@ -833,7 +532,7 @@ mod tests {
         assert_eq!(snap.alloc_refill_pages, 64);
         assert_eq!(snap.free_cached, 10);
         assert_eq!(snap.free_spills, 2);
-        assert_eq!(snap.registry_locks, 2, "hot site feeds the headline counter");
+        assert_eq!(snap.registry_locks, 1, "only the hot site feeds the headline counter");
         assert_eq!(snap.registry_lock_site(RegistryLockSite::AllocRefill), 1);
         assert_eq!(snap.registry_lock_site(RegistryLockSite::Fsck), 1);
         assert_eq!(snap.registry_lock_site(RegistryLockSite::Scrub), 0);
@@ -846,27 +545,6 @@ mod tests {
         assert_eq!(snap.degraded_exits, 1);
         assert_eq!(snap.refill_retries, 1);
         assert_eq!(snap.lease_retries, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), PathStatsSnapshot::default());
-    }
-
-    #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let s = PathStats::new();
-        s.record_ring_hop(0); // dedicated zero counter, not a bucket
-        s.record_ring_hop(1); // bucket 0
-        s.record_ring_hop(2); // bucket 1
-        s.record_ring_hop(1023); // bucket 9
-        s.record_ring_hop(1024); // bucket 10
-        s.record_ring_hop(u64::MAX); // clamped to last bucket
-        let snap = s.snapshot();
-        let h = snap.ring_hop_hist;
-        assert_eq!(snap.ring_hop_zero, 1);
-        assert_eq!(h[0], 1);
-        assert_eq!(h[1], 1);
-        assert_eq!(h[9], 1);
-        assert_eq!(h[10], 1);
-        assert_eq!(h[HIST_BUCKETS - 1], 1);
     }
 
     #[test]
@@ -886,38 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_pin_against_hand_computed_histogram() {
-        // 2 zero-ns hops, 3 samples in bucket 9, 1 sample in bucket 16.
-        // Ranked: [0, 0, b9, b9, b9, b16]; p50 rank = 3rd sample → bucket 9
-        // midpoint 724; p99 rank = 6th sample → bucket 16 midpoint
-        // 65536·√2 = 92681.
-        let s = PathStats::new();
-        s.record_ring_hop(0);
-        s.record_ring_hop(0);
-        for _ in 0..3 {
-            s.record_ring_hop(600);
-        }
-        s.record_ring_hop(70_000);
-        let snap = s.snapshot();
-        assert_eq!(snap.ring_hop_p50_ns(), 724);
-        assert_eq!(snap.ring_hop_p99_ns(), 92_681);
-
-        // Zero-dominated distribution: the median falls in the zero mass.
-        let z = PathStats::new();
-        for _ in 0..10 {
-            z.record_ring_hop(0);
-        }
-        z.record_ring_hop(64);
-        let zs = z.snapshot();
-        assert_eq!(zs.ring_hop_p50_ns(), 0);
-        assert_eq!(zs.ring_hop_p99_ns(), 90); // 64·√2
-
-        // Empty histogram reports 0, not bucket 0's midpoint.
-        assert_eq!(PathStatsSnapshot::default().ring_hop_p50_ns(), 0);
-        assert_eq!(PathStatsSnapshot::default().ring_hop_p99_ns(), 0);
-    }
-
-    #[test]
     fn zero_ns_hops_do_not_alias_one_ns_hops() {
         let s = PathStats::new();
         s.record_ring_hop(0);
@@ -926,53 +572,5 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.ring_hop_zero, 2);
         assert_eq!(snap.ring_hop_hist[0], 1);
-    }
-
-    #[test]
-    fn delta_isolates_a_measured_window() {
-        let s = PathStats::new();
-        s.record_submission(4);
-        s.record_delegated_bytes(1 << 20, true);
-        s.record_ring_hop(512);
-        let base = s.snapshot();
-        s.record_submission(2);
-        s.record_delegated_bytes(4096, true);
-        s.record_ring_hop(0);
-        s.record_ring_hop(2048);
-        let win = s.snapshot().delta(&base);
-        assert_eq!(win.deleg_requests, 1);
-        assert_eq!(win.deleg_runs, 2);
-        assert_eq!(win.delegated_write_bytes, 4096);
-        assert_eq!(win.ring_hop_zero, 1);
-        assert_eq!(win.ring_hop_hist[9], 0); // pre-window hop subtracted out
-        assert_eq!(win.ring_hop_hist[11], 1);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "in flight")]
-    fn reset_asserts_quiesced() {
-        let s = PathStats::new();
-        s.enter_delegated_op();
-        s.reset();
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let s = PathStats::new();
-        s.record_submission(2);
-        let j = s.snapshot().to_json(&[("threads", "28".into())]);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"threads\": 28"));
-        assert!(j.contains("\"deleg_requests\": 1"));
-        assert!(j.contains("\"registry_lock_sites\": {\"alloc_refill\": 0"));
-        assert!(j.contains("\"scrub\": 0"));
-        assert!(j.contains("\"events_dropped\": 0"));
-        assert!(j.contains("\"worker_deaths\": 0"));
-        assert!(j.contains("\"deleg_dedup_hits\": 0"));
-        assert!(j.contains("\"degraded_enters\": 0"));
-        assert!(j.contains("\"ring_hop_p99_ns\": "));
-        assert!(j.contains("\"ring_hop_zero\": "));
-        assert!(j.contains("\"ring_hop_hist\": ["));
     }
 }

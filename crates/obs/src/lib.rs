@@ -32,6 +32,7 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use trio_sim::metrics::{bucket_index, quantile_ns, quoted, JsonObject};
 use trio_sim::{in_sim, now};
 
 // ---------------------------------------------------------------------------
@@ -200,35 +201,19 @@ pub fn now_ns() -> u64 {
 /// reach ~4.3 s — far past any delegation deadline.
 pub const OBS_HIST_BUCKETS: usize = 32;
 
-/// Geometric midpoint of log bucket `i`: `2^i·√2` (bucket 0 holds only
-/// the value 1 ns). Reporting the midpoint instead of the lower bound
-/// removes the up-to-2× downward bias a `1 << i` readout carries.
-pub fn bucket_midpoint_ns(i: usize) -> u64 {
-    if i == 0 {
-        1
-    } else {
-        ((1u64 << i) as f64 * std::f64::consts::SQRT_2) as u64
+trio_sim::counters! {
+    /// One `(kind, stage)` latency histogram.
+    struct AtomicHist => pub struct HistSnapshot {
+        /// Samples recorded at exactly 0 ns (below every log bucket).
+        zero,
+        count,
+        sum_ns,
+        buckets: [OBS_HIST_BUCKETS],
     }
 }
 
-struct AtomicHist {
-    /// Samples recorded at exactly 0 ns (below every log bucket).
-    zero: AtomicU64,
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    buckets: [AtomicU64; OBS_HIST_BUCKETS],
-}
-
-#[allow(clippy::declare_interior_mutable_const)] // inline-const array seed
-const HIST_INIT: AtomicHist = AtomicHist {
-    zero: AtomicU64::new(0),
-    count: AtomicU64::new(0),
-    sum_ns: AtomicU64::new(0),
-    buckets: [const { AtomicU64::new(0) }; OBS_HIST_BUCKETS],
-};
-
 static HISTS: [[AtomicHist; STAGE_COUNT]; KIND_COUNT] =
-    [const { [HIST_INIT; STAGE_COUNT] }; KIND_COUNT];
+    [const { [const { AtomicHist::new() }; STAGE_COUNT] }; KIND_COUNT];
 
 /// Records one span latency into the `(kind, stage)` histogram.
 pub fn record_latency(kind: OpKind, stage: Stage, ns: u64) {
@@ -238,23 +223,7 @@ pub fn record_latency(kind: OpKind, stage: Stage, ns: u64) {
     if ns == 0 {
         h.zero.fetch_add(1, Ordering::Relaxed);
     } else {
-        let bucket = (63 - ns.leading_zeros() as usize).min(OBS_HIST_BUCKETS - 1);
-        h.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Plain-value copy of one `(kind, stage)` histogram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistSnapshot {
-    pub zero: u64,
-    pub count: u64,
-    pub sum_ns: u64,
-    pub buckets: [u64; OBS_HIST_BUCKETS],
-}
-
-impl Default for HistSnapshot {
-    fn default() -> Self {
-        HistSnapshot { zero: 0, count: 0, sum_ns: 0, buckets: [0; OBS_HIST_BUCKETS] }
+        h.buckets[bucket_index(ns, OBS_HIST_BUCKETS)].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -271,21 +240,7 @@ impl HistSnapshot {
     /// The `num/den` quantile via geometric bucket midpoints. The zero
     /// counter sits below bucket 0 as explicit value-0 mass.
     pub fn percentile_ns(&self, num: u64, den: u64) -> u64 {
-        let total = self.count;
-        if total == 0 {
-            return 0;
-        }
-        let mut seen = self.zero;
-        if seen * den >= num * total {
-            return 0;
-        }
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen * den >= num * total {
-                return bucket_midpoint_ns(i);
-            }
-        }
-        bucket_midpoint_ns(OBS_HIST_BUCKETS - 1)
+        quantile_ns(self.zero, &self.buckets, num, den)
     }
 
     pub fn p50_ns(&self) -> u64 {
@@ -300,31 +255,13 @@ impl HistSnapshot {
         self.percentile_ns(999, 1000)
     }
 
-    /// Counter-wise difference vs an earlier snapshot (bench windows use
-    /// deltas instead of resetting shared live counters).
-    pub fn delta(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        let mut buckets = [0u64; OBS_HIST_BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistSnapshot {
-            zero: self.zero.saturating_sub(earlier.zero),
-            count: self.count.saturating_sub(earlier.count),
-            sum_ns: self.sum_ns.saturating_sub(earlier.sum_ns),
-            buckets,
-        }
-    }
-
-    fn json_object(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"zero\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-            self.count,
-            self.zero,
-            self.mean_ns(),
-            self.p50_ns(),
-            self.p99_ns(),
-            self.p999_ns(),
-        )
+    fn write_json(&self, o: &mut JsonObject) {
+        o.field("count", self.count)
+            .field("zero", self.zero)
+            .field("mean_ns", self.mean_ns())
+            .field("p50_ns", self.p50_ns())
+            .field("p99_ns", self.p99_ns())
+            .field("p999_ns", self.p999_ns());
     }
 }
 
@@ -336,22 +273,7 @@ pub struct ObsSnapshot {
 
 /// Captures every stage histogram (relaxed loads; exact once quiesced).
 pub fn snapshot() -> ObsSnapshot {
-    let mut hists = Vec::with_capacity(KIND_COUNT * STAGE_COUNT);
-    for kh in HISTS.iter() {
-        for h in kh.iter() {
-            let mut buckets = [0u64; OBS_HIST_BUCKETS];
-            for (i, b) in buckets.iter_mut().enumerate() {
-                *b = h.buckets[i].load(Ordering::Relaxed);
-            }
-            hists.push(HistSnapshot {
-                zero: h.zero.load(Ordering::Relaxed),
-                count: h.count.load(Ordering::Relaxed),
-                sum_ns: h.sum_ns.load(Ordering::Relaxed),
-                buckets,
-            });
-        }
-    }
-    ObsSnapshot { hists }
+    ObsSnapshot { hists: HISTS.iter().flatten().map(AtomicHist::snapshot).collect() }
 }
 
 impl ObsSnapshot {
@@ -371,52 +293,30 @@ impl ObsSnapshot {
         ObsSnapshot { hists }
     }
 
+    /// The non-empty histograms with their `(kind, stage)` key, kind-major.
+    fn stages(&self) -> impl Iterator<Item = (OpKind, Stage, &HistSnapshot)> {
+        self.hists.iter().enumerate().filter(|(_, h)| !h.is_empty()).filter_map(|(i, h)| {
+            Some((OpKind::from_index(i / STAGE_COUNT)?, Stage::from_index(i % STAGE_COUNT)?, h))
+        })
+    }
+
     /// Human-readable per-stage lines (non-empty stages only), e.g.
     /// `write/ring-hop  n=512 p50=724ns p99=2896ns p999=5792ns mean=801ns`.
     pub fn table_lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (i, h) in self.hists.iter().enumerate() {
-            if h.is_empty() {
-                continue;
-            }
-            let (kind, stage) = (i / STAGE_COUNT, i % STAGE_COUNT);
-            let (Some(kind), Some(stage)) = (OpKind::from_index(kind), Stage::from_index(stage))
-            else {
-                continue;
-            };
-            out.push(format!(
-                "{}/{}  n={} p50={}ns p99={}ns p999={}ns mean={}ns",
-                kind.as_str(),
-                stage.as_str(),
-                h.count,
-                h.p50_ns(),
-                h.p99_ns(),
-                h.p999_ns(),
-                h.mean_ns(),
-            ));
-        }
-        out
-    }
-
-    fn stages_json(&self) -> String {
-        let mut parts = Vec::new();
-        for (i, h) in self.hists.iter().enumerate() {
-            if h.is_empty() {
-                continue;
-            }
-            let (kind, stage) = (i / STAGE_COUNT, i % STAGE_COUNT);
-            let (Some(kind), Some(stage)) = (OpKind::from_index(kind), Stage::from_index(stage))
-            else {
-                continue;
-            };
-            parts.push(format!(
-                "    \"{}/{}\": {}",
-                kind.as_str(),
-                stage.as_str(),
-                h.json_object()
-            ));
-        }
-        format!("{{\n{}\n  }}", parts.join(",\n"))
+        self.stages()
+            .map(|(kind, stage, h)| {
+                format!(
+                    "{}/{}  n={} p50={}ns p99={}ns p999={}ns mean={}ns",
+                    kind.as_str(),
+                    stage.as_str(),
+                    h.count,
+                    h.p50_ns(),
+                    h.p99_ns(),
+                    h.p999_ns(),
+                    h.mean_ns(),
+                )
+            })
+            .collect()
     }
 }
 
@@ -577,42 +477,32 @@ pub fn timeline_path() -> PathBuf {
         .join("obs-timeline.json")
 }
 
-/// The replayable timeline as a JSON string (hand-rolled; the workspace
-/// is dependency-free). Stable keys, no trailing commas.
+/// The replayable timeline as a JSON string: the recorder's events oldest
+/// first, one per line, then the non-empty stage histograms.
 pub fn timeline_json(trigger: &str) -> String {
-    let events = collect_events();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"trigger\": \"{trigger}\",\n"));
-    out.push_str(&format!("  \"now_ns\": {},\n", now_ns()));
     let recorded = events_recorded();
-    out.push_str(&format!("  \"events_recorded\": {recorded},\n"));
-    out.push_str(&format!(
-        "  \"events_overwritten\": {},\n",
-        recorded.saturating_sub(RECORDER_SLOTS as u64)
-    ));
-    out.push_str("  \"events\": [\n");
-    let lines: Vec<String> = events
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"gen\": {}, \"op\": {}, \"t_ns\": {}, \"kind\": \"{}\", \"stage\": \"{}\", \"phase\": \"{}\", \"actor\": {}, \"node\": {}, \"aux\": {}}}",
-                e.generation,
-                e.op_id,
-                e.t_ns,
-                e.kind.as_str(),
-                e.stage.as_str(),
-                e.phase.as_str(),
-                e.actor,
-                e.node,
-                e.aux,
-            )
+    let mut w = JsonObject::new();
+    w.field("trigger", quoted(trigger))
+        .field("now_ns", now_ns())
+        .field("events_recorded", recorded)
+        .field("events_overwritten", recorded.saturating_sub(RECORDER_SLOTS as u64))
+        .objects("events", collect_events(), |o, e| {
+            o.field("gen", e.generation)
+                .field("op", e.op_id)
+                .field("t_ns", e.t_ns)
+                .field("kind", quoted(e.kind.as_str()))
+                .field("stage", quoted(e.stage.as_str()))
+                .field("phase", quoted(e.phase.as_str()))
+                .field("actor", e.actor)
+                .field("node", e.node)
+                .field("aux", e.aux);
         })
-        .collect();
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!("  \"stages\": {}\n", snapshot().stages_json()));
-    out.push_str("}\n");
-    out
+        .object("stages", |o| {
+            for (kind, stage, h) in snapshot().stages() {
+                o.object(&format!("{}/{}", kind.as_str(), stage.as_str()), |o| h.write_json(o));
+            }
+        });
+    w.finish() + "\n"
 }
 
 /// Writes the timeline unconditionally (bench artifacts). Returns the
@@ -639,10 +529,12 @@ pub fn trigger_dump(t: Trigger) -> Option<PathBuf> {
     dump_now(t.as_str()).ok()
 }
 
-/// Test/bench helper: zeroes the recorder, every histogram, and the
-/// dump-once latches. Callers must be quiesced (no concurrent spans) —
-/// exactly like `PathStats::reset`.
+/// Test/bench helper: zeroes the op-id counter, the recorder, every
+/// histogram, and the dump-once latches, so two identical seeded runs in
+/// one process dump identical timelines. Callers must be quiesced (no
+/// concurrent spans).
 pub fn reset() {
+    NEXT_OP.store(0, Ordering::Relaxed);
     HEAD.store(0, Ordering::Relaxed);
     for slot in SLOTS.iter() {
         slot.seq.store(0, Ordering::Relaxed);
@@ -677,35 +569,6 @@ mod tests {
     // runs #[test] fns on concurrent threads: every test here must
     // tolerate foreign events, so assertions filter by a kind/stage pair
     // the test owns or use deltas.
-
-    #[test]
-    fn percentiles_pin_against_hand_computed_histograms() {
-        // 2 zero-ns, 3×512 ns (bucket 9), 1×100 µs (bucket 16).
-        let mut h = HistSnapshot { zero: 2, count: 6, ..Default::default() };
-        h.buckets[9] = 3;
-        h.buckets[16] = 1;
-        // Rank ⌈6/2⌉=3 lands in bucket 9 → geometric midpoint 512·√2 = 724.
-        assert_eq!(h.p50_ns(), 724);
-        // Rank ⌈6·0.99⌉=6 lands in bucket 16 → 65536·√2 = 92681.
-        assert_eq!(h.p99_ns(), 92681);
-        assert_eq!(bucket_midpoint_ns(0), 1);
-        assert_eq!(bucket_midpoint_ns(9), 724);
-
-        // 99 samples in bucket 9, 1 in bucket 16: p99 stays in bucket 9.
-        let mut h = HistSnapshot::default();
-        h.buckets[9] = 99;
-        h.buckets[16] = 1;
-        h.count = 100;
-        assert_eq!(h.p50_ns(), 724);
-        assert_eq!(h.p99_ns(), 724);
-        assert_eq!(h.p999_ns(), 92681);
-
-        // Zero-dominated: the median is the explicit 0 mass, not bucket 0.
-        let mut h = HistSnapshot { zero: 10, count: 11, ..Default::default() };
-        h.buckets[5] = 1;
-        assert_eq!(h.p50_ns(), 0);
-        assert_eq!(h.p999_ns(), bucket_midpoint_ns(5));
-    }
 
     #[test]
     fn record_latency_separates_zero_from_one_ns() {

@@ -45,6 +45,7 @@
 //! ```
 
 pub mod cost;
+pub mod metrics;
 pub mod plock;
 pub mod race;
 pub mod rng;

@@ -168,6 +168,11 @@ if [ -f BENCH_datapath.json ]; then
 import json, sys
 new = json.load(open(sys.argv[1]))
 base = json.load(open(sys.argv[2]))
+# A counter dropped from the emitter fails here, not in a later reader.
+missing = sorted(set(base) - set(new))
+if missing:
+    sys.exit(f"FAIL: keys of the committed BENCH_datapath.json missing from the fresh run: {missing}")
+print("OK: every key of the committed baseline is emitted.")
 key = "delegated_write_ns_per_op"
 n, b = float(new[key]), float(base[key])
 if n > b * 1.2:
@@ -241,9 +246,13 @@ echo "== mega-tenant gate: 128 concurrent LibFS instances, lock-free control pla
 # (ROADMAP 1(d)).
 TRIO_BENCH_OUT=/tmp/trio_megatenant.$$ \
     cargo bench -p trio-bench --bench bench_megatenant
-python3 - /tmp/trio_megatenant.$$ <<'EOF'
+python3 - /tmp/trio_megatenant.$$ BENCH_megatenant.json <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
+missing = sorted(set(json.load(open(sys.argv[2]))) - set(r))
+if missing:
+    sys.exit(f"FAIL: keys of the committed BENCH_megatenant.json missing from the fresh run: {missing}")
+print("OK: every key of the committed baseline is emitted.")
 rates = r["meta_ops_per_sec_per_tenant"]
 print(f"NOTE: per-tenant metadata rates {rates}, scaling 8->128 = {r['scaling_8_to_128']} (not gated).")
 if rates[-1] < 20_000:

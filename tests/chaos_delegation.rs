@@ -255,21 +255,19 @@ fn chaos_sweep_worker_kills_under_concurrent_traffic() {
     assert_eq!(agg.deaths, agg.restarts, "unrecovered worker deaths");
     all_recovery.sort_unstable();
     let (p50, p99) = (percentile(&all_recovery, 0.50), percentile(&all_recovery, 0.99));
-    let report = format!(
-        "{{\n  \"seed\": {CHAOS_SEED},\n  \"iterations\": {iters},\n  \
-         \"worker_deaths\": {},\n  \"worker_restarts\": {},\n  \
-         \"redispatches\": {},\n  \"dedup_hits\": {},\n  \
-         \"fallbacks\": {},\n  \"degraded_enters\": {},\n  \
-         \"degraded_exits\": {},\n  \"recovery_p50_ns\": {p50},\n  \
-         \"recovery_p99_ns\": {p99}\n}}\n",
-        agg.deaths,
-        agg.restarts,
-        agg.redispatches,
-        agg.dedup_hits,
-        agg.fallbacks,
-        agg.degraded_enters,
-        agg.degraded_exits,
-    );
+    let mut w = trio_sim::metrics::JsonObject::new();
+    w.field("seed", CHAOS_SEED)
+        .field("iterations", iters)
+        .field("worker_deaths", agg.deaths)
+        .field("worker_restarts", agg.restarts)
+        .field("redispatches", agg.redispatches)
+        .field("dedup_hits", agg.dedup_hits)
+        .field("fallbacks", agg.fallbacks)
+        .field("degraded_enters", agg.degraded_enters)
+        .field("degraded_exits", agg.degraded_exits)
+        .field("recovery_p50_ns", p50)
+        .field("recovery_p99_ns", p99);
+    let report = w.finish() + "\n";
     let _ = std::fs::create_dir_all("target");
     std::fs::write("target/chaos-report.json", &report).expect("write chaos report");
     println!("chaos report: {report}");

@@ -70,7 +70,7 @@ fn patrol_scrubs_poisoned_free_page() {
         let snap = kernel.media_stats().snapshot();
         assert_eq!(snap.scrub_passes, 1);
         assert!(snap.poison_lines_found >= 1 && snap.pool_scrubs >= 1);
-        assert!(snap.repairs() >= 1 && snap.repair_latency_pct(50.0) > 0);
+        assert!(snap.repairs() >= 1 && snap.repair_p50_ns() > 0);
     });
     rt.run();
 }
@@ -505,20 +505,16 @@ fn media_fault_campaign() {
     assert_eq!(tally.metadata_faults_repaired, tally.metadata_faults_injected);
     assert_eq!(tally.silent_data_loss, 0);
 
-    let json = format!(
-        "{{\"iterations\": {}, \"metadata_faults_injected\": {}, \
-         \"metadata_faults_repaired\": {}, \"data_faults_injected\": {}, \
-         \"data_faults_loud\": {}, \"silent_data_loss\": {}, \
-         \"pages_retired\": {}, \"conservation_violations\": {}}}",
-        tally.iterations,
-        tally.metadata_faults_injected,
-        tally.metadata_faults_repaired,
-        tally.data_faults_injected,
-        tally.data_faults_loud,
-        tally.silent_data_loss,
-        tally.pages_retired,
-        tally.conservation_violations,
-    );
+    let mut w = trio_sim::metrics::JsonObject::new();
+    w.field("iterations", tally.iterations)
+        .field("metadata_faults_injected", tally.metadata_faults_injected)
+        .field("metadata_faults_repaired", tally.metadata_faults_repaired)
+        .field("data_faults_injected", tally.data_faults_injected)
+        .field("data_faults_loud", tally.data_faults_loud)
+        .field("silent_data_loss", tally.silent_data_loss)
+        .field("pages_retired", tally.pages_retired)
+        .field("conservation_violations", tally.conservation_violations);
+    let json = w.finish();
     let dir = std::path::Path::new("target");
     let _ = std::fs::create_dir_all(dir);
     std::fs::write(dir.join("media-report.json"), &json).expect("write media report");

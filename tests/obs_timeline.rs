@@ -38,6 +38,14 @@ impl Json {
         }
     }
 
+    /// An object's keys (none for any other value).
+    fn keys(&self) -> Vec<&str> {
+        match self {
+            Json::Obj(kv) => kv.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
     fn str(&self) -> &str {
         match self {
             Json::Str(s) => s,
@@ -231,48 +239,37 @@ fn assert_span(spans: &[(String, String, String)], kind: &str, stage: &str, phas
     );
 }
 
-/// One test fn for both scenarios: the dump path (env override + the
-/// once-per-trigger latches) is process-global state, so the two stories
-/// must run in a controlled order, with a recorder reset in between.
-#[test]
-fn forced_failures_auto_dump_replayable_timelines() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("obs-timeline-test.json");
-    std::env::set_var("TRIO_OBS_TIMELINE", &path);
-    let _ = std::fs::remove_file(&path);
-
-    // --- Scenario A: forced delegation timeout. ---------------------------
-    // Drive the pool directly (the LibFS layer would fall back and emit a
-    // `delegation-fallback` dump on top): one healthy 64 KiB delegated
-    // write for the full submit → service → reply span chain, then a
-    // total-wedge drop fault so the next op times out and auto-dumps.
-    trio_obs::reset();
-    {
-        let dev = Arc::new(NvmDevice::new(DeviceConfig {
-            topology: Topology::new(2, 32 * 1024),
-            ..DeviceConfig::small()
-        }));
-        let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
-        let rt = SimRuntime::new(7);
-        let k = Arc::clone(&kernel);
-        rt.spawn("main", move || {
-            k.delegation().start();
-            let reg = k.register_libfs(1000, 1000);
-            let pages = k.alloc_pages(reg.actor, 32, Some(0)).unwrap();
-            let data = vec![0xEEu8; 64 * 1024];
-            // Stand in for the syscall layer: give the op a real span id
-            // so the worker events stitch to it.
-            trio_obs::set_current_op(trio_obs::next_op_id());
-            k.delegation()
-                .try_write_extent(
-                    reg.actor,
-                    &pages,
-                    0,
-                    &data,
-                    &RetryPolicy::new(5 * MILLIS, 0, 2, 40 * MILLIS),
-                )
-                .unwrap();
+/// Scenario A's world at seed 7, driving the pool directly (the LibFS
+/// layer would fall back and emit a `delegation-fallback` dump on top): one
+/// healthy 64 KiB delegated write for the full submit → service → reply
+/// span chain, then — with `then_wedge` — a total-wedge drop fault so the
+/// next op times out and auto-dumps.
+fn delegated_write(then_wedge: bool) {
+    let dev = Arc::new(NvmDevice::new(DeviceConfig {
+        topology: Topology::new(2, 32 * 1024),
+        ..DeviceConfig::small()
+    }));
+    let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
+    let rt = SimRuntime::new(7);
+    let k = Arc::clone(&kernel);
+    rt.spawn("main", move || {
+        k.delegation().start();
+        let reg = k.register_libfs(1000, 1000);
+        let pages = k.alloc_pages(reg.actor, 32, Some(0)).unwrap();
+        let data = vec![0xEEu8; 64 * 1024];
+        // Stand in for the syscall layer: give the op a real span id
+        // so the worker events stitch to it.
+        trio_obs::set_current_op(trio_obs::next_op_id());
+        k.delegation()
+            .try_write_extent(
+                reg.actor,
+                &pages,
+                0,
+                &data,
+                &RetryPolicy::new(5 * MILLIS, 0, 2, 40 * MILLIS),
+            )
+            .unwrap();
+        if then_wedge {
             k.delegation().inject_faults(0, 0, 1); // Drop 1-in-1: wedge.
             let r = k.delegation().try_write_extent(
                 reg.actor,
@@ -282,11 +279,28 @@ fn forced_failures_auto_dump_replayable_timelines() {
                 &RetryPolicy::new(MILLIS, 0, 1, 8 * MILLIS),
             );
             assert_eq!(r, Err(DelegationError::Timeout));
-            trio_obs::set_current_op(0);
-            k.delegation().shutdown();
-        });
-        rt.run();
-    }
+        }
+        trio_obs::set_current_op(0);
+        k.delegation().shutdown();
+    });
+    rt.run();
+}
+
+/// One test fn for all three scenarios: the dump path (env override + the
+/// once-per-trigger latches), the recorder and the op-id counter are
+/// process-global state, so the stories must run in a controlled order,
+/// with a reset in between.
+#[test]
+fn forced_failures_auto_dump_replayable_timelines() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("target")
+        .join("obs-timeline-test.json");
+    std::env::set_var("TRIO_OBS_TIMELINE", &path);
+    let _ = std::fs::remove_file(&path);
+
+    // --- Scenario A: forced delegation timeout. ---------------------------
+    trio_obs::reset();
+    delegated_write(true);
     let text = std::fs::read_to_string(&path).expect("timeout must auto-dump a timeline");
     let timeline = Parser::parse(&text).expect("timeline must be valid JSON");
     assert_eq!(timeline.get("trigger").unwrap().str(), "delegation-timeout");
@@ -360,6 +374,22 @@ fn forced_failures_auto_dump_replayable_timelines() {
     assert_span(&spans, "verify", "verifier-walk", "open");
     assert_span(&spans, "verify", "verifier-walk", "close");
 
+    // --- Scenario C: same seed, same timeline. -----------------------------
+    // The determinism oracle: scenario A's healthy write, run twice from a
+    // reset, must dump byte-identical timelines — op ids, generations,
+    // virtual timestamps and stage histograms included.
+    let healthy_run = || {
+        trio_obs::reset();
+        delegated_write(false);
+        trio_obs::timeline_json("determinism")
+    };
+    let (first, second) = (healthy_run(), healthy_run());
+    assert!(first.contains("\"stage\": \"worker-service\""), "the write must have been traced");
+    if first != second {
+        let differing = first.lines().zip(second.lines()).find(|(a, b)| a != b);
+        panic!("two runs at seed 7 dumped different timelines; first differing line: {differing:?}");
+    }
+
     std::env::remove_var("TRIO_OBS_TIMELINE");
 }
 
@@ -385,6 +415,22 @@ fn path_stats_json_round_trips_through_a_real_parser() {
     let hist = v.get("ring_hop_hist").unwrap().arr();
     assert_eq!(hist.len(), trio_nvm::HIST_BUCKETS);
     assert_eq!(hist[9].num(), 5.0);
+
+    // Every key a snapshot emits is a key of the committed bench baseline
+    // (and likewise one level down, for the per-site object): a counter
+    // added without regenerating `BENCH_datapath.json` fails here.
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_datapath.json");
+    let committed = std::fs::read_to_string(committed).expect("committed BENCH_datapath.json");
+    let committed = Parser::parse(&committed).expect("committed baseline must be valid JSON");
+    let emitted = trio_nvm::PathStatsSnapshot::default().to_json(&[]);
+    let emitted = Parser::parse(&emitted).expect("default snapshot must be valid JSON");
+    assert!(emitted.keys().len() > 30);
+    for key in emitted.keys() {
+        let base = committed.get(key).unwrap_or_else(|| panic!("`{key}` not in the baseline"));
+        for sub in emitted.get(key).unwrap().keys() {
+            assert!(base.get(sub).is_some(), "`{key}.{sub}` not in the baseline");
+        }
+    }
 }
 
 /// The obs timeline emitter round-trips through the same parser even for

@@ -62,7 +62,7 @@ fn unmutated_protocol_is_report_clean() {
     let report = run_protocol(false, false, false);
     assert!(report.is_clean(), "expected a clean report, got: {report}");
     assert_eq!(report.seed, SEED);
-    assert_eq!(report.to_json(), format!("{{\"seed\":{SEED},\"hazards\":[]}}"));
+    assert!(report.to_json().ends_with("\"hazards\": []\n}"));
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn publish_before_persist_mutant_is_caught() {
     assert!(!hz.is_empty(), "early publish must surface publish-before-persist, got: {report}");
     assert_eq!(hz[0].page, PAGE.0);
     // JSON round-trip shape for the CI artifact.
-    assert!(report.to_json().contains("\"kind\":\"publish-before-persist\""));
+    assert!(report.to_json().contains("\"kind\": \"publish-before-persist\""));
 }
 
 #[test]
