@@ -6,7 +6,7 @@
 //! 262K pages); for `create-100`, verification dominates (~81%) with
 //! aux-rebuild second (~12%).
 
-use trio_bench::{run_sharing_create, run_sharing_write, scale};
+use trio_bench::{run_sharing_create, run_sharing_write, scale, Sharers};
 
 fn print_breakdown(label: &str, map: u64, unmap: u64, verify: u64, rebuild: u64) {
     let total = (map + unmap + verify + rebuild).max(1) as f64;
@@ -33,12 +33,18 @@ fn main() {
         w.rebuild_ns,
     );
 
-    let c = run_sharing_create(100, 400, false);
-    print_breakdown(
-        "create-100",
-        c.phases.map_ns,
-        c.phases.unmap_ns,
-        c.phases.verify_ns + c.phases.checkpoint_ns,
-        c.rebuild_ns,
-    );
+    // The paper's row, and the same loop with nobody else writing: what
+    // is left when no hand-over is a transfer (DESIGN.md §22).
+    let rows = [("create-100", Sharers::Untrusted), ("create-100 sole", Sharers::Sole)];
+    for (label, sharers) in rows {
+        let c = run_sharing_create(100, 400, sharers);
+        print_breakdown(
+            label,
+            c.phases.map_ns,
+            c.phases.unmap_ns,
+            c.phases.verify_ns + c.phases.checkpoint_ns,
+            c.rebuild_ns,
+        );
+        println!("{:<22} aux_reuses {}  aux_rebuilds {}", "", c.aux_reuses, c.aux_rebuilds);
+    }
 }

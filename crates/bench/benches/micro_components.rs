@@ -59,7 +59,7 @@ fn dir_hash_table() {
             ino: i + 10,
             loc: DirentLoc { page: PageId(1 + i / 16), slot: (i % 16) as usize },
             ftype: CoreFileType::Regular,
-            fresh: true,
+            linked: 1,
         });
     }
     let mut i = 0u64;
@@ -73,7 +73,7 @@ fn dir_hash_table() {
             ino: 5,
             loc: DirentLoc { page: PageId(1), slot: 0 },
             ftype: CoreFileType::Regular,
-            fresh: true,
+            linked: 1,
         });
         aux.remove("transient");
     });

@@ -9,8 +9,13 @@
 //! the small file, large overhead (map/unmap dominated) on the big file,
 //! verification-dominated overhead for create-100, and trust groups
 //! eliminating all of it.
+//!
+//! Beside the paper's contended create-100 row sits the same loop run by
+//! one LibFS alone ("sole writer"): every map after the first is a re-map
+//! by the actor that last wrote, which keeps its auxiliary state and pays
+//! neither rebuild nor checkpoint (DESIGN.md §22).
 
-use trio_bench::{run_sharing_create, run_sharing_nova, run_sharing_write, scale};
+use trio_bench::{run_sharing_create, run_sharing_nova, run_sharing_write, scale, Sharers};
 
 fn main() {
     let s = scale();
@@ -45,8 +50,8 @@ fn main() {
     );
 
     let nova = run_sharing_nova(None, 10, create_ops);
-    let arck = run_sharing_create(10, create_ops, false);
-    let tg = run_sharing_create(10, create_ops, true);
+    let arck = run_sharing_create(10, create_ops, Sharers::Untrusted);
+    let tg = run_sharing_create(10, create_ops, Sharers::TrustGroup);
     println!(
         "{:<22} {:>10.1}us {:>10.1}us {:>10.1}us",
         "create, 10 files",
@@ -56,13 +61,23 @@ fn main() {
     );
 
     let nova = run_sharing_nova(None, 100, create_ops);
-    let arck = run_sharing_create(100, create_ops, false);
-    let tg = run_sharing_create(100, create_ops, true);
+    let arck = run_sharing_create(100, create_ops, Sharers::Untrusted);
+    let tg = run_sharing_create(100, create_ops, Sharers::TrustGroup);
     println!(
         "{:<22} {:>10.1}us {:>10.1}us {:>10.1}us",
         "create, 100 files",
         nova.usec_per_op(),
         arck.usec_per_op(),
         tg.usec_per_op()
+    );
+    let sole = run_sharing_create(100, create_ops, Sharers::Sole);
+    println!(
+        "{:<22} {:>12} {:>10.1}us {:>12}   (per-op unmap; aux reused {}, rebuilt {})",
+        "  ... sole writer",
+        "-",
+        sole.usec_per_op(),
+        "-",
+        sole.aux_reuses,
+        sole.aux_rebuilds
     );
 }

@@ -16,6 +16,7 @@ use arckfs::{ArckFs, ArckFsConfig, FpFs, KvFs};
 use trio_fsapi::FileSystem;
 use trio_kernel::{KernelConfig, KernelController};
 use trio_nvm::{BandwidthModel, DeviceConfig, NvmDevice, Topology};
+use trio_sim::plock::Mutex as PlMutex;
 use trio_workloads::{drive, Measurement, Workload};
 
 /// File systems a figure can put on its x-axis.
@@ -234,12 +235,31 @@ pub struct SharingResult {
     pub elapsed_ns: u64,
     /// Total operations.
     pub ops: u64,
+    /// Processes that shared them.
+    pub procs: u64,
     /// Total bytes written.
     pub bytes: u64,
     /// Kernel-side phase breakdown.
     pub phases: trio_kernel::PhaseStats,
     /// LibFS aux-rebuild time.
     pub rebuild_ns: u64,
+    /// Maps that kept the LibFS's aux state (DESIGN.md §22)…
+    pub aux_reuses: u64,
+    /// …and maps that rebuilt it from core state.
+    pub aux_rebuilds: u64,
+}
+
+/// Who updates the shared object in a sharing scenario.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sharers {
+    /// Two untrusted LibFSes: every hand-over has a foreign writer in
+    /// between (the paper's rows).
+    Untrusted,
+    /// Two processes of one trust group: one LibFS, no transfer.
+    TrustGroup,
+    /// One untrusted LibFS on its own, still unmapping after every op:
+    /// every map is a re-map by the actor that last wrote.
+    Sole,
 }
 
 impl SharingResult {
@@ -250,7 +270,7 @@ impl SharingResult {
 
     /// Mean µs per op (per process).
     pub fn usec_per_op(&self) -> f64 {
-        self.elapsed_ns as f64 / 1_000.0 / (self.ops as f64 / 2.0).max(1.0)
+        self.elapsed_ns as f64 / 1_000.0 / (self.ops as f64 / self.procs as f64).max(1.0)
     }
 }
 
@@ -313,17 +333,23 @@ pub fn run_sharing_write(file_bytes: u64, ops_per_proc: u64, trust_group: bool) 
     SharingResult {
         elapsed_ns: m.elapsed_ns,
         ops: m.ops,
+        procs: 2,
         bytes: m.bytes,
         phases: kernel.take_phase_stats(),
         rebuild_ns: 0,
+        aux_reuses: 0,
+        aux_rebuilds: 0,
     }
 }
 
 /// Two untrusted processes creating (and unlinking) empty files in a
 /// shared directory pre-populated with `dir_files` entries, releasing the
 /// directory after every operation (Table 3's `create` rows; the paper
-/// stresses the unmap path the same way).
-pub fn run_sharing_create(dir_files: usize, ops_per_proc: u64, trust_group: bool) -> SharingResult {
+/// stresses the unmap path the same way). [`Sharers::Sole`] runs the first
+/// of them alone.
+pub fn run_sharing_create(dir_files: usize, ops_per_proc: u64, sharers: Sharers) -> SharingResult {
+    let trust_group = sharers == Sharers::TrustGroup;
+    let procs_n = if sharers == Sharers::Sole { 1 } else { 2 };
     use trio_fsapi::{FileSystem, Mode};
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
         topology: Topology::new(1, 32 * 1024),
@@ -343,9 +369,13 @@ pub fn run_sharing_create(dir_files: usize, ops_per_proc: u64, trust_group: bool
     let rebuild_b = Arc::clone(&fs_b);
     let procs: Vec<Arc<ArckFs>> = vec![fs_a, fs_b];
     let procs_after: Vec<Arc<ArckFs>> = procs.clone();
+    let stats = Arc::clone(kernel.path_stats());
+    let before = Arc::new(PlMutex::new(stats.snapshot()));
+    let before2 = Arc::clone(&before);
+    let stats2 = Arc::clone(&stats);
     let m = trio_workloads::run_parallel(
         78,
-        2,
+        procs_n,
         1,
         move || {
             fs_a2.mkdir("/shared", Mode(0o777)).expect("mkdir");
@@ -356,6 +386,7 @@ pub fn run_sharing_create(dir_files: usize, ops_per_proc: u64, trust_group: bool
             let _ = kernel2.take_phase_stats();
             let _ = rebuild_a.take_rebuild_ns();
             let _ = rebuild_b.take_rebuild_ns();
+            *before2.lock() = stats2.snapshot();
         },
         move |i| {
             let fs = &procs[i];
@@ -374,12 +405,16 @@ pub fn run_sharing_create(dir_files: usize, ops_per_proc: u64, trust_group: bool
     );
     let rebuild_ns = procs_after[0].take_rebuild_ns()
         + if trust_group { 0 } else { procs_after[1].take_rebuild_ns() };
+    let aux = stats.snapshot().delta(&before.lock());
     SharingResult {
         elapsed_ns: m.elapsed_ns,
         ops: m.ops,
+        procs: procs_n as u64,
         bytes: m.bytes,
         phases: kernel.take_phase_stats(),
         rebuild_ns,
+        aux_reuses: aux.aux_reuses,
+        aux_rebuilds: aux.aux_rebuilds,
     }
 }
 
@@ -439,9 +474,12 @@ pub fn run_sharing_nova(write_file_bytes: Option<u64>, dir_files: usize, ops_per
     SharingResult {
         elapsed_ns: m.elapsed_ns,
         ops: m.ops,
+        procs: 2,
         bytes: m.bytes,
         phases: trio_kernel::PhaseStats::default(),
         rebuild_ns: 0,
+        aux_reuses: 0,
+        aux_rebuilds: 0,
     }
 }
 

@@ -98,7 +98,7 @@ impl ArckFs {
             if b.iter().any(|e| e.name == name) {
                 return false;
             }
-            b.push(DirEntryAux { name: name.to_string(), ino: 0, loc, ftype, fresh: true });
+            b.push(DirEntryAux { name: name.to_string(), ino: 0, loc, ftype, linked: aux.epoch() });
             true
         });
         if !reserved {
@@ -154,7 +154,7 @@ impl ArckFs {
             let ino = entry.ino;
             fs.settle_dir_size(parent, &aux, &touched, -1)?;
             fs.forget_node(ino);
-            if first_index == 0 && entry.fresh {
+            if first_index == 0 && touched.is_fresh(&entry) {
                 // Empty file the kernel has never seen: only the ino needs
                 // reclaiming — batch it (this is the hot unlink path, e.g.
                 // FxMark MWUL).
@@ -170,7 +170,7 @@ impl ArckFs {
                 // A file with pages reclaims eagerly: its chain head is only
                 // meaningful *now* — deferring would let the pages be
                 // recycled into live files before the kernel walks them. So
-                // does one the kernel may know (`DirEntryAux::fresh`).
+                // does one the kernel may know (`DirAux::is_fresh`).
                 let recycled = fs.kernel.reclaim_file(fs.actor, parent.ino, ino, first_index)?;
                 for p in recycled {
                     fs.pages.put(p);
@@ -383,7 +383,9 @@ impl ArckFs {
             if b.iter().any(|x| x.name == dname) {
                 return false;
             }
-            b.push(DirEntryAux { name: dname.to_string(), loc: dloc, ..e.clone() });
+            // Still unknown to the kernel only if it was in the source.
+            let linked = if saux.is_fresh(&e) { daux.epoch() } else { 0 };
+            b.push(DirEntryAux { name: dname.to_string(), loc: dloc, linked, ..e.clone() });
             true
         });
         if !reserved {
@@ -418,9 +420,10 @@ impl ArckFs {
     /// chain (paper: the "index tail").
     pub(crate) fn grow_dir(&self, dir: &Arc<FileNode>, aux: &DirAux) -> FsResult<()> {
         let mut it = aux.index_tail.lock();
+        let (chain, slot) = &mut *it;
         let home = trio_nvm::handle::home_node();
         let dpage = self.pages.take(home)?;
-        match *it {
+        match chain.last().copied() {
             None => {
                 let ipage = self.pages.take(home)?;
                 IndexPageRef::new(&self.h, ipage).set_entry(0, dpage.0).map_err(Self::fault)?;
@@ -431,17 +434,19 @@ impl ArckFs {
                         .map_err(Self::fault)?,
                     None => self.kernel.update_root(self.actor, Some(ipage.0), None, None)?,
                 }
-                *it = Some((ipage, 1));
+                chain.push(ipage);
+                *slot = 1;
             }
-            Some((ipage, slot)) if slot < ENTRIES_PER_INDEX => {
-                IndexPageRef::new(&self.h, ipage).set_entry(slot, dpage.0).map_err(Self::fault)?;
-                *it = Some((ipage, slot + 1));
+            Some(ipage) if *slot < ENTRIES_PER_INDEX => {
+                IndexPageRef::new(&self.h, ipage).set_entry(*slot, dpage.0).map_err(Self::fault)?;
+                *slot += 1;
             }
-            Some((ipage, _)) => {
+            Some(ipage) => {
                 let nipage = self.pages.take(home)?;
                 IndexPageRef::new(&self.h, nipage).set_entry(0, dpage.0).map_err(Self::fault)?;
                 IndexPageRef::new(&self.h, ipage).set_next(nipage.0).map_err(Self::fault)?;
-                *it = Some((nipage, 1));
+                chain.push(nipage);
+                *slot = 1;
             }
         }
         aux.add_page(dpage);

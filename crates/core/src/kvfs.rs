@@ -45,7 +45,6 @@ struct KvInner {
 
 struct KvNode {
     loc: DirentLoc,
-    #[allow(dead_code)] // Kept for diagnostics and future sharing checks.
     ino: trio_layout::Ino,
     lock: SimMutex<KvInner>,
 }
@@ -183,6 +182,21 @@ impl KvFs {
         Ok(())
     }
 
+    /// `node`'s mapping was revoked under it: drops what was built on the
+    /// lost grants — the KV aux and the generic view of the file (the
+    /// rebuild in [`KvFs::node`] would trust its stale page index) — and
+    /// takes the directory back. Its node may still say `Write` over a
+    /// grant the kernel has ended, so a page of it is touched: the fault
+    /// makes `with_mapped` drop the node, retained aux and all, and re-map.
+    /// (Not dropped unasked: a sibling thread may have re-mapped it since.)
+    fn recover_stale(&self, name: &str, node: &KvNode) -> FsResult<()> {
+        self.shard(name).lock().remove(name);
+        self.fs.forget_node(node.ino);
+        self.fs.with_mapped(&self.dir, true, |fs| {
+            fs.h.read_u64(node.loc.page, node.loc.byte_off()).map(drop).map_err(ArckFs::fault)
+        })
+    }
+
     fn get_inner(&self, node: &KvNode, buf: &mut [u8]) -> FsResult<usize> {
         let g = node.lock.lock();
         let n = g.len.min(buf.len());
@@ -204,9 +218,7 @@ impl KeyValueFs for KvFs {
             };
             match self.get_inner(&node, buf) {
                 Err(FsError::Stale) => {
-                    // Mapping revoked: drop the cached aux and rebuild.
-                    self.shard(name).lock().remove(name);
-                    self.fs.ensure_mapped(&self.dir, true)?;
+                    self.recover_stale(name, &node)?;
                     continue;
                 }
                 other => return other,
@@ -234,8 +246,7 @@ impl KeyValueFs for KvFs {
             };
             match res {
                 Err(FsError::Stale) => {
-                    self.shard(name).lock().remove(name);
-                    self.fs.ensure_mapped(&self.dir, true)?;
+                    self.recover_stale(name, &node)?;
                     continue;
                 }
                 other => return other,

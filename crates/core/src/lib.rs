@@ -104,7 +104,7 @@ impl FileSystem for ArckFs {
         self.poll_recalls();
         let (e, idle) = self.fds.remove(fd)?;
         if idle {
-            self.yield_if_idle(&e.node);
+            let _ = self.yield_node(&e.node, true);
         }
         Ok(())
     }

@@ -75,6 +75,8 @@ impl ArckFsConfig {
 
 const NODE_SHARDS: usize = 16;
 const MAX_RETRIES: usize = 16;
+/// Read grants an operation may lose before it asks for the lease.
+const READER_PATIENCE: usize = 2;
 
 /// One process's ArckFS LibFS.
 pub struct ArckFs {
@@ -295,9 +297,12 @@ impl ArckFs {
     // Mapping.
     // -----------------------------------------------------------------
 
-    /// Ensures `node` is mapped with at least the requested access,
-    /// (re)building auxiliary state from core state when a fresh grant
-    /// arrives (paper §4.2 "Building auxiliary state from core state").
+    /// Ensures `node` is mapped with at least the requested access. A fresh
+    /// grant finds the auxiliary state either still valid — it was
+    /// maintained under the sequence the grant reports as its "before" and
+    /// indexes the pages the grant names, so nobody else has written the
+    /// file since (DESIGN.md §22) — or rebuilds it from core state (paper
+    /// §4.2 "Building auxiliary state from core state").
     pub(crate) fn ensure_mapped(&self, node: &Arc<FileNode>, write: bool) -> FsResult<()> {
         {
             let g = node.inner.read();
@@ -320,12 +325,32 @@ impl ArckFs {
         };
         node.forget_recall();
         let grant = self.kernel.map(self.actor, target, write)?;
+        let map = if write { MapState::Write } else { MapState::Read };
+        let reuse = g.seq == Some(grant.seq_before)
+            && g.dir.is_some() == (node.ftype == CoreFileType::Directory)
+            && g.same_pages(&grant.pages);
+        self.stats.record_aux(reuse);
+        if reuse {
+            g.map = map;
+            g.seq = Some(grant.seq);
+            g.index_pages = grant.pages.index_pages;
+            g.data_pages = grant.pages.data_pages;
+            if g.dir.is_none() {
+                g.size = grant.size;
+            }
+            #[cfg(debug_assertions)]
+            self.assert_aux_matches_core(node, &g);
+            return Ok(());
+        }
         let t0 = if in_sim() { trio_sim::now() } else { 0 };
-        g.index_pages = grant.pages.index_pages;
-        g.data_pages = grant.pages.data_pages;
-        g.size = grant.size;
-        g.map = if write { MapState::Write } else { MapState::Read };
-        g.dir = None;
+        *g = NodeInner {
+            map,
+            size: grant.size,
+            index_pages: grant.pages.index_pages,
+            data_pages: grant.pages.data_pages,
+            seq: Some(grant.seq),
+            ..NodeInner::unmapped()
+        };
         if in_sim() {
             // Rebuilding the per-file page index (the radix tree).
             work(g.data_pages.len() as u64 * cost::INDEX_LEVEL_NS);
@@ -357,23 +382,59 @@ impl ArckFs {
     fn build_dir_aux(&self, g: &NodeInner) -> FsResult<DirAux> {
         let aux = DirAux::new();
         let mut live = 0u64;
-        for (i, slot) in g.data_pages.iter().enumerate() {
-            let Some(page) = slot else {
-                continue;
-            };
+        self.scan_dir(
+            &g.data_pages,
+            true,
+            |e| {
+                live += 1;
+                aux.insert(e);
+            },
+            |tail| {
+                aux.pages.lock().push(tail.page);
+                aux.tails.lock().push(tail);
+            },
+        )?;
+        aux.count.store(live, std::sync::atomic::Ordering::Relaxed);
+        *aux.index_tail.lock() = (g.index_pages.clone(), Self::index_tail_slot(g));
+        Ok(aux)
+    }
+
+    /// The next free entry slot in the last index page: the first one no
+    /// data page uses.
+    fn index_tail_slot(g: &NodeInner) -> usize {
+        let full = g.index_pages.len().saturating_sub(1) * trio_layout::ENTRIES_PER_INDEX;
+        g.data_pages.len() - full
+    }
+
+    /// Reads a directory's core state page by page: hands every live entry
+    /// to `entry`, then the page with its free slots to `page_done`.
+    /// `timed` charges what a rebuild costs — the bulk reads and the
+    /// per-entry work; the debug cross-check of a reuse runs untimed.
+    fn scan_dir(
+        &self,
+        data_pages: &[Option<PageId>],
+        timed: bool,
+        mut entry: impl FnMut(DirEntryAux),
+        mut page_done: impl FnMut(crate::node::PageTail),
+    ) -> FsResult<()> {
+        for page in data_pages.iter().flatten() {
             let mut raw = vec![0u8; PAGE_SIZE];
-            // Timed bulk read: rebuilding costs real NVM bandwidth.
-            self.h.read(*page, 0, &mut raw).map_err(Self::fault)?;
-            let mut tail_free = Vec::new();
+            if timed {
+                // Timed bulk read: rebuilding costs real NVM bandwidth.
+                self.h.read(*page, 0, &mut raw).map_err(Self::fault)?;
+            } else {
+                self.h.read_untimed(*page, 0, &mut raw).map_err(Self::fault)?;
+            }
+            let mut free = Vec::new();
             for s in 0..DIRENTS_PER_PAGE {
                 let b: &[u8; DIRENT_SIZE] =
                     raw[s * DIRENT_SIZE..(s + 1) * DIRENT_SIZE].try_into().expect("slot");
                 let d = DirentData::decode_bytes(b);
                 if d.ino == 0 {
-                    tail_free.push(s);
+                    free.push(s);
                     continue;
                 }
-                if in_sim() {
+                if timed && in_sim() {
                     work(cost::REBUILD_ENTRY_NS);
                 }
                 let Some(ftype) = d.ftype() else {
@@ -382,28 +443,59 @@ impl ArckFs {
                 let Some(name) = d.name_str() else {
                     continue;
                 };
-                live += 1;
-                aux.insert(DirEntryAux {
+                entry(DirEntryAux {
                     name: name.to_string(),
                     ino: d.ino,
                     loc: DirentLoc { page: *page, slot: s },
                     ftype,
-                    fresh: false,
+                    linked: 0,
                 });
             }
-            aux.pages.lock().push(*page);
-            aux.tails
-                .lock()
-                .push(crate::node::PageTail { page: *page, free: tail_free });
-            let _ = i;
+            page_done(crate::node::PageTail { page: *page, free });
         }
-        aux.count.store(live, std::sync::atomic::Ordering::Relaxed);
-        // Index tail: next entry slot is the first unused index slot.
-        let used = g.data_pages.len();
-        *aux.index_tail.lock() = g.index_pages.last().map(|p| {
-            (*p, used - (g.index_pages.len() - 1) * trio_layout::ENTRIES_PER_INDEX)
-        });
-        Ok(aux)
+        Ok(())
+    }
+
+    /// The oracle of the reuse rule, in every debug build: what a reuse
+    /// kept must be what a rebuild from core state would produce. Reads
+    /// untimed and takes no sim lock, so debug and release runs keep one
+    /// timeline. The caller holds the inode lock exclusively, so nothing
+    /// holds a lock inside the aux.
+    #[cfg(debug_assertions)]
+    fn assert_aux_matches_core(&self, node: &FileNode, g: &NodeInner) {
+        // (A regular file's page index is the grant's page list, which the
+        // reuse rule has just compared.)
+        let Some(aux) = &g.dir else {
+            return;
+        };
+        let key = |e: &DirEntryAux| {
+            (e.name.clone(), e.ino, e.loc.page, e.loc.slot, e.ftype == CoreFileType::Directory)
+        };
+        let (mut entries, mut tails) = (Vec::new(), Vec::new());
+        // (A fault is the lease protocol's business, not the oracle's.)
+        let scanned =
+            self.scan_dir(&g.data_pages, false, |e| entries.push(key(&e)), |t| tails.push(t));
+        if scanned.is_err() {
+            return;
+        }
+        entries.sort();
+        let (kept, kept_tails) = aux.debug_contents(key);
+        assert_eq!(kept, entries, "ino {}: reused entries", node.ino);
+        assert_eq!(aux.count.load(std::sync::atomic::Ordering::Relaxed), entries.len() as u64);
+        let sorted = |t: &crate::node::PageTail| {
+            let mut free = t.free.clone();
+            free.sort_unstable();
+            (t.page, free)
+        };
+        let tails: Vec<_> = tails.iter().map(sorted).collect();
+        let kept_tails: Vec<_> = kept_tails.iter().map(sorted).collect();
+        assert_eq!(kept_tails, tails, "ino {}: reused tails", node.ino);
+        assert_eq!(
+            *aux.index_tail.lock_uncontended(),
+            (g.index_pages.clone(), Self::index_tail_slot(g)),
+            "ino {}: reused index tail",
+            node.ino
+        );
     }
 
     /// Converts an MMU fault into the retryable error. Media errors
@@ -445,13 +537,26 @@ impl ArckFs {
         write: bool,
         mut f: impl FnMut(&Self) -> FsResult<R>,
     ) -> FsResult<R> {
+        // A reader has no lease: a writer can take the file back while the
+        // aux is still being built (`Stale` from the mapping step itself),
+        // and one that re-maps without rebuilding (DESIGN.md §22) comes back
+        // faster than any rebuild. An op that has lost its read grant
+        // `READER_PATIENCE` times therefore asks for the write grant, whose
+        // lease lets it finish, if the LibFS may have it.
+        let (mut lost, mut may_lease) = (0, !write);
         for _ in 0..MAX_RETRIES {
-            // (`Stale` from the mapping step itself: a reader has no lease,
-            // and a writer took the file back while the aux was being built.)
-            match self.ensure_mapped(node, write).and_then(|()| f(self)) {
+            let lease = write || (may_lease && lost >= READER_PATIENCE);
+            let mapped = match self.ensure_mapped(node, lease) {
+                Err(FsError::PermissionDenied) if lease && !write => {
+                    may_lease = false;
+                    continue;
+                }
+                mapped => mapped,
+            };
+            match mapped.and_then(|()| f(self)) {
                 Err(FsError::Stale) => {
                     node.invalidate();
-                    continue;
+                    lost += 1;
                 }
                 other => return other,
             }
@@ -539,22 +644,30 @@ impl ArckFs {
     /// 5). The next cross-LibFS map triggers verification.
     pub fn release_path(&self, path: &str) -> FsResult<()> {
         let node = self.resolve_node(path)?;
-        self.yield_node(&node)
+        self.yield_node(&node, false)
     }
 
-    /// Gives `node`'s grant back to the kernel and drops the aux state
-    /// built on it.
-    fn yield_node(&self, node: &FileNode) -> FsResult<()> {
+    /// Gives `node`'s grant back to the kernel once the operations sibling
+    /// threads have in flight on it are through — the one way a grant is
+    /// yielded, so the aux state is quiescent and can be kept for the next
+    /// map (DESIGN.md §22). `recalled`: only to honour the recall parked on
+    /// the node, and not if a descriptor was opened meanwhile. The caller
+    /// must hold no gate itself.
+    pub(crate) fn yield_node(&self, node: &FileNode, recalled: bool) -> FsResult<()> {
+        let _drained = node.gate.write();
+        if recalled && !node.claim_recall() {
+            return Ok(());
+        }
         self.flush_reclaim()?;
         match self.kernel.release(self.actor, node.ino) {
             // A by-construction mapping (file created and never kernel-
-            // mapped) has nothing to release at the kernel; dropping the
-            // local aux is enough — the kernel will adopt-and-verify the
-            // file when anyone maps it.
+            // mapped) has nothing to release at the kernel (nor a grant
+            // sequence to keep its aux under) — the kernel will
+            // adopt-and-verify the file when anyone maps it.
             Ok(()) | Err(FsError::NotFound) => {}
             Err(e) => return Err(e),
         }
-        node.invalidate();
+        node.retire();
         Ok(())
     }
 
@@ -577,19 +690,9 @@ impl ArckFs {
         for ino in self.recall.take() {
             if let Some(node) = self.node_by_ino(ino) {
                 if node.park_recall() {
-                    self.yield_if_idle(&node);
+                    let _ = self.yield_node(&node, true);
                 }
             }
-        }
-    }
-
-    /// Honours the recall parked on `node`, unless a descriptor was opened
-    /// meanwhile, once the operations sibling threads have in flight on it
-    /// are through. The caller must hold no gate itself.
-    pub(crate) fn yield_if_idle(&self, node: &FileNode) {
-        let _drained = node.gate.write();
-        if node.claim_recall() {
-            let _ = self.yield_node(node);
         }
     }
 

@@ -1,10 +1,12 @@
 //! Per-file **auxiliary state** (paper §4.2, Figure 4).
 //!
 //! Everything here is private to one LibFS and rebuilt from core state on
-//! demand: the per-file page index (the paper's radix tree — a flat vector
-//! here, same O(1) lookup role), the readers-writer inode lock, the range
-//! lock for disjoint concurrent writes, and for directories the resizable
-//! hash table, per-data-page insertion tails, and the index tail.
+//! demand — or kept across a voluntary release while the kernel certifies
+//! that nobody else wrote the file (DESIGN.md §22): the per-file page index
+//! (the paper's radix tree — a flat vector here, same O(1) lookup role), the
+//! readers-writer inode lock, the range lock for disjoint concurrent writes,
+//! and for directories the resizable hash table, per-data-page insertion
+//! tails, and the index tail.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,12 +40,17 @@ pub struct NodeInner {
     /// The per-file page index (paper: radix tree): logical page -> data
     /// page.
     pub data_pages: Vec<Option<PageId>>,
-    /// Directory aux (directories only, present while mapped).
+    /// Directory aux (directories only; present while mapped or retained).
     pub dir: Option<Arc<DirAux>>,
+    /// The kernel grant sequence (DESIGN.md §22) the state above was last
+    /// maintained under. Kept with it across a voluntary release (`map` is
+    /// `Unmapped` then); `None` when no grant vouches for it — a file
+    /// written by construction, or nothing retained.
+    pub seq: Option<u64>,
 }
 
 impl NodeInner {
-    fn unmapped() -> Self {
+    pub(crate) fn unmapped() -> Self {
         NodeInner {
             map: MapState::Unmapped,
             size: 0,
@@ -51,6 +58,19 @@ impl NodeInner {
             index_pages: Vec::new(),
             data_pages: Vec::new(),
             dir: None,
+            seq: None,
+        }
+    }
+
+    /// Whether the retained state indexes exactly the pages a new grant
+    /// names. (A directory grows in its aux, not in the grant-time vectors.)
+    pub(crate) fn same_pages(&self, pages: &trio_layout::FilePages) -> bool {
+        match &self.dir {
+            Some(aux) => {
+                aux.index_tail.lock().0 == pages.index_pages
+                    && pages.data_pages.iter().flatten().eq(aux.pages.lock().iter())
+            }
+            None => self.index_pages == pages.index_pages && self.data_pages == pages.data_pages,
         }
     }
 }
@@ -122,7 +142,7 @@ impl FileNode {
     }
 
     /// The descriptor was closed. `true` when it was the last one and a
-    /// recall is parked: the caller now owes [`crate::ArckFs::yield_if_idle`].
+    /// recall is parked: the caller now owes `ArckFs::yield_node(.., true)`.
     pub(crate) fn unpin(&self) -> bool {
         self.open_fds.fetch_sub(1, Ordering::SeqCst) == 1
             && self.recall_parked.load(Ordering::SeqCst)
@@ -173,11 +193,28 @@ impl FileNode {
         true
     }
 
-    /// Drops the mapping-derived aux state (after a revocation fault or a
-    /// voluntary release).
+    /// Drops the mapping and all aux state derived from it (after a
+    /// revocation fault: the grant ended under operations in flight).
     pub fn invalidate(&self) {
         let mut g = self.inner.write();
         *g = NodeInner::unmapped();
+    }
+
+    /// The grant has been given back with no operation in flight (the
+    /// caller drained the gate): keeps the aux state, tagged with the
+    /// sequence it was maintained under, for the next map to reuse if the
+    /// kernel still reports that sequence. From here on the kernel may
+    /// learn the directory's children, so none of them counts as fresh.
+    pub(crate) fn retire(&self) {
+        let mut g = self.inner.write();
+        if g.seq.is_none() {
+            *g = NodeInner::unmapped();
+            return;
+        }
+        g.map = MapState::Unmapped;
+        if let Some(aux) = &g.dir {
+            aux.age();
+        }
     }
 }
 
@@ -192,12 +229,9 @@ pub struct DirEntryAux {
     pub loc: DirentLoc,
     /// Child type.
     pub ftype: CoreFileType,
-    /// Linked under the directory's current grant, so the kernel has not
-    /// seen it: if it is unlinked again its reclamation can wait in the
-    /// batch. An entry the kernel may know (every entry of an aux rebuilt
-    /// from core state) is reclaimed at once — revoked with it pending,
-    /// the directory would fail verification (child gone, ino in use).
-    pub fresh: bool,
+    /// The [`DirAux::epoch`] it was linked in; 0 for an entry read back from
+    /// core state. See [`DirAux::is_fresh`].
+    pub linked: u64,
 }
 
 /// Insertion tail for one directory data page (paper: per-page logging
@@ -220,11 +254,13 @@ pub struct DirAux {
     pub size_lock: SimMutex<()>,
     /// Per-page insertion tails.
     pub tails: SimMutex<Vec<PageTail>>,
-    /// Growth point of the directory's index chain: (last index page, next
-    /// free entry slot in it). `None` while the directory has no pages.
-    pub index_tail: SimMutex<Option<(PageId, usize)>>,
+    /// The directory's index chain and its growth point: the index pages
+    /// in chain order, and the next free entry slot in the last of them.
+    pub index_tail: SimMutex<(Vec<PageId>, usize)>,
     /// All directory data pages, in index order (readdir, rebuild).
     pub pages: SimMutex<Vec<PageId>>,
+    /// Counts the grants the table has lived under; starts at 1.
+    epoch: AtomicU64,
 }
 
 /// Buckets in a directory hash table. Fixed; the paper's table resizes,
@@ -241,9 +277,30 @@ impl DirAux {
             count: AtomicU64::new(0),
             size_lock: SimMutex::new(()),
             tails: SimMutex::new(Vec::new()),
-            index_tail: SimMutex::new(None),
+            index_tail: SimMutex::new((Vec::new(), 0)),
             pages: SimMutex::new(Vec::new()),
+            epoch: AtomicU64::new(1),
         }
+    }
+
+    /// What [`DirEntryAux::linked`] is for an entry linked now.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Whether `e` was linked under the directory's current grant, so that
+    /// the kernel has not seen it: if it is unlinked again its reclamation
+    /// can wait in the batch. An entry the kernel may know — read back from
+    /// core state, or linked under a grant since given back — is reclaimed
+    /// at once: revoked with it pending, the directory would fail
+    /// verification (child gone, ino in use).
+    pub fn is_fresh(&self, e: &DirEntryAux) -> bool {
+        e.linked == self.epoch()
+    }
+
+    /// The grant is given back: no entry linked so far is fresh any more.
+    pub(crate) fn age(&self) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     fn bucket_of(&self, name: &str) -> &SimRwLock<Vec<DirEntryAux>> {
@@ -332,6 +389,23 @@ impl DirAux {
         if let Some(t) = tails.iter_mut().find(|t| t.page == loc.page) {
             t.free.push(loc.slot);
         }
+    }
+
+    /// Every entry (through `key`, sorted) and every tail, read off the
+    /// virtual clock for the reuse oracle. Panics if any lock in here is
+    /// virtually held: the caller holds the inode lock exclusively.
+    #[cfg(debug_assertions)]
+    pub(crate) fn debug_contents<K: Ord>(
+        &self,
+        key: impl Fn(&DirEntryAux) -> K,
+    ) -> (Vec<K>, Vec<PageTail>) {
+        let mut entries = Vec::new();
+        for b in self.buckets.iter() {
+            entries.extend(b.read_uncontended().iter().map(&key));
+        }
+        entries.sort();
+        let tails = self.tails.lock_uncontended();
+        (entries, tails.iter().map(|t| PageTail { page: t.page, free: t.free.clone() }).collect())
     }
 
     /// Registers a fresh (empty) data page and its 16 free slots.
@@ -444,19 +518,35 @@ mod tests {
             ino: 5,
             loc: DirentLoc { page: PageId(1), slot: 0 },
             ftype: CoreFileType::Regular,
-            fresh: true,
+            linked: 1,
         }));
         assert!(!aux.insert(DirEntryAux {
             name: "a".into(),
             ino: 6,
             loc: DirentLoc { page: PageId(1), slot: 1 },
             ftype: CoreFileType::Regular,
-            fresh: true,
+            linked: 1,
         }));
         assert_eq!(aux.lookup("a").unwrap().ino, 5);
         assert!(aux.lookup("b").is_none());
         assert_eq!(aux.remove("a").unwrap().ino, 5);
         assert!(aux.lookup("a").is_none());
+    }
+
+    #[test]
+    fn entries_stop_being_fresh_when_the_grant_is_given_back() {
+        let aux = DirAux::new();
+        let e = |linked| DirEntryAux {
+            name: "a".into(),
+            ino: 5,
+            loc: DirentLoc { page: PageId(1), slot: 0 },
+            ftype: CoreFileType::Regular,
+            linked,
+        };
+        assert!(aux.is_fresh(&e(aux.epoch())) && !aux.is_fresh(&e(0)));
+        let old = e(aux.epoch());
+        aux.age();
+        assert!(!aux.is_fresh(&old) && aux.is_fresh(&e(aux.epoch())));
     }
 
     #[test]
@@ -529,18 +619,30 @@ mod tests {
     }
 
     #[test]
-    fn node_invalidate_resets_inner() {
+    fn invalidate_drops_everything_and_retire_keeps_what_a_grant_vouches_for() {
         let n = FileNode::new(9, CoreFileType::Regular, 1, None);
-        {
+        let fill = |seq| {
             let mut g = n.inner.write();
             g.map = MapState::Write;
             g.size = 100;
             g.data_pages.push(Some(PageId(3)));
+            g.seq = seq;
+        };
+        fill(Some(4));
+        n.retire();
+        {
+            let g = n.inner.read();
+            assert_eq!((g.map, g.size, g.seq), (MapState::Unmapped, 100, Some(4)));
+            assert_eq!(g.data_pages, [Some(PageId(3))]);
         }
+        // Written by construction: no grant to certify it against.
+        fill(None);
+        n.retire();
+        assert!(n.inner.read().data_pages.is_empty());
+        fill(Some(4));
         n.invalidate();
         let g = n.inner.read();
-        assert_eq!(g.map, MapState::Unmapped);
-        assert_eq!(g.size, 0);
+        assert_eq!((g.map, g.size, g.seq), (MapState::Unmapped, 0, None));
         assert!(g.data_pages.is_empty());
     }
 }

@@ -107,6 +107,36 @@ fn oversized_values_rejected_cleanly() {
     rt.run();
 }
 
+/// A KVFS mount that loses its directory and a file at lease expiry (it
+/// was idle; one thread drives both mounts, so it cannot honour the
+/// recalls) must find its way back. Its directory node still says `Write`,
+/// and so does the generic view of the file, which the KV aux is rebuilt
+/// from: `set` used to trust both, fault eight times and return `Stale`.
+#[test]
+fn set_recovers_after_the_directory_was_taken_at_lease_expiry() {
+    use trio_fsapi::FileSystem;
+    let (rt, fs) = world();
+    let other = ArckFs::mount(Arc::clone(fs.kernel()), 100, 100, ArckFsConfig::no_delegation());
+    rt.spawn("main", move || {
+        let kv = KvFs::new(fs, "/kv").unwrap();
+        let mut val = "round 0".to_string();
+        kv.kv_set("k", val.as_bytes()).unwrap();
+        let mut buf = [0u8; 64];
+        for round in 1..=2 {
+            // B's maps wait A's leases out, revoke them and verify `/kv`
+            // and the file.
+            assert!(other.readdir("/kv").unwrap().iter().any(|e| e.name == "k"));
+            assert_eq!(trio_fsapi::read_file(&*other, "/kv/k").unwrap(), val.as_bytes());
+            other.release_path("/kv").unwrap();
+            val = format!("round {round}, and longer than the last");
+            kv.kv_set("k", val.as_bytes()).unwrap();
+            let n = kv.kv_get("k", &mut buf).unwrap();
+            assert_eq!(&buf[..n], val.as_bytes());
+        }
+    });
+    rt.run();
+}
+
 /// KVFS writes dirents and file pages behind the generic view's back, and
 /// the generic view is what honours lease recalls (DESIGN.md §21): another
 /// mount listing the KV directory while three threads `set` in it must

@@ -712,7 +712,7 @@ impl KernelController {
                 let was_writer = meta.writer == Some(actor);
                 if was_writer {
                     meta.writer = None;
-                    meta.dirty_by = Some(actor);
+                    meta.dirty.mark(actor, true);
                 }
                 for p in &pages {
                     let _ = self.dev.mmu_unmap(actor, *p);
@@ -735,7 +735,7 @@ impl KernelController {
         let dirty: Vec<Ino> = reg
             .files
             .iter()
-            .filter(|(_, m)| m.dirty_by == Some(actor))
+            .filter(|(_, m)| m.dirty.involves(actor))
             .map(|(i, _)| *i)
             .collect();
         for ino in dirty {

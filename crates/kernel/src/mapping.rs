@@ -9,13 +9,19 @@
 //!   concurrent read grants share.
 //! * When a write grant ends (voluntary `release` or lease revocation) the
 //!   file — and its parent directory, whose dirent page was writable — is
-//!   marked *dirty by* that actor.
-//! * The next `map` by a *different* actor triggers the integrity verifier
-//!   on the dirty file. On a pass, the kernel claims the file's pages in
-//!   its provenance books; on a failure it rolls the file's metadata back
-//!   to the checkpoint taken when the dirty actor got its write grant,
+//!   marked *dirty by* that actor ([`Dirty`]; marks accumulate, they never
+//!   overwrite one another).
+//! * The next `map` by anyone but the sole dirty actor triggers the
+//!   integrity verifier on the dirty file. On a pass, the kernel claims the
+//!   file's pages in its provenance books; on a failure it rolls the file's
+//!   metadata back to the last *verified* state — the checkpoint, which a
+//!   write grant replaces only while the file is verified-clean —
 //!   reconciling size mismatches by trimming (clearing slots whose pages
 //!   are gone) — paper §4.3's trim/pad policy.
+//! * Every file carries a *grant sequence* (DESIGN.md §22) that moves
+//!   whenever its core state can change outside the grantee's hands; a
+//!   grant reports it before and after, so a LibFS re-mapping a file nobody
+//!   else wrote keeps its auxiliary state.
 //! * Checkpointed pages are pinned: freeing them is deferred until the
 //!   checkpoint is replaced, so rollback images always restore safely.
 //! * A mapper that meets another actor's unexpired write lease *recalls*
@@ -35,7 +41,7 @@ use trio_sim::sync::SimChannel;
 use trio_sim::{cost, in_sim, now, work, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
 
-use crate::registry::{Checkpoint, FileMeta, KernelEvent, Registry};
+use crate::registry::{Checkpoint, Dirty, FileMeta, KernelEvent, Registry};
 use crate::KernelController;
 
 /// What a successful `map` returns to the LibFS.
@@ -55,6 +61,12 @@ pub struct MapGrant {
     pub dirent: Option<DirentLoc>,
     /// Cached size at grant time.
     pub size: u64,
+    /// The file's grant sequence (DESIGN.md §22) before this grant…
+    pub seq_before: u64,
+    /// …and under it. Auxiliary state maintained under a grant whose `seq`
+    /// equals a later grant's `seq_before` is still valid: the core state
+    /// was in nobody else's hands in between.
+    pub seq: u64,
 }
 
 /// What to map.
@@ -190,20 +202,11 @@ impl KernelController {
             }
 
             // ---- Verify-on-sharing (Figure 2 steps 6–8). ----
-            let dirty = reg.files.get(&ino).and_then(|m| m.dirty_by);
-            if let Some(da) = dirty {
-                if da != actor {
-                    self.verify_file_locked(&mut reg, ino);
-                }
-            }
             // The parent's dirent page was writable under the last writer of
             // this file; if the parent is dirty by someone else, vet it too.
-            if parent != ino {
-                let pd = reg.files.get(&parent).and_then(|m| m.dirty_by);
-                if let Some(da) = pd {
-                    if da != actor {
-                        self.verify_file_locked(&mut reg, parent);
-                    }
+            for f in [ino, parent] {
+                if reg.files.get(&f).is_some_and(|m| !m.dirty.trusted_by(actor)) {
+                    self.verify_file_locked(&mut reg, f);
                 }
             }
 
@@ -236,7 +239,12 @@ impl KernelController {
             };
 
             // ---- Checkpoint before granting write (§4.3). ----
-            if write {
+            // Only a verified-clean file. While it is still dirty by the
+            // mapper itself the stored checkpoint *is* the last verified
+            // state (none, for a by-construction file nobody has vetted):
+            // replacing it would make a later rollback restore unverified
+            // bytes.
+            if write && reg.files.get(&ino).is_some_and(|m| m.dirty.is_clean()) {
                 self.take_checkpoint_locked(&mut reg, ino, &pages, dirent);
             }
 
@@ -270,15 +278,37 @@ impl KernelController {
                 return Err(FsError::Corrupted);
             };
             meta.mapped_pages.insert(actor, grant_pages);
+            let seq_before = meta.grant_seq;
             if write {
                 meta.writer = Some(actor);
                 meta.lease_until = lease_until;
+                meta.bump_seq(Some(actor));
             } else {
                 meta.readers.insert(actor);
             }
+            let seq = meta.grant_seq;
             meta.verified_pages = pages.clone();
+            // The grant maps the file's dirent page writable: a page of the
+            // parent's core state is now in hands other than its grantee's.
+            if write {
+                if let Some(pmeta) = reg.parent_meta(ino, parent) {
+                    if pmeta.seq_holder != Some(actor) {
+                        pmeta.bump_seq(None);
+                    }
+                }
+            }
 
-            return Ok(MapGrant { ino, ftype, write, pages, lease_until, dirent, size });
+            return Ok(MapGrant {
+                ino,
+                ftype,
+                write,
+                pages,
+                lease_until,
+                dirent,
+                size,
+                seq_before,
+                seq,
+            });
         }
     }
 
@@ -298,7 +328,7 @@ impl KernelController {
         let dirent = meta.dirent;
         if was_writer {
             meta.writer = None;
-            meta.dirty_by = Some(actor);
+            meta.dirty.mark(actor, true);
             // Pages the writer linked in from its pool are mapped via the
             // pool grant; revoke those too by walking the current chain.
             let first_index = self.current_first_index(ino, dirent);
@@ -307,10 +337,8 @@ impl KernelController {
                     to_unmap.extend(pages.all_pages());
                 }
             }
-            if parent != ino {
-                if let Some(pmeta) = reg.files.get_mut(&parent) {
-                    pmeta.dirty_by = Some(actor);
-                }
+            if let Some(pmeta) = reg.parent_meta(ino, parent) {
+                pmeta.dirty.mark(actor, false);
             }
             self.end_lease_wait(&mut reg, ino, actor, true);
         }
@@ -339,7 +367,7 @@ impl KernelController {
             return Err(FsError::PermissionDenied);
         }
         let dirent = meta.dirent;
-        meta.dirty_by = Some(actor);
+        meta.dirty.mark(actor, true);
         let passed = self.verify_file_locked(&mut reg, ino);
         if !passed {
             return Err(FsError::Corrupted);
@@ -365,7 +393,7 @@ impl KernelController {
         };
         meta.mapped_pages.insert(actor, grant_pages);
         meta.verified_pages = pages;
-        meta.dirty_by = None;
+        meta.dirty = Dirty::Clean;
         Ok(())
     }
 
@@ -630,7 +658,7 @@ impl KernelController {
             self.inos.insert(ino, InoProvenance::InUse(loc));
         }
         let mut meta = FileMeta::new(ino, ftype, dirent, parent, shadow);
-        meta.dirty_by = dirty_by;
+        meta.dirty = dirty_by.map_or(Dirty::Clean, Dirty::By);
         reg.files.insert(ino, meta);
         Ok(())
     }
@@ -644,7 +672,7 @@ impl KernelController {
         };
         let granted = meta.mapped_pages.remove(&w).unwrap_or_default();
         meta.writer = None;
-        meta.dirty_by = Some(w);
+        meta.dirty.mark(w, true);
         let dirent = meta.dirent;
         let parent = meta.parent;
         let mut to_unmap: HashSet<PageId> = granted.into_iter().collect();
@@ -661,10 +689,8 @@ impl KernelController {
             work(ns);
             self.charge_phase(|p, n| p.unmap_ns += n, ns);
         }
-        if parent != ino {
-            if let Some(pmeta) = reg.files.get_mut(&parent) {
-                pmeta.dirty_by = Some(w);
-            }
+        if let Some(pmeta) = reg.parent_meta(ino, parent) {
+            pmeta.dirty.mark(w, false);
         }
         self.push_event(KernelEvent::LeaseRevoked { ino, actor: w });
         self.end_lease_wait(reg, ino, w, false);
@@ -713,7 +739,7 @@ impl KernelController {
         let Some(meta) = reg.files.get(&ino) else {
             return true;
         };
-        let Some(dirty_actor) = meta.dirty_by else {
+        let Some(dirty_actor) = meta.dirty.actor() else {
             return true;
         };
         let ftype = meta.ftype;
@@ -768,7 +794,7 @@ impl KernelController {
             let dirent = reg.files.get(&ino).and_then(|m| m.dirent);
             self.take_checkpoint_locked(reg, ino, &report.pages, dirent);
             if let Some(meta) = reg.files.get_mut(&ino) {
-                meta.dirty_by = None;
+                meta.dirty = Dirty::Clean;
                 meta.verified_pages = report.pages;
             }
             true
@@ -804,21 +830,27 @@ impl KernelController {
         let Some(meta) = reg.files.get_mut(&ino) else {
             return;
         };
-        let dirty_actor = meta.dirty_by.take();
+        let dirty_actor = std::mem::take(&mut meta.dirty).actor();
+        // The core state is about to change under the kernel's hand: the
+        // file's own, and the parent's page that holds its dirent.
+        meta.bump_seq(None);
         let dirent = meta.dirent;
         let ftype = meta.ftype;
-        let Some(ck) = meta.checkpoint.clone() else {
+        let parent = meta.parent;
+        let ck = meta.checkpoint.clone();
+        if let Some(pmeta) = reg.parent_meta(ino, parent) {
+            pmeta.bump_seq(None);
+        }
+        let Some(ck) = ck else {
             // Never checkpointed: the file was created raw by the dirty
             // actor and is corrupt — delete it outright (its pages stay
             // with the creator's pool).
             if let Some(loc) = dirent {
                 let _ = DirentRef::new(self.kernel_handle(), loc).clear();
             }
-            let parent = meta.parent;
             reg.files.remove(&ino);
             self.inos.remove(ino);
             self.push_event(KernelEvent::Privatized { ino, actor: dirty_actor });
-            let _ = parent;
             return;
         };
         // 1. Restore page images.
@@ -870,20 +902,25 @@ impl KernelController {
                         // The child's own checkpoint can restore its chain;
                         // trimming here would erase data its rollback is
                         // about to recover.
-                        if let Some(cm) = reg.files.get_mut(&cino) {
-                            if cm.dirty_by.is_none() {
-                                cm.dirty_by = dirty_actor;
+                        if let (Some(cm), Some(da)) = (reg.files.get_mut(&cino), dirty_actor) {
+                            if cm.dirty.is_clean() {
+                                cm.dirty = Dirty::By(da);
                             }
                         }
                         self.rollback_locked(reg, cino);
                         self.push_event(KernelEvent::RolledBack { ino: cino });
-                    } else if broken {
-                        // Trim the child to empty rather than leave a
-                        // dangling chain.
-                        let _ = DirentRef::new(self.kernel_handle(), cloc).set_first_index(0);
-                        let _ = DirentRef::new(self.kernel_handle(), cloc).set_size(0);
-                    } else if foreign {
-                        self.trim_foreign_slots(cino, cfi, dirty_actor);
+                    } else if broken || foreign {
+                        if broken {
+                            // Trim the child to empty rather than leave a
+                            // dangling chain.
+                            let _ = DirentRef::new(self.kernel_handle(), cloc).set_first_index(0);
+                            let _ = DirentRef::new(self.kernel_handle(), cloc).set_size(0);
+                        } else {
+                            self.trim_foreign_slots(cino, cfi, dirty_actor);
+                        }
+                        if let Some(cm) = reg.files.get_mut(&cino) {
+                            cm.bump_seq(None);
+                        }
                     }
                 }
             }

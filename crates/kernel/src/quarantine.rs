@@ -174,12 +174,12 @@ impl KernelController {
             if meta.writer == Some(offender) {
                 meta.writer = None;
                 meta.lease_until = 0;
-                meta.dirty_by = Some(offender);
+                meta.dirty.mark(offender, true);
                 leases_ended.push(*ino);
             }
             meta.readers.remove(&offender);
             meta.mapped_pages.remove(&offender);
-            if meta.dirty_by == Some(offender) {
+            if meta.dirty.involves(offender) {
                 tainted.insert(*ino);
             }
         }
@@ -236,7 +236,7 @@ impl KernelController {
         tainted.sort_unstable();
         reg.repairing = true;
         for ino in tainted {
-            let dirty = reg.files.get(&ino).map(|m| m.dirty_by.is_some());
+            let dirty = reg.files.get(&ino).map(|m| !m.dirty.is_clean());
             let outcome = match dirty {
                 // Expelled before the pass got here — damage stayed private.
                 None => RepairOutcome::Privatized,

@@ -97,6 +97,64 @@ pub struct Checkpoint {
     pub size: u64,
 }
 
+/// Whose writes to a file's core state no verification has vetted yet.
+/// Lossless across hand-overs: a second actor's mark never hides the
+/// first one's (DESIGN.md §22).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Dirty {
+    /// Verified since the last write grant ended.
+    #[default]
+    Clean,
+    /// One actor's writes only: its own re-map needs no verification.
+    By(ActorId),
+    /// Several actors' writes: every mapper verifies. The payload is the
+    /// one whose pool legal growth comes from (and whom a violation is
+    /// charged to): the last holder of the file's own write grant, else
+    /// the first actor that had one of its dirent pages writable.
+    Mixed(ActorId),
+}
+
+impl Dirty {
+    /// Whether no unvetted write is outstanding.
+    pub fn is_clean(self) -> bool {
+        self == Dirty::Clean
+    }
+
+    /// The actor verification attributes the unvetted state to.
+    pub fn actor(self) -> Option<ActorId> {
+        match self {
+            Dirty::Clean => None,
+            Dirty::By(a) | Dirty::Mixed(a) => Some(a),
+        }
+    }
+
+    /// Whether `mapper` may map the file unverified: nobody's unvetted
+    /// writes but its own are in it.
+    pub fn trusted_by(self, mapper: ActorId) -> bool {
+        self.is_clean() || self == Dirty::By(mapper)
+    }
+
+    /// Whether `actor`'s writes may be among the unvetted ones.
+    pub fn involves(self, actor: ActorId) -> bool {
+        match self {
+            Dirty::Clean => false,
+            Dirty::By(a) => a == actor,
+            Dirty::Mixed(_) => true,
+        }
+    }
+
+    /// `actor`'s write access has ended: to the whole file (`own_grant`,
+    /// its write grant), or to one page of it (a directory whose child
+    /// `actor` held for write — the child's dirent page was writable).
+    pub fn mark(&mut self, actor: ActorId, own_grant: bool) {
+        *self = match *self {
+            Dirty::Clean => Dirty::By(actor),
+            Dirty::By(a) if a == actor => Dirty::By(a),
+            Dirty::By(a) | Dirty::Mixed(a) => Dirty::Mixed(if own_grant { actor } else { a }),
+        };
+    }
+}
+
 /// Per-file kernel metadata.
 #[derive(Debug)]
 pub struct FileMeta {
@@ -116,9 +174,16 @@ pub struct FileMeta {
     pub writer: Option<ActorId>,
     /// Virtual deadline of the current write lease.
     pub lease_until: Nanos,
-    /// Set when a writer released (or was revoked) and no verification has
-    /// happened since; holds the actor whose writes are unvetted.
-    pub dirty_by: Option<ActorId>,
+    /// Unvetted writes: set when a writer released (or was revoked) and no
+    /// verification has happened since.
+    pub dirty: Dirty,
+    /// The grant sequence (DESIGN.md §22): bumped wherever the file's core
+    /// state can change outside the hands of `seq_holder`. Auxiliary state
+    /// a LibFS built at sequence n is valid at any map that still reports n.
+    pub grant_seq: u64,
+    /// The actor the current sequence was granted to (`None` after a
+    /// kernel-side change: nobody's aux survives it).
+    pub seq_holder: Option<ActorId>,
     /// Rollback target.
     pub checkpoint: Option<Checkpoint>,
     /// Pages the MMU currently exposes to each actor for this file
@@ -146,7 +211,9 @@ impl FileMeta {
             readers: HashSet::new(),
             writer: None,
             lease_until: 0,
-            dirty_by: None,
+            dirty: Dirty::Clean,
+            grant_seq: 0,
+            seq_holder: None,
             checkpoint: None,
             mapped_pages: HashMap::new(),
             verified_pages: FilePages::default(),
@@ -156,6 +223,14 @@ impl FileMeta {
     /// Whether anyone maps the file.
     pub fn is_mapped(&self) -> bool {
         self.writer.is_some() || !self.readers.is_empty()
+    }
+
+    /// The file's core state is about to be exposed to writes `holder`
+    /// does not make (`None`: the kernel's own): every aux built at the
+    /// current sequence stops being certifiable.
+    pub fn bump_seq(&mut self, holder: Option<ActorId>) {
+        self.grant_seq += 1;
+        self.seq_holder = holder;
     }
 }
 
@@ -305,6 +380,15 @@ impl Registry {
         }
     }
 
+    /// The metadata of `ino`'s parent directory — whose page holds `ino`'s
+    /// dirent — unless `ino` is the root, which is its own parent.
+    pub fn parent_meta(&mut self, ino: Ino, parent: Ino) -> Option<&mut FileMeta> {
+        if parent == ino {
+            return None;
+        }
+        self.files.get_mut(&parent)
+    }
+
     /// Whether `ino` sits in any quarantined LibFS's tainted subtree.
     /// O(1): one probe of the reverse index.
     pub fn ino_quarantined(&self, ino: Ino) -> bool {
@@ -361,6 +445,26 @@ mod tests {
         let r = Registry::new();
         assert!(r.files.contains_key(&ROOT_INO));
         assert!(!r.files[&ROOT_INO].is_mapped());
+    }
+
+    #[test]
+    fn dirtiness_is_lossless() {
+        let (a, b, c) = (ActorId(1), ActorId(2), ActorId(3));
+        let mut d = Dirty::Clean;
+        assert!(d.trusted_by(a) && !d.involves(a) && d.actor().is_none());
+        d.mark(a, true);
+        d.mark(a, false);
+        assert_eq!(d, Dirty::By(a));
+        assert!(d.trusted_by(a) && !d.trusted_by(b));
+        // A page-level mark by another actor keeps the writer as payload…
+        d.mark(b, false);
+        assert_eq!(d, Dirty::Mixed(a));
+        assert!(!d.trusted_by(a) && !d.trusted_by(b) && d.involves(c));
+        // …and a later whole-file writer takes it over.
+        d.mark(c, true);
+        assert_eq!(d, Dirty::Mixed(c));
+        d.mark(c, true);
+        assert_eq!(d.actor(), Some(c), "Mixed never collapses back without a verification");
     }
 
     #[test]

@@ -49,6 +49,7 @@ use trio_sim::sync::SimMutex;
 use trio_sim::{in_sim, now, Nanos};
 use trio_verifier::PageProvenance;
 
+use crate::registry::Dirty;
 use crate::KernelController;
 
 /// Media-fault observations a page may accumulate before the patrol
@@ -525,8 +526,8 @@ impl KernelController {
             let mut reg = self.reg_lock(RegistryLockSite::Scrub);
             if self.prov.get(page.0) == Some(PageProvenance::InFile(ino)) {
                 if let Some(meta) = reg.files.get_mut(&ino) {
-                    if meta.dirty_by.is_none() {
-                        meta.dirty_by = Some(KERNEL_ACTOR);
+                    if meta.dirty.is_clean() {
+                        meta.dirty = Dirty::By(KERNEL_ACTOR);
                     }
                 }
                 let _clean = self.verify_file_locked(&mut reg, ino);
@@ -692,6 +693,8 @@ impl KernelController {
         self.prov.remove(old.0);
         self.prov.insert(fresh.0, PageProvenance::InFile(ino));
         if let Some(meta) = reg.files.get_mut(&ino) {
+            // Whoever indexed the old frame must index again.
+            meta.bump_seq(None);
             for slot in meta.verified_pages.data_pages.iter_mut() {
                 if *slot == Some(old) {
                     *slot = Some(fresh);

@@ -169,6 +169,93 @@ fn fabricated_ino_detected_and_rolled_back() {
     rt.run();
 }
 
+/// Checkpoint laundering: the fabricating writer re-maps and releases once
+/// more before anyone verifies. That map must not replace the checkpoint —
+/// the file is still dirty by the mapper, so the stored image is the last
+/// *verified* state — or the rollback would restore the ghost.
+#[test]
+fn remap_by_dirty_actor_keeps_verified_checkpoint() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    rt.spawn("main", move || {
+        let a = k2.register_libfs(100, 100);
+        k2.map(a.actor, MapTarget::Root, true).unwrap();
+        let inos = k2.alloc_inos(a.actor, 1).unwrap();
+        let (_, dpage, _) =
+            create_in_empty_root(&k2, &a, b"good", inos[0], CoreFileType::Regular);
+        k2.release(a.actor, ROOT_INO).unwrap();
+        let b = k2.register_libfs(100, 100);
+        k2.map(b.actor, MapTarget::Root, false).unwrap();
+        k2.release(b.actor, ROOT_INO).unwrap();
+
+        k2.map(a.actor, MapTarget::Root, true).unwrap();
+        let loc = DirentLoc { page: dpage, slot: 1 };
+        let evil = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 100, 100);
+        let r = DirentRef::new(&a.handle, loc);
+        let w = r.prepare(&evil).unwrap();
+        r.publish(999_999, &w).unwrap();
+        k2.update_root(a.actor, None, Some(2), None).unwrap();
+        k2.release(a.actor, ROOT_INO).unwrap();
+        // The laundering attempt: one more write grant over the unverified
+        // state, given straight back.
+        let g = k2.map(a.actor, MapTarget::Root, true).unwrap();
+        assert_eq!(g.seq, g.seq_before + 1, "a write grant moves the sequence");
+        k2.release(a.actor, ROOT_INO).unwrap();
+
+        let g = k2.map(b.actor, MapTarget::Root, false).unwrap();
+        assert_eq!(g.seq, g.seq_before, "a read grant does not; the rollback before it did");
+        let events = k2.take_events();
+        assert!(events.iter().any(|e| matches!(e, KernelEvent::RolledBack { ino } if *ino == ROOT_INO)));
+        let ghost = DirentRef::new(&b.handle, loc).ino().unwrap();
+        assert_eq!(ghost, 0, "rollback restored the verified state, not the launderer's");
+        let good = DirentRef::new(&b.handle, DirentLoc { page: dpage, slot: 0 }).load().unwrap();
+        assert_eq!(good.name_str(), Some("good"));
+    });
+    rt.run();
+}
+
+/// A child's release must not overwrite its parent's dirtiness: A holds
+/// child F for write while B fabricates an entry in the root; A's release
+/// of F used to make the root "dirty by A", and A then mapped B's
+/// unverified entry unchecked.
+#[test]
+fn child_release_keeps_parent_dirtiness() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    rt.spawn("main", move || {
+        let a = k2.register_libfs(100, 100);
+        k2.map(a.actor, MapTarget::Root, true).unwrap();
+        let inos = k2.alloc_inos(a.actor, 1).unwrap();
+        let (_, dpage, floc) = create_in_empty_root(&k2, &a, b"f", inos[0], CoreFileType::Regular);
+        k2.release(a.actor, ROOT_INO).unwrap();
+        let f = k2.map(a.actor, MapTarget::Dirent { parent: ROOT_INO, loc: floc }, true).unwrap();
+
+        // B takes the root (verifying A's create), fabricates, releases.
+        let b = k2.register_libfs(100, 100);
+        k2.map(b.actor, MapTarget::Root, true).unwrap();
+        assert!(k2.take_events().is_empty(), "A's create verifies clean");
+        let loc = DirentLoc { page: dpage, slot: 1 };
+        let evil = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 100, 100);
+        let r = DirentRef::new(&b.handle, loc);
+        let w = r.prepare(&evil).unwrap();
+        r.publish(999_999, &w).unwrap();
+        k2.update_root(b.actor, None, Some(2), None).unwrap();
+        k2.release(b.actor, ROOT_INO).unwrap();
+
+        k2.release(a.actor, f.ino).unwrap();
+        k2.map(a.actor, MapTarget::Root, false).unwrap();
+        let events = k2.take_events();
+        assert!(
+            events.iter().any(|e| matches!(e, KernelEvent::CorruptionDetected { ino, .. } if *ino == ROOT_INO)),
+            "A must not get B's unverified entry unchecked: {events:?}"
+        );
+        assert_eq!(DirentRef::new(&a.handle, loc).ino().unwrap(), 0);
+    });
+    rt.run();
+}
+
 #[test]
 fn index_cycle_attack_detected() {
     let rt = SimRuntime::new(1);

@@ -207,6 +207,11 @@ trio_sim::counters! {
         refill_retries,
         /// Lease-wait retries on the mapping path.
         lease_retries,
+        // -- LibFS auxiliary state (DESIGN.md §22) --
+        /// Maps at which the LibFS kept the auxiliary state it had.
+        aux_reuses,
+        /// Maps at which it rebuilt the auxiliary state from core state.
+        aux_rebuilds,
     }
 }
 
@@ -396,6 +401,12 @@ impl PathStats {
     pub fn record_lease_retry(&self) {
         Self::bump(&self.lease_retries, 1);
     }
+
+    /// A map reused the LibFS's auxiliary state, or rebuilt it.
+    #[inline]
+    pub fn record_aux(&self, reused: bool) {
+        Self::bump(if reused { &self.aux_reuses } else { &self.aux_rebuilds }, 1);
+    }
 }
 
 impl PathStatsSnapshot {
@@ -510,6 +521,9 @@ mod tests {
         s.record_degraded(false);
         s.record_refill_retry();
         s.record_lease_retry();
+        s.record_aux(true);
+        s.record_aux(false);
+        s.record_aux(false);
         let snap = s.snapshot();
         assert_eq!(snap.delegated_write_bytes, 4096);
         assert_eq!(snap.delegated_read_bytes, 100);
@@ -545,6 +559,7 @@ mod tests {
         assert_eq!(snap.degraded_exits, 1);
         assert_eq!(snap.refill_retries, 1);
         assert_eq!(snap.lease_retries, 1);
+        assert_eq!((snap.aux_reuses, snap.aux_rebuilds), (1, 2));
     }
 
     #[test]

@@ -275,4 +275,10 @@ EOF
 rm -f /tmp/trio_megatenant.$$
 
 echo
+echo "== sharing cost: Table 3's create-100 rows, contended and sole writer (logged, not gated) =="
+# DESIGN.md §22: the paper's row still rebuilds on every hand-over; the
+# same loop run by one LibFS alone re-maps without rebuilding.
+cargo bench -q -p trio-bench --bench table3_sharing | grep -E '^create, 100 files|sole writer'
+
+echo
 echo "verify.sh: all gates passed."

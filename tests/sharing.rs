@@ -231,13 +231,17 @@ fn lease_expiry_rolls_back_a_stalled_corrupting_writer() {
     let rt = SimRuntime::new(7);
     let k = Arc::clone(&kernel);
     rt.spawn("main", move || {
-        // Baseline, handed to the kernel's books (release marks it dirty;
-        // the re-open below verifies and checkpoints it).
+        // Baseline, handed to the kernel's books: release marks it dirty,
+        // B's read verifies and checkpoints it. (A write grant to the dirty
+        // actor itself checkpoints nothing: what it would snapshot is
+        // unverified, DESIGN.md §22.)
         write_file(&*a, "/le", &vec![0xAAu8; 2 * 4096]).unwrap();
         a.release_path("/le").unwrap();
+        assert_eq!(read_file(&*b, "/le").unwrap().len(), 2 * 4096);
         let bad = Arc::clone(&a);
         let victim = trio_sim::spawn("victim", move || {
-            // Re-acquire the write grant (kernel checkpoints here), then
+            // Re-acquire the write grant (the file is verified-clean, so
+            // the kernel checkpoints here), then
             // corrupt the file's index: point an entry at a page the books
             // say is free. I2 can never pass on this state.
             let fd = bad.open("/le", OpenFlags::RDWR, Mode(0o666)).unwrap();
@@ -788,4 +792,250 @@ fn idle_holder_revoked_after_an_unlink_is_not_flagged() {
     });
     rt.run();
     assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Re-map without rebuild (DESIGN.md §22): aux state kept across a
+// voluntary release is reused exactly when the kernel certifies that the
+// core state was in nobody else's hands. (Every reuse in these — and in
+// every other debug-build test — is also cross-checked against an untimed
+// rebuild from core state inside `ensure_mapped`.)
+// ---------------------------------------------------------------------
+
+/// What a LibFS pays after giving back a *write* grant on `/d`: the
+/// release unmaps the root page that holds `/d`'s dirent from the releaser,
+/// whose next path lookup faults on it (`Stale`), drops the root's aux and
+/// reads its one page again. Older than the reuse rule and untouched by it
+/// (ROADMAP 1(d)); the tests below count it where it happens.
+const ROOT_REREAD: u64 = 1;
+
+/// `(aux_reuses, aux_rebuilds)` so far.
+fn aux_counts(kernel: &KernelController) -> (u64, u64) {
+    let s = kernel.path_stats().snapshot();
+    (s.aux_reuses, s.aux_rebuilds)
+}
+
+/// A's world for the reuse tests: `/d` with 40 entries, adopted by the
+/// kernel, A's aux for it built from core state once and then given back
+/// — as is the root, so that B can look `/d` up without waiting for A.
+fn reuse_world(lease_ms: u64) -> (Arc<KernelController>, Arc<ArckFs>, Arc<ArckFs>) {
+    let (kernel, a, b) = world(lease_ms);
+    a.mkdir("/d", Mode(0o777)).unwrap();
+    for i in 0..40 {
+        a.create(&format!("/d/f{i}"), Mode(0o666)).unwrap();
+    }
+    // By construction so far: nothing at the kernel to release or retain.
+    a.release_path("/d").unwrap();
+    assert_eq!(a.readdir("/d").unwrap().len(), 40);
+    a.release_path("/d").unwrap();
+    a.release_path("/").unwrap();
+    assert!(a.take_rebuild_ns() > 0, "the first map of `/d` read its pages");
+    (kernel, a, b)
+}
+
+fn names(fs: &ArckFs, path: &str) -> Vec<String> {
+    fs.readdir(path).unwrap().into_iter().map(|e| e.name).collect()
+}
+
+#[test]
+fn own_release_then_remap_reuses_the_aux() {
+    let rt = SimRuntime::new(30);
+    rt.spawn("t", || {
+        let (kernel, a, _b) = reuse_world(100);
+        let before = aux_counts(&kernel);
+        // Write re-map of `/d` (and a read re-map of `/`): nothing rebuilt,
+        // not one timed directory-page read.
+        a.create("/d/new", Mode(0o666)).unwrap();
+        assert_eq!(a.take_rebuild_ns(), 0);
+        assert_eq!(aux_counts(&kernel), (before.0 + 2, before.1));
+        // The kept table is the live one: it serves lookups, takes the new
+        // entry, and survives any number of further round trips — each a
+        // read re-map and an upgrade of `/d`, both reusing.
+        for round in 0..3 {
+            a.release_path("/d").unwrap();
+            assert_eq!(a.readdir("/d").unwrap().len(), 41 + round);
+            a.create(&format!("/d/r{round}"), Mode(0o666)).unwrap();
+        }
+        a.unlink("/d/new").unwrap();
+        assert!(a.stat("/d/f7").is_ok() && a.stat("/d/new").is_err());
+        assert_eq!(aux_counts(&kernel), (before.0 + 2 + 3 * 2, before.1 + 3 * ROOT_REREAD));
+        // Three one-page reads of `/`; `/d`'s three pages were never read.
+        assert!(a.take_rebuild_ns() < 10_000);
+    });
+    rt.run();
+}
+
+#[test]
+fn foreign_writer_in_between_rebuilds() {
+    let rt = SimRuntime::new(31);
+    rt.spawn("t", || {
+        let (kernel, a, b) = reuse_world(100);
+        b.create("/d/from-b", Mode(0o666)).unwrap();
+        b.release_path("/d").unwrap();
+        let _ = b.take_rebuild_ns();
+        let before = aux_counts(&kernel);
+        a.create("/d/from-a", Mode(0o666)).unwrap();
+        assert!(a.take_rebuild_ns() > 0, "B wrote `/d`: A must read it again");
+        // And `/`: B's write grant on `/d` made the root page holding
+        // `/d`'s dirent writable to B.
+        assert_eq!(aux_counts(&kernel), (before.0, before.1 + 2));
+        assert!(names(&a, "/d").contains(&"from-b".to_string()));
+    });
+    rt.run();
+}
+
+/// A reader in between leaves the core state alone (its map verifies A's
+/// writes, which pass): A reuses. The kernel has learnt A's entries by
+/// then, so none of them is "fresh" any more: unlinking one reclaims it at
+/// once, and A — revoked idle at lease expiry right after — verifies clean.
+#[test]
+fn foreign_reader_in_between_reuses() {
+    let (kernel, a, b) = world(5);
+    let rt = SimRuntime::new(32);
+    let k = Arc::clone(&kernel);
+    rt.spawn("t", move || {
+        a.mkdir("/d", Mode(0o777)).unwrap();
+        a.create("/d/keep", Mode(0o666)).unwrap();
+        a.release_path("/d").unwrap();
+        a.create("/d/young", Mode(0o666)).unwrap(); // Linked under a kernel grant.
+        a.release_path("/d").unwrap();
+        a.release_path("/").unwrap();
+        assert_eq!(names(&b, "/d"), ["keep", "young"]);
+        b.release_path("/d").unwrap();
+        let _ = (a.take_rebuild_ns(), k.take_events());
+        let before = aux_counts(&k);
+        a.unlink("/d/young").unwrap();
+        assert_eq!(a.take_rebuild_ns(), 0);
+        assert_eq!(aux_counts(&k), (before.0 + 2, before.1));
+        // A goes quiet on its lease; B's map revokes it and verifies `/d`.
+        assert_eq!(names(&b, "/d"), ["keep"]);
+        use trio_kernel::registry::KernelEvent as E;
+        let events = k.take_events();
+        assert!(matches!(events[..], [E::LeaseRevoked { .. }]), "{events:?}");
+    });
+    rt.run();
+    assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
+}
+
+#[test]
+fn rollback_in_between_rebuilds() {
+    let rt = SimRuntime::new(33);
+    rt.spawn("t", || {
+        let (kernel, a, b) = reuse_world(100);
+        // B's read verifies and checkpoints `/d`; A then takes it for
+        // write (a second checkpoint, of the same verified state), links
+        // `/d/late`, fabricates an entry behind its own aux and lets go.
+        assert_eq!(b.readdir("/d").unwrap().len(), 40);
+        b.release_path("/d").unwrap();
+        a.create("/d/late", Mode(0o666)).unwrap();
+        let (_, _, data) = a.debug_file_pages("/d").unwrap();
+        let slot = (0..trio_layout::DIRENTS_PER_PAGE)
+            .map(|slot| trio_layout::DirentLoc { page: data[2].unwrap(), slot })
+            .find(|loc| trio_layout::DirentRef::new(a.handle(), *loc).ino().unwrap() == 0)
+            .expect("40 + 1 entries leave the third page free slots");
+        let ghost = trio_layout::DirentData::new(
+            b"ghost",
+            trio_layout::CoreFileType::Regular,
+            Mode::RW,
+            1000,
+            1000,
+        );
+        let r = trio_layout::DirentRef::new(a.handle(), slot);
+        let w = r.prepare(&ghost).unwrap();
+        r.publish(999_999, &w).unwrap();
+        a.release_path("/d").unwrap();
+        // B's map fails verification; the kernel rolls `/d` back.
+        assert_eq!(b.readdir("/d").unwrap().len(), 40);
+        b.release_path("/d").unwrap();
+        use trio_kernel::registry::KernelEvent as E;
+        assert!(kernel.take_events().iter().any(|e| matches!(e, E::RolledBack { .. })));
+        let _ = a.take_rebuild_ns();
+        let before = aux_counts(&kernel).1;
+        // A's kept table still lists `late`; the core state does not.
+        assert!(!names(&a, "/d").contains(&"late".to_string()));
+        assert!(a.take_rebuild_ns() > 0);
+        assert_eq!(aux_counts(&kernel).1, before + 1 + ROOT_REREAD);
+    });
+    rt.run();
+}
+
+/// The patrol moves one data page of a quiescent file to a fresh frame
+/// (the kernel migrates regular-file data pages only): the owner's kept
+/// page index names the retired frame and must not be reused.
+#[test]
+fn page_migration_in_between_rebuilds() {
+    let rt = SimRuntime::new(34);
+    rt.spawn("t", || {
+        let (kernel, a, b) = world(100);
+        let dev = Arc::clone(kernel.device());
+        let pages = dev.topology().total_pages() as usize;
+        write_file(&*a, "/m", &vec![0x3Eu8; 2 * 4096]).unwrap();
+        a.release_path("/m").unwrap();
+        a.release_path("/").unwrap();
+        // Verified `InFile` pages are what the kernel may move.
+        assert_eq!(read_file(&*b, "/m").unwrap().len(), 2 * 4096);
+        let (_, _, data) = a.debug_file_pages("/m").unwrap();
+        let victim = data[1].unwrap();
+        let fd = a.open("/m", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        for _ in 0..3 {
+            dev.poison_line(victim, 2);
+            kernel.scrub_pass(pages);
+            assert_eq!(a.pwrite(fd, 4096 + 2 * 64, &[0x3E; 64]).unwrap(), 64);
+        }
+        a.close(fd).unwrap();
+        a.release_path("/m").unwrap();
+        assert!(kernel.scrub_pass(pages).migrated >= 1);
+        let before = aux_counts(&kernel).1;
+        let back = read_file(&*a, "/m").unwrap();
+        assert!(back.len() == 2 * 4096 && back.iter().all(|&x| x == 0x3E));
+        assert_eq!(aux_counts(&kernel).1, before + 1 + ROOT_REREAD);
+        assert_ne!(a.debug_file_pages("/m").unwrap().2[1], Some(victim));
+    });
+    rt.run();
+}
+
+/// A grant that ends under the holder — here at lease expiry, to a mere
+/// reader, so the sequence would still match — takes the aux with it: the
+/// `Stale` fault drops everything, as it always has.
+#[test]
+fn stale_fault_discards_the_aux() {
+    let rt = SimRuntime::new(35);
+    rt.spawn("t", || {
+        let (kernel, a, b) = reuse_world(5);
+        a.create("/d/held", Mode(0o666)).unwrap(); // A holds `/d` for write, idle.
+        assert_eq!(b.readdir("/d").unwrap().len(), 41); // Waits the lease out.
+        b.release_path("/d").unwrap();
+        let _ = a.take_rebuild_ns();
+        let before = aux_counts(&kernel);
+        a.create("/d/after", Mode(0o666)).unwrap();
+        assert!(a.take_rebuild_ns() > 5_000, "`/d`'s three pages, not just the root's one");
+        assert_eq!(aux_counts(&kernel), (before.0, before.1 + 1 + ROOT_REREAD));
+    });
+    rt.run();
+}
+
+#[test]
+fn read_to_write_upgrade_reuses() {
+    let rt = SimRuntime::new(36);
+    rt.spawn("t", || {
+        let (kernel, a, b) = reuse_world(100);
+        // B reads first, from scratch; then upgrades to write with nobody
+        // in between: the table it has just built stays.
+        assert_eq!(b.readdir("/d").unwrap().len(), 40);
+        let _ = b.take_rebuild_ns();
+        let before = aux_counts(&kernel);
+        b.create("/d/up", Mode(0o666)).unwrap();
+        assert_eq!(b.take_rebuild_ns(), 0);
+        assert_eq!(aux_counts(&kernel), (before.0 + 1, before.1));
+        // So does A's, across its own read re-map and upgrade — until it
+        // meets B's write.
+        b.release_path("/d").unwrap();
+        assert_eq!(a.readdir("/d").unwrap().len(), 41);
+        assert!(a.take_rebuild_ns() > 0);
+        let before = aux_counts(&kernel);
+        a.create("/d/up-a", Mode(0o666)).unwrap();
+        assert_eq!(a.take_rebuild_ns(), 0);
+        assert_eq!(aux_counts(&kernel), (before.0 + 1, before.1));
+    });
+    rt.run();
 }
