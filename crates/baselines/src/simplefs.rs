@@ -17,7 +17,7 @@ use trio_fsapi::{
 use trio_kernel::delegation::DelegationPool;
 use trio_nvm::{NvmDevice, NvmHandle, PageId, PAGE_SIZE, KERNEL_ACTOR};
 use trio_sim::sync::{SimMutex, SimRwLock};
-use trio_sim::{cost, in_sim, now, work};
+use trio_sim::{cost, in_sim, now_or_zero, work};
 
 use crate::chassis::{Dentry, VfsChassis};
 use crate::profile::{AllocModel, DataPath, FsProfile, JournalModel, NodePolicy};
@@ -194,7 +194,7 @@ impl BaselineFs {
                 mode,
                 uid,
                 gid,
-                mtime: if in_sim() { now() } else { 0 },
+                mtime: now_or_zero(),
                 pages: Vec::new(),
                 children: HashMap::new(),
             }),
@@ -375,7 +375,7 @@ impl BaselineFs {
         self.h.device().charge_transfer(0, 128, true, trio_nvm::handle::home_node());
         g.children.insert(name.to_string(), ino);
         g.size = g.children.len() as u64;
-        g.mtime = if in_sim() { now() } else { 0 };
+        g.mtime = now_or_zero();
         drop(g);
         self.install_inode(ino, ftype, mode, 0, 0);
         self.chassis.insert(parent, name, ino);
@@ -537,7 +537,7 @@ impl FileSystem for BaselineFs {
             if end > g.size {
                 g.size = end;
             }
-            g.mtime = if in_sim() { now() } else { 0 };
+            g.mtime = now_or_zero();
         } else {
             let g = inode.rwsem.read();
             self.charge_index_walk();
@@ -749,7 +749,7 @@ impl BaselineFs {
             let _ = self.h.write_untimed(g.pages[keep - 1], from, &zeros);
         }
         g.size = size;
-        g.mtime = if in_sim() { now() } else { 0 };
+        g.mtime = now_or_zero();
         Ok(())
     }
 }

@@ -15,7 +15,7 @@ use trio_layout::{
     CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, Ino, SuperblockRef,
     ENTRIES_PER_INDEX, ROOT_INO,
 };
-use trio_sim::{in_sim, now};
+use trio_sim::{in_sim, now_or_zero};
 
 use crate::libfs::ArckFs;
 use crate::node::{DirAux, DirEntryAux, FileNode, MapState};
@@ -510,13 +510,5 @@ fn run_once<T: Clone>(done: &mut Option<T>, f: impl FnOnce() -> FsResult<T>) -> 
     match done {
         Some(v) => Ok(v.clone()),
         None => Ok(done.insert(f()?).clone()),
-    }
-}
-
-fn now_or_zero() -> u64 {
-    if in_sim() {
-        now()
-    } else {
-        0
     }
 }

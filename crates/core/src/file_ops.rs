@@ -13,7 +13,7 @@ use trio_kernel::delegation::DelegationError;
 use trio_kernel::RetryPolicy;
 use trio_layout::{DirentRef, IndexPageRef, ENTRIES_PER_INDEX};
 use trio_nvm::{PageId, PAGE_SIZE};
-use trio_sim::{in_sim, now};
+use trio_sim::{in_sim, now, now_or_zero};
 
 use crate::libfs::ArckFs;
 use crate::node::{FileNode, MapState, NodeInner};
@@ -505,13 +505,5 @@ impl ArckFs {
         dref.set_size(g.size).map_err(Self::fault)?;
         dref.set_mtime(g.mtime).map_err(Self::fault)?;
         Ok(())
-    }
-}
-
-fn now_or_zero() -> u64 {
-    if in_sim() {
-        now()
-    } else {
-        0
     }
 }

@@ -342,7 +342,7 @@ impl ArckFs {
             self.assert_aux_matches_core(node, &g);
             return Ok(());
         }
-        let t0 = if in_sim() { trio_sim::now() } else { 0 };
+        let t0 = trio_sim::now_or_zero();
         *g = NodeInner {
             map,
             size: grant.size,
@@ -360,10 +360,8 @@ impl ArckFs {
             g.size = aux.count.load(std::sync::atomic::Ordering::Relaxed);
             g.dir = Some(Arc::new(aux));
         }
-        if in_sim() {
-            let dt = trio_sim::now().saturating_sub(t0);
-            self.rebuild_ns.fetch_add(dt, std::sync::atomic::Ordering::Relaxed);
-        }
+        let dt = trio_sim::now_or_zero().saturating_sub(t0);
+        self.rebuild_ns.fetch_add(dt, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 

@@ -58,7 +58,7 @@ use trio_nvm::{
 };
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::{RecvDeadline, SimChannel};
-use trio_sim::{in_sim, now, spawn, JoinHandle, Nanos};
+use trio_sim::{in_sim, now, now_or_zero, spawn, JoinHandle, Nanos};
 
 use crate::grant::{GrantRef, GrantTable};
 use crate::registry::KernelEvent;
@@ -341,7 +341,7 @@ impl WorkerState {
     /// point; the in-flight slot is deliberately left populated — that is
     /// the orphan the watchdog re-dispatches.
     fn die(&self) {
-        self.died_at.store(if in_sim() { now() } else { 0 }, Ordering::Relaxed);
+        self.died_at.store(now_or_zero(), Ordering::Relaxed);
         self.died.store(true, Ordering::Release);
     }
 }
@@ -1061,7 +1061,7 @@ impl DelegationPool {
             batch.req.actor.0,
             batch.req.runs.len() as u64,
         );
-        batch.submitted = if in_sim() { now() } else { 0 };
+        batch.submitted = now_or_zero();
         match self.ring_for(batch.node).try_send(batch.req.clone()) {
             Ok(()) => Ok(()),
             Err(req) => {

@@ -39,8 +39,8 @@ use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult, Mode, SetAttr};
 use trio_layout::{
-    walk_file, CoreFileType, DirentData, DirentLoc, DirentRef, FilePages, Ino, SuperblockRef,
-    DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
+    walk_file, CoreFileType, DirentData, DirentLoc, DirentRef, FileHead, FilePages, Ino,
+    SuperblockRef, DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
 };
 use trio_nvm::{
     ActorId, NodeId, NvmDevice, NvmHandle, PageId, PagePerm, PathStats, RegistryLockSite,
@@ -48,7 +48,7 @@ use trio_nvm::{
 };
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::SimMutexGuard;
-use trio_sim::{cost, in_sim, sync::SimMutex, work, Nanos, MILLIS};
+use trio_sim::{cost, in_sim, now_or_zero, sync::SimMutex, work, Nanos, MILLIS};
 use trio_verifier::{
     InoProvenance, PageProvenance, ResourceView, ShadowAttr, Verifier, VerifyRequest, Violation,
 };
@@ -230,28 +230,39 @@ impl KernelController {
             pools.push(SimMutex::new(v));
         }
 
+        Self::assemble(dev, kh, ShardedMap::new(), ShardedMap::new(), pools, ROOT_INO + 1, config)
+    }
+
+    /// The controller over books `format` or `recover` has filled in;
+    /// everything volatile starts empty.
+    fn assemble(
+        dev: Arc<NvmDevice>,
+        kh: NvmHandle,
+        prov: ShardedMap<PageProvenance>,
+        inos: ShardedMap<InoProvenance>,
+        pools: Vec<SimMutex<Vec<PageId>>>,
+        next_ino: u64,
+        config: KernelConfig,
+    ) -> Arc<Self> {
+        // Root is "in use" at a synthetic location never compared against.
+        inos.insert(ROOT_INO, InoProvenance::InUse(DirentLoc { page: PageId(0), slot: 0 }));
         let stats = Arc::new(PathStats::new());
         let delegation = DelegationPool::with_stats(
             Arc::clone(&dev),
             config.delegation_threads_per_node,
             Arc::clone(&stats),
         );
-
-        // Root is "in use" at a synthetic location never compared against.
-        let inos = ShardedMap::new();
-        inos.insert(ROOT_INO, InoProvenance::InUse(DirentLoc { page: PageId(0), slot: 0 }));
-
         Arc::new(KernelController {
             verifier: Verifier::new(NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR)),
             kh,
             dev,
             registry: SimMutex::new(Registry::new()),
-            prov: ShardedMap::new(),
+            prov,
             inos,
             gc: Arc::new(EpochGc::new()),
             events: EventRing::new(EVENT_RING_CAPACITY),
             pools,
-            next_ino: SimMutex::new(ROOT_INO + 1),
+            next_ino: SimMutex::new(next_ino),
             pins: SimMutex::new(PinState::default()),
             phases: SimMutex::new(PhaseStats::default()),
             delegation,
@@ -299,11 +310,8 @@ impl KernelController {
         // mount after a media fault re-establishes two good copies.
         let _health = sb.scrub().map_err(|_| FsError::Corrupted)?;
         let next_ino = sb.next_ino().map_err(|_| FsError::Corrupted)?.max(ROOT_INO + 1);
-        let registry = Registry::new();
         let prov = ShardedMap::new();
         let inos = ShardedMap::new();
-        // Root is "in use" at a synthetic location never compared against.
-        inos.insert(ROOT_INO, InoProvenance::InUse(DirentLoc { page: PageId(0), slot: 0 }));
         let mut used: HashSet<u64> = HashSet::new();
         used.insert(trio_layout::superblock::SUPERBLOCK_PAGE.0);
         used.insert(superblock_replica_page(dev.topology().total_pages()).0);
@@ -316,36 +324,17 @@ impl KernelController {
         let mut seen: HashSet<Ino> = HashSet::new();
         seen.insert(ROOT_INO);
         while let Some((ino, fi, ftype, dirent)) = queue.pop_front() {
-            let trim = |reason_ok: bool| -> FsResult<()> {
-                if reason_ok {
-                    return Ok(());
-                }
-                match dirent {
-                    Some(loc) => {
-                        let r = DirentRef::new(&kh, loc);
-                        r.set_first_index(0).map_err(|_| FsError::Corrupted)?;
-                        r.set_size(0).map_err(|_| FsError::Corrupted)?;
-                    }
-                    None => {
-                        sb.set_root_first_index(0).map_err(|_| FsError::Corrupted)?;
-                        sb.set_root_size(0).map_err(|_| FsError::Corrupted)?;
-                    }
-                }
-                Ok(())
-            };
-            let pages = match walk_file(&kh, fi, MAX_INDEX_PAGES) {
-                Ok(p) => p,
-                Err(_) => {
-                    trim(false)?;
-                    continue;
-                }
-            };
-            // A chain referencing pages an earlier-walked file owns is
-            // corrupt (I2 would reject it); trim the later claimant.
-            if pages.all_pages().any(|p| used.contains(&p.0)) {
-                trim(false)?;
+            let head = FileHead::new(&kh, dirent);
+            // An unwalkable chain, or one referencing pages an earlier-walked
+            // file owns (I2 would reject it): trim the (later) claimant.
+            let pages = walk_file(&kh, fi, MAX_INDEX_PAGES)
+                .ok()
+                .filter(|pages| !pages.all_pages().any(|p| used.contains(&p.0)));
+            let Some(pages) = pages else {
+                head.set_first_index(0).map_err(|_| FsError::Corrupted)?;
+                head.set_size(0).map_err(|_| FsError::Corrupted)?;
                 continue;
-            }
+            };
             for p in pages.all_pages() {
                 used.insert(p.0);
             }
@@ -387,17 +376,8 @@ impl KernelController {
             // a child's dirent publish and the parent's count update (or an
             // entry cleared just above) leaves it stale — repair to the live
             // count so the I1–I4 audit passes on the recovered tree.
-            let recorded = match dirent {
-                Some(loc) => DirentRef::new(&kh, loc).size().map_err(|_| FsError::Corrupted)?,
-                None => sb.root_size().map_err(|_| FsError::Corrupted)?,
-            };
-            if recorded != live {
-                match dirent {
-                    Some(loc) => {
-                        DirentRef::new(&kh, loc).set_size(live).map_err(|_| FsError::Corrupted)?
-                    }
-                    None => sb.set_root_size(live).map_err(|_| FsError::Corrupted)?,
-                }
+            if head.size().map_err(|_| FsError::Corrupted)? != live {
+                head.set_size(live).map_err(|_| FsError::Corrupted)?;
             }
         }
 
@@ -424,37 +404,7 @@ impl KernelController {
             pools.push(SimMutex::new(v));
         }
 
-        let stats = Arc::new(PathStats::new());
-        let delegation = DelegationPool::with_stats(
-            Arc::clone(&dev),
-            config.delegation_threads_per_node,
-            Arc::clone(&stats),
-        );
-        Ok(Arc::new(KernelController {
-            verifier: Verifier::new(NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR)),
-            kh,
-            dev,
-            registry: SimMutex::new(registry),
-            prov,
-            inos,
-            gc: Arc::new(EpochGc::new()),
-            events: EventRing::new(EVENT_RING_CAPACITY),
-            pools,
-            next_ino: SimMutex::new(next_ino),
-            pins: SimMutex::new(PinState::default()),
-            phases: SimMutex::new(PhaseStats::default()),
-            delegation,
-            caches: PlMutex::new(HashMap::new()),
-            stats,
-            resilience: Arc::new(ResilienceStats::new()),
-            quarantined_mirror: PlMutex::new(HashSet::new()),
-            sb_lock: SimMutex::new(()),
-            media: Arc::new(MediaStats::new()),
-            retire: SimMutex::new(RetireState::default()),
-            journal_twins: PlMutex::new(HashMap::new()),
-            scrub_cursor: AtomicU64::new(0),
-            config,
-        }))
+        Ok(Self::assemble(dev, kh, prov, inos, pools, next_ino, config))
     }
 
     /// Full-tree integrity audit: runs the I1–I4 verifier over every file
@@ -699,32 +649,7 @@ impl KernelController {
             self.spill_cached(&cached);
         }
         let mut reg = self.reg_lock(RegistryLockSite::Unregister);
-        let held: Vec<Ino> = reg
-            .files
-            .iter()
-            .filter(|(_, m)| m.writer == Some(actor) || m.readers.contains(&actor))
-            .map(|(i, _)| *i)
-            .collect();
-        for ino in &held {
-            if let Some(meta) = reg.files.get_mut(ino) {
-                let pages = meta.mapped_pages.remove(&actor).unwrap_or_default();
-                meta.readers.remove(&actor);
-                let was_writer = meta.writer == Some(actor);
-                if was_writer {
-                    meta.writer = None;
-                    meta.dirty.mark(actor, true);
-                }
-                for p in &pages {
-                    let _ = self.dev.mmu_unmap(actor, *p);
-                }
-                if in_sim() {
-                    work(pages.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
-                }
-                if was_writer {
-                    self.end_lease_wait(&mut reg, *ino, actor, true);
-                }
-            }
-        }
+        self.end_grants_of(&mut reg, actor, mapping::GrantEnd::Exited);
         reg.recall_pages.remove(&actor);
         // Drop the credentials *before* vetting: a departing LibFS has no
         // further access to contain, so failed verifications below roll
@@ -732,14 +657,10 @@ impl KernelController {
         reg.actors.remove(&actor);
         // Eagerly vet everything the departing LibFS dirtied — there will
         // be no later "next map by the same actor" to skip it.
-        let dirty: Vec<Ino> = reg
-            .files
-            .iter()
-            .filter(|(_, m)| m.dirty.involves(actor))
-            .map(|(i, _)| *i)
-            .collect();
-        for ino in dirty {
-            self.verify_file_locked(&mut reg, ino);
+        for ino in reg.dirt_of(actor) {
+            if reg.vettable(ino) {
+                self.verify_file_locked(&mut reg, ino);
+            }
         }
         // A quarantined actor that exits leaves its taint to the repair
         // pass; the record itself dies with the registration.
@@ -1172,7 +1093,7 @@ impl KernelController {
         {
             let reg = self.reg_lock(RegistryLockSite::Admin);
             let root = reg.files.get(&ROOT_INO).ok_or(FsError::NotFound)?;
-            if root.writer != Some(actor) {
+            if root.writer() != Some(actor) {
                 return Err(FsError::PermissionDenied);
             }
         }
@@ -1195,7 +1116,7 @@ impl KernelController {
     pub fn setattr(&self, actor: ActorId, ino: Ino, attr: SetAttr) -> FsResult<()> {
         self.trap();
         self.check_not_quarantined(actor)?;
-        let (dirent, new_mode, name_len, ftype_raw) = {
+        let (dirent, new_mode) = {
             let mut reg = self.reg_lock(RegistryLockSite::Admin);
             let cred = *reg.actors.get(&actor).ok_or(FsError::PermissionDenied)?;
             let meta = reg.files.get_mut(&ino).ok_or(FsError::NotFound)?;
@@ -1218,9 +1139,8 @@ impl KernelController {
             if let Some(g) = attr.gid {
                 meta.shadow.gid = g;
             }
-            (meta.dirent, meta.shadow.mode, 0u8, 0u8)
+            (meta.dirent, meta.shadow.mode)
         };
-        let _ = (name_len, ftype_raw);
         // Refresh the cached attr word in the dirent (kernel write).
         if let Some(loc) = dirent {
             let dref = DirentRef::new(&self.kh, loc);
@@ -1277,6 +1197,12 @@ impl KernelController {
         }
     }
 
+    /// Starts timing one phase: the virtual time until the returned guard
+    /// drops is charged to the counter `slot` picks.
+    pub(crate) fn time_phase(&self, slot: fn(&mut PhaseStats) -> &mut Nanos) -> PhaseTimer<'_> {
+        PhaseTimer { kernel: self, t0: now_or_zero(), slot }
+    }
+
     /// Free pages remaining (all pools). Drains ripe limbo first so the
     /// ledger never under-counts pages a dropped pin was holding back.
     pub fn free_page_count(&self) -> usize {
@@ -1296,7 +1222,7 @@ impl KernelController {
 
     /// Whether `ino` currently has a write mapping.
     pub fn writer_of(&self, ino: Ino) -> Option<ActorId> {
-        self.reg_lock(RegistryLockSite::Admin).files.get(&ino).and_then(|f| f.writer)
+        self.reg_lock(RegistryLockSite::Admin).files.get(&ino).and_then(|f| f.writer())
     }
 
     /// Pages the kernel believes belong to file `ino` (post-verification).
@@ -1311,6 +1237,20 @@ impl KernelController {
     /// Dirent location helper for tests.
     pub fn dirent_of(&self, ino: Ino) -> Option<DirentLoc> {
         self.reg_lock(RegistryLockSite::Admin).files.get(&ino).and_then(|f| f.dirent)
+    }
+}
+
+/// See [`KernelController::time_phase`].
+pub(crate) struct PhaseTimer<'a> {
+    kernel: &'a KernelController,
+    t0: Nanos,
+    slot: fn(&mut PhaseStats) -> &mut Nanos,
+}
+
+impl Drop for PhaseTimer<'_> {
+    fn drop(&mut self) {
+        let dt = now_or_zero().saturating_sub(self.t0);
+        self.kernel.charge_phase(|p, ns| *(self.slot)(p) += ns, dt);
     }
 }
 

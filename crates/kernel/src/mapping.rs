@@ -7,10 +7,12 @@
 //!   data pages, plus (for writers) the parent-directory page holding its
 //!   co-located dirent. Write grants are exclusive and lease-bounded;
 //!   concurrent read grants share.
-//! * When a write grant ends (voluntary `release` or lease revocation) the
-//!   file — and its parent directory, whose dirent page was writable — is
-//!   marked *dirty by* that actor ([`Dirty`]; marks accumulate, they never
-//!   overwrite one another).
+//! * A grant ends one way, whatever ended it — `release`, lease expiry, the
+//!   holder's exit, its quarantine: [`FileMeta::end_grant`] takes the holder
+//!   out of the books and hands back a receipt, `KernelController::settle`
+//!   takes the receipt. For a write grant the file — and its parent
+//!   directory, whose dirent page was writable — is marked *dirty by* that
+//!   actor ([`Dirty`]; marks accumulate, they never overwrite one another).
 //! * The next `map` by anyone but the sole dirty actor triggers the
 //!   integrity verifier on the dirty file. On a pass, the kernel claims the
 //!   file's pages in its provenance books; on a failure it rolls the file's
@@ -33,15 +35,15 @@ use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
 use trio_layout::{
-    walk_file, CoreFileType, DirentData, DirentLoc, DirentRef, FilePages, IndexPageRef, Ino,
-    SuperblockRef, DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
+    walk_file, CoreFileType, DirentData, DirentLoc, DirentRef, FileHead, FilePages, IndexPageRef,
+    Ino, DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
 };
 use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, PAGE_SIZE};
 use trio_sim::sync::SimChannel;
-use trio_sim::{cost, in_sim, now, work, Nanos};
+use trio_sim::{cost, in_sim, now, now_or_zero, work, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
 
-use crate::registry::{Checkpoint, Dirty, FileMeta, KernelEvent, Registry};
+use crate::registry::{Checkpoint, Dirty, EndedGrant, FileMeta, KernelEvent, Registry};
 use crate::KernelController;
 
 /// What a successful `map` returns to the LibFS.
@@ -83,6 +85,22 @@ pub enum MapTarget {
     },
 }
 
+/// Why a grant ended — all that the ways of getting to
+/// `KernelController::settle` differ in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GrantEnd {
+    /// The holder gave it back (Figure 2 step 5; also how a recall ends).
+    Released,
+    /// The kernel took it for another mapper: a write lease that ran out,
+    /// or a read grant — which has no lease — in the way of a writer.
+    Revoked,
+    /// The holder unregistered.
+    Exited,
+    /// The holder was quarantined. The MMU half is `revoke_actor`'s,
+    /// wholesale, right after.
+    Contained,
+}
+
 impl KernelController {
     /// Maps a file into `actor`'s address space (Figure 2 steps 1–2 and
     /// 6–9). While another actor holds an unexpired write lease, recalls
@@ -94,25 +112,27 @@ impl KernelController {
             work(cost::MAP_CALL_BASE_NS);
         }
         self.check_not_quarantined(actor)?;
+        let (dirent, parent) = match target {
+            MapTarget::Root => (None, ROOT_INO),
+            MapTarget::Dirent { parent, loc } => (Some(loc), parent),
+        };
+        let head = FileHead::new(self.kernel_handle(), dirent);
         loop {
             let mut reg = self.reg_lock(RegistryLockSite::Map);
             // ---- Identify the file from its committed core state. ----
-            let (ino, ftype, dirent, parent, size) = match target {
-                MapTarget::Root => {
-                    let sb = SuperblockRef::new(self.kernel_handle());
+            let (ino, ftype) = match dirent {
+                None => {
                     // An unreadable superblock has no root to map.
-                    sb.root_first_index().map_err(|_| FsError::NotFound)?;
-                    let sz = sb.root_size().unwrap_or(0);
-                    (ROOT_INO, CoreFileType::Directory, None, ROOT_INO, sz)
+                    head.first_index().map_err(|_| FsError::NotFound)?;
+                    (ROOT_INO, CoreFileType::Directory)
                 }
-                MapTarget::Dirent { parent, loc } => {
+                Some(loc) => {
                     let d =
                         DirentRef::new(self.kernel_handle(), loc).load().map_err(|_| FsError::NotFound)?;
                     if d.ino == 0 {
                         return Err(FsError::NotFound);
                     }
-                    let ft = d.ftype().ok_or(FsError::Corrupted)?;
-                    (d.ino, ft, Some(loc), parent, d.size)
+                    (d.ino, d.ftype().ok_or(FsError::Corrupted)?)
                 }
             };
 
@@ -126,78 +146,61 @@ impl KernelController {
 
             // ---- Permission check against the shadow inode table. ----
             let cred = *reg.actors.get(&actor).ok_or(FsError::PermissionDenied)?;
-            {
-                let Some(meta) = reg.files.get(&ino) else {
-                    return Err(FsError::Corrupted);
-                };
-                let m = meta.shadow.mode.0;
-                let (r_ok, w_ok) = if cred.uid == 0 {
-                    (true, true)
-                } else if cred.uid == meta.shadow.uid {
-                    (m & 0o400 != 0, m & 0o200 != 0)
-                } else if cred.gid == meta.shadow.gid {
-                    (m & 0o040 != 0, m & 0o020 != 0)
-                } else {
-                    (m & 0o004 != 0, m & 0o002 != 0)
-                };
-                if (write && !w_ok) || (!write && !r_ok) {
-                    return Err(FsError::PermissionDenied);
-                }
+            let Some(meta) = reg.files.get(&ino) else {
+                return Err(FsError::Corrupted);
+            };
+            let m = meta.shadow.mode.0;
+            let (r_ok, w_ok) = if cred.uid == 0 {
+                (true, true)
+            } else if cred.uid == meta.shadow.uid {
+                (m & 0o400 != 0, m & 0o200 != 0)
+            } else if cred.gid == meta.shadow.gid {
+                (m & 0o040 != 0, m & 0o020 != 0)
+            } else {
+                (m & 0o004 != 0, m & 0o002 != 0)
+            };
+            if (write && !w_ok) || (!write && !r_ok) {
+                return Err(FsError::PermissionDenied);
             }
 
             // ---- Sharing policy: concurrent reads XOR exclusive write. ----
-            let Some(meta) = reg.files.get_mut(&ino) else {
-                return Err(FsError::Corrupted);
-            };
-            if let Some(w) = meta.writer {
-                if w != actor {
-                    let lease = meta.lease_until;
-                    let t = now();
-                    if t < lease {
-                        // Recall: tell the holder, then sleep until it
-                        // lets go — or, if it will not, until the lease
-                        // runs out (the one upper bound, as ever).
-                        let wake = Arc::clone(
-                            reg.lease_waiters
-                                .entry(ino)
-                                .or_insert_with(|| Arc::new(SimChannel::unbounded())),
-                        );
-                        if reg.recall_pages.get(&w).is_some_and(|page| page.post(ino)) {
-                            self.resilience_stats().record_recall_posted();
-                        }
-                        drop(reg);
-                        self.stats.record_lease_retry();
-                        crate::obs::lease_wait_begin(actor.0, w.0, ino);
-                        let _ = wake.recv_deadline(lease);
-                        let waited = now().saturating_sub(t);
-                        crate::obs::lease_wait_end(actor.0, w.0, waited);
-                        self.charge_phase(
-                            |p, ns| {
-                                p.lease_wait_ns += ns;
-                                p.lease_wait_max_ns = p.lease_wait_max_ns.max(ns);
-                            },
-                            waited,
-                        );
-                        continue;
+            if let Some(w) = meta.writer().filter(|w| *w != actor) {
+                let lease = meta.lease_until();
+                let t = now();
+                if t < lease {
+                    // Recall: tell the holder, then sleep until it lets go
+                    // — or, if it will not, until the lease runs out (the
+                    // one upper bound, as ever).
+                    let wake = Arc::clone(
+                        reg.lease_waiters
+                            .entry(ino)
+                            .or_insert_with(|| Arc::new(SimChannel::unbounded())),
+                    );
+                    if reg.recall_pages.get(&w).is_some_and(|page| page.post(ino)) {
+                        self.resilience_stats().record_recall_posted();
                     }
-                    self.revoke_writer_locked(&mut reg, ino);
+                    drop(reg);
+                    self.stats.record_lease_retry();
+                    crate::obs::lease_wait_begin(actor.0, w.0, ino);
+                    let _ = wake.recv_deadline(lease);
+                    let waited = now().saturating_sub(t);
+                    crate::obs::lease_wait_end(actor.0, w.0, waited);
+                    self.charge_phase(
+                        |p, ns| {
+                            p.lease_wait_ns += ns;
+                            p.lease_wait_max_ns = p.lease_wait_max_ns.max(ns);
+                        },
+                        waited,
+                    );
+                    continue;
                 }
             }
-            if write {
-                let Some(meta) = reg.files.get_mut(&ino) else {
-                    return Err(FsError::Corrupted);
-                };
-                let others: Vec<ActorId> =
-                    meta.readers.iter().copied().filter(|r| *r != actor).collect();
-                for r in others {
-                    let pages = meta.mapped_pages.remove(&r).unwrap_or_default();
-                    meta.readers.remove(&r);
-                    for p in &pages {
-                        let _ = self.device().mmu_unmap(r, *p);
-                    }
-                    if in_sim() {
-                        work(pages.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
-                    }
+            // Whoever is in the way goes: a writer whose lease is over, and,
+            // for a write grant, every reader.
+            let in_the_way = |h: &ActorId| *h != actor && (write || meta.writer() == Some(*h));
+            for h in meta.holders().into_iter().filter(in_the_way).collect::<Vec<_>>() {
+                if let Some(ended) = reg.files.get_mut(&ino).and_then(|m| m.end_grant(h)) {
+                    self.settle(&mut reg, ended, GrantEnd::Revoked);
                 }
             }
 
@@ -224,19 +227,7 @@ impl KernelController {
             }
 
             // ---- Fresh defensive walk (post-rollback state if any). ----
-            let first_index = match target {
-                MapTarget::Root => SuperblockRef::new(self.kernel_handle())
-                    .root_first_index()
-                    .map_err(|_| FsError::NotFound)?,
-                MapTarget::Dirent { loc, .. } => {
-                    DirentRef::new(self.kernel_handle(), loc).first_index().map_err(|_| FsError::NotFound)?
-                }
-            };
-            let pages = match walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
-            {
-                Ok(p) => p,
-                Err(_) => return Err(FsError::Corrupted),
-            };
+            let pages = self.current_pages(dirent)?;
 
             // ---- Checkpoint before granting write (§4.3). ----
             // Only a verified-clean file. While it is still dirty by the
@@ -245,46 +236,22 @@ impl KernelController {
             // replacing it would make a later rollback restore unverified
             // bytes.
             if write && reg.files.get(&ino).is_some_and(|m| m.dirty.is_clean()) {
-                self.take_checkpoint_locked(&mut reg, ino, &pages, dirent);
+                self.take_checkpoint_locked(&mut reg, ino, &pages);
             }
 
-            // ---- Program the MMU. ----
-            let mut grant_pages: Vec<PageId> = pages.all_pages().collect();
-            if write {
-                if let Some(loc) = dirent {
-                    grant_pages.push(loc.page);
-                }
-            }
-            let perm = if write { PagePerm::Write } else { PagePerm::Read };
-            for p in &grant_pages {
-                self.device().mmu_map(actor, *p, perm).map_err(|_| FsError::Corrupted)?;
-            }
-            if in_sim() {
-                let ns = grant_pages.len() as u64 * cost::MMU_PROGRAM_PAGE_NS;
-                work(ns);
-                self.charge_phase(|p, n| p.map_ns += n, ns);
-            }
-
-            // Re-read the size: verification/rollback may have corrected a
-            // lied field since the identification step.
-            let size = match target {
-                MapTarget::Root => SuperblockRef::new(self.kernel_handle()).root_size().unwrap_or(0),
-                MapTarget::Dirent { loc, .. } => {
-                    DirentRef::new(self.kernel_handle(), loc).size().unwrap_or(size)
-                }
-            };
+            // ---- Program the MMU and enter the grant in the books. ----
+            let granted = self.program_grant(actor, write, &pages, dirent)?;
+            // (Read the size only now: verification/rollback may have
+            // corrected a lied field.)
+            let size = head.size().map_err(|_| FsError::NotFound)?;
             let lease_until = if write { now_or_zero() + self.config().lease_ns } else { 0 };
             let Some(meta) = reg.files.get_mut(&ino) else {
                 return Err(FsError::Corrupted);
             };
-            meta.mapped_pages.insert(actor, grant_pages);
+            meta.grant(actor, write, granted, lease_until);
             let seq_before = meta.grant_seq;
             if write {
-                meta.writer = Some(actor);
-                meta.lease_until = lease_until;
                 meta.bump_seq(Some(actor));
-            } else {
-                meta.readers.insert(actor);
             }
             let seq = meta.grant_seq;
             meta.verified_pages = pages.clone();
@@ -317,38 +284,9 @@ impl KernelController {
     pub fn release(&self, actor: ActorId, ino: Ino) -> FsResult<()> {
         self.trap();
         let mut reg = self.reg_lock(RegistryLockSite::Release);
-        let Some(meta) = reg.files.get_mut(&ino) else {
-            return Err(FsError::NotFound);
-        };
-        let was_writer = meta.writer == Some(actor);
-        let granted = meta.mapped_pages.remove(&actor).unwrap_or_default();
-        meta.readers.remove(&actor);
-        let mut to_unmap: HashSet<PageId> = granted.into_iter().collect();
-        let parent = meta.parent;
-        let dirent = meta.dirent;
-        if was_writer {
-            meta.writer = None;
-            meta.dirty.mark(actor, true);
-            // Pages the writer linked in from its pool are mapped via the
-            // pool grant; revoke those too by walking the current chain.
-            let first_index = self.current_first_index(ino, dirent);
-            if let Ok(fi) = first_index {
-                if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
-                    to_unmap.extend(pages.all_pages());
-                }
-            }
-            if let Some(pmeta) = reg.parent_meta(ino, parent) {
-                pmeta.dirty.mark(actor, false);
-            }
-            self.end_lease_wait(&mut reg, ino, actor, true);
-        }
-        for p in &to_unmap {
-            let _ = self.device().mmu_unmap(actor, *p);
-        }
-        if in_sim() {
-            let ns = to_unmap.len() as u64 * cost::MMU_PROGRAM_PAGE_NS;
-            work(ns);
-            self.charge_phase(|p, n| p.unmap_ns += n, ns);
+        let meta = reg.files.get_mut(&ino).ok_or(FsError::NotFound)?;
+        if let Some(ended) = meta.end_grant(actor) {
+            self.settle(&mut reg, ended, GrantEnd::Released);
         }
         Ok(())
     }
@@ -360,38 +298,23 @@ impl KernelController {
         self.trap();
         self.check_not_quarantined(actor)?;
         let mut reg = self.reg_lock(RegistryLockSite::Commit);
-        let Some(meta) = reg.files.get_mut(&ino) else {
-            return Err(FsError::NotFound);
-        };
-        if meta.writer != Some(actor) {
+        let meta = reg.files.get_mut(&ino).ok_or(FsError::NotFound)?;
+        if meta.writer() != Some(actor) {
             return Err(FsError::PermissionDenied);
         }
-        let dirent = meta.dirent;
+        let (dirent, lease_until) = (meta.dirent, meta.lease_until());
         meta.dirty.mark(actor, true);
-        let passed = self.verify_file_locked(&mut reg, ino);
-        if !passed {
+        if !self.verify_file_locked(&mut reg, ino) {
             return Err(FsError::Corrupted);
         }
         // Re-checkpoint at the newly verified state and restore the
-        // writer's mappings (verification cleared them).
-        let fi = self.current_first_index(ino, dirent).map_err(|_| FsError::Corrupted)?;
-        let pages = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES)
-            .map_err(|_| FsError::Corrupted)?;
-        self.take_checkpoint_locked(&mut reg, ino, &pages, dirent);
-        let mut grant_pages: Vec<PageId> = pages.all_pages().collect();
-        if let Some(loc) = dirent {
-            grant_pages.push(loc.page);
-        }
-        for p in &grant_pages {
-            let _ = self.device().mmu_map(actor, *p, PagePerm::Write);
-        }
-        if in_sim() {
-            work(grant_pages.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
-        }
-        let Some(meta) = reg.files.get_mut(&ino) else {
-            return Err(FsError::Corrupted);
-        };
-        meta.mapped_pages.insert(actor, grant_pages);
+        // writer's mappings (verification cleared them) under the lease it
+        // already has.
+        let pages = self.current_pages(dirent).map_err(|_| FsError::Corrupted)?;
+        self.take_checkpoint_locked(&mut reg, ino, &pages);
+        let granted = self.program_grant(actor, true, &pages, dirent)?;
+        let meta = reg.files.get_mut(&ino).ok_or(FsError::Corrupted)?;
+        meta.grant(actor, true, granted, lease_until);
         meta.verified_pages = pages;
         meta.dirty = Dirty::Clean;
         Ok(())
@@ -421,7 +344,7 @@ impl KernelController {
             // grant check still holds so a concurrent revocation cannot
             // interleave.
             let reg = self.reg_lock(RegistryLockSite::ReturnFile);
-            let writer_ok = reg.files.get(&ino).and_then(|m| m.writer) == Some(actor);
+            let writer_ok = reg.files.get(&ino).and_then(|m| m.writer()) == Some(actor);
             for p in pages {
                 match self.prov.get(p.0) {
                     Some(PageProvenance::AllocatedTo(a)) if a == actor => {}
@@ -448,15 +371,13 @@ impl KernelController {
         self.check_not_quarantined(actor)?;
         let mut recycled = Vec::new();
         for (parent, ino, first_index) in items {
-            recycled.extend(self.reclaim_file_inner(actor, *parent, *ino, *first_index)?);
+            recycled.extend(self.reclaim_one(actor, *parent, *ino, *first_index)?);
         }
         Ok(recycled)
     }
 
     /// Reclaims a deleted file's resources after the LibFS cleared its
-    /// dirent (unlink/rmdir path). Requires the caller to hold the parent
-    /// directory's write grant. `first_index` is the chain head the LibFS
-    /// read before clearing the dirent.
+    /// dirent (unlink/rmdir path): a batch of one.
     pub fn reclaim_file(
         &self,
         actor: ActorId,
@@ -464,12 +385,13 @@ impl KernelController {
         ino: Ino,
         first_index: u64,
     ) -> FsResult<Vec<PageId>> {
-        self.trap();
-        self.check_not_quarantined(actor)?;
-        self.reclaim_file_inner(actor, parent, ino, first_index)
+        self.reclaim_batch(actor, &[(parent, ino, first_index)])
     }
 
-    fn reclaim_file_inner(
+    /// Requires the caller to hold the parent directory's write grant.
+    /// `first_index` is the chain head the LibFS read before clearing the
+    /// dirent.
+    fn reclaim_one(
         &self,
         actor: ActorId,
         parent: Ino,
@@ -483,7 +405,7 @@ impl KernelController {
         // reclaim only its own unvetted resources — which is all such a
         // subtree can contain — plus files whose dirent is verifiably dead
         // on media.
-        let pwriter = reg.files.get(&parent).and_then(|m| m.writer);
+        let pwriter = reg.files.get(&parent).and_then(|m| m.writer());
         if let Some(w) = pwriter {
             if w != actor {
                 return Err(FsError::PermissionDenied);
@@ -507,15 +429,17 @@ impl KernelController {
         if !ino_ok {
             return Err(FsError::PermissionDenied);
         }
-        // Force-unmap anyone still holding the dead file.
-        if let Some(meta) = reg.files.remove(&ino) {
-            for (a, pages) in &meta.mapped_pages {
-                for p in pages {
-                    let _ = self.device().mmu_unmap(*a, *p);
+        // The dead file's books go with it, and its holders' mappings with
+        // the books. Nothing is left to vet, and the chain's pages are
+        // scrubbed and recycled below: no dirt, no chain walk, no charge.
+        if let Some(mut meta) = reg.files.remove(&ino) {
+            for ended in meta.holders().into_iter().filter_map(|a| meta.end_grant(a)) {
+                for p in &ended.pages {
+                    let _ = self.device().mmu_unmap(ended.actor, *p);
                 }
-            }
-            if let Some(w) = meta.writer {
-                self.end_lease_wait(&mut reg, ino, w, true);
+                if ended.write {
+                    self.end_lease_wait(&mut reg, ino, ended.actor, true);
+                }
             }
             if let Some(ck) = &meta.checkpoint {
                 let pages: Vec<PageId> = ck.images.iter().map(|(p, _)| *p).collect();
@@ -573,22 +497,13 @@ impl KernelController {
     // Internals.
     // =================================================================
 
-    pub(crate) fn current_first_index(
-        &self,
-        ino: Ino,
-        dirent: Option<DirentLoc>,
-    ) -> Result<u64, FsError> {
-        match dirent {
-            Some(loc) => {
-                DirentRef::new(self.kernel_handle(), loc).first_index().map_err(|_| FsError::NotFound)
-            }
-            None => {
-                debug_assert_eq!(ino, ROOT_INO);
-                SuperblockRef::new(self.kernel_handle())
-                    .root_first_index()
-                    .map_err(|_| FsError::NotFound)
-            }
-        }
+    /// The file's chain as it is on media now, from wherever its head
+    /// lives ([`FileHead`]).
+    pub(crate) fn current_pages(&self, dirent: Option<DirentLoc>) -> FsResult<FilePages> {
+        let head = FileHead::new(self.kernel_handle(), dirent);
+        let first_index = head.first_index().map_err(|_| FsError::NotFound)?;
+        walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
+            .map_err(|_| FsError::Corrupted)
     }
 
     /// Creates the kernel's `FileMeta` for `ino` on first contact,
@@ -663,37 +578,91 @@ impl KernelController {
         Ok(())
     }
 
-    fn revoke_writer_locked(&self, reg: &mut Registry, ino: Ino) {
-        let Some(meta) = reg.files.get_mut(&ino) else {
-            return;
-        };
-        let Some(w) = meta.writer else {
-            return;
-        };
-        let granted = meta.mapped_pages.remove(&w).unwrap_or_default();
-        meta.writer = None;
-        meta.dirty.mark(w, true);
-        let dirent = meta.dirent;
-        let parent = meta.parent;
-        let mut to_unmap: HashSet<PageId> = granted.into_iter().collect();
-        if let Ok(fi) = self.current_first_index(ino, dirent) {
-            if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
-                to_unmap.extend(pages.all_pages());
-            }
+    /// Figure 2 steps 2 and 9, and `commit`'s re-grant: programs the MMU
+    /// with the file's pages — for a writer also the page of the parent
+    /// that holds its co-located dirent — and returns what it programmed,
+    /// for the books ([`FileMeta::grant`]).
+    fn program_grant(
+        &self,
+        actor: ActorId,
+        write: bool,
+        pages: &FilePages,
+        dirent: Option<DirentLoc>,
+    ) -> FsResult<Vec<PageId>> {
+        let mut granted: Vec<PageId> = pages.all_pages().collect();
+        if write {
+            granted.extend(dirent.map(|loc| loc.page));
         }
-        for p in &to_unmap {
-            let _ = self.device().mmu_unmap(w, *p);
+        let perm = if write { PagePerm::Write } else { PagePerm::Read };
+        for p in &granted {
+            self.device().mmu_map(actor, *p, perm).map_err(|_| FsError::Corrupted)?;
         }
         if in_sim() {
-            let ns = to_unmap.len() as u64 * cost::MMU_PROGRAM_PAGE_NS;
+            let ns = granted.len() as u64 * cost::MMU_PROGRAM_PAGE_NS;
             work(ns);
-            self.charge_phase(|p, n| p.unmap_ns += n, ns);
+            self.charge_phase(|p, n| p.map_ns += n, ns);
         }
-        if let Some(pmeta) = reg.parent_meta(ino, parent) {
-            pmeta.dirty.mark(w, false);
+        Ok(granted)
+    }
+
+    /// Settles a grant that has left the books — Figure 2 step 5 for every
+    /// way there is of getting to it, and the one place §3.2's rule is
+    /// written down: *whenever* a write grant ends, the file and the parent
+    /// page holding its dirent stay unverified until the verifier has run.
+    ///
+    /// 1. Dirt: the file is marked dirty by the holder, its parent too.
+    /// 2. MMU: the granted pages go, and with them whatever the writer
+    ///    linked in from its pool (mapped through the pool grant; found by
+    ///    walking the chain as it is now). One page may stay: the dirent
+    ///    page, if the holder's grant on the *parent* covers it, falls back
+    ///    to that grant's permission instead of vanishing under it.
+    /// 3. Word: a revocation is an event; mappers blocked on the lease wake.
+    pub(crate) fn settle(&self, reg: &mut Registry, ended: EndedGrant, why: GrantEnd) {
+        let EndedGrant { ino, actor, write, pages, dirent, parent } = ended;
+        let mut fallback = None;
+        if write {
+            if let Some(meta) = reg.files.get_mut(&ino) {
+                meta.dirty.mark(actor, true);
+            }
+            if let Some(pmeta) = reg.parent_meta(ino, parent) {
+                pmeta.dirty.mark(actor, false);
+                fallback = dirent.and_then(|loc| Some((loc.page, pmeta.grant_on(actor, loc.page)?)));
+            }
         }
-        self.push_event(KernelEvent::LeaseRevoked { ino, actor: w });
-        self.end_lease_wait(reg, ino, w, false);
+        if why != GrantEnd::Contained {
+            let mut unmap: HashSet<PageId> = pages.into_iter().collect();
+            if write {
+                unmap.extend(self.current_pages(dirent).iter().flat_map(FilePages::all_pages));
+            }
+            for p in &unmap {
+                let _ = match fallback {
+                    Some((page, perm)) if page == *p => self.device().mmu_map(actor, *p, perm),
+                    _ => self.device().mmu_unmap(actor, *p).map(drop),
+                };
+            }
+            if in_sim() {
+                let ns = unmap.len() as u64 * cost::MMU_PROGRAM_PAGE_NS;
+                work(ns);
+                self.charge_phase(|p, n| p.unmap_ns += n, ns);
+            }
+        }
+        if write {
+            if why == GrantEnd::Revoked {
+                self.push_event(KernelEvent::LeaseRevoked { ino, actor });
+            }
+            let honoured = matches!(why, GrantEnd::Released | GrantEnd::Exited);
+            self.end_lease_wait(reg, ino, actor, honoured);
+        }
+    }
+
+    /// Ends every grant `actor` holds, in ino order (it is leaving, or
+    /// being contained).
+    pub(crate) fn end_grants_of(&self, reg: &mut Registry, actor: ActorId, why: GrantEnd) {
+        for ino in reg.held_by(actor) {
+            if let Some(ended) = reg.files.get_mut(&ino).and_then(|m| m.end_grant(actor)) {
+                self.settle(reg, ended, why);
+            }
+        }
     }
 
     /// `holder`'s write lease on `ino` is over: withdraws the recall from
@@ -723,14 +692,7 @@ impl KernelController {
     /// failure: logs, rolls back to the checkpoint, clears dirtiness.
     /// Returns whether the original state passed.
     pub(crate) fn verify_file_locked(&self, reg: &mut Registry, ino: Ino) -> bool {
-        let t0 = now_or_zero();
-        let r = self.verify_file_locked_inner(reg, ino);
-        let dt = now_or_zero().saturating_sub(t0);
-        self.charge_phase(|p, ns| p.verify_ns += ns, dt);
-        r
-    }
-
-    fn verify_file_locked_inner(&self, reg: &mut Registry, ino: Ino) -> bool {
+        let _timed = self.time_phase(|p| &mut p.verify_ns);
         // Pin the reclamation epoch for the whole verification: pages the
         // walk observes may sit in the GC limbo list (freed but not yet
         // recycled), and the pin guarantees their contents and provenance
@@ -744,7 +706,8 @@ impl KernelController {
         };
         let ftype = meta.ftype;
         let dirent = meta.dirent;
-        let first_index = self.current_first_index(ino, dirent).unwrap_or_default();
+        let first_index =
+            FileHead::new(self.kernel_handle(), dirent).first_index().unwrap_or_default();
         let ck_children = meta.checkpoint.as_ref().map(|c| c.children.clone());
         let req = VerifyRequest {
             ino,
@@ -791,8 +754,7 @@ impl KernelController {
             // taken at write-grant time is superseded the moment this
             // verification passes; keeping it would let a later rollback
             // resurrect pre-verification contents.
-            let dirent = reg.files.get(&ino).and_then(|m| m.dirent);
-            self.take_checkpoint_locked(reg, ino, &report.pages, dirent);
+            self.take_checkpoint_locked(reg, ino, &report.pages);
             if let Some(meta) = reg.files.get_mut(&ino) {
                 meta.dirty = Dirty::Clean;
                 meta.verified_pages = report.pages;
@@ -867,16 +829,16 @@ impl KernelController {
                 let _restored = h.persist_dirty(dirty);
             }
         }
+        let head = FileHead::new(self.kernel_handle(), dirent);
         if let Some((fi, size)) = ck.root_fields {
             // registry → sb_lock is the sanctioned order (sb_lock is a
             // leaf; its holders never take the registry).
             let _sb_guard = self.sb_lock.lock();
-            let sb = SuperblockRef::new(self.kernel_handle());
-            let _ = sb.set_root_first_index(fi);
-            let _ = sb.set_root_size(size);
+            let _ = head.set_first_index(fi);
+            let _ = head.set_size(size);
         }
         // 3. Reconcile: clear slots whose pages no longer belong here.
-        let fi = self.current_first_index(ino, dirent).unwrap_or(0);
+        let fi = head.first_index().unwrap_or(0);
         self.trim_foreign_slots(ino, fi, dirty_actor);
         // 4. For directories, reconcile each surviving child's chain too.
         if ftype == CoreFileType::Directory {
@@ -896,8 +858,10 @@ impl KernelController {
                 for (cino, cfi, cloc) in children {
                     let child_has_ck = cino != ino
                         && reg.files.get(&cino).is_some_and(|m| m.checkpoint.is_some());
-                    let broken = self.chain_is_broken(cfi);
-                    let foreign = !broken && self.has_foreign_slots(cino, cfi, dirty_actor);
+                    let broken =
+                        walk_file(self.kernel_handle(), cfi, crate::MAX_INDEX_PAGES).is_err();
+                    let foreign =
+                        !broken && !self.foreign_slots(cino, cfi, dirty_actor).is_empty();
                     if (broken || foreign) && child_has_ck {
                         // The child's own checkpoint can restore its chain;
                         // trimming here would erase data its rollback is
@@ -913,8 +877,9 @@ impl KernelController {
                         if broken {
                             // Trim the child to empty rather than leave a
                             // dangling chain.
-                            let _ = DirentRef::new(self.kernel_handle(), cloc).set_first_index(0);
-                            let _ = DirentRef::new(self.kernel_handle(), cloc).set_size(0);
+                            let chead = FileHead::new(self.kernel_handle(), Some(cloc));
+                            let _ = chead.set_first_index(0);
+                            let _ = chead.set_size(0);
                         } else {
                             self.trim_foreign_slots(cino, cfi, dirty_actor);
                         }
@@ -940,102 +905,54 @@ impl KernelController {
         }
     }
 
-    fn chain_is_broken(&self, first_index: u64) -> bool {
-        walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES).is_err()
-    }
-
-    /// Clears index slots pointing at pages that neither belong to `ino`
-    /// nor are allocated to `dirty_actor` (trim/pad, §4.3).
-    fn trim_foreign_slots(
+    /// The index slots of `ino`'s chain that point at pages neither the
+    /// file's own nor legal growth from `dirty_actor`'s pool, as
+    /// `(index page, slot)` — what trim/pad (§4.3) clears.
+    fn foreign_slots(
         &self,
         ino: Ino,
         first_index: u64,
         dirty_actor: Option<ActorId>,
-    ) {
+    ) -> Vec<(PageId, usize)> {
+        let mut foreign = Vec::new();
         let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
         else {
-            return;
+            return foreign;
         };
         for ipage in &pages.index_pages {
-            let ipr = IndexPageRef::new(self.kernel_handle(), *ipage);
-            let Ok((entries, _)) = ipr.load_all() else {
+            let Ok((entries, _)) = IndexPageRef::new(self.kernel_handle(), *ipage).load_all() else {
                 continue;
             };
             for (i, &e) in entries.iter().enumerate() {
-                if e == 0 {
-                    continue;
-                }
-                let ok = match self.prov.get(e) {
-                    Some(PageProvenance::InFile(f)) if f == ino => true,
-                    Some(PageProvenance::AllocatedTo(a)) => Some(a) == dirty_actor,
-                    _ => false,
-                };
+                let ok = e == 0
+                    || match self.prov.get(e) {
+                        Some(PageProvenance::InFile(f)) => f == ino,
+                        Some(PageProvenance::AllocatedTo(a)) => Some(a) == dirty_actor,
+                        _ => false,
+                    };
                 if !ok {
-                    let _ = ipr.set_entry(i, 0);
+                    foreign.push((*ipage, i));
                 }
             }
         }
+        foreign
     }
 
-    /// True when `trim_foreign_slots` would clear at least one entry —
-    /// i.e. the chain references a page that neither belongs to `ino` nor
-    /// is legal growth from `dirty_actor`'s pool.
-    fn has_foreign_slots(
-        &self,
-        ino: Ino,
-        first_index: u64,
-        dirty_actor: Option<ActorId>,
-    ) -> bool {
-        let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
-        else {
-            return false;
-        };
-        for ipage in &pages.index_pages {
-            let ipr = IndexPageRef::new(self.kernel_handle(), *ipage);
-            let Ok((entries, _)) = ipr.load_all() else {
-                continue;
-            };
-            for &e in &entries {
-                if e == 0 {
-                    continue;
-                }
-                let ok = match self.prov.get(e) {
-                    Some(PageProvenance::InFile(f)) if f == ino => true,
-                    Some(PageProvenance::AllocatedTo(a)) => Some(a) == dirty_actor,
-                    _ => false,
-                };
-                if !ok {
-                    return true;
-                }
-            }
+    /// Clears the foreign slots of `ino`'s chain.
+    fn trim_foreign_slots(&self, ino: Ino, first_index: u64, dirty_actor: Option<ActorId>) {
+        for (ipage, i) in self.foreign_slots(ino, first_index, dirty_actor) {
+            let _ = IndexPageRef::new(self.kernel_handle(), ipage).set_entry(i, 0);
         }
-        false
     }
 
     /// Snapshots the file's metadata pages (index pages; for directories
     /// also data pages), its dirent image, and — for directories — the set
     /// of live children (I3 baseline). Pins the snapshotted pages.
-    fn take_checkpoint_locked(
-        &self,
-        reg: &mut Registry,
-        ino: Ino,
-        pages: &FilePages,
-        dirent: Option<DirentLoc>,
-    ) {
-        let t0 = now_or_zero();
-        self.take_checkpoint_locked_inner(reg, ino, pages, dirent);
-        let dt = now_or_zero().saturating_sub(t0);
-        self.charge_phase(|p, ns| p.checkpoint_ns += ns, dt);
-    }
-
-    fn take_checkpoint_locked_inner(
-        &self,
-        reg: &mut Registry,
-        ino: Ino,
-        pages: &FilePages,
-        dirent: Option<DirentLoc>,
-    ) {
-        let ftype = reg.files.get(&ino).map(|m| m.ftype).unwrap_or(CoreFileType::Regular);
+    fn take_checkpoint_locked(&self, reg: &mut Registry, ino: Ino, pages: &FilePages) {
+        let _timed = self.time_phase(|p| &mut p.checkpoint_ns);
+        let Some((ftype, dirent)) = reg.files.get(&ino).map(|m| (m.ftype, m.dirent)) else {
+            return;
+        };
         let meta_pages: Vec<PageId> = match ftype {
             CoreFileType::Regular => pages.index_pages.clone(),
             CoreFileType::Directory => pages.all_pages().collect(),
@@ -1053,12 +970,10 @@ impl KernelController {
             let mut b = [0u8; DIRENT_SIZE];
             self.kernel_handle().read_untimed(loc.page, loc.byte_off(), &mut b).ok().map(|_| b)
         });
-        let root_fields = if dirent.is_none() {
-            let sb = SuperblockRef::new(self.kernel_handle());
-            Some((sb.root_first_index().unwrap_or(0), sb.root_size().unwrap_or(0)))
-        } else {
-            None
-        };
+        let head = FileHead::new(self.kernel_handle(), dirent);
+        let root_fields = dirent
+            .is_none()
+            .then(|| (head.first_index().unwrap_or(0), head.size().unwrap_or(0)));
         let mut children = HashSet::new();
         if ftype == CoreFileType::Directory {
             for dp in pages.data_pages.iter().flatten() {
@@ -1077,11 +992,7 @@ impl KernelController {
                 }
             }
         }
-        let size = match dirent {
-            Some(loc) => DirentRef::new(self.kernel_handle(), loc).size().unwrap_or(0),
-            None => SuperblockRef::new(self.kernel_handle()).root_size().unwrap_or(0),
-        };
-        let new_ck = Checkpoint { images, dirent_image, root_fields, children, size };
+        let new_ck = Checkpoint { images, dirent_image, root_fields, children };
         // Pin new, unpin old.
         let new_pages: Vec<PageId> = new_ck.images.iter().map(|(p, _)| *p).collect();
         let old_pages: Vec<PageId> = reg
@@ -1095,13 +1006,5 @@ impl KernelController {
             meta.checkpoint = Some(new_ck);
         }
         self.unpin_pages(old_pages.into_iter());
-    }
-}
-
-fn now_or_zero() -> Nanos {
-    if in_sim() {
-        now()
-    } else {
-        0
     }
 }

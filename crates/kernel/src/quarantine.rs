@@ -15,6 +15,7 @@ use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, KERNEL_ACTOR};
 use trio_sim::metrics::JsonObject;
 use trio_verifier::{PageProvenance, RepairClass, Violation, VIOLATION_KINDS};
 
+use crate::mapping::GrantEnd;
 use crate::registry::{KernelEvent, QuarantineInfo, Registry};
 use crate::KernelController;
 
@@ -168,30 +169,13 @@ impl KernelController {
         {
             return;
         }
-        let mut tainted: HashSet<Ino> = HashSet::new();
-        let mut leases_ended: Vec<Ino> = Vec::new();
-        for (ino, meta) in reg.files.iter_mut() {
-            if meta.writer == Some(offender) {
-                meta.writer = None;
-                meta.lease_until = 0;
-                meta.dirty.mark(offender, true);
-                leases_ended.push(*ino);
-            }
-            meta.readers.remove(&offender);
-            meta.mapped_pages.remove(&offender);
-            if meta.dirty.involves(offender) {
-                tainted.insert(*ino);
-            }
-        }
-        for (ino, actor) in reg.pending_dirty.iter() {
-            if *actor == offender {
-                tainted.insert(*ino);
-            }
-        }
-        // Mappers blocked on the offender's leases need not sit them out.
-        for ino in leases_ended {
-            self.end_lease_wait(reg, ino, offender, false);
-        }
+        // Books and dirt through the one path every grant ends by (mappers
+        // blocked on the offender's leases need not sit them out); the
+        // tainted set is read off the marks, so it has the parents of what
+        // the offender held for write in it too.
+        self.end_grants_of(reg, offender, GrantEnd::Contained);
+        let mut tainted: HashSet<Ino> = reg.dirt_of(offender).into_iter().collect();
+        tainted.extend(reg.pending_dirty.iter().filter(|(_, a)| **a == offender).map(|(i, _)| *i));
         self.device().revoke_actor(offender);
         // Its grant windows go with the MMU grants: a contained LibFS's
         // in-flight delegated writes must not keep reading its buffers.
@@ -236,11 +220,12 @@ impl KernelController {
         tainted.sort_unstable();
         reg.repairing = true;
         for ino in tainted {
-            let dirty = reg.files.get(&ino).map(|m| !m.dirty.is_clean());
-            let outcome = match dirty {
+            let outcome = match reg.files.contains_key(&ino).then(|| reg.vettable(ino)) {
                 // Expelled before the pass got here — damage stayed private.
                 None => RepairOutcome::Privatized,
                 // Rolled back (or never dirtied) since tainting: taint stale.
+                // Or in another LibFS's hands for write: the mark stays, and
+                // whoever maps the file after that grant verifies it.
                 Some(false) => RepairOutcome::Clean,
                 Some(true) => {
                     if self.verify_file_locked(reg, ino) {

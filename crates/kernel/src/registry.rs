@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use trio_layout::{CoreFileType, DirentLoc, FilePages, Ino, ROOT_INO};
-use trio_nvm::{ActorId, PageId};
+use trio_nvm::{ActorId, PageId, PagePerm};
 use trio_sim::sync::{SimChannel, SimMutex};
 use trio_sim::Nanos;
 use trio_verifier::ShadowAttr;
@@ -93,8 +93,6 @@ pub struct Checkpoint {
     pub root_fields: Option<(u64, u64)>, // (first_index, size)
     /// Directories: live child inos at checkpoint time (for I3).
     pub children: HashSet<Ino>,
-    /// File size at checkpoint (for trim/pad reconciliation).
-    pub size: u64,
 }
 
 /// Whose writes to a file's core state no verification has vetted yet.
@@ -155,6 +153,28 @@ impl Dirty {
     }
 }
 
+/// The receipt for a grant that has left a file's books
+/// ([`FileMeta::end_grant`]). Leaving the books is only half of ending a
+/// grant: the pages are still mapped and the holder's writes unvetted until
+/// `KernelController::settle` has been given this.
+#[must_use = "an ended grant must be settled (`KernelController::settle`): dirt, MMU, waiters"]
+#[derive(Debug)]
+pub struct EndedGrant {
+    /// The file.
+    pub ino: Ino,
+    /// Who held the grant.
+    pub actor: ActorId,
+    /// Whether it was the write grant.
+    pub write: bool,
+    /// The pages the MMU exposed under it.
+    pub pages: Vec<PageId>,
+    /// The file's dirent at the time (`None` for root): the writer had its
+    /// page writable too.
+    pub dirent: Option<DirentLoc>,
+    /// The directory that page belongs to.
+    pub parent: Ino,
+}
+
 /// Per-file kernel metadata.
 #[derive(Debug)]
 pub struct FileMeta {
@@ -168,12 +188,16 @@ pub struct FileMeta {
     pub parent: Ino,
     /// Ground-truth permissions (I4).
     pub shadow: ShadowAttr,
-    /// Actors holding read mappings.
-    pub readers: HashSet<ActorId>,
-    /// Actor holding the write mapping, if any.
-    pub writer: Option<ActorId>,
+    // The grant books. Private: an actor enters them through `grant` and
+    // leaves them through `end_grant`, whose receipt the compiler will not
+    // let the caller drop.
+    /// Pages the MMU currently exposes to each grant holder (includes the
+    /// dirent page for the writer).
+    mapped_pages: HashMap<ActorId, Vec<PageId>>,
+    /// The holder of the write grant, if any; everyone else reads.
+    writer: Option<ActorId>,
     /// Virtual deadline of the current write lease.
-    pub lease_until: Nanos,
+    lease_until: Nanos,
     /// Unvetted writes: set when a writer released (or was revoked) and no
     /// verification has happened since.
     pub dirty: Dirty,
@@ -186,9 +210,6 @@ pub struct FileMeta {
     pub seq_holder: Option<ActorId>,
     /// Rollback target.
     pub checkpoint: Option<Checkpoint>,
-    /// Pages the MMU currently exposes to each actor for this file
-    /// (includes the dirent page for writers).
-    pub mapped_pages: HashMap<ActorId, Vec<PageId>>,
     /// Pages in the file as of the last verification/adoption.
     pub verified_pages: FilePages,
 }
@@ -208,21 +229,76 @@ impl FileMeta {
             dirent,
             parent,
             shadow,
-            readers: HashSet::new(),
+            mapped_pages: HashMap::new(),
             writer: None,
             lease_until: 0,
             dirty: Dirty::Clean,
             grant_seq: 0,
             seq_holder: None,
             checkpoint: None,
-            mapped_pages: HashMap::new(),
             verified_pages: FilePages::default(),
         }
     }
 
     /// Whether anyone maps the file.
     pub fn is_mapped(&self) -> bool {
-        self.writer.is_some() || !self.readers.is_empty()
+        !self.mapped_pages.is_empty()
+    }
+
+    /// The holder of the write grant.
+    pub fn writer(&self) -> Option<ActorId> {
+        self.writer
+    }
+
+    /// When the write lease runs out (meaningful while there is a writer).
+    pub fn lease_until(&self) -> Nanos {
+        self.lease_until
+    }
+
+    /// Everyone holding a grant, in actor order.
+    pub fn holders(&self) -> Vec<ActorId> {
+        let mut v: Vec<ActorId> = self.mapped_pages.keys().copied().collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Whether `actor` holds a grant.
+    pub fn holds(&self, actor: ActorId) -> bool {
+        self.mapped_pages.contains_key(&actor)
+    }
+
+    /// What `actor`'s grant on this file lets it do with `page`, if it
+    /// covers the page at all.
+    pub fn grant_on(&self, actor: ActorId, page: PageId) -> Option<PagePerm> {
+        let covers = self.mapped_pages.get(&actor)?.contains(&page);
+        covers.then_some(if self.writer == Some(actor) { PagePerm::Write } else { PagePerm::Read })
+    }
+
+    /// Whether any grant exposes `page`.
+    pub fn maps_page(&self, page: PageId) -> bool {
+        self.mapped_pages.values().any(|held| held.contains(&page))
+    }
+
+    /// Enters `actor` in the books (replacing a grant it already holds: a
+    /// re-map or an upgrade). The caller has programmed `pages`.
+    pub fn grant(&mut self, actor: ActorId, write: bool, pages: Vec<PageId>, lease_until: Nanos) {
+        self.mapped_pages.insert(actor, pages);
+        if write {
+            self.writer = Some(actor);
+            self.lease_until = lease_until;
+        }
+    }
+
+    /// Takes `actor` out of the books — the only way out. `None` if it held
+    /// nothing.
+    pub fn end_grant(&mut self, actor: ActorId) -> Option<EndedGrant> {
+        let pages = self.mapped_pages.remove(&actor)?;
+        let write = self.writer == Some(actor);
+        if write {
+            self.writer = None;
+            self.lease_until = 0;
+        }
+        Some(EndedGrant { ino: self.ino, actor, write, pages, dirent: self.dirent, parent: self.parent })
     }
 
     /// The file's core state is about to be exposed to writes `holder`
@@ -389,6 +465,30 @@ impl Registry {
         self.files.get_mut(&parent)
     }
 
+    /// The files `actor` holds a grant on, in ino order.
+    pub fn held_by(&self, actor: ActorId) -> Vec<Ino> {
+        let mut v: Vec<Ino> =
+            self.files.iter().filter(|(_, m)| m.holds(actor)).map(|(i, _)| *i).collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// The files `actor`'s unvetted writes may be in, in ino order.
+    pub fn dirt_of(&self, actor: ActorId) -> Vec<Ino> {
+        let mut v: Vec<Ino> =
+            self.files.iter().filter(|(_, m)| m.dirty.involves(actor)).map(|(i, _)| *i).collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Whether `ino` is dirty and can be verified now. A file somebody
+    /// holds for write cannot: its core state is in motion, and the holder's
+    /// own fresh pages and inos would be charged to whoever the mark names.
+    /// The mark stays; whoever maps the file after that grant verifies it.
+    pub fn vettable(&self, ino: Ino) -> bool {
+        self.files.get(&ino).is_some_and(|m| !m.dirty.is_clean() && m.writer().is_none())
+    }
+
     /// Whether `ino` sits in any quarantined LibFS's tainted subtree.
     /// O(1): one probe of the reverse index.
     pub fn ino_quarantined(&self, ino: Ino) -> bool {
@@ -445,6 +545,29 @@ mod tests {
         let r = Registry::new();
         assert!(r.files.contains_key(&ROOT_INO));
         assert!(!r.files[&ROOT_INO].is_mapped());
+    }
+
+    #[test]
+    fn grant_books_are_entered_and_left_one_way() {
+        let (a, b) = (ActorId(1), ActorId(2));
+        let mut r = Registry::new();
+        let root = r.files.get_mut(&ROOT_INO).unwrap();
+        root.grant(a, false, vec![PageId(5)], 0);
+        root.grant(b, true, vec![PageId(5), PageId(6)], 900);
+        assert_eq!((root.writer(), root.lease_until(), root.holders()), (Some(b), 900, vec![a, b]));
+        assert_eq!(root.grant_on(a, PageId(5)), Some(PagePerm::Read));
+        assert_eq!(root.grant_on(a, PageId(6)), None, "not in A's grant");
+        assert_eq!(root.grant_on(b, PageId(6)), Some(PagePerm::Write));
+        assert!(root.maps_page(PageId(6)) && !root.maps_page(PageId(7)));
+        assert_eq!(r.held_by(b), [ROOT_INO]);
+
+        let root = r.files.get_mut(&ROOT_INO).unwrap();
+        let ended = root.end_grant(b).unwrap();
+        assert!(ended.write && ended.pages == [PageId(5), PageId(6)] && ended.ino == ROOT_INO);
+        assert_eq!((root.writer(), root.lease_until(), root.holders()), (None, 0, vec![a]));
+        assert!(root.end_grant(b).is_none(), "nothing left to end");
+        let ended = root.end_grant(a).unwrap();
+        assert!(!ended.write && !root.is_mapped());
     }
 
     #[test]

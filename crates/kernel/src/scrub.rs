@@ -40,13 +40,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use trio_layout::{
-    superblock::SUPERBLOCK_PAGE, superblock_replica_page, walk_file, CoreFileType, IndexPageRef,
+    superblock::SUPERBLOCK_PAGE, superblock_replica_page, CoreFileType, IndexPageRef,
     SbHealth, SuperblockRef,
 };
 use trio_nvm::{ActorId, PageId, RegistryLockSite, CACHE_LINE, HIST_BUCKETS, KERNEL_ACTOR};
 use trio_sim::metrics::{bucket_index, quantile_ns, JsonObject};
 use trio_sim::sync::SimMutex;
-use trio_sim::{in_sim, now, Nanos};
+use trio_sim::{now_or_zero, Nanos};
 use trio_verifier::PageProvenance;
 
 use crate::registry::Dirty;
@@ -59,14 +59,6 @@ const RETIRE_FAULT_THRESHOLD: u32 = 3;
 /// Pages one patrol pass probes when the caller names no budget (the
 /// budget bounds background interference with the data path).
 const SCRUB_BUDGET_PAGES: usize = 256;
-
-fn now_or_zero() -> Nanos {
-    if in_sim() {
-        now()
-    } else {
-        0
-    }
-}
 
 /// One shard's registered journal mirror pair: the pages, their owner,
 /// the shard lock shared with the LibFS (mutual exclusion against
@@ -624,14 +616,10 @@ impl KernelController {
         if meta.ftype != CoreFileType::Regular {
             return false; // Directory pages are checkpoint-covered; divert on free.
         }
-        if meta.mapped_pages.values().any(|held| held.contains(&old)) {
+        if meta.maps_page(old) {
             return false; // Live mapping: the owner's cached location must stay valid.
         }
-        let dirent = meta.dirent;
-        let Ok(first_index) = self.current_first_index(ino, dirent) else {
-            return false;
-        };
-        let Ok(pages) = walk_file(&self.kh, first_index, crate::MAX_INDEX_PAGES) else {
+        let Ok(pages) = self.current_pages(meta.dirent) else {
             return false;
         };
         if !pages.data_pages.iter().flatten().any(|p| *p == old) {

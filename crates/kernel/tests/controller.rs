@@ -314,6 +314,160 @@ fn write_lease_blocks_then_revokes() {
     rt.run();
 }
 
+/// The ways a write grant ends.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Ending {
+    Release,
+    LeaseExpiry,
+    Unregister,
+    Quarantine,
+}
+
+/// One post-state for every way a write grant ends (§3.2: *whenever* it
+/// ends, the file and the parent page holding its dirent stay unverified
+/// until the verifier has run). A holds `/f` for write — which maps the root
+/// page with `f`'s dirent writable — grows `f` by a page from its pool and
+/// fabricates an entry in that root page; B blocks on the lease. Then the
+/// grant ends, one way per row, and B gets the file.
+#[test]
+fn every_way_a_write_grant_ends_leaves_the_same_state() {
+    const LEASE: u64 = 5 * MILLIS;
+    for ending in [Ending::Release, Ending::LeaseExpiry, Ending::Unregister, Ending::Quarantine] {
+        let rt = SimRuntime::new(1);
+        let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
+        let k = KernelController::format(dev, KernelConfig { lease_ns: LEASE, ..KernelConfig::default() });
+        rt.spawn("main", move || {
+            // A builds `/f` (one data page) and `/loud`, then hands the lot
+            // over: C's maps verify and checkpoint root, `f` and `loud`.
+            let a = k.register_libfs(100, 100);
+            k.map(a.actor, MapTarget::Root, true).unwrap();
+            let inos = k.alloc_inos(a.actor, 2).unwrap();
+            let (f_ino, loud_ino) = (inos[0], inos[1]);
+            let (_, dpage, f_loc) = create_in_empty_root(&k, &a, b"f", f_ino, CoreFileType::Regular);
+            let chain = k.alloc_pages(a.actor, 3, None).unwrap();
+            let (fi, fd, fd2) = (chain[0], chain[1], chain[2]);
+            let f_index = IndexPageRef::new(&a.handle, fi);
+            f_index.set_entry(0, fd.0).unwrap();
+            let f_dirent = DirentRef::new(&a.handle, f_loc);
+            f_dirent.set_first_index(fi.0).unwrap();
+            f_dirent.set_size(4096).unwrap();
+            let loud_loc = DirentLoc { page: dpage, slot: 1 };
+            let loud = DirentRef::new(&a.handle, loud_loc);
+            let w = loud.prepare(&DirentData::new(b"loud", CoreFileType::Regular, Mode::RW, 100, 100));
+            loud.publish(loud_ino, &w.unwrap()).unwrap();
+            k.update_root(a.actor, None, Some(2), None).unwrap();
+            k.release(a.actor, ROOT_INO).unwrap();
+            let c = k.register_libfs(100, 100);
+            let f_target = MapTarget::Dirent { parent: ROOT_INO, loc: f_loc };
+            let loud_target = MapTarget::Dirent { parent: ROOT_INO, loc: loud_loc };
+            for (target, ino) in [(MapTarget::Root, ROOT_INO), (f_target, f_ino), (loud_target, loud_ino)] {
+                k.map(c.actor, target, false).unwrap();
+                k.release(c.actor, ino).unwrap();
+            }
+            assert!(k.take_events().is_empty(), "{ending:?}: the hand-over verifies clean");
+
+            // A's write grant on `f`, the growth, and the ghost.
+            k.map(a.actor, f_target, true).unwrap();
+            f_index.set_entry(1, fd2.0).unwrap();
+            let ghost_loc = DirentLoc { page: dpage, slot: 2 };
+            let ghost = DirentRef::new(&a.handle, ghost_loc);
+            let w = ghost.prepare(&DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 100, 100));
+            ghost.publish(987_654_321, &w.unwrap()).unwrap();
+
+            // B wants the file and blocks on A's lease.
+            let b = k.register_libfs(100, 100);
+            let got = Arc::new(trio_sim::plock::Mutex::new(None));
+            let (k2, got2) = (Arc::clone(&k), Arc::clone(&got));
+            let blocked = trio_sim::spawn("b", move || {
+                let t0 = trio_sim::now();
+                let grant = k2.map(b.actor, f_target, false).unwrap();
+                *got2.lock() = Some((grant, trio_sim::now() - t0));
+            });
+            trio_sim::work(10_000);
+            assert!(got.lock().is_none(), "{ending:?}: B is waiting");
+
+            match ending {
+                Ending::Release => k.release(a.actor, f_ino).unwrap(),
+                Ending::LeaseExpiry => {} // B's own wait runs out and revokes.
+                Ending::Unregister => k.unregister(a.actor),
+                Ending::Quarantine => {
+                    // A second, loud corruption: C's map of it contains A.
+                    k.map(a.actor, loud_target, true).unwrap();
+                    loud.set_first_index(u64::MAX / 2).unwrap();
+                    k.release(a.actor, loud_ino).unwrap();
+                    let _ = k.map(c.actor, loud_target, false);
+                }
+            }
+            blocked.join();
+            let (grant, waited) = got.lock().take().unwrap();
+            let events = k.take_events();
+
+            // 1. The books: nobody writes `f`; the waiter was woken — early,
+            //    unless its wait was what ended the grant.
+            assert_eq!(k.writer_of(f_ino), None, "{ending:?}");
+            assert_eq!(waited < LEASE, ending != Ending::LeaseExpiry, "{ending:?}: waited {waited}");
+            assert_eq!(
+                events.contains(&KernelEvent::LeaseRevoked { ino: f_ino, actor: a.actor }),
+                ending == Ending::LeaseExpiry,
+                "{ending:?}: {events:?}"
+            );
+            // 2. The file was vetted before B got it: its growth is claimed…
+            assert_eq!(grant.pages.data_pages, [Some(fd), Some(fd2)], "{ending:?}");
+            assert!(k.pages_of(f_ino).contains(&fd2.0), "{ending:?}: `f` was verified");
+            // …and so was the parent: the ghost is detected and gone.
+            assert!(
+                events.iter().any(|e| matches!(e, KernelEvent::CorruptionDetected { ino, .. } if *ino == ROOT_INO))
+                    && events.contains(&KernelEvent::RolledBack { ino: ROOT_INO }),
+                "{ending:?}: the parent must be vetted: {events:?}"
+            );
+            assert_eq!(DirentRef::new(k.kernel_handle(), ghost_loc).ino().unwrap(), 0, "{ending:?}");
+            // 3. The MMU: no page of the chain, pool-linked ones included,
+            //    and not the dirent page, is still the old holder's.
+            for p in grant.pages.all_pages().chain([dpage]) {
+                assert_eq!(k.device().mmu_perm(a.actor, p).unwrap(), None, "{ending:?}: {p:?}");
+            }
+        });
+        rt.run();
+    }
+}
+
+/// Vetting waits for a writer: A's exit ends its write grant on `/f` while B
+/// holds the root for write with a creation of its own in it. Verifying the
+/// root there and then would charge B's fresh ino to A and roll B's work
+/// back; the mark stays instead, and the root is vetted when B lets go.
+#[test]
+fn exit_does_not_vet_a_parent_somebody_else_is_writing() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    rt.spawn("main", move || {
+        let a = k.register_libfs(100, 100);
+        k.map(a.actor, MapTarget::Root, true).unwrap();
+        let inos = k.alloc_inos(a.actor, 1).unwrap();
+        let (_, dpage, f_loc) = create_in_empty_root(&k, &a, b"f", inos[0], CoreFileType::Regular);
+        k.release(a.actor, ROOT_INO).unwrap();
+        let f_target = MapTarget::Dirent { parent: ROOT_INO, loc: f_loc };
+        k.map(a.actor, f_target, true).unwrap();
+
+        let b = k.register_libfs(100, 100);
+        k.map(b.actor, MapTarget::Root, true).unwrap();
+        let b_ino = k.alloc_inos(b.actor, 1).unwrap()[0];
+        let mine = DirentRef::new(&b.handle, DirentLoc { page: dpage, slot: 1 });
+        let w = mine.prepare(&DirentData::new(b"mine", CoreFileType::Regular, Mode::RW, 100, 100));
+        mine.publish(b_ino, &w.unwrap()).unwrap();
+        k.update_root(b.actor, None, Some(2), None).unwrap();
+
+        k.unregister(a.actor);
+        assert!(k.take_events().is_empty(), "nothing to flag, nothing rolled back");
+        assert_eq!(mine.ino().unwrap(), b_ino);
+        // B lets go; the next mapper vets the root — clean.
+        k.release(b.actor, ROOT_INO).unwrap();
+        let c = k.register_libfs(100, 100);
+        assert_eq!(k.map(c.actor, MapTarget::Root, false).unwrap().size, 2);
+        assert!(k.take_events().is_empty());
+    });
+    rt.run();
+}
+
 #[test]
 fn reader_cannot_write_mapped_pages() {
     let rt = SimRuntime::new(1);

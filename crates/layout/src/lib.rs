@@ -31,11 +31,13 @@
 #![forbid(unsafe_code)]
 
 pub mod dirent;
+pub mod head;
 pub mod index;
 pub mod superblock;
 pub mod walk;
 
 pub use dirent::{DirentData, DirentLoc, DirentRef, DIRENTS_PER_PAGE, DIRENT_SIZE, MAX_NAME};
+pub use head::FileHead;
 pub use index::{IndexPageRef, ENTRIES_PER_INDEX};
 pub use superblock::{superblock_replica_page, SbHealth, SuperblockRef};
 pub use walk::{walk_file, FilePages, WalkError};

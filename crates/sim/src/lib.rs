@@ -58,6 +58,7 @@ pub use runtime::{
     current_tid,
     in_sim,
     now,
+    now_or_zero,
     spawn,
     work,
     yield_now,

@@ -67,6 +67,16 @@ pub fn now() -> Nanos {
     with_current(|inner, tid| inner.sched.lock().threads[tid].time)
 }
 
+/// [`now`] on a sim-thread, 0 anywhere else (set-up and tear-down code that
+/// stamps or times something it also runs outside the simulation).
+pub fn now_or_zero() -> Nanos {
+    if in_sim() {
+        now()
+    } else {
+        0
+    }
+}
+
 /// Identifier of the calling sim-thread (dense, starting at 0 in spawn
 /// order).
 ///

@@ -7,9 +7,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1 and every crate's suite: cargo build --release && cargo test -q --workspace =="
+echo "== tier-1, every crate's suite, and the benchmark's build: cargo build --release && cargo test -q --workspace =="
 cargo build --release
 cargo test -q --workspace
+# perfbench/ (BENCHMARK.json) is a workspace of its own that nothing above
+# compiles: check it against the tree, untraced and traced, so a refactor
+# that breaks the API it is frozen against fails here, not in the benchmark
+# run. Read-only; writes only under target/.
+for features in "" "--features obs"; do
+    # shellcheck disable=SC2086
+    cargo check --offline --manifest-path perfbench/Cargo.toml \
+        --target-dir target/perfbench/check $features
+done
 
 echo
 echo "== lint gate: cargo clippy --workspace -- -D warnings =="

@@ -222,6 +222,101 @@ fn random_corruption_sweep_never_reaches_the_victim_unvetted() {
     );
 }
 
+/// The ghost-dirent script (§3.2: a write grant on a file maps the page of
+/// its *parent* that holds its dirent writable). `evil` ends up with read
+/// grants on `/` and `/dir` and the write grant on `/dir/a` alone, and
+/// through it stores a fabricated entry — an ino nobody allocated — in a free
+/// slot of `/dir`'s page. Returns `/dir`'s ino.
+fn plant_ghost(w: &AttackWorld) -> u64 {
+    use trio_layout::{CoreFileType, DirentData, DirentLoc, DirentRef, DIRENTS_PER_PAGE};
+    let evil = &w.evil;
+    evil.mkdir("/dir", Mode(0o777)).unwrap();
+    evil.create("/dir/a", Mode(0o666)).unwrap();
+    evil.release_path("/dir").unwrap();
+    evil.release_path("/").unwrap();
+    // The hand-over: `/dir` is verified clean and checkpointed.
+    assert_eq!(w.victim.readdir("/dir").unwrap().len(), 1);
+    w.victim.release_path("/dir").unwrap();
+    let fd = evil.open("/dir/a", OpenFlags::RDWR, Mode(0o666)).unwrap();
+    evil.pwrite(fd, 0, b"mine").unwrap();
+    evil.close(fd).unwrap();
+    let dir_ino = evil.stat("/dir").unwrap().ino;
+    assert_eq!(w.kernel.writer_of(dir_ino), None, "no write grant on the directory itself");
+    let page = evil.debug_file_pages("/dir/a").unwrap().0.unwrap().page;
+    let slot = (0..DIRENTS_PER_PAGE)
+        .map(|slot| DirentLoc { page, slot })
+        .find(|loc| DirentRef::new(evil.handle(), *loc).ino().unwrap() == 0)
+        .unwrap();
+    let ghost = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 1000, 1000);
+    let r = DirentRef::new(evil.handle(), slot);
+    let prepared = r.prepare(&ghost).expect("the page is writable under the grant on `/dir/a`");
+    r.publish(987_654_321, &prepared).unwrap();
+    let _ = w.kernel.take_events();
+    dir_ino
+}
+
+/// Whichever way the write grant on `/dir/a` ended, `/dir` must have been
+/// vetted: the ghost detected, `/dir` rolled back, and nobody shown it.
+fn assert_ghost_busted(events: &[KernelEvent], dir_ino: u64, reader: &ArckFs) {
+    assert!(
+        events.contains(&KernelEvent::RolledBack { ino: dir_ino })
+            && events
+                .iter()
+                .any(|e| matches!(e, KernelEvent::CorruptionDetected { ino, .. } if *ino == dir_ino)),
+        "the parent of a write-held file stays unverified until verified: {events:?}"
+    );
+    let names: Vec<String> = reader.readdir("/dir").unwrap().into_iter().map(|e| e.name).collect();
+    assert_eq!(names, ["a"]);
+}
+
+#[test]
+fn ghost_dirent_is_caught_when_the_grant_ends_by_unmount() {
+    let w = Arc::new(world());
+    let rt = SimRuntime::new(11);
+    let w2 = Arc::clone(&w);
+    rt.spawn("attack", move || {
+        let dir_ino = plant_ghost(&w2);
+        w2.evil.unmount();
+        let events = w2.kernel.take_events();
+        let fresh =
+            ArckFs::mount(Arc::clone(&w2.kernel), 1000, 1000, ArckFsConfig::no_delegation());
+        assert_ghost_busted(&events, dir_ino, &fresh);
+    });
+    rt.run();
+}
+
+#[test]
+fn ghost_dirent_is_caught_when_the_grant_ends_by_quarantine() {
+    let w = Arc::new(world());
+    let rt = SimRuntime::new(12);
+    let w2 = Arc::clone(&w);
+    rt.spawn("attack", move || {
+        let (evil, victim) = (&w2.evil, &w2.victim);
+        write_file(&**evil, "/loud", &[7u8; 4096]).unwrap();
+        evil.release_path("/loud").unwrap();
+        assert_eq!(read_file(&**victim, "/loud").unwrap().len(), 4096);
+        let dir_ino = plant_ghost(&w2);
+        // A second, loud corruption elsewhere: `/loud`'s chain head points
+        // off the device. The victim's map detects it and `evil` is
+        // quarantined, which ends its grant on `/dir/a` — and re-admitted.
+        let fd = evil.open("/loud", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        evil.pwrite(fd, 0, &[8u8]).unwrap();
+        evil.close(fd).unwrap();
+        let loud = evil.debug_file_pages("/loud").unwrap().0.unwrap();
+        trio_layout::DirentRef::new(evil.handle(), loud).set_first_index(u64::MAX / 2).unwrap();
+        evil.release_path("/loud").unwrap();
+        let _ = read_file(&**victim, "/loud");
+        let events = w2.kernel.take_events();
+        let evil_actor = evil.actor();
+        assert!(
+            events.contains(&KernelEvent::Readmitted { actor: evil_actor }),
+            "quarantined and repaired: {events:?}"
+        );
+        assert_ghost_busted(&events, dir_ino, victim);
+    });
+    rt.run();
+}
+
 #[test]
 fn unmapped_pages_are_unreachable_to_attackers() {
     let w = Arc::new(world());

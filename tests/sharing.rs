@@ -802,11 +802,14 @@ fn idle_holder_revoked_after_an_unlink_is_not_flagged() {
 // rebuild from core state inside `ensure_mapped`.)
 // ---------------------------------------------------------------------
 
-/// What a LibFS pays after giving back a *write* grant on `/d`: the
-/// release unmaps the root page that holds `/d`'s dirent from the releaser,
-/// whose next path lookup faults on it (`Stale`), drops the root's aux and
-/// reads its one page again. Older than the reuse rule and untouched by it
-/// (ROADMAP 1(d)); the tests below count it where it happens.
+/// What a LibFS that gave back (or lost) a *write* grant on `/d` pays when
+/// another LibFS maps `/d` next: that map also vets the root — whose page
+/// with `/d`'s dirent was writable under the grant — and a verification, or
+/// a rollback, takes the pages it has vetted from the dirty actor; its next
+/// path lookup faults (`Stale`) and reads the root's one page again. (With
+/// nobody else in between, the page falls back to the read grant the LibFS
+/// still holds on the root and nothing is re-read: ROADMAP 1(d),
+/// `child_release_leaves_the_parent_mapped`.)
 const ROOT_REREAD: u64 = 1;
 
 /// `(aux_reuses, aux_rebuilds)` so far.
@@ -858,9 +861,9 @@ fn own_release_then_remap_reuses_the_aux() {
         }
         a.unlink("/d/new").unwrap();
         assert!(a.stat("/d/f7").is_ok() && a.stat("/d/new").is_err());
-        assert_eq!(aux_counts(&kernel), (before.0 + 2 + 3 * 2, before.1 + 3 * ROOT_REREAD));
-        // Three one-page reads of `/`; `/d`'s three pages were never read.
-        assert!(a.take_rebuild_ns() < 10_000);
+        assert_eq!(aux_counts(&kernel), (before.0 + 2 + 3 * 2, before.1));
+        // Not one page read again: neither `/d`'s three nor the root's one.
+        assert_eq!(a.take_rebuild_ns(), 0);
     });
     rt.run();
 }
@@ -988,7 +991,7 @@ fn page_migration_in_between_rebuilds() {
         let before = aux_counts(&kernel).1;
         let back = read_file(&*a, "/m").unwrap();
         assert!(back.len() == 2 * 4096 && back.iter().all(|&x| x == 0x3E));
-        assert_eq!(aux_counts(&kernel).1, before + 1 + ROOT_REREAD);
+        assert_eq!(aux_counts(&kernel).1, before + 1);
         assert_ne!(a.debug_file_pages("/m").unwrap().2[1], Some(victim));
     });
     rt.run();
@@ -1036,6 +1039,33 @@ fn read_to_write_upgrade_reuses() {
         a.create("/d/up-a", Mode(0o666)).unwrap();
         assert_eq!(a.take_rebuild_ns(), 0);
         assert_eq!(aux_counts(&kernel), (before.0 + 1, before.1));
+    });
+    rt.run();
+}
+
+/// ROADMAP 1(d): giving back the write grant on `/d` used to unmap the root
+/// page that holds `/d`'s dirent from the releaser — which still held its
+/// read grant on the root, faulted on its next lookup, and mapped and read
+/// the root again. The page now falls back to what that grant allows.
+#[test]
+fn child_release_leaves_the_parent_mapped() {
+    use trio_nvm::{PagePerm, RegistryLockSite};
+    let rt = SimRuntime::new(37);
+    rt.spawn("t", || {
+        let (kernel, a, _b) = reuse_world(100);
+        a.create("/d/x", Mode(0o666)).unwrap(); // Reads `/`, writes `/d`.
+        let page = a.debug_file_pages("/d").unwrap().0.unwrap().page;
+        let perm = || kernel.device().mmu_perm(a.actor(), page).unwrap();
+        assert_eq!(perm(), Some(PagePerm::Write), "`/d`'s dirent is its writer's to update");
+        a.release_path("/d").unwrap();
+        assert_eq!(perm(), Some(PagePerm::Read), "the read grant on `/` still covers the page");
+        let maps = || kernel.path_stats().snapshot().registry_lock_site(RegistryLockSite::Map);
+        let (before, _) = (maps(), a.take_rebuild_ns());
+        assert_eq!(a.stat("/d").unwrap().size, 41, "a lookup under `/`, through that page");
+        assert_eq!((maps(), a.take_rebuild_ns()), (before, 0), "no fault, no re-map, no re-read");
+        // The root is dirty by A all the same: B's map vets it.
+        a.release_path("/").unwrap();
+        assert_eq!(perm(), None);
     });
     rt.run();
 }
