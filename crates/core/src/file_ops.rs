@@ -6,6 +6,7 @@
 //! the inode lock exclusive. Large transfers go through the delegation
 //! pool (§4.5); small ones are direct loads/stores.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
@@ -455,7 +456,10 @@ impl ArckFs {
         if missing.is_empty() {
             return Ok(());
         }
-        let mut by_node: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
+        // Ordered maps here and in step 3: iteration order decides which
+        // node's kernel refill this thread reaches first and the order of
+        // the transfer charges, so it must be a function of the input.
+        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for &lp in &missing {
             by_node.entry(self.placement_node(node.ino, lp)).or_default().push(lp);
         }
@@ -467,7 +471,7 @@ impl ArckFs {
         }
         // 3. Persist the new index entries, batched per index page.
         let dev = self.kernel.device();
-        let mut touched: std::collections::HashMap<usize, (usize, usize)> = std::collections::HashMap::new();
+        let mut touched: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
         for &lp in &missing {
             let p = g.data_pages[lp].expect("just allocated");
             let ipi = lp / ENTRIES_PER_INDEX;
