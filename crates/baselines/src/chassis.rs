@@ -14,11 +14,10 @@
 //!   for create/unlink/rename/extend;
 //! * **a global rename lock** (`s_vfs_rename_mutex`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use trio_sim::sync::{SimMutex, SimRwLock};
-use trio_sim::{cost, in_sim, work};
+use trio_sim::{cost, in_sim, work, DetHashMap};
 
 const DCACHE_SHARDS: usize = 64;
 
@@ -33,7 +32,7 @@ pub struct Dentry {
 /// The chassis. One per mounted baseline.
 pub struct VfsChassis {
     #[allow(clippy::type_complexity)]
-    shards: Box<[SimRwLock<HashMap<(u64, String), Arc<Dentry>>>]>,
+    shards: Box<[SimRwLock<DetHashMap<(u64, String), Arc<Dentry>>>]>,
     /// Global dcache modification lock.
     pub dcache_mod: SimMutex<()>,
     /// Global rename lock.
@@ -44,13 +43,13 @@ impl VfsChassis {
     /// Creates an empty chassis.
     pub fn new() -> Self {
         VfsChassis {
-            shards: (0..DCACHE_SHARDS).map(|_| SimRwLock::new(HashMap::new())).collect(),
+            shards: (0..DCACHE_SHARDS).map(|_| SimRwLock::new(DetHashMap::default())).collect(),
             dcache_mod: SimMutex::new(()),
             rename_lock: SimMutex::new(()),
         }
     }
 
-    fn shard(&self, parent: u64, name: &str) -> &SimRwLock<HashMap<(u64, String), Arc<Dentry>>> {
+    fn shard(&self, parent: u64, name: &str) -> &SimRwLock<DetHashMap<(u64, String), Arc<Dentry>>> {
         let mut h = parent ^ 0x9E37_79B9_7F4A_7C15;
         for b in name.bytes() {
             h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);

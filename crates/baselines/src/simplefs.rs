@@ -7,7 +7,6 @@
 //! structure. Multi-thread scalability emerges from the same locks the
 //! real systems take; absolute costs come from `trio_sim::cost`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use trio_fsapi::{
 use trio_kernel::delegation::DelegationPool;
 use trio_nvm::{NvmDevice, NvmHandle, PageId, PAGE_SIZE, KERNEL_ACTOR};
 use trio_sim::sync::{SimMutex, SimRwLock};
-use trio_sim::{cost, in_sim, now_or_zero, work};
+use trio_sim::{cost, in_sim, now_or_zero, work, DetHashMap};
 
 use crate::chassis::{Dentry, VfsChassis};
 use crate::profile::{AllocModel, DataPath, FsProfile, JournalModel, NodePolicy};
@@ -41,7 +40,7 @@ struct InodeData {
     gid: u32,
     mtime: u64,
     pages: Vec<PageId>,
-    children: HashMap<String, u64>,
+    children: DetHashMap<String, u64>,
 }
 
 struct Inode {
@@ -67,13 +66,13 @@ pub struct BaselineFs {
     h: NvmHandle,
     chassis: VfsChassis,
     #[allow(clippy::type_complexity)]
-    inodes: Box<[SimRwLock<HashMap<u64, Arc<Inode>>>]>,
+    inodes: Box<[SimRwLock<DetHashMap<u64, Arc<Inode>>>]>,
     next_ino: AtomicU64,
     journal_global: SimMutex<()>,
     alloc_global: SimMutex<()>,
     pools: Vec<SimMutex<Vec<PageId>>>,
     raid_lock: SimMutex<()>,
-    fds: Box<[SimMutex<HashMap<u32, FdEntry>>]>,
+    fds: Box<[SimMutex<DetHashMap<u32, FdEntry>>]>,
     next_fd: AtomicU32,
     delegation: Option<Arc<DelegationPool>>,
     strata_log_bytes: AtomicU64,
@@ -100,13 +99,13 @@ impl BaselineFs {
         let fs = BaselineFs {
             h: NvmHandle::new(dev, KERNEL_ACTOR),
             chassis: VfsChassis::new(),
-            inodes: (0..INODE_SHARDS).map(|_| SimRwLock::new(HashMap::new())).collect(),
+            inodes: (0..INODE_SHARDS).map(|_| SimRwLock::new(DetHashMap::default())).collect(),
             next_ino: AtomicU64::new(ROOT + 1),
             journal_global: SimMutex::new(()),
             alloc_global: SimMutex::new(()),
             pools,
             raid_lock: SimMutex::new(()),
-            fds: (0..FD_SHARDS).map(|_| SimMutex::new(HashMap::new())).collect(),
+            fds: (0..FD_SHARDS).map(|_| SimMutex::new(DetHashMap::default())).collect(),
             next_fd: AtomicU32::new(3),
             delegation,
             strata_log_bytes: AtomicU64::new(0),
@@ -196,7 +195,7 @@ impl BaselineFs {
                 gid,
                 mtime: now_or_zero(),
                 pages: Vec::new(),
-                children: HashMap::new(),
+                children: DetHashMap::default(),
             }),
             log_tail: SimMutex::new(0),
         });

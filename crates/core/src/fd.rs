@@ -4,12 +4,12 @@
 //! scale across threads of one process — this is what keeps the MRPL/MRPH
 //! open microbenchmarks linear.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use trio_fsapi::{Fd, FsError, FsResult, OpenFlags};
 use trio_sim::sync::SimMutex;
+use trio_sim::DetHashMap;
 
 use crate::node::FileNode;
 
@@ -26,7 +26,7 @@ pub struct FdEntry {
 
 /// The table.
 pub struct FdTable {
-    shards: Box<[SimMutex<HashMap<u32, FdEntry>>]>,
+    shards: Box<[SimMutex<DetHashMap<u32, FdEntry>>]>,
     next: AtomicU32,
 }
 
@@ -34,12 +34,12 @@ impl FdTable {
     /// Empty table; fds start at 3 (0–2 are reserved by convention).
     pub fn new() -> Self {
         FdTable {
-            shards: (0..FD_SHARDS).map(|_| SimMutex::new(HashMap::new())).collect(),
+            shards: (0..FD_SHARDS).map(|_| SimMutex::new(DetHashMap::default())).collect(),
             next: AtomicU32::new(3),
         }
     }
 
-    fn shard(&self, fd: u32) -> &SimMutex<HashMap<u32, FdEntry>> {
+    fn shard(&self, fd: u32) -> &SimMutex<DetHashMap<u32, FdEntry>> {
         &self.shards[fd as usize % FD_SHARDS]
     }
 

@@ -11,7 +11,6 @@
 //! directory invalidates every cached descendant path, which this
 //! implementation handles by a prefix sweep of the global table.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use trio_fsapi::{
@@ -19,7 +18,7 @@ use trio_fsapi::{
 };
 use trio_layout::CoreFileType;
 use trio_sim::sync::SimMutex;
-use trio_sim::{cost, in_sim, work};
+use trio_sim::{cost, in_sim, work, DetHashMap};
 
 use crate::libfs::ArckFs;
 use crate::node::FileNode;
@@ -30,13 +29,13 @@ const SHARDS: usize = 64;
 pub struct FpFs {
     fs: Arc<ArckFs>,
     #[allow(clippy::type_complexity)]
-    table: Box<[SimMutex<HashMap<String, Arc<FileNode>>>]>,
+    table: Box<[SimMutex<DetHashMap<String, Arc<FileNode>>>]>,
 }
 
 impl FpFs {
     /// Wraps a mounted LibFS.
     pub fn new(fs: Arc<ArckFs>) -> Arc<Self> {
-        Arc::new(FpFs { fs, table: (0..SHARDS).map(|_| SimMutex::new(HashMap::new())).collect() })
+        Arc::new(FpFs { fs, table: (0..SHARDS).map(|_| SimMutex::new(DetHashMap::default())).collect() })
     }
 
     /// The underlying generic LibFS.
@@ -44,7 +43,7 @@ impl FpFs {
         &self.fs
     }
 
-    fn shard(&self, path: &str) -> &SimMutex<HashMap<String, Arc<FileNode>>> {
+    fn shard(&self, path: &str) -> &SimMutex<DetHashMap<String, Arc<FileNode>>> {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in path.bytes() {
             h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);

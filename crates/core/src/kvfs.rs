@@ -15,14 +15,13 @@
 //! None of this required privileges or touched the kernel controller or
 //! verifier — the point of Trio's unprivileged private customization.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult, KeyValueFs, Mode};
 use trio_layout::{CoreFileType, DirentLoc, DirentRef, IndexPageRef};
 use trio_nvm::{PageId, PAGE_SIZE};
 use trio_sim::sync::SimMutex;
-use trio_sim::{cost, in_sim, work};
+use trio_sim::{cost, in_sim, work, DetHashMap};
 
 use crate::libfs::ArckFs;
 
@@ -57,7 +56,7 @@ pub struct KvFs {
     dir: Arc<crate::node::FileNode>,
     dir_path: String,
     #[allow(clippy::type_complexity)]
-    table: Box<[SimMutex<HashMap<String, Arc<KvNode>>>]>,
+    table: Box<[SimMutex<DetHashMap<String, Arc<KvNode>>>]>,
 }
 
 impl KvFs {
@@ -75,7 +74,7 @@ impl KvFs {
             fs,
             dir,
             dir_path: dir_path.to_string(),
-            table: (0..SHARDS).map(|_| SimMutex::new(HashMap::new())).collect(),
+            table: (0..SHARDS).map(|_| SimMutex::new(DetHashMap::default())).collect(),
         }))
     }
 
@@ -84,7 +83,7 @@ impl KvFs {
         &self.dir_path
     }
 
-    fn shard(&self, name: &str) -> &SimMutex<HashMap<String, Arc<KvNode>>> {
+    fn shard(&self, name: &str) -> &SimMutex<DetHashMap<String, Arc<KvNode>>> {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.bytes() {
             h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);

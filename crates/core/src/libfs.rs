@@ -6,7 +6,6 @@
 //! Control-plane calls (map/unmap/alloc) go to the kernel controller; the
 //! data plane — including all metadata updates — is direct NVM access.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
@@ -17,7 +16,7 @@ use trio_layout::{
 };
 use trio_nvm::{ActorId, NvmHandle, PageId, ProtError, PAGE_SIZE};
 use trio_sim::sync::{SimMutex, SimRwLock};
-use trio_sim::{cost, in_sim, work};
+use trio_sim::{cost, in_sim, work, DetHashMap};
 
 use crate::fd::FdTable;
 use crate::journal::Journal;
@@ -88,7 +87,7 @@ pub struct ArckFs {
     pub(crate) cfg: ArckFsConfig,
     pub(crate) root: Arc<FileNode>,
     #[allow(clippy::type_complexity)]
-    pub(crate) nodes: Box<[SimRwLock<HashMap<Ino, Arc<FileNode>>>]>,
+    pub(crate) nodes: Box<[SimRwLock<DetHashMap<Ino, Arc<FileNode>>>]>,
     pub(crate) fds: FdTable,
     pub(crate) pages: PagePool,
     pub(crate) inos: InoPool,
@@ -121,7 +120,7 @@ impl ArckFs {
             uid,
             gid,
             root,
-            nodes: (0..NODE_SHARDS).map(|_| SimRwLock::new(HashMap::new())).collect(),
+            nodes: (0..NODE_SHARDS).map(|_| SimRwLock::new(DetHashMap::default())).collect(),
             fds: FdTable::new(),
             pages: PagePool::new(Arc::clone(&kernel), reg.actor),
             inos: InoPool::new(Arc::clone(&kernel), reg.actor),

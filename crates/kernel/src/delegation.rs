@@ -45,7 +45,7 @@
 //! sheds delegation to direct access, probing periodically so recovery
 //! re-promotes traffic.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 #[cfg(feature = "faults")]
 use std::sync::atomic::AtomicU8;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -58,7 +58,7 @@ use trio_nvm::{
 };
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::{RecvDeadline, SimChannel};
-use trio_sim::{in_sim, now, now_or_zero, spawn, JoinHandle, Nanos};
+use trio_sim::{in_sim, now, now_or_zero, spawn, DetHashSet, JoinHandle, Nanos};
 
 use crate::grant::{GrantRef, GrantTable};
 use crate::registry::KernelEvent;
@@ -349,7 +349,7 @@ impl WorkerState {
 /// Bounded-window idempotence-token table (see [`DelegReq::seq`]).
 #[derive(Default)]
 struct IdemTable {
-    set: HashSet<(u64, u64, usize)>,
+    set: DetHashSet<(u64, u64, usize)>,
     order: VecDeque<(u64, u64, usize)>,
 }
 

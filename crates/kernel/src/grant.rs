@@ -22,12 +22,12 @@
 //! re-dispatched orphan can never read a buffer its owner has moved on
 //! from.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use trio_nvm::{ActorId, PathStats, ProtError};
 use trio_sim::plock::Mutex as PlMutex;
+use trio_sim::DetHashMap;
 
 use crate::delegation::{DelegationError, DelegationPool};
 use crate::retry::RetryPolicy;
@@ -73,7 +73,7 @@ const GRANT_SHARDS: usize = 16;
 /// on a single global lock.
 pub struct GrantTable {
     next_id: AtomicU64,
-    shards: [PlMutex<HashMap<u64, GrantEntry>>; GRANT_SHARDS],
+    shards: [PlMutex<DetHashMap<u64, GrantEntry>>; GRANT_SHARDS],
     stats: Arc<PathStats>,
 }
 
@@ -81,12 +81,12 @@ impl GrantTable {
     pub(crate) fn new(stats: Arc<PathStats>) -> Self {
         GrantTable {
             next_id: AtomicU64::new(1),
-            shards: std::array::from_fn(|_| PlMutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| PlMutex::new(DetHashMap::default())),
             stats,
         }
     }
 
-    fn shard_of(&self, id: u64) -> &PlMutex<HashMap<u64, GrantEntry>> {
+    fn shard_of(&self, id: u64) -> &PlMutex<DetHashMap<u64, GrantEntry>> {
         &self.shards[(id % GRANT_SHARDS as u64) as usize]
     }
 

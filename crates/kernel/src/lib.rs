@@ -17,6 +17,7 @@
 //! kernel-owned state (root-inode updates, chmod/chown, reclamation).
 //! Every public entry point charges the syscall trap cost.
 
+pub(crate) mod alloc;
 pub mod delegation;
 pub mod grant;
 pub(crate) mod obs;
@@ -33,7 +34,7 @@ pub use retry::RetryPolicy;
 pub use scrub::{MediaStats, MediaStatsSnapshot, PatrolHandle, ScrubReport};
 pub use shard::EpochPin;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -48,16 +49,20 @@ use trio_nvm::{
 };
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::SimMutexGuard;
-use trio_sim::{cost, in_sim, now_or_zero, sync::SimMutex, work, Nanos, MILLIS};
+use trio_sim::{
+    cost, in_sim, now_or_zero, sync::SimMutex, work, DetHashMap, DetHashSet, Nanos, MILLIS,
+};
 use trio_verifier::{
     InoProvenance, PageProvenance, ResourceView, ShadowAttr, Verifier, VerifyRequest, Violation,
 };
 
+use alloc::{PageAllocator, PutBack};
 use delegation::DelegationPool;
 use quarantine::ResilienceStats;
 use registry::{Credentials, KernelEvent, Registry};
-use scrub::{JournalTwin, RetireState};
-use shard::{EpochGc, EventRing, LimboPage, ShardedMap, EVENT_RING_CAPACITY};
+use scrub::JournalTwin;
+use shard::{EventRing, ShardedMap, EVENT_RING_CAPACITY};
+use trio_layout::superblock::SUPERBLOCK_PAGE;
 use trio_layout::superblock_replica_page;
 
 /// Controller tunables.
@@ -112,30 +117,19 @@ pub struct KernelController {
     /// Page provenance for every non-free page, sharded so the allocator
     /// and scrub paths read/write it without the registry control lock
     /// (DESIGN.md §20). Shard locks are leaves under the registry.
-    pub(crate) prov: ShardedMap<PageProvenance>,
+    pub(crate) prov: Arc<ShardedMap<PageProvenance>>,
     /// Ino provenance for every allocated ino (same sharding discipline).
     pub(crate) inos: ShardedMap<InoProvenance>,
-    /// Epoch-based reclamation for freed pages: provenance readers that
-    /// walk outside the control lock hold an [`EpochPin`]; frees ripen
-    /// through limbo and only re-enter circulation past every pin.
-    pub(crate) gc: Arc<EpochGc>,
+    /// Every frame that is not in a file or a LibFS's hands: pools,
+    /// per-actor caches, checkpoint pins, epoch limbo, retirement.
+    pub(crate) alloc: PageAllocator,
     /// Bounded kernel event ring (drop-oldest; replaces the old unbounded
     /// `Registry::events` vec).
     pub(crate) events: EventRing,
-    /// Per-node free-page pools (per-CPU in the paper; per-node here, which
-    /// is the contention boundary that matters for the experiments).
-    pools: Vec<SimMutex<Vec<PageId>>>,
     /// Inode number allocator (next unused).
     next_ino: SimMutex<u64>,
-    /// Pages pinned by live checkpoints: page -> pin count, plus the
-    /// deferred free list processed on unpin.
-    pub(crate) pins: SimMutex<PinState>,
     pub(crate) phases: SimMutex<PhaseStats>,
     delegation: DelegationPool,
-    /// Per-actor allocator caches: scrubbed, unmapped pages whose
-    /// provenance (`AllocatedTo`) is already recorded, served by
-    /// `alloc_pages` without touching the global pools or registry.
-    caches: PlMutex<HashMap<ActorId, Arc<SimMutex<ActorCache>>>>,
     stats: Arc<PathStats>,
     /// Detection/containment/repair counters (DESIGN.md §14), surfaced
     /// alongside [`PathStats`].
@@ -143,45 +137,20 @@ pub struct KernelController {
     /// Mirror of the registry's quarantined-actor set, readable without
     /// the (virtual-time) registry lock so the allocator fast path can
     /// refuse a contained LibFS without giving up its lock-free design.
-    pub(crate) quarantined_mirror: PlMutex<HashSet<ActorId>>,
+    pub(crate) quarantined_mirror: PlMutex<DetHashSet<ActorId>>,
     /// Serializes every kernel write to the superblock record so the
     /// twin-repair scrub (DESIGN.md §19) cannot interleave with a field
     /// update. **Leaf lock**: holders must not take the registry.
     pub(crate) sb_lock: SimMutex<()>,
     /// Media-fault counters (scrub/repair/retire; DESIGN.md §19).
     pub(crate) media: Arc<MediaStats>,
-    /// Bad-page retirement books.
-    pub(crate) retire: SimMutex<RetireState>,
+    /// The patrol's cumulative media-fault observations per page.
+    pub(crate) fault_counts: SimMutex<DetHashMap<u64, u32>>,
     /// Registered journal mirror pairs, keyed by *both* page ids.
-    pub(crate) journal_twins: PlMutex<HashMap<u64, JournalTwin>>,
+    pub(crate) journal_twins: PlMutex<DetHashMap<u64, JournalTwin>>,
     /// Patrol position; wraps over the device.
     pub(crate) scrub_cursor: AtomicU64,
     config: KernelConfig,
-}
-
-/// Extra pages a per-actor allocator-cache refill stocks beyond the
-/// immediate request, so subsequent `alloc_pages` calls skip the global
-/// pools and registry entirely.
-const ALLOC_CACHE_REFILL: usize = 192;
-
-/// Per-actor cache size past which freed pages spill back to the global
-/// pools.
-const ALLOC_CACHE_HIGH_WATER: usize = 512;
-
-/// One actor's sharded allocation cache. Pages here are invisible to every
-/// MMU (freed pages stay inaccessible), read as zeros (scrubbed on entry),
-/// and carry `AllocatedTo` provenance — so granting one needs only an MMU
-/// map, and a crash reclaims them through the normal complement walk.
-struct ActorCache {
-    per_node: Vec<Vec<PageId>>,
-    total: usize,
-}
-
-/// Checkpoint pinning state (see `mapping.rs` for the rollback protocol).
-#[derive(Default)]
-pub struct PinState {
-    pub(crate) pinned: std::collections::HashMap<u64, u32>,
-    pub(crate) deferred: Vec<PageId>,
 }
 
 /// Cumulative virtual time spent in each sharing-protocol phase
@@ -214,33 +183,22 @@ impl KernelController {
         sb.format(topo.total_pages(), ROOT_INO + 1).expect("kernel formats the superblock");
 
         // Page 0 is the superblock, the last page its replica; everything
-        // else is free, per node.
+        // else is free.
         let replica = superblock_replica_page(topo.total_pages());
-        let mut pools = Vec::with_capacity(topo.nodes);
-        for node in 0..topo.nodes {
-            let first = topo.first_page_of(node).0;
-            let start = if node == 0 { 1 } else { first };
-            // LIFO pools: keep low page numbers on top for compactness.
-            let mut v: Vec<PageId> = (start..first + topo.pages_per_node as u64)
-                .map(PageId)
-                .filter(|p| *p != replica)
-                .rev()
-                .collect();
-            v.shrink_to_fit();
-            pools.push(SimMutex::new(v));
-        }
-
-        Self::assemble(dev, kh, ShardedMap::new(), ShardedMap::new(), pools, ROOT_INO + 1, config)
+        let kernel_owned = move |p: PageId| p == SUPERBLOCK_PAGE || p == replica;
+        let (prov, inos) = (ShardedMap::new(), ShardedMap::new());
+        Self::assemble(dev, prov, inos, kernel_owned, false, ROOT_INO + 1, config)
     }
 
     /// The controller over books `format` or `recover` has filled in;
-    /// everything volatile starts empty.
+    /// every page not `in_use` is free (`stale`: and needs scrubbing, see
+    /// [`PageAllocator::new`]), everything volatile starts empty.
     fn assemble(
         dev: Arc<NvmDevice>,
-        kh: NvmHandle,
         prov: ShardedMap<PageProvenance>,
         inos: ShardedMap<InoProvenance>,
-        pools: Vec<SimMutex<Vec<PageId>>>,
+        in_use: impl Fn(PageId) -> bool,
+        stale: bool,
         next_ino: u64,
         config: KernelConfig,
     ) -> Arc<Self> {
@@ -252,28 +210,35 @@ impl KernelController {
             config.delegation_threads_per_node,
             Arc::clone(&stats),
         );
+        let prov = Arc::new(prov);
+        let media = Arc::new(MediaStats::new());
+        let alloc = PageAllocator::new(
+            Arc::clone(&dev),
+            Arc::clone(&prov),
+            Arc::clone(&stats),
+            Arc::clone(&media),
+            in_use,
+            stale,
+        );
         Arc::new(KernelController {
             verifier: Verifier::new(NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR)),
-            kh,
+            kh: NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR),
             dev,
             registry: SimMutex::new(Registry::new()),
             prov,
             inos,
-            gc: Arc::new(EpochGc::new()),
+            alloc,
             events: EventRing::new(EVENT_RING_CAPACITY),
-            pools,
             next_ino: SimMutex::new(next_ino),
-            pins: SimMutex::new(PinState::default()),
             phases: SimMutex::new(PhaseStats::default()),
             delegation,
-            caches: PlMutex::new(HashMap::new()),
             stats,
             resilience: Arc::new(ResilienceStats::new()),
-            quarantined_mirror: PlMutex::new(HashSet::new()),
+            quarantined_mirror: PlMutex::new(DetHashSet::default()),
             sb_lock: SimMutex::new(()),
-            media: Arc::new(MediaStats::new()),
-            retire: SimMutex::new(RetireState::default()),
-            journal_twins: PlMutex::new(HashMap::new()),
+            media,
+            fault_counts: SimMutex::new(DetHashMap::default()),
+            journal_twins: PlMutex::new(DetHashMap::default()),
             scrub_cursor: AtomicU64::new(0),
             config,
         })
@@ -312,8 +277,8 @@ impl KernelController {
         let next_ino = sb.next_ino().map_err(|_| FsError::Corrupted)?.max(ROOT_INO + 1);
         let prov = ShardedMap::new();
         let inos = ShardedMap::new();
-        let mut used: HashSet<u64> = HashSet::new();
-        used.insert(trio_layout::superblock::SUPERBLOCK_PAGE.0);
+        let mut used: DetHashSet<u64> = DetHashSet::default();
+        used.insert(SUPERBLOCK_PAGE.0);
         used.insert(superblock_replica_page(dev.topology().total_pages()).0);
 
         // Breadth-first walk of the committed tree. Queue entries carry the
@@ -321,7 +286,7 @@ impl KernelController {
         let root_fi = sb.root_first_index().map_err(|_| FsError::Corrupted)?;
         let mut queue: VecDeque<(Ino, u64, CoreFileType, Option<DirentLoc>)> = VecDeque::new();
         queue.push_back((ROOT_INO, root_fi, CoreFileType::Directory, None));
-        let mut seen: HashSet<Ino> = HashSet::new();
+        let mut seen: DetHashSet<Ino> = DetHashSet::default();
         seen.insert(ROOT_INO);
         while let Some((ino, fi, ftype, dirent)) = queue.pop_front() {
             let head = FileHead::new(&kh, dirent);
@@ -381,30 +346,9 @@ impl KernelController {
             }
         }
 
-        // Free pools are the complement of the walked set (same LIFO
-        // ordering as `format`). Reclaimed pages — allocated to a LibFS at
-        // crash time but never linked into the committed tree — still hold
-        // whatever was stored in them; scrub before reuse so stale bytes
-        // (old file data, journal records) can never surface in a fresh
-        // allocation's unwritten regions.
-        let topo = dev.topology();
-        let mut pools = Vec::with_capacity(topo.nodes);
-        for node in 0..topo.nodes {
-            let first = topo.first_page_of(node).0;
-            let start = if node == 0 { 1 } else { first };
-            let mut v: Vec<PageId> = (start..first + topo.pages_per_node as u64)
-                .rev()
-                .filter(|p| !used.contains(p))
-                .map(PageId)
-                .collect();
-            for p in &v {
-                dev.reset_page(*p).map_err(|_| FsError::Corrupted)?;
-            }
-            v.shrink_to_fit();
-            pools.push(SimMutex::new(v));
-        }
-
-        Ok(Self::assemble(dev, kh, prov, inos, pools, next_ino, config))
+        // The free pools are the complement of the walked set, scrubbed.
+        let in_use = move |p: PageId| used.contains(&p.0);
+        Ok(Self::assemble(dev, prov, inos, in_use, true, next_ino, config))
     }
 
     /// Full-tree integrity audit: runs the I1–I4 verifier over every file
@@ -418,7 +362,7 @@ impl KernelController {
         // Pin the reclamation epoch for the whole audit: pages freed while
         // the verifier walks stay in limbo, contents intact, until the pin
         // drops — the audit can never read a recycled frame.
-        let _pin = self.gc.pin();
+        let _pin = self.alloc.epoch_pin();
         let reg = self.reg_lock(RegistryLockSite::Fsck);
         let mut bad = Vec::new();
         // `collect_filter` returns ino-sorted entries, preserving the old
@@ -536,12 +480,17 @@ impl KernelController {
     /// in limbo — provenance intact, contents untouched — until it drops.
     /// Public for tests that audit the epoch machinery.
     pub fn epoch_pin(&self) -> EpochPin {
-        self.gc.pin()
+        self.alloc.epoch_pin()
     }
 
     /// Freed pages currently waiting in reclamation limbo.
     pub fn limbo_page_count(&self) -> usize {
-        self.gc.limbo_len()
+        self.alloc.limbo_count()
+    }
+
+    /// Freed pages a live checkpoint still pins as rollback images.
+    pub fn deferred_page_count(&self) -> usize {
+        self.alloc.deferred_count()
     }
 
     /// The delegation pool (threads must be started with
@@ -596,6 +545,7 @@ impl KernelController {
             reg.recall_pages.insert(id, Arc::clone(&recall));
             id
         };
+        self.alloc.add_actor(actor);
         // Page 0 always exists, so this cannot fail; if it ever did the
         // new LibFS would merely lack superblock visibility — nothing the
         // kernel must panic over. The replica gets the same read-only
@@ -630,24 +580,8 @@ impl KernelController {
         // requests after this point faults cleanly instead of reading a
         // buffer whose owner is gone.
         self.delegation.grants().revoke_actor(actor);
-        // Drain whatever reclamation limbo holds for this actor while its
-        // cache still exists; later ripenings fall back to the pool spill.
-        self.gc_reclaim();
-        // Flush the actor's allocator cache back to the global pools —
-        // the pages are already scrubbed and unmapped.
-        let cached: Vec<PageId> = self
-            .caches
-            .lock()
-            .remove(&actor)
-            .map(|c| {
-                let mut c = c.lock();
-                c.total = 0;
-                c.per_node.iter_mut().flat_map(std::mem::take).collect()
-            })
-            .unwrap_or_default();
-        if !cached.is_empty() {
-            self.spill_cached(&cached);
-        }
+        // From here on the actor can allocate nothing.
+        self.alloc.forget_actor(actor);
         let mut reg = self.reg_lock(RegistryLockSite::Unregister);
         self.end_grants_of(&mut reg, actor, mapping::GrantEnd::Exited);
         reg.recall_pages.remove(&actor);
@@ -681,23 +615,10 @@ impl KernelController {
     // Allocation (batched; LibFSes keep local pools).
     // -----------------------------------------------------------------
 
-    /// The actor's allocator cache, created on first use.
-    fn cache_of(&self, actor: ActorId) -> Arc<SimMutex<ActorCache>> {
-        let nodes = self.pools.len();
-        let mut map = self.caches.lock();
-        Arc::clone(map.entry(actor).or_insert_with(|| {
-            Arc::new(SimMutex::new(ActorCache { per_node: vec![Vec::new(); nodes], total: 0 }))
-        }))
-    }
-
     /// Allocates `n` pages, preferring `node`, mapping them read-write to
-    /// `actor` (a LibFS's private pool, ready for direct use).
-    ///
-    /// Fast path: the pages come out of the actor's cache — provenance is
-    /// already recorded, so no global pool or registry lock is touched and
-    /// the only privileged work is programming the MMU. Otherwise one
-    /// batch refill pulls the request plus `ALLOC_CACHE_REFILL` extra
-    /// pages from the pools under a single registry acquisition.
+    /// `actor` (a LibFS's private pool, ready for direct use). Only a
+    /// registered, unquarantined actor is served; which pages, and from
+    /// where, is [`PageAllocator::alloc`]'s business (no registry lock).
     pub fn alloc_pages(
         &self,
         actor: ActorId,
@@ -712,107 +633,7 @@ impl KernelController {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let topo = self.dev.topology();
-        let nodes = self.pools.len();
-        let start = node.unwrap_or(0).min(nodes - 1);
-        let cache = self.cache_of(actor);
-        // Ripe limbo pages belong in the pools/caches before any refill
-        // judges them empty. The probe is a relaxed atomic — free on the
-        // steady-state path, where limbo drained at defer time — and must
-        // run before the cache lock below (reclaim parks into it).
-        if self.gc.has_limbo() {
-            self.gc_reclaim();
-        }
-        let mut c = cache.lock();
-        let mut out: Vec<PageId>;
-        let have = c.per_node[start].len();
-        if have >= n {
-            let keep = have - n;
-            out = c.per_node[start].split_off(keep);
-            c.total -= n;
-            self.stats.record_alloc_fast_hit();
-        } else {
-            // Batch refill: the mandatory remainder plus extra stock, all
-            // provenance-tagged under one registry lock.
-            out = c.per_node[start].split_off(0);
-            c.total -= have;
-            let need = n - have;
-            let refill = ALLOC_CACHE_REFILL;
-            let mut fresh: Vec<PageId> = Vec::new();
-            {
-                let mut pool = self.pools[start].lock();
-                // Stock extras only while the pool stays comfortably
-                // deep, so small devices keep exact-allocation behaviour.
-                let extra = if pool.len() > need + 4 * refill { refill } else { 0 };
-                let take = (need + extra).min(pool.len());
-                let at = pool.len() - take;
-                fresh.extend(pool.drain(at..).rev());
-            }
-            if fresh.len() < need {
-                // Preferred node dry: steal the mandatory remainder
-                // round-robin (never extras — stolen pages would pollute
-                // the per-node cache).
-                for i in 1..nodes {
-                    let ni = (start + i) % nodes;
-                    let mut pool = self.pools[ni].lock();
-                    while fresh.len() < need {
-                        match pool.pop() {
-                            Some(p) => fresh.push(p),
-                            None => break,
-                        }
-                    }
-                    if fresh.len() >= need {
-                        break;
-                    }
-                }
-            }
-            // Last resort: this actor's own cache on other nodes — those
-            // pages are already granted, so using them beats failing.
-            while fresh.len() + out.len() < n {
-                let mut got = false;
-                for ni in 0..nodes {
-                    if ni != start {
-                        if let Some(p) = c.per_node[ni].pop() {
-                            c.total -= 1;
-                            out.push(p);
-                            got = true;
-                            if fresh.len() + out.len() == n {
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !got {
-                    break;
-                }
-            }
-            if fresh.len() + out.len() < n {
-                // Roll back the partial grab: fresh pages to their pools,
-                // harvested cache pages back to the cache.
-                for p in &fresh {
-                    self.pools[topo.node_of(*p)].lock().push(*p);
-                }
-                for p in out {
-                    c.per_node[topo.node_of(p)].push(p);
-                    c.total += 1;
-                }
-                return Err(FsError::NoSpace);
-            }
-            // Provenance-tag the refill through the sharded map: the
-            // drained pages are consecutive, so this touches one or two
-            // shard locks and the registry control lock not at all
-            // (RegistryLockSite::AllocRefill exists only to attribute a
-            // future regression here).
-            self.prov
-                .insert_batch(fresh.iter().map(|p| (p.0, PageProvenance::AllocatedTo(actor))));
-            self.stats.record_alloc_refill(fresh.len());
-            let mandatory = n - out.len();
-            let extras = fresh.split_off(mandatory.min(fresh.len()));
-            out.extend(fresh);
-            c.total += extras.len();
-            c.per_node[start].extend(extras);
-        }
-        drop(c);
+        let out = self.alloc.alloc(actor, n, node)?;
         for p in &out {
             self.dev.mmu_map(actor, *p, PagePerm::Write).map_err(|_| FsError::NoSpace)?;
         }
@@ -822,14 +643,11 @@ impl KernelController {
         Ok(out)
     }
 
-    /// Returns pages to the free pool. A page must be in the caller's pool
+    /// Returns pages to the allocator. A page must be in the caller's pool
     /// (`AllocatedTo`) or belong to a file the caller is reclaiming through
-    /// [`KernelController::reclaim_file`]; anything else is refused.
-    ///
-    /// Unpinned pages are scrubbed and parked in the actor's allocator
-    /// cache (still provenance-tagged, no longer mapped anywhere) rather
-    /// than returned to the global pools; past the high-water mark the
-    /// cold end spills back.
+    /// [`KernelController::reclaim_file`]; anything else is refused. The
+    /// pages go back through [`PageAllocator::put_back`], bound for the
+    /// actor's allocator cache: scrubbed, tagged, mapped nowhere.
     pub fn free_pages(&self, actor: ActorId, pages: &[PageId]) -> FsResult<()> {
         self.trap();
         // Shard-local validation; no registry control lock
@@ -840,210 +658,8 @@ impl KernelController {
         if !authorized {
             return Err(FsError::PermissionDenied);
         }
-        self.park_freed_pages(actor, pages);
+        self.alloc.put_back(pages, PutBack::Cache(actor));
         Ok(())
-    }
-
-    /// The caching half of the free path (authorization already done, all
-    /// pages provenance-tagged to `actor`): scrub and park in the actor's
-    /// allocator cache, spilling the cold end past the high-water mark.
-    /// Shared by [`KernelController::free_pages`] and the truncate path's
-    /// [`KernelController::return_file_pages`], so freed file pages feed
-    /// the next allocation burst instead of round-tripping through the
-    /// global pools and their registry lock.
-    pub(crate) fn park_freed_pages(&self, actor: ActorId, pages: &[PageId]) {
-        // Pinned pages (checkpoint rollback images) must take the
-        // deferred-free path.
-        let (pinned, cacheable): (Vec<PageId>, Vec<PageId>) = {
-            let pins = self.pins.lock();
-            pages.iter().partition(|p| pins.pinned.contains_key(&p.0))
-        };
-        if !pinned.is_empty() {
-            self.release_pages_internal(&pinned);
-        }
-        if cacheable.is_empty() {
-            return;
-        }
-        // Freed frames ripen through epoch limbo: a verifier walk, fsck,
-        // or patrol pass holding an [`EpochPin`] may still be reading
-        // them, so scrubbing and recycling wait until every earlier pin
-        // drops. With no pins live — the steady state — `gc_reclaim`
-        // drains this very batch before returning, so the unpinned path
-        // parks the pages synchronously like the pre-epoch code did.
-        self.gc
-            .defer(cacheable.into_iter().map(|page| LimboPage { page, owner: actor }).collect());
-        self.gc_reclaim();
-    }
-
-    /// Drains every ripe limbo batch into its owner's allocator cache
-    /// (scrubbing on the way; retirement-diverted and unscrubbable pages
-    /// leave circulation instead). Called after every defer, before
-    /// refills, at unregister, and by the ledger accessors, so limbo is
-    /// only ever non-empty while a pin is actually held.
-    pub(crate) fn gc_reclaim(&self) {
-        let ripe = self.gc.take_ripe();
-        if ripe.is_empty() {
-            return;
-        }
-        // Group by owner preserving first-seen order: HashMap iteration
-        // order must never decide pool contents (determinism).
-        let mut order: Vec<ActorId> = Vec::new();
-        let mut by_owner: HashMap<ActorId, Vec<PageId>> = HashMap::new();
-        for lp in ripe {
-            by_owner
-                .entry(lp.owner)
-                .or_insert_with(|| {
-                    order.push(lp.owner);
-                    Vec::new()
-                })
-                .push(lp.page);
-        }
-        for owner in order {
-            if let Some(pages) = by_owner.remove(&owner) {
-                self.park_reclaimed(owner, &pages);
-            }
-        }
-    }
-
-    /// Parks one owner's ripe pages in its allocator cache, spilling the
-    /// cold end past the high-water mark (the caching half of the free
-    /// path; authorization happened before the pages entered limbo).
-    fn park_reclaimed(&self, actor: ActorId, pages: &[PageId]) {
-        // Pages past the retirement threshold leave circulation here
-        // instead of re-entering the cache.
-        let (diverted, cacheable): (Vec<PageId>, Vec<PageId>) =
-            pages.iter().partition(|p| self.divert_retired(**p));
-        if !diverted.is_empty() {
-            self.prov.remove_batch(diverted.iter().map(|p| p.0));
-        }
-        if cacheable.is_empty() {
-            return;
-        }
-        // An owner that unregistered while its frees sat in limbo has no
-        // cache left to feed; its pages spill straight to the pools.
-        let cache = self.caches.lock().get(&actor).map(Arc::clone);
-        let Some(cache) = cache else {
-            let mut scrubbed: Vec<PageId> = Vec::new();
-            for p in &cacheable {
-                if self.dev.reset_page(*p).is_ok() {
-                    scrubbed.push(*p);
-                }
-            }
-            if in_sim() {
-                work(cacheable.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
-            }
-            self.stats.record_free(0, scrubbed.len());
-            self.spill_cached(&scrubbed);
-            return;
-        };
-        let topo = self.dev.topology();
-        let mut c = cache.lock();
-        let mut kept = 0usize;
-        for p in &cacheable {
-            // Scrub now (dropping every mapping with it): the page reads
-            // as zeros and is inaccessible for as long as it sits here. A
-            // page the device refuses to scrub (out of range) must never
-            // be recycled, so it simply is not cached.
-            if self.dev.reset_page(*p).is_err() {
-                continue;
-            }
-            c.per_node[topo.node_of(*p)].push(*p);
-            kept += 1;
-        }
-        c.total += kept;
-        if in_sim() {
-            work(cacheable.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
-        }
-        let mut spill: Vec<PageId> = Vec::new();
-        if c.total > ALLOC_CACHE_HIGH_WATER {
-            let mut excess = c.total - ALLOC_CACHE_HIGH_WATER;
-            for per_node in c.per_node.iter_mut() {
-                let k = excess.min(per_node.len());
-                // Drain the cold end (the bottom of the LIFO).
-                spill.extend(per_node.drain(..k));
-                excess -= k;
-                if excess == 0 {
-                    break;
-                }
-            }
-            c.total -= spill.len();
-        }
-        drop(c);
-        self.stats.record_free(cacheable.len(), spill.len());
-        if !spill.is_empty() {
-            self.spill_cached(&spill);
-        }
-    }
-
-    /// Returns already-scrubbed, unmapped cache pages to the global pools.
-    /// Shard-local provenance drop; no registry control lock
-    /// (RegistryLockSite::Spill attributes any future regression here).
-    fn spill_cached(&self, pages: &[PageId]) {
-        self.prov.remove_batch(pages.iter().map(|p| p.0));
-        let topo = self.dev.topology();
-        for p in pages {
-            if self.divert_retired(*p) {
-                continue;
-            }
-            self.pools[topo.node_of(*p)].lock().push(*p);
-        }
-    }
-
-    /// Internal free path (already authorized): unmaps everyone, scrubs,
-    /// and returns to pools unless pinned by a checkpoint.
-    pub(crate) fn release_pages_internal(&self, pages: &[PageId]) {
-        self.prov.remove_batch(pages.iter().map(|p| p.0));
-        let mut pins = self.pins.lock();
-        let topo = self.dev.topology();
-        for p in pages {
-            if pins.pinned.contains_key(&p.0) {
-                pins.deferred.push(*p);
-            } else if self.divert_retired(*p) {
-                // Retired: scrubbed and parked out of circulation.
-            } else if self.dev.reset_page(*p).is_ok() {
-                self.pools[topo.node_of(*p)].lock().push(*p);
-            }
-            // An unscrubbable page is dropped, never pooled: leaking it is
-            // safe, recycling its contents would not be.
-        }
-        if in_sim() {
-            work(pages.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
-        }
-    }
-
-    /// Pins checkpointed pages so rollback images stay restorable.
-    pub(crate) fn pin_pages(&self, pages: impl Iterator<Item = PageId>) {
-        let mut pins = self.pins.lock();
-        for p in pages {
-            *pins.pinned.entry(p.0).or_insert(0) += 1;
-        }
-    }
-
-    /// Unpins pages; any that were deferred-freed now really free.
-    pub(crate) fn unpin_pages(&self, pages: impl Iterator<Item = PageId>) {
-        let mut pins = self.pins.lock();
-        for p in pages {
-            if let Some(c) = pins.pinned.get_mut(&p.0) {
-                *c -= 1;
-                if *c == 0 {
-                    pins.pinned.remove(&p.0);
-                }
-            }
-        }
-        let deferred = std::mem::take(&mut pins.deferred);
-        let (ready, still): (Vec<PageId>, Vec<PageId>) =
-            deferred.into_iter().partition(|p| !pins.pinned.contains_key(&p.0));
-        pins.deferred = still;
-        drop(pins);
-        let topo = self.dev.topology();
-        for p in ready {
-            if self.divert_retired(p) {
-                continue;
-            }
-            if self.dev.reset_page(p).is_ok() {
-                self.pools[topo.node_of(p)].lock().push(p);
-            }
-        }
     }
 
     /// Allocates `n` fresh inode numbers to `actor` for future creates.
@@ -1053,6 +669,9 @@ impl KernelController {
             work(cost::ALLOCATOR_OP_NS);
         }
         self.check_not_quarantined(actor)?;
+        if !self.alloc.knows(actor) {
+            return Err(FsError::PermissionDenied);
+        }
         let range = {
             let mut next = self.next_ino.lock();
             let start = *next;
@@ -1206,8 +825,7 @@ impl KernelController {
     /// Free pages remaining (all pools). Drains ripe limbo first so the
     /// ledger never under-counts pages a dropped pin was holding back.
     pub fn free_page_count(&self) -> usize {
-        self.gc_reclaim();
-        self.pools.iter().map(|p| p.lock().len()).sum()
+        self.alloc.free_count()
     }
 
     /// Pages parked in per-actor allocator caches: granted (provenance
@@ -1215,9 +833,7 @@ impl KernelController {
     /// [`KernelController::free_page_count`] and the pages reachable from
     /// files this accounts for every page — the ledger tests rely on it.
     pub fn cached_page_count(&self) -> usize {
-        self.gc_reclaim();
-        let caches: Vec<_> = self.caches.lock().values().map(Arc::clone).collect();
-        caches.iter().map(|c| c.lock().total).sum()
+        self.alloc.cached_count()
     }
 
     /// Whether `ino` currently has a write mapping.
@@ -1232,11 +848,6 @@ impl KernelController {
             .into_iter()
             .map(|(p, _)| p)
             .collect()
-    }
-
-    /// Dirent location helper for tests.
-    pub fn dirent_of(&self, ino: Ino) -> Option<DirentLoc> {
-        self.reg_lock(RegistryLockSite::Admin).files.get(&ino).and_then(|f| f.dirent)
     }
 }
 

@@ -30,7 +30,6 @@
 //!   it (DESIGN.md §21): it posts the ino on the holder's recall page and
 //!   blocks until the holder lets go, with the lease expiry as deadline.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
@@ -40,9 +39,10 @@ use trio_layout::{
 };
 use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, PAGE_SIZE};
 use trio_sim::sync::SimChannel;
-use trio_sim::{cost, in_sim, now, now_or_zero, work, Nanos};
+use trio_sim::{cost, in_sim, now, now_or_zero, work, DetHashSet, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
 
+use crate::alloc::PutBack;
 use crate::registry::{Checkpoint, Dirty, EndedGrant, FileMeta, KernelEvent, Registry};
 use crate::KernelController;
 
@@ -356,7 +356,7 @@ impl KernelController {
                 .insert_batch(pages.iter().map(|p| (p.0, PageProvenance::AllocatedTo(actor))));
             drop(reg);
         }
-        self.park_freed_pages(actor, pages);
+        self.alloc.put_back(pages, PutBack::Cache(actor));
         Ok(())
     }
 
@@ -444,7 +444,7 @@ impl KernelController {
             if let Some(ck) = &meta.checkpoint {
                 let pages: Vec<PageId> = ck.images.iter().map(|(p, _)| *p).collect();
                 drop(reg);
-                self.unpin_pages(pages.into_iter());
+                self.alloc.unpin(pages.into_iter());
                 reg = self.reg_lock(RegistryLockSite::Reclaim);
             }
         }
@@ -467,11 +467,12 @@ impl KernelController {
         }
         // Recycle into the caller's pool: flip provenance, keep (or grant)
         // the caller's write mapping, scrub contents so stale dirents or
-        // data cannot leak through the reuse.
-        let pins = self.pins.lock();
-        let (recyclable, pinned): (Vec<PageId>, Vec<PageId>) =
-            freeable.into_iter().partition(|p| !pins.pinned.contains_key(&p.0));
-        drop(pins);
+        // data cannot leak through the reuse. These frames do not come
+        // back to the allocator — they change hands to an actor that could
+        // already write every one of them — so this is not a `put_back`:
+        // no limbo, and a pending retirement catches the frame at its next
+        // real free.
+        let (recyclable, pinned) = self.alloc.split_pinned(freeable);
         self.prov
             .insert_batch(recyclable.iter().map(|p| (p.0, PageProvenance::AllocatedTo(actor))));
         drop(reg);
@@ -487,8 +488,9 @@ impl KernelController {
             work(mmu_work / 4);
         }
         if !pinned.is_empty() {
-            // Checkpoint-pinned pages cannot be recycled; defer-free them.
-            self.release_pages_internal(&pinned);
+            // Checkpoint-pinned pages cannot be recycled; they go back the
+            // ordinary way and wait out their pins.
+            self.alloc.put_back(&pinned, PutBack::Pool);
         }
         Ok(recyclable)
     }
@@ -630,7 +632,7 @@ impl KernelController {
             }
         }
         if why != GrantEnd::Contained {
-            let mut unmap: HashSet<PageId> = pages.into_iter().collect();
+            let mut unmap: DetHashSet<PageId> = pages.into_iter().collect();
             if write {
                 unmap.extend(self.current_pages(dirent).iter().flat_map(FilePages::all_pages));
             }
@@ -697,7 +699,7 @@ impl KernelController {
         // walk observes may sit in the GC limbo list (freed but not yet
         // recycled), and the pin guarantees their contents and provenance
         // stay put until the verdict is in.
-        let _pin = self.gc.pin();
+        let _pin = self.alloc.epoch_pin();
         let Some(meta) = reg.files.get(&ino) else {
             return true;
         };
@@ -974,7 +976,9 @@ impl KernelController {
         let root_fields = dirent
             .is_none()
             .then(|| (head.first_index().unwrap_or(0), head.size().unwrap_or(0)));
-        let mut children = HashSet::new();
+        // The verifier's request type takes a std set (perfbench builds one).
+        // lint: allow(no-random-state) only the verifier iterates it, sorted
+        let mut children = std::collections::HashSet::new();
         if ftype == CoreFileType::Directory {
             for dp in pages.data_pages.iter().flatten() {
                 let mut raw = vec![0u8; PAGE_SIZE];
@@ -1001,10 +1005,10 @@ impl KernelController {
             .and_then(|m| m.checkpoint.as_ref())
             .map(|c| c.images.iter().map(|(p, _)| *p).collect())
             .unwrap_or_default();
-        self.pin_pages(new_pages.into_iter());
+        self.alloc.pin(new_pages.into_iter());
         if let Some(meta) = reg.files.get_mut(&ino) {
             meta.checkpoint = Some(new_ck);
         }
-        self.unpin_pages(old_pages.into_iter());
+        self.alloc.unpin(old_pages.into_iter());
     }
 }

@@ -7,12 +7,12 @@
 //! behaviour the same way benches snapshot the data path. Counters are
 //! relaxed atomics and never charge virtual time.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use trio_layout::{superblock::SUPERBLOCK_PAGE, Ino};
 use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, KERNEL_ACTOR};
 use trio_sim::metrics::JsonObject;
+use trio_sim::DetHashSet;
 use trio_verifier::{PageProvenance, RepairClass, Violation, VIOLATION_KINDS};
 
 use crate::mapping::GrantEnd;
@@ -174,7 +174,7 @@ impl KernelController {
         // tainted set is read off the marks, so it has the parents of what
         // the offender held for write in it too.
         self.end_grants_of(reg, offender, GrantEnd::Contained);
-        let mut tainted: HashSet<Ino> = reg.dirt_of(offender).into_iter().collect();
+        let mut tainted: DetHashSet<Ino> = reg.dirt_of(offender).into_iter().collect();
         tainted.extend(reg.pending_dirty.iter().filter(|(_, a)| **a == offender).map(|(i, _)| *i));
         self.device().revoke_actor(offender);
         // Its grant windows go with the MMU grants: a contained LibFS's

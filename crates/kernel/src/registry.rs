@@ -8,14 +8,14 @@
 //! verifier reads both halves through `KernelController`'s
 //! [`trio_verifier::ResourceView`] adapter.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use trio_layout::{CoreFileType, DirentLoc, FilePages, Ino, ROOT_INO};
 use trio_nvm::{ActorId, PageId, PagePerm};
 use trio_sim::sync::{SimChannel, SimMutex};
-use trio_sim::Nanos;
+use trio_sim::{DetHashMap, DetHashSet, Nanos};
 use trio_verifier::ShadowAttr;
 
 /// The page the kernel shares with one LibFS from `register` on — the
@@ -193,7 +193,7 @@ pub struct FileMeta {
     // let the caller drop.
     /// Pages the MMU currently exposes to each grant holder (includes the
     /// dirent page for the writer).
-    mapped_pages: HashMap<ActorId, Vec<PageId>>,
+    mapped_pages: DetHashMap<ActorId, Vec<PageId>>,
     /// The holder of the write grant, if any; everyone else reads.
     writer: Option<ActorId>,
     /// Virtual deadline of the current write lease.
@@ -229,7 +229,7 @@ impl FileMeta {
             dirent,
             parent,
             shadow,
-            mapped_pages: HashMap::new(),
+            mapped_pages: DetHashMap::default(),
             writer: None,
             lease_until: 0,
             dirty: Dirty::Clean,
@@ -389,7 +389,7 @@ pub enum KernelEvent {
 pub struct QuarantineInfo {
     /// Files whose unvetted state the offender may have corrupted; reads
     /// into these return `FsError::Quarantined` until repaired.
-    pub tainted: HashSet<Ino>,
+    pub tainted: DetHashSet<Ino>,
 }
 
 /// The kernel's mutable control-plane state. Since DESIGN.md §20 this
@@ -399,30 +399,30 @@ pub struct QuarantineInfo {
 /// `KernelController`. Steady-state alloc/free never locks this.
 pub struct Registry {
     /// Registered LibFS credentials.
-    pub actors: HashMap<ActorId, Credentials>,
+    pub actors: DetHashMap<ActorId, Credentials>,
     /// Per-file metadata, keyed by ino.
-    pub files: HashMap<Ino, FileMeta>,
+    pub files: DetHashMap<Ino, FileMeta>,
     /// Children observed during a parent's verification whose own core
     /// state is still unvetted: ino -> the actor whose writes created it.
     /// Consumed at adoption so the child is verified on its first
     /// cross-actor map.
-    pub pending_dirty: HashMap<Ino, trio_nvm::ActorId>,
+    pub pending_dirty: DetHashMap<Ino, trio_nvm::ActorId>,
     /// Next actor id to hand out.
     pub next_actor: u32,
     /// Each registered LibFS's recall page (DESIGN.md §21).
-    pub recall_pages: HashMap<ActorId, Arc<RecallPage>>,
+    pub recall_pages: DetHashMap<ActorId, Arc<RecallPage>>,
     /// Mappers blocked on a file's write lease wait on its channel;
     /// whoever ends the lease removes and closes it, waking them all.
-    pub lease_waiters: HashMap<Ino, Arc<SimChannel<()>>>,
+    pub lease_waiters: DetHashMap<Ino, Arc<SimChannel<()>>>,
     /// LibFSes currently quarantined after a confirmed violation, with the
     /// subtree each one tainted.
-    pub quarantine: HashMap<ActorId, QuarantineInfo>,
+    pub quarantine: DetHashMap<ActorId, QuarantineInfo>,
     /// Reverse index of every quarantined actor's tainted set:
     /// ino -> how many quarantined actors taint it. Makes the per-read
     /// `ino_quarantined` probe O(1) instead of a scan over every
     /// offender's whole subtree; maintained by [`Registry::quarantine_enter`]
     /// / [`Registry::quarantine_remove`].
-    pub tainted_index: HashMap<Ino, u32>,
+    pub tainted_index: DetHashMap<Ino, u32>,
     /// Set while the kernel's own repair pass re-verifies tainted files —
     /// failures inside the pass must roll back or privatize, never
     /// re-enter quarantine (the offender is already contained).
@@ -432,7 +432,7 @@ pub struct Registry {
 impl Registry {
     /// Fresh registry with the root directory pre-adopted.
     pub fn new() -> Self {
-        let mut files = HashMap::new();
+        let mut files = DetHashMap::default();
         files.insert(
             ROOT_INO,
             FileMeta::new(
@@ -444,14 +444,14 @@ impl Registry {
             ),
         );
         Registry {
-            actors: HashMap::new(),
+            actors: DetHashMap::default(),
             files,
-            pending_dirty: HashMap::new(),
+            pending_dirty: DetHashMap::default(),
             next_actor: 1,
-            recall_pages: HashMap::new(),
-            lease_waiters: HashMap::new(),
-            quarantine: HashMap::new(),
-            tainted_index: HashMap::new(),
+            recall_pages: DetHashMap::default(),
+            lease_waiters: DetHashMap::default(),
+            quarantine: DetHashMap::default(),
+            tainted_index: DetHashMap::default(),
             repairing: false,
         }
     }

@@ -35,7 +35,6 @@
 //! system persists a bad-block table; here a reboot re-learns faults from
 //! fresh observations.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,6 +48,7 @@ use trio_sim::sync::SimMutex;
 use trio_sim::{now_or_zero, Nanos};
 use trio_verifier::PageProvenance;
 
+use crate::alloc::PutBack;
 use crate::registry::Dirty;
 use crate::KernelController;
 
@@ -73,18 +73,6 @@ pub(crate) struct JournalTwin {
     pub(crate) valid: fn(&[u8]) -> bool,
     pub(crate) used_lines: u16,
     pub(crate) slot: Arc<SimMutex<Option<(PageId, PageId)>>>,
-}
-
-/// Retirement bookkeeping (volatile; see module docs).
-#[derive(Default)]
-pub(crate) struct RetireState {
-    /// Pages taken out of circulation for good.
-    pub(crate) retired: HashSet<u64>,
-    /// Pages past the fault threshold whose retirement waits for them to
-    /// leave their current owner (diverted on the next free).
-    pub(crate) pending: HashSet<u64>,
-    /// Cumulative media-fault observations per page.
-    pub(crate) fault_counts: HashMap<u64, u32>,
 }
 
 /// What one [`KernelController::scrub_pass`] found and did.
@@ -153,6 +141,11 @@ impl MediaStats {
     pub(crate) fn record_faults(&self, poison_lines: u64, rot_pages: u64) {
         self.poison_lines_found.fetch_add(poison_lines, Ordering::Relaxed);
         self.rot_pages_found.fetch_add(rot_pages, Ordering::Relaxed);
+    }
+
+    /// A frame left circulation for good.
+    pub(crate) fn record_retired(&self) {
+        self.record_repair(&self.pages_retired, 1);
     }
 
     pub(crate) fn record_repair(&self, counter: &AtomicU64, latency_ns: u64) {
@@ -227,7 +220,7 @@ impl KernelController {
         // Pin the reclamation epoch for the pass: the scrubber's provenance
         // probes race the allocator's epoch GC, and the pin keeps any page
         // the pass observes from being recycled out from under it.
-        let _pin = self.gc.pin();
+        let _pin = self.alloc.epoch_pin();
         let total = self.dev.topology().total_pages();
         let budget = (budget.max(1) as u64).min(total);
         let start = self.scrub_cursor.fetch_add(budget, Ordering::Relaxed) % total;
@@ -270,7 +263,7 @@ impl KernelController {
     /// media faults: `free + cached + retired` plus the pages reachable
     /// from files accounts for every page.
     pub fn retired_page_count(&self) -> usize {
-        self.retire.lock().retired.len()
+        self.alloc.retired_count()
     }
 
     /// Registers a journal mirror pair for patrol twin repair. Both pages
@@ -307,23 +300,6 @@ impl KernelController {
         Ok(())
     }
 
-    /// Diverts a page that crossed the retirement threshold out of the
-    /// free path: instead of re-entering a pool or cache it is scrubbed
-    /// and parked in the retired set. Returns whether it was diverted.
-    pub(crate) fn divert_retired(&self, p: PageId) -> bool {
-        let mut r = self.retire.lock();
-        if !r.pending.remove(&p.0) {
-            return false;
-        }
-        let fresh = r.retired.insert(p.0);
-        drop(r);
-        let _ = self.dev.reset_page(p);
-        if fresh {
-            self.media.record_repair(&self.media.pages_retired, 1);
-        }
-        true
-    }
-
     // -----------------------------------------------------------------
     // One page.
     // -----------------------------------------------------------------
@@ -334,7 +310,7 @@ impl KernelController {
             self.scrub_superblock(page, rep);
             return;
         }
-        if self.retire.lock().retired.contains(&page.0) {
+        if self.alloc.is_retired(page) {
             return;
         }
         let poison = self.dev.page_poisoned_lines(page);
@@ -343,13 +319,8 @@ impl KernelController {
             // A historically flaky page that is clean right now is the
             // ideal retirement candidate — its contents can be moved
             // whole. (While faulty it can only be counted or fenced.)
-            let due = {
-                let r = self.retire.lock();
-                !r.retired.contains(&page.0)
-                    && r.fault_counts.get(&page.0).copied().unwrap_or(0)
-                        >= RETIRE_FAULT_THRESHOLD
-            };
-            if due {
+            let faults = self.fault_counts.lock().get(&page.0).copied().unwrap_or(0);
+            if faults >= RETIRE_FAULT_THRESHOLD {
                 self.try_retire(page, rep);
             }
             return;
@@ -548,8 +519,8 @@ impl KernelController {
     /// everything the kernel cannot move.
     fn note_page_fault(&self, page: PageId, rep: &mut ScrubReport) {
         let count = {
-            let mut r = self.retire.lock();
-            let c = r.fault_counts.entry(page.0).or_insert(0);
+            let mut counts = self.fault_counts.lock();
+            let c = counts.entry(page.0).or_insert(0);
             *c = c.saturating_add(1);
             *c
         };
@@ -566,32 +537,17 @@ impl KernelController {
         // Never retire the superblock twins or a registered journal page:
         // their replication already tolerates the faults, and their
         // locations are architectural.
-        if self.journal_twins.lock().contains_key(&page.0) {
+        if self.journal_twins.lock().contains_key(&page.0) || self.alloc.is_retired(page) {
             return;
         }
-        {
-            let r = self.retire.lock();
-            if r.retired.contains(&page.0) {
-                return;
-            }
-            drop(r);
-            // Free-pool page: pull it straight out.
-            let topo = self.dev.topology();
-            let mut pool = self.pools[topo.node_of(page)].lock();
-            if let Some(pos) = pool.iter().position(|p| *p == page) {
-                pool.remove(pos);
-                drop(pool);
-                let _ = self.dev.reset_page(page);
-                self.retire.lock().retired.insert(page.0);
-                rep.retired += 1;
-                self.media.record_repair(&self.media.pages_retired, 1);
-                return;
-            }
-        }
-        if self.try_migrate_file_page(page, rep) {
+        if self.alloc.pull_if_free(page) {
+            self.alloc.retire(page);
+            rep.retired += 1;
             return;
         }
-        self.retire.lock().pending.insert(page.0);
+        if !self.try_migrate_file_page(page, rep) {
+            self.alloc.retire_on_return(page);
+        }
     }
 
     /// Migrates a clean regular-file data page to a fresh frame: contents
@@ -605,7 +561,6 @@ impl KernelController {
         if self.dev.page_has_poison(old) {
             return false; // Lines are lost; there is nothing good to move.
         }
-        let topo = self.dev.topology();
         let mut reg = self.reg_lock(RegistryLockSite::Scrub);
         let Some(PageProvenance::InFile(ino)) = self.prov.get(old.0) else {
             return false;
@@ -626,19 +581,11 @@ impl KernelController {
             return false;
         }
         // A fresh frame, same node preferred.
-        let mut fresh = None;
-        for i in 0..self.pools.len() {
-            let ni = (topo.node_of(old) + i) % self.pools.len();
-            if let Some(p) = self.pools[ni].lock().pop() {
-                fresh = Some(p);
-                break;
-            }
-        }
-        let Some(fresh) = fresh else {
+        let Some(fresh) = self.alloc.take_fresh(self.dev.topology().node_of(old)) else {
             return false; // Device full: keep serving from the flaky frame.
         };
         if self.dev.migrate_page(old, fresh).is_err() {
-            self.pools[topo.node_of(fresh)].lock().push(fresh);
+            self.alloc.put_back(&[fresh], PutBack::Pool);
             return false;
         }
         // Swing the owning index slot.
@@ -672,8 +619,7 @@ impl KernelController {
             }
         }
         if !swung {
-            let _ = self.dev.reset_page(fresh);
-            self.pools[topo.node_of(fresh)].lock().push(fresh);
+            self.alloc.put_back(&[fresh], PutBack::Pool);
             return false;
         }
         // Provenance and verified pages follow the move; no live mapping
@@ -690,16 +636,10 @@ impl KernelController {
             }
         }
         drop(reg);
-        let _ = self.dev.reset_page(old);
-        {
-            let mut r = self.retire.lock();
-            r.pending.remove(&old.0);
-            r.retired.insert(old.0);
-        }
+        self.alloc.retire(old);
         rep.migrated += 1;
         rep.retired += 1;
         self.media.record_repair(&self.media.pages_migrated, 1);
-        self.media.record_repair(&self.media.pages_retired, 1);
         crate::obs::repair_end(old.0, 4, crate::obs::repair_begin(old.0));
         true
     }

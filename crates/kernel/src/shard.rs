@@ -14,8 +14,8 @@
 //!   grouped in runs of consecutive ids per shard, so a batched refill
 //!   (consecutive page ids) or a mount's ino grant touches one or two
 //!   shard locks, not one per key.
-//! * [`EpochGc`] — epoch-based reclamation for freed pages. Readers that
-//!   walk provenance outside the registry control lock (verifier walks,
+//! * `EpochGc` (crate-private; the page allocator's) — epoch-based
+//!   reclamation for freed pages. Readers that walk provenance outside the registry control lock (verifier walks,
 //!   fsck, the patrol scrubber) hold an [`EpochPin`]; pages freed while
 //!   any earlier-epoch pin is live sit in *limbo* — provenance intact,
 //!   contents untouched — and only re-enter the allocator once every
@@ -33,14 +33,16 @@
 //! registry control lock — every method here takes and releases its own
 //! locks and never calls back into the controller.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use trio_nvm::{ActorId, PageId};
+use trio_nvm::PageId;
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::SimMutex;
+use trio_sim::DetHashMap;
 
+use crate::alloc::PutBack;
 use crate::registry::KernelEvent;
 
 /// Shard fanout. Power of two; 64 shards keep per-shard occupancy low for
@@ -63,14 +65,14 @@ const SHARD_RUN_BITS: u64 = 8;
 /// same discipline the old single-map code had after it dropped the
 /// registry between validation and parking.
 pub struct ShardedMap<V: Copy> {
-    shards: Box<[SimMutex<HashMap<u64, V>>]>,
+    shards: Box<[SimMutex<DetHashMap<u64, V>>]>,
 }
 
 impl<V: Copy> ShardedMap<V> {
     /// An empty map with the default fanout.
     pub fn new() -> Self {
-        let shards: Vec<SimMutex<HashMap<u64, V>>> =
-            (0..SHARD_COUNT).map(|_| SimMutex::new(HashMap::new())).collect();
+        let shards: Vec<SimMutex<DetHashMap<u64, V>>> =
+            (0..SHARD_COUNT).map(|_| SimMutex::new(DetHashMap::default())).collect();
         ShardedMap { shards: shards.into_boxed_slice() }
     }
 
@@ -179,22 +181,25 @@ impl<V: Copy> Default for ShardedMap<V> {
     }
 }
 
-/// A freed page waiting in limbo for the epochs ahead of it to drain.
-#[derive(Clone, Copy, Debug)]
-pub struct LimboPage {
-    /// The frame itself.
-    pub page: PageId,
-    /// The actor whose allocator cache should receive it on reclaim.
-    pub owner: ActorId,
+/// One `put_back` batch waiting in limbo for the epochs ahead of it to
+/// drain.
+pub(crate) struct LimboBatch {
+    /// The frames themselves.
+    pub(crate) pages: Vec<PageId>,
+    /// Where they settle once ripe.
+    pub(crate) to: PutBack,
+    /// Whether settling charges the scrub-and-unmap cost (frames that sat
+    /// out a checkpoint pin paid it when they were deferred).
+    pub(crate) charge: bool,
 }
 
 struct GcState {
     /// Advances on every deferred batch.
     epoch: u64,
     /// Live pins: pin id -> the epoch observed when the pin was taken.
-    pins: HashMap<u64, u64>,
+    pins: DetHashMap<u64, u64>,
     /// Deferred batches in epoch order.
-    limbo: VecDeque<(u64, Vec<LimboPage>)>,
+    limbo: VecDeque<(u64, LimboBatch)>,
 }
 
 /// Epoch-based reclamation for freed pages (DESIGN.md §20).
@@ -202,7 +207,7 @@ struct GcState {
 /// The single [`SimMutex`] makes pin/defer/reclaim deterministic and
 /// hands the freeing thread's vector clock to whichever thread later
 /// resets and reuses the frames.
-pub struct EpochGc {
+pub(crate) struct EpochGc {
     state: SimMutex<GcState>,
     next_pin: AtomicU64,
     /// Lock-free mirror of the limbo page count, so hot paths can skip
@@ -213,11 +218,11 @@ pub struct EpochGc {
 
 impl EpochGc {
     /// A fresh GC domain at epoch zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EpochGc {
             state: SimMutex::new(GcState {
                 epoch: 0,
-                pins: HashMap::new(),
+                pins: DetHashMap::default(),
                 limbo: VecDeque::new(),
             }),
             next_pin: AtomicU64::new(1),
@@ -226,7 +231,7 @@ impl EpochGc {
     }
 
     /// Whether any pages sit in limbo (relaxed hint; no lock).
-    pub fn has_limbo(&self) -> bool {
+    pub(crate) fn has_limbo(&self) -> bool {
         self.limbo_pages.load(Ordering::Relaxed) != 0
     }
 
@@ -234,7 +239,7 @@ impl EpochGc {
     /// until the returned guard drops. Readers that walk provenance
     /// outside the registry control lock take one of these so a frame
     /// they may still read cannot be scrubbed and re-granted mid-walk.
-    pub fn pin(self: &Arc<Self>) -> EpochPin {
+    pub(crate) fn pin(self: &Arc<Self>) -> EpochPin {
         let id = self.next_pin.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
         let epoch = st.epoch;
@@ -242,51 +247,40 @@ impl EpochGc {
         EpochPin { gc: Arc::clone(self), id }
     }
 
-    /// Defers `pages` to limbo at the current epoch and advances it.
-    pub fn defer(&self, pages: Vec<LimboPage>) {
-        if pages.is_empty() {
+    /// Defers `batch` to limbo at the current epoch and advances it.
+    pub(crate) fn defer(&self, batch: LimboBatch) {
+        if batch.pages.is_empty() {
             return;
         }
         let mut st = self.state.lock();
         let e = st.epoch;
-        self.limbo_pages.fetch_add(pages.len() as u64, Ordering::Relaxed);
-        st.limbo.push_back((e, pages));
+        self.limbo_pages.fetch_add(batch.pages.len() as u64, Ordering::Relaxed);
+        st.limbo.push_back((e, batch));
         st.epoch += 1;
     }
 
     /// Drains every limbo batch older than the oldest live pin (all of
-    /// them when nothing is pinned). The caller owns the returned pages.
-    pub fn take_ripe(&self) -> Vec<LimboPage> {
+    /// them when nothing is pinned), oldest first. The caller owns the
+    /// returned pages.
+    pub(crate) fn take_ripe(&self) -> Vec<LimboBatch> {
         let mut st = self.state.lock();
         let horizon = st.pins.values().copied().min().unwrap_or(u64::MAX);
         let mut out = Vec::new();
         while st.limbo.front().is_some_and(|(e, _)| *e < horizon) {
-            if let Some((_, pages)) = st.limbo.pop_front() {
-                out.extend(pages);
-            }
+            out.extend(st.limbo.pop_front().map(|(_, batch)| batch));
         }
-        self.limbo_pages.fetch_sub(out.len() as u64, Ordering::Relaxed);
+        let pages: usize = out.iter().map(|b| b.pages.len()).sum();
+        self.limbo_pages.fetch_sub(pages as u64, Ordering::Relaxed);
         out
     }
 
     /// Pages currently parked in limbo (tests and the ledger audit).
-    pub fn limbo_len(&self) -> usize {
-        self.state.lock().limbo.iter().map(|(_, p)| p.len()).sum()
-    }
-
-    /// Live pin count.
-    pub fn pinned(&self) -> usize {
-        self.state.lock().pins.len()
+    pub(crate) fn limbo_len(&self) -> usize {
+        self.state.lock().limbo.iter().map(|(_, b)| b.pages.len()).sum()
     }
 
     fn unpin(&self, id: u64) {
         self.state.lock().pins.remove(&id);
-    }
-}
-
-impl Default for EpochGc {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -363,6 +357,7 @@ impl EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trio_nvm::ActorId;
 
     #[test]
     fn sharded_map_point_and_batch_ops() {
@@ -393,14 +388,18 @@ mod tests {
         assert!(shards.len() <= 2, "192-key run hit {} shards", shards.len());
     }
 
+    fn batch(page: u64, owner: u32) -> LimboBatch {
+        LimboBatch { pages: vec![PageId(page)], to: PutBack::Cache(ActorId(owner)), charge: true }
+    }
+
     #[test]
     fn epoch_gc_drains_immediately_without_pins() {
         let gc = Arc::new(EpochGc::new());
-        gc.defer(vec![LimboPage { page: PageId(9), owner: ActorId(1) }]);
+        gc.defer(batch(9, 1));
         assert_eq!(gc.limbo_len(), 1);
         let ripe = gc.take_ripe();
         assert_eq!(ripe.len(), 1);
-        assert_eq!(ripe[0].page, PageId(9));
+        assert_eq!(ripe[0].pages, [PageId(9)]);
         assert_eq!(gc.limbo_len(), 0);
     }
 
@@ -408,7 +407,7 @@ mod tests {
     fn pin_holds_back_reclamation_until_dropped() {
         let gc = Arc::new(EpochGc::new());
         let pin = gc.pin();
-        gc.defer(vec![LimboPage { page: PageId(4), owner: ActorId(2) }]);
+        gc.defer(batch(4, 2));
         assert!(gc.take_ripe().is_empty(), "deferred at >= pinned epoch");
         // Batches deferred before the pin epoch stay conservative too.
         assert_eq!(gc.limbo_len(), 1);
@@ -419,12 +418,12 @@ mod tests {
     #[test]
     fn older_pin_gates_younger_batches_only() {
         let gc = Arc::new(EpochGc::new());
-        gc.defer(vec![LimboPage { page: PageId(1), owner: ActorId(1) }]); // epoch 0
+        gc.defer(batch(1, 1)); // epoch 0
         let pin = gc.pin(); // epoch 1
-        gc.defer(vec![LimboPage { page: PageId(2), owner: ActorId(1) }]); // epoch 1
+        gc.defer(batch(2, 1)); // epoch 1
         let ripe = gc.take_ripe();
         assert_eq!(ripe.len(), 1, "pre-pin batch is ripe");
-        assert_eq!(ripe[0].page, PageId(1));
+        assert_eq!(ripe[0].pages, [PageId(1)]);
         drop(pin);
         assert_eq!(gc.take_ripe().len(), 1);
     }

@@ -31,7 +31,18 @@ fn create_in_empty_root(
     ftype: CoreFileType,
 ) -> (PageId, PageId, DirentLoc) {
     let pages = k.alloc_pages(reg.actor, 2, None).unwrap();
-    let (ipage, dpage) = (pages[0], pages[1]);
+    create_in_empty_root_on(k, reg, (pages[0], pages[1]), name, ino, ftype)
+}
+
+/// [`create_in_empty_root`] on pool pages the caller already holds.
+fn create_in_empty_root_on(
+    k: &KernelController,
+    reg: &LibFsRegistration,
+    (ipage, dpage): (PageId, PageId),
+    name: &[u8],
+    ino: u64,
+    ftype: CoreFileType,
+) -> (PageId, PageId, DirentLoc) {
     let loc = DirentLoc { page: dpage, slot: 0 };
     let d = DirentData::new(name, ftype, Mode::RW, 100, 100);
     let dref = DirentRef::new(&reg.handle, loc);
@@ -576,6 +587,152 @@ fn checkpoint_pins_pages_until_replaced() {
         // B maps: verification passes for the emptied root.
         let g = k2.map(b.actor, MapTarget::Root, false).unwrap();
         assert!(g.pages.index_pages.is_empty());
+    });
+    rt.run();
+}
+
+/// Every frame is in exactly one place: `handed_out` LibFS-held frames plus
+/// the allocator's five ledgers cover the device (minus the superblock twins).
+fn assert_conserved(k: &KernelController, handed_out: usize, step: &str) {
+    let ledgers = k.free_page_count()
+        + k.cached_page_count()
+        + k.limbo_page_count()
+        + k.deferred_page_count()
+        + k.retired_page_count();
+    let total = k.device().topology().total_pages() as usize - 2;
+    assert_eq!(ledgers + handed_out, total, "pages not conserved {step}");
+}
+
+/// Root ends up write-mapped by `a` with `chain` (two of `a`'s pool pages)
+/// as its index and data page, verified (`InFile`), pinned by the new
+/// grant's checkpoint, and unlinked again so `a` may hand it back.
+fn pin_as_root_chain(
+    k: &KernelController,
+    a: &LibFsRegistration,
+    b: &LibFsRegistration,
+    chain: (PageId, PageId),
+) {
+    k.map(a.actor, MapTarget::Root, true).unwrap();
+    let ino = k.alloc_inos(a.actor, 1).unwrap()[0];
+    let (_, _, loc) = create_in_empty_root_on(k, a, chain, b"f", ino, CoreFileType::Regular);
+    k.release(a.actor, ROOT_INO).unwrap();
+    k.map(b.actor, MapTarget::Root, false).unwrap();
+    k.release(b.actor, ROOT_INO).unwrap();
+    k.map(a.actor, MapTarget::Root, true).unwrap();
+    DirentRef::new(&a.handle, loc).clear().unwrap();
+    k.update_root(a.actor, Some(0), Some(0), None).unwrap();
+    k.reclaim_file(a.actor, ROOT_INO, ino, 0).unwrap();
+}
+
+/// One frame, three reasons not to recycle it — a checkpoint pins it, the
+/// patrol has condemned it, a provenance walk may still read it — met in
+/// the one `put_back`: it reaches no pool or cache while any of them holds,
+/// and ends retired exactly once.
+#[cfg(feature = "faults")]
+#[test]
+fn pinned_condemned_frame_under_epoch_pin_ends_retired_once() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    rt.spawn("main", move || {
+        let k = &*k2;
+        let scan = k.device().topology().total_pages() as usize;
+        let (a, b) = (k.register_libfs(100, 100), k.register_libfs(100, 100));
+        // Condemn the future data page while it is still a pool page: three
+        // strikes, then the owner's full-line store repairs the media.
+        let pages = k.alloc_pages(a.actor, 2, None).unwrap();
+        let (ipage, dpage) = (pages[0], pages[1]);
+        k.device().poison_line(dpage, 63);
+        for _ in 0..3 {
+            k.scrub_pass(scan);
+        }
+        a.handle.write_untimed(dpage, 63 * 64, &[0u8; 64]).unwrap();
+        pin_as_root_chain(k, &a, &b, (ipage, dpage));
+        assert_conserved(k, 2, "with the chain in a's hands");
+        let idle = k.free_page_count() + k.cached_page_count();
+
+        // Checkpoint-pinned: deferred, not pooled, not retired.
+        let pin = k.epoch_pin();
+        k.return_file_pages(a.actor, ROOT_INO, &[ipage, dpage]).unwrap();
+        assert_eq!(k.deferred_page_count(), 2);
+        assert_eq!((k.limbo_page_count(), k.retired_page_count()), (0, 0));
+        assert_eq!(k.free_page_count() + k.cached_page_count(), idle);
+        assert_conserved(k, 0, "while deferred");
+
+        // Another actor's write grant replaces the checkpoint and drops
+        // the pins; the epoch pin still holds both frames.
+        k.release(a.actor, ROOT_INO).unwrap();
+        k.map(b.actor, MapTarget::Root, true).unwrap();
+        assert_eq!((k.deferred_page_count(), k.limbo_page_count()), (0, 2));
+        assert_eq!(k.retired_page_count(), 0);
+        assert_eq!(k.free_page_count() + k.cached_page_count(), idle);
+        assert_conserved(k, 0, "while in limbo");
+
+        // Ripe: the condemned frame retires, its neighbour is free again.
+        drop(pin);
+        assert_eq!(k.free_page_count() + k.cached_page_count(), idle + 1);
+        assert_eq!(k.retired_page_count(), 1);
+        assert_eq!(k.media_stats().snapshot().pages_retired, 1, "retired once, not twice");
+        assert_conserved(k, 0, "after retirement");
+    });
+    rt.run();
+}
+
+/// A deferred frame whose last checkpoint pin drops under a live `EpochPin`
+/// stays out of circulation until that pin drops too.
+#[test]
+fn unpin_under_epoch_pin_keeps_frames_out_of_circulation() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    rt.spawn("main", move || {
+        let k = &*k2;
+        let (a, b) = (k.register_libfs(100, 100), k.register_libfs(100, 100));
+        let pages = k.alloc_pages(a.actor, 2, None).unwrap();
+        let (ipage, dpage) = (pages[0], pages[1]);
+        pin_as_root_chain(k, &a, &b, (ipage, dpage));
+        k.return_file_pages(a.actor, ROOT_INO, &[ipage, dpage]).unwrap();
+        assert_eq!(k.deferred_page_count(), 2);
+        let idle = k.free_page_count() + k.cached_page_count();
+
+        let pin = k.epoch_pin();
+        k.release(a.actor, ROOT_INO).unwrap();
+        k.map(b.actor, MapTarget::Root, true).unwrap();
+        assert_eq!((k.deferred_page_count(), k.limbo_page_count()), (0, 2));
+        let fresh = k.alloc_pages(a.actor, 64, None).unwrap();
+        assert!(!fresh.contains(&ipage) && !fresh.contains(&dpage), "re-granted under the pin");
+        k.free_pages(a.actor, &fresh).unwrap();
+        let idle_now = k.free_page_count() + k.cached_page_count();
+        assert_eq!(idle_now, idle - 64, "the 64 wait in limbo too");
+
+        drop(pin);
+        assert_eq!(k.free_page_count() + k.cached_page_count(), idle + 2);
+        assert_conserved(k, 0, "after the pin dropped");
+    });
+    rt.run();
+}
+
+/// A cache lives from `register_libfs` to `unregister`: an actor without
+/// one — departed, or never registered — is served neither pages nor inos,
+/// and nothing it asked for stays parked where no `unregister` will flush it.
+#[test]
+fn unregistered_actor_cannot_allocate() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    rt.spawn("main", move || {
+        let total = k2.free_page_count() + k2.cached_page_count();
+        let a = k2.register_libfs(100, 100);
+        let pages = k2.alloc_pages(a.actor, 4, None).unwrap();
+        k2.free_pages(a.actor, &pages).unwrap();
+        k2.unregister(a.actor);
+        for ghost in [a.actor, trio_nvm::ActorId(9999)] {
+            assert_eq!(k2.alloc_pages(ghost, 4, None).err(), Some(FsError::PermissionDenied));
+            assert_eq!(k2.alloc_inos(ghost, 4).err(), Some(FsError::PermissionDenied));
+        }
+        assert_eq!(k2.cached_page_count(), 0, "a cache outlived its registration");
+        assert_eq!(k2.free_page_count(), total);
+        assert_eq!(k2.path_stats().snapshot().registry_locks, 0, "refusal took the registry lock");
     });
     rt.run();
 }

@@ -6,9 +6,8 @@
 //! numbers, and detects cycles (attack #4 in the paper's §6.5 test suite
 //! creates loops within a file's index pages).
 
-use std::collections::HashSet;
-
 use trio_nvm::{NvmHandle, PageId, ProtError};
+use trio_sim::DetHashSet;
 
 use crate::index::{IndexPageRef, ENTRIES_PER_INDEX};
 
@@ -68,8 +67,8 @@ pub fn walk_file(
 ) -> Result<FilePages, WalkError> {
     let total = h.device().topology().total_pages();
     let mut out = FilePages::default();
-    let mut seen_index = HashSet::new();
-    let mut seen_data = HashSet::new();
+    let mut seen_index = DetHashSet::default();
+    let mut seen_data = DetHashSet::default();
     let mut cur = first_index;
     while cur != 0 {
         if cur >= total {

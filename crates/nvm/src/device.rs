@@ -5,7 +5,8 @@ use trio_sim::race::RaceDetector;
 use trio_sim::{in_sim, work, Nanos};
 
 #[cfg(feature = "faults")]
-use std::collections::HashSet;
+use trio_sim::DetHashSet;
+
 #[cfg(feature = "faults")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -95,7 +96,7 @@ pub struct NvmDevice {
     /// with [`ProtError::Poisoned`]. A store covering a whole line repairs
     /// it, as writing a full line does on real PM.
     #[cfg(feature = "faults")]
-    poisoned: Mutex<HashSet<(u64, u16)>>,
+    poisoned: Mutex<DetHashSet<(u64, u16)>>,
     /// Fast-path poison count so the un-injected hot path is one relaxed
     /// load, not a lock acquisition.
     #[cfg(feature = "faults")]
@@ -118,7 +119,7 @@ impl NvmDevice {
             tracker: config.track_persistence.then(PersistTracker::new),
             race: OnceLock::new(),
             #[cfg(feature = "faults")]
-            poisoned: Mutex::new(HashSet::new()),
+            poisoned: Mutex::new(DetHashSet::default()),
             #[cfg(feature = "faults")]
             poison_count: AtomicUsize::new(0),
         }

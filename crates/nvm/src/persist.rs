@@ -34,9 +34,8 @@
 //! or fence. Each hazard carries the persistence-point index at which it
 //! was observed, so `(seed, point)` replays it exactly like a crash.
 
-use std::collections::HashMap;
-
 use trio_sim::plock::Mutex;
+use trio_sim::DetHashMap;
 
 #[cfg(feature = "faults")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,7 +73,7 @@ struct LineState {
 /// Pre-images and phases of all not-yet-durable cache lines.
 #[derive(Default)]
 pub struct PersistTracker {
-    lines: Mutex<HashMap<(u64, u16), LineState>>,
+    lines: Mutex<DetHashMap<(u64, u16), LineState>>,
     /// Persistence points observed so far (stores + flushes + fences).
     #[cfg(feature = "faults")]
     points: AtomicU64,
@@ -260,7 +259,7 @@ impl PersistTracker {
     #[cfg(feature = "faults")]
     fn tear_store(
         &self,
-        lines: &mut HashMap<(u64, u16), LineState>,
+        lines: &mut DetHashMap<(u64, u16), LineState>,
         page: PageId,
         off: usize,
         data: &[u8],

@@ -66,3 +66,14 @@ pub use runtime::{
     SimRuntime,
 };
 pub use time::{Nanos, MICROS, MILLIS, SECONDS};
+
+/// The hasher of every map in shipped code: std's SipHash under fixed keys.
+/// `RandomState` draws fresh keys per map, so iteration order — and with it
+/// anything a loop over a map does to the virtual clock or to a pool —
+/// differs from one run to the next (`cargo xtask lint`, `no-random-state`).
+pub type DetState = std::hash::BuildHasherDefault<std::hash::DefaultHasher>;
+/// [`std::collections::HashMap`] whose iteration order is a function of its
+/// history alone. Construct with `DetHashMap::default()`.
+pub type DetHashMap<K, V> = std::collections::HashMap<K, V, DetState>;
+/// [`std::collections::HashSet`] counterpart of [`DetHashMap`].
+pub type DetHashSet<K> = std::collections::HashSet<K, DetState>;

@@ -39,7 +39,7 @@
 //! complexity we don't need — the delegation and sharing protocols under
 //! test synchronize via mutexes, channels, and barriers.
 
-use std::collections::HashMap;
+use crate::DetHashMap;
 
 use crate::plock::Mutex as PlMutex;
 use crate::runtime::{
@@ -114,7 +114,7 @@ struct LineHist {
 /// turns into a deterministic, replayable simulation failure.
 #[derive(Default)]
 pub struct RaceDetector {
-    lines: PlMutex<HashMap<(u64, u16), LineHist>>,
+    lines: PlMutex<DetHashMap<(u64, u16), LineHist>>,
 }
 
 impl RaceDetector {

@@ -35,7 +35,7 @@
 
 pub(crate) mod obs;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use trio_fsapi::path::validate_name;
 use trio_layout::{
@@ -43,7 +43,7 @@ use trio_layout::{
     DIRENTS_PER_PAGE, DIRENT_SIZE,
 };
 use trio_nvm::{ActorId, NvmHandle, PageId, ProtError, PAGE_SIZE};
-use trio_sim::{cost, in_sim, work};
+use trio_sim::{cost, in_sim, work, DetHashMap, DetHashSet};
 
 /// Where a page currently stands in the kernel's books.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -434,8 +434,8 @@ impl Verifier {
         view: &dyn ResourceView,
         report: &mut VerifyReport,
     ) {
-        let mut names: HashMap<Vec<u8>, Ino> = HashMap::new();
-        let mut inos: HashSet<Ino> = HashSet::new();
+        let mut names: DetHashMap<Vec<u8>, Ino> = DetHashMap::default();
+        let mut inos: DetHashSet<Ino> = DetHashSet::default();
         let mut entries_seen: u64 = 0;
         'scan: for page in pages.data_pages.iter().flatten() {
             let mut raw = vec![0u8; PAGE_SIZE];
@@ -482,10 +482,10 @@ impl Verifier {
         }
         // I3: children present at checkpoint but missing now must be truly gone.
         if let Some(ck) = req.checkpoint_children {
-            for &child in ck {
-                if inos.contains(&child) {
-                    continue;
-                }
+            // Ascending: the caller's hasher must not order the violations.
+            let mut missing: Vec<Ino> = ck.iter().copied().filter(|c| !inos.contains(c)).collect();
+            missing.sort_unstable();
+            for child in missing {
                 if view.is_mapped(child) {
                     report.violations.push(Violation::DisconnectedChild { ino: child });
                     continue;
@@ -514,8 +514,8 @@ impl Verifier {
         d: &DirentData,
         loc: DirentLoc,
         view: &dyn ResourceView,
-        names: &mut HashMap<Vec<u8>, Ino>,
-        inos: &mut HashSet<Ino>,
+        names: &mut DetHashMap<Vec<u8>, Ino>,
+        inos: &mut DetHashSet<Ino>,
         report: &mut VerifyReport,
     ) {
         let mut entry_ok = true;

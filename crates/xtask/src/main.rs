@@ -66,6 +66,14 @@
 //!   rests on steady-state alloc/free/grant paths staying off that lock,
 //!   and the perf gate pins `registry_locks` near zero to prove it.
 //!
+//! * **no-random-state** — shipped library code (`crates/*/src`) builds no
+//!   map or set on `RandomState`: `HashMap::new(`, `HashSet::new(`,
+//!   `::with_capacity(` on either, and `RandomState` itself are findings.
+//!   Every such map draws fresh hash keys, so its iteration order differs
+//!   from run to run, and one loop over one reached the page allocator and
+//!   the virtual clock (ROADMAP item 1). Use `trio_sim::DetHashMap` /
+//!   `DetHashSet` (std's maps under fixed keys) or an ordered map.
+//!
 //! Any rule can be suppressed per-site with `// lint: allow(<rule-id>)
 //! <reason>` on the flagged line or up to two lines above it; the reason is
 //! mandatory — a bare allow is itself reported.
@@ -223,6 +231,7 @@ pub enum Rule {
     PayloadMaterialize,
     RawPublish,
     HotPathRegistry,
+    NoRandomState,
 }
 
 impl Rule {
@@ -237,6 +246,7 @@ impl Rule {
             Rule::PayloadMaterialize => "no-payload-copy",
             Rule::RawPublish => "raw-publish",
             Rule::HotPathRegistry => "hot-path-registry",
+            Rule::NoRandomState => "no-random-state",
         }
     }
 }
@@ -329,7 +339,8 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
     // Shipped library code persists through the typestate pipeline only
     // (DESIGN.md §18); tests/benches keep the raw API for mutation
     // harnesses that deliberately construct hazards.
-    let raw_publish_scope = !in_nvm && !in_xtask && shipped_src(rel);
+    let shipped = !in_xtask && shipped_src(rel);
+    let raw_publish_scope = !in_nvm && shipped;
     // A module that declares itself hot-path (raw source, so the marker
     // lives in its doc comment) has sworn off the registry control lock
     // entirely (DESIGN.md §20).
@@ -517,6 +528,23 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
                     ));
                     break;
                 }
+            }
+        }
+
+        // R10: no map or set keyed by `RandomState` in shipped library
+        // code; its iteration order is not a function of the seed.
+        if shipped && i < test_region {
+            let ctor = ["HashMap", "HashSet"].iter().any(|ty| {
+                ["::new(", "::with_capacity("]
+                    .iter()
+                    .any(|call| contains_word(line, ty) && line.contains(&format!("{ty}{call}")))
+            });
+            if ctor || contains_word(line, "RandomState") {
+                emit(out, rel, &raw, i, Rule::NoRandomState,
+                    "a `RandomState` map iterates in a different order every run; use \
+                     `trio_sim::DetHashMap`/`DetHashSet` (`::default()`) or an ordered \
+                     map so nothing the clock or the allocator can observe depends on it"
+                        .to_string());
             }
         }
     }
@@ -931,6 +959,7 @@ mod tests {
             Rule::PayloadMaterialize,
             Rule::RawPublish,
             Rule::HotPathRegistry,
+            Rule::NoRandomState,
         ] {
             assert!(
                 findings.iter().any(|f| f.rule == rule),
@@ -1040,6 +1069,21 @@ mod tests {
         assert!(hot_hits.contains(&line_of("let _fast")));
         assert!(hot_hits.contains(&line_of("let _site")));
         assert!(!hot_hits.contains(&line_of("let _cold")));
+        // no-random-state: the two constructors and the named hasher trip;
+        // the fixed-key alias, the annotated site and the test module stay
+        // clean.
+        let rs_hits: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::NoRandomState)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(rs_hits.len(), 3, "exactly the three live RandomState sites: {rs_hits:?}");
+        let rs_src = fixture.join("crates").join("core").join("src").join("randstate.rs");
+        let src = std::fs::read_to_string(&rs_src).unwrap();
+        let line_of = |needle: &str| src.lines().position(|l| l.contains(needle)).unwrap() + 1;
+        assert!(rs_hits.contains(&line_of("HashMap::new()")));
+        assert!(rs_hits.contains(&line_of("HashSet::with_capacity(8)")));
+        assert!(rs_hits.contains(&line_of("hash_map::RandomState")));
     }
 
     /// 1-based line of the first raw line containing `needle` in the

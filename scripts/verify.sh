@@ -7,6 +7,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Determinism gate (ROADMAP "same seed, same bytes"): runs bench $1 a second
+# time (extra environment in $3...) and requires its JSON to equal the first
+# run's, $2, byte for byte.
+same_bytes_twice() {
+    local bench=$1 first=$2
+    shift 2
+    env "$@" TRIO_BENCH_OUT="$first.again" cargo bench -q -p trio-bench --bench "$bench" > /dev/null
+    if ! cmp "$first" "$first.again"; then
+        echo "FAIL: two runs of $bench differ; something the clock or the allocator sees is not a function of the seed." >&2
+        exit 1
+    fi
+    rm -f "$first.again"
+    echo "OK: $bench is byte-identical across two runs."
+}
+
 echo "== tier-1, every crate's suite, and the benchmark's build: cargo build --release && cargo test -q --workspace =="
 cargo build --release
 cargo test -q --workspace
@@ -172,6 +187,7 @@ echo "== perf smoke gate: data-path bench vs committed baseline =="
 # BENCH_datapath.json baseline.
 TRIO_BENCH_OUT=/tmp/trio_datapath.$$ TRIO_SCALE=16 \
     cargo bench -p trio-bench --bench bench_datapath
+same_bytes_twice bench_datapath /tmp/trio_datapath.$$ TRIO_SCALE=16
 if [ -f BENCH_datapath.json ]; then
     python3 - /tmp/trio_datapath.$$ BENCH_datapath.json <<'EOF'
 import json, sys
@@ -255,6 +271,7 @@ echo "== mega-tenant gate: 128 concurrent LibFS instances, lock-free control pla
 # (ROADMAP 1(d)).
 TRIO_BENCH_OUT=/tmp/trio_megatenant.$$ \
     cargo bench -p trio-bench --bench bench_megatenant
+same_bytes_twice bench_megatenant /tmp/trio_megatenant.$$
 python3 - /tmp/trio_megatenant.$$ BENCH_megatenant.json <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))

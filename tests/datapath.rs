@@ -108,6 +108,64 @@ fn adaptive_routing_is_deterministic_across_reruns() {
     assert_eq!(a.1.to_json(&[]), b.1.to_json(&[]), "contended phase diverged");
 }
 
+/// Eight threads on four nodes, each extending a striped file across every
+/// node, truncating it and extending it again: the kernel allocator's
+/// refills, spills and the delegation ring all run hot.
+fn churn_scenario(seed: u64) -> PathStatsSnapshot {
+    let dev = Arc::new(NvmDevice::new(DeviceConfig {
+        topology: Topology::new(4, 16 * 1024),
+        ..DeviceConfig::small()
+    }));
+    let kernel = KernelController::format(dev, KernelConfig::default());
+    let fs = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::default());
+    let rt = SimRuntime::new(seed);
+    let k = Arc::clone(&kernel);
+    rt.spawn("main", move || {
+        k.delegation().start();
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let fs = Arc::clone(&fs);
+                trio_sim::spawn(&format!("churn{t}"), move || {
+                    trio_nvm::handle::set_home_node(t as usize % 4);
+                    let path = format!("/churn-{t}");
+                    let fd =
+                        fs.open(&path, OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
+                    let block = vec![t as u8; 96 * 4096];
+                    for _ in 0..6 {
+                        for i in 0..4u64 {
+                            fs.pwrite(fd, i * block.len() as u64, &block).unwrap();
+                        }
+                        fs.truncate(&path, 0).unwrap();
+                    }
+                    fs.close(fd).unwrap();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join();
+        }
+        k.delegation().shutdown();
+    });
+    rt.run();
+    kernel.path_stats().snapshot()
+}
+
+/// Same seed, same counters — allocator and ring included. Every
+/// `HashMap::new()` draws fresh hash keys, so a map whose iteration order
+/// reaches the allocator or the clock fails this within one process.
+#[test]
+fn allocator_churn_is_deterministic_across_reruns() {
+    let (a, b) = (churn_scenario(5), churn_scenario(5));
+    assert!(a.alloc_refills > 0 && a.free_spills > 0 && a.alloc_fast_hits > 0, "{a:?}");
+    assert_eq!(
+        (a.alloc_fast_hits, a.alloc_refills, a.alloc_refill_pages, a.free_spills),
+        (b.alloc_fast_hits, b.alloc_refills, b.alloc_refill_pages, b.free_spills),
+        "allocator counters diverged"
+    );
+    assert_eq!(a.ring_hop_hist, b.ring_hop_hist, "ring timing diverged");
+    assert_eq!(a.to_json(&[]), b.to_json(&[]));
+}
+
 /// Concurrent allocation and frees across several actors must balance the
 /// page ledger: every page is in exactly one of {global pool, an actor's
 /// allocator cache, handed out}, and unregistering flushes caches back.
