@@ -2,13 +2,6 @@
 //! simulation) — the ablation-level measurements behind DESIGN.md's
 //! data-structure choices: dirent codec, directory hash table vs linear
 //! scan, the defensive index walk, and the verifier itself.
-//!
-//! Doubles as the zero-overhead gate for the `faults` feature: built
-//! standalone (`cargo bench -p trio-bench`), trio-bench does not enable
-//! `faults`, and the check in `main` proves every injection hook
-//! compiled down to a no-op on the measured hot paths. (A full-workspace
-//! build unifies features and defeats the point — build this package
-//! alone for the guarantee.)
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -183,20 +176,6 @@ fn path_stats_counters() {
 }
 
 fn main() {
-    // Zero-overhead gate: the hot paths measured below must be the same
-    // machine code the release benches run — no fault-injection hooks.
-    // Hard-failing would misfire under workspace-wide feature unification
-    // (`cargo bench` from the root unifies `faults` on), so warn there
-    // and only guarantee the gate for standalone `-p trio-bench` builds.
-    if trio_nvm::faults_compiled() {
-        println!(
-            "# WARNING: `faults` compiled in (workspace feature unification?) — \
-             numbers include injection-hook overhead."
-        );
-        println!("# For the zero-overhead gate: cargo bench -p trio-bench --bench micro_components");
-    } else {
-        println!("# faults_compiled() == false: injection hooks are no-ops in this build.");
-    }
     println!("# Microbenchmarks: core data structures (mean over >=200ms each)");
     dirent_codec();
     dir_hash_table();

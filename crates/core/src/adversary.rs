@@ -88,8 +88,7 @@ pub enum Mutation {
     /// line of a victim data page, then let the victim read. Reads over
     /// the dead line must fail *typed* (`Corrupted`), never hand back
     /// garbage — and the innocent grant holder must never be quarantined
-    /// for the medium's fault. Requires the `faults` feature; a skipped
-    /// draw otherwise.
+    /// for the medium's fault.
     MediaPoisonRead,
     /// Media production: silently flip a byte under an intact integrity
     /// sidecar (bit rot), then run a full patrol scrub pass. The scrubber
@@ -485,12 +484,6 @@ pub fn run_mutation(
             grants.revoke(fs.actor(), id);
             r.map(|s| format!("{s} ({how} grant)"))
         }
-        #[cfg(not(feature = "faults"))]
-        Mutation::MediaPoisonRead | Mutation::MediaRotScrub => {
-            let _ = &vic_data;
-            Err(FsError::InvalidArgument) // skipped: no fault injection
-        }
-        #[cfg(feature = "faults")]
         Mutation::MediaPoisonRead => {
             let pages: Vec<PageId> = vic_data.iter().flatten().copied().collect();
             if pages.is_empty() {
@@ -501,7 +494,6 @@ pub fn run_mutation(
             h.device().poison_line(page, line);
             Ok(format!("poisoned line {line} of data page {}", page.0))
         }
-        #[cfg(feature = "faults")]
         Mutation::MediaRotScrub => {
             // Rot only bites where an integrity sidecar can catch it;
             // unchecksummed pages would rot silently, which is a modelled

@@ -461,7 +461,6 @@ mod tests {
         assert_eq!(j.page_pairs(), vec![(PageId(10), None)]);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn poisoned_primary_recovers_from_mirror_and_repairs() {
         let h = setup();

@@ -46,16 +46,10 @@
 //! re-promotes traffic.
 
 use std::collections::VecDeque;
-#[cfg(feature = "faults")]
-use std::sync::atomic::AtomicU8;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-#[cfg(feature = "faults")]
-use trio_nvm::WorkerKillPlan;
-use trio_nvm::{
-    ActorId, NvmDevice, NvmHandle, PageId, PathStats, ProtError, WorkerKillPoint, PAGE_SIZE,
-};
+use trio_nvm::{ActorId, NvmDevice, NvmHandle, PageId, PathStats, ProtError, PAGE_SIZE};
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::{RecvDeadline, SimChannel};
 use trio_sim::{in_sim, now, now_or_zero, spawn, DetHashSet, JoinHandle, Nanos};
@@ -63,6 +57,7 @@ use trio_sim::{in_sim, now, now_or_zero, spawn, DetHashSet, JoinHandle, Nanos};
 use crate::grant::{GrantRef, GrantTable};
 use crate::registry::KernelEvent;
 use crate::retry::RetryPolicy;
+use crate::shard::{EventRing, EVENT_RING_CAPACITY};
 
 /// Reply-ring capacity. Must exceed the most completions an op can have in
 /// flight (touched nodes × per-node fan-out × retry attempts), so a late
@@ -113,7 +108,6 @@ const RECOVER_AFTER_SUCCESSES: u64 = 8;
 const PROBE_EVERY: u64 = 16;
 
 /// "No worker-kill plan armed" sentinel.
-#[cfg(feature = "faults")]
 const KILL_UNSET: u64 = u64::MAX;
 
 /// Worker-side admission check for one ring request. Everything here is
@@ -222,12 +216,68 @@ impl std::fmt::Display for DelegationError {
     }
 }
 
-/// Injectable delegation-thread faults (tentpole fault-injection engine).
+/// Where inside request servicing a delegation worker is killed. The
+/// three points bracket the idempotence window: `AfterPop` dies before
+/// any byte is applied, `MidPayload` dies with the request partially
+/// applied (token not yet recorded), `BeforeReply` dies with everything
+/// applied and the idempotence token recorded but the reply unsent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WorkerKillPoint {
+    /// Immediately after popping the request off the ring.
+    AfterPop = 0,
+    /// After applying the first run of a multi-run payload.
+    MidPayload = 1,
+    /// After full application (and token record), before the reply send.
+    BeforeReply = 2,
+}
+
+impl WorkerKillPoint {
+    /// All kill points, in servicing order — chaos sweeps iterate this.
+    pub const ALL: [WorkerKillPoint; 3] =
+        [WorkerKillPoint::AfterPop, WorkerKillPoint::MidPayload, WorkerKillPoint::BeforeReply];
+
+    pub fn as_str(self) -> &'static str {
+        match self {
+            WorkerKillPoint::AfterPop => "after-pop",
+            WorkerKillPoint::MidPayload => "mid-payload",
+            WorkerKillPoint::BeforeReply => "before-reply",
+        }
+    }
+
+    /// Inverse of `as u8` (the armed point is stored in an atomic).
+    pub fn from_index(i: u8) -> Option<WorkerKillPoint> {
+        WorkerKillPoint::ALL.get(i as usize).copied()
+    }
+}
+
+/// Declarative worker-death plan: kill the delegation worker servicing
+/// the `at_request`-th popped request (0-based, counted across all
+/// workers in pop order, which is deterministic under the sim) at the
+/// given kill point. A chaos sweep replays a death from
+/// `(seed, request, point)` alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WorkerKillPlan {
+    /// Global pop index of the doomed request.
+    pub at_request: u64,
+    /// Where inside servicing the worker dies.
+    pub point: WorkerKillPoint,
+}
+
+impl WorkerKillPlan {
+    pub fn kill_at(at_request: u64, point: WorkerKillPoint) -> Self {
+        WorkerKillPlan { at_request, point }
+    }
+}
+
+/// Injectable delegation-thread faults. Always compiled, armed only by
+/// [`DelegationPool::inject_faults`], [`DelegationPool::arm_worker_kill`]
+/// and [`DelegationPool::inject_worker_kills`]; unarmed, a served request
+/// pays the `served` increment and four relaxed loads, draws nothing from
+/// the RNG and charges no virtual time (DESIGN.md §11).
 ///
 /// Draws come from each delegation thread's own deterministic RNG
 /// ([`trio_sim::rng`]), so a given `(seed, settings)` pair replays the same
 /// stalls, drops, and kills. The rate fields are "one in N"; zero disables.
-#[cfg(feature = "faults")]
 pub struct DelegationFaults {
     /// Stall one in N served requests by `stall_ns` of virtual time.
     stall_one_in: AtomicU64,
@@ -247,7 +297,6 @@ pub struct DelegationFaults {
     kill_one_in: AtomicU64,
 }
 
-#[cfg(feature = "faults")]
 impl Default for DelegationFaults {
     fn default() -> Self {
         DelegationFaults {
@@ -263,7 +312,6 @@ impl Default for DelegationFaults {
     }
 }
 
-#[cfg(feature = "faults")]
 impl DelegationFaults {
     /// Per-request kill decision, made right after the ring pop. The
     /// armed one-shot plan disarms itself when it fires so the respawned
@@ -419,11 +467,11 @@ pub struct DelegationPool {
     grants: Arc<GrantTable>,
     health: Health,
     /// Failure-domain events, merged into the registry's stream by
-    /// [`crate::KernelController::take_events`].
-    events: PlMutex<Vec<KernelEvent>>,
+    /// [`crate::KernelController::take_events`]. Bounded like the
+    /// registry's own ring: a never-drained pool drops its oldest.
+    pub(crate) events: EventRing,
     /// Death-to-restart latencies observed by the watchdog, in virtual ns.
     recovery_ns: PlMutex<Vec<Nanos>>,
-    #[cfg(feature = "faults")]
     faults: Arc<DelegationFaults>,
 }
 
@@ -470,9 +518,8 @@ impl DelegationPool {
             idem: Arc::new(PlMutex::new(IdemTable::default())),
             grants,
             health,
-            events: PlMutex::new(Vec::new()),
+            events: EventRing::new(EVENT_RING_CAPACITY),
             recovery_ns: PlMutex::new(Vec::new()),
-            #[cfg(feature = "faults")]
             faults: Arc::new(DelegationFaults::default()),
         }
     }
@@ -490,7 +537,6 @@ impl DelegationPool {
     /// Arms delegation-thread fault injection: stall one in
     /// `stall_one_in` requests by `stall_ns`, drop one in `drop_one_in`
     /// requests without replying. Zero rates disable the respective fault.
-    #[cfg(feature = "faults")]
     pub fn inject_faults(&self, stall_one_in: u64, stall_ns: Nanos, drop_one_in: u64) {
         self.faults.stall_one_in.store(stall_one_in, Ordering::Relaxed);
         self.faults.stall_ns.store(stall_ns, Ordering::Relaxed);
@@ -501,7 +547,6 @@ impl DelegationPool {
     /// `plan.at_request`-th request (0-based, global pop order) dies at
     /// `plan.point`. The plan disarms when it fires, so the re-dispatch
     /// and any client retry are served by healthy workers.
-    #[cfg(feature = "faults")]
     pub fn arm_worker_kill(&self, plan: WorkerKillPlan) {
         self.faults.kill_point.store(plan.point as u8, Ordering::Relaxed);
         self.faults.kill_at_request.store(plan.at_request, Ordering::Relaxed);
@@ -509,14 +554,12 @@ impl DelegationPool {
 
     /// Random worker-kill mode: one in `one_in` served requests kills the
     /// serving worker at an RNG-drawn kill point. Zero disables.
-    #[cfg(feature = "faults")]
     pub fn inject_worker_kills(&self, one_in: u64) {
         self.faults.kill_one_in.store(one_in, Ordering::Relaxed);
     }
 
     /// Requests popped so far across all workers (the replay coordinate
     /// of [`Self::arm_worker_kill`]).
-    #[cfg(feature = "faults")]
     pub fn requests_served(&self) -> u64 {
         self.faults.served.load(Ordering::Relaxed)
     }
@@ -539,7 +582,6 @@ impl DelegationPool {
         let stats = Arc::clone(&self.stats);
         let idem = Arc::clone(&self.idem);
         let grants = Arc::clone(&self.grants);
-        #[cfg(feature = "faults")]
         let faults = Arc::clone(&self.faults);
         spawn("delegation", move || {
             trio_nvm::handle::set_home_node(ws.node);
@@ -547,32 +589,26 @@ impl DelegationPool {
                 // Heartbeat + in-flight parking: what the watchdog reads.
                 ws.epoch.fetch_add(1, Ordering::Relaxed);
                 *ws.inflight.lock() = Some(req.clone());
-                #[cfg(feature = "faults")]
                 let kill = faults.draw_kill();
-                #[cfg(not(feature = "faults"))]
-                let kill: Option<WorkerKillPoint> = None;
                 if kill == Some(WorkerKillPoint::AfterPop) {
                     // Dies with nothing applied: the orphan re-dispatch
                     // must run the request from scratch.
                     ws.die();
                     return;
                 }
-                #[cfg(feature = "faults")]
-                {
-                    let n = faults.stall_one_in.load(Ordering::Relaxed);
-                    if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
-                        trio_sim::work(faults.stall_ns.load(Ordering::Relaxed));
-                    }
-                    let n = faults.drop_one_in.load(Ordering::Relaxed);
-                    if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
-                        // A wedged thread: the request vanishes and no
-                        // reply is ever sent. Clients must use the
-                        // deadline-bounded entry points to survive this.
-                        // Not an orphan — the thread lives on — so the
-                        // in-flight slot is cleared.
-                        *ws.inflight.lock() = None;
-                        continue;
-                    }
+                let n = faults.stall_one_in.load(Ordering::Relaxed);
+                if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
+                    trio_sim::work(faults.stall_ns.load(Ordering::Relaxed));
+                }
+                let n = faults.drop_one_in.load(Ordering::Relaxed);
+                if n != 0 && trio_sim::rng::with_rng(|r| r.one_in(n)) {
+                    // A wedged thread: the request vanishes and no
+                    // reply is ever sent. Clients must use the
+                    // deadline-bounded entry points to survive this.
+                    // Not an orphan — the thread lives on — so the
+                    // in-flight slot is cleared.
+                    *ws.inflight.lock() = None;
+                    continue;
                 }
                 if let Err(e) = validate_req(&req) {
                     stats.record_deleg_rejected();
@@ -750,9 +786,7 @@ impl DelegationPool {
             let orphan = ws.inflight.lock().take();
             self.stats.record_worker_death();
             crate::obs::worker_death(ws.node, ws.index as u64);
-            self.events
-                .lock()
-                .push(KernelEvent::WorkerDied { node: ws.node, worker: ws.index });
+            self.push_event(KernelEvent::WorkerDied { node: ws.node, worker: ws.index });
             self.note_op_failure();
             // Respawn first so the orphan can even land back on this
             // worker's own ring without waiting for a third party.
@@ -764,9 +798,7 @@ impl DelegationPool {
                 let rec = now().saturating_sub(ws.died_at.load(Ordering::Relaxed));
                 self.recovery_ns.lock().push(rec);
                 crate::obs::worker_restart(ws.node, ws.index as u64, rec);
-                self.events
-                    .lock()
-                    .push(KernelEvent::WorkerRestarted { node: ws.node, worker: ws.index });
+                self.push_event(KernelEvent::WorkerRestarted { node: ws.node, worker: ws.index });
                 self.health.recovery_epoch.fetch_add(1, Ordering::Relaxed);
             }
             if let Some(req) = orphan {
@@ -796,7 +828,7 @@ impl DelegationPool {
             self.health.recovery_epoch.fetch_add(1, Ordering::Relaxed);
             self.stats.record_degraded(false);
             crate::obs::degraded_exit();
-            self.events.lock().push(KernelEvent::DelegationRecovered);
+            self.push_event(KernelEvent::DelegationRecovered);
         }
     }
 
@@ -821,7 +853,7 @@ impl DelegationPool {
             self.health.enters.fetch_add(1, Ordering::Relaxed);
             self.stats.record_degraded(true);
             crate::obs::degraded_enter(failures);
-            self.events.lock().push(KernelEvent::DelegationDegraded);
+            self.push_event(KernelEvent::DelegationDegraded);
         }
     }
 
@@ -859,7 +891,15 @@ impl DelegationPool {
     /// Drains the pool's failure-domain events (worker deaths/restarts,
     /// degraded-mode transitions), oldest first.
     pub fn take_events(&self) -> Vec<KernelEvent> {
-        std::mem::take(&mut *self.events.lock())
+        self.events.drain()
+    }
+
+    /// Appends to the pool's bounded event ring, surfacing overflow drops
+    /// in the shared stats.
+    fn push_event(&self, ev: KernelEvent) {
+        if self.events.push(ev) {
+            self.stats.record_event_dropped();
+        }
     }
 
     /// Drains the death-to-restart latencies the watchdog observed.
@@ -1343,5 +1383,34 @@ impl DelegationPool {
     ) -> Result<(), DelegationError> {
         let len = buf.len();
         self.run_batches(actor, pages, start, len, None, Some(buf), Some(policy))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kill_point_round_trips_through_index() {
+        for p in WorkerKillPoint::ALL {
+            assert_eq!(WorkerKillPoint::from_index(p as u8), Some(p));
+        }
+        assert_eq!(WorkerKillPoint::from_index(3), None);
+        let plan = WorkerKillPlan::kill_at(12, WorkerKillPoint::MidPayload);
+        assert_eq!(plan.at_request, 12);
+        assert_eq!(plan.point.as_str(), "mid-payload");
+    }
+
+    #[test]
+    fn a_never_drained_event_log_drops_its_oldest_and_counts_it() {
+        let dev = Arc::new(NvmDevice::new(trio_nvm::DeviceConfig::small()));
+        let pool = DelegationPool::new(dev, 1);
+        for worker in 0..=EVENT_RING_CAPACITY {
+            pool.push_event(KernelEvent::WorkerDied { node: 0, worker });
+        }
+        let events = pool.take_events();
+        assert_eq!(events.len(), EVENT_RING_CAPACITY);
+        assert!(matches!(events[0], KernelEvent::WorkerDied { worker: 1, .. }));
+        assert_eq!(pool.stats().snapshot().events_dropped, 1);
     }
 }

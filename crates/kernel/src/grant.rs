@@ -245,11 +245,6 @@ impl GrantTable {
         }
     }
 
-    /// Worker-side admission: full re-validation of `gref` as presented by
-    /// the (untrusted) ring, returning a consistent snapshot of the
-    /// granted buffer. Checks existence, ownership, epoch, and that the
-    /// window fits the buffer. Runs on every dispatch — first send,
-    /// client retry, or watchdog re-dispatch alike.
     /// Cuts an **op-scoped child grant** from `gref`: a fresh grant
     /// sharing the parent's buffer (an `Arc` clone — no bytes move) whose
     /// lifetime is exactly one delegated op. The submit path dispatches
@@ -274,6 +269,12 @@ impl GrantTable {
         Ok(GrantRef { grant_id: id, start: gref.start, len: gref.len, epoch: 1 })
     }
 
+    /// Worker-side admission: full re-validation of `gref` as presented by
+    /// the (untrusted) ring, returning a consistent snapshot of the
+    /// granted buffer. Checks existence, ownership, epoch, and that the
+    /// window fits the buffer. Runs on every dispatch — first send,
+    /// client retry, or watchdog re-dispatch alike.
+    ///
     /// A successful resolve **pins** the grant: the worker holds the pin
     /// across its media pass and must release it with [`Self::unpin`]
     /// after the post-pass epoch check. Revocation waits on that pin —

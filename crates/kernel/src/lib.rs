@@ -792,9 +792,9 @@ impl KernelController {
     }
 
     /// Kernel events evicted by ring overflow since mount (the bounded
-    /// ring's drop-oldest policy; also surfaced via `PathStats`).
+    /// rings' drop-oldest policy; also surfaced via `PathStats`).
     pub fn dropped_event_count(&self) -> u64 {
-        self.events.dropped()
+        self.events.dropped() + self.delegation.events.dropped()
     }
 
     /// Snapshot of the delegation pool's degradation state (DESIGN.md

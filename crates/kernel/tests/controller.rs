@@ -628,7 +628,6 @@ fn pin_as_root_chain(
 /// patrol has condemned it, a provenance walk may still read it — met in
 /// the one `put_back`: it reaches no pool or cache while any of them holds,
 /// and ends retired exactly once.
-#[cfg(feature = "faults")]
 #[test]
 fn pinned_condemned_frame_under_epoch_pin_ends_retired_once() {
     let rt = SimRuntime::new(1);

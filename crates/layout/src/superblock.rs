@@ -297,7 +297,6 @@ mod tests {
         assert!(SuperblockRef::new(&uh).set_root_size(9).is_err());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn poisoned_primary_falls_back_to_replica_and_scrub_repairs() {
         let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
@@ -316,7 +315,6 @@ mod tests {
         assert_eq!(sb.scrub().unwrap(), SbHealth::Clean);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn rotted_replica_detected_and_resealed() {
         let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));

@@ -2,18 +2,12 @@
 
 use trio_sim::plock::Mutex;
 use trio_sim::race::RaceDetector;
-use trio_sim::{in_sim, work, Nanos};
+use trio_sim::{in_sim, work, DetHashSet, Nanos};
 
-#[cfg(feature = "faults")]
-use trio_sim::DetHashSet;
-
-#[cfg(feature = "faults")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::fault::CrashReport;
-#[cfg(feature = "faults")]
-use crate::fault::FaultPlan;
+use crate::fault::{CrashReport, FaultPlan};
 use crate::perf::{BandwidthModel, NodeLoad};
 use crate::persist::PersistTracker;
 use crate::prot::{ActorId, PagePerm, PageProt, ProtError, KERNEL_ACTOR};
@@ -95,11 +89,9 @@ pub struct NvmDevice {
     /// Poisoned (uncorrectable) cache lines; reads overlapping one fault
     /// with [`ProtError::Poisoned`]. A store covering a whole line repairs
     /// it, as writing a full line does on real PM.
-    #[cfg(feature = "faults")]
     poisoned: Mutex<DetHashSet<(u64, u16)>>,
     /// Fast-path poison count so the un-injected hot path is one relaxed
     /// load, not a lock acquisition.
-    #[cfg(feature = "faults")]
     poison_count: AtomicUsize,
 }
 
@@ -118,9 +110,7 @@ impl NvmDevice {
             loads: (0..config.topology.nodes).map(|_| Mutex::new(NodeLoad::default())).collect(),
             tracker: config.track_persistence.then(PersistTracker::new),
             race: OnceLock::new(),
-            #[cfg(feature = "faults")]
             poisoned: Mutex::new(DetHashSet::default()),
-            #[cfg(feature = "faults")]
             poison_count: AtomicUsize::new(0),
         }
     }
@@ -174,7 +164,6 @@ impl NvmDevice {
         }
         let slot = self.slot(page)?.lock();
         slot.prot.check(actor, false)?;
-        #[cfg(feature = "faults")]
         self.poison_check_read(page, off, buf.len())?;
         #[cfg(feature = "sanitize")]
         if let Some(t) = &self.tracker {
@@ -222,7 +211,6 @@ impl NvmDevice {
         );
         let mut slot = self.slot(page)?.lock();
         slot.prot.check(actor, true)?;
-        #[cfg(feature = "faults")]
         self.poison_check_write(page, off, data.len())?;
         self.race_check(actor, page, off, data.len(), true);
         if let Some(t) = &self.tracker {
@@ -263,7 +251,6 @@ impl NvmDevice {
     }
 
     /// Fails a read overlapping any poisoned line.
-    #[cfg(feature = "faults")]
     fn poison_check_read(&self, page: PageId, off: usize, len: usize) -> Result<(), ProtError> {
         if len == 0 || self.poison_count.load(Ordering::Relaxed) == 0 {
             return Ok(());
@@ -281,7 +268,6 @@ impl NvmDevice {
     /// A store that fully covers a poisoned line repairs it; one that only
     /// partially covers it would have to read-modify-write the bad line, so
     /// it faults instead. Checks everything before repairing anything.
-    #[cfg(feature = "faults")]
     fn poison_check_write(&self, page: PageId, off: usize, len: usize) -> Result<(), ProtError> {
         if len == 0 || self.poison_count.load(Ordering::Relaxed) == 0 {
             return Ok(());
@@ -487,8 +473,7 @@ impl NvmDevice {
         slot.data = None;
         slot.prot = PageProt::default();
         slot.csum = None;
-        #[cfg(feature = "faults")]
-        self.clear_page_poison(page);
+        self.scrub_page(page);
         Ok(())
     }
 
@@ -514,8 +499,7 @@ impl NvmDevice {
         slot.ensure_data().copy_from_slice(image);
         slot.csum = None;
         // A full-page restore rewrites every line, repairing media errors.
-        #[cfg(feature = "faults")]
-        self.clear_page_poison(page);
+        self.scrub_page(page);
         Ok(())
     }
 
@@ -524,22 +508,15 @@ impl NvmDevice {
     /// its pre-image. Only meaningful with `track_persistence`. The returned
     /// [`CrashReport`] is deterministic for a given sim seed and plan.
     pub fn crash(&self) -> CrashReport {
-        #[cfg(feature = "faults")]
-        let (points_seen, crash_point) = match &self.tracker {
-            Some(t) => (t.points_seen(), t.fired_at()),
-            None => (0, None),
-        };
-        #[cfg(not(feature = "faults"))]
-        let (points_seen, crash_point) = (0, None);
-
         let Some(t) = &self.tracker else {
             return CrashReport {
                 lost_lines: 0,
                 affected_pages: Vec::new(),
-                points_seen,
-                crash_point,
+                points_seen: 0,
+                crash_point: None,
             };
         };
+        let (points_seen, crash_point) = (t.points_seen(), t.fired_at());
         // Sidecar checksums are volatile kernel metadata (like the MMU
         // table): reboot loses them all, and the verifier simply has no
         // sidecar to check until fresh delegated writes repopulate them.
@@ -590,7 +567,7 @@ impl NvmDevice {
     }
 
     // ---------------------------------------------------------------
-    // Fault injection (only with the `faults` feature).
+    // Fault injection: always compiled, inert until one of these arms it.
     // ---------------------------------------------------------------
 
     /// Arms a crash plan on the persistence tracker.
@@ -599,7 +576,6 @@ impl NvmDevice {
     ///
     /// Panics if the device was built without `track_persistence` — an
     /// armed plan would silently never fire, which is a test bug.
-    #[cfg(feature = "faults")]
     pub fn arm_crash_plan(&self, plan: FaultPlan) {
         self.tracker
             .as_ref()
@@ -608,19 +584,16 @@ impl NvmDevice {
     }
 
     /// Persistence points observed so far (0 without tracking).
-    #[cfg(feature = "faults")]
     pub fn persistence_points(&self) -> u64 {
         self.tracker.as_ref().map(|t| t.points_seen()).unwrap_or(0)
     }
 
     /// Whether an armed crash plan has fired, and at which point.
-    #[cfg(feature = "faults")]
     pub fn crash_plan_fired(&self) -> Option<u64> {
         self.tracker.as_ref().and_then(|t| t.fired_at())
     }
 
     /// Marks one cache line as an uncorrectable media error.
-    #[cfg(feature = "faults")]
     pub fn poison_line(&self, page: PageId, line: u16) {
         debug_assert!((line as usize) < PAGE_SIZE / CACHE_LINE);
         // The count must move while the set lock is still held: dropping
@@ -635,7 +608,6 @@ impl NvmDevice {
 
     /// Clears one poisoned line (e.g. after the file system rewrote it out
     /// of band). Returns whether it was poisoned.
-    #[cfg(feature = "faults")]
     pub fn clear_poison(&self, page: PageId, line: u16) -> bool {
         let mut set = self.poisoned.lock();
         let removed = set.remove(&(page.0, line));
@@ -646,7 +618,6 @@ impl NvmDevice {
     }
 
     /// Number of currently poisoned lines.
-    #[cfg(feature = "faults")]
     pub fn poisoned_lines(&self) -> usize {
         self.poison_count.load(Ordering::Relaxed)
     }
@@ -654,7 +625,6 @@ impl NvmDevice {
     /// Exact length of the poison set (takes the lock). The patrol-scrub
     /// race test pins [`Self::poisoned_lines`] against this under
     /// concurrent poison/clear/scrub traffic.
-    #[cfg(feature = "faults")]
     pub fn poison_set_len(&self) -> usize {
         self.poisoned.lock().len()
     }
@@ -663,7 +633,6 @@ impl NvmDevice {
     /// the persistence tracker, or the MMU — silent bit rot, the exact
     /// failure the checksum walk exists to catch. Test-only by
     /// construction: real corruption does not announce itself either.
-    #[cfg(feature = "faults")]
     pub fn corrupt_for_test(&self, page: PageId, off: usize) -> Result<(), ProtError> {
         if off >= PAGE_SIZE {
             return Err(ProtError::OutOfRange);
@@ -672,76 +641,42 @@ impl NvmDevice {
         slot.ensure_data()[off] ^= 0x40;
         Ok(())
     }
-
-    #[cfg(feature = "faults")]
-    fn clear_page_poison(&self, page: PageId) {
-        let mut set = self.poisoned.lock();
-        let before = set.len();
-        set.retain(|&(p, _)| p != page.0);
-        self.poison_count.fetch_sub(before - set.len(), Ordering::Relaxed);
-    }
 }
 
 /// Media-health probe surface for the patrol scrubber (DESIGN.md §19).
-/// Compiled unconditionally so the layout/kernel/verifier crates can call
-/// it without feature gymnastics; without `faults` there is no poison
-/// model and the probes report a clean device.
 impl NvmDevice {
-    /// Poisoned cache lines on `page`, sorted. Empty without `faults`.
+    /// Poisoned cache lines on `page`, sorted.
     pub fn page_poisoned_lines(&self, page: PageId) -> Vec<u16> {
-        #[cfg(feature = "faults")]
-        {
-            if self.poison_count.load(Ordering::Relaxed) == 0 {
-                return Vec::new();
-            }
-            let set = self.poisoned.lock();
-            let mut lines: Vec<u16> =
-                set.iter().filter(|&&(p, _)| p == page.0).map(|&(_, l)| l).collect();
-            lines.sort_unstable();
-            lines
+        if self.poison_count.load(Ordering::Relaxed) == 0 {
+            return Vec::new();
         }
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = page;
-            Vec::new()
-        }
+        let set = self.poisoned.lock();
+        let mut lines: Vec<u16> =
+            set.iter().filter(|&&(p, _)| p == page.0).map(|&(_, l)| l).collect();
+        lines.sort_unstable();
+        lines
     }
 
     /// Whether `page` carries at least one poisoned line.
     pub fn page_has_poison(&self, page: PageId) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            if self.poison_count.load(Ordering::Relaxed) == 0 {
-                return false;
-            }
-            return self.poisoned.lock().iter().any(|&(p, _)| p == page.0);
+        if self.poison_count.load(Ordering::Relaxed) == 0 {
+            return false;
         }
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = page;
-            false
-        }
+        self.poisoned.lock().iter().any(|&(p, _)| p == page.0)
     }
 
-    /// Clears every poisoned line on `page` (the scrubber calls this after
-    /// rewriting the page from a replica or checkpoint — the rewrite is
-    /// what repairs the media; this retires the bookkeeping). Returns the
-    /// number of lines cleared. Count and set move under one lock hold.
+    /// Clears every poisoned line on `page`: the bookkeeping half of any
+    /// full-page rewrite (reset, restore, migration target, the scrubber's
+    /// rewrite from a replica or checkpoint) — the rewrite is what repairs
+    /// the media. Returns the number of lines cleared. Count and set move
+    /// under one lock hold.
     pub fn scrub_page(&self, page: PageId) -> usize {
-        #[cfg(feature = "faults")]
-        {
-            let mut set = self.poisoned.lock();
-            let before = set.len();
-            set.retain(|&(p, _)| p != page.0);
-            let cleared = before - set.len();
-            self.poison_count.fetch_sub(cleared, Ordering::Relaxed);
-            cleared
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = page;
-            0
-        }
+        let mut set = self.poisoned.lock();
+        let before = set.len();
+        set.retain(|&(p, _)| p != page.0);
+        let cleared = before - set.len();
+        self.poison_count.fetch_sub(cleared, Ordering::Relaxed);
+        cleared
     }
 
     /// Recomputes `page`'s content hash against its integrity sidecar.
@@ -787,8 +722,7 @@ impl NvmDevice {
         dst.ensure_data().copy_from_slice(&img);
         dst.csum = csum;
         drop(dst);
-        #[cfg(feature = "faults")]
-        self.clear_page_poison(to);
+        self.scrub_page(to);
         Ok(())
     }
 
@@ -798,7 +732,6 @@ impl NvmDevice {
     /// checksum-verifying scrub. Returns whether a sidecar was present
     /// (i.e. whether the rot is detectable at all). Test-only, like
     /// [`Self::poison_line`].
-    #[cfg(feature = "faults")]
     pub fn rot_byte(&self, page: PageId, off: usize) -> bool {
         let Ok(slot) = self.slot(page) else { return false };
         let mut slot = slot.lock();
@@ -811,29 +744,20 @@ impl NvmDevice {
     /// containment. The scrubber calls this when a checksum proves a
     /// page's bytes wrong and no replica exists to heal from: failing
     /// loudly on every subsequent read beats silently returning rot.
-    /// Returns the number of lines newly fenced off; a no-op (0) without
-    /// the `faults` feature, which has no poison model to mark with.
+    /// Returns the number of lines newly fenced off.
     pub fn fence_off_page(&self, page: PageId) -> usize {
-        #[cfg(feature = "faults")]
-        {
-            if self.slot(page).is_err() {
-                return 0;
-            }
-            let mut set = self.poisoned.lock();
-            let mut added = 0;
-            for line in 0..(PAGE_SIZE / CACHE_LINE) as u16 {
-                if set.insert((page.0, line)) {
-                    added += 1;
-                }
-            }
-            self.poison_count.fetch_add(added, Ordering::Relaxed);
-            added
+        if self.slot(page).is_err() {
+            return 0;
         }
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = page;
-            0
+        let mut set = self.poisoned.lock();
+        let mut added = 0;
+        for line in 0..(PAGE_SIZE / CACHE_LINE) as u16 {
+            if set.insert((page.0, line)) {
+                added += 1;
+            }
         }
+        self.poison_count.fetch_add(added, Ordering::Relaxed);
+        added
     }
 }
 
@@ -986,7 +910,6 @@ mod tests {
         assert_eq!(lost, [0u8; 8]);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn poisoned_line_faults_reads_until_rewritten() {
         use crate::topology::CACHE_LINE;
@@ -1011,7 +934,6 @@ mod tests {
         assert!(d.copy_from_page(a, PageId(2), CACHE_LINE, &mut buf).is_ok());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn crash_plan_freezes_durability_at_point() {
         use crate::fault::FaultPlan;
@@ -1058,7 +980,6 @@ mod tests {
         assert_eq!(d.page_csum(PageId(4)).unwrap(), None);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn corrupt_for_test_is_silent_bit_rot() {
         let d = dev();

@@ -27,18 +27,18 @@
 //! only queues the write-back — so a crash between flush and fence loses
 //! the line, exactly as on real hardware.)
 //!
-//! The hooks are compiled in only under the `faults` cargo feature; release
-//! benchmarks build without it and [`faults_compiled`] reports `false`.
+//! # One build
+//!
+//! The hooks are in every build — the program the benches measure is the
+//! program the crash sweep and the campaigns test — and inert until a test
+//! arms them ([`crate::NvmDevice::arm_crash_plan`],
+//! [`crate::NvmDevice::poison_line`], …). Unarmed, a hook is one relaxed
+//! load or `fetch_add`: it never draws from the sim RNG and never charges
+//! virtual time (DESIGN.md §11; `tests/fault_injection.rs` pins it).
 
 use trio_sim::metrics::JsonObject;
 
 use crate::topology::PageId;
-
-/// Whether fault-injection hooks are compiled into this build. The bench
-/// crate asserts this is `false` so measured numbers are injection-free.
-pub const fn faults_compiled() -> bool {
-    cfg!(feature = "faults")
-}
 
 /// Declarative crash plan: freeze durability at persistence point `crash_at`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,60 +64,6 @@ impl FaultPlan {
     pub fn with_torn_store(mut self) -> Self {
         self.torn = true;
         self
-    }
-}
-
-/// Where inside request servicing a delegation worker is killed. The
-/// three points bracket the idempotence window: `AfterPop` dies before
-/// any byte is applied, `MidPayload` dies with the request partially
-/// applied (token not yet recorded), `BeforeReply` dies with everything
-/// applied and the idempotence token recorded but the reply unsent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerKillPoint {
-    /// Immediately after popping the request off the ring.
-    AfterPop = 0,
-    /// After applying the first run of a multi-run payload.
-    MidPayload = 1,
-    /// After full application (and token record), before the reply send.
-    BeforeReply = 2,
-}
-
-impl WorkerKillPoint {
-    /// All kill points, in servicing order — chaos sweeps iterate this.
-    pub const ALL: [WorkerKillPoint; 3] =
-        [WorkerKillPoint::AfterPop, WorkerKillPoint::MidPayload, WorkerKillPoint::BeforeReply];
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WorkerKillPoint::AfterPop => "after-pop",
-            WorkerKillPoint::MidPayload => "mid-payload",
-            WorkerKillPoint::BeforeReply => "before-reply",
-        }
-    }
-
-    /// Inverse of `as u8` (chaos harnesses store the point in an atomic).
-    pub fn from_index(i: u8) -> Option<WorkerKillPoint> {
-        WorkerKillPoint::ALL.get(i as usize).copied()
-    }
-}
-
-/// Declarative worker-death plan: kill the delegation worker servicing
-/// the `at_request`-th popped request (0-based, counted across all
-/// workers in pop order, which is deterministic under the sim) at the
-/// given kill point. Consumed by the kernel's delegation pool; lives
-/// here because it is part of the fault vocabulary a chaos sweep replays
-/// from `(seed, request, point)` alone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkerKillPlan {
-    /// Global pop index of the doomed request.
-    pub at_request: u64,
-    /// Where inside servicing the worker dies.
-    pub point: WorkerKillPoint,
-}
-
-impl WorkerKillPlan {
-    pub fn kill_at(at_request: u64, point: WorkerKillPoint) -> Self {
-        WorkerKillPlan { at_request, point }
     }
 }
 
@@ -192,17 +138,6 @@ mod tests {
         assert_eq!(FaultPlan::crash_at_point(7).crash_at, 7);
         assert!(!FaultPlan::crash_at_point(7).torn);
         assert!(FaultPlan::crash_at_point(7).with_torn_store().torn);
-    }
-
-    #[test]
-    fn kill_point_round_trips_through_index() {
-        for p in WorkerKillPoint::ALL {
-            assert_eq!(WorkerKillPoint::from_index(p as u8), Some(p));
-        }
-        assert_eq!(WorkerKillPoint::from_index(3), None);
-        let plan = WorkerKillPlan::kill_at(12, WorkerKillPoint::MidPayload);
-        assert_eq!(plan.at_request, 12);
-        assert_eq!(plan.point.as_str(), "mid-payload");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod typestate;
 
 pub use checksum::SeaHasher;
 pub use device::{DeviceConfig, NvmDevice};
-pub use fault::{faults_compiled, CrashReport, FaultPlan, WorkerKillPlan, WorkerKillPoint};
+pub use fault::{CrashReport, FaultPlan};
 #[cfg(feature = "sanitize")]
 pub use sanitize::{Hazard, HazardKind, SanitizeReport};
 pub use handle::NvmHandle;

@@ -19,38 +19,32 @@
 //! sweeps. (Earlier revisions treated a flushed line as durable at flush
 //! time; that blind spot is exactly what this module now closes.)
 //!
-//! With the `faults` feature, the tracker additionally numbers every
-//! *persistence point* (each recorded store, each flush, and each fence)
-//! and can be armed with a [`FaultPlan`]: once point `crash_at` is
-//! reached the tracker **freezes** — later fences stop promoting flushed
-//! lines — so a subsequent crash reverts the media to its durable state
-//! *as of that point*. See [`crate::fault`] for the model.
+//! The tracker also numbers every *persistence point* (each recorded
+//! store, each flush, and each fence) and can be armed with a
+//! [`FaultPlan`]: once point `crash_at` is reached the tracker
+//! **freezes** — later fences stop promoting flushed lines — so a
+//! subsequent crash reverts the media to its durable state *as of that
+//! point*. See [`crate::fault`] for the model.
 //!
-//! With the `sanitize` feature (which implies `faults`), the tracker also
-//! records ordering [`Hazard`]s: redundant flushes, stores into a
-//! flushed-but-unfenced line, publications whose declared dependencies
-//! are not yet durable, recovery-path reads of not-yet-durable lines, and
-//! — at an explicit quiescence check — lines that never got their flush
-//! or fence. Each hazard carries the persistence-point index at which it
-//! was observed, so `(seed, point)` replays it exactly like a crash.
+//! With the `sanitize` feature, the tracker also records ordering
+//! [`Hazard`]s: redundant flushes, stores into a flushed-but-unfenced
+//! line, publications whose declared dependencies are not yet durable,
+//! recovery-path reads of not-yet-durable lines, and — at an explicit
+//! quiescence check — lines that never got their flush or fence. Each
+//! hazard carries the persistence-point index at which it was observed,
+//! so `(seed, point)` replays it exactly like a crash.
 
-use trio_sim::plock::Mutex;
-use trio_sim::DetHashMap;
-
-#[cfg(feature = "faults")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-#[cfg(feature = "faults")]
-use trio_sim::{in_sim, rng::with_rng};
+use trio_sim::plock::Mutex;
+use trio_sim::{in_sim, rng::with_rng, DetHashMap};
 
-#[cfg(feature = "faults")]
 use crate::fault::FaultPlan;
 #[cfg(feature = "sanitize")]
 use crate::sanitize::{Hazard, HazardKind};
 use crate::topology::{PageId, CACHE_LINE, PAGE_SIZE};
 
 /// Sentinel for "no plan armed" / "plan never fired".
-#[cfg(feature = "faults")]
 const UNSET: u64 = u64::MAX;
 
 /// Where a tracked (not yet durable) line sits in the state machine.
@@ -75,19 +69,14 @@ struct LineState {
 pub struct PersistTracker {
     lines: Mutex<DetHashMap<(u64, u16), LineState>>,
     /// Persistence points observed so far (stores + flushes + fences).
-    #[cfg(feature = "faults")]
     points: AtomicU64,
     /// Point index at which to freeze durability; `UNSET` = disarmed.
-    #[cfg(feature = "faults")]
     crash_at: AtomicU64,
     /// Once set, fences no longer promote flushed lines to durable.
-    #[cfg(feature = "faults")]
     frozen: AtomicBool,
     /// Point at which the plan fired; `UNSET` until then.
-    #[cfg(feature = "faults")]
     fired_at: AtomicU64,
     /// Torn-store mode of the armed plan (see [`FaultPlan::torn`]).
-    #[cfg(feature = "faults")]
     torn: AtomicBool,
     /// Ordering hazards observed so far.
     #[cfg(feature = "sanitize")]
@@ -102,42 +91,26 @@ impl PersistTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         let t = Self::default();
-        #[cfg(feature = "faults")]
-        {
-            t.crash_at.store(UNSET, Ordering::Relaxed);
-            t.fired_at.store(UNSET, Ordering::Relaxed);
-        }
+        t.crash_at.store(UNSET, Ordering::Relaxed);
+        t.fired_at.store(UNSET, Ordering::Relaxed);
         t
     }
 
     /// Counts one persistence point, freezing if the armed plan's point is
-    /// reached. Returns the index of the point just consumed (always 0
-    /// without the `faults` feature, where nothing is counted).
+    /// reached. Returns the index of the point just consumed.
     #[inline]
     fn point_tick(&self) -> u64 {
-        #[cfg(feature = "faults")]
-        {
-            let p = self.points.fetch_add(1, Ordering::Relaxed);
-            if p == self.crash_at.load(Ordering::Relaxed) {
-                self.frozen.store(true, Ordering::Relaxed);
-                self.fired_at.store(p, Ordering::Relaxed);
-            }
-            p
+        let p = self.points.fetch_add(1, Ordering::Relaxed);
+        if p == self.crash_at.load(Ordering::Relaxed) {
+            self.frozen.store(true, Ordering::Relaxed);
+            self.fired_at.store(p, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "faults"))]
-        0
+        p
     }
 
     #[inline]
     fn is_frozen(&self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            self.frozen.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            false
-        }
+        self.frozen.load(Ordering::Relaxed)
     }
 
     /// Records an ordering hazard, stamped with the index of the most
@@ -153,7 +126,6 @@ impl PersistTracker {
     /// Arms a crash plan: durability freezes at persistence point
     /// `plan.crash_at`. Re-arming replaces the previous plan (only a plan
     /// that has not yet fired can be replaced meaningfully).
-    #[cfg(feature = "faults")]
     pub fn arm(&self, plan: FaultPlan) {
         self.fired_at.store(UNSET, Ordering::Relaxed);
         self.torn.store(plan.torn, Ordering::Relaxed);
@@ -161,13 +133,11 @@ impl PersistTracker {
     }
 
     /// Persistence points observed so far.
-    #[cfg(feature = "faults")]
     pub fn points_seen(&self) -> u64 {
         self.points.load(Ordering::Relaxed)
     }
 
     /// The point at which the armed plan fired, if it has.
-    #[cfg(feature = "faults")]
     pub fn fired_at(&self) -> Option<u64> {
         match self.fired_at.load(Ordering::Relaxed) {
             UNSET => None,
@@ -235,17 +205,12 @@ impl PersistTracker {
                 }
             }
         }
-        #[cfg(feature = "faults")]
         if let Some(data) = new_data {
             if self.torn.load(Ordering::Relaxed)
                 && self.fired_at.load(Ordering::Relaxed) == point
             {
                 self.tear_store(&mut lines, page, off, data);
             }
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = (point, new_data);
         }
     }
 
@@ -256,7 +221,6 @@ impl PersistTracker {
     /// aligned, not store-relative — drawn from the sim RNG
     /// (deterministic per seed); outside the sim it falls at the middle
     /// boundary. A store confined to one aligned word never tears.
-    #[cfg(feature = "faults")]
     fn tear_store(
         &self,
         lines: &mut DetHashMap<(u64, u16), LineState>,
@@ -343,12 +307,9 @@ impl PersistTracker {
             .map(|((page, line), st)| (PageId(page), line as usize * CACHE_LINE, st.preimage))
             .collect();
         v.sort_unstable_by_key(|(p, off, _)| (p.0, *off));
-        #[cfg(feature = "faults")]
-        {
-            self.crash_at.store(UNSET, Ordering::Relaxed);
-            self.frozen.store(false, Ordering::Relaxed);
-            self.torn.store(false, Ordering::Relaxed);
-        }
+        self.crash_at.store(UNSET, Ordering::Relaxed);
+        self.frozen.store(false, Ordering::Relaxed);
+        self.torn.store(false, Ordering::Relaxed);
         v
     }
 }
@@ -507,7 +468,6 @@ mod tests {
         assert_eq!(keys, vec![(2, 0), (9, 0), (9, 128)]);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn freeze_stops_fences_from_retiring() {
         let t = PersistTracker::new();
@@ -525,7 +485,6 @@ mod tests {
         assert_eq!(t.points_seen(), 6);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn torn_store_lets_an_aligned_prefix_escape() {
         // Outside the sim the split falls at the midpoint: a 32-byte
@@ -546,7 +505,6 @@ mod tests {
         assert!(img[48..].iter().all(|&b| b == 0x11), "untouched remainder");
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn torn_mode_never_tears_single_word_stores() {
         let t = PersistTracker::new();
@@ -557,7 +515,6 @@ mod tests {
         assert!(drained[0].2[..8].iter().all(|&b| b == 0x11), "8-byte store is atomic");
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn torn_mode_only_fires_at_the_plan_point() {
         let t = PersistTracker::new();
@@ -570,7 +527,6 @@ mod tests {
         assert!(drained[1].2[..32].iter().all(|&b| b == 0x11), "post-freeze store fully reverts");
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn fence_before_freeze_is_durable() {
         let t = PersistTracker::new();

@@ -1,8 +1,8 @@
 //! Persistence-order sanitizer types: hazards and structured reports.
 //!
-//! Compiled only with the `sanitize` feature (which implies `faults`, so
-//! every hazard carries the persistence-point index of the fault engine —
-//! the same `(seed, point)` pair that replays a crash replays a hazard).
+//! Compiled only with the `sanitize` feature. Every hazard carries the
+//! persistence-point index of the fault engine — the same `(seed, point)`
+//! pair that replays a crash replays a hazard.
 //!
 //! The tracker records hazards instead of panicking: a workload runs to
 //! completion, then the harness collects a [`SanitizeReport`] and decides.

@@ -453,7 +453,7 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
 
         // R6: `trio_obs` stays behind each crate's `obs.rs` feature shim,
         // so obs-off builds carry zero observability symbols on the hot
-        // path (mirrors the `faults` zero-overhead gate).
+        // path.
         if obs_gate_scope && contains_word(line, "trio_obs") {
             emit(out, rel, &raw, i, Rule::ObsGate,
                 "direct `trio_obs` reference outside the crate's `obs.rs` shim; \

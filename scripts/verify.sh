@@ -1,25 +1,33 @@
 #!/usr/bin/env bash
 # Full verification gate: tier-1 tests widened to every crate's own suite
 # (`--workspace`; tier-1 itself stays the root package's), the exhaustive
-# crash-point sweep at the pinned seed, and the standalone no-faults bench
-# build that proves the injection hooks compile to no-ops outside the
-# `faults` feature. Run from anywhere inside the repo.
+# crash-point sweep at the pinned seed, the fault campaigns, and the bench
+# files regenerated and compared byte for byte with the committed ledger —
+# one build throughout: the program measured is the program tested. Run
+# from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Determinism gate (ROADMAP "same seed, same bytes"): runs bench $1 a second
-# time (extra environment in $3...) and requires its JSON to equal the first
-# run's, $2, byte for byte.
-same_bytes_twice() {
-    local bench=$1 first=$2
-    shift 2
+# Ledger gate (ROADMAP "same seed, same bytes"): runs bench $1 a second time
+# (extra environment in $4...) and requires its JSON to equal the first
+# run's, $2, and the committed $3, byte for byte. Virtual time is a function
+# of the seed, so equality is the whole regression check: unarmed injection
+# hooks, zero-sized typestate tokens and an idle scrubber cost exactly
+# nothing, and a PR that moves a figure regenerates $3 in the same change.
+same_bytes_as_ledger() {
+    local bench=$1 first=$2 ledger=$3
+    shift 3
     env "$@" TRIO_BENCH_OUT="$first.again" cargo bench -q -p trio-bench --bench "$bench" > /dev/null
     if ! cmp "$first" "$first.again"; then
         echo "FAIL: two runs of $bench differ; something the clock or the allocator sees is not a function of the seed." >&2
         exit 1
     fi
     rm -f "$first.again"
-    echo "OK: $bench is byte-identical across two runs."
+    if ! cmp "$first" "$ledger"; then
+        echo "FAIL: $bench no longer writes the committed $ledger; regenerate it in this change if the move is meant." >&2
+        exit 1
+    fi
+    echo "OK: $bench is byte-identical across two runs and to the committed $ledger."
 }
 
 echo "== tier-1, every crate's suite, and the benchmark's build: cargo build --release && cargo test -q --workspace =="
@@ -36,8 +44,10 @@ for features in "" "--features obs"; do
 done
 
 echo
-echo "== lint gate: cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== lint gate: cargo clippy --workspace --all-targets -- -D warnings =="
+# --all-targets: rustc's `unexpected_cfgs` shows only where test targets
+# are compiled, and a test gated on a feature nobody declares never runs.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo
 echo "== lint gate: cargo xtask lint =="
@@ -72,9 +82,10 @@ echo "== sanitize gates: mutation tests + sampled sanitized sweep =="
 # pricier, and the plain build above already swept exhaustively.
 cargo test -q --features sanitize --test sanitize_mutations
 TRIO_SWEEP_SAMPLE=13 cargo test -q --features sanitize --test crash_sweep
-# The scalability data path must also run (and pass) with the sanitizer
-# hooks compiled in — catches cfg drift between the two builds.
 cargo test -q --features sanitize --test datapath
+# The other feature leg: everything but tests/obs_timeline.rs builds and
+# passes without the span weave.
+cargo test -q --no-default-features
 
 echo
 echo "== race-detector gate: cross-LibFS races + clean delegated path =="
@@ -142,20 +153,6 @@ print(
 EOF
 
 echo
-echo "== zero-overhead gate: standalone trio-bench (no 'faults' feature) =="
-# Built with -p, feature unification does not apply: trio-bench must
-# compile and report faults_compiled() == false.
-cargo bench -p trio-bench --bench micro_components 2>&1 | tee /tmp/trio_micro.$$ | sed -n '1,3p'
-if grep -q "faults_compiled() == false" /tmp/trio_micro.$$; then
-    rm -f /tmp/trio_micro.$$
-    echo "OK: injection hooks are no-ops in the standalone bench build."
-else
-    rm -f /tmp/trio_micro.$$
-    echo "FAIL: standalone bench build has the 'faults' feature enabled." >&2
-    exit 1
-fi
-
-echo
 echo "== obs gate: obs-on bench auto-dumps a valid flight-recorder timeline =="
 # With the 'obs' feature on, bench_datapath must leave a parseable
 # target/obs-timeline.json behind (DESIGN.md §15): non-empty events and
@@ -181,36 +178,15 @@ print(f"OK: obs timeline valid ({len(events)} events, {len(stages)} stages).")
 EOF
 
 echo
-echo "== perf smoke gate: data-path bench vs committed baseline =="
-# Regenerate BENCH numbers (virtual time: host noise cannot move them)
-# and fail if delegated-write latency regressed >20% vs the committed
-# BENCH_datapath.json baseline.
+echo "== perf smoke gate: data-path bench equals the committed ledger =="
+# Regenerate BENCH_datapath.json (virtual time: host noise cannot move it);
+# the checks below constrain what a regenerated ledger may say.
 TRIO_BENCH_OUT=/tmp/trio_datapath.$$ TRIO_SCALE=16 \
     cargo bench -p trio-bench --bench bench_datapath
-same_bytes_twice bench_datapath /tmp/trio_datapath.$$ TRIO_SCALE=16
-if [ -f BENCH_datapath.json ]; then
-    python3 - /tmp/trio_datapath.$$ BENCH_datapath.json <<'EOF'
+same_bytes_as_ledger bench_datapath /tmp/trio_datapath.$$ BENCH_datapath.json TRIO_SCALE=16
+python3 - /tmp/trio_datapath.$$ <<'EOF'
 import json, sys
 new = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-# A counter dropped from the emitter fails here, not in a later reader.
-missing = sorted(set(base) - set(new))
-if missing:
-    sys.exit(f"FAIL: keys of the committed BENCH_datapath.json missing from the fresh run: {missing}")
-print("OK: every key of the committed baseline is emitted.")
-key = "delegated_write_ns_per_op"
-n, b = float(new[key]), float(base[key])
-if n > b * 1.2:
-    sys.exit(f"FAIL: {key} regressed {n:.0f} ns vs baseline {b:.0f} ns (>20%)")
-print(f"OK: {key} {n:.0f} ns vs baseline {b:.0f} ns (within 20%)")
-# Typestate zero-cost gate (DESIGN.md §18): the persist-pipeline witness
-# tokens are zero-sized and must compile away entirely. The bench runs in
-# virtual time, so the delta vs the pre-typestate baseline is exact —
-# anything beyond float formatting noise means the tokens grew code.
-delta = abs(n - b) / b * 100.0
-if delta > 0.05:
-    sys.exit(f"FAIL: {key} moved {delta:.2f}% vs baseline; typestate tokens are not zero-cost")
-print(f"OK: typestate tokens zero-cost ({key} delta {delta:.2f}%).")
 # Zero-copy gate: grant-window delegation means the submit path never
 # materializes a payload — one worker read from the granted pages is the
 # only traversal. A nonzero copy counter is a reintroduced memcpy.
@@ -250,9 +226,6 @@ if rl > 10:
     )
 print(f"OK: registry_locks = {rl} on the data path (<= 10; control plane off the hot path).")
 EOF
-else
-    echo "NOTE: no committed BENCH_datapath.json baseline; skipping comparison."
-fi
 rm -f /tmp/trio_datapath.$$
 
 echo
@@ -271,14 +244,10 @@ echo "== mega-tenant gate: 128 concurrent LibFS instances, lock-free control pla
 # (ROADMAP 1(d)).
 TRIO_BENCH_OUT=/tmp/trio_megatenant.$$ \
     cargo bench -p trio-bench --bench bench_megatenant
-same_bytes_twice bench_megatenant /tmp/trio_megatenant.$$
-python3 - /tmp/trio_megatenant.$$ BENCH_megatenant.json <<'EOF'
+same_bytes_as_ledger bench_megatenant /tmp/trio_megatenant.$$ BENCH_megatenant.json
+python3 - /tmp/trio_megatenant.$$ <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
-missing = sorted(set(json.load(open(sys.argv[2]))) - set(r))
-if missing:
-    sys.exit(f"FAIL: keys of the committed BENCH_megatenant.json missing from the fresh run: {missing}")
-print("OK: every key of the committed baseline is emitted.")
 rates = r["meta_ops_per_sec_per_tenant"]
 print(f"NOTE: per-tenant metadata rates {rates}, scaling 8->128 = {r['scaling_8_to_128']} (not gated).")
 if rates[-1] < 20_000:

@@ -20,7 +20,6 @@
 //! `(CHAOS_SEED, iteration)` alone; `TRIO_CHAOS_ITER` sets the sweep
 //! width (default 500) and the sweep dumps an aggregate report to
 //! `target/chaos-report.json` for the CI gate.
-#![cfg(feature = "faults")]
 
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ use arckfs::{ArckFs, ArckFsConfig};
 use trio_fsapi::{read_file, write_file, FileSystem, Mode, OpenFlags};
 use trio_kernel::registry::KernelEvent;
 use trio_kernel::{KernelConfig, KernelController};
-use trio_nvm::fault::{WorkerKillPlan, WorkerKillPoint};
+use trio_kernel::delegation::{WorkerKillPlan, WorkerKillPoint};
 use trio_nvm::{DeviceConfig, NvmDevice, Topology};
 use trio_sim::{work, RaceDetector, SimRuntime, MILLIS};
 

@@ -229,7 +229,6 @@ fn crash_loses_nothing_when_everything_is_flushed() {
 /// Builds a world frozen in the §4.4 rename crash window: journal armed,
 /// destination published, source cleared, disarm never reached. Returns
 /// `(device, src_loc, dst_loc, journal_page, victim_ino)`.
-#[cfg(feature = "faults")]
 fn armed_rename_world(
     seed: u64,
 ) -> (Arc<NvmDevice>, DirentLoc, DirentLoc, trio_nvm::PageId, u64) {
@@ -276,7 +275,6 @@ fn armed_rename_world(
 
 /// Running journal recovery twice is a no-op the second time: same
 /// dirents, same journal page bytes, zero records undone.
-#[cfg(feature = "faults")]
 #[test]
 fn journal_recovery_is_idempotent() {
     use arckfs::journal::Journal;
@@ -296,7 +294,6 @@ fn journal_recovery_is_idempotent() {
 /// Crashing at *every* persistence point inside journal recovery and then
 /// recovering again always converges to the undone state — recovery is
 /// re-runnable from any prefix of itself.
-#[cfg(feature = "faults")]
 #[test]
 fn crash_mid_journal_recovery_then_recover_again_converges() {
     use arckfs::journal::Journal;

@@ -12,7 +12,6 @@
 //! Every assertion message carries the replayable `(seed, crash_point)`
 //! pair plus the [`CrashReport`], so a failure reproduces with a
 //! single targeted run.
-#![cfg(feature = "faults")]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

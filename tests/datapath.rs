@@ -275,7 +275,6 @@ fn truncate_extend_churn_recycles_pages_through_actor_cache() {
 /// A delegated write shares one payload buffer across every per-node batch
 /// and every retry: exactly one copy (`&[u8]` → `Arc<[u8]>`) per op, no
 /// matter how many times faulted requests are re-enqueued.
-#[cfg(feature = "faults")]
 #[test]
 fn delegated_write_copies_payload_exactly_once_across_retries() {
     let (_, kernel, fs) = world(ArckFsConfig::default());

@@ -3,15 +3,16 @@
 //! backoff, then graceful degradation to direct access), and poisoned
 //! cache lines must surface as `FsError`s — never panics — and be
 //! repairable by full-line overwrites.
-#![cfg(feature = "faults")]
 
 use std::sync::Arc;
 
 use arckfs::{ArckFs, ArckFsConfig};
 use trio_fsapi::{FileSystem, FsError, Mode, OpenFlags};
 use trio_kernel::{KernelConfig, KernelController};
-use trio_nvm::{DeviceConfig, NvmDevice, Topology};
-use trio_sim::{SimRuntime, MILLIS, SECONDS};
+use trio_nvm::{DeviceConfig, FaultPlan, NvmDevice, PathStatsSnapshot, Topology};
+use trio_sim::plock::Mutex;
+use trio_sim::rng::with_rng;
+use trio_sim::{Nanos, SimRuntime, MILLIS, SECONDS};
 
 fn world(cfg: ArckFsConfig) -> (Arc<NvmDevice>, Arc<KernelController>, Arc<ArckFs>) {
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
@@ -190,4 +191,91 @@ fn poison_mid_delegation_releases_grants() {
         k.delegation().shutdown();
     });
     rt.run();
+}
+
+/// What one [`silent_run`] observed on the two clocks' inputs.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Virtual time when the workload's last op returned.
+    end: Nanos,
+    /// The kernel's data-path counters at that moment.
+    stats: PathStatsSnapshot,
+    /// The main thread's next RNG draw.
+    next_draw: u64,
+}
+
+/// Delegated 64 KiB writes and reads plus a create/rename/unlink churn at
+/// a fixed seed. `crash_at` null-arms every hook before the first op:
+/// rates of zero, a stall length that must stay unused, and a crash plan
+/// at a point the run never reaches. Returns what it observed and the
+/// persistence points the device counted.
+fn silent_run(track_persistence: bool, crash_at: Option<u64>) -> (Observed, u64) {
+    let dev = Arc::new(NvmDevice::new(DeviceConfig {
+        topology: Topology::new(1, 32 * 1024),
+        track_persistence,
+        ..DeviceConfig::small()
+    }));
+    let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
+    let fs = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::default());
+    let seen = Arc::new(Mutex::new(None));
+    let out = Arc::clone(&seen);
+    let rt = SimRuntime::new(36);
+    rt.spawn("main", move || {
+        let pool = kernel.delegation();
+        pool.start();
+        if let Some(point) = crash_at {
+            pool.inject_faults(0, 5 * MILLIS, 0);
+            pool.inject_worker_kills(0);
+            dev.arm_crash_plan(FaultPlan::crash_at_point(point).with_torn_store());
+        }
+        let chunk = 64 * 1024;
+        let fd = fs.open("/big", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
+        for i in 0..8u64 {
+            assert_eq!(fs.pwrite(fd, i * chunk as u64, &vec![i as u8; chunk]).unwrap(), chunk);
+        }
+        let mut buf = vec![0u8; chunk];
+        for i in 0..8u64 {
+            assert_eq!(fs.pread(fd, i * chunk as u64, &mut buf).unwrap(), chunk);
+        }
+        fs.close(fd).unwrap();
+        fs.mkdir("/d", Mode(0o777)).unwrap();
+        for i in 0..16 {
+            let (from, to) = (format!("/d/f{i}"), format!("/d/g{i}"));
+            trio_fsapi::write_file(&*fs, &from, b"churn").unwrap();
+            fs.rename(&from, &to).unwrap();
+            fs.unlink(&to).unwrap();
+        }
+        assert_eq!(dev.crash_plan_fired(), None, "the plan sits past the run's last point");
+        let observed = Observed {
+            end: trio_sim::now(),
+            stats: kernel.path_stats().snapshot(),
+            next_draw: with_rng(|r| r.next_u64()),
+        };
+        *out.lock() = Some((observed, dev.persistence_points()));
+        pool.shutdown();
+    });
+    rt.run();
+    let observed = seen.lock().take().expect("main ran to completion");
+    observed
+}
+
+/// The property the `faults` cargo feature used to stand in for: hooks
+/// that are compiled in but not armed never touch the clock or the RNG
+/// stream. Three runs of one seeded workload must agree on end time,
+/// counters and next RNG draw: on a device without the persistence
+/// tracker (no persistence hook executes at all), with the tracker and
+/// nothing armed, and with every hook null-armed. A hook that consults an
+/// arming parameter outside its guard, or a persistence hook that charges
+/// time or draws at all, splits them. (A cost every run pays alike —
+/// say a `work(1)` on the delegation pop path — is invisible to any
+/// in-process comparison; verify.sh catches that one by `cmp`-ing the
+/// regenerated `BENCH_datapath.json` with the committed ledger.)
+#[test]
+fn unarmed_hooks_touch_neither_clock_nor_rng() {
+    let (untracked, no_points) = silent_run(false, None);
+    let (tracked, points) = silent_run(true, None);
+    assert!(points > 0 && no_points == 0, "only the tracked device counts points");
+    let null_armed = silent_run(true, Some(points));
+    assert_eq!(null_armed, (tracked, points), "null-armed hooks moved the clock, a counter or the RNG");
+    assert_eq!(untracked, null_armed.0, "the tracker's unarmed hooks moved them");
 }

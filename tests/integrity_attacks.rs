@@ -346,7 +346,6 @@ fn unmapped_pages_are_unreachable_to_attackers() {
 /// `data_checksum_mismatch` (Reject class: there is no field-level ground
 /// truth to scrub rotten bytes back from), roll the file back to its
 /// checkpoint, and hand the victim the checkpointed bytes, not the rot.
-#[cfg(feature = "faults")]
 #[test]
 fn silent_bit_rot_under_checksummed_extent_rejects_on_next_walk() {
     use trio_nvm::PageId;

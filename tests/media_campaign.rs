@@ -11,7 +11,6 @@
 //! The campaign writes `target/media-report.json` with aggregate
 //! counters; `verify.sh` asserts 100% metadata-fault detection and zero
 //! silent data loss from it.
-#![cfg(feature = "faults")]
 
 use std::sync::Arc;
 

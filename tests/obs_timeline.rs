@@ -3,7 +3,7 @@
 //! whose spans cover the delegated op pipeline, and every JSON emitter on
 //! the observability path must produce output a real parser accepts (the
 //! workspace hand-rolls its JSON, so this is the regression net for it).
-#![cfg(all(feature = "obs", feature = "faults"))]
+#![cfg(feature = "obs")]
 
 use std::sync::Arc;
 

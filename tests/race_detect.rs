@@ -164,7 +164,6 @@ fn arckfs_delegated_data_path_runs_clean() {
 /// and the set move under one lock hold, so no interleaving may let them
 /// drift. Mid-flight probes are sound because the sim scheduler only
 /// preempts at sim operations, never between the two back-to-back reads.
-#[cfg(feature = "faults")]
 #[test]
 fn poison_accounting_is_race_free() {
     use trio_nvm::{CACHE_LINE, PAGE_SIZE};
