@@ -22,13 +22,14 @@ use std::sync::Arc;
 use trio_fsapi::{FsError, FsResult, Mode};
 use trio_kernel::delegation::{DelegReply, DelegReq, DelegRun};
 use trio_kernel::grant::GrantRef;
-use trio_layout::{CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, DIRENTS_PER_PAGE};
+use trio_layout::{CoreFileType, DirPage, DirentData, DirentLoc, DirentRef, IndexPageRef};
 use trio_nvm::{PageId, PAGE_SIZE};
 use trio_sim::metrics::{quoted, JsonObject};
 use trio_sim::rng::SimRng;
 use trio_sim::sync::SimChannel;
 use trio_sim::{in_sim, now};
 
+use crate::attack::free_slot_in;
 use crate::libfs::ArckFs;
 
 /// One production of the corruption grammar. The first block mutates
@@ -223,6 +224,7 @@ pub fn run_mutation(
             // op), so its image really is durable — the adversary only
             // forges the witness, not the durability.
             // lint: allow(raw-publish) adversary mints a witness for an already-durable victim slot
+            // lint: allow(layout-door) the forged witness names the slot's raw bytes; no accessor hands out a span
             let slot = h.assume_durable(vic_loc.page, vic_loc.byte_off(), trio_layout::DIRENT_SIZE);
             match field {
                 0 => vic.publish(d.ino ^ (1 << bit), &slot).map_err(ArckFs::fault)?,
@@ -551,34 +553,15 @@ fn submit_hostile(
 
 /// Picks a random live dirent slot from the directory's data pages.
 fn random_live_slot(fs: &ArckFs, rng: &mut SimRng, dir_data: &[Option<PageId>]) -> FsResult<DirentLoc> {
-    let h = fs.handle();
     let mut live = Vec::new();
     for page in dir_data.iter().flatten() {
-        for slot in 0..DIRENTS_PER_PAGE {
-            let loc = DirentLoc { page: *page, slot };
-            if DirentRef::new(h, loc).ino().map_err(ArckFs::fault)? != 0 {
-                live.push(loc);
-            }
-        }
+        let page = DirPage::load(fs.handle(), *page).map_err(ArckFs::fault)?;
+        live.extend(page.live().map(|(loc, _)| loc));
     }
     if live.is_empty() {
         return Err(FsError::NotFound);
     }
     Ok(live[rng.gen_range(live.len() as u64) as usize])
-}
-
-/// Finds a free dirent slot in the directory's mapped data pages.
-fn free_slot_in(fs: &ArckFs, dir_data: &[Option<PageId>]) -> FsResult<DirentLoc> {
-    let h = fs.handle();
-    for page in dir_data.iter().flatten() {
-        for slot in 0..DIRENTS_PER_PAGE {
-            let loc = DirentLoc { page: *page, slot };
-            if DirentRef::new(h, loc).ino().map_err(ArckFs::fault)? == 0 {
-                return Ok(loc);
-            }
-        }
-    }
-    Err(FsError::NoSpace)
 }
 
 /// Aggregate results of one fuzz campaign, dumped as

@@ -10,7 +10,7 @@
 //! detection and recovery.
 
 use trio_fsapi::{FsResult, Mode};
-use trio_layout::{CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef};
+use trio_layout::{CoreFileType, DirPage, DirentData, DirentLoc, DirentRef, IndexPageRef};
 use trio_nvm::PageId;
 
 use crate::libfs::ArckFs;
@@ -168,14 +168,11 @@ pub fn run_attack(fs: &ArckFs, attack: Attack, dir_path: &str, victim: &str) -> 
 }
 
 /// Finds a free dirent slot in the directory's mapped data pages.
-fn free_slot_in(fs: &ArckFs, dir_data: &[Option<PageId>]) -> FsResult<DirentLoc> {
-    let h = fs.handle();
+pub(crate) fn free_slot_in(fs: &ArckFs, dir_data: &[Option<PageId>]) -> FsResult<DirentLoc> {
     for page in dir_data.iter().flatten() {
-        for slot in 0..trio_layout::DIRENTS_PER_PAGE {
-            let loc = DirentLoc { page: *page, slot };
-            if DirentRef::new(h, loc).ino().map_err(ArckFs::fault)? == 0 {
-                return Ok(loc);
-            }
+        let page = DirPage::load(fs.handle(), *page).map_err(ArckFs::fault)?;
+        if let Some(loc) = page.first_free() {
+            return Ok(loc);
         }
     }
     Err(trio_fsapi::FsError::NoSpace)

@@ -247,10 +247,8 @@ impl ArckFs {
         // Re-resolve through the parent on staleness.
         for _ in 0..4 {
             let loc = node.place.read().loc.ok_or(FsError::Stale)?;
-            let mut b = [0u8; trio_layout::DIRENT_SIZE];
-            match self.h.read(loc.page, loc.byte_off(), &mut b) {
-                Ok(()) => {
-                    let d = DirentData::decode_bytes(&b);
+            match DirentRef::new(&self.h, loc).load_timed() {
+                Ok(d) => {
                     if d.ino != node.ino {
                         return Err(FsError::NotFound); // Unlinked or moved.
                     }
@@ -394,8 +392,7 @@ impl ArckFs {
         }
 
         // Journal, then move the dirent.
-        let mut src_img = [0u8; trio_layout::DIRENT_SIZE];
-        self.h.read_untimed(e.loc.page, e.loc.byte_off(), &mut src_img).map_err(Self::fault)?;
+        let src_img = DirentRef::new(&self.h, e.loc).image().map_err(Self::fault)?;
         let mut moved = DirentData::decode_bytes(&src_img);
         moved.name = dname.as_bytes().to_vec();
         let guard = self.journal.begin_rename(&self.h, shard, e.loc, dloc, &src_img, || {

@@ -476,8 +476,8 @@ impl ArckFs {
             let p = g.data_pages[lp].expect("just allocated");
             let ipi = lp / ENTRIES_PER_INDEX;
             let slot = lp % ENTRIES_PER_INDEX;
-            self.h
-                .write_untimed(g.index_pages[ipi], slot * 8, &p.0.to_le_bytes())
+            IndexPageRef::new(&self.h, g.index_pages[ipi])
+                .stage_entry(slot, p.0)
                 .map_err(Self::fault)?;
             let e = touched.entry(ipi).or_insert((slot, slot));
             e.0 = e.0.min(slot);
@@ -488,15 +488,14 @@ impl ArckFs {
         // spans would re-flush shared cache lines), one fence for all.
         let mut spans = Vec::with_capacity(touched.len());
         for (ipi, (lo, hi)) in touched {
-            let ipage = g.index_pages[ipi];
-            let bytes = (hi - lo + 1) * 8;
+            let span = IndexPageRef::new(&self.h, g.index_pages[ipi]).entries_span(lo, hi);
             dev.charge_transfer(
-                dev.topology().node_of(ipage),
-                bytes,
+                dev.topology().node_of(span.page),
+                span.len,
                 true,
                 trio_nvm::handle::home_node(),
             );
-            spans.push(trio_nvm::Span::new(ipage, lo * 8, bytes));
+            spans.push(span);
         }
         let _links = self.h.fence_flushed(self.h.flush_dirty(self.h.dirty_spans(spans)));
         Ok(())

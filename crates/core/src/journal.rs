@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use trio_layout::{DirentLoc, DIRENT_SIZE};
+use trio_layout::{DirentLoc, DirentRef, DIRENT_SIZE};
 use trio_nvm::{checksum::checksum, NvmHandle, PageId, ProtError, CACHE_LINE, PAGE_SIZE};
 use trio_sim::sync::SimMutex;
 
@@ -317,8 +317,8 @@ impl Journal {
             // then restore src, then disarm. Disarming publishes against
             // the restore's Durable witness: the record cannot read as
             // idle while the src image could still be torn.
-            h.write_u64_persist(r.dst.page, r.dst.byte_off(), 0)?;
-            let restored = h.persist_dirty(h.write_dirty(r.src.page, r.src.byte_off(), &r.image)?);
+            DirentRef::new(h, r.dst).clear()?;
+            let restored = DirentRef::new(h, r.src).restore_image(&r.image)?;
             if p_good.is_some() {
                 h.publish_u64(primary, OFF_STATE, 0, &restored)?;
             } else {
@@ -409,8 +409,7 @@ mod tests {
         let sref = DirentRef::new(&h, src);
         let w = sref.prepare(&d).unwrap();
         sref.publish(42, &w).unwrap();
-        let mut image = [0u8; DIRENT_SIZE];
-        h.read_untimed(src.page, src.byte_off(), &mut image).unwrap();
+        let image = sref.image().unwrap();
 
         let g = j.begin_rename(&h, 0, src, dst, &image, paired_alloc()).unwrap();
         drop(g); // Crash with the record armed.
@@ -472,8 +471,7 @@ mod tests {
         let sref = DirentRef::new(&h, src);
         let w = sref.prepare(&d).unwrap();
         sref.publish(42, &w).unwrap();
-        let mut image = [0u8; DIRENT_SIZE];
-        h.read_untimed(src.page, src.byte_off(), &mut image).unwrap();
+        let image = sref.image().unwrap();
 
         let g = j.begin_rename(&h, 0, src, dst, &image, paired_alloc()).unwrap();
         drop(g); // Crash armed.

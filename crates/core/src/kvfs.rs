@@ -192,7 +192,7 @@ impl KvFs {
         self.shard(name).lock().remove(name);
         self.fs.forget_node(node.ino);
         self.fs.with_mapped(&self.dir, true, |fs| {
-            fs.h.read_u64(node.loc.page, node.loc.byte_off()).map(drop).map_err(ArckFs::fault)
+            DirentRef::new(&fs.h, node.loc).ino().map(drop).map_err(ArckFs::fault)
         })
     }
 

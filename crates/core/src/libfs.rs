@@ -11,10 +11,8 @@ use std::sync::Arc;
 use trio_fsapi::{FsError, FsResult};
 use trio_kernel::mapping::MapTarget;
 use trio_kernel::KernelController;
-use trio_layout::{
-    CoreFileType, DirentData, DirentLoc, Ino, DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
-};
-use trio_nvm::{ActorId, NvmHandle, PageId, ProtError, PAGE_SIZE};
+use trio_layout::{CoreFileType, DirPage, DirSlot, DirentLoc, DirentRef, Ino, ROOT_INO};
+use trio_nvm::{ActorId, NvmHandle, PageId, ProtError};
 use trio_sim::sync::{SimMutex, SimRwLock};
 use trio_sim::{cost, in_sim, work, DetHashMap};
 
@@ -415,38 +413,26 @@ impl ArckFs {
         mut page_done: impl FnMut(crate::node::PageTail),
     ) -> FsResult<()> {
         for page in data_pages.iter().flatten() {
-            let mut raw = vec![0u8; PAGE_SIZE];
-            if timed {
-                // Timed bulk read: rebuilding costs real NVM bandwidth.
-                self.h.read(*page, 0, &mut raw).map_err(Self::fault)?;
-            } else {
-                self.h.read_untimed(*page, 0, &mut raw).map_err(Self::fault)?;
-            }
+            // Timed bulk read: rebuilding costs real NVM bandwidth.
+            let load = if timed { DirPage::load_timed } else { DirPage::load };
+            let dir_page = load(&self.h, *page).map_err(Self::fault)?;
             let mut free = Vec::new();
-            for s in 0..DIRENTS_PER_PAGE {
-                let b: &[u8; DIRENT_SIZE] =
-                    raw[s * DIRENT_SIZE..(s + 1) * DIRENT_SIZE].try_into().expect("slot");
-                let d = DirentData::decode_bytes(b);
-                if d.ino == 0 {
-                    free.push(s);
-                    continue;
+            for slot in dir_page.slots() {
+                match slot {
+                    DirSlot::Free(loc) => free.push(loc.slot),
+                    // No aux over a page with a hole the media tore in it.
+                    DirSlot::Unreadable(_, cause) => return Err(Self::fault(cause)),
+                    DirSlot::Live(loc, d, _) => {
+                        if timed && in_sim() {
+                            work(cost::REBUILD_ENTRY_NS);
+                        }
+                        // (Verifier-grade garbage is skipped defensively.)
+                        if let (Some(ftype), Some(name)) = (d.ftype(), d.name_str()) {
+                            let name = name.to_string();
+                            entry(DirEntryAux { name, ino: d.ino, loc, ftype, linked: 0 });
+                        }
+                    }
                 }
-                if timed && in_sim() {
-                    work(cost::REBUILD_ENTRY_NS);
-                }
-                let Some(ftype) = d.ftype() else {
-                    continue; // Verifier-grade garbage; skip defensively.
-                };
-                let Some(name) = d.name_str() else {
-                    continue;
-                };
-                entry(DirEntryAux {
-                    name: name.to_string(),
-                    ino: d.ino,
-                    loc: DirentLoc { page: *page, slot: s },
-                    ftype,
-                    linked: 0,
-                });
             }
             page_done(crate::node::PageTail { page: *page, free });
         }
@@ -602,10 +588,7 @@ impl ArckFs {
                 Some(e) => {
                     // Probe the dirent's ino: faults if our mapping was
                     // revoked; reads 0 if the entry vanished under us.
-                    let live = fs
-                        .h
-                        .read_u64(e.loc.page, e.loc.byte_off())
-                        .map_err(Self::fault)?;
+                    let live = DirentRef::new(&fs.h, e.loc).ino().map_err(Self::fault)?;
                     if live != e.ino {
                         return Err(FsError::Stale);
                     }

@@ -40,12 +40,12 @@ use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult, Mode, SetAttr};
 use trio_layout::{
-    walk_file, CoreFileType, DirentData, DirentLoc, DirentRef, FileHead, FilePages, Ino,
-    SuperblockRef, DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
+    walk_file, CoreFileType, DirPage, DirSlot, DirentLoc, DirentRef, FileHead, FilePages, Ino,
+    SuperblockRef, DIRENT_SIZE, ROOT_INO,
 };
 use trio_nvm::{
     ActorId, NodeId, NvmDevice, NvmHandle, PageId, PagePerm, PathStats, RegistryLockSite,
-    KERNEL_ACTOR, PAGE_SIZE,
+    KERNEL_ACTOR,
 };
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::SimMutexGuard;
@@ -257,7 +257,10 @@ impl KernelController {
     /// 3. walks the committed tree from the root, rebuilding page and ino
     ///    provenance; unwalkable or page-aliasing chains are trimmed to
     ///    empty files and duplicate/fabricated dirents are cleared —
-    ///    paper §4.3's trim policy applied at mount time,
+    ///    paper §4.3's trim policy applied at mount time; a dirent under a
+    ///    poisoned line is lost alone (its slot zeroed, which heals the
+    ///    line, and counted in [`MediaStats`]`::unrecoverable`) while its
+    ///    page's other entries are walked as usual (DESIGN.md §19),
     /// 4. rebuilds the free pools as the complement of the walked pages.
     ///
     /// Shadow attributes are re-adopted lazily from dirents on first map
@@ -288,6 +291,7 @@ impl KernelController {
         queue.push_back((ROOT_INO, root_fi, CoreFileType::Directory, None));
         let mut seen: DetHashSet<Ino> = DetHashSet::default();
         seen.insert(ROOT_INO);
+        let mut lost_slots = 0u64;
         while let Some((ino, fi, ftype, dirent)) = queue.pop_front() {
             let head = FileHead::new(&kh, dirent);
             // An unwalkable chain, or one referencing pages an earlier-walked
@@ -309,32 +313,32 @@ impl KernelController {
             }
             let mut live = 0u64;
             for dp in pages.data_pages.iter().flatten() {
-                let mut raw = vec![0u8; PAGE_SIZE];
-                if kh.read_untimed(*dp, 0, &mut raw).is_err() {
+                let Ok(page) = DirPage::load(&kh, *dp) else {
                     continue;
-                }
-                for (slot, b) in raw.chunks_exact(DIRENT_SIZE).take(DIRENTS_PER_PAGE).enumerate() {
-                    let Ok(b) = <&[u8; DIRENT_SIZE]>::try_from(b) else {
-                        continue; // chunks_exact guarantees the size; defensive.
-                    };
-                    let d = DirentData::decode_bytes(b);
-                    if d.ino == 0 {
-                        continue;
+                };
+                for slot in page.slots() {
+                    match slot {
+                        DirSlot::Free(_) => {}
+                        // The media lost this entry and nothing holds a copy:
+                        // a whole-slot store heals the line, the neighbours
+                        // keep their files, the loss is counted.
+                        DirSlot::Unreadable(loc, _) => {
+                            let _ = DirentRef::new(&kh, loc).restore_image(&[0; DIRENT_SIZE]);
+                            lost_slots += 1;
+                        }
+                        DirSlot::Live(loc, d, _) => match d.ftype() {
+                            Some(cft) if d.ino < next_ino && seen.insert(d.ino) => {
+                                live += 1;
+                                inos.insert(d.ino, InoProvenance::InUse(loc));
+                                queue.push_back((d.ino, d.first_index, cft, Some(loc)));
+                            }
+                            // Garbage type, fabricated ino or double
+                            // reference: not to be trusted — clear it.
+                            _ => {
+                                let _ = DirentRef::new(&kh, loc).clear();
+                            }
+                        },
                     }
-                    let loc = DirentLoc { page: *dp, slot };
-                    let Some(cft) = d.ftype() else {
-                        // Garbage type: the entry cannot be trusted — clear it.
-                        let _ = DirentRef::new(&kh, loc).clear();
-                        continue;
-                    };
-                    if d.ino >= next_ino || !seen.insert(d.ino) {
-                        // Fabricated ino or double reference — clear it too.
-                        let _ = DirentRef::new(&kh, loc).clear();
-                        continue;
-                    }
-                    live += 1;
-                    inos.insert(d.ino, InoProvenance::InUse(loc));
-                    queue.push_back((d.ino, d.first_index, cft, Some(loc)));
                 }
             }
             // A directory's entry count is derived metadata: a crash between
@@ -348,7 +352,9 @@ impl KernelController {
 
         // The free pools are the complement of the walked set, scrubbed.
         let in_use = move |p: PageId| used.contains(&p.0);
-        Ok(Self::assemble(dev, prov, inos, in_use, true, next_ino, config))
+        let kernel = Self::assemble(dev, prov, inos, in_use, true, next_ino, config);
+        kernel.media.record_unrecoverable(lost_slots);
+        Ok(kernel)
     }
 
     /// Full-tree integrity audit: runs the I1–I4 verifier over every file
@@ -365,17 +371,8 @@ impl KernelController {
         let _pin = self.alloc.epoch_pin();
         let reg = self.reg_lock(RegistryLockSite::Fsck);
         let mut bad = Vec::new();
-        // `collect_filter` returns ino-sorted entries, preserving the old
-        // deterministic audit order.
-        let mut targets: Vec<(Ino, Option<DirentLoc>)> = self
-            .inos
-            .collect_filter(|i, _| i != ROOT_INO)
-            .into_iter()
-            .filter_map(|(i, p)| match p {
-                InoProvenance::InUse(loc) => Some((i, Some(loc))),
-                _ => None,
-            })
-            .collect();
+        let mut targets: Vec<(Ino, Option<DirentLoc>)> =
+            self.live_dirents().into_iter().map(|(i, loc)| (i, Some(loc))).collect();
         targets.insert(0, (ROOT_INO, None));
         for (ino, dirent) in targets {
             let (ftype, first_index) = match dirent {
@@ -839,6 +836,19 @@ impl KernelController {
     /// Whether `ino` currently has a write mapping.
     pub fn writer_of(&self, ino: Ino) -> Option<ActorId> {
         self.reg_lock(RegistryLockSite::Admin).files.get(&ino).and_then(|f| f.writer())
+    }
+
+    /// Every ino the books hold live at a dirent slot (so not the root),
+    /// with the slot, in ino order (a deterministic audit order).
+    pub fn live_dirents(&self) -> Vec<(Ino, DirentLoc)> {
+        let known = self.inos.collect_filter(|i, _| i != ROOT_INO).into_iter();
+        known.filter_map(|(i, p)| if let InoProvenance::InUse(l) = p { Some((i, l)) } else { None }).collect()
+    }
+
+    /// The children `ino`'s checkpoint recorded: its I3 baseline.
+    pub fn checkpoint_children(&self, ino: Ino) -> Option<HashSet<Ino>> {
+        let reg = self.reg_lock(RegistryLockSite::Admin);
+        Some(reg.files.get(&ino)?.checkpoint.as_ref()?.children.clone())
     }
 
     /// Pages the kernel believes belong to file `ino` (post-verification).

@@ -34,10 +34,10 @@ use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
 use trio_layout::{
-    walk_file, CoreFileType, DirentData, DirentLoc, DirentRef, FileHead, FilePages, IndexPageRef,
-    Ino, DIRENTS_PER_PAGE, DIRENT_SIZE, ROOT_INO,
+    walk_file, CoreFileType, DirPage, DirentLoc, DirentRef, FileHead, FilePages, IndexPageRef, Ino,
+    ROOT_INO,
 };
-use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, PAGE_SIZE};
+use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite};
 use trio_sim::sync::SimChannel;
 use trio_sim::{cost, in_sim, now, now_or_zero, work, DetHashSet, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
@@ -826,10 +826,7 @@ impl KernelController {
         }
         // 2. Restore the dirent slot / root fields.
         if let (Some(loc), Some(img)) = (dirent, ck.dirent_image) {
-            let h = self.kernel_handle();
-            if let Ok(dirty) = h.write_dirty(loc.page, loc.byte_off(), &img) {
-                let _restored = h.persist_dirty(dirty);
-            }
+            let _ = DirentRef::new(self.kernel_handle(), loc).restore_image(&img);
         }
         let head = FileHead::new(self.kernel_handle(), dirent);
         if let Some((fi, size)) = ck.root_fields {
@@ -847,14 +844,8 @@ impl KernelController {
             if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
                 let mut children = Vec::new();
                 for dp in pages.data_pages.iter().flatten() {
-                    for slot in 0..DIRENTS_PER_PAGE {
-                        let loc = DirentLoc { page: *dp, slot };
-                        let r = DirentRef::new(self.kernel_handle(), loc);
-                        if let Ok(d) = r.load() {
-                            if d.ino != 0 {
-                                children.push((d.ino, d.first_index, loc));
-                            }
-                        }
+                    if let Ok(page) = DirPage::load(self.kernel_handle(), *dp) {
+                        children.extend(page.live().map(|(loc, d)| (d.ino, d.first_index, loc)));
                     }
                 }
                 for (cino, cfi, cloc) in children {
@@ -968,10 +959,8 @@ impl KernelController {
         if in_sim() {
             work(images.len() as u64 * cost::CHECKPOINT_PAGE_NS);
         }
-        let dirent_image = dirent.and_then(|loc| {
-            let mut b = [0u8; DIRENT_SIZE];
-            self.kernel_handle().read_untimed(loc.page, loc.byte_off(), &mut b).ok().map(|_| b)
-        });
+        let dirent_image =
+            dirent.and_then(|loc| DirentRef::new(self.kernel_handle(), loc).image().ok());
         let head = FileHead::new(self.kernel_handle(), dirent);
         let root_fields = dirent
             .is_none()
@@ -981,18 +970,8 @@ impl KernelController {
         let mut children = std::collections::HashSet::new();
         if ftype == CoreFileType::Directory {
             for dp in pages.data_pages.iter().flatten() {
-                let mut raw = vec![0u8; PAGE_SIZE];
-                if self.kernel_handle().read_untimed(*dp, 0, &mut raw).is_err() {
-                    continue;
-                }
-                for b in raw.chunks_exact(DIRENT_SIZE).take(DIRENTS_PER_PAGE) {
-                    let Ok(b) = <&[u8; DIRENT_SIZE]>::try_from(b) else {
-                        continue; // chunks_exact guarantees the size; defensive.
-                    };
-                    let d = DirentData::decode_bytes(b);
-                    if d.ino != 0 {
-                        children.insert(d.ino);
-                    }
+                if let Ok(page) = DirPage::load(self.kernel_handle(), *dp) {
+                    children.extend(page.live().map(|(_, d)| d.ino));
                 }
             }
         }

@@ -143,6 +143,12 @@ impl MediaStats {
         self.rot_pages_found.fetch_add(rot_pages, Ordering::Relaxed);
     }
 
+    /// Faults with nothing left to heal from: both twins dead, or dirent
+    /// slots `recover` found under a poisoned line.
+    pub(crate) fn record_unrecoverable(&self, n: u64) {
+        self.unrecoverable.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// A frame left circulation for good.
     pub(crate) fn record_retired(&self) {
         self.record_repair(&self.pages_retired, 1);
@@ -388,7 +394,7 @@ impl KernelController {
                 // Neither copy validates (double fault): nothing to heal
                 // from.
                 rep.unrecoverable += 1;
-                self.media.unrecoverable.fetch_add(1, Ordering::Relaxed);
+                self.media.record_unrecoverable(1);
             }
             Ok(_) => {
                 rep.sb_repairs += 1;
@@ -463,7 +469,7 @@ impl KernelController {
             }
             (false, false) => {
                 rep.unrecoverable += 1;
-                self.media.unrecoverable.fetch_add(1, Ordering::Relaxed);
+                self.media.record_unrecoverable(1);
             }
         }
         if fixed > 0 {

@@ -116,16 +116,6 @@ impl DirentData {
 
     /// Serializes the slot to its on-media image.
     pub fn encode_bytes(&self) -> [u8; DIRENT_SIZE] {
-        self.encode()
-    }
-
-    /// Parses an on-media slot image (shared knowledge — the verifier and
-    /// any LibFS decode slots the same way).
-    pub fn decode_bytes(b: &[u8; DIRENT_SIZE]) -> Self {
-        Self::decode(b)
-    }
-
-    fn encode(&self) -> [u8; DIRENT_SIZE] {
         let mut b = [0u8; DIRENT_SIZE];
         b[OFF_INO..OFF_INO + 8].copy_from_slice(&self.ino.to_le_bytes());
         b[OFF_FIRST_INDEX..OFF_FIRST_INDEX + 8].copy_from_slice(&self.first_index.to_le_bytes());
@@ -140,7 +130,9 @@ impl DirentData {
         b
     }
 
-    fn decode(b: &[u8; DIRENT_SIZE]) -> Self {
+    /// Parses an on-media slot image (shared knowledge — the verifier and
+    /// any LibFS decode slots the same way).
+    pub fn decode_bytes(b: &[u8; DIRENT_SIZE]) -> Self {
         let rd = |off: usize| u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"));
         let attr = rd(OFF_ATTR);
         let owner = rd(OFF_OWNER);
@@ -193,11 +185,32 @@ impl<'a> DirentRef<'a> {
         self.h.read_u64(self.loc.page, self.loc.byte_off() + OFF_INO)
     }
 
-    /// Reads and decodes the whole slot.
-    pub fn load(&self) -> Result<DirentData, ProtError> {
+    /// Reads the whole slot's raw image (untimed).
+    pub fn image(&self) -> Result<[u8; DIRENT_SIZE], ProtError> {
         let mut b = [0u8; DIRENT_SIZE];
         self.h.read_untimed(self.loc.page, self.loc.byte_off(), &mut b)?;
-        Ok(DirentData::decode(&b))
+        Ok(b)
+    }
+
+    /// Reads and decodes the whole slot.
+    pub fn load(&self) -> Result<DirentData, ProtError> {
+        Ok(DirentData::decode_bytes(&self.image()?))
+    }
+
+    /// [`Self::load`] paying the media cost of the slot (a `stat`).
+    pub fn load_timed(&self) -> Result<DirentData, ProtError> {
+        let mut b = [0u8; DIRENT_SIZE];
+        self.h.read(self.loc.page, self.loc.byte_off(), &mut b)?;
+        Ok(DirentData::decode_bytes(&b))
+    }
+
+    /// Stores a whole-slot image and persists it: rollback and rename undo
+    /// putting a saved image back, recovery zeroing a lost slot. The store
+    /// covers the slot's four cache lines whole, so it also repairs a
+    /// poisoned line under it.
+    pub fn restore_image(&self, img: &[u8; DIRENT_SIZE]) -> Result<Durable<Span>, ProtError> {
+        let dirty = self.h.write_dirty(self.loc.page, self.loc.byte_off(), img)?;
+        Ok(self.h.persist_dirty(dirty))
     }
 
     /// Creation step 1 (§4.4): writes the whole slot with `ino = 0` and
@@ -205,10 +218,9 @@ impl<'a> DirentRef<'a> {
     /// [`Durable`] witness is the only way to call [`Self::publish`] —
     /// publishing an unprepared slot no longer type-checks.
     pub fn prepare(&self, data: &DirentData) -> Result<Durable<Span>, ProtError> {
-        let mut img = data.encode();
+        let mut img = data.encode_bytes();
         img[OFF_INO..OFF_INO + 8].copy_from_slice(&0u64.to_le_bytes());
-        let dirty = self.h.write_dirty(self.loc.page, self.loc.byte_off(), &img)?;
-        Ok(self.h.persist_dirty(dirty))
+        self.restore_image(&img)
     }
 
     /// Creation step 2: atomically publishes the inode number, committing
@@ -268,6 +280,87 @@ impl<'a> DirentRef<'a> {
     /// Reads the index-chain head.
     pub fn first_index(&self) -> Result<u64, ProtError> {
         self.h.read_u64(self.loc.page, self.loc.byte_off() + OFF_FIRST_INDEX)
+    }
+}
+
+/// One slot of a directory data page, as [`DirPage`] read it.
+pub enum DirSlot<'a> {
+    /// A committed entry: where it is, what it decodes to, and its raw
+    /// image (the decoder clamps what the verifier must see unclamped).
+    Live(DirentLoc, DirentData, &'a [u8; DIRENT_SIZE]),
+    /// Inode number 0: free, or prepared and not yet published.
+    Free(DirentLoc),
+    /// The media would not give the slot's bytes back.
+    Unreadable(DirentLoc, ProtError),
+}
+
+/// One directory data page, read once: the only reader of a page of
+/// dirent slots. Callers bring policy — what a live, a free and an
+/// unreadable slot mean to them — not arithmetic.
+///
+/// The page is read whole. Only when that read answers
+/// [`ProtError::Poisoned`] is it read again slot by slot, so that a bad
+/// cache line costs the one dirent it lies under and not its fifteen
+/// neighbours. Any other fault (the handle may not read the page at all)
+/// is the caller's: `Err`, not sixteen unreadable slots.
+pub struct DirPage {
+    page: PageId,
+    slots: Vec<[u8; DIRENT_SIZE]>,
+    unreadable: [Option<ProtError>; DIRENTS_PER_PAGE],
+}
+
+impl DirPage {
+    /// Reads `page` without charging virtual time (kernel, verifier).
+    pub fn load(h: &NvmHandle, page: PageId) -> Result<DirPage, ProtError> {
+        Self::read(h, page, false)
+    }
+
+    /// Reads `page` paying for one 4 KiB media read (a LibFS rebuilding
+    /// its auxiliary state).
+    pub fn load_timed(h: &NvmHandle, page: PageId) -> Result<DirPage, ProtError> {
+        Self::read(h, page, true)
+    }
+
+    fn read(h: &NvmHandle, page: PageId, timed: bool) -> Result<DirPage, ProtError> {
+        let mut slots = vec![[0u8; DIRENT_SIZE]; DIRENTS_PER_PAGE];
+        let mut unreadable = [None; DIRENTS_PER_PAGE];
+        let bytes = slots.as_flattened_mut();
+        let whole = if timed { h.read(page, 0, bytes) } else { h.read_untimed(page, 0, bytes) };
+        if let Err(e) = whole {
+            if e != ProtError::Poisoned {
+                return Err(e);
+            }
+            // (A timed read has paid for the page before it faults.)
+            for (slot, b) in slots.iter_mut().enumerate() {
+                unreadable[slot] = h.read_untimed(page, DirentLoc { page, slot }.byte_off(), b).err();
+            }
+        }
+        Ok(DirPage { page, slots, unreadable })
+    }
+
+    /// Every slot of the page, in slot order.
+    pub fn slots(&self) -> impl Iterator<Item = DirSlot<'_>> {
+        self.slots.iter().zip(self.unreadable).enumerate().map(|(slot, (raw, bad))| {
+            let loc = DirentLoc { page: self.page, slot };
+            if let Some(cause) = bad {
+                DirSlot::Unreadable(loc, cause)
+            } else if raw[OFF_INO..OFF_INO + 8] == [0u8; 8] {
+                DirSlot::Free(loc)
+            } else {
+                DirSlot::Live(loc, DirentData::decode_bytes(raw), raw)
+            }
+        })
+    }
+
+    /// The committed entries alone, for callers to whom a free and an
+    /// unreadable slot are both "no entry here".
+    pub fn live(&self) -> impl Iterator<Item = (DirentLoc, DirentData)> + '_ {
+        self.slots().filter_map(|s| if let DirSlot::Live(loc, d, _) = s { Some((loc, d)) } else { None })
+    }
+
+    /// The first free slot, if the page has one.
+    pub fn first_free(&self) -> Option<DirentLoc> {
+        self.slots().find_map(|s| if let DirSlot::Free(loc) = s { Some(loc) } else { None })
     }
 }
 
@@ -345,6 +438,109 @@ mod tests {
         assert_eq!(back.mtime, 99);
         assert_eq!(r.size().unwrap(), 4096);
         assert_eq!(r.first_index().unwrap(), 33);
+    }
+
+    /// Publishes `name` as ino `ino` in `slot` of page 7.
+    fn put<'h>(h: &'h NvmHandle, slot: usize, ino: Ino, name: &[u8]) -> DirentRef<'h> {
+        let r = DirentRef::new(h, DirentLoc { page: PageId(7), slot });
+        let d = DirentData::new(name, CoreFileType::Regular, Mode::RW, 0, 0);
+        let w = r.prepare(&d).unwrap();
+        r.publish(ino, &w).unwrap();
+        r
+    }
+
+    /// `(slot, ino)` of the live slots, the free slots, the unreadable ones.
+    fn census(page: &DirPage) -> (Vec<(usize, Ino)>, Vec<usize>, Vec<usize>) {
+        let (mut live, mut free, mut bad) = (Vec::new(), Vec::new(), Vec::new());
+        for s in page.slots() {
+            match s {
+                DirSlot::Live(loc, d, raw) => {
+                    assert_eq!(DirentData::decode_bytes(raw), d);
+                    live.push((loc.slot, d.ino));
+                }
+                DirSlot::Free(loc) => free.push(loc.slot),
+                DirSlot::Unreadable(loc, cause) => {
+                    assert_eq!(cause, ProtError::Poisoned);
+                    bad.push(loc.slot);
+                }
+            }
+        }
+        (live, free, bad)
+    }
+
+    #[test]
+    fn dir_page_full_and_sparse() {
+        let h = handle();
+        for slot in [2, 9] {
+            put(&h, slot, 100 + slot as u64, b"sparse");
+        }
+        // A prepared, unpublished slot is free to every reader.
+        let r = DirentRef::new(&h, DirentLoc { page: PageId(7), slot: 4 });
+        r.prepare(&DirentData::new(b"pending", CoreFileType::Regular, Mode::RW, 0, 0)).unwrap();
+        let page = DirPage::load(&h, PageId(7)).unwrap();
+        let (live, free, bad) = census(&page);
+        assert_eq!(live, [(2, 102), (9, 109)]);
+        assert_eq!(free.len(), 14);
+        assert!(bad.is_empty());
+        assert_eq!(page.first_free().unwrap().slot, 0);
+        assert_eq!(page.live().map(|(loc, d)| (loc.slot, d.ino)).collect::<Vec<_>>(), live);
+
+        for slot in 0..DIRENTS_PER_PAGE {
+            put(&h, slot, 200 + slot as u64, b"full");
+        }
+        let page = DirPage::load_timed(&h, PageId(7)).unwrap();
+        let (live, free, bad) = census(&page);
+        assert_eq!(live, (0..16).map(|s| (s, 200 + s as u64)).collect::<Vec<_>>());
+        assert!(free.is_empty() && bad.is_empty());
+        assert_eq!(page.first_free(), None);
+    }
+
+    #[test]
+    fn dir_page_keeps_garbage_for_the_verifier() {
+        let h = handle();
+        let r = put(&h, 3, 77, b"x");
+        // A type tag nobody defines and a name length past the field.
+        r.set_attr(Mode::RW, 0xEE, 250).unwrap();
+        let page = DirPage::load(&h, PageId(7)).unwrap();
+        let Some(DirSlot::Live(loc, d, raw)) = page.slots().nth(3) else {
+            panic!("slot 3 is live");
+        };
+        assert_eq!((loc.slot, d.ino, d.ftype_raw, d.ftype()), (3, 77, 0xEE, None));
+        assert_eq!(d.name.len(), MAX_NAME, "the decoder clamps");
+        assert_eq!(DirentData::raw_name_len(raw), 250, "the raw image does not");
+    }
+
+    #[test]
+    fn one_poisoned_line_costs_one_slot() {
+        let h = handle();
+        for slot in 0..DIRENTS_PER_PAGE {
+            put(&h, slot, 300 + slot as u64, b"kept");
+        }
+        // Line 21 lies inside slot 5 (bytes 1344..1408 of 1280..1536).
+        h.device().poison_line(PageId(7), 21);
+        for page in [DirPage::load(&h, PageId(7)), DirPage::load_timed(&h, PageId(7))] {
+            let (live, free, bad) = census(&page.unwrap());
+            assert_eq!(bad, [5]);
+            assert_eq!(live.len(), 15);
+            assert!(live.iter().all(|(s, ino)| *s != 5 && *ino == 300 + *s as u64));
+            assert!(free.is_empty());
+        }
+        // A whole-slot store heals the line; the slot reads as written.
+        let lost = DirentRef::new(&h, DirentLoc { page: PageId(7), slot: 5 });
+        assert_eq!(lost.image(), Err(ProtError::Poisoned));
+        lost.restore_image(&[0; DIRENT_SIZE]).unwrap();
+        assert_eq!(h.device().poisoned_lines(), 0);
+        let (live, free, bad) = census(&DirPage::load(&h, PageId(7)).unwrap());
+        assert_eq!((live.len(), free, bad), (15, vec![5], vec![]));
+    }
+
+    #[test]
+    fn a_page_the_handle_cannot_read_is_an_error() {
+        let h = handle();
+        // Page 8 was never mapped for this actor: the fault is the
+        // caller's, not sixteen unreadable slots.
+        assert_eq!(DirPage::load(&h, PageId(8)).err(), Some(ProtError::NotMapped));
+        assert_eq!(DirPage::load_timed(&h, PageId(8)).err(), Some(ProtError::NotMapped));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (0 = end). Page numbers are device-global, so the kernel's provenance
 //! checks (I2) can validate every slot.
 
-use trio_nvm::{NvmHandle, PageId, ProtError, PAGE_SIZE};
+use trio_nvm::{NvmHandle, PageId, ProtError, Span, PAGE_SIZE};
 
 /// Data-page slots per index page (the 512th u64 is the `next` pointer).
 pub const ENTRIES_PER_INDEX: usize = PAGE_SIZE / 8 - 1;
@@ -43,6 +43,19 @@ impl<'a> IndexPageRef<'a> {
     pub fn set_entry(&self, i: usize, v: u64) -> Result<(), ProtError> {
         assert!(i < ENTRIES_PER_INDEX);
         self.h.write_u64_persist(self.page, i * 8, v)
+    }
+
+    /// Stores data-page slot `i` without persisting it: one of a batch the
+    /// caller flushes as [`Self::entries_span`] and fences once.
+    pub fn stage_entry(&self, i: usize, v: u64) -> Result<(), ProtError> {
+        assert!(i < ENTRIES_PER_INDEX);
+        self.h.write_untimed(self.page, i * 8, &v.to_le_bytes())
+    }
+
+    /// The bytes of data-page slots `lo..=hi`, as one span to flush.
+    pub fn entries_span(&self, lo: usize, hi: usize) -> Span {
+        assert!(lo <= hi && hi < ENTRIES_PER_INDEX);
+        Span::new(self.page, lo * 8, (hi - lo + 1) * 8)
     }
 
     /// Reads the next-index-page pointer.
@@ -101,6 +114,11 @@ mod tests {
         assert_eq!(entries[0], 100);
         assert_eq!(entries[510], 200);
         assert_eq!(next, 77);
+        // A staged batch: stored at once, persisted as one span.
+        ip.stage_entry(3, 300).unwrap();
+        ip.stage_entry(5, 500).unwrap();
+        assert_eq!((ip.entry(3).unwrap(), ip.entry(5).unwrap()), (300, 500));
+        assert_eq!(ip.entries_span(3, 5), Span::new(PageId(3), 24, 24));
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub mod index;
 pub mod superblock;
 pub mod walk;
 
-pub use dirent::{DirentData, DirentLoc, DirentRef, DIRENTS_PER_PAGE, DIRENT_SIZE, MAX_NAME};
+pub use dirent::{
+    DirPage, DirSlot, DirentData, DirentLoc, DirentRef, DIRENTS_PER_PAGE, DIRENT_SIZE, MAX_NAME,
+};
 pub use head::FileHead;
 pub use index::{IndexPageRef, ENTRIES_PER_INDEX};
 pub use superblock::{superblock_replica_page, SbHealth, SuperblockRef};

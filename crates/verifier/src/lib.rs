@@ -39,8 +39,8 @@ use std::collections::HashSet;
 
 use trio_fsapi::path::validate_name;
 use trio_layout::{
-    walk_file, CoreFileType, DirentData, DirentLoc, DirentRef, FilePages, Ino, WalkError,
-    DIRENTS_PER_PAGE, DIRENT_SIZE,
+    walk_file, CoreFileType, DirPage, DirSlot, DirentData, DirentLoc, DirentRef, FilePages, Ino,
+    WalkError,
 };
 use trio_nvm::{ActorId, NvmHandle, PageId, ProtError, PAGE_SIZE};
 use trio_sim::{cost, in_sim, work, DetHashMap, DetHashSet};
@@ -437,20 +437,24 @@ impl Verifier {
         let mut names: DetHashMap<Vec<u8>, Ino> = DetHashMap::default();
         let mut inos: DetHashSet<Ino> = DetHashSet::default();
         let mut entries_seen: u64 = 0;
+        // Slots the media would not give back: each may hold an entry the
+        // writer is not to blame for losing.
+        let mut unreadable: Vec<DirentLoc> = Vec::new();
         'scan: for page in pages.data_pages.iter().flatten() {
-            let mut raw = vec![0u8; PAGE_SIZE];
-            if self.h.read_untimed(*page, 0, &mut raw).is_err() {
-                continue; // Provenance violation already recorded.
-            }
-            for (slot, b) in raw.chunks_exact(DIRENT_SIZE).take(DIRENTS_PER_PAGE).enumerate() {
-                let Ok(b) = <&[u8; DIRENT_SIZE]>::try_from(b) else {
-                    continue; // chunks_exact guarantees the size; defensive.
+            let Ok(dir_page) = DirPage::load(&self.h, *page) else {
+                continue; // No such page on the device: I2 flagged it above.
+            };
+            for slot in dir_page.slots() {
+                let (loc, d, raw) = match slot {
+                    DirSlot::Live(loc, d, raw) => (loc, d, raw),
+                    DirSlot::Free(_) => continue,
+                    // A media fault, not a forgery (DESIGN.md §14, §19).
+                    DirSlot::Unreadable(loc, cause) => {
+                        report.violations.push(Violation::UnreadableData { page: *page, cause });
+                        unreadable.push(loc);
+                        continue;
+                    }
                 };
-                let loc = DirentLoc { page: *page, slot };
-                let d = DirentData::decode_bytes(b);
-                if d.ino == 0 {
-                    continue;
-                }
                 entries_seen += 1;
                 if entries_seen > req.max_dir_entries {
                     // Hostile entry bomb: stop here, reject the file. The
@@ -463,22 +467,21 @@ impl Verifier {
                 if in_sim() {
                     work(cost::VERIFY_ENTRY_NS);
                 }
-                if DirentData::raw_name_len(b) > trio_layout::MAX_NAME {
+                if DirentData::raw_name_len(raw) > trio_layout::MAX_NAME {
                     report.violations.push(Violation::BadName);
                 }
                 self.check_child_entry(req, &d, loc, view, &mut names, &mut inos, report);
             }
         }
-        // Entry-count consistency (I1).
+        // Entry-count consistency (I1): every live entry counts, and each
+        // unreadable slot may or may not have held one.
         let recorded = match req.dirent {
             Some(loc) => DirentRef::new(&self.h, loc).size().unwrap_or(u64::MAX),
             None => u64::MAX, // Root: the kernel checks the superblock itself.
         };
-        if recorded != u64::MAX && recorded != report.children.len() as u64 {
-            report.violations.push(Violation::EntryCountMismatch {
-                recorded,
-                actual: report.children.len() as u64,
-            });
+        let actual = report.children.len() as u64;
+        if recorded != u64::MAX && !(actual..=actual + unreadable.len() as u64).contains(&recorded) {
+            report.violations.push(Violation::EntryCountMismatch { recorded, actual });
         }
         // I3: children present at checkpoint but missing now must be truly gone.
         if let Some(ck) = req.checkpoint_children {
@@ -486,22 +489,18 @@ impl Verifier {
             let mut missing: Vec<Ino> = ck.iter().copied().filter(|c| !inos.contains(c)).collect();
             missing.sort_unstable();
             for child in missing {
-                if view.is_mapped(child) {
+                let disconnected = match view.ino_provenance(child) {
+                    // Its recorded slot is one the media lost, not the writer.
+                    InoProvenance::InUse(loc) if unreadable.contains(&loc) => false,
+                    _ if view.is_mapped(child) => true,
+                    // A properly deleted or renamed child is either freed…
+                    InoProvenance::Unknown | InoProvenance::AllocatedTo(_) => false,
+                    // …or re-linked (rename), which is fine if that slot is
+                    // really live with this ino; otherwise it dangles.
+                    InoProvenance::InUse(loc) => DirentRef::new(&self.h, loc).ino() != Ok(child),
+                };
+                if disconnected {
                     report.violations.push(Violation::DisconnectedChild { ino: child });
-                    continue;
-                }
-                // A properly deleted or renamed child is either freed or
-                // re-linked at a *different* live dirent.
-                match view.ino_provenance(child) {
-                    InoProvenance::Unknown | InoProvenance::AllocatedTo(_) => {}
-                    InoProvenance::InUse(loc) => {
-                        // Re-linked (rename) is fine if the slot is really live
-                        // with this ino elsewhere; otherwise it dangles.
-                        let live = DirentRef::new(&self.h, loc).ino().map(|i| i == child);
-                        if !matches!(live, Ok(true)) {
-                            report.violations.push(Violation::DisconnectedChild { ino: child });
-                        }
-                    }
                 }
             }
         }

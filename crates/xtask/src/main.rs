@@ -74,6 +74,14 @@
 //!   the virtual clock (ROADMAP item 1). Use `trio_sim::DetHashMap` /
 //!   `DetHashSet` (std's maps under fixed keys) or an ordered map.
 //!
+//! * **layout-door** — slot geometry and slot iteration live in
+//!   `trio-layout` (DESIGN.md §3). In `crates/{kernel,verifier,core}/src` a
+//!   hand-written walk over a directory page — `chunks_exact(DIRENT_SIZE)`,
+//!   a `..DIRENTS_PER_PAGE` range — and a slot's byte offset
+//!   (`.byte_off()`) are findings: each is a private copy of the format,
+//!   and eight such copies had drifted apart on what a poisoned line costs.
+//!   Read through `DirPage`, write through `DirentRef`.
+//!
 //! Any rule can be suppressed per-site with `// lint: allow(<rule-id>)
 //! <reason>` on the flagged line or up to two lines above it; the reason is
 //! mandatory — a bare allow is itself reported.
@@ -232,6 +240,7 @@ pub enum Rule {
     RawPublish,
     HotPathRegistry,
     NoRandomState,
+    LayoutDoor,
 }
 
 impl Rule {
@@ -247,6 +256,7 @@ impl Rule {
             Rule::RawPublish => "raw-publish",
             Rule::HotPathRegistry => "hot-path-registry",
             Rule::NoRandomState => "no-random-state",
+            Rule::LayoutDoor => "layout-door",
         }
     }
 }
@@ -341,6 +351,8 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
     // harnesses that deliberately construct hazards.
     let shipped = !in_xtask && shipped_src(rel);
     let raw_publish_scope = !in_nvm && shipped;
+    // Above `trio-layout`, callers bring policy, not slot arithmetic.
+    let layout_door_scope = no_panic_scope || rel.starts_with("crates/core/src");
     // A module that declares itself hot-path (raw source, so the marker
     // lives in its doc comment) has sworn off the registry control lock
     // entirely (DESIGN.md §20).
@@ -546,6 +558,19 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
                      map so nothing the clock or the allocator can observe depends on it"
                         .to_string());
             }
+        }
+
+        // R11: a directory page is read through `trio_layout::DirPage` and a
+        // slot written through `DirentRef`; tests in these files included.
+        if layout_door_scope
+            && (line.contains("chunks_exact(DIRENT_SIZE)")
+                || line.contains("..DIRENTS_PER_PAGE")
+                || line.contains("..trio_layout::DIRENTS_PER_PAGE")
+                || find_call(line, "byte_off").is_some())
+        {
+            emit(out, rel, &raw, i, Rule::LayoutDoor,
+                "slot geometry outside `trio-layout`: read a directory page through \
+                 `DirPage`, a slot through `DirentRef` (DESIGN.md §3)".to_string());
         }
     }
 }
@@ -960,6 +985,7 @@ mod tests {
             Rule::RawPublish,
             Rule::HotPathRegistry,
             Rule::NoRandomState,
+            Rule::LayoutDoor,
         ] {
             assert!(
                 findings.iter().any(|f| f.rule == rule),
@@ -1084,6 +1110,18 @@ mod tests {
         assert!(rs_hits.contains(&line_of("HashMap::new()")));
         assert!(rs_hits.contains(&line_of("HashSet::with_capacity(8)")));
         assert!(rs_hits.contains(&line_of("hash_map::RandomState")));
+        // layout-door: the chunk walk, the slot range and the byte offset
+        // trip; the reader, the annotated site and a plain page count stay
+        // clean.
+        let door_hits: Vec<_> =
+            findings.iter().filter(|f| f.rule == Rule::LayoutDoor).map(|f| f.line).collect();
+        assert_eq!(door_hits.len(), 3, "exactly the three live geometry sites: {door_hits:?}");
+        let door_src = fixture.join("crates").join("verifier").join("src").join("dirwalk.rs");
+        let src = std::fs::read_to_string(&door_src).unwrap();
+        let line_of = |needle: &str| src.lines().position(|l| l.contains(needle)).unwrap() + 1;
+        assert!(door_hits.contains(&line_of("raw.chunks_exact(DIRENT_SIZE)")));
+        assert!(door_hits.contains(&line_of("for slot in 0..DIRENTS_PER_PAGE")));
+        assert!(door_hits.contains(&line_of("loc.byte_off() + 16")));
     }
 
     /// 1-based line of the first raw line containing `needle` in the

@@ -126,3 +126,93 @@ fn lsm_database_survives_fs_level_crash() {
     });
     rt.run();
 }
+
+/// Core state is one format read one way (DESIGN.md §3): the verifier, a
+/// LibFS rebuilding its aux, the kernel's checkpoint and the kernel's
+/// recovery name the same children of the same directory — three pages of
+/// it, with unlinked holes and a prepared slot whose ino was never
+/// published.
+#[test]
+fn four_readers_of_a_directory_agree() {
+    use std::collections::BTreeSet;
+    use trio_layout::{CoreFileType, DirPage, DirentData, DirentRef, Ino};
+    use trio_nvm::{ActorId, NvmHandle, PageId, KERNEL_ACTOR};
+    use trio_verifier::{
+        InoProvenance, PageProvenance, ResourceView, ShadowAttr, Verifier, VerifyRequest,
+    };
+
+    /// Everything on the device is the writer's fresh allocation: the
+    /// verifier has nothing to object to but the bytes themselves.
+    struct AllFresh(ActorId);
+    impl ResourceView for AllFresh {
+        fn page_provenance(&self, _: PageId) -> PageProvenance {
+            PageProvenance::AllocatedTo(self.0)
+        }
+        fn ino_provenance(&self, _: Ino) -> InoProvenance {
+            InoProvenance::AllocatedTo(self.0)
+        }
+        fn shadow_attr(&self, _: Ino) -> Option<ShadowAttr> {
+            None
+        }
+        fn is_mapped(&self, _: Ino) -> bool {
+            false
+        }
+    }
+
+    let (kernel, a, b) = world();
+    let dev = Arc::clone(kernel.device());
+    let seen = Arc::new(trio_sim::plock::Mutex::new(None));
+    let (k2, seen2) = (Arc::clone(&kernel), Arc::clone(&seen));
+    let rt = SimRuntime::new(45);
+    rt.spawn("t", move || {
+        a.mkdir("/d", Mode(0o777)).unwrap();
+        for i in 0..40 {
+            write_file(&*a, &format!("/d/f{i:02}"), &[i as u8; 100]).unwrap();
+        }
+        a.mkdir("/d/sub", Mode(0o777)).unwrap();
+        for i in [3, 17, 33] {
+            a.unlink(&format!("/d/f{i:02}")).unwrap();
+        }
+        let (loc, _, data) = a.debug_file_pages("/d").unwrap();
+        let first_index = DirentRef::new(a.handle(), loc.unwrap()).first_index().unwrap();
+        let hole = DirPage::load(a.handle(), data[1].unwrap()).unwrap().first_free().unwrap();
+        let pending = DirentData::new(b"pending", CoreFileType::Regular, Mode::RW, 1000, 1000);
+        DirentRef::new(a.handle(), hole).prepare(&pending).unwrap();
+        let d_ino = a.stat("/d").unwrap().ino;
+        a.release_path("/d").unwrap();
+        a.release_path("/").unwrap();
+
+        // The LibFS (whose map makes the kernel verify and checkpoint).
+        let listed: BTreeSet<Ino> = b.readdir("/d").unwrap().iter().map(|e| e.ino).collect();
+        assert_eq!(listed.len(), 38);
+        let checkpointed = k2.checkpoint_children(d_ino).expect("verified, so checkpointed");
+        // The verifier.
+        let req = VerifyRequest {
+            ino: d_ino,
+            ftype: CoreFileType::Directory,
+            dirent: loc,
+            first_index,
+            dirty_actor: a.actor(),
+            checkpoint_children: None,
+            max_index_pages: 64,
+            max_dir_entries: 1 << 16,
+        };
+        let report = Verifier::new(NvmHandle::new(Arc::clone(k2.device()), KERNEL_ACTOR))
+            .verify(&req, &AllFresh(a.actor()));
+        assert_eq!(report.violations, []);
+        let verified: BTreeSet<Ino> = report.children.iter().map(|c| c.ino).collect();
+        assert_eq!(verified, listed);
+        assert_eq!(checkpointed.into_iter().collect::<BTreeSet<_>>(), listed);
+        *seen2.lock() = Some((data, listed));
+    });
+    rt.run();
+    let (data, listed) = seen.lock().take().unwrap();
+    drop(kernel);
+
+    // Recovery: the inos it holds live at a slot of one of `/d`'s pages.
+    let recovered = KernelController::recover(dev, KernelConfig::default()).unwrap();
+    let in_d = |loc: &trio_layout::DirentLoc| data.contains(&Some(loc.page));
+    let live: BTreeSet<Ino> =
+        recovered.live_dirents().into_iter().filter(|(_, loc)| in_d(loc)).map(|(i, _)| i).collect();
+    assert_eq!(live, listed);
+}

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use arckfs::{ArckFs, ArckFsConfig};
 use trio_fsapi::{FileSystem, Mode, OpenFlags};
 use trio_kernel::{KernelConfig, KernelController};
-use trio_layout::{DirentData, DirentLoc, DirentRef, DIRENTS_PER_PAGE, DIRENT_SIZE};
-use trio_nvm::{DeviceConfig, NvmDevice, Topology, PAGE_SIZE};
+use trio_layout::{DirPage, DirentData, DirentLoc, DirentRef};
+use trio_nvm::{DeviceConfig, NvmDevice, Topology};
 use trio_sim::SimRuntime;
 
 fn tracked_world() -> (Arc<NvmDevice>, Arc<KernelController>, Arc<ArckFs>) {
@@ -33,16 +33,8 @@ fn scan_dir_core(
     let (_, _, data) = fs.debug_file_pages(dir).unwrap();
     let mut out = Vec::new();
     for page in data.iter().flatten() {
-        let mut raw = vec![0u8; PAGE_SIZE];
-        fs.handle().read_untimed(*page, 0, &mut raw).unwrap();
-        for s in 0..DIRENTS_PER_PAGE {
-            let b: &[u8; DIRENT_SIZE] =
-                raw[s * DIRENT_SIZE..(s + 1) * DIRENT_SIZE].try_into().unwrap();
-            let d = DirentData::decode_bytes(b);
-            if d.ino != 0 {
-                out.push((String::from_utf8_lossy(&d.name).into_owned(), d.ino));
-            }
-        }
+        let page = DirPage::load(fs.handle(), *page).unwrap();
+        out.extend(page.live().map(|(_, d)| (String::from_utf8_lossy(&d.name).into_owned(), d.ino)));
     }
     out
 }
@@ -89,16 +81,7 @@ fn torn_create_is_invisible_after_crash() {
         // between §4.4's two steps.
         let (_, _, data) = fs2.debug_file_pages("/d").unwrap();
         let page = data[0].unwrap();
-        // Find a free slot.
-        let mut free = None;
-        for s in 0..DIRENTS_PER_PAGE {
-            let loc = DirentLoc { page, slot: s };
-            if DirentRef::new(fs2.handle(), loc).ino().unwrap() == 0 {
-                free = Some(loc);
-                break;
-            }
-        }
-        let loc = free.expect("free slot");
+        let loc = DirPage::load(fs2.handle(), page).unwrap().first_free().expect("free slot");
         let d = DirentData::new(b"torn", trio_layout::CoreFileType::Regular, Mode(0o666), 0, 0);
         DirentRef::new(fs2.handle(), loc).prepare(&d).unwrap();
         // Unflushed ino publication (the torn step).
@@ -158,19 +141,10 @@ fn rename_journal_recovers_the_half_done_move() {
         let (_, _, data) = fs2.debug_file_pages("/d").unwrap();
         let page = data[0].unwrap();
         let src = DirentLoc { page, slot: 0 };
-        let mut img = [0u8; DIRENT_SIZE];
-        fs2.handle().read_untimed(src.page, src.byte_off(), &mut img).unwrap();
+        let img = DirentRef::new(fs2.handle(), src).image().unwrap();
         let src_ino = DirentRef::new(fs2.handle(), src).ino().unwrap();
         // Destination: next free slot.
-        let mut dst = None;
-        for s in 1..DIRENTS_PER_PAGE {
-            let loc = DirentLoc { page, slot: s };
-            if DirentRef::new(fs2.handle(), loc).ino().unwrap() == 0 {
-                dst = Some(loc);
-                break;
-            }
-        }
-        let dst = dst.unwrap();
+        let dst = DirPage::load(fs2.handle(), page).unwrap().first_free().unwrap();
         let jpage = fs2.debug_take_pool_page();
         let journal = arckfs::journal::Journal::new();
         let guard = journal
@@ -242,18 +216,9 @@ fn armed_rename_world(
         let (_, _, data) = fs2.debug_file_pages("/d").unwrap();
         let page = data[0].unwrap();
         let src = DirentLoc { page, slot: 0 };
-        let mut img = [0u8; DIRENT_SIZE];
-        fs2.handle().read_untimed(src.page, src.byte_off(), &mut img).unwrap();
+        let img = DirentRef::new(fs2.handle(), src).image().unwrap();
         let src_ino = DirentRef::new(fs2.handle(), src).ino().unwrap();
-        let mut dst = None;
-        for s in 1..DIRENTS_PER_PAGE {
-            let loc = DirentLoc { page, slot: s };
-            if DirentRef::new(fs2.handle(), loc).ino().unwrap() == 0 {
-                dst = Some(loc);
-                break;
-            }
-        }
-        let dst = dst.unwrap();
+        let dst = DirPage::load(fs2.handle(), page).unwrap().first_free().unwrap();
         let jpage = fs2.debug_take_pool_page();
         let journal = arckfs::journal::Journal::new();
         let guard = journal

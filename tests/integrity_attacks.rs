@@ -228,7 +228,7 @@ fn random_corruption_sweep_never_reaches_the_victim_unvetted() {
 /// through it stores a fabricated entry — an ino nobody allocated — in a free
 /// slot of `/dir`'s page. Returns `/dir`'s ino.
 fn plant_ghost(w: &AttackWorld) -> u64 {
-    use trio_layout::{CoreFileType, DirentData, DirentLoc, DirentRef, DIRENTS_PER_PAGE};
+    use trio_layout::{CoreFileType, DirPage, DirentData, DirentRef};
     let evil = &w.evil;
     evil.mkdir("/dir", Mode(0o777)).unwrap();
     evil.create("/dir/a", Mode(0o666)).unwrap();
@@ -243,10 +243,7 @@ fn plant_ghost(w: &AttackWorld) -> u64 {
     let dir_ino = evil.stat("/dir").unwrap().ino;
     assert_eq!(w.kernel.writer_of(dir_ino), None, "no write grant on the directory itself");
     let page = evil.debug_file_pages("/dir/a").unwrap().0.unwrap().page;
-    let slot = (0..DIRENTS_PER_PAGE)
-        .map(|slot| DirentLoc { page, slot })
-        .find(|loc| DirentRef::new(evil.handle(), *loc).ino().unwrap() == 0)
-        .unwrap();
+    let slot = DirPage::load(evil.handle(), page).unwrap().first_free().unwrap();
     let ghost = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 1000, 1000);
     let r = DirentRef::new(evil.handle(), slot);
     let prepared = r.prepare(&ghost).expect("the page is writable under the grant on `/dir/a`");

@@ -198,6 +198,138 @@ fn scrub_detects_and_fences_silent_rot() {
     rt.run();
 }
 
+/// `/d` holding sixteen files `f00`..`f15` with these contents, all in
+/// the sixteen slots of its first data page.
+fn sixteen_files(fs: &ArckFs) {
+    fs.mkdir("/d", Mode(0o777)).unwrap();
+    for i in 0..16 {
+        write_file(fs, &sixteen_path(i), &sixteen_bytes(i)).unwrap();
+    }
+}
+
+fn sixteen_path(i: usize) -> String {
+    format!("/d/f{i:02}")
+}
+
+fn sixteen_bytes(i: usize) -> Vec<u8> {
+    vec![0x40 + i as u8; 3000 + 200 * i]
+}
+
+/// Cache line 21 of a directory page lies under slot 5 and no other.
+const BAD_LINE: u16 = 21;
+const BAD_SLOT: usize = 5;
+
+/// A bad line under a directory found at mount time (no checkpoint
+/// survives a restart, and nothing replicates a dirent): recovery keeps
+/// the fifteen entries the media kept, zeroes the one slot — which heals
+/// the line — and counts the loss where an operator looks for it, instead
+/// of dropping the whole page and repairing the count to match.
+#[test]
+fn recover_salvages_a_directory_page_around_a_poisoned_line() {
+    let (dev, kernel, fs) = world(ArckFsConfig::no_delegation());
+    let rt = SimRuntime::new(0x59);
+    let found = Arc::new(trio_sim::plock::Mutex::new(None));
+    let (fs2, found2) = (Arc::clone(&fs), Arc::clone(&found));
+    rt.spawn("setup", move || {
+        sixteen_files(&fs2);
+        let (_, _, dir_data) = fs2.debug_file_pages("/d").unwrap();
+        let victim = (0..16)
+            .map(|i| (i, fs2.debug_file_pages(&sixteen_path(i)).unwrap()))
+            .find(|(_, (loc, _, _))| loc.unwrap().slot == BAD_SLOT)
+            .map(|(i, (_, index, data))| (i, index.len() + data.len()))
+            .expect("one file sits in the slot");
+        *found2.lock() = Some((dir_data[0].unwrap(), victim));
+    });
+    rt.run();
+    let (dir_page, (lost, lost_pages)) = found.lock().take().unwrap();
+    drop(fs);
+    drop(kernel);
+    dev.crash();
+
+    let check = |kernel: Arc<KernelController>, lost: Option<usize>| {
+        assert_eq!(kernel.fsck(), [], "recovered tree must audit clean");
+        assert_eq!(dev.poisoned_lines(), 0, "recovery leaves no bad line under a directory");
+        let free = accounted(&kernel);
+        let fs = ArckFs::mount(kernel, 1000, 1000, ArckFsConfig::no_delegation());
+        let listed = fs.readdir("/d").unwrap().len();
+        for i in 0..16 {
+            match read_file(&*fs, &sixteen_path(i)) {
+                Ok(bytes) => assert_eq!(bytes, sixteen_bytes(i), "{}", sixteen_path(i)),
+                Err(e) => assert_eq!((Some(i), e), (lost, FsError::NotFound)),
+            }
+        }
+        (listed, free)
+    };
+    let recover = || KernelController::recover(Arc::clone(&dev), KernelConfig::default()).unwrap();
+
+    // Healthy media: all sixteen, nothing to count.
+    let clean = recover();
+    assert_eq!(clean.media_stats().snapshot().unrecoverable, 0);
+    let (listed, free_clean) = check(clean, None);
+    assert_eq!(listed, 16);
+
+    // One bad line: one entry, its pages back in the pool, and a count.
+    dev.poison_line(dir_page, BAD_LINE);
+    let salvaged = recover();
+    let counted = salvaged.media_stats().snapshot().unrecoverable;
+    let (listed, free_salvaged) = check(salvaged, Some(lost));
+    assert_eq!(listed, 15, "fifteen entries were intact on the media");
+    assert_eq!(counted, 1, "the lost entry is counted, not papered over");
+    assert_eq!(free_salvaged, free_clean + lost_pages, "only the lost file's pages came back");
+
+    // Recovering what recovery left is a no-op.
+    let image = dev.snapshot_page(dir_page).unwrap();
+    let again = recover();
+    assert_eq!(again.media_stats().snapshot().unrecoverable, 0);
+    assert_eq!(dev.snapshot_page(dir_page).unwrap(), image);
+    assert_eq!(check(again, Some(lost)), (15, free_salvaged));
+}
+
+/// The same bad line with the kernel up and `/d` checkpointed: the
+/// verifier reports a media fault, not a forged entry count, so rollback
+/// restores the page from the checkpoint image (which heals the line) and
+/// the writer — who did nothing — is not quarantined.
+#[test]
+fn poisoned_dirent_line_at_hand_over_is_rolled_back_not_quarantined() {
+    use trio_kernel::registry::KernelEvent as E;
+    let (dev, kernel, writer) = world(ArckFsConfig::no_delegation());
+    let reader = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
+    let rt = SimRuntime::new(0x5A);
+    rt.spawn("main", move || {
+        sixteen_files(&writer);
+        for path in (0..16).map(sixteen_path).chain(["/d".into(), "/".into()]) {
+            writer.release_path(&path).unwrap();
+        }
+        // Verified and checkpointed, sixteen children and all.
+        assert_eq!(reader.readdir("/d").unwrap().len(), 16);
+        reader.release_path("/d").unwrap();
+        // The writer takes a file of `/d` back: its dirent page, which is
+        // `/d`'s data page, is in the writer's hands again.
+        let fd = writer.open(&sixteen_path(0), OpenFlags::RDWR, Mode(0o666)).unwrap();
+        writer.pwrite(fd, 0, &sixteen_bytes(0)).unwrap();
+        writer.close(fd).unwrap();
+        let d_ino = writer.stat("/d").unwrap().ino;
+        let (_, _, dir_data) = writer.debug_file_pages("/d").unwrap();
+        writer.release_path(&sixteen_path(0)).unwrap();
+        writer.release_path("/d").unwrap();
+        let _ = kernel.take_events();
+
+        dev.poison_line(dir_data[0].unwrap(), BAD_LINE);
+        assert_eq!(reader.readdir("/d").unwrap().len(), 16);
+        for i in 0..16 {
+            assert_eq!(read_file(&*reader, &sixteen_path(i)).unwrap(), sixteen_bytes(i));
+        }
+        let events = kernel.take_events();
+        assert!(events.contains(&E::RolledBack { ino: d_ino }), "{events:?}");
+        assert!(!events.iter().any(|e| matches!(e, E::Quarantined { .. })), "{events:?}");
+        assert!(!kernel.is_quarantined(writer.actor()), "a media fault is not a forgery");
+        assert_eq!(dev.poisoned_lines(), 0, "the checkpoint image healed the line");
+        let stats = kernel.resilience_stats().snapshot().to_json();
+        assert!(stats.contains("\"violations_by_kind\": {\"unreadable_data\": 1},"), "{stats}");
+    });
+    rt.run();
+}
+
 // ---------------------------------------------------------------------
 // Retirement.
 // ---------------------------------------------------------------------

@@ -932,9 +932,9 @@ fn rollback_in_between_rebuilds() {
         b.release_path("/d").unwrap();
         a.create("/d/late", Mode(0o666)).unwrap();
         let (_, _, data) = a.debug_file_pages("/d").unwrap();
-        let slot = (0..trio_layout::DIRENTS_PER_PAGE)
-            .map(|slot| trio_layout::DirentLoc { page: data[2].unwrap(), slot })
-            .find(|loc| trio_layout::DirentRef::new(a.handle(), *loc).ino().unwrap() == 0)
+        let slot = trio_layout::DirPage::load(a.handle(), data[2].unwrap())
+            .unwrap()
+            .first_free()
             .expect("40 + 1 entries leave the third page free slots");
         let ghost = trio_layout::DirentData::new(
             b"ghost",
