@@ -183,6 +183,19 @@ fn main() {
         first.n, last.n
     );
     let max_hot_locks = rungs.iter().map(|r| r.snap.registry_locks).max().unwrap_or(0);
+    // Every PTE allocation programs costs the tenant 1.28 µs, so a LibFS
+    // maps about what it writes, cold buckets included (DESIGN.md §12).
+    let written_pages = last.snap.delegated_write_bytes / trio_nvm::PAGE_SIZE as u64;
+    println!(
+        "pages mapped by allocation per page written at {} tenants: {:.2}",
+        last.n,
+        last.snap.alloc_mapped_pages as f64 / written_pages as f64
+    );
+    assert!(
+        last.snap.alloc_mapped_pages <= 2 * written_pages,
+        "allocation mapped {} pages to write {written_pages}",
+        last.snap.alloc_mapped_pages
+    );
 
     let json = last.snap.to_json(&[
         ("tenant_rungs", format!("[{}]", RUNGS.map(|n| n.to_string()).join(", "))),

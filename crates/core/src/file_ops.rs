@@ -18,6 +18,7 @@ use trio_sim::{in_sim, now, now_or_zero};
 
 use crate::libfs::ArckFs;
 use crate::node::{FileNode, MapState, NodeInner};
+use crate::pool::STRIPE_PAGES;
 
 /// Static policy (paper §4.5): reads below this go direct.
 const STATIC_READ_MIN: usize = 32 * 1024;
@@ -28,9 +29,6 @@ const ADAPTIVE_DELEGATE_BYTES: usize = 64 * 1024;
 /// Adaptive policy: accesses below this size never delegate; in between,
 /// node load and remoteness decide.
 const ADAPTIVE_FLOOR_BYTES: usize = 4096;
-
-/// Pages per stripe unit (16 × 4 KiB = 64 KiB).
-const STRIPE_PAGES: usize = 16;
 
 /// The delegation retry policy (DESIGN.md §16): a 5 ms budget for one
 /// delegated request, doubled per attempt up to a 40 ms backoff cap, three

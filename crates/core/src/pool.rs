@@ -1,10 +1,10 @@
 //! LibFS-local resource pools.
 //!
 //! Allocation is the one control-plane interaction a LibFS cannot avoid,
-//! so it is batched: the pool pulls pages/inos from the kernel controller
-//! in chunks and serves creates/appends from DRAM thereafter (paper §4.5:
-//! per-CPU DRAM allocators; per-node here, matching the NUMA-placement
-//! decisions striping needs).
+//! so it is pooled: pages/inos come from the kernel controller a stripe
+//! unit or an ino batch at a time and creates/appends are served from DRAM
+//! in between (paper §4.5: per-CPU DRAM allocators; per-node here,
+//! matching the NUMA-placement decisions striping needs).
 
 use std::sync::Arc;
 
@@ -17,14 +17,19 @@ use trio_sim::{in_sim, work};
 
 /// Backoff for allocator-exhaustion refill retries: transient `NoSpace`
 /// (another LibFS is between free and reuse, or the pools are momentarily
-/// drained by a reclamation burst) deserves a brief wait and a smaller
-/// ask before the failure propagates to the syscall.
+/// drained by a reclamation burst) deserves a brief wait before the
+/// failure propagates to the syscall.
 const REFILL_RETRY: RetryPolicy = RetryPolicy::new(50_000, 0, 3, 400_000).no_jitter();
 
-/// Pages one refill asks the kernel for.
-const PAGE_BATCH: usize = 64;
+/// Pages per stripe unit (16 × 4 KiB = 64 KiB): the unit file data is
+/// placed in, and the least one refill asks the kernel for. Every page a
+/// refill brings is mapped, at `MMU_PROGRAM_PAGE_NS` each, so the pool
+/// asks for what the operation is short of and leaves over-fetching to the
+/// kernel's per-actor cache, whose frames cost nothing until granted
+/// (DESIGN.md §12).
+pub(crate) const STRIPE_PAGES: usize = 16;
 
-/// Batched page pool, one bucket per NUMA node.
+/// Page pool, one bucket per NUMA node.
 pub struct PagePool {
     kernel: Arc<KernelController>,
     actor: ActorId,
@@ -32,7 +37,7 @@ pub struct PagePool {
 }
 
 impl PagePool {
-    /// Creates an empty pool refilling [`PAGE_BATCH`] pages at a time.
+    /// Creates an empty pool.
     pub fn new(kernel: Arc<KernelController>, actor: ActorId) -> Self {
         let nodes = kernel.device().topology().nodes;
         PagePool {
@@ -42,16 +47,16 @@ impl PagePool {
         }
     }
 
-    /// One kernel refill, retrying transient exhaustion per
-    /// [`REFILL_RETRY`]: each retry waits the policy window and halves
-    /// the ask (a smaller batch can succeed where a full one cannot);
-    /// never returns fewer than `need` pages.
+    /// One kernel refill of at least `need` pages, a whole stripe unit if
+    /// `need` is less. A device too full for the unit is asked again at
+    /// once for exactly `need`; only an exact ask the kernel cannot meet is
+    /// transient exhaustion, retried per [`REFILL_RETRY`].
     fn refill(&self, node: usize, need: usize) -> FsResult<Vec<PageId>> {
-        let mut want = PAGE_BATCH.max(need);
+        let mut ask = need.max(STRIPE_PAGES);
         let mut attempt = 0u32;
         loop {
-            match self.kernel.alloc_pages(self.actor, want, Some(node)) {
-                Ok(pages) => return Ok(pages),
+            match self.kernel.alloc_pages(self.actor, ask, Some(node)) {
+                Err(FsError::NoSpace) if ask > need => ask = need,
                 Err(FsError::NoSpace) if attempt + 1 < REFILL_RETRY.attempts() => {
                     let w = REFILL_RETRY.window_ns(attempt, 0);
                     self.kernel.delegation().stats().record_refill_retry();
@@ -59,29 +64,21 @@ impl PagePool {
                     if in_sim() {
                         work(w);
                     }
-                    want = (want / 2).max(need).max(1);
                     attempt += 1;
                 }
-                Err(e) => return Err(e),
+                other => return other,
             }
         }
     }
 
-    /// Takes one page on `node` (refilling from the kernel as needed).
-    /// Refills run *outside* the pool lock so one thread's kernel trip
-    /// (batched MMU programming) never convoys its siblings.
+    /// Takes one page on `node`.
     pub fn take(&self, node: usize) -> FsResult<PageId> {
-        let node = node % self.per_node.len();
-        if let Some(p) = self.per_node[node].lock().pop() {
-            return Ok(p);
-        }
-        let refill = self.refill(node, 1)?;
-        let mut pool = self.per_node[node].lock();
-        pool.extend(refill);
-        Ok(pool.pop().expect("batch is non-empty"))
+        Ok(self.take_many(node, 1)?[0])
     }
 
-    /// Takes `n` pages on `node`.
+    /// Takes `n` pages on `node`, refilling from the kernel as needed.
+    /// Refills run *outside* the pool lock so one thread's kernel trip
+    /// (batched MMU programming) never convoys its siblings.
     pub fn take_many(&self, node: usize, n: usize) -> FsResult<Vec<PageId>> {
         let node = node % self.per_node.len();
         loop {
@@ -173,5 +170,102 @@ impl InoPool {
     /// Returns an unused ino (failed create).
     pub fn put(&self, ino: Ino) {
         self.shard().lock().push(ino);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use trio_fsapi::write_file;
+    use trio_kernel::KernelConfig;
+    use trio_nvm::{DeviceConfig, NvmDevice};
+    use trio_sim::sync::SimBarrier;
+    use trio_sim::SimRuntime;
+
+    use super::*;
+    use crate::{ArckFs, ArckFsConfig};
+
+    fn kernel_on(cfg: DeviceConfig) -> Arc<KernelController> {
+        KernelController::format(Arc::new(NvmDevice::new(cfg)), KernelConfig::default())
+    }
+
+    /// A first 64 KiB write maps what it uses plus less than a stripe unit
+    /// per bucket it touched, not a batch per bucket.
+    #[test]
+    fn cold_bucket_is_refilled_by_the_stripe_unit() {
+        let kernel = kernel_on(DeviceConfig::eight_node(4096));
+        let cfg = ArckFsConfig { delegation: false, ..ArckFsConfig::default() };
+        let fs = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, cfg);
+        let rt = SimRuntime::new(21);
+        rt.spawn("t", move || {
+            write_file(&*fs, "/f", &vec![7u8; 64 * 1024]).unwrap();
+            let pooled: Vec<usize> = fs.pages.per_node.iter().map(|b| b.lock().len()).collect();
+            assert!(pooled.iter().all(|n| *n < STRIPE_PAGES), "a whole unit pooled: {pooled:?}");
+            let mapped = kernel.path_stats().snapshot().alloc_mapped_pages as usize;
+            // 16 data pages and the file's index page; root's index and dirent page.
+            let used = 64 * 1024 / trio_nvm::PAGE_SIZE + 1 + 2;
+            assert_eq!(mapped, used + fs.pages.len(), "a mapped page is in the file or the pool");
+        });
+        rt.run();
+    }
+
+    /// Sixteen threads meet at one empty bucket: each refills for itself,
+    /// no page is handed out twice and none goes missing.
+    #[test]
+    fn herd_on_an_empty_bucket_conserves_pages() {
+        let kernel = kernel_on(DeviceConfig::small());
+        let reg = kernel.register_libfs(1000, 1000);
+        let pool = Arc::new(PagePool::new(Arc::clone(&kernel), reg.actor));
+        let rt = SimRuntime::new(22);
+        rt.spawn("herd", move || {
+            let barrier = Arc::new(SimBarrier::new(16));
+            let takers: Vec<_> = (0..16)
+                .map(|_| {
+                    let (pool, barrier) = (Arc::clone(&pool), Arc::clone(&barrier));
+                    let got = Arc::new(SimMutex::new(None));
+                    let slot = Arc::clone(&got);
+                    let h = trio_sim::spawn("taker", move || {
+                        barrier.wait();
+                        *slot.lock() = Some(pool.take(0).unwrap());
+                    });
+                    (h, got)
+                })
+                .collect();
+            let mut taken = BTreeSet::new();
+            for (h, got) in takers {
+                h.join();
+                assert!(taken.insert(got.lock().expect("took a page")), "a page handed out twice");
+            }
+            let idle = kernel.free_page_count()
+                + kernel.cached_page_count()
+                + kernel.limbo_page_count()
+                + kernel.deferred_page_count()
+                + kernel.retired_page_count();
+            let total = kernel.device().topology().total_pages() as usize - 2;
+            assert_eq!(idle + taken.len() + pool.len(), total, "pages not conserved");
+        });
+        rt.run();
+    }
+
+    /// The stripe-unit floor never turns an ask the device can meet into
+    /// `NoSpace` or a backoff wait; an exact ask it cannot meet does both.
+    #[test]
+    fn near_full_device_serves_the_exact_ask() {
+        let kernel = kernel_on(DeviceConfig::small());
+        let hog = kernel.register_libfs(1000, 1000);
+        let reg = kernel.register_libfs(1000, 1000);
+        let pool = PagePool::new(Arc::clone(&kernel), reg.actor);
+        let rt = SimRuntime::new(23);
+        rt.spawn("t", move || {
+            let left = STRIPE_PAGES - 1;
+            kernel.alloc_pages(hog.actor, kernel.free_page_count() - left, Some(0)).unwrap();
+            let retries = || kernel.path_stats().snapshot().refill_retries;
+            pool.take(0).unwrap();
+            assert_eq!((retries(), pool.len()), (0, 0));
+            assert_eq!(pool.take_many(0, left).err(), Some(FsError::NoSpace));
+            assert_eq!(retries(), u64::from(REFILL_RETRY.attempts()) - 1);
+        });
+        rt.run();
     }
 }

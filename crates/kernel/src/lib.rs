@@ -631,9 +631,14 @@ impl KernelController {
             return Ok(Vec::new());
         }
         let out = self.alloc.alloc(actor, n, node)?;
-        for p in &out {
-            self.dev.mmu_map(actor, *p, PagePerm::Write).map_err(|_| FsError::NoSpace)?;
+        // `out` has left the allocator's books: a frame the device will not
+        // map (only one out of its range) sends the whole grant back the one
+        // way, whose scrub drops the mappings made so far.
+        if out.iter().any(|p| self.dev.mmu_map(actor, *p, PagePerm::Write).is_err()) {
+            self.alloc.put_back(&out, PutBack::Cache(actor));
+            return Err(FsError::NoSpace);
         }
+        self.stats.record_alloc_mapped(out.len());
         if in_sim() {
             work(out.len() as u64 * cost::MMU_PROGRAM_PAGE_NS);
         }

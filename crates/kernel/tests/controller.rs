@@ -603,6 +603,29 @@ fn assert_conserved(k: &KernelController, handed_out: usize, step: &str) {
     assert_eq!(ledgers + handed_out, total, "pages not conserved {step}");
 }
 
+/// `alloc_pages` strands nothing: what it took from the allocator is in the
+/// caller's hands, mapped and counted, or — the ask refused — back on the books.
+#[test]
+fn alloc_pages_hands_out_mapped_frames_or_none() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    rt.spawn("main", move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        let pages = k.alloc_pages(a.actor, 24, None).unwrap();
+        assert!(pages.iter().all(|p| a.handle.write_untimed(*p, 0, b"mine").is_ok()));
+        assert_eq!(k.path_stats().snapshot().alloc_mapped_pages, 24);
+        assert_conserved(k, 24, "after a grant");
+
+        let too_many = k.device().topology().total_pages() as usize;
+        assert_eq!(k.alloc_pages(a.actor, too_many, None).err(), Some(FsError::NoSpace));
+        assert_eq!(k.path_stats().snapshot().alloc_mapped_pages, 24, "a refused ask mapped pages");
+        assert_conserved(k, 24, "after a refused ask");
+    });
+    rt.run();
+}
+
 /// Root ends up write-mapped by `a` with `chain` (two of `a`'s pool pages)
 /// as its index and data page, verified (`InFile`), pinned by the new
 /// grant's checkpoint, and unlinked again so `a` may hand it back.

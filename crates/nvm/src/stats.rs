@@ -178,6 +178,9 @@ trio_sim::counters! {
         alloc_refills,
         /// Pages moved by those refills.
         alloc_refill_pages,
+        /// Pages `alloc_pages` mapped to their new owner: the PTEs
+        /// allocation programmed, whichever cache or pool supplied the frame.
+        alloc_mapped_pages,
         /// Freed pages parked in the per-actor cache.
         free_cached,
         /// Freed pages spilled past the cache high-water mark to the pools.
@@ -332,6 +335,12 @@ impl PathStats {
     pub fn record_alloc_refill(&self, pages: usize) {
         Self::bump(&self.alloc_refills, 1);
         Self::bump(&self.alloc_refill_pages, pages as u64);
+    }
+
+    /// One `alloc_pages` call mapped `pages` pages to the caller.
+    #[inline]
+    pub fn record_alloc_mapped(&self, pages: usize) {
+        Self::bump(&self.alloc_mapped_pages, pages as u64);
     }
 
     /// Freed pages parked in the cache / spilled to the global pools.
@@ -509,6 +518,7 @@ mod tests {
         s.record_adaptive(false);
         s.record_alloc_fast_hit();
         s.record_alloc_refill(64);
+        s.record_alloc_mapped(16);
         s.record_free(10, 2);
         s.record_registry_lock_site(RegistryLockSite::AllocRefill); // hot: headline too
         s.record_registry_lock_site(RegistryLockSite::Fsck); // cold: site only
@@ -544,6 +554,7 @@ mod tests {
         assert_eq!(snap.alloc_fast_hits, 1);
         assert_eq!(snap.alloc_refills, 1);
         assert_eq!(snap.alloc_refill_pages, 64);
+        assert_eq!(snap.alloc_mapped_pages, 16);
         assert_eq!(snap.free_cached, 10);
         assert_eq!(snap.free_spills, 2);
         assert_eq!(snap.registry_locks, 1, "only the hot site feeds the headline counter");

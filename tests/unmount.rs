@@ -31,15 +31,11 @@ fn unmount_returns_pool_pages_to_the_kernel() {
         let before = kernel.free_page_count();
         write_file(&*a, "/f", &vec![1u8; 64 * 1024]).unwrap();
         assert!(kernel.free_page_count() < before);
-        let file_pages = 64 * 1024 / 4096 + 2; // data + index + dirent page.
+        // Data, the file's index page, root's index and dirent page.
+        let file_pages = 64 * 1024 / 4096 + 3;
         a.unmount();
         // Everything except the live file's pages is back.
-        assert!(
-            kernel.free_page_count() >= before - 2 * file_pages,
-            "pools returned: {} of {}",
-            kernel.free_page_count(),
-            before
-        );
+        assert_eq!(kernel.free_page_count(), before - file_pages);
     });
     rt.run();
 }
