@@ -160,6 +160,27 @@ fn main() {
         loaded_snap.checksummed_bytes, loaded_snap.delegated_write_bytes,
         "every delegated write byte must be checksummed inline"
     );
+    // No fault is armed, so the failure-domain machinery must not fire:
+    // a nonzero counter is the watchdog adding work to healthy I/O.
+    assert_eq!(
+        [
+            loaded_snap.worker_deaths,
+            loaded_snap.worker_restarts,
+            loaded_snap.deleg_redispatches,
+            loaded_snap.deleg_dedup_hits,
+            loaded_snap.degraded_enters,
+            loaded_snap.degraded_exits,
+        ],
+        [0; 6],
+        "watchdog counters moved in a fault-free run: {loaded_snap:?}"
+    );
+    // Refills, frees, spills and grant churn run without the registry
+    // control lock (DESIGN.md §20); the counter sums the hot sites only.
+    assert!(
+        loaded_snap.registry_locks <= 10,
+        "registry_locks = {} on the data path (budget 10)",
+        loaded_snap.registry_locks
+    );
 
     let json = loaded_snap.to_json(&[
         ("delegated_write_ns_per_op", format!("{deleg_write_ns_per_op:.0}")),
@@ -172,12 +193,23 @@ fn main() {
     println!("# wrote {out}");
 
     // With obs on, also print the per-stage latency table for scenario 2
-    // (EXPERIMENTS.md's breakdown table comes from here) and leave a
-    // timeline artifact for the verify.sh obs gate to validate.
+    // (EXPERIMENTS.md's breakdown table comes from here) and leave the
+    // timeline artifact behind (DESIGN.md §15): it must hold events and
+    // cover at least the ring hop and the worker's service of a write.
     #[cfg(feature = "obs")]
     {
-        for line in trio_obs::snapshot().delta(&obs_base).table_lines() {
+        use trio_obs::{OpKind, Stage};
+        let snap = trio_obs::snapshot();
+        for line in snap.delta(&obs_base).table_lines() {
             println!("# obs {line}");
+        }
+        assert!(trio_obs::events_recorded() > 0, "obs timeline has no events");
+        for stage in [Stage::RingHop, Stage::WorkerService] {
+            assert!(
+                !snap.stage(OpKind::Write, stage).is_empty(),
+                "obs timeline misses write/{}",
+                stage.as_str()
+            );
         }
         let path = trio_obs::dump_now("bench-datapath").expect("write obs timeline");
         println!("# wrote {}", path.display());

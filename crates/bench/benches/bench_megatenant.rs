@@ -183,6 +183,22 @@ fn main() {
         first.n, last.n
     );
     let max_hot_locks = rungs.iter().map(|r| r.snap.registry_locks).max().unwrap_or(0);
+    // DESIGN.md §20, §21: the hot-path registry-lock budget holds on every
+    // rung, and when 127 tenants want the root the 128th holds, the recall
+    // hands it over — no `map` in the measured phases waits a lease out
+    // (1 ms; it was 100 ms) and the per-tenant rate stays above 20 000
+    // ops/s (882 before recall). The scaling ratio is printed, not gated:
+    // its window is the root hand-over, 2N maps queueing on the registry.
+    let last_rate = per_tenant_rate(&last.meta, last.n);
+    assert!(last_rate >= 20_000.0, "{last_rate:.0} metadata ops/s/tenant at {} tenants", last.n);
+    assert!(max_hot_locks <= 10, "{max_hot_locks} hot-path registry locks on one rung (budget 10)");
+    assert!(last.resilience.recalls_honoured >= 1, "no lease recall honoured at {} tenants", last.n);
+    assert!(
+        last.lease_wait_max_ns <= 1_000_000,
+        "a map waited {} ns on a lease at {} tenants",
+        last.lease_wait_max_ns,
+        last.n
+    );
     // Every PTE allocation programs costs the tenant 1.28 µs, so a LibFS
     // maps about what it writes, cold buckets included (DESIGN.md §12).
     let written_pages = last.snap.delegated_write_bytes / trio_nvm::PAGE_SIZE as u64;

@@ -175,11 +175,6 @@ impl<'a> DirentRef<'a> {
         DirentRef { h, loc }
     }
 
-    /// The slot's location.
-    pub fn loc(&self) -> DirentLoc {
-        self.loc
-    }
-
     /// Reads the inode number only (cheap liveness probe).
     pub fn ino(&self) -> Result<Ino, ProtError> {
         self.h.read_u64(self.loc.page, self.loc.byte_off() + OFF_INO)
@@ -225,8 +220,8 @@ impl<'a> DirentRef<'a> {
 
     /// Creation step 2: atomically publishes the inode number, committing
     /// the entry. `prepared` is the durability witness from
-    /// [`Self::prepare`] (or a join that includes it); under `sanitize`
-    /// the tracker re-checks every witnessed range.
+    /// [`Self::prepare`] (or a join that includes it); on a tracked
+    /// device the tracker re-checks every witnessed range.
     pub fn publish<T: Spans>(&self, ino: Ino, prepared: &Durable<T>) -> Result<(), ProtError> {
         debug_assert_ne!(ino, 0);
         self.h.publish_u64(self.loc.page, self.loc.byte_off() + OFF_INO, ino, prepared)

@@ -24,11 +24,6 @@ impl<'a> IndexPageRef<'a> {
         IndexPageRef { h, page }
     }
 
-    /// The page this accessor wraps.
-    pub fn page(&self) -> PageId {
-        self.page
-    }
-
     /// Reads data-page slot `i`.
     ///
     /// # Panics

@@ -11,7 +11,6 @@ use crate::fault::{CrashReport, FaultPlan};
 use crate::perf::{BandwidthModel, NodeLoad};
 use crate::persist::PersistTracker;
 use crate::prot::{ActorId, PagePerm, PageProt, ProtError, KERNEL_ACTOR};
-#[cfg(feature = "sanitize")]
 use crate::sanitize::SanitizeReport;
 use crate::topology::CACHE_LINE;
 use crate::topology::{NodeId, PageId, Topology, PAGE_SIZE};
@@ -165,7 +164,6 @@ impl NvmDevice {
         let slot = self.slot(page)?.lock();
         slot.prot.check(actor, false)?;
         self.poison_check_read(page, off, buf.len())?;
-        #[cfg(feature = "sanitize")]
         if let Some(t) = &self.tracker {
             t.recovery_read_check(page, off, buf.len());
         }
@@ -351,10 +349,10 @@ impl NvmDevice {
 
     /// [`Self::write_u64_persist`] with declared publication dependencies:
     /// the byte ranges that must already be durable when this commit store
-    /// becomes visible (§4.4 "prepare, persist, then publish"). Under the
-    /// `sanitize` feature each dependency line is checked and a
+    /// becomes visible (§4.4 "prepare, persist, then publish"). On a
+    /// tracked device each dependency line is checked and a
     /// not-yet-durable one records a `publish-before-persist` hazard;
-    /// without it the dependencies are documentation.
+    /// on an untracked one the dependencies are documentation.
     pub fn publish_u64(
         &self,
         actor: ActorId,
@@ -363,14 +361,11 @@ impl NvmDevice {
         v: u64,
         deps: &[(PageId, usize, usize)],
     ) -> Result<(), ProtError> {
-        #[cfg(feature = "sanitize")]
         if let Some(t) = &self.tracker {
             for &(dp, doff, dlen) in deps {
                 t.assert_durable(dp, doff, dlen);
             }
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = deps;
         self.write_u64_persist(actor, page, off, v)
     }
 
@@ -378,7 +373,7 @@ impl NvmDevice {
     /// dependencies arrive as a [`crate::typestate::Spans`] witness
     /// instead of a slice, so the typed commit point enumerates them
     /// without materializing a `Vec`. Identical store + `clwb` + `sfence`
-    /// sequence; under `sanitize` each witnessed line is re-checked
+    /// sequence; on a tracked device each witnessed line is re-checked
     /// against the tracker (the oracle for forged `assume_durable`
     /// witnesses).
     pub fn publish_u64_spans(
@@ -389,12 +384,9 @@ impl NvmDevice {
         v: u64,
         deps: &dyn crate::typestate::Spans,
     ) -> Result<(), ProtError> {
-        #[cfg(feature = "sanitize")]
         if let Some(t) = &self.tracker {
             deps.for_each(&mut |dp, doff, dlen| t.assert_durable(dp, doff, dlen));
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = deps;
         self.write_u64_persist(actor, page, off, v)
     }
 
@@ -402,7 +394,6 @@ impl NvmDevice {
     /// claims is durable: every covered line that is not actually durable
     /// records a `publish-before-persist` hazard, so a forged witness is
     /// caught by the same oracle as a raw early publish.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_assert_durable(&self, page: PageId, off: usize, len: usize) {
         if let Some(t) = &self.tracker {
             t.assert_durable(page, off, len);
@@ -761,9 +752,8 @@ impl NvmDevice {
     }
 }
 
-/// Persistence-order sanitizer surface (only with the `sanitize` feature;
-/// all methods are no-ops without `track_persistence`).
-#[cfg(feature = "sanitize")]
+/// Persistence-order sanitizer surface: live wherever a tracker is
+/// (`track_persistence`), no-ops elsewhere.
 impl NvmDevice {
     /// Quiescence check: records a hazard for every line that is not yet
     /// durable — `missing-flush` for dirty lines, `missing-fence` for
@@ -781,11 +771,6 @@ impl NvmDevice {
         if let Some(t) = &self.tracker {
             t.set_recovery_mode(on);
         }
-    }
-
-    /// Hazards observed so far (cheap poll; does not clear).
-    pub fn sanitize_hazard_count(&self) -> usize {
-        self.tracker.as_ref().map(|t| t.hazard_count()).unwrap_or(0)
     }
 
     /// Takes all hazards observed so far into a [`SanitizeReport`] tagged

@@ -153,7 +153,7 @@ impl NvmHandle {
     /// [`Self::write_u64_persist`] as a dependent commit point: the typed
     /// §4.4 publication primitive. The store only type-checks with a
     /// [`Durable`] witness, so publish-before-persist, missing-flush and
-    /// missing-fence are compile errors. Under `sanitize` every witnessed
+    /// missing-fence are compile errors. On a tracked device every witnessed
     /// range is additionally re-checked against the persistence tracker —
     /// the runtime oracle that the token (or an [`Self::assume_durable`]
     /// escape) is truthful.
@@ -184,12 +184,11 @@ impl NvmHandle {
 
     /// Escape hatch minting a [`Durable`] witness from a *claim* instead
     /// of a fence — for ranges whose durability predates this process
-    /// (e.g. a slot published in a previous mount). Under `sanitize` the
+    /// (e.g. a slot published in a previous mount). On a tracked device the
     /// claim is checked immediately: a forged witness records the same
     /// `publish-before-persist` hazard a raw early publish would.
     /// Restricted by the `raw-publish` lint outside `trio-nvm`.
     pub fn assume_durable(&self, page: PageId, off: usize, len: usize) -> Durable<Span> {
-        #[cfg(feature = "sanitize")]
         self.dev.sanitize_assert_durable(page, off, len);
         Durable::new(Span::new(page, off, len))
     }

@@ -29,7 +29,6 @@ pub mod handle;
 pub mod perf;
 pub mod persist;
 pub mod prot;
-#[cfg(feature = "sanitize")]
 pub mod sanitize;
 pub mod stats;
 pub mod topology;
@@ -38,10 +37,9 @@ pub mod typestate;
 pub use checksum::SeaHasher;
 pub use device::{DeviceConfig, NvmDevice};
 pub use fault::{CrashReport, FaultPlan};
-#[cfg(feature = "sanitize")]
-pub use sanitize::{Hazard, HazardKind, SanitizeReport};
 pub use handle::NvmHandle;
 pub use perf::BandwidthModel;
+pub use sanitize::{Hazard, HazardKind, SanitizeReport};
 pub use stats::{PathStats, PathStatsSnapshot, RegistryLockSite, HIST_BUCKETS};
 pub use prot::{ActorId, PagePerm, ProtError, KERNEL_ACTOR};
 pub use topology::{NodeId, PageId, Topology, CACHE_LINE, PAGE_SIZE};

@@ -1,5 +1,5 @@
-//! Cache-line persistence tracking, crash injection, and (with the
-//! `sanitize` feature) persistence-order hazard detection.
+//! Cache-line persistence tracking, crash injection, and
+//! persistence-order hazard detection.
 //!
 //! Every store records the *last-persisted* image of each cache line it
 //! dirties, and the line walks a three-state machine:
@@ -26,13 +26,13 @@
 //! subsequent crash reverts the media to its durable state *as of that
 //! point*. See [`crate::fault`] for the model.
 //!
-//! With the `sanitize` feature, the tracker also records ordering
-//! [`Hazard`]s: redundant flushes, stores into a flushed-but-unfenced
-//! line, publications whose declared dependencies are not yet durable,
-//! recovery-path reads of not-yet-durable lines, and — at an explicit
-//! quiescence check — lines that never got their flush or fence. Each
-//! hazard carries the persistence-point index at which it was observed,
-//! so `(seed, point)` replays it exactly like a crash.
+//! The tracker also records ordering [`Hazard`]s (the persistence-order
+//! sanitizer, DESIGN.md §13): redundant flushes, stores into a
+//! flushed-but-unfenced line, publications whose declared dependencies
+//! are not yet durable, recovery-path reads of not-yet-durable lines, and
+//! — at an explicit quiescence check — lines that never got their flush
+//! or fence. Each hazard carries the persistence-point index at which it
+//! was observed, so `(seed, point)` replays it exactly like a crash.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -40,7 +40,6 @@ use trio_sim::plock::Mutex;
 use trio_sim::{in_sim, rng::with_rng, DetHashMap};
 
 use crate::fault::FaultPlan;
-#[cfg(feature = "sanitize")]
 use crate::sanitize::{Hazard, HazardKind};
 use crate::topology::{PageId, CACHE_LINE, PAGE_SIZE};
 
@@ -79,11 +78,9 @@ pub struct PersistTracker {
     /// Torn-store mode of the armed plan (see [`FaultPlan::torn`]).
     torn: AtomicBool,
     /// Ordering hazards observed so far.
-    #[cfg(feature = "sanitize")]
     hazards: Mutex<Vec<Hazard>>,
     /// When set, reads overlapping a not-yet-durable line are hazards:
     /// a recovery path is consuming data a crash could still take away.
-    #[cfg(feature = "sanitize")]
     recovery_mode: AtomicBool,
 }
 
@@ -117,8 +114,16 @@ impl PersistTracker {
     /// recent persistence point (for event-coupled hazards that is the
     /// offending event itself; for quiescence/read checks it is the last
     /// event before the check).
-    #[cfg(feature = "sanitize")]
+    ///
+    /// Nothing is recorded while frozen: the power failed at the frozen
+    /// point, no later fence retires anything, so every later store to a
+    /// staged line would look like `store-while-flushed` and every later
+    /// publish like `publish-before-persist`. [`Self::drain_for_crash`]
+    /// thaws the tracker, so recovery is checked again.
     fn hazard(&self, kind: HazardKind, page: u64, line: u16) {
+        if self.is_frozen() {
+            return;
+        }
         let point = self.points.load(Ordering::Relaxed).saturating_sub(1);
         self.hazards.lock().push(Hazard { kind, page, line, point });
     }
@@ -155,8 +160,8 @@ impl PersistTracker {
     /// durable image, so first-store-wins capture remains correct.
     ///
     /// A store into a `Flushed` line demotes it back to `Dirty` (the
-    /// queued write-back no longer covers the new bytes) and, under
-    /// `sanitize`, records a [`HazardKind::StoreWhileFlushed`] hazard.
+    /// queued write-back no longer covers the new bytes) and records a
+    /// [`HazardKind::StoreWhileFlushed`] hazard.
     pub fn record_store(&self, page: PageId, off: usize, len: usize, current: Option<&[u8]>) {
         self.record_store_inner(page, off, len, current, None);
     }
@@ -198,7 +203,6 @@ impl PersistTracker {
                 }
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     if o.get().phase == LinePhase::Flushed {
-                        #[cfg(feature = "sanitize")]
                         self.hazard(HazardKind::StoreWhileFlushed, page.0, line as u16);
                         o.get_mut().phase = LinePhase::Dirty;
                     }
@@ -252,7 +256,7 @@ impl PersistTracker {
     ///
     /// Counts one persistence point. Flushing a clean (already durable)
     /// line is a no-op — range flushes legitimately cover clean lines —
-    /// but re-flushing an already staged line is, under `sanitize`, a
+    /// but re-flushing an already staged line is a
     /// [`HazardKind::RedundantFlush`] hazard.
     pub fn flush(&self, page: PageId, off: usize, len: usize) {
         if len == 0 {
@@ -268,7 +272,6 @@ impl PersistTracker {
                 match e.phase {
                     LinePhase::Dirty => e.phase = LinePhase::Flushed,
                     LinePhase::Flushed => {
-                        #[cfg(feature = "sanitize")]
                         self.hazard(HazardKind::RedundantFlush, page.0, line as u16);
                     }
                 }
@@ -314,9 +317,8 @@ impl PersistTracker {
     }
 }
 
-/// Sanitizer-only surface: hazard collection, quiescence and recovery
-/// checks, publication dependencies.
-#[cfg(feature = "sanitize")]
+/// Sanitizer surface: hazard collection, quiescence and recovery checks,
+/// publication dependencies.
 impl PersistTracker {
     /// Quiescence check: at a point where the workload claims everything
     /// it wrote is durable, any line still `Dirty` is a missing flush and
@@ -390,11 +392,6 @@ impl PersistTracker {
     /// Takes (and clears) all hazards observed so far.
     pub fn take_hazards(&self) -> Vec<Hazard> {
         std::mem::take(&mut *self.hazards.lock())
-    }
-
-    /// Number of hazards observed so far.
-    pub fn hazard_count(&self) -> usize {
-        self.hazards.lock().len()
     }
 }
 
@@ -539,7 +536,6 @@ mod tests {
         assert_eq!(t.dirty_lines(), 1);
     }
 
-    #[cfg(feature = "sanitize")]
     mod sanitize {
         use super::*;
         use crate::sanitize::HazardKind;
@@ -621,6 +617,25 @@ mod tests {
             t.recovery_read_check(PageId(8), 0, 8); // Untracked: clean.
             t.set_recovery_mode(false);
             assert_eq!(kinds(&t), vec![HazardKind::ReadNotDurable]);
+        }
+
+        #[test]
+        fn nothing_is_recorded_between_the_freeze_and_the_crash() {
+            let t = PersistTracker::new();
+            t.arm(FaultPlan::crash_at_point(2));
+            t.record_store(PageId(1), 0, 8, None); // point 0
+            t.flush(PageId(1), 0, 8); // point 1
+            t.fence(); // point 2 — fires; the line stays Flushed for good
+            t.record_store(PageId(1), 8, 8, None); // would be store-while-flushed
+            t.assert_durable(PageId(1), 0, 8); // would be publish-before-persist
+            t.quiesce_check();
+            assert!(kinds(&t).is_empty());
+            // The crash thaws the tracker: recovery's own stores are checked.
+            t.drain_for_crash();
+            t.record_store(PageId(1), 0, 8, None);
+            t.flush(PageId(1), 0, 8);
+            t.flush(PageId(1), 0, 8);
+            assert_eq!(kinds(&t), vec![HazardKind::RedundantFlush]);
         }
 
         #[test]

@@ -1,8 +1,8 @@
 //! Persistence-order sanitizer types: hazards and structured reports.
 //!
-//! Compiled only with the `sanitize` feature. Every hazard carries the
-//! persistence-point index of the fault engine — the same `(seed, point)`
-//! pair that replays a crash replays a hazard.
+//! Live wherever a persist tracker is (`DeviceConfig::track_persistence`).
+//! Every hazard carries the persistence-point index of the fault engine —
+//! the same `(seed, point)` pair that replays a crash replays a hazard.
 //!
 //! The tracker records hazards instead of panicking: a workload runs to
 //! completion, then the harness collects a [`SanitizeReport`] and decides.
@@ -15,8 +15,9 @@
 //! The workspace is dependency-free by policy, so instead of deriving
 //! `serde::Serialize` the reports ([`SanitizeReport::to_json`],
 //! [`crate::CrashReport::to_json`]) go through the workspace's one JSON
-//! writer, [`trio_sim::metrics::JsonObject`], and CI dumps them with
-//! [`dump_artifact`].
+//! writer, [`trio_sim::metrics::JsonObject`];
+//! [`SanitizeReport::expect_clean`] leaves the failing report under
+//! `target/`.
 
 use std::fmt;
 
@@ -112,6 +113,20 @@ impl SanitizeReport {
         self.hazards.iter().copied().filter(|h| h.kind == kind).collect()
     }
 
+    /// The harness verdict on an unmutated run: panics unless clean, with
+    /// every hazard, `ctx` (the harness's replay key) and the path of the
+    /// dumped JSON artifact in the message.
+    #[track_caller]
+    pub fn expect_clean(&self, ctx: &str) {
+        if !self.is_clean() {
+            let artifact = dump_artifact(&self.to_json()).ok();
+            panic!(
+                "persistence-order hazards in an unmutated run \
+                 (artifact: {artifact:?}): {self}\n{ctx}"
+            );
+        }
+    }
+
     /// JSON for CI artifacts: the seed and one object per hazard.
     pub fn to_json(&self) -> String {
         let mut w = JsonObject::new();
@@ -146,10 +161,9 @@ impl fmt::Display for SanitizeReport {
 /// Writes a JSON report to `target/sanitize-report.json` (relative to the
 /// working directory, which for `cargo test` is the package root) so CI
 /// uploads a replayable artifact instead of a truncated panic message.
-/// Returns the path written. Errors are returned, not swallowed — but
-/// callers on a failure path typically `ok()` them: a failed dump must not
-/// mask the test failure itself.
-pub fn dump_artifact(json: &str) -> std::io::Result<std::path::PathBuf> {
+/// Returns the path written; the caller, already on a failure path,
+/// `ok()`s the error: a failed dump must not mask the test failure itself.
+fn dump_artifact(json: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("target");
     std::fs::create_dir_all(dir)?;
     let path = dir.join("sanitize-report.json");

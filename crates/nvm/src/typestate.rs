@@ -28,9 +28,9 @@
 //!   publish whose dependencies were never flushed or never fenced is a
 //!   type error, not a runtime hazard.
 //!
-//! Tokens carry the byte ranges they witness via [`Spans`], so the
-//! `sanitize` build can re-check every typed publish against the
-//! per-cache-line tracker: the runtime sanitizer stays the oracle that
+//! Tokens carry the byte ranges they witness via [`Spans`], so a tracked
+//! device re-checks every typed publish against the per-cache-line
+//! tracker: the runtime sanitizer stays the oracle that
 //! the typestate encoding (and every `assume_durable` escape hatch) is
 //! telling the truth. Token construction is private to `trio-nvm`;
 //! outside code obtains them only from handle methods that perform the

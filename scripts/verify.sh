@@ -30,7 +30,21 @@ same_bytes_as_ledger() {
     echo "OK: $bench is byte-identical across two runs and to the committed $ledger."
 }
 
-echo "== tier-1, every crate's suite, and the benchmark's build: cargo build --release && cargo test -q --workspace =="
+# One line per gate: its title on the way in, the host seconds it took on
+# the way out (ROADMAP 2(a): the gate's own clock; EXPERIMENTS.md keeps a
+# measured row).
+stage() {
+    [ -z "${stage_name:-}" ] || echo "-- ${stage_name}: $((SECONDS - stage_t0)) s"
+    stage_name=$1 stage_t0=$SECONDS
+    echo
+    echo "== $1 =="
+}
+
+stage "tier-1 over every crate, and the benchmark's build"
+# Every oracle that needs no campaign-sized iteration count runs here, in
+# the one build: the 408-point crash sweep (each point with the sanitizer's
+# verdict), the sanitizer's mutation tests, the race detector, and the
+# chaos / adversary / media campaigns at their default sizes.
 cargo build --release
 cargo test -q --workspace
 # perfbench/ (BENCHMARK.json) is a workspace of its own that nothing above
@@ -43,14 +57,12 @@ for features in "" "--features obs"; do
         --target-dir target/perfbench/check $features
 done
 
-echo
-echo "== lint gate: cargo clippy --workspace --all-targets -- -D warnings =="
+stage "clippy, all targets"
 # --all-targets: rustc's `unexpected_cfgs` shows only where test targets
 # are compiled, and a test gated on a feature nobody declares never runs.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo
-echo "== lint gate: cargo xtask lint =="
+stage "xtask lint"
 # Project-specific static pass (DESIGN.md §13, §14): raw-device-access,
 # no-std-sync, safety-comment, flush-fence, no-panic. Must be clean on
 # the workspace and must still flag every rule on its fixture crate.
@@ -61,8 +73,7 @@ if cargo xtask lint crates/xtask/fixtures/lint-fixture > /dev/null 2>&1; then
 fi
 echo "OK: fixture crate still trips the lint."
 
-echo
-echo "== typestate gate: raw-publish lint + compile-fail fixture =="
+stage "typestate compile-fail fixture"
 # Compiler-checked persistence ordering (DESIGN.md §18): the raw-publish
 # rule (part of `cargo xtask lint` above) keeps shipped library code on
 # the typed Dirty -> Flushed -> Durable pipeline, and typestate-check
@@ -70,50 +81,22 @@ echo "== typestate gate: raw-publish lint + compile-fail fixture =="
 # missing-flush) fails to compile — with a type error, not incidentally.
 cargo xtask typestate-check
 
-echo
-echo "== crash-point sweep (pinned seed, all points) =="
-cargo test --test crash_sweep -- --nocapture
-
-echo
-echo "== sanitize gates: mutation tests + sampled sanitized sweep =="
-# The persistence-order sanitizer must catch each seeded mutant (dropped
-# flush, dropped fence, publish-before-persist) and report the unmutated
-# paths clean. The sweep runs sampled: the sanitizer makes each point
-# pricier, and the plain build above already swept exhaustively.
-cargo test -q --features sanitize --test sanitize_mutations
-TRIO_SWEEP_SAMPLE=13 cargo test -q --features sanitize --test crash_sweep
-cargo test -q --features sanitize --test datapath
-# The other feature leg: everything but tests/obs_timeline.rs builds and
-# passes without the span weave.
+stage "the other feature leg, --no-default-features"
+# Everything but tests/obs_timeline.rs builds and passes without the span
+# weave.
 cargo test -q --no-default-features
 
-echo
-echo "== race-detector gate: cross-LibFS races + clean delegated path =="
-cargo test -q --test race_detect
-
-echo
-echo "== chaos gate: worker-kill sweep under concurrent delegated traffic =="
+stage "chaos campaign: worker kills under delegated traffic"
 # Delegation failure domains (DESIGN.md §16): TRIO_CHAOS_ITER seeded
 # iterations crossing worker-kill points (after-pop / mid-payload /
-# before-reply) with multi-LibFS traffic and stall injection. Gates: no
-# hangs, model equivalence (no lost or doubly-applied writes), every
-# death recovered. Any failure replays from (CHAOS_SEED, iteration).
-# Dumps target/chaos-report.json with recovery-latency percentiles.
+# before-reply) with multi-LibFS traffic and stall injection. The test
+# asserts no hangs, model equivalence (no lost or doubly-applied writes),
+# kills in at least half the iterations and every death recovered; any
+# failure replays from (CHAOS_SEED, iteration). Dumps
+# target/chaos-report.json with recovery-latency percentiles.
 TRIO_CHAOS_ITER="${TRIO_CHAOS_ITER:-500}" cargo test -q --release --test chaos_delegation
-python3 - target/chaos-report.json <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-if r["worker_deaths"] == 0 or r["worker_deaths"] != r["worker_restarts"]:
-    sys.exit(f"FAIL: chaos sweep deaths/restarts inconsistent: {r}")
-print(
-    f"OK: chaos sweep {r['iterations']} iters, {r['worker_deaths']} kills "
-    f"recovered (p50 {r['recovery_p50_ns']} ns, p99 {r['recovery_p99_ns']} ns), "
-    f"{r['dedup_hits']} dedup hits."
-)
-EOF
 
-echo
-echo "== adversarial gate: seeded grammar-corruption campaign (2k iters) =="
+stage "adversary campaign: 2k grammar corruptions"
 # The corruption fuzzer (DESIGN.md §14) drives every mutation production
 # through a hostile LibFS at a fixed seed: zero panics, zero hangs,
 # victim model-equivalence, and quarantine→repair→re-admission on every
@@ -121,159 +104,58 @@ echo "== adversarial gate: seeded grammar-corruption campaign (2k iters) =="
 # any failure line carries the (seed, iteration) needed to replay it via
 # TRIO_ADV_SEED/TRIO_ADV_ITER.
 TRIO_FUZZ_ITERS=2000 cargo test -q --release --test adversary_fuzz
-echo "OK: adversarial campaign clean (report at target/adversary-report.json)."
 
-echo
-echo "== media gate: patrol-scrub routes + 500-iter seeded fault campaign =="
+stage "media campaign: patrol routes + 500 seeded faults"
 # Media-fault tolerance (DESIGN.md §19): the route-by-route patrol tests
 # plus the seeded campaign — poison and silent rot injected under live
-# delegated traffic, crash points planted inside the recovery repair.
-# Gates on target/media-report.json: 100% metadata-fault detection, zero
-# silent data loss, allocator conservation intact. Any iteration replays
-# from (TRIO_MEDIA_SEED, i). The scrubber is opt-in (start_patrol), so
-# the perf gate below doubles as the scrubber-idle 0.00%-delta check —
-# no patrol thread exists unless a workload asks for one.
+# delegated traffic, crash points planted inside the recovery repair. The
+# campaign asserts metadata faults injected and all of them repaired, zero
+# silent data loss, allocator conservation and a clean persistence order;
+# target/media-report.json keeps the counts. Any iteration replays from
+# (TRIO_MEDIA_SEED, i). The scrubber is opt-in (start_patrol), so the perf
+# gate below doubles as the scrubber-idle 0.00%-delta check — no patrol
+# thread exists unless a workload asks for one.
 TRIO_MEDIA_ITER="${TRIO_MEDIA_ITER:-500}" cargo test -q --release --test media_campaign
-python3 - target/media-report.json <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-if r["metadata_faults_injected"] == 0:
-    sys.exit(f"FAIL: media campaign injected no metadata faults: {r}")
-if r["metadata_faults_repaired"] != r["metadata_faults_injected"]:
-    sys.exit(f"FAIL: metadata-fault detection below 100%: {r}")
-if r["silent_data_loss"] != 0:
-    sys.exit(f"FAIL: silent data loss under media faults: {r}")
-if r["conservation_violations"] != 0:
-    sys.exit(f"FAIL: allocator conservation violated: {r}")
-print(
-    f"OK: media campaign {r['iterations']} iters, "
-    f"{r['metadata_faults_repaired']}/{r['metadata_faults_injected']} metadata faults repaired, "
-    f"{r['data_faults_loud']}/{r['data_faults_injected']} data faults loud, 0 silent."
-)
-EOF
 
-echo
-echo "== obs gate: obs-on bench auto-dumps a valid flight-recorder timeline =="
-# With the 'obs' feature on, bench_datapath must leave a parseable
-# target/obs-timeline.json behind (DESIGN.md §15): non-empty events and
-# per-stage histograms covering at least the ring hop and the worker
-# service stage. The obs-off half of the gate is the xtask obs-gate lint
-# above: no crate outside its obs.rs shim may reference trio_obs, so the
-# standalone obs-off bench build stays symbol-free.
+stage "obs-on bench leaves a flight-recorder timeline"
+# With the 'obs' feature on, bench_datapath leaves target/obs-timeline.json
+# behind (DESIGN.md §15) and asserts what it holds: events, and per-stage
+# histograms covering at least the ring hop and the worker service stage
+# (tests/obs_timeline.rs puts the same serializer through a real parser).
+# The obs-off half of the gate is the xtask obs-gate lint above: no crate
+# outside its obs.rs shim may reference trio_obs, so the standalone obs-off
+# bench build stays symbol-free.
 rm -f target/obs-timeline.json
 TRIO_BENCH_OUT=/tmp/trio_obs_bench.$$ TRIO_SCALE=16 \
     cargo bench -p trio-bench --features obs --bench bench_datapath > /dev/null
 rm -f /tmp/trio_obs_bench.$$
-python3 - target/obs-timeline.json <<'EOF'
-import json, sys
-t = json.load(open(sys.argv[1]))
-events = t.get("events", [])
-stages = set(t.get("stages", {}))
-if not events:
-    sys.exit("FAIL: obs timeline has no events")
-need = {"write/ring-hop", "write/worker-service"}
-if not need <= stages:
-    sys.exit(f"FAIL: obs timeline missing stages {need - stages}")
-print(f"OK: obs timeline valid ({len(events)} events, {len(stages)} stages).")
-EOF
+test -s target/obs-timeline.json
 
-echo
-echo "== perf smoke gate: data-path bench equals the committed ledger =="
-# Regenerate BENCH_datapath.json (virtual time: host noise cannot move it);
-# the checks below constrain what a regenerated ledger may say.
+stage "data-path bench == committed ledger"
+# Regenerate BENCH_datapath.json (virtual time: host noise cannot move it).
+# What a regenerated ledger may say, the bench asserts beside the value:
+# zero payload copies, every delegated byte checksummed inline, a live read
+# lane, quiescent watchdog counters, registry_locks <= 10.
 TRIO_BENCH_OUT=/tmp/trio_datapath.$$ TRIO_SCALE=16 \
     cargo bench -p trio-bench --bench bench_datapath
 same_bytes_as_ledger bench_datapath /tmp/trio_datapath.$$ BENCH_datapath.json TRIO_SCALE=16
-python3 - /tmp/trio_datapath.$$ <<'EOF'
-import json, sys
-new = json.load(open(sys.argv[1]))
-# Zero-copy gate: grant-window delegation means the submit path never
-# materializes a payload — one worker read from the granted pages is the
-# only traversal. A nonzero copy counter is a reintroduced memcpy.
-if int(new["payload_copies"]) != 0:
-    sys.exit(f"FAIL: payload_copies = {new['payload_copies']}; delegation submit path copied a payload")
-print("OK: payload_copies == 0 (grant windows, no materialization).")
-# Inline-integrity gate: every delegated byte is checksummed in the same
-# write pass (DESIGN.md §17). A shortfall means some lane silently
-# skipped the streaming digest; an excess means a second traversal.
-cs, dw = int(new["checksummed_bytes"]), int(new["delegated_write_bytes"])
-if cs != dw:
-    sys.exit(f"FAIL: checksummed_bytes {cs} != delegated_write_bytes {dw}")
-print(f"OK: checksummed_bytes == delegated_write_bytes ({dw}).")
-# The read lane must actually exercise delegation in the bench mix.
-if int(new.get("delegated_read_bytes", 0)) == 0:
-    sys.exit("FAIL: delegated_read_bytes == 0; read lane not exercised")
-print(f"OK: delegated read lane exercised ({new['delegated_read_bytes']} bytes).")
-# Watchdog quiescence: with no faults armed, the failure-domain machinery
-# must never fire on the benched path — a nonzero counter here means the
-# watchdog is adding work (and latency) to healthy delegated I/O.
-quiet = ["worker_deaths", "worker_restarts", "deleg_redispatches",
-         "deleg_dedup_hits", "degraded_enters", "degraded_exits"]
-noisy = {k: new[k] for k in quiet if int(new.get(k, 0)) != 0}
-if noisy:
-    sys.exit(f"FAIL: watchdog counters nonzero in a fault-free perf run: {noisy}")
-print(f"OK: watchdog counters quiescent on the benched path ({', '.join(quiet)}).")
-# Lock-free control plane (DESIGN.md §20): steady-state data-path traffic
-# — allocator refills, frees, spills, grant churn — must run without the
-# registry control lock. The headline counter sums only the hot call
-# sites; per-site attribution for any regression is in
-# registry_lock_sites.
-rl = int(new["registry_locks"])
-if rl > 10:
-    sys.exit(
-        f"FAIL: registry_locks = {rl} on the benched data path (budget 10); "
-        f"per-site: {new.get('registry_lock_sites')}"
-    )
-print(f"OK: registry_locks = {rl} on the data path (<= 10; control plane off the hot path).")
-EOF
 rm -f /tmp/trio_datapath.$$
 
-echo
-echo "== mega-tenant gate: 128 concurrent LibFS instances, lock-free control plane =="
-# DESIGN.md §20: one kernel, N = {8, 32, 128} independent LibFS tenants
-# doing metadata churn plus delegated writes. Gates: the hot-path
-# registry-lock budget holds across every rung, and — DESIGN.md §21 — when
-# 127 tenants want the root the 128th holds, the recall hands it over: no
-# `map` inside the measured phases waits on a lease for more than 1 ms (it
-# was 100 ms), and the 128-tenant per-tenant metadata rate stays above
-# 20 000 ops/s (882 before recall). The old gate, "the 128-tenant rate is
-# within 0.8x of the 8-tenant rate", held only because every rung's window
-# was the same 100 ms sleep; with the sleep gone the window is the root
-# hand-over — 2N maps queueing on the registry lock — and the ratio is
-# printed, not gated, until the bench separates hand-over from churn
-# (ROADMAP 1(d)).
+stage "mega-tenant bench == committed ledger"
+# DESIGN.md §20, §21: one kernel, N = {8, 32, 128} independent LibFS tenants
+# doing metadata churn plus delegated writes; the bench asserts the
+# registry-lock budget, the recall, the lease-wait bound and the
+# per-tenant rate.
 TRIO_BENCH_OUT=/tmp/trio_megatenant.$$ \
     cargo bench -p trio-bench --bench bench_megatenant
 same_bytes_as_ledger bench_megatenant /tmp/trio_megatenant.$$ BENCH_megatenant.json
-python3 - /tmp/trio_megatenant.$$ <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-rates = r["meta_ops_per_sec_per_tenant"]
-print(f"NOTE: per-tenant metadata rates {rates}, scaling 8->128 = {r['scaling_8_to_128']} (not gated).")
-if rates[-1] < 20_000:
-    sys.exit(f"FAIL: per-tenant metadata rate at 128 tenants = {rates[-1]} ops/s (< 20000)")
-print(f"OK: per-tenant metadata rate at 128 tenants = {rates[-1]} ops/s (>= 20000).")
-hot = int(r["max_hot_registry_locks"])
-if hot > 10:
-    sys.exit(
-        f"FAIL: hot-path registry locks = {hot} across mega-tenant rungs (budget 10); "
-        f"per-site: {r.get('registry_lock_sites')}"
-    )
-print(f"OK: hot-path registry locks = {hot} across all rungs (<= 10).")
-wait_ns = int(r["lease_wait_max_ns"])
-if int(r["recalls_honoured"]) < 1:
-    sys.exit("FAIL: no lease recall was honoured at the 128-tenant rung")
-if wait_ns > 1_000_000:
-    sys.exit(f"FAIL: a map waited {wait_ns} ns on a lease at the 128-tenant rung (> 1 ms)")
-print(f"OK: longest lease wait at 128 tenants = {wait_ns} ns (<= 1 ms; recall honoured).")
-EOF
 rm -f /tmp/trio_megatenant.$$
 
-echo
-echo "== sharing cost: Table 3's create-100 rows, contended and sole writer (logged, not gated) =="
+stage "sharing cost, Table 3 create-100 (logged, not gated)"
 # DESIGN.md §22: the paper's row still rebuilds on every hand-over; the
 # same loop run by one LibFS alone re-maps without rebuilding.
 cargo bench -q -p trio-bench --bench table3_sharing | grep -E '^create, 100 files|sole writer'
 
+echo "-- ${stage_name}: $((SECONDS - stage_t0)) s"
 echo
-echo "verify.sh: all gates passed."
+echo "verify.sh: all gates passed in $SECONDS s."

@@ -128,9 +128,6 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
         let _ = victim.readdir("/dir");
         let _ = read_file(&*victim, "/dir/victim");
         let evts = k.take_events();
-        if std::env::var("TRIO_ADV_DEBUG").is_ok() {
-            eprintln!("events: {evts:?}");
-        }
         let media_applied = o.applied.iter().any(|m| m.is_media());
         let media_only = !o.applied.is_empty() && o.applied.iter().all(|m| m.is_media());
         for e in evts {
@@ -168,34 +165,6 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
                 break;
             }
             last = read_file(&*victim, "/dir/victim");
-        }
-        if std::env::var("TRIO_ADV_DEBUG").is_ok() {
-            eprintln!("applied: {:?}", o.applied);
-            eprintln!("victim stat: {:?}", victim.stat("/dir/victim"));
-            eprintln!("victim readdir: {:?}", victim.readdir("/dir").map(|v| v.iter().map(|e| (e.name.clone(), e.ino)).collect::<Vec<_>>()));
-            eprintln!("evil stat: {:?}", evil.stat("/dir/victim"));
-            eprintln!("late events: {:?}", k.take_events());
-            let r = read_file(&*victim, "/dir/victim");
-            eprintln!("re-read: {:?}", r.as_ref().map(|d| (d.len(), d.first().copied())));
-            eprintln!("later events: {:?}", k.take_events());
-            let r = read_file(&*victim, "/dir/victim");
-            eprintln!("re-re-read: {:?}", r.as_ref().map(|d| (d.len(), d.first().copied())));
-            eprintln!("victim pages: {:?}", victim.debug_file_pages("/dir/victim"));
-            if let Ok((_, _, dd)) = victim.debug_file_pages("/dir") {
-                for pg in dd.iter().flatten() {
-                    for slot in 0..16 {
-                        let loc = trio_layout::DirentLoc { page: *pg, slot };
-                        let r = trio_layout::DirentRef::new(victim.handle(), loc);
-                        if let Ok(d) = r.load() {
-                            if d.ino != 0 {
-                                eprintln!("  dir slot {}@{}: ino={} size={} fi={} name={:?}",
-                                    slot, pg.0, d.ino, d.size, d.first_index,
-                                    String::from_utf8_lossy(&d.name));
-                            }
-                        }
-                    }
-                }
-            }
         }
         match last {
             Ok(data) => {

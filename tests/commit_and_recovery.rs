@@ -125,6 +125,7 @@ fn lsm_database_survives_fs_level_crash() {
         }
     });
     rt.run();
+    dev.take_sanitize_report(43).expect_clean("lsm_database_survives_fs_level_crash");
 }
 
 /// Core state is one format read one way (DESIGN.md §3): the verifier, a

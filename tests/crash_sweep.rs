@@ -389,22 +389,18 @@ fn sweep_one_with(seed: u64, k: u64, torn: bool) -> (String, String) {
     let completed = run_trace(&dev, &fs, &ops, seed);
     let jpairs = fs.journal_page_pairs();
     drop(fs);
-    // Captured before `crash()` drains the tracker and resets the plan.
-    #[cfg(feature = "sanitize")]
-    let fired_at = dev.crash_plan_fired();
     let report = dev.crash();
     let report_str = format!("{report}");
     let ctx =
         format!("seed={seed} crash_point={k} torn={torn} completed_ops={completed}\n{report_str}");
 
     // Recovery: LibFS journal undo first (it rewrites dirents the kernel
-    // walk will read), then the kernel's provenance-rebuilding walk. With
-    // the sanitizer on, recovery-mode read checks flag any recovery read
-    // of a line that is not durable (i.e. one recovery itself dirtied and
-    // has not yet fenced — a crash-idempotence bug). Twin-aware recovery
-    // (`recover_pairs`) is the production path; the legacy single-copy
-    // scan stays covered by crash_consistency.rs.
-    #[cfg(feature = "sanitize")]
+    // walk will read), then the kernel's provenance-rebuilding walk.
+    // Recovery-mode read checks flag any recovery read of a line that is
+    // not durable (i.e. one recovery itself dirtied and has not yet fenced
+    // — a crash-idempotence bug). Twin-aware recovery (`recover_pairs`) is
+    // the production path; the legacy single-copy scan stays covered by
+    // crash_consistency.rs.
     dev.set_recovery_mode(true);
     let kh = NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR);
     arckfs::journal::Journal::recover_pairs(&kh, &jpairs)
@@ -413,7 +409,6 @@ fn sweep_one_with(seed: u64, k: u64, torn: bool) -> (String, String) {
         .unwrap_or_else(|e| panic!("kernel recovery failed: {e:?}\n{ctx}"));
     let bad = kernel2.fsck();
     assert!(bad.is_empty(), "fsck found violations after recovery: {bad:?}\n{ctx}");
-    #[cfg(feature = "sanitize")]
     dev.set_recovery_mode(false);
 
     let fs2 = ArckFs::mount(kernel2, 1000, 1000, ArckFsConfig::no_delegation());
@@ -424,33 +419,10 @@ fn sweep_one_with(seed: u64, k: u64, torn: bool) -> (String, String) {
     }
     check_equiv(&ctx, &durable, ops.get(completed), &rec, if torn { 8 } else { CACHE_LINE });
 
-    // Sanitizer verdict for this iteration. Hazards recorded after the
-    // freeze point are unreliable (a frozen fence retires nothing, so a
-    // later re-flush of the same line *looks* redundant), so event-coupled
-    // hazards only count up to the freeze; recovery-read hazards are
-    // checked unconditionally — they can only come from the recovery
-    // phase, where recovery mode was on.
-    #[cfg(feature = "sanitize")]
-    {
-        let report = dev.take_sanitize_report(seed);
-        let frozen_at = fired_at.unwrap_or(u64::MAX);
-        let real: Vec<_> = report
-            .hazards
-            .iter()
-            .filter(|h| {
-                h.point < frozen_at || h.kind == trio_nvm::HazardKind::ReadNotDurable
-            })
-            .copied()
-            .collect();
-        if !real.is_empty() {
-            let artifact = trio_nvm::sanitize::dump_artifact(&report.to_json()).ok();
-            panic!(
-                "persistence-order hazards in an unmutated run \
-                 (artifact: {artifact:?}):\n{}\n{ctx}",
-                real.iter().map(|h| format!("  {h}")).collect::<Vec<_>>().join("\n")
-            );
-        }
-    }
+    // Sanitizer verdict for this iteration: the trace up to the freeze
+    // (the tracker records nothing between the freeze and the crash), then
+    // recovery and the read-back mount.
+    dev.take_sanitize_report(seed).expect_clean(&ctx);
     (report_str, format!("{rec:?}"))
 }
 
@@ -475,16 +447,8 @@ fn exhaustive_crash_point_sweep() {
         "trace too small for a meaningful sweep: {total} persistence points"
     );
     assert!(total <= 3000, "trace grew unexpectedly: {total} persistence points");
-    // TRIO_SWEEP_SAMPLE=n sweeps every n-th point — CI uses it for the
-    // sanitize-enabled pass (the sanitizer makes each iteration pricier)
-    // while the default build still sweeps exhaustively.
-    let stride: usize = std::env::var("TRIO_SWEEP_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    println!("sweeping {total} crash points, stride {stride} (seed={SWEEP_SEED:#x})");
-    for k in (0..total).step_by(stride) {
+    println!("sweeping {total} crash points (seed={SWEEP_SEED:#x})");
+    for k in 0..total {
         sweep_one(SWEEP_SEED, k);
     }
 }
@@ -493,24 +457,19 @@ fn exhaustive_crash_point_sweep() {
 /// points the in-flight data store additionally tears at an aligned
 /// 8-byte boundary before the crash. Recovery must still produce a
 /// fsck-clean, model-equivalent state — with in-flight writes now only
-/// 8-byte (not cache-line) atomic. `TRIO_TORN_SAMPLE=n` tunes the stride.
+/// 8-byte (not cache-line) atomic.
 #[test]
 fn torn_store_sweep_at_sampled_points() {
+    const STRIDE: usize = 7;
     let total = total_points(SWEEP_SEED);
-    let stride: usize = std::env::var("TRIO_TORN_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(7);
-    println!("torn-store sweep over {total} crash points, stride {stride}");
-    for k in (0..total).step_by(stride) {
+    println!("torn-store sweep over {total} crash points, stride {STRIDE}");
+    for k in (0..total).step_by(STRIDE) {
         sweep_one_with(SWEEP_SEED, k, true);
     }
 }
 
-/// With the sanitizer on, the unmutated trace must run to quiescence with
-/// zero hazards — the positive "report-clean" half of the mutation tests.
-#[cfg(feature = "sanitize")]
+/// The unmutated trace must run to quiescence with zero hazards — the
+/// positive "report-clean" half of the mutation tests.
 #[test]
 fn sanitized_unarmed_trace_is_report_clean() {
     let ops = gen_trace(SWEEP_SEED);
@@ -519,11 +478,7 @@ fn sanitized_unarmed_trace_is_report_clean() {
     assert_eq!(done, ops.len(), "unarmed trace must complete");
     drop(fs);
     dev.sanitize_quiesce_check();
-    let report = dev.take_sanitize_report(SWEEP_SEED);
-    if !report.is_clean() {
-        let artifact = trio_nvm::sanitize::dump_artifact(&report.to_json()).ok();
-        panic!("unmutated trace is not sanitizer-clean (artifact: {artifact:?}): {report}");
-    }
+    dev.take_sanitize_report(SWEEP_SEED).expect_clean("unarmed sweep trace at quiescence");
 }
 
 // ---------------------------------------------------------------------
@@ -613,6 +568,9 @@ fn deleg_torn_one(k: u64) {
         .unwrap_or_else(|e| panic!("kernel recovery failed: {e:?}\n{ctx}"));
     let bad = kernel2.fsck();
     assert!(bad.is_empty(), "fsck found violations after recovery: {bad:?}\n{ctx}");
+    // The delegated write path up to the freeze, then recovery; the stores
+    // the workers went on to make against a frozen tracker leave nothing.
+    dev.take_sanitize_report(SWEEP_SEED).expect_clean(&ctx);
 
     if acked == 0 {
         return; // crash fired before any delegated ack — nothing to pin
@@ -653,16 +611,16 @@ fn delegated_acked_writes_survive_torn_store_crashes() {
         let (dev, kernel, fs) = delegated_world();
         let n = run_delegated_trace(&dev, &kernel, &fs, SWEEP_SEED);
         assert_eq!(n, DELEG_WRITES, "unarmed delegated trace must complete");
+        // The delegated write path's persistence order, asked about once
+        // over the whole unarmed trace.
+        dev.sanitize_quiesce_check();
+        dev.take_sanitize_report(SWEEP_SEED).expect_clean("unarmed delegated trace");
         dev.persistence_points()
     };
     // Each iteration rebuilds a 2-node world and runs full recovery, so
-    // sample the domain; TRIO_DELEG_TORN_POINTS widens it when needed.
-    let points: u64 = std::env::var("TRIO_DELEG_TORN_POINTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(16);
-    let stride = (total / points).max(1) as usize;
+    // sample the domain.
+    const POINTS: u64 = 16;
+    let stride = (total / POINTS).max(1) as usize;
     println!("delegated torn-store sweep over {total} crash points, stride {stride}");
     for k in (1..total).step_by(stride) {
         deleg_torn_one(k);

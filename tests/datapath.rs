@@ -11,9 +11,13 @@ use trio_kernel::{KernelConfig, KernelController};
 use trio_nvm::{DeviceConfig, NvmDevice, PathStatsSnapshot, Topology};
 use trio_sim::SimRuntime;
 
+/// A tracked device: the clock does not see the tracker (the
+/// `unarmed_hooks_touch_neither_clock_nor_rng` test), and each scenario on
+/// it ends by asking the sanitizer about its persistence order.
 fn world(cfg: ArckFsConfig) -> (Arc<NvmDevice>, Arc<KernelController>, Arc<ArckFs>) {
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
         topology: Topology::new(1, 32 * 1024),
+        track_persistence: true,
         ..DeviceConfig::small()
     }));
     let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
@@ -27,7 +31,7 @@ fn world(cfg: ArckFsConfig) -> (Arc<NvmDevice>, Arc<KernelController>, Arc<ArckF
 /// crosses the bandwidth-collapse knee, so the same-sized writes should
 /// start delegating). Returns `(uncontended, contended)` snapshots.
 fn adaptive_scenario(seed: u64) -> (PathStatsSnapshot, PathStatsSnapshot) {
-    let (_, kernel, fs) = world(ArckFsConfig::default());
+    let (dev, kernel, fs) = world(ArckFsConfig::default());
     let rt = SimRuntime::new(seed);
     let k = Arc::clone(&kernel);
     let result = Arc::new(trio_sim::plock::Mutex::new(None));
@@ -74,6 +78,7 @@ fn adaptive_scenario(seed: u64) -> (PathStatsSnapshot, PathStatsSnapshot) {
         *result2.lock() = Some((uncontended, contended));
     });
     rt.run();
+    dev.take_sanitize_report(seed).expect_clean("adaptive_scenario");
     let r = result.lock().take().unwrap();
     r
 }
@@ -238,7 +243,7 @@ fn concurrent_alloc_free_across_actors_leaks_no_pages() {
 /// in the return→park→realloc cycle shows up as a shrinking ledger.
 #[test]
 fn truncate_extend_churn_recycles_pages_through_actor_cache() {
-    let (_, kernel, fs) = world(ArckFsConfig::no_delegation());
+    let (dev, kernel, fs) = world(ArckFsConfig::no_delegation());
     let rt = SimRuntime::new(55);
     let k = Arc::clone(&kernel);
     rt.spawn("main", move || {
@@ -270,6 +275,7 @@ fn truncate_extend_churn_recycles_pages_through_actor_cache() {
         assert_eq!(snap.payload_copies, 0, "registered churn writes must not copy payloads: {snap:?}");
     });
     rt.run();
+    dev.take_sanitize_report(55).expect_clean("truncate/extend churn");
 }
 
 /// A delegated write shares one payload buffer across every per-node batch
@@ -277,7 +283,7 @@ fn truncate_extend_churn_recycles_pages_through_actor_cache() {
 /// matter how many times faulted requests are re-enqueued.
 #[test]
 fn delegated_write_copies_payload_exactly_once_across_retries() {
-    let (_, kernel, fs) = world(ArckFsConfig::default());
+    let (dev, kernel, fs) = world(ArckFsConfig::default());
     let rt = SimRuntime::new(33);
     let k = Arc::clone(&kernel);
     rt.spawn("main", move || {
@@ -304,4 +310,7 @@ fn delegated_write_copies_payload_exactly_once_across_retries() {
         k.delegation().shutdown();
     });
     rt.run();
+    // Dropped requests re-run their stores: the retried write's lines must
+    // still go store, flush, fence in order.
+    dev.take_sanitize_report(33).expect_clean("delegated write across retries");
 }

@@ -253,6 +253,9 @@ fn silent_run(track_persistence: bool, crash_at: Option<u64>) -> (Observed, u64)
         };
         *out.lock() = Some((observed, dev.persistence_points()));
         pool.shutdown();
+        // Delegated and direct writes, metadata churn: a clean persistence
+        // order (vacuously so on the untracked device).
+        dev.take_sanitize_report(36).expect_clean("silent_run");
     });
     rt.run();
     let observed = seen.lock().take().expect("main ran to completion");

@@ -459,6 +459,7 @@ struct CampaignTally {
     silent_data_loss: u64,
     pages_retired: u64,
     conservation_violations: u64,
+    sanitizer_hazards: u64,
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -616,6 +617,12 @@ fn campaign_iter(seed: u64, tally: &mut CampaignTally) {
     tally.silent_data_loss += silent;
     assert_eq!(silent, 0, "seed {seed:#x}: silent data loss (wrong bytes read back)");
 
+    // Persistence order of the traffic, the patrol's repairs and the
+    // journal recovery above.
+    let sanitizer = dev.take_sanitize_report(seed);
+    tally.sanitizer_hazards += sanitizer.hazards.len() as u64;
+    sanitizer.expect_clean("media campaign iteration");
+
     tally.pages_retired += kernel.retired_page_count() as u64;
     tally.iterations += 1;
 }
@@ -633,6 +640,7 @@ fn media_fault_campaign() {
         campaign_iter(base.wrapping_add(i.wrapping_mul(0x9E3779B97F4A7C15)), &mut tally);
     }
     assert_eq!(tally.conservation_violations, 0);
+    assert!(tally.metadata_faults_injected > 0, "the campaign injected no metadata fault");
     assert_eq!(tally.metadata_faults_repaired, tally.metadata_faults_injected);
     assert_eq!(tally.silent_data_loss, 0);
 
@@ -644,7 +652,8 @@ fn media_fault_campaign() {
         .field("data_faults_loud", tally.data_faults_loud)
         .field("silent_data_loss", tally.silent_data_loss)
         .field("pages_retired", tally.pages_retired)
-        .field("conservation_violations", tally.conservation_violations);
+        .field("conservation_violations", tally.conservation_violations)
+        .field("sanitizer_hazards", tally.sanitizer_hazards);
     let json = w.finish();
     let dir = std::path::Path::new("target");
     let _ = std::fs::create_dir_all(dir);

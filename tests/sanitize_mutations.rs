@@ -1,15 +1,12 @@
 //! Mutation tests for the persistence-order sanitizer (DESIGN.md §13).
 //!
 //! Each test replays the §4.4 two-step commit protocol (prepare a dirent
-//! slot image, then publish the ino) against a sanitize-enabled device,
+//! slot image, then publish the ino) against a tracked device,
 //! once correctly and once with a single step deleted — the classic NVM
 //! bug classes the sanitizer exists to catch. The mutants must each be
 //! flagged with the expected diagnostic and a replayable `(seed, point)`
 //! pair; the unmutated protocol must produce a report with zero hazards
 //! (a positive assertion, not just the absence of a panic).
-//!
-//! Build with `cargo test --features sanitize --test sanitize_mutations`.
-#![cfg(feature = "sanitize")]
 
 use std::sync::Arc;
 
