@@ -186,11 +186,15 @@ fn main() {
     // DESIGN.md §20, §21: the hot-path registry-lock budget holds on every
     // rung, and when 127 tenants want the root the 128th holds, the recall
     // hands it over — no `map` in the measured phases waits a lease out
-    // (1 ms; it was 100 ms) and the per-tenant rate stays above 20 000
-    // ops/s (882 before recall). The scaling ratio is printed, not gated:
-    // its window is the root hand-over, 2N maps queueing on the registry.
+    // (1 ms; it was 100 ms). The window is the root hand-over: 2N maps
+    // whose PTE writes each tenant does in its own page table, so the
+    // per-tenant rate stays above 80 000 ops/s (882 before recall, 42 205
+    // while the registry lock held the programming) and the scaling ratio
+    // above 0.15 (0.0765 then). What is left of it is one verification of
+    // `/` and an aux rebuild of it per tenant (EXPERIMENTS.md "Map convoy").
     let last_rate = per_tenant_rate(&last.meta, last.n);
-    assert!(last_rate >= 20_000.0, "{last_rate:.0} metadata ops/s/tenant at {} tenants", last.n);
+    assert!(last_rate >= 80_000.0, "{last_rate:.0} metadata ops/s/tenant at {} tenants", last.n);
+    assert!(scaling >= 0.15, "per-tenant metadata scaling {scaling:.3} from {} to {}", first.n, last.n);
     assert!(max_hot_locks <= 10, "{max_hot_locks} hot-path registry locks on one rung (budget 10)");
     assert!(last.resilience.recalls_honoured >= 1, "no lease recall honoured at {} tenants", last.n);
     assert!(

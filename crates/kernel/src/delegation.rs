@@ -12,7 +12,13 @@
 //! parallel, aggregating the bandwidth of all nodes.
 //!
 //! Submission is *batched*: one scatter-gather [`DelegReq`] per `(node,
-//! worker slot)` carries node-contiguous runs of the extent. Write payloads
+//! fan-out slot)` carries node-contiguous runs of the extent. The slot only
+//! *groups* runs into requests — it names no worker: every request goes to
+//! whichever of the node's rings is next in the node's round-robin
+//! (`ring_for`), so the chunks of one op reach distinct workers because
+//! consecutive sends do, not because a slot is a ring. (One shared ring per
+//! node, the work-conserving bound of any smarter dispatch, buys under 2 %:
+//! EXPERIMENTS.md "Ring dispatch: not the bottleneck".) Write payloads
 //! travel **by reference** as a revocable [`GrantRef`] window (DESIGN.md
 //! §17): the client registers its buffer with the kernel's
 //! [`crate::grant::GrantTable`] and the worker reads the bytes straight out
@@ -334,8 +340,9 @@ impl DelegationFaults {
 /// Client-side bookkeeping for one batch of an in-flight op.
 struct Batch {
     node: usize,
-    /// Fan-out slot within the node: chunks of one op are spread over
-    /// distinct slots so distinct workers serve them concurrently.
+    /// Fan-out slot within the node: which request of this op the run was
+    /// grouped into. Not a route — `submit` sends every batch through
+    /// `ring_for`'s per-node round-robin and never reads this.
     slot: usize,
     req: DelegReq,
     /// Read scatter list: `(offset into the caller's buffer, len)` per run,
@@ -1017,10 +1024,12 @@ impl DelegationPool {
     /// Groups the extent's runs into tagged batches, one per `(node,
     /// fan-out slot)`. Each node-contiguous run bigger than
     /// [`FANOUT_MIN_BYTES`] is additionally split into page-aligned chunks
-    /// spread round-robin over the node's worker slots, so a single large
-    /// op is served by several delegation threads concurrently — that is
-    /// what lifts the node to the concurrency level its bandwidth model
-    /// rewards. Small runs stay whole: one chunk, one hop.
+    /// dealt round-robin into as many slots as the node has workers, so a
+    /// single large op becomes several requests, which `ring_for` then
+    /// spreads over the node's rings — several delegation threads serve it
+    /// concurrently, and that is what lifts the node to the concurrency
+    /// level its bandwidth model rewards. Small runs stay whole: one chunk,
+    /// one hop.
     #[allow(clippy::too_many_arguments)]
     fn build_batches(
         &self,

@@ -22,6 +22,7 @@ pub mod delegation;
 pub mod grant;
 pub(crate) mod obs;
 pub mod mapping;
+pub(crate) mod pagetable;
 pub mod quarantine;
 pub mod registry;
 pub mod retry;
@@ -30,12 +31,13 @@ pub mod shard;
 
 pub use delegation::DegradedMode;
 pub use grant::{GrantRef, GrantTable};
+pub use pagetable::MmuAudit;
 pub use retry::RetryPolicy;
 pub use scrub::{MediaStats, MediaStatsSnapshot, PatrolHandle, ScrubReport};
 pub use shard::EpochPin;
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult, Mode, SetAttr};
@@ -58,6 +60,7 @@ use trio_verifier::{
 
 use alloc::{PageAllocator, PutBack};
 use delegation::DelegationPool;
+use pagetable::PageTableLocks;
 use quarantine::ResilienceStats;
 use registry::{Credentials, KernelEvent, Registry};
 use scrub::JournalTwin;
@@ -128,7 +131,9 @@ pub struct KernelController {
     pub(crate) events: EventRing,
     /// Inode number allocator (next unused).
     next_ino: SimMutex<u64>,
-    pub(crate) phases: SimMutex<PhaseStats>,
+    pub(crate) phases: PhaseCounters,
+    /// One page-table lock per registered actor (`pagetable.rs`).
+    pub(crate) page_tables: PageTableLocks,
     delegation: DelegationPool,
     stats: Arc<PathStats>,
     /// Detection/containment/repair counters (DESIGN.md §14), surfaced
@@ -153,23 +158,27 @@ pub struct KernelController {
     config: KernelConfig,
 }
 
-/// Cumulative virtual time spent in each sharing-protocol phase
-/// (paper Figure 8's breakdown).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseStats {
-    /// Programming the MMU on the map path.
-    pub map_ns: Nanos,
-    /// Unmapping on release/revocation.
-    pub unmap_ns: Nanos,
-    /// Integrity verification.
-    pub verify_ns: Nanos,
-    /// Checkpointing before write grants.
-    pub checkpoint_ns: Nanos,
-    /// Mappers blocked on another actor's write lease: all waits summed…
-    pub lease_wait_ns: Nanos,
-    /// …and the longest single one.
-    pub lease_wait_max_ns: Nanos,
+trio_sim::counters! {
+    /// Cumulative virtual time spent in each sharing-protocol phase (paper
+    /// Figure 8's breakdown), live. Relaxed atomics: telemetry charges no
+    /// virtual time and serializes nobody.
+    pub(crate) struct PhaseCounters => pub struct PhaseStats {
+        /// Programming the MMU on the map path.
+        map_ns,
+        /// Unmapping on release/revocation.
+        unmap_ns,
+        /// Integrity verification.
+        verify_ns,
+        /// Checkpointing before write grants.
+        checkpoint_ns,
+        /// Mappers blocked on another actor's write lease: all waits summed…
+        lease_wait_ns,
+        /// …and the longest single one.
+        lease_wait_max_ns,
+    }
 }
+
+impl Copy for PhaseStats {}
 
 impl KernelController {
     /// Creates a controller over a fresh device and formats the file
@@ -230,7 +239,8 @@ impl KernelController {
             alloc,
             events: EventRing::new(EVENT_RING_CAPACITY),
             next_ino: SimMutex::new(next_ino),
-            phases: SimMutex::new(PhaseStats::default()),
+            phases: PhaseCounters::new(),
+            page_tables: PageTableLocks::default(),
             delegation,
             stats,
             resilience: Arc::new(ResilienceStats::new()),
@@ -543,16 +553,8 @@ impl KernelController {
             id
         };
         self.alloc.add_actor(actor);
-        // Page 0 always exists, so this cannot fail; if it ever did the
-        // new LibFS would merely lack superblock visibility — nothing the
-        // kernel must panic over. The replica gets the same read-only
-        // window so the LibFS's fault-tolerant superblock reads work.
-        let _ = self.dev.mmu_map(actor, trio_layout::superblock::SUPERBLOCK_PAGE, PagePerm::Read);
-        let _ = self.dev.mmu_map(
-            actor,
-            superblock_replica_page(self.dev.topology().total_pages()),
-            PagePerm::Read,
-        );
+        self.page_tables.add(actor);
+        self.page_table(actor).lock().remap_superblock_window();
         if in_sim() {
             work(cost::MMU_PROGRAM_PAGE_NS);
         }
@@ -602,10 +604,8 @@ impl KernelController {
         // The actor's journal pages are gone with it; stop patrol-repairing
         // them (their frames return through the normal free paths).
         self.journal_twins.lock().retain(|_, t| t.actor != actor);
-        let _ = self.dev.mmu_unmap(actor, trio_layout::superblock::SUPERBLOCK_PAGE);
-        let _ = self
-            .dev
-            .mmu_unmap(actor, superblock_replica_page(self.dev.topology().total_pages()));
+        self.page_table(actor).lock().sweep(pagetable::superblock_window(&self.dev));
+        self.page_tables.remove(actor);
     }
 
     // -----------------------------------------------------------------
@@ -633,8 +633,14 @@ impl KernelController {
         let out = self.alloc.alloc(actor, n, node)?;
         // `out` has left the allocator's books: a frame the device will not
         // map (only one out of its range) sends the whole grant back the one
-        // way, whose scrub drops the mappings made so far.
-        if out.iter().any(|p| self.dev.mmu_map(actor, *p, PagePerm::Write).is_err()) {
+        // way, whose scrub drops the mappings made so far. The PTE writes
+        // are priced below, outside the page-table lock: pool refills of one
+        // LibFS's threads have never serialized on anything.
+        let pt = self.page_table(actor);
+        let ptes = pt.lock();
+        let mapped = out.iter().all(|p| ptes.remap(*p, PagePerm::Write).is_ok());
+        drop(ptes);
+        if !mapped {
             self.alloc.put_back(&out, PutBack::Cache(actor));
             return Err(FsError::NoSpace);
         }
@@ -808,19 +814,26 @@ impl KernelController {
 
     /// Drains the cumulative phase timings (Figure 8 instrumentation).
     pub fn take_phase_stats(&self) -> PhaseStats {
-        std::mem::take(&mut *self.phases.lock())
+        let p = &self.phases;
+        let take = |c: &AtomicU64| c.swap(0, Ordering::Relaxed);
+        PhaseStats {
+            map_ns: take(&p.map_ns),
+            unmap_ns: take(&p.unmap_ns),
+            verify_ns: take(&p.verify_ns),
+            checkpoint_ns: take(&p.checkpoint_ns),
+            lease_wait_ns: take(&p.lease_wait_ns),
+            lease_wait_max_ns: take(&p.lease_wait_max_ns),
+        }
     }
 
-    /// Accumulates virtual time into a phase counter (crate-internal).
-    pub(crate) fn charge_phase(&self, f: impl FnOnce(&mut PhaseStats, Nanos), ns: Nanos) {
-        if ns > 0 {
-            f(&mut self.phases.lock(), ns);
-        }
+    /// Accumulates virtual time into the phase counter `slot` picks.
+    pub(crate) fn charge_phase(&self, slot: PhaseSlot, ns: Nanos) {
+        slot(&self.phases).fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Starts timing one phase: the virtual time until the returned guard
     /// drops is charged to the counter `slot` picks.
-    pub(crate) fn time_phase(&self, slot: fn(&mut PhaseStats) -> &mut Nanos) -> PhaseTimer<'_> {
+    pub(crate) fn time_phase(&self, slot: PhaseSlot) -> PhaseTimer<'_> {
         PhaseTimer { kernel: self, t0: now_or_zero(), slot }
     }
 
@@ -866,17 +879,20 @@ impl KernelController {
     }
 }
 
+/// Picks one phase counter.
+pub(crate) type PhaseSlot = fn(&PhaseCounters) -> &AtomicU64;
+
 /// See [`KernelController::time_phase`].
 pub(crate) struct PhaseTimer<'a> {
     kernel: &'a KernelController,
     t0: Nanos,
-    slot: fn(&mut PhaseStats) -> &mut Nanos,
+    slot: PhaseSlot,
 }
 
 impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
         let dt = now_or_zero().saturating_sub(self.t0);
-        self.kernel.charge_phase(|p, ns| *(self.slot)(p) += ns, dt);
+        self.kernel.charge_phase(self.slot, dt);
     }
 }
 

@@ -30,6 +30,7 @@
 //!   it (DESIGN.md §21): it posts the ino on the holder's recall page and
 //!   blocks until the holder lets go, with the lease expiry as deadline.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
@@ -43,6 +44,7 @@ use trio_sim::{cost, in_sim, now, now_or_zero, work, DetHashSet, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
 
 use crate::alloc::PutBack;
+use crate::pagetable;
 use crate::registry::{Checkpoint, Dirty, EndedGrant, FileMeta, KernelEvent, Registry};
 use crate::KernelController;
 
@@ -96,8 +98,8 @@ pub(crate) enum GrantEnd {
     Revoked,
     /// The holder unregistered.
     Exited,
-    /// The holder was quarantined. The MMU half is `revoke_actor`'s,
-    /// wholesale, right after.
+    /// The holder was quarantined. The MMU half is the page table's
+    /// `revoke_all`, wholesale, right after.
     Contained,
 }
 
@@ -185,13 +187,8 @@ impl KernelController {
                     let _ = wake.recv_deadline(lease);
                     let waited = now().saturating_sub(t);
                     crate::obs::lease_wait_end(actor.0, w.0, waited);
-                    self.charge_phase(
-                        |p, ns| {
-                            p.lease_wait_ns += ns;
-                            p.lease_wait_max_ns = p.lease_wait_max_ns.max(ns);
-                        },
-                        waited,
-                    );
+                    self.charge_phase(|p| &p.lease_wait_ns, waited);
+                    self.phases.lease_wait_max_ns.fetch_max(waited, Ordering::Relaxed);
                     continue;
                 }
             }
@@ -239,16 +236,23 @@ impl KernelController {
                 self.take_checkpoint_locked(&mut reg, ino, &pages);
             }
 
-            // ---- Program the MMU and enter the grant in the books. ----
-            let granted = self.program_grant(actor, write, &pages, dirent)?;
+            // ---- Enter the grant in the books. ----
+            let granted = self.grant_frames(write, &pages, dirent)?;
             // (Read the size only now: verification/rollback may have
             // corrected a lied field.)
             let size = head.size().map_err(|_| FsError::NotFound)?;
-            let lease_until = if write { now_or_zero() + self.config().lease_ns } else { 0 };
+            // The lease runs from when the mapping is usable, not from when
+            // the books hold it: a 1 GiB file takes longer to program than
+            // a lease lasts.
+            let lease_until = if write {
+                now_or_zero() + pagetable::program_ns(granted.len()) + self.config().lease_ns
+            } else {
+                0
+            };
             let Some(meta) = reg.files.get_mut(&ino) else {
                 return Err(FsError::Corrupted);
             };
-            meta.grant(actor, write, granted, lease_until);
+            meta.grant(actor, write, granted.clone(), lease_until);
             let seq_before = meta.grant_seq;
             if write {
                 meta.bump_seq(Some(actor));
@@ -264,6 +268,15 @@ impl KernelController {
                     }
                 }
             }
+
+            // ---- Program the MMU (Figure 2 steps 2 and 9). ----
+            // Hand over hand: the grantee's page-table lock is taken before
+            // the registry goes, so whoever ends this grant next unmaps
+            // after the programming, never before it (`pagetable.rs`).
+            let pt = self.page_table(actor);
+            let ptes = pt.lock();
+            drop(reg);
+            ptes.program(&granted, if write { PagePerm::Write } else { PagePerm::Read });
 
             return Ok(MapGrant {
                 ino,
@@ -312,11 +325,15 @@ impl KernelController {
         // already has.
         let pages = self.current_pages(dirent).map_err(|_| FsError::Corrupted)?;
         self.take_checkpoint_locked(&mut reg, ino, &pages);
-        let granted = self.program_grant(actor, true, &pages, dirent)?;
+        let granted = self.grant_frames(true, &pages, dirent)?;
         let meta = reg.files.get_mut(&ino).ok_or(FsError::Corrupted)?;
-        meta.grant(actor, true, granted, lease_until);
+        meta.grant(actor, true, granted.clone(), lease_until);
         meta.verified_pages = pages;
         meta.dirty = Dirty::Clean;
+        let pt = self.page_table(actor);
+        let ptes = pt.lock();
+        drop(reg);
+        ptes.program(&granted, PagePerm::Write);
         Ok(())
     }
 
@@ -434,9 +451,7 @@ impl KernelController {
         // scrubbed and recycled below: no dirt, no chain walk, no charge.
         if let Some(mut meta) = reg.files.remove(&ino) {
             for ended in meta.holders().into_iter().filter_map(|a| meta.end_grant(a)) {
-                for p in &ended.pages {
-                    let _ = self.device().mmu_unmap(ended.actor, *p);
-                }
+                self.page_table(ended.actor).lock().sweep(ended.pages.iter().copied());
                 if ended.write {
                     self.end_lease_wait(&mut reg, ino, ended.actor, true);
                 }
@@ -476,16 +491,17 @@ impl KernelController {
         self.prov
             .insert_batch(recyclable.iter().map(|p| (p.0, PageProvenance::AllocatedTo(actor))));
         drop(reg);
-        let mut mmu_work = 0u64;
+        let pt = self.page_table(actor);
+        let ptes = pt.lock();
         for p in &recyclable {
             let _ = self.device().reset_page(*p);
-            let _ = self.device().mmu_map(actor, *p, PagePerm::Write);
-            mmu_work += cost::MMU_PROGRAM_PAGE_NS;
+            let _ = ptes.remap(*p, PagePerm::Write);
         }
+        drop(ptes);
         if in_sim() {
             // Page scrubbing is cheap relative to the PTE updates the
             // reset+remap imply; charge the mapping cost once per page.
-            work(mmu_work / 4);
+            work(pagetable::program_ns(recyclable.len()) / 4);
         }
         if !pinned.is_empty() {
             // Checkpoint-pinned pages cannot be recycled; they go back the
@@ -580,13 +596,13 @@ impl KernelController {
         Ok(())
     }
 
-    /// Figure 2 steps 2 and 9, and `commit`'s re-grant: programs the MMU
-    /// with the file's pages — for a writer also the page of the parent
-    /// that holds its co-located dirent — and returns what it programmed,
-    /// for the books ([`FileMeta::grant`]).
-    fn program_grant(
+    /// The frames a grant on `pages` exposes — for a writer also the page
+    /// of the parent that holds its co-located dirent — for the books
+    /// ([`FileMeta::grant`]) and then the page table. A chain that names a
+    /// frame outside the device is corrupt; refusing it here, before the
+    /// books, is what makes the programming afterwards infallible.
+    fn grant_frames(
         &self,
-        actor: ActorId,
         write: bool,
         pages: &FilePages,
         dirent: Option<DirentLoc>,
@@ -595,14 +611,9 @@ impl KernelController {
         if write {
             granted.extend(dirent.map(|loc| loc.page));
         }
-        let perm = if write { PagePerm::Write } else { PagePerm::Read };
-        for p in &granted {
-            self.device().mmu_map(actor, *p, perm).map_err(|_| FsError::Corrupted)?;
-        }
-        if in_sim() {
-            let ns = granted.len() as u64 * cost::MMU_PROGRAM_PAGE_NS;
-            work(ns);
-            self.charge_phase(|p, n| p.map_ns += n, ns);
+        let total = self.device().topology().total_pages();
+        if granted.iter().any(|p| p.0 >= total) {
+            return Err(FsError::Corrupted);
         }
         Ok(granted)
     }
@@ -636,17 +647,7 @@ impl KernelController {
             if write {
                 unmap.extend(self.current_pages(dirent).iter().flat_map(FilePages::all_pages));
             }
-            for p in &unmap {
-                let _ = match fallback {
-                    Some((page, perm)) if page == *p => self.device().mmu_map(actor, *p, perm),
-                    _ => self.device().mmu_unmap(actor, *p).map(drop),
-                };
-            }
-            if in_sim() {
-                let ns = unmap.len() as u64 * cost::MMU_PROGRAM_PAGE_NS;
-                work(ns);
-                self.charge_phase(|p, n| p.unmap_ns += n, ns);
-            }
+            self.page_table(actor).lock().strip(unmap, fallback);
         }
         if write {
             if why == GrantEnd::Revoked {
@@ -694,7 +695,7 @@ impl KernelController {
     /// failure: logs, rolls back to the checkpoint, clears dirtiness.
     /// Returns whether the original state passed.
     pub(crate) fn verify_file_locked(&self, reg: &mut Registry, ino: Ino) -> bool {
-        let _timed = self.time_phase(|p| &mut p.verify_ns);
+        let _timed = self.time_phase(|p| &p.verify_ns);
         // Pin the reclamation epoch for the whole verification: pages the
         // walk observes may sit in the GC limbo list (freed but not yet
         // recycled), and the pin guarantees their contents and provenance
@@ -749,9 +750,7 @@ impl KernelController {
             }
             // The dirty actor loses any residual mappings of pages that are
             // now part of the verified file.
-            for p in report.pages.all_pages() {
-                let _ = self.device().mmu_unmap(dirty_actor, p);
-            }
+            self.page_table(dirty_actor).lock().sweep(report.pages.all_pages());
             // Rollback must restore the *last verified* state. The image
             // taken at write-grant time is superseded the moment this
             // verification passes; keeping it would let a later rollback
@@ -888,9 +887,7 @@ impl KernelController {
         if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
             self.claim_pages_for_file(ino, &pages);
             if let Some(da) = dirty_actor {
-                for p in pages.all_pages() {
-                    let _ = self.device().mmu_unmap(da, p);
-                }
+                self.page_table(da).lock().sweep(pages.all_pages());
             }
             if let Some(meta) = reg.files.get_mut(&ino) {
                 meta.verified_pages = pages;
@@ -942,7 +939,7 @@ impl KernelController {
     /// also data pages), its dirent image, and — for directories — the set
     /// of live children (I3 baseline). Pins the snapshotted pages.
     fn take_checkpoint_locked(&self, reg: &mut Registry, ino: Ino, pages: &FilePages) {
-        let _timed = self.time_phase(|p| &mut p.checkpoint_ns);
+        let _timed = self.time_phase(|p| &p.checkpoint_ns);
         let Some((ftype, dirent)) = reg.files.get(&ino).map(|m| (m.ftype, m.dirent)) else {
             return;
         };

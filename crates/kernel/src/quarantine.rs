@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use trio_layout::{superblock::SUPERBLOCK_PAGE, Ino};
+use trio_layout::Ino;
 use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite, KERNEL_ACTOR};
 use trio_sim::metrics::JsonObject;
 use trio_sim::DetHashSet;
@@ -176,25 +176,20 @@ impl KernelController {
         self.end_grants_of(reg, offender, GrantEnd::Contained);
         let mut tainted: DetHashSet<Ino> = reg.dirt_of(offender).into_iter().collect();
         tainted.extend(reg.pending_dirty.iter().filter(|(_, a)| **a == offender).map(|(i, _)| *i));
-        self.device().revoke_actor(offender);
+        {
+            let pt = self.page_table(offender);
+            let ptes = pt.lock();
+            ptes.revoke_all();
+            for (p, _) in
+                self.prov.collect_filter(|_, prov| prov == PageProvenance::AllocatedTo(offender))
+            {
+                let _ = ptes.remap(PageId(p), PagePerm::Write);
+            }
+            ptes.remap_superblock_window();
+        }
         // Its grant windows go with the MMU grants: a contained LibFS's
         // in-flight delegated writes must not keep reading its buffers.
         self.delegation().grants().revoke_actor(offender);
-        let pool: Vec<PageId> = self
-            .prov
-            .collect_filter(|_, prov| prov == PageProvenance::AllocatedTo(offender))
-            .into_iter()
-            .map(|(p, _)| PageId(p))
-            .collect();
-        for p in pool {
-            let _ = self.device().mmu_map(offender, p, PagePerm::Write);
-        }
-        let _ = self.device().mmu_map(offender, SUPERBLOCK_PAGE, PagePerm::Read);
-        let _ = self.device().mmu_map(
-            offender,
-            trio_layout::superblock_replica_page(self.device().topology().total_pages()),
-            PagePerm::Read,
-        );
         let n = tainted.len();
         reg.quarantine_enter(offender, QuarantineInfo { tainted });
         self.quarantined_mirror.lock().insert(offender);

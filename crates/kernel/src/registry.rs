@@ -271,7 +271,21 @@ impl FileMeta {
     /// covers the page at all.
     pub fn grant_on(&self, actor: ActorId, page: PageId) -> Option<PagePerm> {
         let covers = self.mapped_pages.get(&actor)?.contains(&page);
-        covers.then_some(if self.writer == Some(actor) { PagePerm::Write } else { PagePerm::Read })
+        covers.then_some(self.perm_held(actor))
+    }
+
+    /// What a grant of `actor`'s on this file lets it do.
+    fn perm_held(&self, actor: ActorId) -> PagePerm {
+        if self.writer == Some(actor) {
+            PagePerm::Write
+        } else {
+            PagePerm::Read
+        }
+    }
+
+    /// Every grant in the books: holder, permission, pages.
+    pub fn grants(&self) -> impl Iterator<Item = (ActorId, PagePerm, &[PageId])> {
+        self.mapped_pages.iter().map(|(a, pages)| (*a, self.perm_held(*a), pages.as_slice()))
     }
 
     /// Whether any grant exposes `page`.

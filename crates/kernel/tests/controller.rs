@@ -12,8 +12,10 @@ use trio_kernel::{KernelConfig, KernelController, LibFsRegistration};
 use trio_layout::{
     CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, ROOT_INO,
 };
-use trio_nvm::{DeviceConfig, NvmDevice, NvmHandle, PageId};
-use trio_sim::{SimRuntime, MILLIS};
+use trio_nvm::{DeviceConfig, NvmDevice, NvmHandle, PageId, PagePerm};
+use trio_sim::plock::Mutex as PlMutex;
+use trio_sim::sync::SimBarrier;
+use trio_sim::{cost, now, work, RaceDetector, SimRuntime, MILLIS};
 
 fn new_kernel() -> Arc<KernelController> {
     let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
@@ -819,4 +821,154 @@ fn unknown_file_map_fails_cleanly() {
         assert!(h.read_untimed(PageId(50), 0, &mut b).is_err());
     });
     rt.run();
+}
+
+// ---------------------------------------------------------------------
+// The page-table lock (DESIGN.md §20): the registry holds the books, not
+// the page tables.
+// ---------------------------------------------------------------------
+
+/// A root of three pages — one index page, two data pages, one child —
+/// that a second actor has mapped (so it is verified clean) and nobody
+/// holds. Runs outside the simulation.
+fn three_page_root(k: &KernelController) -> [PageId; 3] {
+    let s = k.register_libfs(100, 100);
+    k.map(s.actor, MapTarget::Root, true).unwrap();
+    let pages = k.alloc_pages(s.actor, 3, None).unwrap();
+    let ino = k.alloc_inos(s.actor, 1).unwrap()[0];
+    create_in_empty_root_on(k, &s, (pages[0], pages[1]), b"f", ino, CoreFileType::Regular);
+    IndexPageRef::new(&s.handle, pages[0]).set_entry(1, pages[2].0).unwrap();
+    k.release(s.actor, ROOT_INO).unwrap();
+    let v = k.register_libfs(100, 100);
+    let g = k.map(v.actor, MapTarget::Root, false).unwrap();
+    assert_eq!(g.pages.all_pages().count(), 3);
+    assert!(k.take_events().is_empty(), "the root verifies clean");
+    k.release(v.actor, ROOT_INO).unwrap();
+    [pages[0], pages[1], pages[2]]
+}
+
+/// No convoy: 32 actors leave one barrier and read-map the same clean
+/// three-page directory. Each programs its own page table, so the grants
+/// come back a registry hand-off apart — not a programming apart, which is
+/// what they did while the PTE writes sat under the registry lock (31 ×
+/// 4.01 µs = 124 µs from first to last).
+#[test]
+fn concurrent_maps_program_their_page_tables_in_parallel() {
+    const ACTORS: usize = 32;
+    let k = new_kernel();
+    three_page_root(&k);
+    let regs: Vec<LibFsRegistration> = (0..ACTORS).map(|_| k.register_libfs(100, 100)).collect();
+    let _ = k.take_phase_stats();
+
+    let rt = SimRuntime::new(1);
+    let barrier = Arc::new(SimBarrier::new(ACTORS));
+    let returned = Arc::new(PlMutex::new(Vec::new()));
+    for reg in regs {
+        let (k, barrier, returned) = (Arc::clone(&k), Arc::clone(&barrier), Arc::clone(&returned));
+        rt.spawn("mapper", move || {
+            barrier.wait();
+            k.map(reg.actor, MapTarget::Root, false).unwrap();
+            returned.lock().push(now());
+        });
+    }
+    rt.run();
+
+    let returned = returned.lock();
+    let spread = returned.iter().max().unwrap() - returned.iter().min().unwrap();
+    let handoffs = (ACTORS as u64 - 1) * (cost::LOCK_HANDOFF_NS + cost::LOCK_UNCONTENDED_NS);
+    assert!(spread <= handoffs, "grants came back {spread} ns apart, hand-offs alone are {handoffs}");
+    assert_eq!(k.take_phase_stats().map_ns, ACTORS as u64 * 3 * cost::MMU_PROGRAM_PAGE_NS);
+    let audit = k.audit_mmu_against_books();
+    assert!(audit.excess.is_empty() && audit.missing == 0, "{audit:?}");
+}
+
+/// Revoke during programming: reader A maps the three-page root, writer B
+/// asks for it 0 … 5.2 µs later — on A's heels at the registry, while A
+/// programs its three PTEs outside it (3.84 µs), and after. Whenever B
+/// lands, its revocation of A's grant unmaps *after* A's programming: A
+/// ends with no permission on any page, B with write on all of them, and no
+/// page table holds anything the books do not give. Under the race
+/// detector: had A kept a PTE, its read below would be an unordered access
+/// to B's store.
+#[test]
+fn grant_revoked_while_being_programmed_is_unmapped_after_it() {
+    for seed in 1..=4u64 {
+        for step in 0..=20u64 {
+            // A 250 ns grid, shifted by a sub-step per seed. At 0 both reach
+            // the registry together and A, spawned first, wins the tie (B
+            // ahead of A would hold the lease A then waits out).
+            let delay = step * 250 + (seed - 1) * 60;
+            let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
+            assert!(dev.set_race_detector(Arc::new(RaceDetector::new())));
+            let k = KernelController::format(dev, KernelConfig::default());
+            let root = three_page_root(&k);
+            let (a, b) = (k.register_libfs(100, 100), k.register_libfs(100, 100));
+            let (a_actor, b_actor) = (a.actor, b.actor);
+
+            let rt = SimRuntime::new(seed);
+            rt.enable_race_detection();
+            let k2 = Arc::clone(&k);
+            rt.spawn("main", move || {
+                let ka = Arc::clone(&k2);
+                let reader = trio_sim::spawn("reader", move || {
+                    ka.map(a_actor, MapTarget::Root, false).unwrap();
+                });
+                let kb = Arc::clone(&k2);
+                let writer = trio_sim::spawn("writer", move || {
+                    work(delay);
+                    kb.map(b_actor, MapTarget::Root, true).unwrap();
+                });
+                reader.join();
+                writer.join();
+
+                let ctx = format!("seed {seed}, B {delay} ns behind A");
+                assert_eq!(k2.writer_of(ROOT_INO), Some(b_actor), "{ctx}");
+                for p in root {
+                    assert_eq!(k2.device().mmu_perm(a_actor, p).unwrap(), None, "{ctx}: A on {p:?}");
+                    let held = k2.device().mmu_perm(b_actor, p).unwrap();
+                    assert_eq!(held, Some(PagePerm::Write), "{ctx}: B on {p:?}");
+                }
+                let audit = k2.audit_mmu_against_books();
+                assert!(audit.excess.is_empty() && audit.missing == 0, "{ctx}: {audit:?}");
+
+                // A's next access faults (what its LibFS calls `Stale`); it
+                // re-maps once B has let go and reads B's bytes.
+                let mut buf = [0u8; 8];
+                assert!(a.handle.read_untimed(root[2], 64, &mut buf).is_err(), "{ctx}");
+                b.handle.write_untimed(root[2], 64, b"B wrote.").unwrap();
+                k2.release(b_actor, ROOT_INO).unwrap();
+                k2.map(a_actor, MapTarget::Root, false).unwrap();
+                a.handle.read_untimed(root[2], 64, &mut buf).unwrap();
+                assert_eq!(&buf, b"B wrote.", "{ctx}");
+                assert!(k2.audit_mmu_against_books().excess.is_empty(), "{ctx}");
+            });
+            rt.run();
+        }
+    }
+}
+
+/// A chain that names a frame outside the device fails the map with
+/// `Corrupted` before the grant reaches the books — so the programming
+/// that follows the books can never stop half way.
+#[test]
+fn frame_outside_the_device_fails_the_map_and_leaves_no_grant() {
+    let k = new_kernel();
+    let a = k.register_libfs(100, 100);
+    k.map(a.actor, MapTarget::Root, true).unwrap();
+    let ino = k.alloc_inos(a.actor, 1).unwrap()[0];
+    let (ipage, ..) = create_in_empty_root(&k, &a, b"f", ino, CoreFileType::Regular);
+    let beyond = k.device().topology().total_pages() + 7;
+    IndexPageRef::new(&a.handle, ipage).set_entry(1, beyond).unwrap();
+    k.release(a.actor, ROOT_INO).unwrap();
+    let claimed = k.pages_of(ROOT_INO);
+
+    // Its own re-map is the one that meets the chain unverified.
+    for write in [false, true] {
+        let res = k.map(a.actor, MapTarget::Root, write);
+        assert_eq!(res.err(), Some(FsError::Corrupted), "write = {write}");
+        assert_eq!(k.writer_of(ROOT_INO), None);
+        assert_eq!(k.pages_of(ROOT_INO), claimed);
+        let audit = k.audit_mmu_against_books();
+        assert!(audit.excess.is_empty() && audit.missing == 0, "{audit:?}");
+    }
 }

@@ -446,6 +446,17 @@ impl NvmDevice {
         Ok(self.slot(page)?.lock().prot.perm_of(actor))
     }
 
+    /// Every mapping on the device as `(page, actor, permission)`, in page
+    /// order. Privileged and slow (one pass over every page slot): for the
+    /// kernel's audit of its page tables against its books.
+    pub fn mappings(&self) -> Vec<(PageId, ActorId, PagePerm)> {
+        let mut out = Vec::new();
+        for (i, slot) in self.pages.iter().enumerate() {
+            out.extend(slot.lock().prot.iter().map(|(a, perm)| (PageId(i as u64), a, perm)));
+        }
+        out
+    }
+
     /// Clears a page: drops contents (reads as zeros) and all mappings.
     /// Used when the kernel frees or re-allocates a page, so no data leaks
     /// across LibFSes.

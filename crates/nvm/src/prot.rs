@@ -107,6 +107,11 @@ impl PageProt {
         self.entries.iter().filter(|(_, p)| *p == PagePerm::Write).map(|(a, _)| *a)
     }
 
+    /// Every mapping, in the order the actors were first mapped.
+    pub fn iter(&self) -> impl Iterator<Item = (ActorId, PagePerm)> + '_ {
+        self.entries.iter().copied()
+    }
+
     /// Number of mappings.
     pub fn mapping_count(&self) -> usize {
         self.entries.len()

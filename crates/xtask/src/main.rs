@@ -82,6 +82,20 @@
 //!   and eight such copies had drifted apart on what a poisoned line costs.
 //!   Read through `DirPage`, write through `DirentRef`.
 //!
+//! * **page-table-door** — an actor's PTEs are edited under that actor's
+//!   page-table lock (DESIGN.md §20), which `crates/kernel/src/pagetable.rs`
+//!   takes and nobody else can: in shipped library code outside it (and
+//!   outside `crates/nvm`, whose interface it is) `.mmu_map(…)`,
+//!   `.mmu_unmap(…)` and the device's `.revoke_actor(…)` are findings — a
+//!   PTE write that skipped the lock can land after the unmap that was
+//!   meant to undo it. The grant table's `revoke_actor` (receiver
+//!   `grants()`) is a different function and exempt. `reset_page`, which
+//!   wipes a frame's protections for every actor at once, is deliberately
+//!   not in the rule: it is the allocator's and `reclaim_one`'s, called on
+//!   frames that are in nobody's grant any more (`reclaim_one` ends every
+//!   holder's grant through the door first), so there is no per-actor
+//!   programming for it to race with and no per-actor lock it would fit.
+//!
 //! Any rule can be suppressed per-site with `// lint: allow(<rule-id>)
 //! <reason>` on the flagged line or up to two lines above it; the reason is
 //! mandatory — a bare allow is itself reported.
@@ -241,6 +255,7 @@ pub enum Rule {
     HotPathRegistry,
     NoRandomState,
     LayoutDoor,
+    PageTableDoor,
 }
 
 impl Rule {
@@ -257,6 +272,7 @@ impl Rule {
             Rule::HotPathRegistry => "hot-path-registry",
             Rule::NoRandomState => "no-random-state",
             Rule::LayoutDoor => "layout-door",
+            Rule::PageTableDoor => "page-table-door",
         }
     }
 }
@@ -353,6 +369,10 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
     let raw_publish_scope = !in_nvm && shipped;
     // Above `trio-layout`, callers bring policy, not slot arithmetic.
     let layout_door_scope = no_panic_scope || rel.starts_with("crates/core/src");
+    // An actor's PTEs are edited behind its page-table lock, which only
+    // the kernel's `pagetable.rs` takes.
+    let page_table_door_scope =
+        shipped && !in_nvm && rel != Path::new("crates/kernel/src/pagetable.rs");
     // A module that declares itself hot-path (raw source, so the marker
     // lives in its doc comment) has sworn off the registry control lock
     // entirely (DESIGN.md §20).
@@ -571,6 +591,27 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
             emit(out, rel, &raw, i, Rule::LayoutDoor,
                 "slot geometry outside `trio-layout`: read a directory page through \
                  `DirPage`, a slot through `DirentRef` (DESIGN.md §3)".to_string());
+        }
+
+        // R12: the device's MMU interface is named behind the page-table
+        // door only. `revoke_actor` is also the grant table's; that one is
+        // reached through `grants()`.
+        if page_table_door_scope && i < test_region {
+            for m in ["mmu_map", "mmu_unmap", "revoke_actor"] {
+                let Some(pos) = find_call(line, m) else { continue };
+                let mut receiver = line[..pos - 1].trim();
+                if receiver.is_empty() {
+                    receiver = prev_nonempty(&lines, i).map_or("", str::trim);
+                }
+                if m == "revoke_actor" && receiver.ends_with("grants()") {
+                    continue;
+                }
+                emit(out, rel, &raw, i, Rule::PageTableDoor, format!(
+                    "`.{m}(…)` outside `kernel/src/pagetable.rs` edits an actor's PTEs \
+                     without its page-table lock; go through \
+                     `KernelController::page_table(actor).lock()` (DESIGN.md §20)"
+                ));
+            }
         }
     }
 }
@@ -986,6 +1027,7 @@ mod tests {
             Rule::HotPathRegistry,
             Rule::NoRandomState,
             Rule::LayoutDoor,
+            Rule::PageTableDoor,
         ] {
             assert!(
                 findings.iter().any(|f| f.rule == rule),
@@ -1122,6 +1164,18 @@ mod tests {
         assert!(door_hits.contains(&line_of("raw.chunks_exact(DIRENT_SIZE)")));
         assert!(door_hits.contains(&line_of("for slot in 0..DIRENTS_PER_PAGE")));
         assert!(door_hits.contains(&line_of("loc.byte_off() + 16")));
+        // page-table-door: the three device calls trip; the grant table's
+        // `revoke_actor`, the door, the annotated site and the test module
+        // stay clean.
+        let pt_hits: Vec<_> =
+            findings.iter().filter(|f| f.rule == Rule::PageTableDoor).map(|f| f.line).collect();
+        assert_eq!(pt_hits.len(), 3, "exactly the three live MMU sites: {pt_hits:?}");
+        let pt_src = fixture.join("crates").join("kernel").join("src").join("mmu.rs");
+        let src = std::fs::read_to_string(&pt_src).unwrap();
+        let line_of = |needle: &str| src.lines().position(|l| l.contains(needle)).unwrap() + 1;
+        assert!(pt_hits.contains(&line_of("self.dev.mmu_map(actor, page, PagePerm::Write)")));
+        assert!(pt_hits.contains(&line_of("self.device().mmu_unmap(actor, page)")));
+        assert!(pt_hits.contains(&line_of("self.device().revoke_actor(offender)")));
     }
 
     /// 1-based line of the first raw line containing `needle` in the

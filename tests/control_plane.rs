@@ -27,6 +27,8 @@ use std::sync::Arc;
 use arckfs::attack::{run_attack, Attack, ALL_ATTACKS};
 use arckfs::{ArckFs, ArckFsConfig};
 use trio_fsapi::{read_file, write_file, FileSystem};
+use trio_layout::ROOT_INO;
+use trio_kernel::mapping::MapTarget;
 use trio_kernel::registry::KernelEvent;
 use trio_kernel::shard::{EventRing, EVENT_RING_CAPACITY};
 use trio_kernel::{KernelConfig, KernelController};
@@ -72,7 +74,7 @@ fn concurrent_tenant_churn_is_race_clean_and_conserves_pages() {
                 let actor = regn.actor;
                 let mut held: Vec<PageId> = Vec::new();
                 for _ in 0..24 {
-                    match rng.gen_range(3) {
+                    match rng.gen_range(4) {
                         0 => {
                             let n = 1 + rng.gen_range(8) as usize;
                             if let Ok(mut pages) = k.alloc_pages(actor, n, None) {
@@ -89,6 +91,16 @@ fn concurrent_tenant_churn_is_race_clean_and_conserves_pages() {
                             let n = 1 + rng.gen_range(held.len() as u64) as usize;
                             let give: Vec<PageId> = held.drain(..n).collect();
                             k.free_pages(actor, &give).unwrap();
+                        }
+                        // Grants come and go in one tenant's page table
+                        // while another's is being programmed: every edit
+                        // of one table must be ordered with the next.
+                        2 => {
+                            let write = rng.gen_range(2) == 0;
+                            if k.map(actor, MapTarget::Root, write).is_ok() {
+                                work(1 + rng.gen_range(2_000));
+                                k.release(actor, ROOT_INO).unwrap();
+                            }
                         }
                         _ => {
                             let _ = k.alloc_inos(actor, 1 + rng.gen_range(4));
@@ -125,6 +137,10 @@ fn concurrent_tenant_churn_is_race_clean_and_conserves_pages() {
     assert_eq!(kernel.limbo_page_count(), 0);
     assert!(kernel.quarantined_actors().is_empty());
     assert_eq!(kernel.path_stats().snapshot().events_dropped, 0);
+    // Nobody is registered any more: no page table may hold anything.
+    let audit = kernel.audit_mmu_against_books();
+    assert!(audit.excess.is_empty(), "PTEs beyond the books: {:?}", audit.excess);
+    assert_eq!(audit.missing, 0, "no grant is left to miss a page");
 }
 
 // ---------------------------------------------------------------------

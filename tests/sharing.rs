@@ -447,12 +447,29 @@ fn lease_expiry_vs_concurrent_reacquire_is_race_free() {
 // Cooperative lease recall (DESIGN.md §21).
 // ---------------------------------------------------------------------
 
-/// Runs `holder` and `waiter` as two sim-threads (two processes).
-fn run_pair(seed: u64, holder: impl FnOnce() + Send + 'static, waiter: impl FnOnce() + Send + 'static) {
+/// However the grants changed hands, no page table ends up holding a
+/// permission the books do not give its actor. (The other direction — a
+/// granted page the MMU lacks, DESIGN.md §22's neighbours — costs a fault
+/// and is only reported.)
+fn assert_mmu_within_books(kernel: &KernelController) {
+    let audit = kernel.audit_mmu_against_books();
+    assert!(audit.excess.is_empty(), "PTEs beyond the books: {:?}", audit.excess);
+    println!("granted pages the MMU lacks: {}", audit.missing);
+}
+
+/// Runs `holder` and `waiter` as two sim-threads (two processes), then
+/// audits the page tables they leave behind.
+fn run_pair(
+    kernel: &KernelController,
+    seed: u64,
+    holder: impl FnOnce() + Send + 'static,
+    waiter: impl FnOnce() + Send + 'static,
+) {
     let rt = SimRuntime::new(seed);
     rt.spawn("holder", holder);
     rt.spawn("waiter", waiter);
     rt.run();
+    assert_mmu_within_books(kernel);
 }
 
 /// A holds write grants on `/` and `/d` it is not using; its process is
@@ -464,6 +481,7 @@ fn idle_directory_grant_yields_to_a_reader_in_microseconds() {
     let took = Arc::new(Mutex::new(0u64));
     let took2 = Arc::clone(&took);
     run_pair(
+        &kernel,
         20,
         move || {
             a.mkdir("/d", Mode(0o777)).unwrap();
@@ -503,6 +521,7 @@ fn open_descriptor_pins_a_grant_until_close_or_expiry() {
         let times = Arc::new(Mutex::new([0u64; 4]));
         let (ta, tb, ka) = (Arc::clone(&times), Arc::clone(&times), Arc::clone(&kernel));
         run_pair(
+            &kernel,
             21,
             move || {
                 write_file(&*a, "/f", &vec![0u8; 8192]).unwrap();
@@ -568,6 +587,7 @@ fn holder_that_ignores_the_recall_is_revoked_at_expiry() {
     let lease = Arc::new(Mutex::new(0u64));
     let lease2 = Arc::clone(&lease);
     run_pair(
+        &kernel,
         22,
         move || {
             let h = k1.register_libfs(1000, 1000);
@@ -603,6 +623,7 @@ fn mapper_without_permission_posts_no_recall() {
     let alice = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
     let eve = ArckFs::mount(Arc::clone(&kernel), 2000, 2000, ArckFsConfig::no_delegation());
     run_pair(
+        &kernel,
         23,
         move || {
             write_file(&*alice, "/secret", b"alice only").unwrap(); // Mode 0600.
@@ -634,7 +655,7 @@ fn mapper_without_permission_posts_no_recall() {
 /// `unlink` and `rename` `NotFound`).
 #[test]
 fn dir_ops_survive_a_root_handover_in_mid_script() {
-    let (_, a, b) = world(2);
+    let (kernel, a, b) = world(2);
     let rt = SimRuntime::new(24);
     rt.spawn("t", move || {
         let mut model = std::collections::BTreeSet::new();
@@ -689,6 +710,7 @@ fn dir_ops_survive_a_root_handover_in_mid_script() {
         assert!(names(&b, "/ta/sub").is_empty());
     });
     rt.run();
+    assert_mmu_within_books(&kernel);
 }
 
 /// A recall must not pull a directory from under the holder's *own*
@@ -748,6 +770,7 @@ fn recall_waits_for_the_holders_sibling_threads() {
             }
         });
         rt.run();
+        assert_mmu_within_books(&kernel);
         let events = kernel.take_events();
         assert!(events.is_empty(), "seed {seed}: {events:?}");
         let r = kernel.resilience_stats().snapshot();
@@ -791,6 +814,7 @@ fn idle_holder_revoked_after_an_unlink_is_not_flagged() {
         assert!(matches!(events[..], [E::LeaseRevoked { .. }]), "{events:?}");
     });
     rt.run();
+    assert_mmu_within_books(&kernel);
     assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
 }
 
@@ -917,6 +941,7 @@ fn foreign_reader_in_between_reuses() {
         assert!(matches!(events[..], [E::LeaseRevoked { .. }]), "{events:?}");
     });
     rt.run();
+    assert_mmu_within_books(&kernel);
     assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
 }
 
