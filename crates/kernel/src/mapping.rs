@@ -7,12 +7,17 @@
 //!   data pages, plus (for writers) the parent-directory page holding its
 //!   co-located dirent. Write grants are exclusive and lease-bounded;
 //!   concurrent read grants share.
-//! * A grant ends one way, whatever ended it — `release`, lease expiry, the
-//!   holder's exit, its quarantine: [`FileMeta::end_grant`] takes the holder
-//!   out of the books and hands back a receipt, `KernelController::settle`
-//!   takes the receipt. For a write grant the file — and its parent
-//!   directory, whose dirent page was writable — is marked *dirty by* that
-//!   actor ([`Dirty`]; marks accumulate, they never overwrite one another).
+//! * A grant ends one way, whatever ended it — lease expiry, the holder's
+//!   exit, its quarantine, another mapper: [`FileMeta::end_grant`] takes the
+//!   holder out of the books and hands back a receipt,
+//!   `KernelController::settle` takes the receipt. For a write grant the
+//!   file — and its parent directory, whose dirent page was writable — is
+//!   marked *dirty by* that actor ([`Dirty`]; marks accumulate, they never
+//!   overwrite one another).
+//! * `release` ends the holder's claim, not the grant (DESIGN.md §9 "Lazy
+//!   release"): the lease, the dirt and the dirent page are settled at
+//!   once, the rest of the PTEs stay until another mapper, a verification
+//!   or a migration needs the file and ends the released grant as above.
 //! * The next `map` by anyone but the sole dirty actor triggers the
 //!   integrity verifier on the dirty file. On a pass, the kernel claims the
 //!   file's pages in its provenance books; on a failure it rolls the file's
@@ -91,7 +96,8 @@ pub enum MapTarget {
 /// `KernelController::settle` differ in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum GrantEnd {
-    /// The holder gave it back (Figure 2 step 5; also how a recall ends).
+    /// The holder had given it back (Figure 2 step 5; also how a recall
+    /// ends), and now somebody needs the file.
     Released,
     /// The kernel took it for another mapper: a write lease that ran out,
     /// or a read grant — which has no lease — in the way of a writer.
@@ -192,12 +198,21 @@ impl KernelController {
                     continue;
                 }
             }
-            // Whoever is in the way goes: a writer whose lease is over, and,
-            // for a write grant, every reader.
-            let in_the_way = |h: &ActorId| *h != actor && (write || meta.writer() == Some(*h));
+            // Whoever is in the way goes: a writer whose lease is over, any
+            // grant its holder has released, and, for a write grant, every
+            // reader. The mapper's own released write grant goes too when
+            // it asks only to read: its PTEs would still allow stores.
+            let in_the_way = |h: &ActorId| {
+                if *h == actor {
+                    !write && meta.released_writer() == Some(actor)
+                } else {
+                    write || meta.writer() == Some(*h) || meta.is_released(*h)
+                }
+            };
             for h in meta.holders().into_iter().filter(in_the_way).collect::<Vec<_>>() {
                 if let Some(ended) = reg.files.get_mut(&ino).and_then(|m| m.end_grant(h)) {
-                    self.settle(&mut reg, ended, GrantEnd::Revoked);
+                    let why = if ended.released { GrantEnd::Released } else { GrantEnd::Revoked };
+                    self.settle(&mut reg, ended, why);
                 }
             }
 
@@ -292,14 +307,24 @@ impl KernelController {
         }
     }
 
-    /// Releases `actor`'s mapping of `ino` (Figure 2 step 5). A writer's
-    /// release marks the file (and its parent) dirty pending verification.
+    /// Releases `actor`'s mapping of `ino` (Figure 2 step 5) — lazily
+    /// (DESIGN.md §9): the grant stays in the books, released, with its
+    /// PTEs, until another mapper, a verification or a migration needs the
+    /// file and ends it through `settle`. What must not wait happens here:
+    /// a writer's lease ends, the file and its parent are marked dirty by
+    /// it, the dirent page in the parent leaves the grant, and mappers
+    /// blocked on the lease wake.
     pub fn release(&self, actor: ActorId, ino: Ino) -> FsResult<()> {
         self.trap();
         let mut reg = self.reg_lock(RegistryLockSite::Release);
         let meta = reg.files.get_mut(&ino).ok_or(FsError::NotFound)?;
-        if let Some(ended) = meta.end_grant(actor) {
-            self.settle(&mut reg, ended, GrantEnd::Released);
+        if meta.release(actor) {
+            let (dirent, parent) = (meta.dirent, meta.parent);
+            let fallback = self.mark_write_ended(&mut reg, ino, parent, dirent, actor);
+            if let Some(loc) = dirent {
+                self.page_table(actor).lock().strip([loc.page], fallback);
+            }
+            self.end_lease_wait(&mut reg, ino, actor, true);
         }
         Ok(())
     }
@@ -446,13 +471,14 @@ impl KernelController {
         if !ino_ok {
             return Err(FsError::PermissionDenied);
         }
-        // The dead file's books go with it, and its holders' mappings with
-        // the books. Nothing is left to vet, and the chain's pages are
-        // scrubbed and recycled below: no dirt, no chain walk, no charge.
+        // The dead file's books go with it, and its holders' mappings —
+        // released grants' too — with the books. Nothing is left to vet,
+        // and the chain's pages are scrubbed and recycled below: no dirt,
+        // no chain walk, no charge.
         if let Some(mut meta) = reg.files.remove(&ino) {
             for ended in meta.holders().into_iter().filter_map(|a| meta.end_grant(a)) {
                 self.page_table(ended.actor).lock().sweep(ended.pages.iter().copied());
-                if ended.write {
+                if ended.write && !ended.released {
                     self.end_lease_wait(&mut reg, ino, ended.actor, true);
                 }
             }
@@ -630,18 +656,16 @@ impl KernelController {
     ///    page, if the holder's grant on the *parent* covers it, falls back
     ///    to that grant's permission instead of vanishing under it.
     /// 3. Word: a revocation is an event; mappers blocked on the lease wake.
+    ///
+    /// A released grant (`release`) had 1, the dirent page of 2, and 3 done
+    /// when it was released — its lease ended as a recall honoured — so
+    /// only its PTEs are left to go: no second mark on the parent, no
+    /// event, no recall counted twice.
     pub(crate) fn settle(&self, reg: &mut Registry, ended: EndedGrant, why: GrantEnd) {
-        let EndedGrant { ino, actor, write, pages, dirent, parent } = ended;
-        let mut fallback = None;
-        if write {
-            if let Some(meta) = reg.files.get_mut(&ino) {
-                meta.dirty.mark(actor, true);
-            }
-            if let Some(pmeta) = reg.parent_meta(ino, parent) {
-                pmeta.dirty.mark(actor, false);
-                fallback = dirent.and_then(|loc| Some((loc.page, pmeta.grant_on(actor, loc.page)?)));
-            }
-        }
+        let EndedGrant { ino, actor, write, pages, dirent, parent, released } = ended;
+        let live_write = write && !released;
+        let fallback =
+            if live_write { self.mark_write_ended(reg, ino, parent, dirent, actor) } else { None };
         if why != GrantEnd::Contained {
             let mut unmap: DetHashSet<PageId> = pages.into_iter().collect();
             if write {
@@ -649,13 +673,57 @@ impl KernelController {
             }
             self.page_table(actor).lock().strip(unmap, fallback);
         }
-        if write {
+        if live_write {
             if why == GrantEnd::Revoked {
                 self.push_event(KernelEvent::LeaseRevoked { ino, actor });
             }
             let honoured = matches!(why, GrantEnd::Released | GrantEnd::Exited);
             self.end_lease_wait(reg, ino, actor, honoured);
         }
+    }
+
+    /// `actor`'s write access to `ino` has ended (step 5's dirt): the file
+    /// and its parent are marked dirty by it. Returns what the dirent page
+    /// falls back to — the permission of the actor's grant on the parent,
+    /// if that covers the page.
+    fn mark_write_ended(
+        &self,
+        reg: &mut Registry,
+        ino: Ino,
+        parent: Ino,
+        dirent: Option<DirentLoc>,
+        actor: ActorId,
+    ) -> Option<(PageId, PagePerm)> {
+        if let Some(meta) = reg.files.get_mut(&ino) {
+            meta.dirty.mark(actor, true);
+        }
+        let pmeta = reg.parent_meta(ino, parent)?;
+        pmeta.dirty.mark(actor, false);
+        let loc = dirent?;
+        Some((loc.page, pmeta.grant_on(actor, loc.page)?))
+    }
+
+    /// Ends the grants on `ino` that those of `holders` have released.
+    pub(crate) fn end_released(
+        &self,
+        reg: &mut Registry,
+        ino: Ino,
+        holders: impl IntoIterator<Item = ActorId>,
+    ) {
+        for h in holders {
+            let meta = reg.files.get_mut(&ino).filter(|m| m.is_released(h));
+            if let Some(ended) = meta.and_then(|m| m.end_grant(h)) {
+                self.settle(reg, ended, GrantEnd::Released);
+            }
+        }
+    }
+
+    /// Ends `ino`'s released write grant, if it has one: no verification or
+    /// rollback runs while a released writer still holds write PTEs on the
+    /// file's chain.
+    fn end_released_writer(&self, reg: &mut Registry, ino: Ino) {
+        let writer = reg.files.get(&ino).and_then(FileMeta::released_writer);
+        self.end_released(reg, ino, writer);
     }
 
     /// Ends every grant `actor` holds, in ino order (it is leaving, or
@@ -695,6 +763,7 @@ impl KernelController {
     /// failure: logs, rolls back to the checkpoint, clears dirtiness.
     /// Returns whether the original state passed.
     pub(crate) fn verify_file_locked(&self, reg: &mut Registry, ino: Ino) -> bool {
+        self.end_released_writer(reg, ino);
         let _timed = self.time_phase(|p| &p.verify_ns);
         // Pin the reclamation epoch for the whole verification: pages the
         // walk observes may sit in the GC limbo list (freed but not yet
@@ -790,6 +859,9 @@ impl KernelController {
     /// Restores `ino` to its checkpoint (paper §4.3 "Fixing metadata
     /// corruption"), reconciling vanished pages by trimming.
     fn rollback_locked(&self, reg: &mut Registry, ino: Ino) {
+        // Nor a rollback: the cascade below rolls children back without
+        // verifying them first.
+        self.end_released_writer(reg, ino);
         let Some(meta) = reg.files.get_mut(&ino) else {
             return;
         };
@@ -807,7 +879,10 @@ impl KernelController {
         let Some(ck) = ck else {
             // Never checkpointed: the file was created raw by the dirty
             // actor and is corrupt — delete it outright (its pages stay
-            // with the creator's pool).
+            // with the creator's pool). Grants released on it end first,
+            // the one way released grants end.
+            let holders = reg.files.get(&ino).map(FileMeta::holders).unwrap_or_default();
+            self.end_released(reg, ino, holders);
             if let Some(loc) = dirent {
                 let _ = DirentRef::new(self.kernel_handle(), loc).clear();
             }

@@ -16,6 +16,18 @@
 //! [`cost::MMU_PROGRAM_PAGE_NS`] is calibrated from the paper's end-to-end
 //! Figure 8 and already contains the mm's own locking.
 //!
+//! `program` and `strip` write the PTEs that differ from what they are
+//! asked for, and charge [`cost::MMU_PROGRAM_PAGE_NS`] for those alone: a
+//! PTE that already holds the permission is not rewritten and needs no TLB
+//! work, so a re-map after the holder's own release (whose grant kept its
+//! PTEs, DESIGN.md §9 "Lazy release") pays for the dirent page only. The
+//! comparison reads the actor's table, not the books: the two can
+//! disagree — a page the books grant and the table lacks is DESIGN.md
+//! §22's `missing`, and the table can hold a pool page the books call a
+//! file's — and trusting the books would skip the very PTE whose absence
+//! made the holder fault `Stale` and re-map, so that re-map would fault
+//! again, forever.
+//!
 //! `NvmDevice::reset_page`, which wipes a frame's protections for *every*
 //! actor, is not here: it belongs to the allocator and `reclaim_one`, who
 //! call it on frames that are in nobody's grant any more, so there is no
@@ -100,24 +112,34 @@ impl PageTableGuard<'_> {
         }
     }
 
+    /// What the actor's table holds for `page` now.
+    fn held(&self, page: PageId) -> Option<PagePerm> {
+        self.dev().mmu_perm(self.actor, page).ok().flatten()
+    }
+
     /// Figure 2 steps 2 and 9, and `commit`'s re-grant: writes the PTEs of
-    /// a grant the books already hold. The caller has checked every frame
-    /// against the device range ([`KernelController::grant_frames`]), which
-    /// is all `mmu_map` can fail on — so no grant is ever half programmed.
+    /// a grant the books already hold — those that differ. The caller has
+    /// checked every frame against the device range
+    /// ([`KernelController::grant_frames`]), which is all `mmu_map` can fail
+    /// on — so no grant is ever half programmed.
     ///
     /// The PTEs land at the *end* of the time they are charged for: the
     /// grantee cannot use the mapping before `map` returns either way, and
     /// it is the order in which an unmap that did not wait for this lock
     /// would be lost — so the tests can see the lock missing.
     pub(crate) fn program(&self, pages: &[PageId], perm: PagePerm) {
-        self.charge(pages.len(), |p| &p.map_ns);
-        for p in pages {
-            let _ = self.dev().mmu_map(self.actor, *p, perm);
+        let writes: Vec<PageId> =
+            pages.iter().copied().filter(|p| self.held(*p) != Some(perm)).collect();
+        self.charge(writes.len(), |p| &p.map_ns);
+        for p in writes {
+            let _ = self.dev().mmu_map(self.actor, p, perm);
         }
     }
 
-    /// A grant's end (`settle`): its PTEs go — except `keep`'s page, which
-    /// falls back to that permission (another grant of the actor covers it).
+    /// A grant's end (`settle`), or a released writer's dirent page
+    /// (`release`): the PTEs go — except `keep`'s page, which falls back to
+    /// that permission (another grant of the actor covers it). Writes, and
+    /// charges, only the PTEs that differ.
     pub(crate) fn strip(
         &self,
         pages: impl IntoIterator<Item = PageId>,
@@ -125,10 +147,14 @@ impl PageTableGuard<'_> {
     ) {
         let mut n = 0;
         for p in pages {
+            let want = keep.filter(|(page, _)| *page == p).map(|(_, perm)| perm);
+            if self.held(p) == want {
+                continue;
+            }
             n += 1;
-            let _ = match keep {
-                Some((page, perm)) if page == p => self.dev().mmu_map(self.actor, p, perm),
-                _ => self.dev().mmu_unmap(self.actor, p).map(drop),
+            let _ = match want {
+                Some(perm) => self.dev().mmu_map(self.actor, p, perm),
+                None => self.dev().mmu_unmap(self.actor, p).map(drop),
             };
         }
         self.charge(n, |p| &p.unmap_ns);
@@ -188,13 +214,15 @@ impl KernelController {
 #[derive(Debug, Default)]
 pub struct MmuAudit {
     /// PTEs beyond the books: the actor can touch the page and nothing —
-    /// no live grant of its, no pool page, not the superblock window —
-    /// says it may (or it can write where the books say read). The
+    /// no grant of its in the books (a released one counts, at the
+    /// permission its PTEs were given), no pool page, not the superblock
+    /// window — says it may (or it can write where the books say read). The
     /// security direction: must be empty.
     pub excess: Vec<(ActorId, PageId, PagePerm)>,
-    /// Pages a live file grant covers and the actor's page table lacks (or
-    /// holds read-only under a write grant). Costs a `Stale` fault and a
-    /// re-map, never correctness: DESIGN.md §22's three neighbours.
+    /// Pages a live (unreleased) file grant covers and the actor's page
+    /// table lacks (or holds read-only under a write grant). Costs a
+    /// `Stale` fault and a re-map, never correctness: DESIGN.md §22's
+    /// neighbours.
     pub missing: usize,
 }
 
@@ -209,26 +237,32 @@ fn rank(perm: Option<PagePerm>) -> u8 {
 
 impl KernelController {
     /// Test hook: compares every PTE on the device with what the books
-    /// give its actor — the most any live grant of the actor's allows on
-    /// the page, write on its pool pages (`AllocatedTo`), read on the
-    /// superblock window while it is registered. Call it on a quiescent
+    /// give its actor — the most any grant of the actor's in the books
+    /// allows on the page, write on its pool pages (`AllocatedTo`), read on
+    /// the superblock window while it is registered. Call it on a quiescent
     /// kernel: a grant between the books and its programming reads as
     /// `missing`.
     pub fn audit_mmu_against_books(&self) -> MmuAudit {
         let reg = self.reg_lock(trio_nvm::RegistryLockSite::Admin);
-        let mut granted: DetHashMap<(ActorId, PageId), PagePerm> = DetHashMap::default();
-        for (actor, perm, pages) in reg.files.values().flat_map(|m| m.grants()) {
+        // (actor, page) → (most any grant allows, most a live grant allows).
+        let mut granted: DetHashMap<(ActorId, PageId), (PagePerm, Option<PagePerm>)> =
+            DetHashMap::default();
+        for (actor, perm, pages, released) in reg.files.values().flat_map(|m| m.grants()) {
+            let live = (!released).then_some(perm);
             for p in pages {
-                let slot = granted.entry((actor, *p)).or_insert(perm);
-                if rank(Some(perm)) > rank(Some(*slot)) {
-                    *slot = perm;
+                let slot = granted.entry((actor, *p)).or_insert((perm, live));
+                if rank(Some(perm)) > rank(Some(slot.0)) {
+                    slot.0 = perm;
+                }
+                if rank(live) > rank(slot.1) {
+                    slot.1 = live;
                 }
             }
         }
         let held = |actor, page| self.device().mmu_perm(actor, page).ok().flatten();
         let missing = granted
             .iter()
-            .filter(|((actor, page), perm)| rank(held(*actor, *page)) < rank(Some(**perm)))
+            .filter(|((actor, page), (_, live))| rank(held(*actor, *page)) < rank(*live))
             .count();
         let window = superblock_window(self.device());
         let allowed = |actor: ActorId, page: PageId| {
@@ -236,7 +270,7 @@ impl KernelController {
                 return Some(PagePerm::Write);
             }
             let windowed = window.contains(&page) && reg.actors.contains_key(&actor);
-            granted.get(&(actor, page)).copied().or(windowed.then_some(PagePerm::Read))
+            granted.get(&(actor, page)).map(|(any, _)| *any).or(windowed.then_some(PagePerm::Read))
         };
         let excess = self
             .device()

@@ -173,6 +173,10 @@ pub struct EndedGrant {
     pub dirent: Option<DirentLoc>,
     /// The directory that page belongs to.
     pub parent: Ino,
+    /// Whether its holder had released it ([`FileMeta::release`]): its
+    /// dirt, dirent page and lease waiters were settled then, and only the
+    /// PTEs are left.
+    pub released: bool,
 }
 
 /// Per-file kernel metadata.
@@ -192,10 +196,16 @@ pub struct FileMeta {
     // leaves them through `end_grant`, whose receipt the compiler will not
     // let the caller drop.
     /// Pages the MMU currently exposes to each grant holder (includes the
-    /// dirent page for the writer).
+    /// dirent page for a live writer).
     mapped_pages: DetHashMap<ActorId, Vec<PageId>>,
-    /// The holder of the write grant, if any; everyone else reads.
+    /// The holder of the write grant, if any, live or released; everyone
+    /// else reads.
     writer: Option<ActorId>,
+    /// Holders that have released their grant (DESIGN.md §9 "Lazy
+    /// release"): the PTEs stay until somebody else needs the file, and
+    /// the grant confers nothing — no lease, no authority, no mapping the
+    /// verifier must respect.
+    released: DetHashSet<ActorId>,
     /// Virtual deadline of the current write lease.
     lease_until: Nanos,
     /// Unvetted writes: set when a writer released (or was revoked) and no
@@ -231,6 +241,7 @@ impl FileMeta {
             shadow,
             mapped_pages: DetHashMap::default(),
             writer: None,
+            released: DetHashSet::default(),
             lease_until: 0,
             dirty: Dirty::Clean,
             grant_seq: 0,
@@ -240,14 +251,27 @@ impl FileMeta {
         }
     }
 
-    /// Whether anyone maps the file.
+    /// Whether anyone holds a grant it has not released.
     pub fn is_mapped(&self) -> bool {
-        !self.mapped_pages.is_empty()
+        self.mapped_pages.keys().any(|a| !self.released.contains(a))
     }
 
-    /// The holder of the write grant.
+    /// The holder of the live write grant: the one with authority over the
+    /// file's core state (`commit`, `update_root`, returning `InFile`
+    /// pages, reclaiming children).
     pub fn writer(&self) -> Option<ActorId> {
-        self.writer
+        self.writer.filter(|w| !self.released.contains(w))
+    }
+
+    /// The holder of a released write grant, whose write PTEs on the
+    /// file's chain are still in place.
+    pub fn released_writer(&self) -> Option<ActorId> {
+        self.writer.filter(|w| self.released.contains(w))
+    }
+
+    /// Whether `actor` holds a grant it has released.
+    pub fn is_released(&self, actor: ActorId) -> bool {
+        self.released.contains(&actor)
     }
 
     /// When the write lease runs out (meaningful while there is a writer).
@@ -255,7 +279,7 @@ impl FileMeta {
         self.lease_until
     }
 
-    /// Everyone holding a grant, in actor order.
+    /// Everyone holding a grant, released or not, in actor order.
     pub fn holders(&self) -> Vec<ActorId> {
         let mut v: Vec<ActorId> = self.mapped_pages.keys().copied().collect();
         v.sort_unstable();
@@ -267,14 +291,14 @@ impl FileMeta {
         self.mapped_pages.contains_key(&actor)
     }
 
-    /// What `actor`'s grant on this file lets it do with `page`, if it
-    /// covers the page at all.
+    /// The permission `actor`'s PTEs carry on `page` under its grant on
+    /// this file (released or not), if the grant covers the page at all.
     pub fn grant_on(&self, actor: ActorId, page: PageId) -> Option<PagePerm> {
         let covers = self.mapped_pages.get(&actor)?.contains(&page);
         covers.then_some(self.perm_held(actor))
     }
 
-    /// What a grant of `actor`'s on this file lets it do.
+    /// The permission a grant of `actor`'s on this file programmed.
     fn perm_held(&self, actor: ActorId) -> PagePerm {
         if self.writer == Some(actor) {
             PagePerm::Write
@@ -283,9 +307,12 @@ impl FileMeta {
         }
     }
 
-    /// Every grant in the books: holder, permission, pages.
-    pub fn grants(&self) -> impl Iterator<Item = (ActorId, PagePerm, &[PageId])> {
-        self.mapped_pages.iter().map(|(a, pages)| (*a, self.perm_held(*a), pages.as_slice()))
+    /// Every grant in the books: holder, the permission its PTEs carry,
+    /// pages, and whether the holder has released it.
+    pub fn grants(&self) -> impl Iterator<Item = (ActorId, PagePerm, &[PageId], bool)> {
+        self.mapped_pages.iter().map(|(a, pages)| {
+            (*a, self.perm_held(*a), pages.as_slice(), self.released.contains(a))
+        })
     }
 
     /// Whether any grant exposes `page`.
@@ -294,25 +321,57 @@ impl FileMeta {
     }
 
     /// Enters `actor` in the books (replacing a grant it already holds: a
-    /// re-map or an upgrade). The caller has programmed `pages`.
+    /// re-map, an upgrade, or taking back one it released). The caller
+    /// programs `pages` next.
     pub fn grant(&mut self, actor: ActorId, write: bool, pages: Vec<PageId>, lease_until: Nanos) {
         self.mapped_pages.insert(actor, pages);
+        self.released.remove(&actor);
         if write {
             self.writer = Some(actor);
             self.lease_until = lease_until;
         }
     }
 
+    /// Ends `actor`'s claim on its grant, not the grant: it stays in the
+    /// books, released, with its PTEs, until the kernel ends it through
+    /// [`FileMeta::end_grant`]. For a live *write* grant the lease ends here
+    /// and the dirent page leaves the grant; `true` tells the caller to do
+    /// the rest of what cannot wait — dirt, the dirent page's PTE, the
+    /// lease's waiters.
+    #[must_use = "a released write grant leaves dirt, a dirent page and waiters to settle"]
+    pub fn release(&mut self, actor: ActorId) -> bool {
+        if !self.mapped_pages.contains_key(&actor) || !self.released.insert(actor) {
+            return false;
+        }
+        if self.writer != Some(actor) {
+            return false;
+        }
+        self.lease_until = 0;
+        if let (Some(loc), Some(pages)) = (self.dirent, self.mapped_pages.get_mut(&actor)) {
+            pages.retain(|p| *p != loc.page);
+        }
+        true
+    }
+
     /// Takes `actor` out of the books — the only way out. `None` if it held
     /// nothing.
     pub fn end_grant(&mut self, actor: ActorId) -> Option<EndedGrant> {
         let pages = self.mapped_pages.remove(&actor)?;
+        let released = self.released.remove(&actor);
         let write = self.writer == Some(actor);
         if write {
             self.writer = None;
             self.lease_until = 0;
         }
-        Some(EndedGrant { ino: self.ino, actor, write, pages, dirent: self.dirent, parent: self.parent })
+        Some(EndedGrant {
+            ino: self.ino,
+            actor,
+            write,
+            pages,
+            dirent: self.dirent,
+            parent: self.parent,
+            released,
+        })
     }
 
     /// The file's core state is about to be exposed to writes `holder`
@@ -496,7 +555,7 @@ impl Registry {
     }
 
     /// Whether `ino` is dirty and can be verified now. A file somebody
-    /// holds for write cannot: its core state is in motion, and the holder's
+    /// holds a live write grant on cannot: its core state is in motion, and the holder's
     /// own fresh pages and inos would be charged to whoever the mark names.
     /// The mark stays; whoever maps the file after that grant verifies it.
     pub fn vettable(&self, ino: Ino) -> bool {
@@ -582,6 +641,31 @@ mod tests {
         assert!(root.end_grant(b).is_none(), "nothing left to end");
         let ended = root.end_grant(a).unwrap();
         assert!(!ended.write && !root.is_mapped());
+    }
+
+    #[test]
+    fn a_released_grant_stays_in_the_books_and_confers_nothing() {
+        let (a, b) = (ActorId(1), ActorId(2));
+        let loc = DirentLoc { page: PageId(9), slot: 3 };
+        let shadow = ShadowAttr { mode: trio_fsapi::Mode::RW, uid: 0, gid: 0 };
+        let mut f = FileMeta::new(7, CoreFileType::Regular, Some(loc), ROOT_INO, shadow);
+        f.grant(a, true, vec![PageId(5), PageId(9)], 900);
+        f.grant(b, false, vec![PageId(5)], 0);
+        assert!(!f.release(b), "a read grant has nothing that cannot wait");
+        assert!(f.release(a), "a live write grant does");
+        assert!(!f.release(a), "once");
+        // Still in the books, at the permission its PTEs carry — without
+        // the dirent page, without a lease, without authority.
+        assert_eq!(f.holders(), [a, b]);
+        assert_eq!((f.writer(), f.released_writer(), f.lease_until()), (None, Some(a), 0));
+        assert_eq!(f.grant_on(a, PageId(5)), Some(PagePerm::Write));
+        assert_eq!(f.grant_on(a, PageId(9)), None);
+        assert!(!f.is_mapped() && f.maps_page(PageId(5)));
+        let ended = f.end_grant(a).unwrap();
+        assert!(ended.write && ended.released && ended.pages == [PageId(5)]);
+        // Taking a released grant back makes it live again.
+        f.grant(b, false, vec![PageId(5)], 0);
+        assert!(f.is_mapped() && !f.is_released(b));
     }
 
     #[test]

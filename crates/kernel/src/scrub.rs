@@ -563,6 +563,7 @@ impl KernelController {
     /// caches page locations in its auxiliary state, so migrating under a
     /// live mapping would strand the client on the dead frame; mapped
     /// pages stay pending and are diverted on their next free/release.
+    /// Released grants are ended first: their holders re-map anyway.
     fn try_migrate_file_page(&self, old: PageId, rep: &mut ScrubReport) -> bool {
         if self.dev.page_has_poison(old) {
             return false; // Lines are lost; there is nothing good to move.
@@ -577,6 +578,13 @@ impl KernelController {
         if meta.ftype != CoreFileType::Regular {
             return false; // Directory pages are checkpoint-covered; divert on free.
         }
+        // A released grant is nobody's live mapping: it goes, as it would
+        // for any other mapper.
+        let holders = meta.holders();
+        self.end_released(&mut reg, ino, holders);
+        let Some(meta) = reg.files.get(&ino) else {
+            return false;
+        };
         if meta.maps_page(old) {
             return false; // Live mapping: the owner's cached location must stay valid.
         }

@@ -972,3 +972,286 @@ fn frame_outside_the_device_fails_the_map_and_leaves_no_grant() {
         assert!(audit.excess.is_empty() && audit.missing == 0, "{audit:?}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Lazy release (DESIGN.md §9): `release` ends the holder's claim, not the
+// grant. The PTEs stay until somebody else needs the file.
+// ---------------------------------------------------------------------
+
+/// A kernel whose device has the vector-clock race detector attached.
+fn raced_kernel(config: KernelConfig) -> Arc<KernelController> {
+    let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
+    assert!(dev.set_race_detector(Arc::new(RaceDetector::new())));
+    KernelController::format(dev, config)
+}
+
+/// Runs `body` as the one thread of a race-detected simulation.
+fn raced_run(seed: u64, body: impl FnOnce() + Send + 'static) {
+    let rt = SimRuntime::new(seed);
+    rt.enable_race_detection();
+    rt.spawn("main", body);
+    rt.run();
+}
+
+/// No page table holds a permission the books do not give its actor.
+fn assert_no_excess(k: &KernelController) {
+    let audit = k.audit_mmu_against_books();
+    assert!(audit.excess.is_empty(), "PTEs beyond the books: {:?}", audit.excess);
+}
+
+/// `a` builds `f` in an empty root and a second actor vets the root, then
+/// gives it back: returns `f`'s ino, its map target, and the root's two
+/// pages (`InFile`, the second holding `f`'s dirent).
+fn vetted_root_with_f(
+    k: &KernelController,
+    a: &LibFsRegistration,
+) -> (u64, MapTarget, [PageId; 2]) {
+    k.map(a.actor, MapTarget::Root, true).unwrap();
+    let ino = k.alloc_inos(a.actor, 1).unwrap()[0];
+    let (ipage, dpage, loc) = create_in_empty_root(k, a, b"f", ino, CoreFileType::Regular);
+    k.release(a.actor, ROOT_INO).unwrap();
+    let v = k.register_libfs(100, 100);
+    k.map(v.actor, MapTarget::Root, false).unwrap();
+    k.release(v.actor, ROOT_INO).unwrap();
+    assert!(k.take_events().is_empty(), "the root verifies clean");
+    (ino, MapTarget::Dirent { parent: ROOT_INO, loc }, [ipage, dpage])
+}
+
+/// Write-map a nine-page grant (`/d`: an index page and seven data pages,
+/// plus its dirent page in the root), release it, write-map it again: the
+/// PTEs that are already right are neither written nor paid for. The
+/// hand-over to another actor still pays for all nine — one at the
+/// release, eight at the foreign map.
+#[test]
+fn remap_after_release_pays_only_for_the_ptes_that_change() {
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    raced_run(1, move || {
+        let k = &*k2;
+        let pte = cost::MMU_PROGRAM_PAGE_NS;
+        let a = k.register_libfs(100, 100);
+        k.map(a.actor, MapTarget::Root, true).unwrap();
+        let ino = k.alloc_inos(a.actor, 1).unwrap()[0];
+        let pages = k.alloc_pages(a.actor, 10, None).unwrap();
+        let dir = CoreFileType::Directory;
+        let (_, dpage, loc) = create_in_empty_root_on(k, &a, (pages[0], pages[1]), b"d", ino, dir);
+        let index = IndexPageRef::new(&a.handle, pages[2]);
+        for (i, p) in pages[3..].iter().enumerate() {
+            index.set_entry(i, p.0).unwrap();
+        }
+        DirentRef::new(&a.handle, loc).set_first_index(pages[2].0).unwrap();
+        k.release(a.actor, ROOT_INO).unwrap();
+        // V vets the root and `/d` (which sweeps A's pool PTEs off them)
+        // and leaves: nobody has a PTE on the nine pages.
+        let d = MapTarget::Dirent { parent: ROOT_INO, loc };
+        let v = k.register_libfs(100, 100);
+        k.map(v.actor, MapTarget::Root, false).unwrap();
+        assert_eq!(k.map(v.actor, d, false).unwrap().pages.all_pages().count(), 8);
+        k.unregister(v.actor);
+        assert!(k.take_events().is_empty(), "`/d` verifies clean");
+        let b = k.register_libfs(100, 100);
+        let chain = &pages[2..];
+        let perm = |actor, p| k.device().mmu_perm(actor, p).unwrap();
+        let _ = k.take_phase_stats();
+        let step = || {
+            let p = k.take_phase_stats();
+            (p.map_ns / pte, p.unmap_ns / pte)
+        };
+
+        k.map(a.actor, d, true).unwrap();
+        assert_eq!(step(), (9, 0), "first map: every PTE");
+        k.release(a.actor, ino).unwrap();
+        assert_eq!(step(), (0, 1), "release: the dirent page alone");
+        assert!(chain.iter().all(|p| perm(a.actor, *p) == Some(PagePerm::Write)));
+        assert_eq!(perm(a.actor, dpage), None);
+        k.map(a.actor, d, true).unwrap();
+        assert_eq!(step(), (1, 0), "own re-map: the dirent page alone");
+
+        k.release(a.actor, ino).unwrap();
+        assert_eq!(step(), (0, 1));
+        k.map(b.actor, d, true).unwrap();
+        assert_eq!(step(), (9, 8), "the foreign writer unmaps the released grant");
+        assert!(chain.iter().chain([&dpage]).all(|p| perm(a.actor, *p).is_none()));
+        assert_no_excess(k);
+    });
+}
+
+/// A released grant confers nothing: its holder may not commit, update
+/// the root, hand back `InFile` pages or reclaim with the parent writer's
+/// full authority — and to anyone else the parent is as good as unheld.
+#[test]
+fn released_writer_has_no_authority() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(2, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        let (f, f_target, [ipage, _]) = vetted_root_with_f(k, &a);
+        k.map(a.actor, f_target, true).unwrap();
+        k.release(a.actor, f).unwrap();
+        assert_eq!(k.commit(a.actor, f), Err(FsError::PermissionDenied));
+
+        k.map(a.actor, MapTarget::Root, true).unwrap();
+        k.release(a.actor, ROOT_INO).unwrap();
+        assert_eq!(k.writer_of(ROOT_INO), None);
+        assert_eq!(k.update_root(a.actor, None, Some(1), None), Err(FsError::PermissionDenied));
+        let denied = Err(FsError::PermissionDenied);
+        assert_eq!(k.return_file_pages(a.actor, ROOT_INO, &[ipage]), denied);
+        // Reclaiming under the root: A's live child is not A's to take…
+        assert_eq!(k.reclaim_file(a.actor, ROOT_INO, f, 0), Err(FsError::PermissionDenied));
+        // …while B gets the unheld parent's tier: its own unlinked ino, yes;
+        // somebody's live child, no.
+        let b = k.register_libfs(100, 100);
+        let own = k.alloc_inos(b.actor, 2).unwrap();
+        assert_eq!(k.reclaim_file(b.actor, ROOT_INO, own[0], 0), Ok(vec![]));
+        assert_eq!(k.reclaim_file(b.actor, ROOT_INO, f, 0), Err(FsError::PermissionDenied));
+
+        // Under A's live grant the parent is A's alone again.
+        k.map(a.actor, MapTarget::Root, true).unwrap();
+        assert_eq!(k.reclaim_file(b.actor, ROOT_INO, own[1], 0), Err(FsError::PermissionDenied));
+        k.update_root(a.actor, None, Some(1), None).unwrap();
+        assert_no_excess(k);
+    });
+}
+
+/// `unregister` vets what the departing actor dirtied — here the root,
+/// whose released writer W still has write PTEs on it. The verdict runs
+/// only after W's grant is ended, and W's next store faults.
+#[test]
+fn eager_vetting_ends_a_released_writer_first() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(3, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        let (_, f_target, [ipage, dpage]) = vetted_root_with_f(k, &a);
+        k.map(a.actor, f_target, true).unwrap();
+        let w = k.register_libfs(100, 100);
+        k.map(w.actor, MapTarget::Root, true).unwrap();
+        k.release(w.actor, ROOT_INO).unwrap();
+        assert_eq!(k.device().mmu_perm(w.actor, ipage).unwrap(), Some(PagePerm::Write));
+
+        // A leaves: its write grant on `f` ends, the root (already dirty by
+        // W) is marked by A too, and the exit vets it — after ending W's
+        // grant, whose two PTEs it pays for (a pass would only sweep them,
+        // once the walk was over), beside A's one on `f`'s dirent page.
+        let _ = k.take_phase_stats();
+        k.unregister(a.actor);
+        assert_eq!(k.take_phase_stats().unmap_ns, 3 * cost::MMU_PROGRAM_PAGE_NS);
+        assert!(k.take_events().is_empty(), "nobody wrote anything wrong");
+        for p in [ipage, dpage] {
+            assert!(w.handle.write_untimed(p, 8 * 64, b"too late").is_err(), "{p:?}");
+        }
+        assert_no_excess(k);
+    });
+}
+
+/// The repair pass re-verifies what a quarantined actor tainted — here the
+/// root, on which W holds a released write grant. It ends W's grant before
+/// the verdict; W's next store faults.
+#[test]
+fn repair_pass_ends_a_released_writer_first() {
+    let k = raced_kernel(KernelConfig { auto_repair: false, ..KernelConfig::default() });
+    let k2 = Arc::clone(&k);
+    raced_run(4, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        let (f, f_target, [ipage, dpage]) = vetted_root_with_f(k, &a);
+        let v = k.register_libfs(100, 100);
+        k.map(v.actor, f_target, false).unwrap(); // Vets and checkpoints `f`.
+        k.release(v.actor, f).unwrap();
+        k.map(a.actor, f_target, true).unwrap();
+        let w = k.register_libfs(100, 100);
+        k.map(w.actor, MapTarget::Root, true).unwrap();
+        k.release(w.actor, ROOT_INO).unwrap();
+
+        // A corrupts `f` and commits it: rolled back, A quarantined with
+        // the root (dirty by W, and by A through `f`'s dirent) tainted.
+        let MapTarget::Dirent { loc, .. } = f_target else { unreachable!() };
+        DirentRef::new(&a.handle, loc).set_first_index(u64::MAX / 2).unwrap();
+        assert_eq!(k.commit(a.actor, f), Err(FsError::Corrupted));
+        assert_eq!(k.quarantined_actors(), [a.actor]);
+        assert_eq!(k.device().mmu_perm(w.actor, dpage).unwrap(), Some(PagePerm::Write));
+
+        let _ = k.take_phase_stats();
+        assert_eq!(k.repair_quarantined(), 1);
+        // W's two PTEs, unmapped before the root's verdict.
+        assert_eq!(k.take_phase_stats().unmap_ns, 2 * cost::MMU_PROGRAM_PAGE_NS);
+        let events = k.take_events();
+        assert!(events.contains(&KernelEvent::Readmitted { actor: a.actor }), "{events:?}");
+        let root_flagged = |e: &KernelEvent| {
+            matches!(e, KernelEvent::CorruptionDetected { ino, .. } if *ino == ROOT_INO)
+        };
+        assert!(!events.iter().any(root_flagged), "the root verifies clean: {events:?}");
+        for p in [ipage, dpage] {
+            assert!(w.handle.write_untimed(p, 8 * 64, b"too late").is_err(), "{p:?}");
+        }
+        assert_no_excess(k);
+    });
+}
+
+/// A yield is one recall honoured, counted at the release; the waiter's
+/// map then ends the released grant with no `LeaseRevoked` and no second
+/// count.
+#[test]
+fn a_yield_is_one_honoured_recall_and_no_revocation() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(5, move || {
+        let k = Arc::clone(&k2);
+        let a = k.register_libfs(100, 100);
+        let (f, f_target, [_, dpage]) = vetted_root_with_f(&k, &a);
+        k.map(a.actor, f_target, true).unwrap();
+        let b = k.register_libfs(100, 100);
+        let kb = Arc::clone(&k);
+        let waiter = trio_sim::spawn("b", move || {
+            let t0 = now();
+            kb.map(b.actor, f_target, false).unwrap();
+            assert!(now() - t0 < MILLIS, "woken by the release, not the lease");
+        });
+        work(10_000);
+        k.release(a.actor, f).unwrap();
+        waiter.join();
+        let r = k.resilience_stats().snapshot();
+        assert_eq!((r.recalls_posted, r.recalls_honoured, r.recalls_expired), (1, 1, 0));
+        let events = k.take_events();
+        let revoked = events.iter().any(|e| matches!(e, KernelEvent::LeaseRevoked { .. }));
+        assert!(!revoked, "{events:?}");
+        assert_eq!(k.device().mmu_perm(a.actor, dpage).unwrap(), None);
+        assert_no_excess(&k);
+    });
+}
+
+/// Ending a released grant does not mark the parent again: the dirent page
+/// left the grant, and the parent its dirt, at the release. Here the root
+/// is vetted in between and then written by W; B's map of `f`, which ends
+/// A's released grant on it, must not find the root dirty and verify it
+/// under W's live grant (which would catch W's ghost early).
+#[test]
+fn ending_a_released_grant_does_not_mark_the_parent_again() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(6, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        let (f, f_target, [_, dpage]) = vetted_root_with_f(k, &a);
+        k.map(a.actor, f_target, true).unwrap();
+        k.release(a.actor, f).unwrap();
+        let w = k.register_libfs(100, 100);
+        k.map(w.actor, MapTarget::Root, true).unwrap(); // Vets A's mark.
+        assert!(k.take_events().is_empty());
+        let ghost = DirentRef::new(&w.handle, DirentLoc { page: dpage, slot: 2 });
+        let g = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 100, 100);
+        ghost.publish(987_654_321, &ghost.prepare(&g).unwrap()).unwrap();
+
+        let b = k.register_libfs(100, 100);
+        k.map(b.actor, f_target, false).unwrap();
+        assert!(k.take_events().is_empty(), "the root was verified once, before W wrote");
+        // The ghost was there to be caught, by whoever maps the root next.
+        k.release(w.actor, ROOT_INO).unwrap();
+        k.map(b.actor, MapTarget::Root, false).unwrap();
+        let events = k.take_events();
+        assert!(events.contains(&KernelEvent::RolledBack { ino: ROOT_INO }), "{events:?}");
+        assert_no_excess(k);
+    });
+}

@@ -409,6 +409,47 @@ fn flaky_file_data_page_is_migrated_then_retired() {
     rt.run();
 }
 
+/// A grant its holder has released is nobody's live mapping (lazy release,
+/// DESIGN.md §9): the patrol ends a reader's released grant on the flaky
+/// page's file and migrates the page; the reader's next read re-maps and
+/// gets the fresh frame.
+#[test]
+fn migration_goes_ahead_under_a_released_read_grant() {
+    let (dev, kernel, fs) = world(ArckFsConfig::no_delegation());
+    let reader = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
+    let rt = SimRuntime::new(0x59);
+    rt.spawn("main", move || {
+        write_file(&*fs, "/m", &vec![0x3Eu8; 2 * PAGE_SIZE]).unwrap();
+        fs.release_path("/m").unwrap();
+        assert_eq!(read_file(&*reader, "/m").unwrap().len(), 2 * PAGE_SIZE);
+        let (_, _, pages) = fs.debug_file_pages("/m").unwrap();
+        let victim = pages[1].unwrap();
+        let fd = fs.open("/m", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        for _ in 0..3 {
+            dev.poison_line(victim, 2);
+            kernel.scrub_pass(PAGES as usize);
+            assert_eq!(fs.pwrite(fd, PAGE_SIZE as u64 + 2 * 64, &[0x3E; 64]).unwrap(), 64);
+        }
+        fs.close(fd).unwrap();
+        fs.release_path("/m").unwrap();
+        // The reader's map vets the writer's work and ends its released
+        // grant; then the reader lets go, and keeps its read PTEs.
+        assert_eq!(read_file(&*reader, "/m").unwrap().len(), 2 * PAGE_SIZE);
+        reader.release_path("/m").unwrap();
+        let held = || dev.mmu_perm(reader.actor(), victim).unwrap();
+        assert_eq!(held(), Some(trio_nvm::PagePerm::Read));
+        let rep = kernel.scrub_pass(PAGES as usize);
+        assert!(rep.migrated >= 1, "migration refused under a released grant: {rep:?}");
+        assert_eq!(held(), None, "the released grant ended first");
+        let buf = read_file(&*reader, "/m").unwrap();
+        assert!(buf.len() == 2 * PAGE_SIZE && buf.iter().all(|&b| b == 0x3E));
+        assert_ne!(reader.debug_file_pages("/m").unwrap().2[1], Some(victim));
+        let audit = kernel.audit_mmu_against_books();
+        assert!(audit.excess.is_empty(), "PTEs beyond the books: {:?}", audit.excess);
+    });
+    rt.run();
+}
+
 // ---------------------------------------------------------------------
 // Crash points inside the repair path.
 // ---------------------------------------------------------------------

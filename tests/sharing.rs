@@ -1071,13 +1071,15 @@ fn read_to_write_upgrade_reuses() {
 /// ROADMAP 1(d): giving back the write grant on `/d` used to unmap the root
 /// page that holds `/d`'s dirent from the releaser — which still held its
 /// read grant on the root, faulted on its next lookup, and mapped and read
-/// the root again. The page now falls back to what that grant allows.
+/// the root again. The page now falls back to what that grant allows; and
+/// giving back the root too leaves it there (lazy release, DESIGN.md §9)
+/// until somebody else needs the root.
 #[test]
 fn child_release_leaves_the_parent_mapped() {
     use trio_nvm::{PagePerm, RegistryLockSite};
     let rt = SimRuntime::new(37);
     rt.spawn("t", || {
-        let (kernel, a, _b) = reuse_world(100);
+        let (kernel, a, b) = reuse_world(100);
         a.create("/d/x", Mode(0o666)).unwrap(); // Reads `/`, writes `/d`.
         let page = a.debug_file_pages("/d").unwrap().0.unwrap().page;
         let perm = || kernel.device().mmu_perm(a.actor(), page).unwrap();
@@ -1088,9 +1090,121 @@ fn child_release_leaves_the_parent_mapped() {
         let (before, _) = (maps(), a.take_rebuild_ns());
         assert_eq!(a.stat("/d").unwrap().size, 41, "a lookup under `/`, through that page");
         assert_eq!((maps(), a.take_rebuild_ns()), (before, 0), "no fault, no re-map, no re-read");
-        // The root is dirty by A all the same: B's map vets it.
         a.release_path("/").unwrap();
+        assert_eq!(perm(), Some(PagePerm::Read), "a released grant keeps its PTEs");
+        // The root is dirty by A all the same: B's write grant ends A's
+        // released one and vets the root.
+        b.create("/from-b", Mode(0o666)).unwrap();
         assert_eq!(perm(), None);
+        assert_mmu_within_books(&kernel);
     });
     rt.run();
+}
+
+// ---------------------------------------------------------------------
+// Lazy release (DESIGN.md §9): `release` ends the holder's claim, not the
+// grant; the PTEs go when somebody else needs the file.
+// ---------------------------------------------------------------------
+
+/// Race detection on `kernel`'s device and on `rt`.
+fn race_detected(kernel: &KernelController, seed: u64) -> SimRuntime {
+    assert!(kernel.device().set_race_detector(Arc::new(trio_sim::RaceDetector::new())));
+    let rt = SimRuntime::new(seed);
+    rt.enable_race_detection();
+    rt
+}
+
+/// A released writer keeps its PTEs, so it can still store — here it
+/// fabricates an entry in `/d` after giving `/d` back. The dirt its release
+/// left covers that window: B's map ends the grant, verification catches
+/// the ghost, the kernel rolls `/d` back and quarantines A.
+#[test]
+fn store_after_release_is_caught_when_the_grant_goes() {
+    use trio_kernel::registry::KernelEvent as E;
+    use trio_nvm::PagePerm;
+    let (kernel, a, b) = world(100);
+    let rt = race_detected(&kernel, 38);
+    let k = Arc::clone(&kernel);
+    rt.spawn("t", move || {
+        a.mkdir("/d", Mode(0o777)).unwrap();
+        a.create("/d/keep", Mode(0o666)).unwrap();
+        a.release_path("/").unwrap();
+        // B vets and checkpoints `/d`; A takes it for write through the
+        // kernel, links `late`, and lets go.
+        assert_eq!(names(&b, "/d"), ["keep"]);
+        b.release_path("/d").unwrap();
+        a.create("/d/late", Mode(0o666)).unwrap();
+        let (_, _, data) = a.debug_file_pages("/d").unwrap();
+        let page = data[0].unwrap();
+        a.release_path("/d").unwrap();
+        assert_eq!(k.device().mmu_perm(a.actor(), page).unwrap(), Some(PagePerm::Write));
+        let slot = trio_layout::DirPage::load(a.handle(), page).unwrap().first_free().unwrap();
+        let ghost = trio_layout::DirentData::new(
+            b"ghost",
+            trio_layout::CoreFileType::Regular,
+            Mode::RW,
+            1000,
+            1000,
+        );
+        let r = trio_layout::DirentRef::new(a.handle(), slot);
+        r.publish(999_999, &r.prepare(&ghost).unwrap()).unwrap();
+        let _ = k.take_events();
+
+        // B's map ends A's released grant, then verifies `/d`: back to the
+        // checkpoint A's write grant took, before `late` and the ghost.
+        assert_eq!(names(&b, "/d"), ["keep"]);
+        let events = k.take_events();
+        let a_contained = |e: &E| matches!(e, E::Quarantined { actor, .. } if *actor == a.actor());
+        assert!(
+            events.iter().any(|e| matches!(e, E::CorruptionDetected { .. }))
+                && events.iter().any(|e| matches!(e, E::RolledBack { .. }))
+                && events.iter().any(a_contained),
+            "{events:?}"
+        );
+        let late = a.handle().write_untimed(page, 0, b"too late");
+        assert!(late.is_err(), "A's PTEs went with the grant");
+    });
+    rt.run();
+    assert_mmu_within_books(&kernel);
+}
+
+/// A released grant is no mapping the verifier must respect (`is_mapped`,
+/// I3's "a child still in use cannot vanish"). R reads `/d/c` and lets go;
+/// W moves `c` out of `/d`, reads it at its new slot — which ends R's
+/// released grant and moves the kernel's record of `c` — and lets go of
+/// everything. The next map of `/d` finds `c` missing from the
+/// checkpoint's children: moved, not disconnected, since nobody is using
+/// it — and passes. (W's read is what lets the verifier follow the move: a
+/// known child moved across directories that nobody maps at its new slot is
+/// flagged `ForeignIno` by the destination — with eager release too —
+/// ROADMAP 4(a).)
+#[test]
+fn rename_away_from_released_grants_verifies_clean() {
+    let (kernel, w, r) = world(100);
+    let rt = race_detected(&kernel, 39);
+    let k = Arc::clone(&kernel);
+    rt.spawn("t", move || {
+        w.mkdir("/d", Mode(0o777)).unwrap();
+        write_file(&*w, "/d/c", b"moving out").unwrap();
+        w.release_path("/").unwrap();
+        assert_eq!(read_file(&*r, "/d/c").unwrap(), b"moving out");
+        r.release_path("/d/c").unwrap();
+        w.rename("/d/c", "/c").unwrap();
+        assert_eq!(read_file(&*w, "/c").unwrap(), b"moving out");
+        for p in ["/c", "/d", "/"] {
+            w.release_path(p).unwrap();
+        }
+        // R's walk vets `/`, then `/d`. (`stat`, not `readdir`: a lookup
+        // probes core state and faults on the revoked grant; a listing is
+        // served from the aux as it stands.)
+        assert_eq!(r.stat("/d/c").err(), Some(FsError::NotFound));
+        assert!(names(&r, "/d").is_empty());
+        assert_eq!(read_file(&*r, "/c").unwrap(), b"moving out");
+        let events = k.take_events();
+        assert!(events.is_empty(), "{events:?}");
+    });
+    rt.run();
+    assert!(kernel.quarantined_actors().is_empty());
+    assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
+    assert_mmu_within_books(&kernel);
 }
