@@ -604,7 +604,8 @@ impl KernelController {
         // The actor's journal pages are gone with it; stop patrol-repairing
         // them (their frames return through the normal free paths).
         self.journal_twins.lock().retain(|_, t| t.actor != actor);
-        self.page_table(actor).lock().sweep(pagetable::superblock_window(&self.dev));
+        let window = pagetable::superblock_window(&self.dev).map(|p| (p, None));
+        self.page_table(actor).lock().apply(&window);
         self.page_tables.remove(actor);
     }
 

@@ -45,7 +45,7 @@ use trio_layout::{
 };
 use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite};
 use trio_sim::sync::SimChannel;
-use trio_sim::{cost, in_sim, now, now_or_zero, work, DetHashSet, Nanos};
+use trio_sim::{cost, in_sim, now, now_or_zero, work, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
 
 use crate::alloc::PutBack;
@@ -288,10 +288,11 @@ impl KernelController {
             // Hand over hand: the grantee's page-table lock is taken before
             // the registry goes, so whoever ends this grant next unmaps
             // after the programming, never before it (`pagetable.rs`).
+            let wants = reg.wants(actor, granted);
             let pt = self.page_table(actor);
             let ptes = pt.lock();
             drop(reg);
-            ptes.program(&granted, if write { PagePerm::Write } else { PagePerm::Read });
+            ptes.apply(&wants);
 
             return Ok(MapGrant {
                 ino,
@@ -320,10 +321,8 @@ impl KernelController {
         let meta = reg.files.get_mut(&ino).ok_or(FsError::NotFound)?;
         if meta.release(actor) {
             let (dirent, parent) = (meta.dirent, meta.parent);
-            let fallback = self.mark_write_ended(&mut reg, ino, parent, dirent, actor);
-            if let Some(loc) = dirent {
-                self.page_table(actor).lock().strip([loc.page], fallback);
-            }
+            self.mark_write_ended(&mut reg, ino, parent, actor);
+            self.reconcile(&reg, actor, dirent.map(|loc| loc.page));
             self.end_lease_wait(&mut reg, ino, actor, true);
         }
         Ok(())
@@ -355,10 +354,11 @@ impl KernelController {
         meta.grant(actor, true, granted.clone(), lease_until);
         meta.verified_pages = pages;
         meta.dirty = Dirty::Clean;
+        let wants = reg.wants(actor, granted);
         let pt = self.page_table(actor);
         let ptes = pt.lock();
         drop(reg);
-        ptes.program(&granted, PagePerm::Write);
+        ptes.apply(&wants);
         Ok(())
     }
 
@@ -474,10 +474,10 @@ impl KernelController {
         // The dead file's books go with it, and its holders' mappings —
         // released grants' too — with the books. Nothing is left to vet,
         // and the chain's pages are scrubbed and recycled below: no dirt,
-        // no chain walk, no charge.
+        // no chain walk.
         if let Some(mut meta) = reg.files.remove(&ino) {
             for ended in meta.holders().into_iter().filter_map(|a| meta.end_grant(a)) {
-                self.page_table(ended.actor).lock().sweep(ended.pages.iter().copied());
+                self.reconcile(&reg, ended.actor, ended.pages);
                 if ended.write && !ended.released {
                     self.end_lease_wait(&mut reg, ino, ended.actor, true);
                 }
@@ -650,28 +650,30 @@ impl KernelController {
     /// page holding its dirent stay unverified until the verifier has run.
     ///
     /// 1. Dirt: the file is marked dirty by the holder, its parent too.
-    /// 2. MMU: the granted pages go, and with them whatever the writer
-    ///    linked in from its pool (mapped through the pool grant; found by
-    ///    walking the chain as it is now). One page may stay: the dirent
-    ///    page, if the holder's grant on the *parent* covers it, falls back
-    ///    to that grant's permission instead of vanishing under it.
+    /// 2. MMU: the granted pages are reconciled — each keeps what another
+    ///    grant of the holder allows there (a dirent page its grant on the
+    ///    parent covers, say), and loses the rest. So are the pages the
+    ///    writer linked in from its pool (mapped through the pool grant;
+    ///    found by walking the chain as it is now), which no grant covers:
+    ///    they go, or a revoked writer could store into them until the
+    ///    verification.
     /// 3. Word: a revocation is an event; mappers blocked on the lease wake.
     ///
     /// A released grant (`release`) had 1, the dirent page of 2, and 3 done
     /// when it was released — its lease ended as a recall honoured — so
-    /// only its PTEs are left to go: no second mark on the parent, no
-    /// event, no recall counted twice.
+    /// only its PTEs are left: no second mark on the parent, no event, no
+    /// recall counted twice.
     pub(crate) fn settle(&self, reg: &mut Registry, ended: EndedGrant, why: GrantEnd) {
-        let EndedGrant { ino, actor, write, pages, dirent, parent, released } = ended;
+        let EndedGrant { ino, actor, write, mut pages, dirent, parent, released } = ended;
         let live_write = write && !released;
-        let fallback =
-            if live_write { self.mark_write_ended(reg, ino, parent, dirent, actor) } else { None };
+        if live_write {
+            self.mark_write_ended(reg, ino, parent, actor);
+        }
         if why != GrantEnd::Contained {
-            let mut unmap: DetHashSet<PageId> = pages.into_iter().collect();
             if write {
-                unmap.extend(self.current_pages(dirent).iter().flat_map(FilePages::all_pages));
+                pages.extend(self.current_pages(dirent).iter().flat_map(FilePages::all_pages));
             }
-            self.page_table(actor).lock().strip(unmap, fallback);
+            self.reconcile(reg, actor, pages);
         }
         if live_write {
             if why == GrantEnd::Revoked {
@@ -683,24 +685,14 @@ impl KernelController {
     }
 
     /// `actor`'s write access to `ino` has ended (step 5's dirt): the file
-    /// and its parent are marked dirty by it. Returns what the dirent page
-    /// falls back to — the permission of the actor's grant on the parent,
-    /// if that covers the page.
-    fn mark_write_ended(
-        &self,
-        reg: &mut Registry,
-        ino: Ino,
-        parent: Ino,
-        dirent: Option<DirentLoc>,
-        actor: ActorId,
-    ) -> Option<(PageId, PagePerm)> {
+    /// and its parent are marked dirty by it.
+    fn mark_write_ended(&self, reg: &mut Registry, ino: Ino, parent: Ino, actor: ActorId) {
         if let Some(meta) = reg.files.get_mut(&ino) {
             meta.dirty.mark(actor, true);
         }
-        let pmeta = reg.parent_meta(ino, parent)?;
-        pmeta.dirty.mark(actor, false);
-        let loc = dirent?;
-        Some((loc.page, pmeta.grant_on(actor, loc.page)?))
+        if let Some(pmeta) = reg.parent_meta(ino, parent) {
+            pmeta.dirty.mark(actor, false);
+        }
     }
 
     /// Ends the grants on `ino` that those of `holders` have released.
@@ -817,9 +809,9 @@ impl KernelController {
                     _ => {}
                 }
             }
-            // The dirty actor loses any residual mappings of pages that are
-            // now part of the verified file.
-            self.page_table(dirty_actor).lock().sweep(report.pages.all_pages());
+            // The dirty actor keeps on the verified file's pages what its
+            // grants allow — the pool pages it linked in are the file's now.
+            self.reconcile(reg, dirty_actor, report.pages.all_pages());
             // Rollback must restore the *last verified* state. The image
             // taken at write-grant time is superseded the moment this
             // verification passes; keeping it would let a later rollback
@@ -957,12 +949,12 @@ impl KernelController {
                 }
             }
         }
-        // 5. Re-claim the restored pages and strip the dirty actor's
-        //    residual access.
+        // 5. Re-claim the restored pages; the dirty actor keeps on them what
+        //    its grants allow.
         if let Ok(pages) = walk_file(self.kernel_handle(), fi, crate::MAX_INDEX_PAGES) {
             self.claim_pages_for_file(ino, &pages);
             if let Some(da) = dirty_actor {
-                self.page_table(da).lock().sweep(pages.all_pages());
+                self.reconcile(reg, da, pages.all_pages());
             }
             if let Some(meta) = reg.files.get_mut(&ino) {
                 meta.verified_pages = pages;

@@ -16,17 +16,30 @@
 //! [`cost::MMU_PROGRAM_PAGE_NS`] is calibrated from the paper's end-to-end
 //! Figure 8 and already contains the mm's own locking.
 //!
-//! `program` and `strip` write the PTEs that differ from what they are
-//! asked for, and charge [`cost::MMU_PROGRAM_PAGE_NS`] for those alone: a
-//! PTE that already holds the permission is not rewritten and needs no TLB
-//! work, so a re-map after the holder's own release (whose grant kept its
-//! PTEs, DESIGN.md §9 "Lazy release") pays for the dirent page only. The
-//! comparison reads the actor's table, not the books: the two can
-//! disagree — a page the books grant and the table lacks is DESIGN.md
-//! §22's `missing`, and the table can hold a pool page the books call a
-//! file's — and trusting the books would skip the very PTE whose absence
-//! made the holder fault `Stale` and re-map, so that re-map would fault
-//! again, forever.
+//! **One rule for every file-grant PTE.** An actor's PTE on a page carries
+//! the most that any of its grants in the books allows there, live or
+//! released ([`Registry::wants`], DESIGN.md §20). No protocol step decides
+//! its own edits: wherever the books change — a `map`, a `commit`, a
+//! `release`, a grant's end (`settle`), a file's reclamation, a
+//! verification's verdict — the kernel asks the rule about the pages the
+//! change touched and hands the answer to [`PageTableGuard::apply`]
+//! ([`KernelController::reconcile`]). So a page two grants of one actor
+//! cover — a child's dirent page in a directory it reads, two siblings'
+//! dirents in one page — keeps what the other grant allows when one goes.
+//!
+//! `apply` writes only the PTEs that differ from the actor's table and
+//! charges [`cost::MMU_PROGRAM_PAGE_NS`] for those alone — a PTE that grows
+//! to `map_ns`, one that shrinks or goes to `unmap_ns`: a PTE that already
+//! holds the permission needs no TLB work, so a re-map after the holder's
+//! own release (whose grant kept its PTEs, DESIGN.md §9 "Lazy release")
+//! pays for the dirent page only. It compares with the table, not with
+//! what the books said before: trusting the books would skip the very PTE
+//! whose absence made the holder fault `Stale` and re-map, so that re-map
+//! would fault again, forever.
+//!
+//! What is not a grant is not the rule's: pool pages (`remap` at
+//! allocation, reclamation and quarantine) and the superblock window (from
+//! `register` to `unregister`).
 //!
 //! `NvmDevice::reset_page`, which wipes a frame's protections for *every*
 //! actor, is not here: it belongs to the allocator and `reclaim_one`, who
@@ -43,7 +56,8 @@ use trio_sim::sync::{SimMutex, SimMutexGuard};
 use trio_sim::{cost, in_sim, work, DetHashMap, Nanos};
 use trio_verifier::PageProvenance;
 
-use crate::{KernelController, PhaseSlot};
+use crate::registry::Registry;
+use crate::KernelController;
 
 /// What writing `pages` PTEs costs.
 pub(crate) fn program_ns(pages: usize) -> Nanos {
@@ -103,71 +117,49 @@ impl PageTableGuard<'_> {
         self.kernel.device()
     }
 
-    /// Spends the time `pages` PTE writes take, on the clock and in the
-    /// phase `slot` picks.
-    fn charge(&self, pages: usize, slot: PhaseSlot) {
-        if in_sim() {
-            work(program_ns(pages));
-            self.kernel.charge_phase(slot, program_ns(pages));
-        }
-    }
-
     /// What the actor's table holds for `page` now.
     fn held(&self, page: PageId) -> Option<PagePerm> {
         self.dev().mmu_perm(self.actor, page).ok().flatten()
     }
 
-    /// Figure 2 steps 2 and 9, and `commit`'s re-grant: writes the PTEs of
-    /// a grant the books already hold — those that differ. The caller has
-    /// checked every frame against the device range
-    /// ([`KernelController::grant_frames`]), which is all `mmu_map` can fail
-    /// on — so no grant is ever half programmed.
+    fn write(&self, page: PageId, perm: Option<PagePerm>) {
+        let _ = match perm {
+            Some(perm) => self.dev().mmu_map(self.actor, page, perm),
+            None => self.dev().mmu_unmap(self.actor, page).map(drop),
+        };
+    }
+
+    /// Brings each of the pages to the permission beside it — what
+    /// [`Registry::wants`] says, or `None` for the superblock window of an
+    /// actor that leaves — writing and charging only the PTEs that differ.
+    /// A grant's frames were checked against the device range before it
+    /// entered the books ([`KernelController::grant_frames`]), which is all
+    /// `mmu_map` can fail on, so no grant is ever half programmed.
     ///
-    /// The PTEs land at the *end* of the time they are charged for: the
-    /// grantee cannot use the mapping before `map` returns either way, and
-    /// it is the order in which an unmap that did not wait for this lock
-    /// would be lost — so the tests can see the lock missing.
-    pub(crate) fn program(&self, pages: &[PageId], perm: PagePerm) {
-        let writes: Vec<PageId> =
-            pages.iter().copied().filter(|p| self.held(*p) != Some(perm)).collect();
-        self.charge(writes.len(), |p| &p.map_ns);
-        for p in writes {
-            let _ = self.dev().mmu_map(self.actor, p, perm);
-        }
-    }
-
-    /// A grant's end (`settle`), or a released writer's dirent page
-    /// (`release`): the PTEs go — except `keep`'s page, which falls back to
-    /// that permission (another grant of the actor covers it). Writes, and
-    /// charges, only the PTEs that differ.
-    pub(crate) fn strip(
-        &self,
-        pages: impl IntoIterator<Item = PageId>,
-        keep: Option<(PageId, PagePerm)>,
-    ) {
-        let mut n = 0;
-        for p in pages {
-            let want = keep.filter(|(page, _)| *page == p).map(|(_, perm)| perm);
-            if self.held(p) == want {
-                continue;
+    /// PTEs that shrink land at the start of the time charged, PTEs that
+    /// grow at its *end*: the grantee cannot use a mapping before `map`
+    /// returns either way, and it is the order in which an unmap that did
+    /// not wait for this lock would be lost — so the tests can see the lock
+    /// missing.
+    pub(crate) fn apply(&self, wants: &[(PageId, Option<PagePerm>)]) {
+        let mut grow = Vec::new();
+        let mut shrunk = 0;
+        for &(page, want) in wants {
+            let held = self.held(page);
+            if want > held {
+                grow.push((page, want));
+            } else if want < held {
+                self.write(page, want);
+                shrunk += 1;
             }
-            n += 1;
-            let _ = match want {
-                Some(perm) => self.dev().mmu_map(self.actor, p, perm),
-                None => self.dev().mmu_unmap(self.actor, p).map(drop),
-            };
         }
-        self.charge(n, |p| &p.unmap_ns);
-    }
-
-    /// Clears whatever PTEs the actor still has on `pages`, free of charge:
-    /// the unmap of a grant is paid for where the grant ends (`strip`), and
-    /// what is swept here — residue on pages a verification just claimed, a
-    /// deleted file's holders, a leaving actor's superblock window — is in
-    /// the common case already gone.
-    pub(crate) fn sweep(&self, pages: impl IntoIterator<Item = PageId>) {
-        for p in pages {
-            let _ = self.dev().mmu_unmap(self.actor, p);
+        if in_sim() {
+            work(program_ns(grow.len() + shrunk));
+            self.kernel.charge_phase(|p| &p.map_ns, program_ns(grow.len()));
+            self.kernel.charge_phase(|p| &p.unmap_ns, program_ns(shrunk));
+        }
+        for (page, want) in grow {
+            self.write(page, want);
         }
     }
 
@@ -208,75 +200,80 @@ impl KernelController {
     pub(crate) fn page_table(&self, actor: ActorId) -> PageTable<'_> {
         PageTable { kernel: self, actor, lock: self.page_tables.of(actor) }
     }
+
+    /// The books changed on `pages` for `actor`: its PTEs there become what
+    /// the rule says ([`Registry::wants`], then [`PageTableGuard::apply`]),
+    /// under the registry. `map` and `commit` split the two, hand over hand,
+    /// to program outside it.
+    pub(crate) fn reconcile(
+        &self,
+        reg: &Registry,
+        actor: ActorId,
+        pages: impl IntoIterator<Item = PageId>,
+    ) {
+        self.page_table(actor).lock().apply(&reg.wants(actor, pages));
+    }
 }
 
-/// What [`KernelController::audit_mmu_against_books`] found.
+/// What [`KernelController::audit_mmu_against_books`] found. Both halves
+/// are empty on a quiescent kernel (`is_clean`).
 #[derive(Debug, Default)]
 pub struct MmuAudit {
     /// PTEs beyond the books: the actor can touch the page and nothing —
-    /// no grant of its in the books (a released one counts, at the
-    /// permission its PTEs were given), no pool page, not the superblock
+    /// no grant of its in the books, no pool page, not the superblock
     /// window — says it may (or it can write where the books say read). The
-    /// security direction: must be empty.
+    /// security direction.
     pub excess: Vec<(ActorId, PageId, PagePerm)>,
-    /// Pages a live (unreleased) file grant covers and the actor's page
-    /// table lacks (or holds read-only under a write grant). Costs a
-    /// `Stale` fault and a re-map, never correctness: DESIGN.md §22's
-    /// neighbours.
+    /// Pages the actor's grants in the books allow more on than its page
+    /// table holds: a `Stale` fault and a re-map waiting to happen.
     pub missing: usize,
 }
 
-/// `None < Read < Write`.
-fn rank(perm: Option<PagePerm>) -> u8 {
-    match perm {
-        None => 0,
-        Some(PagePerm::Read) => 1,
-        Some(PagePerm::Write) => 2,
+impl MmuAudit {
+    /// Whether the page tables hold exactly what the books give.
+    pub fn is_clean(&self) -> bool {
+        self.excess.is_empty() && self.missing == 0
     }
 }
 
 impl KernelController {
-    /// Test hook: compares every PTE on the device with what the books
-    /// give its actor — the most any grant of the actor's in the books
-    /// allows on the page, write on its pool pages (`AllocatedTo`), read on
+    /// Test hook: compares every PTE on the device, and every page a grant
+    /// covers, with what the books give the actor — [`Registry::wants`] on
+    /// a grant's pages, write on its pool pages (`AllocatedTo`), read on
     /// the superblock window while it is registered. Call it on a quiescent
     /// kernel: a grant between the books and its programming reads as
     /// `missing`.
     pub fn audit_mmu_against_books(&self) -> MmuAudit {
         let reg = self.reg_lock(trio_nvm::RegistryLockSite::Admin);
-        // (actor, page) → (most any grant allows, most a live grant allows).
-        let mut granted: DetHashMap<(ActorId, PageId), (PagePerm, Option<PagePerm>)> =
-            DetHashMap::default();
-        for (actor, perm, pages, released) in reg.files.values().flat_map(|m| m.grants()) {
-            let live = (!released).then_some(perm);
-            for p in pages {
-                let slot = granted.entry((actor, *p)).or_insert((perm, live));
-                if rank(Some(perm)) > rank(Some(slot.0)) {
-                    slot.0 = perm;
-                }
-                if rank(live) > rank(slot.1) {
-                    slot.1 = live;
-                }
+        let mappings = self.device().mappings();
+        let mut pages: DetHashMap<ActorId, Vec<PageId>> = DetHashMap::default();
+        for m in reg.files.values() {
+            for a in m.holders() {
+                pages.entry(a).or_default().extend(m.grant_of(a).into_iter().flat_map(|g| g.1));
             }
         }
+        for (page, actor, _) in &mappings {
+            pages.entry(*actor).or_default().push(*page);
+        }
+        let wants: DetHashMap<(ActorId, PageId), Option<PagePerm>> = pages
+            .into_iter()
+            .flat_map(|(actor, pages)| {
+                reg.wants(actor, pages).into_iter().map(move |(page, want)| ((actor, page), want))
+            })
+            .collect();
         let held = |actor, page| self.device().mmu_perm(actor, page).ok().flatten();
-        let missing = granted
-            .iter()
-            .filter(|((actor, page), (_, live))| rank(held(*actor, *page)) < rank(*live))
-            .count();
+        let missing = wants.iter().filter(|((a, p), want)| held(*a, *p) < **want).count();
         let window = superblock_window(self.device());
         let allowed = |actor: ActorId, page: PageId| {
             if self.prov.get(page.0) == Some(PageProvenance::AllocatedTo(actor)) {
                 return Some(PagePerm::Write);
             }
             let windowed = window.contains(&page) && reg.actors.contains_key(&actor);
-            granted.get(&(actor, page)).map(|(any, _)| *any).or(windowed.then_some(PagePerm::Read))
+            wants[&(actor, page)].max(windowed.then_some(PagePerm::Read))
         };
-        let excess = self
-            .device()
-            .mappings()
+        let excess = mappings
             .into_iter()
-            .filter(|(page, actor, perm)| rank(Some(*perm)) > rank(allowed(*actor, *page)))
+            .filter(|(page, actor, perm)| Some(*perm) > allowed(*actor, *page))
             .map(|(page, actor, perm)| (actor, page, perm))
             .collect();
         MmuAudit { excess, missing }

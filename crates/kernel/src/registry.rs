@@ -8,7 +8,7 @@
 //! verifier reads both halves through `KernelController`'s
 //! [`trio_verifier::ResourceView`] adapter.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -196,7 +196,7 @@ pub struct FileMeta {
     // leaves them through `end_grant`, whose receipt the compiler will not
     // let the caller drop.
     /// Pages the MMU currently exposes to each grant holder (includes the
-    /// dirent page for a live writer).
+    /// dirent page for a live writer), sorted.
     mapped_pages: DetHashMap<ActorId, Vec<PageId>>,
     /// The holder of the write grant, if any, live or released; everyone
     /// else reads.
@@ -291,28 +291,12 @@ impl FileMeta {
         self.mapped_pages.contains_key(&actor)
     }
 
-    /// The permission `actor`'s PTEs carry on `page` under its grant on
-    /// this file (released or not), if the grant covers the page at all.
-    pub fn grant_on(&self, actor: ActorId, page: PageId) -> Option<PagePerm> {
-        let covers = self.mapped_pages.get(&actor)?.contains(&page);
-        covers.then_some(self.perm_held(actor))
-    }
-
-    /// The permission a grant of `actor`'s on this file programmed.
-    fn perm_held(&self, actor: ActorId) -> PagePerm {
-        if self.writer == Some(actor) {
-            PagePerm::Write
-        } else {
-            PagePerm::Read
-        }
-    }
-
-    /// Every grant in the books: holder, the permission its PTEs carry,
-    /// pages, and whether the holder has released it.
-    pub fn grants(&self) -> impl Iterator<Item = (ActorId, PagePerm, &[PageId], bool)> {
-        self.mapped_pages.iter().map(|(a, pages)| {
-            (*a, self.perm_held(*a), pages.as_slice(), self.released.contains(a))
-        })
+    /// `actor`'s grant on this file, released or not: the permission it
+    /// allows and the pages it covers.
+    pub fn grant_of(&self, actor: ActorId) -> Option<(PagePerm, &[PageId])> {
+        let pages = self.mapped_pages.get(&actor)?;
+        let perm = if self.writer == Some(actor) { PagePerm::Write } else { PagePerm::Read };
+        Some((perm, pages))
     }
 
     /// Whether any grant exposes `page`.
@@ -323,12 +307,13 @@ impl FileMeta {
     /// Enters `actor` in the books (replacing a grant it already holds: a
     /// re-map, an upgrade, or taking back one it released). The caller
     /// programs `pages` next.
-    pub fn grant(&mut self, actor: ActorId, write: bool, pages: Vec<PageId>, lease_until: Nanos) {
+    pub fn grant(&mut self, actor: ActorId, write: bool, mut pages: Vec<PageId>, lease: Nanos) {
+        pages.sort_unstable();
         self.mapped_pages.insert(actor, pages);
         self.released.remove(&actor);
         if write {
             self.writer = Some(actor);
-            self.lease_until = lease_until;
+            self.lease_until = lease;
         }
     }
 
@@ -546,6 +531,25 @@ impl Registry {
         v
     }
 
+    /// The rule every PTE the kernel writes for a file grant follows
+    /// (DESIGN.md §20): on each of `pages`, the most that any of `actor`'s
+    /// grants in the books allows, live or released — `None` where none
+    /// covers the page. In page order, each page once.
+    pub fn wants(
+        &self,
+        actor: ActorId,
+        pages: impl IntoIterator<Item = PageId>,
+    ) -> Vec<(PageId, Option<PagePerm>)> {
+        let pages: BTreeSet<PageId> = pages.into_iter().collect();
+        let mut wants: Vec<_> = pages.into_iter().map(|p| (p, None)).collect();
+        for (perm, granted) in self.files.values().filter_map(|m| m.grant_of(actor)) {
+            for (_, want) in wants.iter_mut().filter(|(p, _)| granted.binary_search(p).is_ok()) {
+                *want = (*want).max(Some(perm));
+            }
+        }
+        wants
+    }
+
     /// The files `actor`'s unvetted writes may be in, in ino order.
     pub fn dirt_of(&self, actor: ActorId) -> Vec<Ino> {
         let mut v: Vec<Ino> =
@@ -628,9 +632,8 @@ mod tests {
         root.grant(a, false, vec![PageId(5)], 0);
         root.grant(b, true, vec![PageId(5), PageId(6)], 900);
         assert_eq!((root.writer(), root.lease_until(), root.holders()), (Some(b), 900, vec![a, b]));
-        assert_eq!(root.grant_on(a, PageId(5)), Some(PagePerm::Read));
-        assert_eq!(root.grant_on(a, PageId(6)), None, "not in A's grant");
-        assert_eq!(root.grant_on(b, PageId(6)), Some(PagePerm::Write));
+        assert_eq!(root.grant_of(a), Some((PagePerm::Read, &[PageId(5)][..])));
+        assert_eq!(root.grant_of(b).map(|(perm, _)| perm), Some(PagePerm::Write));
         assert!(root.maps_page(PageId(6)) && !root.maps_page(PageId(7)));
         assert_eq!(r.held_by(b), [ROOT_INO]);
 
@@ -658,14 +661,33 @@ mod tests {
         // the dirent page, without a lease, without authority.
         assert_eq!(f.holders(), [a, b]);
         assert_eq!((f.writer(), f.released_writer(), f.lease_until()), (None, Some(a), 0));
-        assert_eq!(f.grant_on(a, PageId(5)), Some(PagePerm::Write));
-        assert_eq!(f.grant_on(a, PageId(9)), None);
+        assert_eq!(f.grant_of(a), Some((PagePerm::Write, &[PageId(5)][..])));
         assert!(!f.is_mapped() && f.maps_page(PageId(5)));
         let ended = f.end_grant(a).unwrap();
         assert!(ended.write && ended.released && ended.pages == [PageId(5)]);
         // Taking a released grant back makes it live again.
         f.grant(b, false, vec![PageId(5)], 0);
         assert!(f.is_mapped() && !f.is_released(b));
+    }
+
+    #[test]
+    fn a_page_wants_the_most_any_grant_of_the_actor_allows() {
+        let (a, b) = (ActorId(1), ActorId(2));
+        let (read, write) = (Some(PagePerm::Read), Some(PagePerm::Write));
+        let mut r = Registry::new();
+        let loc = DirentLoc { page: PageId(5), slot: 0 };
+        let shadow = ShadowAttr { mode: trio_fsapi::Mode::RW, uid: 0, gid: 0 };
+        let mut f = FileMeta::new(7, CoreFileType::Regular, Some(loc), ROOT_INO, shadow);
+        f.grant(a, true, vec![PageId(8), PageId(5)], 900);
+        r.files.insert(7, f);
+        r.files.get_mut(&ROOT_INO).unwrap().grant(a, false, vec![PageId(4), PageId(5)], 0);
+        // The child's dirent page: read under `/`, written under the child.
+        let asked = [PageId(5), PageId(4), PageId(5), PageId(6)];
+        assert_eq!(r.wants(a, asked), [(PageId(4), read), (PageId(5), write), (PageId(6), None)]);
+        assert_eq!(r.wants(b, [PageId(5)]), [(PageId(5), None)]);
+        // A released grant counts at what it allows; the dirent page left it.
+        assert!(r.files.get_mut(&7).unwrap().release(a));
+        assert_eq!(r.wants(a, [PageId(5), PageId(8)]), [(PageId(5), read), (PageId(8), write)]);
     }
 
     #[test]

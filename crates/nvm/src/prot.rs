@@ -14,8 +14,9 @@ pub struct ActorId(pub u32);
 /// The privileged kernel actor; bypasses permission checks (ring 0).
 pub const KERNEL_ACTOR: ActorId = ActorId(0);
 
-/// Page access permission, per actor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Page access permission, per actor. Ordered by what it allows:
+/// `Read < Write` (and, as an `Option`, no mapping below both).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PagePerm {
     /// Mapped read-only.
     Read,

@@ -18,8 +18,8 @@ impl Ctl {
         self.delegation().grants().revoke_actor(offender);
     }
 
-    pub fn through_the_door_is_clean(&self, actor: ActorId, pages: &[PageId]) {
-        self.page_table(actor).lock().program(pages, PagePerm::Read);
+    pub fn through_the_door_is_clean(&self, actor: ActorId, wants: &[(PageId, Option<PagePerm>)]) {
+        self.page_table(actor).lock().apply(wants);
     }
 
     pub fn annotated_is_clean(&self, actor: ActorId) {

@@ -2,7 +2,7 @@
 //!
 //! Each iteration builds a fresh world (evil + victim + bystander LibFS
 //! over one kernel), lets the evil LibFS draw a handful of productions
-//! from the corruption grammar in [`arckfs::adversary`], then checks four
+//! from the corruption grammar in [`arckfs::adversary`], then checks five
 //! invariants:
 //!
 //! 1. **No panic** anywhere in kernel or verifier (panics abort the
@@ -15,6 +15,8 @@
 //!    or an explicit `Quarantined` refusal — never the attacker's bytes.
 //! 4. **Quarantine isolation**: only the evil LibFS is ever quarantined,
 //!    and the bystander's private file survives byte-for-byte.
+//! 5. **Page tables match the books**: at the end, the MMU audit finds no
+//!    PTE beyond what the books give an actor and none missing.
 //!
 //! Determinism: iteration `i` of campaign seed `S` derives every random
 //! choice from `(S, i)` alone. Reproduce a failure with
@@ -226,6 +228,12 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
     let mut o = std::mem::take(&mut *out.lock());
     if panicked && o.failure.is_none() {
         o.failure = Some("panic inside simulation".into());
+    }
+    // Invariant 5: whatever the attack did, every page table ends holding
+    // exactly what the books give its actor.
+    let audit = kernel.audit_mmu_against_books();
+    if !audit.is_clean() && o.failure.is_none() {
+        o.failure = Some(format!("page tables disagree with the books: {audit:?}"));
     }
     o
 }

@@ -187,6 +187,8 @@ fn chaos_one(i: u64) -> IterReport {
     });
     rt.run();
 
+    let audit = kernel.audit_mmu_against_books();
+    assert!(audit.is_clean(), "iteration {i}: page tables disagree with the books: {audit:?}");
     let s = kernel.delegation().stats().snapshot();
     assert_eq!(
         s.worker_deaths, s.worker_restarts,

@@ -139,8 +139,7 @@ fn concurrent_tenant_churn_is_race_clean_and_conserves_pages() {
     assert_eq!(kernel.path_stats().snapshot().events_dropped, 0);
     // Nobody is registered any more: no page table may hold anything.
     let audit = kernel.audit_mmu_against_books();
-    assert!(audit.excess.is_empty(), "PTEs beyond the books: {:?}", audit.excess);
-    assert_eq!(audit.missing, 0, "no grant is left to miss a page");
+    assert!(audit.is_clean(), "page tables disagree with the books: {audit:?}");
 }
 
 // ---------------------------------------------------------------------

@@ -445,7 +445,7 @@ fn migration_goes_ahead_under_a_released_read_grant() {
         assert!(buf.len() == 2 * PAGE_SIZE && buf.iter().all(|&b| b == 0x3E));
         assert_ne!(reader.debug_file_pages("/m").unwrap().2[1], Some(victim));
         let audit = kernel.audit_mmu_against_books();
-        assert!(audit.excess.is_empty(), "PTEs beyond the books: {:?}", audit.excess);
+        assert!(audit.is_clean(), "page tables disagree with the books: {audit:?}");
     });
     rt.run();
 }
@@ -663,6 +663,8 @@ fn campaign_iter(seed: u64, tally: &mut CampaignTally) {
     let sanitizer = dev.take_sanitize_report(seed);
     tally.sanitizer_hazards += sanitizer.hazards.len() as u64;
     sanitizer.expect_clean("media campaign iteration");
+    let audit = kernel.audit_mmu_against_books();
+    assert!(audit.is_clean(), "seed {seed:#x}: page tables disagree with the books: {audit:?}");
 
     tally.pages_retired += kernel.retired_page_count() as u64;
     tally.iterations += 1;

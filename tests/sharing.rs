@@ -447,14 +447,12 @@ fn lease_expiry_vs_concurrent_reacquire_is_race_free() {
 // Cooperative lease recall (DESIGN.md §21).
 // ---------------------------------------------------------------------
 
-/// However the grants changed hands, no page table ends up holding a
-/// permission the books do not give its actor. (The other direction — a
-/// granted page the MMU lacks, DESIGN.md §22's neighbours — costs a fault
-/// and is only reported.)
+/// However the grants changed hands, every page table holds exactly what
+/// the books give its actor: no permission beyond them, and none of what
+/// they give missing (which would cost a `Stale` fault and a re-map).
 fn assert_mmu_within_books(kernel: &KernelController) {
     let audit = kernel.audit_mmu_against_books();
-    assert!(audit.excess.is_empty(), "PTEs beyond the books: {:?}", audit.excess);
-    println!("granted pages the MMU lacks: {}", audit.missing);
+    assert!(audit.is_clean(), "page tables disagree with the books: {audit:?}");
 }
 
 /// Runs `holder` and `waiter` as two sim-threads (two processes), then
@@ -826,15 +824,13 @@ fn idle_holder_revoked_after_an_unlink_is_not_flagged() {
 // rebuild from core state inside `ensure_mapped`.)
 // ---------------------------------------------------------------------
 
-/// What a LibFS that gave back (or lost) a *write* grant on `/d` pays when
-/// another LibFS maps `/d` next: that map also vets the root — whose page
-/// with `/d`'s dirent was writable under the grant — and a verification, or
-/// a rollback, takes the pages it has vetted from the dirty actor; its next
-/// path lookup faults (`Stale`) and reads the root's one page again. (With
-/// nobody else in between, the page falls back to the read grant the LibFS
-/// still holds on the root and nothing is re-read: ROADMAP 1(d),
-/// `child_release_leaves_the_parent_mapped`.)
-const ROOT_REREAD: u64 = 1;
+/// What a LibFS pays for the root when a verification of its writes fails:
+/// quarantine revokes every PTE it has (`revoke_all`) and ends every grant,
+/// the root's too, so its next path lookup faults (`Stale`) and reads the
+/// root's one page again. A verification that passes, or a grant that ends,
+/// leaves it what its read grant on the root allows
+/// (`stale_fault_discards_the_aux`, `child_release_leaves_the_parent_mapped`).
+const QUARANTINE_ROOT_REREAD: u64 = 1;
 
 /// `(aux_reuses, aux_rebuilds)` so far.
 fn aux_counts(kernel: &KernelController) -> (u64, u64) {
@@ -982,7 +978,7 @@ fn rollback_in_between_rebuilds() {
         // A's kept table still lists `late`; the core state does not.
         assert!(!names(&a, "/d").contains(&"late".to_string()));
         assert!(a.take_rebuild_ns() > 0);
-        assert_eq!(aux_counts(&kernel).1, before + 1 + ROOT_REREAD);
+        assert_eq!(aux_counts(&kernel).1, before + 1 + QUARANTINE_ROOT_REREAD);
     });
     rt.run();
 }
@@ -1024,7 +1020,9 @@ fn page_migration_in_between_rebuilds() {
 
 /// A grant that ends under the holder — here at lease expiry, to a mere
 /// reader, so the sequence would still match — takes the aux with it: the
-/// `Stale` fault drops everything, as it always has.
+/// `Stale` fault drops everything, as it always has. The root is not
+/// re-read: B's verification of it (`/d`'s dirent page was A's to write)
+/// leaves A what its read grant on the root allows.
 #[test]
 fn stale_fault_discards_the_aux() {
     let rt = SimRuntime::new(35);
@@ -1036,8 +1034,9 @@ fn stale_fault_discards_the_aux() {
         let _ = a.take_rebuild_ns();
         let before = aux_counts(&kernel);
         a.create("/d/after", Mode(0o666)).unwrap();
-        assert!(a.take_rebuild_ns() > 5_000, "`/d`'s three pages, not just the root's one");
-        assert_eq!(aux_counts(&kernel), (before.0, before.1 + 1 + ROOT_REREAD));
+        assert!(a.take_rebuild_ns() > 5_000, "`/d`'s three pages");
+        assert_eq!(aux_counts(&kernel), (before.0, before.1 + 1));
+        assert_mmu_within_books(&kernel);
     });
     rt.run();
 }
@@ -1099,6 +1098,139 @@ fn child_release_leaves_the_parent_mapped() {
         assert_mmu_within_books(&kernel);
     });
     rt.run();
+}
+
+// ---------------------------------------------------------------------
+// One rule for every PTE (DESIGN.md §20): an actor's permission on a page
+// is the most its grants in the books allow there, so a page two of its
+// grants cover keeps what the other allows when one goes.
+// ---------------------------------------------------------------------
+
+/// `share2`'s shape: the dirents of `/f` and `/d` share a root page, and A
+/// gives `/d` back while it holds `/f` for write. The page stays writable
+/// to A under `/f`'s grant; it used to fall back to A's read grant on the
+/// root, and A's next store to `/f`'s dirent faulted.
+#[test]
+fn releasing_a_sibling_keeps_the_shared_dirent_page_writable() {
+    use trio_nvm::PagePerm;
+    let (kernel, a, _) = world(100);
+    let k = Arc::clone(&kernel);
+    let rt = SimRuntime::new(40);
+    rt.spawn("t", move || {
+        write_file(&*a, "/f", b"sibling").unwrap();
+        a.mkdir("/d", Mode(0o777)).unwrap();
+        for i in 0..3 {
+            a.create(&format!("/d/e{i}"), Mode(0o666)).unwrap();
+        }
+        a.release_path("/f").unwrap();
+        a.release_path("/d").unwrap();
+        let fd = a.open("/f", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        a.pwrite(fd, 0, b"S").unwrap();
+        a.create("/d/x", Mode(0o666)).unwrap();
+        a.release_path("/d").unwrap();
+        let page = a.debug_file_pages("/f").unwrap().0.unwrap().page;
+        assert_eq!(a.debug_file_pages("/d").unwrap().0.unwrap().page, page, "one root page");
+        assert_eq!(k.device().mmu_perm(a.actor(), page).unwrap(), Some(PagePerm::Write));
+        a.close(fd).unwrap();
+    });
+    rt.run();
+    assert_mmu_within_books(&kernel);
+}
+
+/// A released directory, then a live child: A gives `/d` back and then
+/// write-maps `/d/c`, whose dirent page both grants cover. B's listing of
+/// `/d` ends the released grant; the page stays writable to A under the
+/// live one.
+#[test]
+fn ending_a_released_directory_keeps_a_live_childs_dirent_page() {
+    use trio_nvm::PagePerm;
+    let (kernel, a, b) = world(100);
+    let k = Arc::clone(&kernel);
+    let rt = SimRuntime::new(41);
+    rt.spawn("t", move || {
+        a.mkdir("/d", Mode(0o777)).unwrap();
+        write_file(&*a, "/d/c", b"child").unwrap();
+        for p in ["/d/c", "/d", "/"] {
+            a.release_path(p).unwrap();
+        }
+        assert_eq!(read_file(&*b, "/d/c").unwrap(), b"child");
+        b.release_path("/d").unwrap();
+        a.create("/d/y", Mode(0o666)).unwrap();
+        a.release_path("/d").unwrap();
+        let fd = a.open("/d/c", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        a.pwrite(fd, 0, b"C").unwrap();
+        let page = a.debug_file_pages("/d/c").unwrap().0.unwrap().page;
+        assert_eq!(names(&b, "/d"), ["c", "y"]);
+        assert_eq!(k.device().mmu_perm(a.actor(), page).unwrap(), Some(PagePerm::Write));
+        a.close(fd).unwrap();
+    });
+    rt.run();
+    assert_mmu_within_books(&kernel);
+}
+
+/// DESIGN.md §9 "Dirent-page write sharing": the dirents of `/p/x` and
+/// `/p/y` share a page of `/p`, and A and B hold the two files for write at
+/// once. The page is writable to both, so each sees the other's slot (and
+/// could overwrite it), and neither's PTE goes when the other lets go. What
+/// a reader of `/p` may not see is what a sibling stored there unvetted:
+/// A's release marks `/p` dirty by A, R's map verifies `/p` first, and the
+/// entry A forged in a free slot of the shared page is rolled back.
+#[test]
+fn sibling_writers_share_a_dirent_page_and_a_reader_sees_it_vetted() {
+    use trio_kernel::registry::KernelEvent as E;
+    use trio_nvm::PagePerm;
+    let (kernel, a, b) = world(100);
+    let r = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
+    let k = Arc::clone(&kernel);
+    let rt = SimRuntime::new(42);
+    rt.spawn("t", move || {
+        a.mkdir("/p", Mode(0o777)).unwrap();
+        write_file(&*a, "/p/x", b"x").unwrap();
+        write_file(&*a, "/p/y", b"y").unwrap();
+        for p in ["/p/x", "/p/y", "/p", "/"] {
+            a.release_path(p).unwrap();
+        }
+        assert_eq!(names(&r, "/p"), ["x", "y"]); // Vets and checkpoints `/p`.
+        r.release_path("/p").unwrap();
+        let fa = a.open("/p/x", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        a.pwrite(fa, 0, b"A").unwrap();
+        let fb = b.open("/p/y", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        b.pwrite(fb, 0, b"B").unwrap();
+        let x = a.debug_file_pages("/p/x").unwrap().0.unwrap();
+        let y = b.debug_file_pages("/p/y").unwrap().0.unwrap();
+        assert_eq!(x.page, y.page, "one page of `/p`");
+        let perm = |fs: &ArckFs| k.device().mmu_perm(fs.actor(), x.page).unwrap();
+        assert_eq!((perm(&a), perm(&b)), (Some(PagePerm::Write), Some(PagePerm::Write)));
+        let y_ino = b.stat("/p/y").unwrap().ino;
+        assert_eq!(trio_layout::DirentRef::new(a.handle(), y).ino().unwrap(), y_ino);
+
+        // A forges an entry beside the two and lets go of `x`.
+        let slot = trio_layout::DirPage::load(a.handle(), x.page).unwrap().first_free().unwrap();
+        let ghost = trio_layout::DirentData::new(
+            b"ghost",
+            trio_layout::CoreFileType::Regular,
+            Mode::RW,
+            1000,
+            1000,
+        );
+        let g = trio_layout::DirentRef::new(a.handle(), slot);
+        g.publish(999_999, &g.prepare(&ghost).unwrap()).unwrap();
+        a.close(fa).unwrap();
+        a.release_path("/p/x").unwrap();
+        assert_eq!(perm(&b), Some(PagePerm::Write), "A's release leaves B its page");
+
+        let _ = k.take_events();
+        assert_eq!(names(&r, "/p"), ["x", "y"]);
+        let events = k.take_events();
+        let p_ino = r.stat("/p").unwrap().ino;
+        assert!(events.contains(&E::RolledBack { ino: p_ino }), "{events:?}");
+        let a_contained = |e: &E| matches!(e, E::Quarantined { actor, .. } if *actor == a.actor());
+        assert!(events.iter().any(a_contained), "{events:?}");
+        assert_eq!(perm(&b), Some(PagePerm::Write), "and so do the rollback and quarantine");
+        b.close(fb).unwrap();
+    });
+    rt.run();
+    assert_mmu_within_books(&kernel);
 }
 
 // ---------------------------------------------------------------------
