@@ -24,7 +24,6 @@ use trio_kernel::delegation::{DelegReply, DelegReq, DelegRun};
 use trio_kernel::grant::GrantRef;
 use trio_layout::{CoreFileType, DirPage, DirentData, DirentLoc, DirentRef, IndexPageRef};
 use trio_nvm::{PageId, PAGE_SIZE};
-use trio_sim::metrics::{quoted, JsonObject};
 use trio_sim::rng::SimRng;
 use trio_sim::sync::SimChannel;
 use trio_sim::{in_sim, now};
@@ -99,7 +98,7 @@ pub enum Mutation {
     MediaRotScrub,
 }
 
-/// Every production, for exhaustive sweeps and report indexing.
+/// Every production, for exhaustive sweeps and uniform draws.
 pub const ALL_MUTATIONS: [Mutation; 22] = [
     Mutation::DirentFieldFlip,
     Mutation::DirentClear,
@@ -564,81 +563,6 @@ fn random_live_slot(fs: &ArckFs, rng: &mut SimRng, dir_data: &[Option<PageId>]) 
     Ok(live[rng.gen_range(live.len() as u64) as usize])
 }
 
-/// Aggregate results of one fuzz campaign, dumped as
-/// `target/adversary-report.json` by the harness.
-#[derive(Clone, Debug, Default)]
-pub struct AdversaryReport {
-    /// Campaign seed (iteration RNGs derive from `(seed, iteration)`).
-    pub seed: u64,
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Mutations that landed, indexed like [`ALL_MUTATIONS`].
-    pub applied_by_kind: [u64; ALL_MUTATIONS.len()],
-    /// Mutations skipped (unstageable with the LibFS's own powers).
-    pub skipped: u64,
-    /// Iterations where the victim observed fully consistent state.
-    pub victim_consistent: u64,
-    /// Corruption detections observed via kernel events.
-    pub detections: u64,
-    /// Quarantine entries / re-admissions observed.
-    pub quarantines: u64,
-    /// Re-admissions observed.
-    pub readmissions: u64,
-    /// Hostile ring requests the workers rejected.
-    pub deleg_rejected: u64,
-    /// Replay pointers for failed invariants (`seed=.. iter=..: why`).
-    pub failures: Vec<String>,
-}
-
-impl AdversaryReport {
-    /// Records one landed mutation.
-    pub fn record_applied(&mut self, m: Mutation) {
-        if let Some(i) = ALL_MUTATIONS.iter().position(|x| *x == m) {
-            self.applied_by_kind[i] += 1;
-        }
-    }
-
-    /// Total mutations that landed.
-    pub fn total_applied(&self) -> u64 {
-        self.applied_by_kind.iter().sum()
-    }
-
-    /// JSON object for `target/adversary-report.json` (only the mutation
-    /// kinds that landed appear under `applied_by_kind`).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonObject::new();
-        w.field("seed", self.seed)
-            .field("iterations", self.iterations)
-            .object("applied_by_kind", |o| {
-                for (m, n) in ALL_MUTATIONS.iter().zip(self.applied_by_kind) {
-                    if n > 0 {
-                        o.field(m.name(), n);
-                    }
-                }
-            })
-            .field("total_applied", self.total_applied())
-            .field("skipped", self.skipped)
-            .field("victim_consistent", self.victim_consistent)
-            .field("detections", self.detections)
-            .field("quarantines", self.quarantines)
-            .field("readmissions", self.readmissions)
-            .field("deleg_rejected", self.deleg_rejected)
-            .array("failures", self.failures.iter().map(|f| quoted(f)));
-        w.finish()
-    }
-
-    /// Writes the report to `target/adversary-report.json`, returning the
-    /// path. Callers on a failure path `ok()` the result — a failed dump
-    /// must not mask the campaign failure itself.
-    pub fn dump(&self) -> std::io::Result<std::path::PathBuf> {
-        let dir = std::path::Path::new("target");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join("adversary-report.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -650,18 +574,5 @@ mod tests {
         for _ in 0..256 {
             assert_eq!(Mutation::pick(&mut a), Mutation::pick(&mut b));
         }
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let mut r = AdversaryReport { seed: 42, iterations: 3, ..Default::default() };
-        r.record_applied(Mutation::IndexCycle);
-        r.record_applied(Mutation::IndexCycle);
-        r.failures.push("seed=42 iter=1: \"quoted\"".into());
-        let j = r.to_json();
-        assert!(j.contains("\"index_cycle\": 2"));
-        assert!(j.contains("\"seed\": 42"));
-        assert!(j.contains("\\\"quoted\\\""));
-        assert!(j.starts_with('{') && j.ends_with('}'));
     }
 }

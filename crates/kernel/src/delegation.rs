@@ -473,10 +473,9 @@ pub struct DelegationPool {
     /// re-validation.
     grants: Arc<GrantTable>,
     health: Health,
-    /// Failure-domain events, merged into the registry's stream by
-    /// [`crate::KernelController::take_events`]. Bounded like the
-    /// registry's own ring: a never-drained pool drops its oldest.
-    pub(crate) events: EventRing,
+    /// Where failure-domain events go: the controller's one event ring,
+    /// or a private one for a pool built by [`DelegationPool::new`].
+    events: Arc<EventRing>,
     /// Death-to-restart latencies observed by the watchdog, in virtual ns.
     recovery_ns: PlMutex<Vec<Nanos>>,
     faults: Arc<DelegationFaults>,
@@ -484,13 +483,20 @@ pub struct DelegationPool {
 
 impl DelegationPool {
     /// Builds rings for `threads_per_node` delegation threads on each node
-    /// (12 matches OdinFS's per-node writer pool), with private counters.
+    /// (12 matches OdinFS's per-node writer pool), with private counters
+    /// and a private event ring.
     pub fn new(dev: Arc<NvmDevice>, threads_per_node: usize) -> Self {
-        Self::with_stats(dev, threads_per_node, Arc::new(PathStats::new()))
+        let events = Arc::new(EventRing::new(EVENT_RING_CAPACITY));
+        Self::with_stats(dev, threads_per_node, Arc::new(PathStats::new()), events)
     }
 
-    /// Builds the pool with a shared counter sink.
-    pub fn with_stats(dev: Arc<NvmDevice>, threads_per_node: usize, stats: Arc<PathStats>) -> Self {
+    /// Builds the pool with a shared counter sink and event ring.
+    pub(crate) fn with_stats(
+        dev: Arc<NvmDevice>,
+        threads_per_node: usize,
+        stats: Arc<PathStats>,
+        events: Arc<EventRing>,
+    ) -> Self {
         let nodes = dev.topology().nodes;
         let rings: Vec<Vec<Arc<SimChannel<DelegReq>>>> = (0..nodes)
             .map(|_| {
@@ -525,7 +531,7 @@ impl DelegationPool {
             idem: Arc::new(PlMutex::new(IdemTable::default())),
             grants,
             health,
-            events: EventRing::new(EVENT_RING_CAPACITY),
+            events,
             recovery_ns: PlMutex::new(Vec::new()),
             faults: Arc::new(DelegationFaults::default()),
         }
@@ -895,13 +901,8 @@ impl DelegationPool {
         }
     }
 
-    /// Drains the pool's failure-domain events (worker deaths/restarts,
-    /// degraded-mode transitions), oldest first.
-    pub fn take_events(&self) -> Vec<KernelEvent> {
-        self.events.drain()
-    }
-
-    /// Appends to the pool's bounded event ring, surfacing overflow drops
+    /// Appends a failure-domain event (worker death/restart, degraded-mode
+    /// transition) to the pool's event ring, surfacing overflow drops
     /// in the shared stats.
     fn push_event(&self, ev: KernelEvent) {
         if self.events.push(ev) {
@@ -1413,11 +1414,13 @@ mod tests {
     #[test]
     fn a_never_drained_event_log_drops_its_oldest_and_counts_it() {
         let dev = Arc::new(NvmDevice::new(trio_nvm::DeviceConfig::small()));
-        let pool = DelegationPool::new(dev, 1);
+        let ring = Arc::new(EventRing::new(EVENT_RING_CAPACITY));
+        let pool =
+            DelegationPool::with_stats(dev, 1, Arc::new(PathStats::new()), Arc::clone(&ring));
         for worker in 0..=EVENT_RING_CAPACITY {
             pool.push_event(KernelEvent::WorkerDied { node: 0, worker });
         }
-        let events = pool.take_events();
+        let events = ring.drain();
         assert_eq!(events.len(), EVENT_RING_CAPACITY);
         assert!(matches!(events[0], KernelEvent::WorkerDied { worker: 1, .. }));
         assert_eq!(pool.stats().snapshot().events_dropped, 1);

@@ -126,9 +126,9 @@ pub struct KernelController {
     /// Every frame that is not in a file or a LibFS's hands: pools,
     /// per-actor caches, checkpoint pins, epoch limbo, retirement.
     pub(crate) alloc: PageAllocator,
-    /// Bounded kernel event ring (drop-oldest; replaces the old unbounded
-    /// `Registry::events` vec).
-    pub(crate) events: EventRing,
+    /// The one bounded kernel event ring (drop-oldest; replaces the old
+    /// unbounded `Registry::events` vec), shared with the delegation pool.
+    pub(crate) events: Arc<EventRing>,
     /// Inode number allocator (next unused).
     next_ino: SimMutex<u64>,
     pub(crate) phases: PhaseCounters,
@@ -214,10 +214,12 @@ impl KernelController {
         // Root is "in use" at a synthetic location never compared against.
         inos.insert(ROOT_INO, InoProvenance::InUse(DirentLoc { page: PageId(0), slot: 0 }));
         let stats = Arc::new(PathStats::new());
+        let events = Arc::new(EventRing::new(EVENT_RING_CAPACITY));
         let delegation = DelegationPool::with_stats(
             Arc::clone(&dev),
             config.delegation_threads_per_node,
             Arc::clone(&stats),
+            Arc::clone(&events),
         );
         let prov = Arc::new(prov);
         let media = Arc::new(MediaStats::new());
@@ -237,7 +239,7 @@ impl KernelController {
             prov,
             inos,
             alloc,
-            events: EventRing::new(EVENT_RING_CAPACITY),
+            events,
             next_ino: SimMutex::new(next_ino),
             phases: PhaseCounters::new(),
             page_tables: PageTableLocks::default(),
@@ -791,19 +793,18 @@ impl KernelController {
     // Test/diagnostic hooks.
     // -----------------------------------------------------------------
 
-    /// Drains the kernel event log (corruption detections, rollbacks,
-    /// lease revocations, and the delegation pool's failure-domain
-    /// events — worker deaths/restarts and degraded-mode transitions).
+    /// Drains the kernel event log, oldest first (corruption detections,
+    /// rollbacks, lease revocations, and the delegation pool's
+    /// failure-domain events — worker deaths/restarts and degraded-mode
+    /// transitions).
     pub fn take_events(&self) -> Vec<KernelEvent> {
-        let mut events = self.events.drain();
-        events.extend(self.delegation.take_events());
-        events
+        self.events.drain()
     }
 
     /// Kernel events evicted by ring overflow since mount (the bounded
-    /// rings' drop-oldest policy; also surfaced via `PathStats`).
+    /// ring's drop-oldest policy; also surfaced via `PathStats`).
     pub fn dropped_event_count(&self) -> u64 {
-        self.events.dropped() + self.delegation.events.dropped()
+        self.events.dropped()
     }
 
     /// Snapshot of the delegation pool's degradation state (DESIGN.md

@@ -332,18 +332,21 @@ impl Verifier {
         let mut report = VerifyReport::default();
 
         // --- Dirent-level I1/I4 -------------------------------------------------
-        if let Some(loc) = req.dirent {
-            let dref = DirentRef::new(&self.h, loc);
-            match dref.load() {
-                Ok(d) => self.check_own_dirent(req, &d, view, &mut report),
-                // Not a field mismatch: the slot itself is unreadable.
-                // Report what actually failed so repair can distinguish a
-                // poisoned line from a forged field (satellite of PR 4).
-                Err(cause) => {
-                    report.violations.push(Violation::UnreadableAttr { ino: req.ino, cause })
-                }
+        // The file's own slot is read once; the size checks below use it.
+        let own = match req.dirent.map(|loc| DirentRef::new(&self.h, loc).load()) {
+            Some(Ok(d)) => {
+                self.check_own_dirent(req, &d, view, &mut report);
+                Some(d)
             }
-        }
+            // Not a field mismatch: the slot itself is unreadable. Report
+            // what actually failed so repair can distinguish a poisoned
+            // line from a forged field.
+            Some(Err(cause)) => {
+                report.violations.push(Violation::UnreadableAttr { ino: req.ino, cause });
+                None
+            }
+            None => None,
+        };
 
         // --- Structure walk (I2 core) -------------------------------------------
         let pages = match walk_file(&self.h, req.first_index, req.max_index_pages) {
@@ -380,18 +383,12 @@ impl Verifier {
 
         // --- Directory contents (I1 names, I2 inos, I3) --------------------------
         if req.ftype == CoreFileType::Directory {
-            self.check_directory(req, &pages, view, &mut report);
-        } else {
+            self.check_directory(req, own.as_ref(), &pages, view, &mut report);
+        } else if let Some(d) = &own {
             // Regular file: size vs extent.
-            if let Some(loc) = req.dirent {
-                if let Ok(d) = DirentRef::new(&self.h, loc).load() {
-                    let cap = pages.capacity_bytes();
-                    if d.size > cap {
-                        report
-                            .violations
-                            .push(Violation::SizeBeyondExtent { size: d.size, capacity: cap });
-                    }
-                }
+            let cap = pages.capacity_bytes();
+            if d.size > cap {
+                report.violations.push(Violation::SizeBeyondExtent { size: d.size, capacity: cap });
             }
         }
 
@@ -427,9 +424,12 @@ impl Verifier {
         }
     }
 
+    /// `own`: the directory's own dirent as [`Verifier::verify`] read it
+    /// (`None` for the root, or when its slot was unreadable).
     fn check_directory(
         &self,
         req: &VerifyRequest<'_>,
+        own: Option<&DirentData>,
         pages: &FilePages,
         view: &dyn ResourceView,
         report: &mut VerifyReport,
@@ -475,13 +475,13 @@ impl Verifier {
         }
         // Entry-count consistency (I1): every live entry counts, and each
         // unreadable slot may or may not have held one.
-        let recorded = match req.dirent {
-            Some(loc) => DirentRef::new(&self.h, loc).size().unwrap_or(u64::MAX),
-            None => u64::MAX, // Root: the kernel checks the superblock itself.
-        };
+        // The root has no dirent: the kernel checks its count in the
+        // superblock itself.
         let actual = report.children.len() as u64;
-        if recorded != u64::MAX && !(actual..=actual + unreadable.len() as u64).contains(&recorded) {
-            report.violations.push(Violation::EntryCountMismatch { recorded, actual });
+        if let Some(recorded) = own.map(|d| d.size) {
+            if !(actual..=actual + unreadable.len() as u64).contains(&recorded) {
+                report.violations.push(Violation::EntryCountMismatch { recorded, actual });
+            }
         }
         // I3: children present at checkpoint but missing now must be truly gone.
         if let Some(ck) = req.checkpoint_children {

@@ -43,8 +43,9 @@ stage() {
 stage "tier-1 over every crate, and the benchmark's build"
 # Every oracle that needs no campaign-sized iteration count runs here, in
 # the one build: the 408-point crash sweep (each point with the sanitizer's
-# verdict), the sanitizer's mutation tests, the race detector, and the
-# chaos / adversary / media campaigns at their default sizes.
+# verdict; TRIO_ITER=<point> replays one), the sanitizer's mutation tests,
+# the race detector, and the chaos / adversary / media campaigns at their
+# default sizes.
 cargo build --release
 cargo test -q --workspace
 # perfbench/ (BENCHMARK.json) is a workspace of its own that nothing above
@@ -86,36 +87,38 @@ stage "the other feature leg, --no-default-features"
 # weave.
 cargo test -q --no-default-features
 
+# The three campaigns below run on one campaign driver (tests/common/campaign.rs):
+# TRIO_ITERS sizes each, every iteration ends on the MMU audit and the
+# sanitizer's verdict, a failed iteration prints the one line that replays
+# it — TRIO_SEED=… TRIO_ITER=… cargo test --release --test <target>
+# <campaign> — and target/<campaign>-report.json keeps the counters and
+# the failures.
+
 stage "chaos campaign: worker kills under delegated traffic"
-# Delegation failure domains (DESIGN.md §16): TRIO_CHAOS_ITER seeded
-# iterations crossing worker-kill points (after-pop / mid-payload /
-# before-reply) with multi-LibFS traffic and stall injection. The test
-# asserts no hangs, model equivalence (no lost or doubly-applied writes),
-# kills in at least half the iterations and every death recovered; any
-# failure replays from (CHAOS_SEED, iteration). Dumps
-# target/chaos-report.json with recovery-latency percentiles.
-TRIO_CHAOS_ITER="${TRIO_CHAOS_ITER:-500}" cargo test -q --release --test chaos_delegation
+# Delegation failure domains (DESIGN.md §16): 500 iterations crossing
+# worker-kill points (after-pop / mid-payload / before-reply) with
+# multi-LibFS traffic and stall injection. The test asserts no hangs,
+# model equivalence (no lost or doubly-applied writes), kills in at least
+# half the iterations and every death recovered; the report carries
+# recovery-latency percentiles.
+TRIO_ITERS=500 cargo test -q --release --test chaos_delegation
 
 stage "adversary campaign: 2k grammar corruptions"
 # The corruption fuzzer (DESIGN.md §14) drives every mutation production
 # through a hostile LibFS at a fixed seed: zero panics, zero hangs,
 # victim model-equivalence, and quarantine→repair→re-admission on every
-# confirmed violation. Dumps target/adversary-report.json for triage;
-# any failure line carries the (seed, iteration) needed to replay it via
-# TRIO_ADV_SEED/TRIO_ADV_ITER.
-TRIO_FUZZ_ITERS=2000 cargo test -q --release --test adversary_fuzz
+# confirmed violation; the report counts each production applied.
+TRIO_ITERS=2000 cargo test -q --release --test adversary_fuzz
 
 stage "media campaign: patrol routes + 500 seeded faults"
 # Media-fault tolerance (DESIGN.md §19): the route-by-route patrol tests
 # plus the seeded campaign — poison and silent rot injected under live
 # delegated traffic, crash points planted inside the recovery repair. The
 # campaign asserts metadata faults injected and all of them repaired, zero
-# silent data loss, allocator conservation and a clean persistence order;
-# target/media-report.json keeps the counts. Any iteration replays from
-# (TRIO_MEDIA_SEED, i). The scrubber is opt-in (start_patrol), so the perf
-# gate below doubles as the scrubber-idle 0.00%-delta check — no patrol
-# thread exists unless a workload asks for one.
-TRIO_MEDIA_ITER="${TRIO_MEDIA_ITER:-500}" cargo test -q --release --test media_campaign
+# silent data loss and allocator conservation. The scrubber is opt-in
+# (start_patrol), so the perf gate below doubles as the scrubber-idle
+# 0.00%-delta check — no patrol thread exists unless a workload asks for one.
+TRIO_ITERS=500 cargo test -q --release --test media_campaign
 
 stage "obs-on bench leaves a flight-recorder timeline"
 # With the 'obs' feature on, bench_datapath leaves target/obs-timeline.json

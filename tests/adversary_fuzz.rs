@@ -5,8 +5,8 @@
 //! from the corruption grammar in [`arckfs::adversary`], then checks five
 //! invariants:
 //!
-//! 1. **No panic** anywhere in kernel or verifier (panics abort the
-//!    iteration and are reported with a replay pointer).
+//! 1. **No panic** anywhere in kernel or verifier (the campaign driver
+//!    turns a panic into the iteration's replay line).
 //! 2. **Bounded time**: every wait in the harness and the delegation
 //!    protocol is deadline-bounded, so a hang fails fast instead of
 //!    wedging CI.
@@ -18,50 +18,31 @@
 //! 5. **Page tables match the books**: at the end, the MMU audit finds no
 //!    PTE beyond what the books give an actor and none missing.
 //!
-//! Determinism: iteration `i` of campaign seed `S` derives every random
-//! choice from `(S, i)` alone. Reproduce a failure with
-//! `TRIO_ADV_SEED=S TRIO_ADV_ITER=i cargo test --test adversary_fuzz`.
-//! Campaign size: `TRIO_FUZZ_ITERS` (default 400; CI gate runs 2000).
-//! The campaign always dumps `target/adversary-report.json`.
+//! Iteration `i` of campaign seed `S` draws every random choice from
+//! `(S, i)` alone (`tests/common/campaign.rs`); a failure prints the line
+//! that replays it. `TRIO_ITERS` sizes the campaign (default 400; the gate
+//! runs 2 000), and `target/seeded_corruption_campaign-report.json` keeps
+//! the counts, `applied.<production>` per kind.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+mod common;
+
 use std::sync::Arc;
 
-use arckfs::adversary::{apply_random, AdversaryReport, Mutation};
+use arckfs::adversary::apply_random;
 use arckfs::{ArckFs, ArckFsConfig};
+use common::campaign::{self, Case, Tally};
 use trio_fsapi::{read_file, write_file, FileSystem, FsError, Mode, OpenFlags};
 use trio_kernel::registry::KernelEvent;
 use trio_kernel::{KernelConfig, KernelController};
 use trio_nvm::{DeviceConfig, NvmDevice, Topology};
 use trio_sim::plock::Mutex as PlMutex;
-use trio_sim::rng::SimRng;
 use trio_sim::SimRuntime;
 
 const MODEL_LEN: usize = 32 * 1024;
+const CAMPAIGN_SEED: u64 = 0x00F0_CCED;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Per-iteration result, filled inside the sim and judged outside it.
-#[derive(Default)]
-struct IterOutcome {
-    applied: Vec<Mutation>,
-    skipped: u64,
-    detections: u64,
-    quarantines: u64,
-    readmissions: u64,
-    deleg_rejected: u64,
-    failure: Option<String>,
-}
-
-fn iter_seed(campaign_seed: u64, iteration: u64) -> u64 {
-    campaign_seed ^ iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// One fuzz iteration, fully deterministic in `(campaign_seed, iteration)`.
-fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
-    let seed = iter_seed(campaign_seed, iteration);
+/// One fuzz iteration, fully deterministic in its case.
+fn run_iteration(case: Case) -> Tally {
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
         topology: Topology::new(1, 8 * 1024),
         ..DeviceConfig::small()
@@ -79,8 +60,8 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
     let victim = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
     let bystander = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
 
-    let rt = SimRuntime::new(seed);
-    let out = Arc::new(PlMutex::new(IterOutcome::default()));
+    let rt = SimRuntime::new(case.sub_seed());
+    let out = Arc::new(PlMutex::new(Tally::default()));
     let out2 = Arc::clone(&out);
     let k = Arc::clone(&kernel);
     let evil_actor = evil.actor();
@@ -111,16 +92,22 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
         evil.unlink("/dir/warmup").unwrap();
 
         // Draw 1..=3 productions from the grammar.
-        let mut rng = SimRng::seed_from_u64(seed);
-        let count = 1 + rng.gen_range(3);
-        let mut o = IterOutcome::default();
-        for _ in 0..count {
+        let mut rng = case.rng();
+        let mut t = Tally::default();
+        let mut applied = Vec::new();
+        for _ in 0..1 + rng.gen_range(3) {
             let (m, res) = apply_random(&evil, &mut rng, "/dir", "victim");
             match res {
-                Ok(_) => o.applied.push(m),
-                Err(_) => o.skipped += 1,
+                Ok(_) => {
+                    applied.push(m);
+                    t.add("applied", 1);
+                    t.add(&format!("applied.{}", m.name()), 1);
+                }
+                Err(_) => t.add("skipped", 1),
             }
         }
+        let names: Vec<&str> = applied.iter().map(|m| m.name()).collect();
+        let ctx = format!("[applied: {}]", names.join(","));
 
         // Victim remaps; verification, rollback, quarantine, and repair
         // all happen underneath these calls.
@@ -129,29 +116,26 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
         let _ = k.take_events();
         let _ = victim.readdir("/dir");
         let _ = read_file(&*victim, "/dir/victim");
-        let evts = k.take_events();
-        let media_applied = o.applied.iter().any(|m| m.is_media());
-        let media_only = !o.applied.is_empty() && o.applied.iter().all(|m| m.is_media());
-        for e in evts {
+        let media_applied = applied.iter().any(|m| m.is_media());
+        let media_only = !applied.is_empty() && applied.iter().all(|m| m.is_media());
+        for e in k.take_events() {
             match e {
-                KernelEvent::CorruptionDetected { .. } => o.detections += 1,
+                KernelEvent::CorruptionDetected { .. } => t.add("detections", 1),
                 KernelEvent::Quarantined { actor, .. } => {
-                    o.quarantines += 1;
-                    if actor != evil_actor {
-                        o.failure =
-                            Some(format!("quarantined innocent actor {actor:?} (evil is {evil_actor:?})"));
-                    }
+                    assert_eq!(actor, evil_actor, "quarantined an innocent actor {ctx}");
+                    t.add("quarantines", 1);
                 }
-                KernelEvent::Readmitted { .. } => o.readmissions += 1,
+                KernelEvent::Readmitted { .. } => t.add("readmissions", 1),
                 _ => {}
             }
         }
         // Media lifecycle: when only the *medium* failed, the grant holder
         // is innocent — quarantining it would punish hardware decay as if
         // it were an attack.
-        if media_only && o.quarantines > 0 {
-            o.failure = Some("media-only iteration quarantined the innocent writer".into());
-        }
+        assert!(
+            !media_only || t.get("quarantines") == 0,
+            "media-only iteration quarantined the innocent writer {ctx}"
+        );
 
         // Invariant 3: model equivalence for the victim. The read that
         // *triggers* detection legitimately fails with `Corrupted` (the
@@ -160,7 +144,7 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
         // fire back-to-back. Productions indistinguishable from legal
         // writes by the grant holder relax the byte-exact check — the
         // verifier guarantees metadata integrity, not data content.
-        let strict = o.applied.iter().all(|m| !m.legal_as_writer());
+        let strict = applied.iter().all(|m| !m.legal_as_writer());
         let mut last = read_file(&*victim, "/dir/victim");
         for _ in 0..4 {
             if !matches!(last, Err(FsError::Corrupted)) {
@@ -169,40 +153,31 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
             last = read_file(&*victim, "/dir/victim");
         }
         match last {
-            Ok(data) => {
-                if strict && data != model {
-                    o.failure = Some(format!(
-                        "victim read diverged from model: {} bytes, first {:?}",
-                        data.len(),
-                        &data[..data.len().min(8)]
-                    ));
-                }
-            }
+            Ok(data) => assert!(
+                !strict || data == model,
+                "victim read diverged from model: {} bytes, first {:?} {ctx}",
+                data.len(),
+                &data[..data.len().min(8)]
+            ),
             Err(FsError::NotFound) | Err(FsError::Quarantined) => {}
             // Lost or fenced media reads fail *typed* forever — that is
             // the contract ("loud beats wrong"), not a defense failure.
             Err(FsError::Corrupted) if media_applied => {}
-            Err(e) => o.failure = Some(format!("victim read failed oddly: {e}")),
+            Err(e) => panic!("victim read failed oddly: {e} {ctx}"),
         }
         // Namespace consistency: readdir agrees with stat, no duplicates.
         if let Ok(entries) = victim.readdir("/dir") {
             let mut names: Vec<&String> = entries.iter().map(|e| &e.name).collect();
             names.sort();
             names.dedup();
-            if names.len() != entries.len() {
-                o.failure = Some("duplicate names survived the remap".into());
-            }
+            assert_eq!(names.len(), entries.len(), "duplicate names survived the remap {ctx}");
             for e in &entries {
                 let p = format!("/dir/{}", e.name);
                 match victim.stat(&p) {
-                    Ok(st) => {
-                        if st.ino != e.ino {
-                            o.failure = Some(format!("stat({p}) ino mismatch"));
-                        }
-                    }
+                    Ok(st) => assert_eq!(st.ino, e.ino, "stat({p}) ino mismatch {ctx}"),
                     // Corrupted = this stat itself triggered a detection.
                     Err(FsError::NotFound | FsError::Quarantined | FsError::Corrupted) => {}
-                    Err(err) => o.failure = Some(format!("stat({p}) failed oddly: {err}")),
+                    Err(err) => panic!("stat({p}) failed oddly: {err} {ctx}"),
                 }
             }
         }
@@ -210,84 +185,40 @@ fn run_iteration(campaign_seed: u64, iteration: u64) -> IterOutcome {
         // Invariant 4: the bystander is untouched, before and after the
         // explicit repair hook runs.
         let _ = k.repair_quarantined();
-        if read_file(&*bystander, "/safe").ok().as_deref() != Some(&safe[..]) {
-            o.failure = Some("bystander file perturbed".into());
-        }
-        if !k.quarantined_actors().is_empty() {
-            o.failure = Some("actors still quarantined after repair".into());
-        }
+        assert_eq!(read_file(&*bystander, "/safe").ok(), Some(safe), "bystander perturbed {ctx}");
+        assert!(k.quarantined_actors().is_empty(), "actors still quarantined after repair {ctx}");
 
-        o.deleg_rejected = k.path_stats().snapshot().deleg_rejected;
+        t.add("deleg_rejected", k.path_stats().snapshot().deleg_rejected);
         k.delegation().shutdown();
-        *out2.lock() = o;
+        *out2.lock() = t;
     });
-
-    // Invariant 1 (no panic) and 2 (bounded time): a panicking sim run is
-    // caught here and converted into a replayable failure record.
-    let panicked = catch_unwind(AssertUnwindSafe(|| rt.run())).is_err();
-    let mut o = std::mem::take(&mut *out.lock());
-    if panicked && o.failure.is_none() {
-        o.failure = Some("panic inside simulation".into());
-    }
+    // Invariants 1 (no panic) and 2 (bounded time): a panicking sim run
+    // fails the iteration, and the campaign driver records its replay line.
+    rt.run();
     // Invariant 5: whatever the attack did, every page table ends holding
     // exactly what the books give its actor.
-    let audit = kernel.audit_mmu_against_books();
-    if !audit.is_clean() && o.failure.is_none() {
-        o.failure = Some(format!("page tables disagree with the books: {audit:?}"));
-    }
-    o
+    campaign::oracle_tail(&kernel, case);
+    let t = std::mem::take(&mut *out.lock());
+    t
 }
 
 #[test]
 fn seeded_corruption_campaign_holds_all_invariants() {
-    let campaign_seed = env_u64("TRIO_ADV_SEED", 0x00F0_CCED);
-    let iters = env_u64("TRIO_FUZZ_ITERS", 400);
-    // Replay mode: TRIO_ADV_ITER pins the campaign to one iteration.
-    let only: Option<u64> = std::env::var("TRIO_ADV_ITER").ok().and_then(|v| v.parse().ok());
-
-    let mut report = AdversaryReport { seed: campaign_seed, ..Default::default() };
-    let range: Vec<u64> = match only {
-        Some(i) => vec![i],
-        None => (0..iters).collect(),
-    };
-    for i in range {
-        let o = run_iteration(campaign_seed, i);
-        report.iterations += 1;
-        for m in &o.applied {
-            report.record_applied(*m);
-        }
-        report.skipped += o.skipped;
-        report.detections += o.detections;
-        report.quarantines += o.quarantines;
-        report.readmissions += o.readmissions;
-        report.deleg_rejected += o.deleg_rejected;
-        if let Some(why) = o.failure {
-            let names: Vec<&str> = o.applied.iter().map(|m| m.name()).collect();
-            report.failures.push(format!(
-                "seed={campaign_seed} iter={i}: {why} [applied: {}]",
-                names.join(",")
-            ));
-        } else {
-            report.victim_consistent += 1;
-        }
-    }
-
-    let path = report.dump().ok();
-    assert!(
-        report.failures.is_empty(),
-        "{} invariant failures (report at {:?}); first: {}",
-        report.failures.len(),
-        path,
-        report.failures[0]
-    );
+    let t = campaign::seeded("seeded_corruption_campaign", CAMPAIGN_SEED, 400, run_iteration);
     // The campaign must actually exercise the defenses: corruption lands
     // and is detected, and containment round-trips. A single-iteration
     // replay can't promise full grammar coverage, so only the round-trip
     // invariant applies there.
-    if only.is_none() {
-        assert!(report.total_applied() > report.iterations / 2, "grammar barely fired");
-        assert!(report.detections > 0, "no corruption was ever detected");
-        assert!(report.deleg_rejected > 0, "hostile ring requests were never rejected");
+    if t.get("iterations") > 1 {
+        assert!(t.get("applied") > t.get("iterations") / 2, "grammar barely fired");
+        assert!(t.get("detections") > 0, "no corruption was ever detected");
+        assert!(t.get("deleg_rejected") > 0, "hostile ring requests were never rejected");
     }
-    assert_eq!(report.quarantines, report.readmissions, "containment must round-trip");
+    assert_eq!(t.get("quarantines"), t.get("readmissions"), "containment must round-trip");
+}
+
+/// Replayability: the same case yields the same tally.
+#[test]
+fn adversary_iteration_is_deterministic_and_replayable() {
+    campaign::assert_replays(CAMPAIGN_SEED, &[0, 1, 5], run_iteration);
 }

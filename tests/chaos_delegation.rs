@@ -1,8 +1,9 @@
 //! Chaos sweep for delegation failure domains (DESIGN.md §16).
 //!
 //! Each iteration builds a fresh 2-node world with a small delegation
-//! pool, arms a deterministic worker-kill plan (request index × kill
-//! point derived from the iteration number), optionally layers stall
+//! pool, arms a deterministic worker-kill plan (a request index drawn from
+//! the iteration's seed, a kill point cycling with the iteration number),
+//! optionally layers stall
 //! injection on top, and drives three concurrent LibFS clients through
 //! overlapping delegated writes and reads. The gates:
 //!
@@ -16,20 +17,25 @@
 //! - **Recovery**: every worker death is matched by a restart, and
 //!   recovery latencies are recorded for the report.
 //!
-//! Like `crash_sweep.rs`, every iteration is replayable from
-//! `(CHAOS_SEED, iteration)` alone; `TRIO_CHAOS_ITER` sets the sweep
-//! width (default 500) and the sweep dumps an aggregate report to
-//! `target/chaos-report.json` for the CI gate.
+//! Every iteration replays from its `(seed, iteration)` case alone
+//! (`tests/common/campaign.rs`): a failure prints the line that replays
+//! it. `TRIO_ITERS` sets the sweep width (default 500), and the sweep
+//! writes its counters and recovery-latency percentiles to
+//! `target/chaos_sweep-report.json`.
+
+mod common;
 
 use std::sync::Arc;
 
 use arckfs::attack::{run_attack, Attack};
 use arckfs::{ArckFs, ArckFsConfig};
+use common::campaign::{self, Case, Tally};
 use trio_fsapi::{read_file, write_file, FileSystem, Mode, OpenFlags};
 use trio_kernel::registry::KernelEvent;
 use trio_kernel::{KernelConfig, KernelController};
 use trio_kernel::delegation::{WorkerKillPlan, WorkerKillPoint};
 use trio_nvm::{DeviceConfig, NvmDevice, Topology};
+use trio_sim::rng::SimRng;
 use trio_sim::{work, RaceDetector, SimRuntime, MILLIS};
 
 const CHAOS_SEED: u64 = 0xC4A0_05ED;
@@ -41,29 +47,6 @@ const CHUNK: usize = 64 * 1024;
 /// a stale re-applied request would clobber newer data and fail the
 /// model check.
 const REGIONS: u64 = 4;
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Everything one iteration observed, rendered comparably for the
-/// replayability gate.
-#[derive(Debug, PartialEq, Eq, Default)]
-struct IterReport {
-    deaths: u64,
-    restarts: u64,
-    redispatches: u64,
-    dedup_hits: u64,
-    fallbacks: u64,
-    degraded_enters: u64,
-    degraded_exits: u64,
-    recovery_ns: Vec<u64>,
-    /// FNV-1a digest of every client's final file contents.
-    state_digest: u64,
-}
 
 fn world() -> (Arc<KernelController>, Vec<Arc<ArckFs>>) {
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
@@ -82,26 +65,25 @@ fn world() -> (Arc<KernelController>, Vec<Arc<ArckFs>>) {
     (kernel, fses)
 }
 
-/// One replayable chaos iteration: derived kill coordinates, concurrent
-/// clients, per-client model check inside the sim, counters collected
-/// after it drains.
-fn chaos_one(i: u64) -> IterReport {
-    let seed = splitmix(CHAOS_SEED ^ i);
+/// One replayable chaos iteration: kill coordinates drawn from the case,
+/// concurrent clients, per-client model check inside the sim, counters
+/// collected after it drains.
+fn chaos_one(case: Case) -> Tally {
+    let mut rng = case.rng();
     // Kill coordinates: which pop of the global request stream dies, and
     // at which point in the worker's lifecycle. ~36 requests flow per
     // iteration (writes + readbacks), so an index in 0..24 nearly always
     // fires while traffic is still in flight.
-    let kill_req = seed % 24;
-    let kill_point = WorkerKillPoint::ALL[(i % 3) as usize];
-    let stall = i % 2 == 1;
+    let kill_req = rng.gen_range(24);
+    let kill_point = WorkerKillPoint::ALL[(case.iter % 3) as usize];
+    let stall = case.iter % 2 == 1;
 
     let (kernel, fses) = world();
-    let rt = SimRuntime::new(seed);
+    let rt = SimRuntime::new(case.sub_seed());
     let k = Arc::clone(&kernel);
-    // Clients fold their final-state digests in with XOR — commutative,
-    // so the combined value is independent of completion order.
-    let digest = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let digest_in = Arc::clone(&digest);
+    // Each client draws its ops from a stream of its own, so what it
+    // writes does not depend on how the clients interleave.
+    let streams: Vec<SimRng> = fses.iter().map(|_| SimRng::seed_from_u64(rng.next_u64())).collect();
     rt.spawn("chaos-boot", move || {
         k.delegation().start();
         k.delegation().arm_worker_kill(WorkerKillPlan::kill_at(kill_req, kill_point));
@@ -112,9 +94,9 @@ fn chaos_one(i: u64) -> IterReport {
         }
         let handles: Vec<_> = fses
             .into_iter()
+            .zip(streams)
             .enumerate()
-            .map(|(c, fs)| {
-                let digest = Arc::clone(&digest_in);
+            .map(|(c, (fs, mut ops))| {
                 trio_sim::spawn(&format!("chaos-client-{c}"), move || {
                     let path = format!("/chaos-{c}");
                     let fd = fs
@@ -131,9 +113,8 @@ fn chaos_one(i: u64) -> IterReport {
                     // epoch re-applied late would diverge from the model.
                     let reg = fs.register_write_buffer(&model[..CHUNK]).unwrap();
                     for j in 0..OPS_PER_CLIENT {
-                        let h = splitmix(seed ^ (c as u64) << 32 ^ j);
-                        let off = (h % REGIONS) as usize * CHUNK;
-                        let fill = (h >> 8) as u8;
+                        let off = ops.gen_range(REGIONS) as usize * CHUNK;
+                        let fill = ops.next_u64() as u8;
                         let block: Vec<u8> =
                             (0..CHUNK).map(|b| fill.wrapping_add(b as u8)).collect();
                         if j % 2 == 0 {
@@ -160,9 +141,8 @@ fn chaos_one(i: u64) -> IterReport {
                             .rposition(|(a, b)| a != b)
                             .unwrap();
                         panic!(
-                            "client {c}: delegated state diverged from model \
-                             (iteration {i}, seed {seed:#x}); first diff @ {first} \
-                             (got {:#x} want {:#x}), last diff @ {last} \
+                            "client {c}: delegated state diverged from model; \
+                             first diff @ {first} (got {:#x} want {:#x}), last diff @ {last} \
                              (got {:#x} want {:#x}), span {} bytes",
                             got[first],
                             model[first],
@@ -172,11 +152,6 @@ fn chaos_one(i: u64) -> IterReport {
                         );
                     }
                     fs.close(fd).unwrap();
-                    let mut fnv = 0xcbf2_9ce4_8422_2325u64 ^ c as u64;
-                    for &b in &got {
-                        fnv = (fnv ^ b as u64).wrapping_mul(0x100_0000_01b3);
-                    }
-                    digest.fetch_xor(splitmix(fnv), std::sync::atomic::Ordering::Relaxed);
                 })
             })
             .collect();
@@ -187,102 +162,70 @@ fn chaos_one(i: u64) -> IterReport {
     });
     rt.run();
 
-    let audit = kernel.audit_mmu_against_books();
-    assert!(audit.is_clean(), "iteration {i}: page tables disagree with the books: {audit:?}");
+    campaign::oracle_tail(&kernel, case);
     let s = kernel.delegation().stats().snapshot();
-    assert_eq!(
-        s.worker_deaths, s.worker_restarts,
-        "iteration {i}: a dead worker was never restarted"
-    );
-    let recovery_ns: Vec<u64> = kernel.delegation().take_recovery_latencies();
+    assert_eq!(s.worker_deaths, s.worker_restarts, "a dead worker was never restarted");
+    let recovery_ns = kernel.delegation().take_recovery_latencies();
     assert_eq!(
         recovery_ns.len() as u64,
         s.worker_deaths,
-        "iteration {i}: every death must record a recovery latency"
+        "every death must record a recovery latency"
     );
-    IterReport {
-        deaths: s.worker_deaths,
-        restarts: s.worker_restarts,
-        redispatches: s.deleg_redispatches,
-        dedup_hits: s.deleg_dedup_hits,
-        fallbacks: s.deleg_fallbacks,
-        degraded_enters: s.degraded_enters,
-        degraded_exits: s.degraded_exits,
-        recovery_ns,
-        state_digest: digest.load(std::sync::atomic::Ordering::Relaxed),
-    }
+    let mut t = Tally::default();
+    t.add("worker_deaths", s.worker_deaths);
+    t.add("worker_restarts", s.worker_restarts);
+    t.add("redispatches", s.deleg_redispatches);
+    t.add("dedup_hits", s.deleg_dedup_hits);
+    t.add("fallbacks", s.deleg_fallbacks);
+    t.add("degraded_enters", s.degraded_enters);
+    t.add("degraded_exits", s.degraded_exits);
+    t.samples("recovery_ns", recovery_ns);
+    t
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// The sweep: `TRIO_CHAOS_ITER` iterations (default 500), each
-/// replayable from `(CHAOS_SEED, i)`. Dumps `target/chaos-report.json`.
+/// The sweep: `TRIO_ITERS` iterations (default 500) of [`chaos_one`].
 #[test]
 fn chaos_sweep_worker_kills_under_concurrent_traffic() {
-    let iters: u64 = std::env::var("TRIO_CHAOS_ITER")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(500);
-    let start: u64 =
-        std::env::var("TRIO_CHAOS_START").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
-    let mut agg = IterReport::default();
-    let mut all_recovery: Vec<u64> = Vec::new();
-    for i in start..start + iters {
-        let r = chaos_one(i);
-        agg.deaths += r.deaths;
-        agg.restarts += r.restarts;
-        agg.redispatches += r.redispatches;
-        agg.dedup_hits += r.dedup_hits;
-        agg.fallbacks += r.fallbacks;
-        agg.degraded_enters += r.degraded_enters;
-        agg.degraded_exits += r.degraded_exits;
-        all_recovery.extend(&r.recovery_ns);
-    }
+    let t = campaign::seeded("chaos_sweep", CHAOS_SEED, 500, chaos_one);
     // The sweep must actually exercise the failure domain: kills fire in
-    // nearly every iteration, and the idempotence table has to be doing
-    // real work (a re-dispatched + retried request dedups).
+    // nearly every iteration.
+    let deaths = t.get("worker_deaths");
     assert!(
-        agg.deaths >= iters / 2,
-        "sweep exercised too few kills: {} deaths in {iters} iterations",
-        agg.deaths
+        deaths >= t.get("iterations") / 2,
+        "sweep exercised too few kills: {deaths} deaths in {} iterations",
+        t.get("iterations")
     );
-    assert_eq!(agg.deaths, agg.restarts, "unrecovered worker deaths");
-    all_recovery.sort_unstable();
-    let (p50, p99) = (percentile(&all_recovery, 0.50), percentile(&all_recovery, 0.99));
-    let mut w = trio_sim::metrics::JsonObject::new();
-    w.field("seed", CHAOS_SEED)
-        .field("iterations", iters)
-        .field("worker_deaths", agg.deaths)
-        .field("worker_restarts", agg.restarts)
-        .field("redispatches", agg.redispatches)
-        .field("dedup_hits", agg.dedup_hits)
-        .field("fallbacks", agg.fallbacks)
-        .field("degraded_enters", agg.degraded_enters)
-        .field("degraded_exits", agg.degraded_exits)
-        .field("recovery_p50_ns", p50)
-        .field("recovery_p99_ns", p99);
-    let report = w.finish() + "\n";
-    let _ = std::fs::create_dir_all("target");
-    std::fs::write("target/chaos-report.json", &report).expect("write chaos report");
-    println!("chaos report: {report}");
+    assert_eq!(deaths, t.get("worker_restarts"), "unrecovered worker deaths");
 }
 
-/// Replayability: the same `(seed, iteration)` pair yields an identical
-/// report — counters, recovery latencies, and final state digest.
+/// Replayability: the same case yields the same tally — counters and
+/// recovery latencies. (The final state needs no digest: every client
+/// asserts it equals its model, and the model is a function of the case.)
 #[test]
 fn chaos_iteration_is_deterministic_and_replayable() {
-    for i in [0u64, 1, 5] {
-        let a = chaos_one(i);
-        let b = chaos_one(i);
-        assert_eq!(a, b, "replay of chaos iteration {i} diverged");
-    }
+    campaign::assert_replays(CHAOS_SEED, &[0, 1, 5], chaos_one);
+}
+
+/// The campaign driver's failure path: a campaign whose iteration 3
+/// panics still writes its report, with that iteration's replay line in
+/// it, and then fails naming the same line.
+#[test]
+fn campaign_self_test_reports_a_failed_iteration_by_its_replay_line() {
+    let line = "TRIO_SEED=7 TRIO_ITER=3 cargo test --release --test chaos_delegation \
+                campaign_self_test: synthetic failure";
+    let run = std::panic::catch_unwind(|| {
+        campaign::run("campaign_self_test", 7, 0..5, |case| {
+            if case.iter == 3 {
+                panic!("synthetic failure");
+            }
+            Tally::default()
+        })
+    });
+    let panic = run.expect_err("a failed iteration must fail the run");
+    let msg = panic.downcast_ref::<String>().expect("the campaign driver's assertion message");
+    assert!(msg.contains("1 of 5 iterations failed") && msg.contains(line), "{msg}");
+    let report = std::fs::read_to_string("target/campaign_self_test-report.json").unwrap();
+    assert!(report.contains("\"iterations\": 5") && report.contains(line), "{report}");
 }
 
 /// Every kill point is survivable on its own: arm each deterministically

@@ -376,6 +376,7 @@ fn event_ring_overflow_keeps_newest_and_counts_drops() {
     assert!(ring.is_empty(), "drain keeps the old drain-on-read semantics");
     assert_eq!(ring.dropped(), 4, "drop counter is lifetime, not per-drain");
     // The production capacity is big enough that no existing drain
-    // cadence sheds events (the churn test asserts events_dropped == 0).
+    // cadence sheds events, though the one ring holds both the registry's
+    // and the delegation pool's (the churn test asserts events_dropped == 0).
     const { assert!(EVENT_RING_CAPACITY >= 1024) };
 }

@@ -9,14 +9,19 @@
 //! atomic-or-invisible (data writes: torn only at cache-line
 //! granularity), and nothing later survives.
 //!
-//! Every assertion message carries the replayable `(seed, crash_point)`
-//! pair plus the [`CrashReport`], so a failure reproduces with a
-//! single targeted run.
+//! The sweeps run on the shared campaign driver
+//! (`tests/common/campaign.rs`) with the seed pinned and the crash point as
+//! the iteration: a failure prints the `TRIO_SEED=… TRIO_ITER=<point>`
+//! line that replays that one point, and every assertion message carries
+//! the [`CrashReport`].
+
+mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use arckfs::{ArckFs, ArckFsConfig};
+use common::campaign::{self, Case, Tally};
 use trio_fsapi::{FileSystem, FileType, Mode, OpenFlags};
 use trio_kernel::{KernelConfig, KernelController};
 use trio_nvm::fault::FaultPlan;
@@ -199,7 +204,7 @@ fn run_trace(dev: &Arc<NvmDevice>, fs: &Arc<ArckFs>, ops: &[Op], seed: u64) -> u
 /// Recursive directory walk through the public API; `None` marks a
 /// directory, `Some(bytes)` a regular file's full contents.
 fn readback(fs: &Arc<ArckFs>, seed: u64) -> BTreeMap<String, Option<Vec<u8>>> {
-    let rt = SimRuntime::new(seed ^ 0x9e37_79b9);
+    let rt = SimRuntime::new(seed);
     let out = Arc::new(Mutex::new(BTreeMap::new()));
     let (fs2, out2) = (Arc::clone(fs), Arc::clone(&out));
     rt.spawn("walk", move || {
@@ -370,18 +375,14 @@ fn check_equiv(
 // One sweep iteration.
 // ---------------------------------------------------------------------
 
-/// Runs the trace with a crash armed at point `k`, recovers, audits, and
-/// checks model equivalence. Returns `(crash report, recovered state)`
-/// rendered to strings for byte-identical determinism comparison.
-fn sweep_one(seed: u64, k: u64) -> (String, String) {
-    sweep_one_with(seed, k, false)
-}
-
-/// [`sweep_one`] with an optional torn-store twist: when `torn` is set,
-/// the crash additionally lets an aligned 8-byte prefix of the in-flight
-/// data store escape to media, so in-flight-write equivalence is checked
-/// at 8-byte rather than cache-line granularity.
-fn sweep_one_with(seed: u64, k: u64, torn: bool) -> (String, String) {
+/// Runs the trace with a crash armed at point `case.iter`, recovers,
+/// audits, and checks model equivalence. With `torn` the crash also lets
+/// an aligned 8-byte prefix of the in-flight data store escape to media,
+/// so in-flight-write equivalence is checked at 8-byte rather than
+/// cache-line granularity. The tally holds the crash report and the
+/// recovered state, rendered for the byte-identical replay check.
+fn sweep_one(case: Case, torn: bool) -> Tally {
+    let (seed, k) = (case.seed, case.iter);
     let ops = gen_trace(seed);
     let (dev, _kernel, fs) = world();
     let plan = FaultPlan::crash_at_point(k);
@@ -411,7 +412,7 @@ fn sweep_one_with(seed: u64, k: u64, torn: bool) -> (String, String) {
     assert!(bad.is_empty(), "fsck found violations after recovery: {bad:?}\n{ctx}");
     dev.set_recovery_mode(false);
 
-    let fs2 = ArckFs::mount(kernel2, 1000, 1000, ArckFsConfig::no_delegation());
+    let fs2 = ArckFs::mount(Arc::clone(&kernel2), 1000, 1000, ArckFsConfig::no_delegation());
     let rec = readback(&fs2, seed);
     let mut durable = Model::default();
     for op in &ops[..completed.min(ops.len())] {
@@ -419,11 +420,14 @@ fn sweep_one_with(seed: u64, k: u64, torn: bool) -> (String, String) {
     }
     check_equiv(&ctx, &durable, ops.get(completed), &rec, if torn { 8 } else { CACHE_LINE });
 
-    // Sanitizer verdict for this iteration: the trace up to the freeze
-    // (the tracker records nothing between the freeze and the crash), then
+    // The sanitizer's verdict covers the trace up to the freeze (the
+    // tracker records nothing between the freeze and the crash), then
     // recovery and the read-back mount.
-    dev.take_sanitize_report(seed).expect_clean(&ctx);
-    (report_str, format!("{rec:?}"))
+    campaign::oracle_tail(&kernel2, case);
+    let mut t = Tally::default();
+    t.state(report_str);
+    t.state(format!("{rec:?}"));
+    t
 }
 
 /// Total persistence points of the unarmed trace (the sweep domain).
@@ -448,9 +452,7 @@ fn exhaustive_crash_point_sweep() {
     );
     assert!(total <= 3000, "trace grew unexpectedly: {total} persistence points");
     println!("sweeping {total} crash points (seed={SWEEP_SEED:#x})");
-    for k in 0..total {
-        sweep_one(SWEEP_SEED, k);
-    }
+    campaign::run("exhaustive_crash_point_sweep", SWEEP_SEED, 0..total, |c| sweep_one(c, false));
 }
 
 /// Torn-store pass (delegation failure domains, §16): at sampled crash
@@ -463,9 +465,8 @@ fn torn_store_sweep_at_sampled_points() {
     const STRIDE: usize = 7;
     let total = total_points(SWEEP_SEED);
     println!("torn-store sweep over {total} crash points, stride {STRIDE}");
-    for k in (0..total).step_by(STRIDE) {
-        sweep_one_with(SWEEP_SEED, k, true);
-    }
+    let points = (0..total).step_by(STRIDE);
+    campaign::run("torn_store_sweep", SWEEP_SEED, points, |c| sweep_one(c, true));
 }
 
 /// The unmutated trace must run to quiescence with zero hazards — the
@@ -551,15 +552,16 @@ fn run_delegated_trace(
 }
 
 /// One torn-store crash iteration against the delegated trace.
-fn deleg_torn_one(k: u64) {
+fn deleg_torn_one(case: Case) -> Tally {
+    let k = case.iter;
     let (dev, kernel, fs) = delegated_world();
     dev.arm_crash_plan(FaultPlan::crash_at_point(k).with_torn_store());
-    let acked = run_delegated_trace(&dev, &kernel, &fs, SWEEP_SEED);
+    let acked = run_delegated_trace(&dev, &kernel, &fs, case.seed);
     let jpairs = fs.journal_page_pairs();
     drop(fs);
     drop(kernel);
     let report = dev.crash();
-    let ctx = format!("seed={SWEEP_SEED:#x} crash_point={k} torn=true acked={acked}\n{report}");
+    let ctx = format!("seed={} crash_point={k} torn=true acked={acked}\n{report}", case.seed);
 
     let kh = NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR);
     arckfs::journal::Journal::recover_pairs(&kh, &jpairs)
@@ -570,15 +572,15 @@ fn deleg_torn_one(k: u64) {
     assert!(bad.is_empty(), "fsck found violations after recovery: {bad:?}\n{ctx}");
     // The delegated write path up to the freeze, then recovery; the stores
     // the workers went on to make against a frozen tracker leave nothing.
-    dev.take_sanitize_report(SWEEP_SEED).expect_clean(&ctx);
+    campaign::oracle_tail(&kernel2, case);
 
     if acked == 0 {
-        return; // crash fired before any delegated ack — nothing to pin
+        return Tally::default(); // crash fired before any delegated ack — nothing to pin
     }
     // acked > 0 means the sizing base write completed pre-freeze, so the
     // file itself is durable and full-length.
     let fs2 = ArckFs::mount(kernel2, 1000, 1000, ArckFsConfig::no_delegation());
-    let rec = readback(&fs2, SWEEP_SEED);
+    let rec = readback(&fs2, case.seed);
     let got = match rec.get("/deleg") {
         Some(Some(data)) => data,
         other => panic!("/deleg lost after recovery (found {other:?})\n{ctx}"),
@@ -596,6 +598,7 @@ fn deleg_torn_one(k: u64) {
             );
         }
     }
+    Tally::default()
 }
 
 /// Acked ⇒ durable under the typestate API (DESIGN.md §18): the worker's
@@ -622,9 +625,7 @@ fn delegated_acked_writes_survive_torn_store_crashes() {
     const POINTS: u64 = 16;
     let stride = (total / POINTS).max(1) as usize;
     println!("delegated torn-store sweep over {total} crash points, stride {stride}");
-    for k in (1..total).step_by(stride) {
-        deleg_torn_one(k);
-    }
+    campaign::run("delegated_acked_writes", SWEEP_SEED, (1..total).step_by(stride), deleg_torn_one);
 }
 
 /// The engine's replayability contract: the same `(seed, crash_point)`
@@ -632,14 +633,9 @@ fn delegated_acked_writes_survive_torn_store_crashes() {
 #[test]
 fn sweep_is_deterministic_and_replayable() {
     let total = total_points(SWEEP_SEED);
-    for k in [1, total / 3, total / 2, total - 2] {
-        let a = sweep_one(SWEEP_SEED, k);
-        let b = sweep_one(SWEEP_SEED, k);
-        assert_eq!(a, b, "replay of (seed={SWEEP_SEED}, point={k}) diverged");
-    }
+    let points = [1, total / 3, total / 2, total - 2];
+    campaign::assert_replays(SWEEP_SEED, &points, |c| sweep_one(c, false));
     // The torn-store variant must replay identically too: the escaped
     // prefix length is drawn from the same deterministic plan state.
-    let a = sweep_one_with(SWEEP_SEED, total / 2, true);
-    let b = sweep_one_with(SWEEP_SEED, total / 2, true);
-    assert_eq!(a, b, "torn replay of (seed={SWEEP_SEED}, point={}) diverged", total / 2);
+    campaign::assert_replays(SWEEP_SEED, &[total / 2], |c| sweep_one(c, true));
 }

@@ -4,27 +4,27 @@
 //! runs — poison and rot injected under live delegated traffic, plus
 //! crash points planted inside the recovery repair path itself.
 //!
-//! Campaign knobs (all optional):
-//!   TRIO_MEDIA_SEED=<u64>  base seed (default 0xC0FFEE)
-//!   TRIO_MEDIA_ITER=<n>    iterations (default 40; the gate runs 500)
-//!
-//! The campaign writes `target/media-report.json` with aggregate
-//! counters; `verify.sh` asserts 100% metadata-fault detection and zero
-//! silent data loss from it.
+//! The campaign runs on the shared campaign driver (`tests/common/campaign.rs`):
+//! `TRIO_ITERS` sizes it (default 40; the gate runs 500), a failure prints
+//! the line that replays it, and `target/media_fault_campaign-report.json`
+//! keeps the counts.
+
+mod common;
 
 use std::sync::Arc;
 
 use arckfs::{ArckFs, ArckFsConfig};
+use common::campaign::{self, Case, Tally};
 use trio_fsapi::{read_file, write_file, FileSystem, FsError, Mode, OpenFlags};
 use trio_kernel::{KernelConfig, KernelController};
 use trio_layout::{superblock::SUPERBLOCK_PAGE, superblock_replica_page, SbHealth, SuperblockRef};
 use trio_nvm::{
     DeviceConfig, FaultPlan, NvmDevice, NvmHandle, PageId, Topology, KERNEL_ACTOR, PAGE_SIZE,
 };
-use trio_sim::rng::SimRng;
 use trio_sim::SimRuntime;
 
 const PAGES: u64 = 16 * 1024;
+const MEDIA_SEED: u64 = 0xC0FFEE;
 
 fn world(cfg: ArckFsConfig) -> (Arc<NvmDevice>, Arc<KernelController>, Arc<ArckFs>) {
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
@@ -490,32 +490,16 @@ fn crash_inside_recovery_repair_is_idempotent() {
 // The campaign.
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct CampaignTally {
-    iterations: u64,
-    metadata_faults_injected: u64,
-    metadata_faults_repaired: u64,
-    data_faults_injected: u64,
-    data_faults_loud: u64,
-    silent_data_loss: u64,
-    pages_retired: u64,
-    conservation_violations: u64,
-    sanitizer_hazards: u64,
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 /// One seeded iteration: live delegated traffic, 1–3 injected media
 /// faults, full-device patrol, then the verdicts.
-fn campaign_iter(seed: u64, tally: &mut CampaignTally) {
-    let rng = &mut SimRng::seed_from_u64(seed);
+fn campaign_iter(case: Case) -> Tally {
+    let (seed, rng) = (case.sub_seed(), &mut case.rng());
     let (dev, kernel, fs) = world(ArckFsConfig::default());
+    let mut t = Tally::default();
 
     // Traffic: a delegated hashed write, rename-journal activity, and a
     // shared (verified, InFile) file — every repair route armed.
-    let payload = vec![(seed as u8) | 1; 64 * 1024];
+    let payload = vec![(rng.next_u64() as u8) | 1; 64 * 1024];
     let (fs2, k2, payload2) = (Arc::clone(&fs), Arc::clone(&kernel), payload.clone());
     let rt = SimRuntime::new(seed);
     rt.spawn("traffic", move || {
@@ -533,10 +517,9 @@ fn campaign_iter(seed: u64, tally: &mut CampaignTally) {
     rt.run();
 
     let reader = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
-    let rt = SimRuntime::new(seed ^ 0x9E37);
-    let (r2, _k3) = (Arc::clone(&reader), Arc::clone(&kernel));
+    let rt = SimRuntime::new(seed);
     rt.spawn("verify-share", move || {
-        assert_eq!(read_file(&*r2, "/shared").unwrap().len(), 2 * PAGE_SIZE);
+        assert_eq!(read_file(&*reader, "/shared").unwrap().len(), 2 * PAGE_SIZE);
     });
     rt.run();
 
@@ -592,22 +575,20 @@ fn campaign_iter(seed: u64, tally: &mut CampaignTally) {
             }
         }
     }
-    tally.metadata_faults_injected += meta_faults;
-    tally.data_faults_injected += data_faults;
+    t.add("metadata_faults_injected", meta_faults);
+    t.add("data_faults_injected", data_faults);
 
-    // Patrol under the same seed; two passes so fence-offs settle.
+    // Patrol; two passes so fence-offs settle.
     let before = accounted(&kernel);
     let k4 = Arc::clone(&kernel);
-    let rt = SimRuntime::new(seed ^ 0x51AB);
+    let rt = SimRuntime::new(seed);
     rt.spawn("patrol", move || {
         for _ in 0..2 {
             k4.scrub_pass(PAGES as usize);
         }
     });
     rt.run();
-    if accounted(&kernel) != before {
-        tally.conservation_violations += 1;
-    }
+    assert_eq!(accounted(&kernel), before, "the patrol broke free + cached + retired");
 
     // Verdicts. Metadata: every injected fault must be repaired — both
     // superblock copies sealed and identical, journal twins poison-free
@@ -625,49 +606,35 @@ fn campaign_iter(seed: u64, tally: &mut CampaignTally) {
             meta_ok = false;
         }
     }
-    if meta_ok {
-        tally.metadata_faults_repaired += meta_faults;
-    }
-    assert!(meta_ok, "seed {seed:#x}: injected metadata fault survived the patrol");
+    assert!(meta_ok, "injected metadata fault survived the patrol");
+    t.add("metadata_faults_repaired", meta_faults);
 
     // Data: acked bytes either read back exactly or fail loudly. Any
     // successful read returning wrong bytes is silent loss — the one
     // unforgivable outcome.
-    let rt = SimRuntime::new(seed ^ 0x77AA);
+    let rt = SimRuntime::new(seed);
     let fs5 = Arc::clone(&fs);
-    let loud = Arc::new(trio_sim::plock::Mutex::new((0u64, 0u64))); // (loud, silent)
+    let loud = Arc::new(trio_sim::plock::Mutex::new(0u64));
     let loud2 = Arc::clone(&loud);
     rt.spawn("readback", move || {
         let fd = fs5.open("/data", OpenFlags::RDONLY, Mode(0)).unwrap();
         for (i, chunk) in payload.chunks(PAGE_SIZE).enumerate() {
             let mut buf = vec![0u8; chunk.len()];
             match fs5.pread(fd, (i * PAGE_SIZE) as u64, &mut buf) {
-                Ok(_) => {
-                    if buf != chunk {
-                        loud2.lock().1 += 1;
-                    }
-                }
-                Err(_) => loud2.lock().0 += 1,
+                Ok(_) => assert!(buf == chunk, "silent data loss: page {i} read back wrong bytes"),
+                Err(_) => *loud2.lock() += 1,
             }
         }
         fs5.close(fd).unwrap();
     });
     rt.run();
-    let (loud_errors, silent) = *loud.lock();
-    tally.data_faults_loud += loud_errors;
-    tally.silent_data_loss += silent;
-    assert_eq!(silent, 0, "seed {seed:#x}: silent data loss (wrong bytes read back)");
+    t.add("data_faults_loud", *loud.lock());
 
     // Persistence order of the traffic, the patrol's repairs and the
-    // journal recovery above.
-    let sanitizer = dev.take_sanitize_report(seed);
-    tally.sanitizer_hazards += sanitizer.hazards.len() as u64;
-    sanitizer.expect_clean("media campaign iteration");
-    let audit = kernel.audit_mmu_against_books();
-    assert!(audit.is_clean(), "seed {seed:#x}: page tables disagree with the books: {audit:?}");
-
-    tally.pages_retired += kernel.retired_page_count() as u64;
-    tally.iterations += 1;
+    // journal recovery above; the page tables against the books.
+    campaign::oracle_tail(&kernel, case);
+    t.add("pages_retired", kernel.retired_page_count() as u64);
+    t
 }
 
 /// The seeded, replayable media-fault campaign (the media gate's 500
@@ -676,32 +643,17 @@ fn campaign_iter(seed: u64, tally: &mut CampaignTally) {
 /// wrong; `free + cached + retired` must be conserved throughout.
 #[test]
 fn media_fault_campaign() {
-    let base = env_u64("TRIO_MEDIA_SEED", 0xC0FFEE);
-    let iters = env_u64("TRIO_MEDIA_ITER", 40);
-    let mut tally = CampaignTally::default();
-    for i in 0..iters {
-        campaign_iter(base.wrapping_add(i.wrapping_mul(0x9E3779B97F4A7C15)), &mut tally);
+    let t = campaign::seeded("media_fault_campaign", MEDIA_SEED, 40, campaign_iter);
+    if t.get("iterations") > 1 {
+        assert!(t.get("metadata_faults_injected") > 0, "the campaign injected no metadata fault");
     }
-    assert_eq!(tally.conservation_violations, 0);
-    assert!(tally.metadata_faults_injected > 0, "the campaign injected no metadata fault");
-    assert_eq!(tally.metadata_faults_repaired, tally.metadata_faults_injected);
-    assert_eq!(tally.silent_data_loss, 0);
+    assert_eq!(t.get("metadata_faults_repaired"), t.get("metadata_faults_injected"));
+}
 
-    let mut w = trio_sim::metrics::JsonObject::new();
-    w.field("iterations", tally.iterations)
-        .field("metadata_faults_injected", tally.metadata_faults_injected)
-        .field("metadata_faults_repaired", tally.metadata_faults_repaired)
-        .field("data_faults_injected", tally.data_faults_injected)
-        .field("data_faults_loud", tally.data_faults_loud)
-        .field("silent_data_loss", tally.silent_data_loss)
-        .field("pages_retired", tally.pages_retired)
-        .field("conservation_violations", tally.conservation_violations)
-        .field("sanitizer_hazards", tally.sanitizer_hazards);
-    let json = w.finish();
-    let dir = std::path::Path::new("target");
-    let _ = std::fs::create_dir_all(dir);
-    std::fs::write(dir.join("media-report.json"), &json).expect("write media report");
-    println!("media campaign: {json}");
+/// Replayability: the same case yields the same tally.
+#[test]
+fn media_iteration_is_deterministic_and_replayable() {
+    campaign::assert_replays(MEDIA_SEED, &[0, 1, 2], campaign_iter);
 }
 
 /// The patrol daemon: `start_patrol` spawns a sim-thread that sweeps on
