@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use trio_fsapi::{FsError, FsResult, Mode};
+use trio_fsapi::{FileSystem, FsError, FsResult, Mode};
 use trio_kernel::delegation::{DelegReply, DelegReq, DelegRun};
 use trio_kernel::grant::GrantRef;
 use trio_layout::{CoreFileType, DirPage, DirentData, DirentLoc, DirentRef, IndexPageRef};
@@ -33,7 +33,8 @@ use crate::libfs::ArckFs;
 
 /// One production of the corruption grammar. The first block mutates
 /// directory entries, the second index-page chains, the third the LibFS's
-/// own journal, the last the delegation ring protocol.
+/// own journal, the fourth the delegation ring protocol; then the medium,
+/// and a move the kernel must not mistake for a link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
     /// Field-granular bit-flip in a live dirent (ino, size, first_index,
@@ -96,10 +97,16 @@ pub enum Mutation {
     /// fail loudly instead of returning rotten bytes. Skipped when the
     /// victim has no checksummed page (sidecars ride delegated writes).
     MediaRotScrub,
+    /// Move the victim (a file the kernel knows) into a fresh subdirectory
+    /// with the LibFS's own `rename`, then publish its ino back into the
+    /// slot it left and restore the directory's entry count. The ino is now
+    /// live at its recorded slot and at the new one: a link, not a move,
+    /// whichever directory is verified first (DESIGN.md §14, the move rule).
+    MoveForgeBack,
 }
 
 /// Every production, for exhaustive sweeps and uniform draws.
-pub const ALL_MUTATIONS: [Mutation; 22] = [
+pub const ALL_MUTATIONS: [Mutation; 23] = [
     Mutation::DirentFieldFlip,
     Mutation::DirentClear,
     Mutation::DirentForge,
@@ -122,6 +129,7 @@ pub const ALL_MUTATIONS: [Mutation; 22] = [
     Mutation::DelegGrantStale,
     Mutation::MediaPoisonRead,
     Mutation::MediaRotScrub,
+    Mutation::MoveForgeBack,
 ];
 
 impl Mutation {
@@ -150,6 +158,7 @@ impl Mutation {
             Mutation::DelegGrantStale => "deleg_grant_stale",
             Mutation::MediaPoisonRead => "media_poison_read",
             Mutation::MediaRotScrub => "media_rot_scrub",
+            Mutation::MoveForgeBack => "move_forge_back",
         }
     }
 
@@ -208,7 +217,7 @@ pub fn run_mutation(
     victim: &str,
 ) -> FsResult<String> {
     let victim_path = trio_fsapi::path::join(dir_path, victim);
-    let (_dir_loc, _dir_index, dir_data) = fs.debug_file_pages(dir_path)?;
+    let (dir_loc, _dir_index, dir_data) = fs.debug_file_pages(dir_path)?;
     let (vic_loc, vic_index, vic_data) = fs.debug_file_pages(&victim_path)?;
     let h = fs.handle();
     let vic_loc = vic_loc.ok_or(FsError::NotFound)?;
@@ -513,6 +522,20 @@ pub fn run_mutation(
                 "rotted byte {off} of page {}; scrub saw {} rot, fenced {}",
                 page.0, rep.rot_pages, rep.fenced_off
             ))
+        }
+        Mutation::MoveForgeBack => {
+            // The entry count to restore lives in the parent's page; the
+            // root's, in the kernel's superblock.
+            let count = DirentRef::new(h, dir_loc.ok_or(FsError::InvalidArgument)?);
+            let d = vic.load().map_err(ArckFs::fault)?;
+            let dest = trio_fsapi::path::join(dir_path, "moved");
+            fs.mkdir(&dest, Mode(0o777))?;
+            fs.rename(&victim_path, &trio_fsapi::path::join(&dest, victim))?;
+            let w = vic.prepare(&d).map_err(ArckFs::fault)?;
+            vic.publish(d.ino, &w).map_err(ArckFs::fault)?;
+            let n = count.size().map_err(ArckFs::fault)?;
+            count.set_size(n + 1).map_err(ArckFs::fault)?;
+            Ok(format!("moved ino {} to {dest} and forged it back", d.ino))
         }
     }
 }

@@ -160,7 +160,7 @@ impl ArckFs {
                 // FxMark MWUL).
                 let flush_now = {
                     let mut q = fs.reclaim.lock();
-                    q.push((parent.ino, ino, first_index));
+                    q.push((ino, first_index));
                     q.len() >= RECLAIM_BATCH
                 };
                 if flush_now {
@@ -171,7 +171,7 @@ impl ArckFs {
                 // meaningful *now* — deferring would let the pages be
                 // recycled into live files before the kernel walks them. So
                 // does one the kernel may know (`DirAux::is_fresh`).
-                let recycled = fs.kernel.reclaim_file(fs.actor, parent.ino, ino, first_index)?;
+                let recycled = fs.kernel.reclaim_file(fs.actor, ino, first_index)?;
                 for p in recycled {
                     fs.pages.put(p);
                 }

@@ -193,15 +193,8 @@ impl FileSystem for ArckFs {
         // been adopted by the kernel yet; an explicit map fixes that.
         match self.kernel.setattr(self.actor, node.ino, attr) {
             Err(FsError::NotFound) => {
-                let target = {
-                    let place = node.place.read();
-                    match place.loc {
-                        Some(loc) => {
-                            trio_kernel::mapping::MapTarget::Dirent { parent: place.parent, loc }
-                        }
-                        None => trio_kernel::mapping::MapTarget::Root,
-                    }
-                };
+                use trio_kernel::mapping::MapTarget;
+                let target = node.place.read().loc.map_or(MapTarget::Root, MapTarget::Dirent);
                 self.kernel.map(self.actor, target, true)?;
                 self.kernel.setattr(self.actor, node.ino, attr)
             }

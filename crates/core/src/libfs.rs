@@ -89,7 +89,7 @@ pub struct ArckFs {
     pub(crate) fds: FdTable,
     pub(crate) pages: PagePool,
     pub(crate) inos: InoPool,
-    pub(crate) reclaim: SimMutex<Vec<(Ino, Ino, u64)>>,
+    pub(crate) reclaim: SimMutex<Vec<(Ino, u64)>>,
     pub(crate) journal: Journal,
     /// Shared data-path counters (the kernel's sink, so delegation and
     /// allocator activity land in the same snapshot).
@@ -313,13 +313,7 @@ impl ArckFs {
             (MapState::Write, _) | (MapState::Read, false) => return Ok(()),
             _ => {}
         }
-        let target = {
-            let place = node.place.read();
-            match place.loc {
-                Some(loc) => MapTarget::Dirent { parent: place.parent, loc },
-                None => MapTarget::Root,
-            }
-        };
+        let target = node.place.read().loc.map_or(MapTarget::Root, MapTarget::Dirent);
         node.forget_recall();
         let grant = self.kernel.map(self.actor, target, write)?;
         let map = if write { MapState::Write } else { MapState::Read };
@@ -700,7 +694,7 @@ impl ArckFs {
 
     /// Flushes the batched unlink reclamation queue.
     pub(crate) fn flush_reclaim(&self) -> FsResult<()> {
-        let items: Vec<(Ino, Ino, u64)> = {
+        let items: Vec<(Ino, u64)> = {
             let mut q = self.reclaim.lock();
             if q.is_empty() {
                 return Ok(());

@@ -211,7 +211,8 @@ impl KernelController {
         next_ino: u64,
         config: KernelConfig,
     ) -> Arc<Self> {
-        // Root is "in use" at a synthetic location never compared against.
+        // Root is "in use" at a synthetic location; the move rule
+        // (`Verifier::still_at`) keeps it there.
         inos.insert(ROOT_INO, InoProvenance::InUse(DirentLoc { page: PageId(0), slot: 0 }));
         let stats = Arc::new(PathStats::new());
         let events = Arc::new(EventRing::new(EVENT_RING_CAPACITY));

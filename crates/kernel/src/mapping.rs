@@ -78,18 +78,14 @@ pub struct MapGrant {
     pub seq: u64,
 }
 
-/// What to map.
+/// What to map. Only the slot: which directory holds it is the kernel's to
+/// know (DESIGN.md §14).
 #[derive(Clone, Copy, Debug)]
 pub enum MapTarget {
     /// The root directory.
     Root,
-    /// A file via its dirent slot inside `parent`.
-    Dirent {
-        /// Parent directory ino.
-        parent: Ino,
-        /// The slot.
-        loc: DirentLoc,
-    },
+    /// A file via its dirent slot.
+    Dirent(DirentLoc),
 }
 
 /// Why a grant ended — all that the ways of getting to
@@ -100,7 +96,8 @@ pub(crate) enum GrantEnd {
     /// ends), and now somebody needs the file.
     Released,
     /// The kernel took it for another mapper: a write lease that ran out,
-    /// or a read grant — which has no lease — in the way of a writer.
+    /// or a read grant — which has no lease — in the way of a writer. Or
+    /// the file moved under a write grant (`relocate`).
     Revoked,
     /// The holder unregistered.
     Exited,
@@ -120,9 +117,9 @@ impl KernelController {
             work(cost::MAP_CALL_BASE_NS);
         }
         self.check_not_quarantined(actor)?;
-        let (dirent, parent) = match target {
-            MapTarget::Root => (None, ROOT_INO),
-            MapTarget::Dirent { parent, loc } => (Some(loc), parent),
+        let dirent = match target {
+            MapTarget::Root => None,
+            MapTarget::Dirent(loc) => Some(loc),
         };
         let head = FileHead::new(self.kernel_handle(), dirent);
         loop {
@@ -144,11 +141,14 @@ impl KernelController {
                 }
             };
 
-            self.adopt_file(&mut reg, ino, ftype, dirent, parent)?;
+            self.adopt_file(&mut reg, ino, ftype, dirent)?;
+            // The file and the directory the books place its dirent in.
+            let file_and_dir = [Some(ino), reg.files.get(&ino).and_then(|m| m.parent)];
+            let file_and_dir = file_and_dir.into_iter().flatten();
 
             // Reads into a quarantined subtree are refused until the
             // repair pass re-admits it (DESIGN.md §14).
-            if reg.ino_quarantined(ino) || reg.ino_quarantined(parent) {
+            if file_and_dir.clone().any(|f| reg.ino_quarantined(f)) {
                 return Err(FsError::Quarantined);
             }
 
@@ -219,7 +219,7 @@ impl KernelController {
             // ---- Verify-on-sharing (Figure 2 steps 6–8). ----
             // The parent's dirent page was writable under the last writer of
             // this file; if the parent is dirty by someone else, vet it too.
-            for f in [ino, parent] {
+            for f in file_and_dir.clone() {
                 if reg.files.get(&f).is_some_and(|m| !m.dirty.trusted_by(actor)) {
                     self.verify_file_locked(&mut reg, f);
                 }
@@ -234,7 +234,7 @@ impl KernelController {
             // Verification may also have quarantined the offender; without
             // auto-repair the subtree stays off-limits until the repair
             // pass runs, and this very map is the first refused read.
-            if reg.ino_quarantined(ino) || reg.ino_quarantined(parent) {
+            if file_and_dir.clone().any(|f| reg.ino_quarantined(f)) {
                 return Err(FsError::Quarantined);
             }
 
@@ -252,7 +252,7 @@ impl KernelController {
             }
 
             // ---- Enter the grant in the books. ----
-            let granted = self.grant_frames(write, &pages, dirent)?;
+            let granted = self.grant_frames(&reg, ino, actor, write, &pages)?;
             // (Read the size only now: verification/rollback may have
             // corrected a lied field.)
             let size = head.size().map_err(|_| FsError::NotFound)?;
@@ -277,7 +277,7 @@ impl KernelController {
             // The grant maps the file's dirent page writable: a page of the
             // parent's core state is now in hands other than its grantee's.
             if write {
-                if let Some(pmeta) = reg.parent_meta(ino, parent) {
+                if let Some(pmeta) = reg.parent_meta(ino) {
                     if pmeta.seq_holder != Some(actor) {
                         pmeta.bump_seq(None);
                     }
@@ -320,8 +320,8 @@ impl KernelController {
         let mut reg = self.reg_lock(RegistryLockSite::Release);
         let meta = reg.files.get_mut(&ino).ok_or(FsError::NotFound)?;
         if meta.release(actor) {
-            let (dirent, parent) = (meta.dirent, meta.parent);
-            self.mark_write_ended(&mut reg, ino, parent, actor);
+            let dirent = meta.dirent;
+            self.mark_write_ended(&mut reg, ino, actor);
             self.reconcile(&reg, actor, dirent.map(|loc| loc.page));
             self.end_lease_wait(&mut reg, ino, actor, true);
         }
@@ -349,7 +349,7 @@ impl KernelController {
         // already has.
         let pages = self.current_pages(dirent).map_err(|_| FsError::Corrupted)?;
         self.take_checkpoint_locked(&mut reg, ino, &pages);
-        let granted = self.grant_frames(true, &pages, dirent)?;
+        let granted = self.grant_frames(&reg, ino, actor, true, &pages)?;
         let meta = reg.files.get_mut(&ino).ok_or(FsError::Corrupted)?;
         meta.grant(actor, true, granted.clone(), lease_until);
         meta.verified_pages = pages;
@@ -404,69 +404,38 @@ impl KernelController {
 
     /// Batched unlink reclamation: one trap amortized over many deleted
     /// files (the LibFS queues unlinks and flushes periodically). Items are
-    /// `(parent, ino, first_index)`. Reclaimed pages are *recycled into the
+    /// `(ino, first_index)`. Reclaimed pages are *recycled into the
     /// caller's pool* (provenance `AllocatedTo`, mapping preserved) rather
     /// than freed, so delete/create churn costs no page-table traffic —
     /// the LibFS owned write access to every one of them already.
-    pub fn reclaim_batch(&self, actor: ActorId, items: &[(Ino, Ino, u64)]) -> FsResult<Vec<PageId>> {
+    pub fn reclaim_batch(&self, actor: ActorId, items: &[(Ino, u64)]) -> FsResult<Vec<PageId>> {
         self.trap();
         self.check_not_quarantined(actor)?;
         let mut recycled = Vec::new();
-        for (parent, ino, first_index) in items {
-            recycled.extend(self.reclaim_one(actor, *parent, *ino, *first_index)?);
+        for (ino, first_index) in items {
+            recycled.extend(self.reclaim_one(actor, *ino, *first_index)?);
         }
         Ok(recycled)
     }
 
     /// Reclaims a deleted file's resources after the LibFS cleared its
     /// dirent (unlink/rmdir path): a batch of one.
-    pub fn reclaim_file(
-        &self,
-        actor: ActorId,
-        parent: Ino,
-        ino: Ino,
-        first_index: u64,
-    ) -> FsResult<Vec<PageId>> {
-        self.reclaim_batch(actor, &[(parent, ino, first_index)])
+    pub fn reclaim_file(&self, actor: ActorId, ino: Ino, first_index: u64) -> FsResult<Vec<PageId>> {
+        self.reclaim_batch(actor, &[(ino, first_index)])
     }
 
-    /// Requires the caller to hold the parent directory's write grant.
     /// `first_index` is the chain head the LibFS read before clearing the
-    /// dirent.
-    fn reclaim_one(
-        &self,
-        actor: ActorId,
-        parent: Ino,
-        ino: Ino,
-        first_index: u64,
-    ) -> FsResult<Vec<PageId>> {
+    /// dirent. Who may reclaim comes from the books alone: an ino handed
+    /// to the caller, or one that has left the slot the kernel recorded
+    /// for it (the move rule: deleted, or moved and deleted). A file still
+    /// live at its recorded slot is nobody's — whoever unlinks it clears
+    /// the dirent first.
+    fn reclaim_one(&self, actor: ActorId, ino: Ino, first_index: u64) -> FsResult<Vec<PageId>> {
         let mut reg = self.reg_lock(RegistryLockSite::Reclaim);
-        // Authorization tiers: a kernel-tracked writer of the parent may
-        // reclaim anything under it. A LibFS working in a by-construction
-        // subtree (parent unknown to the kernel, or known but unmapped) may
-        // reclaim only its own unvetted resources — which is all such a
-        // subtree can contain — plus files whose dirent is verifiably dead
-        // on media.
-        let pwriter = reg.files.get(&parent).and_then(|m| m.writer());
-        if let Some(w) = pwriter {
-            if w != actor {
-                return Err(FsError::PermissionDenied);
-            }
-        }
-        let full_auth = pwriter == Some(actor);
         let ino_ok = match self.inos.get(ino) {
-            None => true,
-            Some(InoProvenance::Unknown) => true,
-            Some(InoProvenance::AllocatedTo(a)) => a == actor || full_auth,
-            Some(InoProvenance::InUse(loc)) => {
-                // The LibFS claims it deleted this file: the dirent must
-                // really be dead.
-                full_auth
-                    || DirentRef::new(self.kernel_handle(), loc)
-                        .ino()
-                        .map(|i| i != ino)
-                        .unwrap_or(true)
-            }
+            None | Some(InoProvenance::Unknown) => true,
+            Some(InoProvenance::AllocatedTo(a)) => a == actor,
+            Some(InoProvenance::InUse(loc)) => !self.verifier().still_at(ino, loc),
         };
         if !ino_ok {
             return Err(FsError::PermissionDenied);
@@ -490,18 +459,15 @@ impl KernelController {
             }
         }
         self.inos.remove(ino);
-        // Free the chain's pages, but never pages the books say belong to a
-        // *different* file (a malicious LibFS could pass a foreign chain),
-        // and — without full authorization — only the caller's own pool
-        // pages or pages of the verified-dead file.
+        // Free the chain's pages, but only the dead file's own and the
+        // caller's pool pages: never pages the books say belong to a
+        // *different* file (a malicious LibFS could pass a foreign chain).
         let mut freeable: Vec<PageId> = Vec::new();
         if let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES) {
             for p in pages.all_pages() {
                 match self.prov.get(p.0) {
                     Some(PageProvenance::InFile(f)) if f == ino => freeable.push(p),
-                    Some(PageProvenance::AllocatedTo(a)) if a == actor || full_auth => {
-                        freeable.push(p)
-                    }
+                    Some(PageProvenance::AllocatedTo(a)) if a == actor => freeable.push(p),
                     None | Some(_) => {}
                 }
             }
@@ -552,32 +518,45 @@ impl KernelController {
 
     /// Creates the kernel's `FileMeta` for `ino` on first contact,
     /// adopting shadow attributes (I4) and validating inode provenance
-    /// (I2: fabricated or double-referenced inos are rejected here).
+    /// (I2: fabricated or double-referenced inos are rejected here). An ino
+    /// met away from the slot the books record for it has moved there if
+    /// that slot no longer holds it; if it still does, it would be live
+    /// twice.
     fn adopt_file(
         &self,
         reg: &mut Registry,
         ino: Ino,
         ftype: CoreFileType,
         dirent: Option<DirentLoc>,
-        parent: Ino,
     ) -> FsResult<()> {
-        if let Some(meta) = reg.files.get_mut(&ino) {
-            // Known file; handle a moved dirent (rename relocates slots).
-            if meta.dirent != dirent {
-                if let (Some(old), Some(new)) = (meta.dirent, dirent) {
-                    let stale =
-                        DirentRef::new(self.kernel_handle(), old).ino().map(|i| i != ino).unwrap_or(true);
-                    if !stale {
-                        return Err(FsError::Corrupted); // Live at two slots.
-                    }
-                    meta.dirent = Some(new);
-                    self.inos.insert(ino, InoProvenance::InUse(new));
-                }
+        let meta = reg.files.get(&ino);
+        let known = meta.is_some();
+        let prov = if known { None } else { self.inos.get(ino) };
+        let recorded = match (meta, prov) {
+            (Some(meta), _) => meta.dirent,
+            (None, Some(InoProvenance::InUse(at))) => Some(at),
+            (None, _) => None,
+        };
+        let Some(loc) = dirent else {
+            return if known { Ok(()) } else { Err(FsError::Corrupted) }; // The root.
+        };
+        match recorded {
+            // Where the books place it, or placed for the first time.
+            Some(at) if at == loc => {}
+            None if !known => {}
+            // Moved: the recorded slot no longer holds it.
+            Some(old) if !self.verifier().still_at(ino, old) => {}
+            // Live at two slots, or the root named by a dirent.
+            _ => return Err(FsError::Corrupted),
+        }
+        if known {
+            if recorded != dirent {
+                self.relocate(reg, ino, recorded, loc, self.dir_of(loc));
             }
             return Ok(());
         }
         let dirty_by;
-        let shadow = match self.inos.get(ino) {
+        let shadow = match prov {
             None | Some(InoProvenance::Unknown) => return Err(FsError::Corrupted),
             Some(InoProvenance::AllocatedTo(creator)) => {
                 // The creator's direct-access writes are unvetted until the
@@ -590,22 +569,15 @@ impl KernelController {
                     uid: u32::MAX,
                     gid: u32::MAX,
                 });
-                let mode = match dirent {
-                    Some(loc) => DirentRef::new(self.kernel_handle(), loc)
-                        .load()
-                        .map(|d| d.mode)
-                        .unwrap_or(trio_fsapi::Mode::RW),
-                    None => trio_fsapi::Mode(0o777),
-                };
-                ShadowAttr { mode, uid: cred.uid, gid: cred.gid }
+                let d = DirentRef::new(self.kernel_handle(), loc).load();
+                ShadowAttr { mode: d.map_or(trio_fsapi::Mode::RW, |d| d.mode), uid: cred.uid, gid: cred.gid }
             }
-            Some(InoProvenance::InUse(known)) => {
+            Some(InoProvenance::InUse(_)) => {
                 // Observed during a parent's verification (or a kernel
                 // restart); if its creator's writes are still unvetted,
                 // carry the dirtiness over so the first cross-actor map
                 // verifies the child itself.
                 dirty_by = reg.pending_dirty.remove(&ino);
-                let loc = dirent.unwrap_or(known);
                 let d = DirentRef::new(self.kernel_handle(), loc).load().map_err(|_| FsError::NotFound)?;
                 match (dirty_by, reg.actors.get(&dirty_by.unwrap_or(trio_nvm::KERNEL_ACTOR)).copied()) {
                     (Some(_), Some(cred)) => ShadowAttr { mode: d.mode, uid: cred.uid, gid: cred.gid },
@@ -613,30 +585,73 @@ impl KernelController {
                 }
             }
         };
-        if let Some(loc) = dirent {
-            self.inos.insert(ino, InoProvenance::InUse(loc));
-        }
-        let mut meta = FileMeta::new(ino, ftype, dirent, parent, shadow);
+        let mut meta = FileMeta::new(ino, ftype, shadow);
         meta.dirty = dirty_by.map_or(Dirty::Clean, Dirty::By);
         reg.files.insert(ino, meta);
+        self.relocate(reg, ino, recorded, loc, self.dir_of(loc));
         Ok(())
     }
 
-    /// The frames a grant on `pages` exposes — for a writer also the page
-    /// of the parent that holds its co-located dirent — for the books
-    /// ([`FileMeta::grant`]) and then the page table. A chain that names a
-    /// frame outside the device is corrupt; refusing it here, before the
-    /// books, is what makes the programming afterwards infallible.
+    /// The one writer of a file's place: `ino`, which the books place at
+    /// `recorded`, lives at `loc`, in a page of `dir`. The ino's provenance,
+    /// the file's dirent and its parent move together. A live write grant
+    /// may cover the old slot's page, so when the file has left that slot
+    /// the grant ends first (revoked), while the books still name the
+    /// directory that page belongs to: that directory is marked dirty by
+    /// the writer and the page leaves its page table.
+    fn relocate(
+        &self,
+        reg: &mut Registry,
+        ino: Ino,
+        recorded: Option<DirentLoc>,
+        loc: DirentLoc,
+        dir: Option<Ino>,
+    ) {
+        let moved = reg.files.get(&ino).filter(|m| m.dirent != Some(loc));
+        let writer = moved.and_then(FileMeta::writer);
+        if let Some(ended) = writer.and_then(|w| reg.files.get_mut(&ino)?.end_grant(w)) {
+            self.settle(reg, ended, GrantEnd::Revoked);
+        }
+        if recorded != Some(loc) {
+            self.inos.insert(ino, InoProvenance::InUse(loc));
+        }
+        if let Some(meta) = reg.files.get_mut(&ino) {
+            meta.dirent = Some(loc);
+            meta.parent = dir;
+        }
+    }
+
+    /// The directory a verification claimed `loc`'s page for, if any.
+    fn dir_of(&self, loc: DirentLoc) -> Option<Ino> {
+        match self.prov.get(loc.page.0) {
+            Some(PageProvenance::InFile(dir)) => Some(dir),
+            _ => None,
+        }
+    }
+
+    /// The frames a grant of `ino` on `pages` exposes, for the books
+    /// ([`FileMeta::grant`]) and then the page table. A writer also gets
+    /// the page holding its dirent, when the books name who answers for
+    /// stores into it: the directory they place the file in, whose dirt the
+    /// grant's end marks, or the writer itself, whose pool page it is. A
+    /// chain that names a frame outside the device is corrupt; refusing it
+    /// here, before the books, is what makes the programming afterwards
+    /// infallible.
     fn grant_frames(
         &self,
+        reg: &Registry,
+        ino: Ino,
+        actor: ActorId,
         write: bool,
         pages: &FilePages,
-        dirent: Option<DirentLoc>,
     ) -> FsResult<Vec<PageId>> {
         let mut granted: Vec<PageId> = pages.all_pages().collect();
-        if write {
-            granted.extend(dirent.map(|loc| loc.page));
-        }
+        let meta = reg.files.get(&ino).filter(|_| write);
+        let answered = |loc: &DirentLoc| match meta.and_then(|m| m.parent) {
+            Some(dir) => reg.files.contains_key(&dir),
+            None => self.prov.get(loc.page.0) == Some(PageProvenance::AllocatedTo(actor)),
+        };
+        granted.extend(meta.and_then(|m| m.dirent).filter(answered).map(|loc| loc.page));
         let total = self.device().topology().total_pages();
         if granted.iter().any(|p| p.0 >= total) {
             return Err(FsError::Corrupted);
@@ -664,10 +679,10 @@ impl KernelController {
     /// only its PTEs are left: no second mark on the parent, no event, no
     /// recall counted twice.
     pub(crate) fn settle(&self, reg: &mut Registry, ended: EndedGrant, why: GrantEnd) {
-        let EndedGrant { ino, actor, write, mut pages, dirent, parent, released } = ended;
+        let EndedGrant { ino, actor, write, mut pages, dirent, released } = ended;
         let live_write = write && !released;
         if live_write {
-            self.mark_write_ended(reg, ino, parent, actor);
+            self.mark_write_ended(reg, ino, actor);
         }
         if why != GrantEnd::Contained {
             if write {
@@ -686,11 +701,11 @@ impl KernelController {
 
     /// `actor`'s write access to `ino` has ended (step 5's dirt): the file
     /// and its parent are marked dirty by it.
-    fn mark_write_ended(&self, reg: &mut Registry, ino: Ino, parent: Ino, actor: ActorId) {
+    fn mark_write_ended(&self, reg: &mut Registry, ino: Ino, actor: ActorId) {
         if let Some(meta) = reg.files.get_mut(&ino) {
             meta.dirty.mark(actor, true);
         }
-        if let Some(pmeta) = reg.parent_meta(ino, parent) {
+        if let Some(pmeta) = reg.parent_meta(ino) {
             pmeta.dirty.mark(actor, false);
         }
     }
@@ -789,24 +804,22 @@ impl KernelController {
         }
         if report.ok() {
             self.claim_pages_for_file(ino, &report.pages);
+            // Every child is placed here: the verifier passed the ones it
+            // found moved in (the move rule), and placed ones whose parent
+            // the books did not know yet learn it.
             for child in &report.children {
-                let prov = self.inos.get(child.ino);
-                match prov {
+                let recorded = match self.inos.get(child.ino) {
+                    Some(InoProvenance::InUse(at)) => Some(at),
+                    // The child's own core state is still unvetted.
                     Some(InoProvenance::AllocatedTo(creator)) => {
-                        self.inos.insert(child.ino, InoProvenance::InUse(child.loc));
-                        // The child's own core state is still unvetted.
                         reg.pending_dirty.insert(child.ino, creator);
+                        None
                     }
-                    None => {
-                        self.inos.insert(child.ino, InoProvenance::InUse(child.loc));
-                    }
-                    Some(InoProvenance::InUse(old)) if old != child.loc => {
-                        self.inos.insert(child.ino, InoProvenance::InUse(child.loc));
-                        if let Some(cm) = reg.files.get_mut(&child.ino) {
-                            cm.dirent = Some(child.loc);
-                        }
-                    }
-                    _ => {}
+                    _ => None,
+                };
+                let placed = reg.files.get(&child.ino).is_none_or(|m| m.parent == Some(ino));
+                if recorded != Some(child.loc) || !placed {
+                    self.relocate(reg, child.ino, recorded, child.loc, Some(ino));
                 }
             }
             // The dirty actor keeps on the verified file's pages what its
@@ -863,9 +876,8 @@ impl KernelController {
         meta.bump_seq(None);
         let dirent = meta.dirent;
         let ftype = meta.ftype;
-        let parent = meta.parent;
         let ck = meta.checkpoint.clone();
-        if let Some(pmeta) = reg.parent_meta(ino, parent) {
+        if let Some(pmeta) = reg.parent_meta(ino) {
             pmeta.bump_seq(None);
         }
         let Some(ck) = ck else {
@@ -913,6 +925,19 @@ impl KernelController {
                     if let Ok(page) = DirPage::load(self.kernel_handle(), *dp) {
                         children.extend(page.live().map(|(loc, d)| (d.ino, d.first_index, loc)));
                     }
+                }
+                // A child the books place at a live slot elsewhere moved out
+                // after the checkpoint: restored here, it would be live twice.
+                let (moved, children): (Vec<_>, Vec<_>) = children.into_iter().partition(|c| {
+                    matches!(self.inos.get(c.0), Some(InoProvenance::InUse(at))
+                        if at != c.2 && self.verifier().still_at(c.0, at))
+                });
+                for (_, _, cloc) in &moved {
+                    let _ = DirentRef::new(self.kernel_handle(), *cloc).clear();
+                }
+                if !moved.is_empty() {
+                    let _sb_guard = dirent.is_none().then(|| self.sb_lock.lock());
+                    let _ = head.set_size(head.size().unwrap_or(0).saturating_sub(moved.len() as u64));
                 }
                 for (cino, cfi, cloc) in children {
                     let child_has_ck = cino != ino

@@ -171,8 +171,6 @@ pub struct EndedGrant {
     /// The file's dirent at the time (`None` for root): the writer had its
     /// page writable too.
     pub dirent: Option<DirentLoc>,
-    /// The directory that page belongs to.
-    pub parent: Ino,
     /// Whether its holder had released it ([`FileMeta::release`]): its
     /// dirt, dirent page and lease waiters were settled then, and only the
     /// PTEs are left.
@@ -186,10 +184,14 @@ pub struct FileMeta {
     pub ino: Ino,
     /// File type at adoption.
     pub ftype: CoreFileType,
-    /// Dirent location (`None` for root).
+    /// The file's place (DESIGN.md §14), written by
+    /// `KernelController::relocate` alone: its dirent slot (`None` for the
+    /// root)…
     pub dirent: Option<DirentLoc>,
-    /// Parent directory ino (root's parent is itself).
-    pub parent: Ino,
+    /// …and the directory whose verified page holds that slot, from the
+    /// kernel's own books (`None` for the root, or while no verification
+    /// has claimed the page).
+    pub parent: Option<Ino>,
     /// Ground-truth permissions (I4).
     pub shadow: ShadowAttr,
     // The grant books. Private: an actor enters them through `grant` and
@@ -225,19 +227,13 @@ pub struct FileMeta {
 }
 
 impl FileMeta {
-    /// Creates metadata for a newly adopted file.
-    pub fn new(
-        ino: Ino,
-        ftype: CoreFileType,
-        dirent: Option<DirentLoc>,
-        parent: Ino,
-        shadow: ShadowAttr,
-    ) -> Self {
+    /// Creates metadata for a newly adopted file, not yet placed.
+    pub fn new(ino: Ino, ftype: CoreFileType, shadow: ShadowAttr) -> Self {
         FileMeta {
             ino,
             ftype,
-            dirent,
-            parent,
+            dirent: None,
+            parent: None,
             shadow,
             mapped_pages: DetHashMap::default(),
             writer: None,
@@ -354,7 +350,6 @@ impl FileMeta {
             write,
             pages,
             dirent: self.dirent,
-            parent: self.parent,
             released,
         })
     }
@@ -491,16 +486,8 @@ impl Registry {
     /// Fresh registry with the root directory pre-adopted.
     pub fn new() -> Self {
         let mut files = DetHashMap::default();
-        files.insert(
-            ROOT_INO,
-            FileMeta::new(
-                ROOT_INO,
-                CoreFileType::Directory,
-                None,
-                ROOT_INO,
-                ShadowAttr { mode: trio_fsapi::Mode(0o777), uid: 0, gid: 0 },
-            ),
-        );
+        let root_attr = ShadowAttr { mode: trio_fsapi::Mode(0o777), uid: 0, gid: 0 };
+        files.insert(ROOT_INO, FileMeta::new(ROOT_INO, CoreFileType::Directory, root_attr));
         Registry {
             actors: DetHashMap::default(),
             files,
@@ -514,13 +501,11 @@ impl Registry {
         }
     }
 
-    /// The metadata of `ino`'s parent directory — whose page holds `ino`'s
-    /// dirent — unless `ino` is the root, which is its own parent.
-    pub fn parent_meta(&mut self, ino: Ino, parent: Ino) -> Option<&mut FileMeta> {
-        if parent == ino {
-            return None;
-        }
-        self.files.get_mut(&parent)
+    /// The metadata of the directory whose page holds `ino`'s dirent, as
+    /// the books place it.
+    pub fn parent_meta(&mut self, ino: Ino) -> Option<&mut FileMeta> {
+        let dir = self.files.get(&ino)?.parent?;
+        self.files.get_mut(&dir)
     }
 
     /// The files `actor` holds a grant on, in ino order.
@@ -651,7 +636,8 @@ mod tests {
         let (a, b) = (ActorId(1), ActorId(2));
         let loc = DirentLoc { page: PageId(9), slot: 3 };
         let shadow = ShadowAttr { mode: trio_fsapi::Mode::RW, uid: 0, gid: 0 };
-        let mut f = FileMeta::new(7, CoreFileType::Regular, Some(loc), ROOT_INO, shadow);
+        let mut f = FileMeta::new(7, CoreFileType::Regular, shadow);
+        f.dirent = Some(loc);
         f.grant(a, true, vec![PageId(5), PageId(9)], 900);
         f.grant(b, false, vec![PageId(5)], 0);
         assert!(!f.release(b), "a read grant has nothing that cannot wait");
@@ -677,7 +663,8 @@ mod tests {
         let mut r = Registry::new();
         let loc = DirentLoc { page: PageId(5), slot: 0 };
         let shadow = ShadowAttr { mode: trio_fsapi::Mode::RW, uid: 0, gid: 0 };
-        let mut f = FileMeta::new(7, CoreFileType::Regular, Some(loc), ROOT_INO, shadow);
+        let mut f = FileMeta::new(7, CoreFileType::Regular, shadow);
+        f.dirent = Some(loc);
         f.grant(a, true, vec![PageId(8), PageId(5)], 900);
         r.files.insert(7, f);
         r.files.get_mut(&ROOT_INO).unwrap().grant(a, false, vec![PageId(4), PageId(5)], 0);

@@ -243,7 +243,7 @@ fn child_release_keeps_parent_dirtiness() {
         let inos = k2.alloc_inos(a.actor, 1).unwrap();
         let (_, dpage, floc) = create_in_empty_root(&k2, &a, b"f", inos[0], CoreFileType::Regular);
         k2.release(a.actor, ROOT_INO).unwrap();
-        let f = k2.map(a.actor, MapTarget::Dirent { parent: ROOT_INO, loc: floc }, true).unwrap();
+        let f = k2.map(a.actor, MapTarget::Dirent(floc), true).unwrap();
 
         // B takes the root (verifying A's create), fabricates, releases.
         let b = k2.register_libfs(100, 100);
@@ -371,8 +371,8 @@ fn every_way_a_write_grant_ends_leaves_the_same_state() {
             k.update_root(a.actor, None, Some(2), None).unwrap();
             k.release(a.actor, ROOT_INO).unwrap();
             let c = k.register_libfs(100, 100);
-            let f_target = MapTarget::Dirent { parent: ROOT_INO, loc: f_loc };
-            let loud_target = MapTarget::Dirent { parent: ROOT_INO, loc: loud_loc };
+            let f_target = MapTarget::Dirent(f_loc);
+            let loud_target = MapTarget::Dirent(loud_loc);
             for (target, ino) in [(MapTarget::Root, ROOT_INO), (f_target, f_ino), (loud_target, loud_ino)] {
                 k.map(c.actor, target, false).unwrap();
                 k.release(c.actor, ino).unwrap();
@@ -458,7 +458,7 @@ fn exit_does_not_vet_a_parent_somebody_else_is_writing() {
         let inos = k.alloc_inos(a.actor, 1).unwrap();
         let (_, dpage, f_loc) = create_in_empty_root(&k, &a, b"f", inos[0], CoreFileType::Regular);
         k.release(a.actor, ROOT_INO).unwrap();
-        let f_target = MapTarget::Dirent { parent: ROOT_INO, loc: f_loc };
+        let f_target = MapTarget::Dirent(f_loc);
         k.map(a.actor, f_target, true).unwrap();
 
         let b = k.register_libfs(100, 100);
@@ -516,14 +516,14 @@ fn permission_denied_for_other_users() {
         k2.release(a.actor, ROOT_INO).unwrap();
 
         // Adopt the file's shadow entry via a first map by its owner.
-        let g = k2.map(a.actor, MapTarget::Dirent { parent: ROOT_INO, loc }, true).unwrap();
+        let g = k2.map(a.actor, MapTarget::Dirent(loc), true).unwrap();
         assert_eq!(g.ino, inos[0]);
         k2.release(a.actor, g.ino).unwrap();
 
         // Mode 0600 and uid 100: uid-999 actor is refused.
         let c = k2.register_libfs(999, 999);
         k2.map(c.actor, MapTarget::Root, false).unwrap();
-        let res = k2.map(c.actor, MapTarget::Dirent { parent: ROOT_INO, loc }, false);
+        let res = k2.map(c.actor, MapTarget::Dirent(loc), false);
         assert_eq!(res.err(), Some(FsError::PermissionDenied));
     });
     rt.run();
@@ -540,7 +540,7 @@ fn setattr_updates_shadow_and_enforces_ownership() {
         let inos = k2.alloc_inos(a.actor, 1).unwrap();
         let (_, _, loc) = create_in_empty_root(&k2, &a, b"f", inos[0], CoreFileType::Regular);
         k2.release(a.actor, ROOT_INO).unwrap();
-        let g = k2.map(a.actor, MapTarget::Dirent { parent: ROOT_INO, loc }, true).unwrap();
+        let g = k2.map(a.actor, MapTarget::Dirent(loc), true).unwrap();
         k2.release(a.actor, g.ino).unwrap();
 
         // Non-owner chmod fails.
@@ -552,7 +552,7 @@ fn setattr_updates_shadow_and_enforces_ownership() {
         assert_eq!(k2.shadow_mode(g.ino).unwrap().0, Mode(0o666));
         // Now uid-200 B may map it read (0o666 allows other-read).
         k2.map(b.actor, MapTarget::Root, false).unwrap();
-        k2.map(b.actor, MapTarget::Dirent { parent: ROOT_INO, loc }, false).unwrap();
+        k2.map(b.actor, MapTarget::Dirent(loc), false).unwrap();
     });
     rt.run();
 }
@@ -578,7 +578,7 @@ fn checkpoint_pins_pages_until_replaced() {
         // A empties the root and frees the pages while holding the grant.
         DirentRef::new(&a.handle, DirentLoc { page: dpage, slot: 0 }).clear().unwrap();
         k2.update_root(a.actor, Some(0), Some(0), None).unwrap();
-        k2.reclaim_file(a.actor, ROOT_INO, inos[0], 0).unwrap();
+        k2.reclaim_file(a.actor, inos[0], 0).unwrap();
         // Freeing checkpointed pages is deferred (pinned).
         let pages = [ipage, dpage];
         // They are part of root (InFile) so the pool-free path refuses; the
@@ -646,7 +646,7 @@ fn pin_as_root_chain(
     k.map(a.actor, MapTarget::Root, true).unwrap();
     DirentRef::new(&a.handle, loc).clear().unwrap();
     k.update_root(a.actor, Some(0), Some(0), None).unwrap();
-    k.reclaim_file(a.actor, ROOT_INO, ino, 0).unwrap();
+    k.reclaim_file(a.actor, ino, 0).unwrap();
 }
 
 /// One frame, three reasons not to recycle it — a checkpoint pins it, the
@@ -813,7 +813,7 @@ fn unknown_file_map_fails_cleanly() {
     rt.spawn("main", move || {
         let a = k2.register_libfs(100, 100);
         let loc = DirentLoc { page: PageId(50), slot: 0 };
-        let res = k2.map(a.actor, MapTarget::Dirent { parent: ROOT_INO, loc }, false);
+        let res = k2.map(a.actor, MapTarget::Dirent(loc), false);
         assert_eq!(res.err(), Some(FsError::NotFound));
         // A handle without any grant cannot even probe the page.
         let h = NvmHandle::new(Arc::clone(k2.device()), a.actor);
@@ -1014,7 +1014,7 @@ fn vetted_root_with_f(
     k.map(v.actor, MapTarget::Root, false).unwrap();
     k.release(v.actor, ROOT_INO).unwrap();
     assert!(k.take_events().is_empty(), "the root verifies clean");
-    (ino, MapTarget::Dirent { parent: ROOT_INO, loc }, [ipage, dpage])
+    (ino, MapTarget::Dirent(loc), [ipage, dpage])
 }
 
 /// Write-map a nine-page grant (`/d`: an index page and seven data pages,
@@ -1043,7 +1043,7 @@ fn remap_after_release_pays_only_for_the_ptes_that_change() {
         k.release(a.actor, ROOT_INO).unwrap();
         // V vets the root and `/d` (which sweeps A's pool PTEs off them)
         // and leaves: nobody has a PTE on the nine pages.
-        let d = MapTarget::Dirent { parent: ROOT_INO, loc };
+        let d = MapTarget::Dirent(loc);
         let v = k.register_libfs(100, 100);
         k.map(v.actor, MapTarget::Root, false).unwrap();
         assert_eq!(k.map(v.actor, d, false).unwrap().pages.all_pages().count(), 8);
@@ -1077,8 +1077,9 @@ fn remap_after_release_pays_only_for_the_ptes_that_change() {
 }
 
 /// A released grant confers nothing: its holder may not commit, update
-/// the root, hand back `InFile` pages or reclaim with the parent writer's
-/// full authority — and to anyone else the parent is as good as unheld.
+/// the root or hand back `InFile` pages. Reclaiming is a matter of the
+/// books alone, whoever holds the parent: a file still live at its
+/// recorded slot is nobody's, an ino handed to the caller is the caller's.
 #[test]
 fn released_writer_has_no_authority() {
     let k = raced_kernel(KernelConfig::default());
@@ -1097,18 +1098,16 @@ fn released_writer_has_no_authority() {
         assert_eq!(k.update_root(a.actor, None, Some(1), None), Err(FsError::PermissionDenied));
         let denied = Err(FsError::PermissionDenied);
         assert_eq!(k.return_file_pages(a.actor, ROOT_INO, &[ipage]), denied);
-        // Reclaiming under the root: A's live child is not A's to take…
-        assert_eq!(k.reclaim_file(a.actor, ROOT_INO, f, 0), Err(FsError::PermissionDenied));
-        // …while B gets the unheld parent's tier: its own unlinked ino, yes;
-        // somebody's live child, no.
+        // A's live child is not A's to take, nor B's; B's own ino is B's.
+        assert_eq!(k.reclaim_file(a.actor, f, 0), Err(FsError::PermissionDenied));
         let b = k.register_libfs(100, 100);
-        let own = k.alloc_inos(b.actor, 2).unwrap();
-        assert_eq!(k.reclaim_file(b.actor, ROOT_INO, own[0], 0), Ok(vec![]));
-        assert_eq!(k.reclaim_file(b.actor, ROOT_INO, f, 0), Err(FsError::PermissionDenied));
+        let own = k.alloc_inos(b.actor, 1).unwrap();
+        assert_eq!(k.reclaim_file(b.actor, own[0], 0), Ok(vec![]));
+        assert_eq!(k.reclaim_file(b.actor, f, 0), Err(FsError::PermissionDenied));
 
-        // Under A's live grant the parent is A's alone again.
+        // A live grant on the root does not make the live child A's either.
         k.map(a.actor, MapTarget::Root, true).unwrap();
-        assert_eq!(k.reclaim_file(b.actor, ROOT_INO, own[1], 0), Err(FsError::PermissionDenied));
+        assert_eq!(k.reclaim_file(a.actor, f, 0), Err(FsError::PermissionDenied));
         k.update_root(a.actor, None, Some(1), None).unwrap();
         assert_mmu_matches_books(k);
     });
@@ -1168,7 +1167,7 @@ fn repair_pass_ends_a_released_writer_first() {
 
         // A corrupts `f` and commits it: rolled back, A quarantined with
         // the root (dirty by W, and by A through `f`'s dirent) tainted.
-        let MapTarget::Dirent { loc, .. } = f_target else { unreachable!() };
+        let MapTarget::Dirent(loc) = f_target else { unreachable!() };
         DirentRef::new(&a.handle, loc).set_first_index(u64::MAX / 2).unwrap();
         assert_eq!(k.commit(a.actor, f), Err(FsError::Corrupted));
         assert_eq!(k.quarantined_actors(), [a.actor]);
@@ -1253,6 +1252,290 @@ fn ending_a_released_grant_does_not_mark_the_parent_again() {
         k.map(b.actor, MapTarget::Root, false).unwrap();
         let events = k.take_events();
         assert!(events.contains(&KernelEvent::RolledBack { ino: ROOT_INO }), "{events:?}");
+        assert_mmu_matches_books(k);
+    });
+}
+
+// ---------------------------------------------------------------------
+// The kernel knows where a file lives (DESIGN.md §14): no kernel call takes
+// a parent from a LibFS, so neither a false parent nor a wrong one can be
+// passed. Both probes below did exactly that, and succeeded.
+// ---------------------------------------------------------------------
+
+/// `/e`, built by `owner` in an empty root.
+struct DirE {
+    ino: u64,
+    loc: DirentLoc,
+    /// `/e`'s one data page: the children's dirents.
+    page: PageId,
+    /// Per child: its ino, its slot, its index and data page.
+    kids: Vec<(u64, DirentLoc, [PageId; 2])>,
+}
+
+/// [`built_dir`], then a second actor vets the root and `/e` and leaves.
+/// The kernel has seen the files' slots, not the files.
+fn vetted_dir(k: &KernelController, owner: &LibFsRegistration, names: &[&[u8]]) -> DirE {
+    let e = built_dir(k, owner, names);
+    vet(k, [MapTarget::Root, MapTarget::Dirent(e.loc)]);
+    e
+}
+
+/// `owner` builds `/e` in an empty root with one regular file per name (an
+/// index page and a data page each), all on its pool pages, and lets the
+/// root go. Nobody else has looked: `/e` and its files are the owner's
+/// unvetted work.
+fn built_dir(k: &KernelController, owner: &LibFsRegistration, names: &[&[u8]]) -> DirE {
+    k.map(owner.actor, MapTarget::Root, true).unwrap();
+    let inos = k.alloc_inos(owner.actor, 1 + names.len() as u64).unwrap();
+    let (_, _, loc) = create_in_empty_root(k, owner, b"e", inos[0], CoreFileType::Directory);
+    let pages = k.alloc_pages(owner.actor, 2 + 2 * names.len(), None).unwrap();
+    IndexPageRef::new(&owner.handle, pages[0]).set_entry(0, pages[1].0).unwrap();
+    let e = DirentRef::new(&owner.handle, loc);
+    e.set_first_index(pages[0].0).unwrap();
+    e.set_size(names.len() as u64).unwrap();
+    let mut kids = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        let (ipage, dpage) = (pages[2 + 2 * i], pages[3 + 2 * i]);
+        IndexPageRef::new(&owner.handle, ipage).set_entry(0, dpage.0).unwrap();
+        let mut d = DirentData::new(name, CoreFileType::Regular, Mode::RW, 100, 100);
+        (d.first_index, d.size) = (ipage.0, 4096);
+        let kloc = DirentLoc { page: pages[1], slot: i };
+        let r = DirentRef::new(&owner.handle, kloc);
+        r.publish(inos[1 + i], &r.prepare(&d).unwrap()).unwrap();
+        kids.push((inos[1 + i], kloc, [ipage, dpage]));
+    }
+    k.release(owner.actor, ROOT_INO).unwrap();
+    DirE { ino: inos[0], loc, page: pages[1], kids }
+}
+
+/// A passing actor maps each of `targets` for read — verifying what is
+/// dirty — and leaves.
+fn vet(k: &KernelController, targets: impl IntoIterator<Item = MapTarget>) {
+    let v = k.register_libfs(100, 100);
+    for t in targets {
+        k.map(v.actor, t, false).unwrap();
+    }
+    k.unregister(v.actor);
+    assert!(k.take_events().is_empty(), "verifies clean");
+}
+
+/// Probe 1, a false parent in `map`: a write grant on `/e/f` maps the page
+/// of `/e` that holds `f`'s dirent writable, and the stores A makes through
+/// it — here an entry for an ino nobody allocated — are vetted with `/e`,
+/// the directory the books say owns that page: A's release marks `/e`, and
+/// B's next map of `/e` rolls the entry back.
+#[test]
+fn stores_through_a_dirent_page_are_vetted_with_the_directory_that_owns_it() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(7, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        let e = vetted_dir(k, &a, &[b"f"]);
+        let (f, f_loc, _) = e.kids[0];
+        k.map(a.actor, MapTarget::Dirent(f_loc), true).unwrap();
+        let ghost_loc = DirentLoc { page: e.page, slot: 1 };
+        let ghost = DirentRef::new(&a.handle, ghost_loc);
+        let d = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 100, 100);
+        ghost.publish(999_999, &ghost.prepare(&d).unwrap()).unwrap();
+        k.release(a.actor, f).unwrap();
+
+        let b = k.register_libfs(100, 100);
+        k.map(b.actor, MapTarget::Root, false).unwrap();
+        assert!(k.take_events().is_empty(), "the root was not written");
+        k.map(b.actor, MapTarget::Dirent(e.loc), false).unwrap();
+        let events = k.take_events();
+        assert!(events.contains(&KernelEvent::RolledBack { ino: e.ino }), "{events:?}");
+        assert_eq!(DirentRef::new(k.kernel_handle(), ghost_loc).ino().unwrap(), 0);
+        let a_contained = |e: &KernelEvent| matches!(e, KernelEvent::Quarantined { actor, .. } if *actor == a.actor);
+        assert!(events.iter().any(a_contained), "{events:?}");
+        assert_mmu_matches_books(k);
+    });
+}
+
+/// Probe 2, a wrong parent in `reclaim`: A, the root's writer, asks to
+/// reclaim `g`, a vetted file that lives in `/e`, on which A holds no grant.
+/// The books place `g` at a slot that still holds it, so it is nobody's to
+/// reclaim: `PermissionDenied`, its pages stay `g`'s, and none is mapped to A.
+#[test]
+fn reclaiming_a_file_live_in_another_directory_is_denied() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(8, move || {
+        let k = &*k2;
+        let b = k.register_libfs(100, 100);
+        let e = vetted_dir(k, &b, &[b"g"]);
+        let (g, g_loc, [gi, gd]) = e.kids[0];
+        vet(k, [MapTarget::Dirent(g_loc)]);
+        let a = k.register_libfs(100, 100);
+        k.map(a.actor, MapTarget::Root, true).unwrap();
+        assert_eq!(k.reclaim_file(a.actor, g, gi.0), Err(FsError::PermissionDenied));
+        assert_eq!(k.pages_of(g), [gi.0, gd.0].into_iter().collect());
+        for p in [gi, gd] {
+            assert_eq!(k.device().mmu_perm(a.actor, p).unwrap(), None, "{p:?}");
+        }
+        assert!(a.handle.write_untimed(gd, 0, b"mine now").is_err());
+        assert_mmu_matches_books(k);
+    });
+}
+
+/// What the books allow still reclaims: `/e/g` unlinked in place, and
+/// `/e/h` moved into the root and unlinked there — its recorded slot in
+/// `/e` no longer holds it, so it has left, whichever directory A unlinked
+/// it from. Both chains come back to A's pool.
+#[test]
+fn honest_unlink_and_rename_then_unlink_still_reclaim() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(9, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        let e = vetted_dir(k, &a, &[b"g", b"h"]);
+        let [(g, g_loc, g_pages), (h, h_loc, h_pages)] = [e.kids[0], e.kids[1]];
+        vet(k, [MapTarget::Dirent(g_loc), MapTarget::Dirent(h_loc)]);
+        k.map(a.actor, MapTarget::Root, true).unwrap();
+        k.map(a.actor, MapTarget::Dirent(e.loc), true).unwrap();
+
+        DirentRef::new(&a.handle, g_loc).clear().unwrap();
+        let mut recycled = k.reclaim_file(a.actor, g, g_pages[0].0).unwrap();
+        recycled.sort_unstable();
+        assert_eq!(recycled, g_pages);
+
+        // The move: `h`'s dirent to a free root slot, then unlinked there.
+        let moved = DirentLoc { page: e.loc.page, slot: 1 };
+        let d = DirentRef::new(&a.handle, h_loc).load().unwrap();
+        let m = DirentRef::new(&a.handle, moved);
+        m.publish(h, &m.prepare(&d).unwrap()).unwrap();
+        DirentRef::new(&a.handle, h_loc).clear().unwrap();
+        m.clear().unwrap();
+        let mut recycled = k.reclaim_file(a.actor, h, h_pages[0].0).unwrap();
+        recycled.sort_unstable();
+        assert_eq!(recycled, h_pages);
+        assert!(k.pages_of(g).is_empty() && k.pages_of(h).is_empty());
+        assert_mmu_matches_books(k);
+    });
+}
+
+/// The write grant on a file covers the page its dirent was in, so a move
+/// ends it. W holds `/e/f` for write, and so `/e`'s page with it. It forges
+/// an entry in that page, moves `f` into the root and lets the root go.
+/// The move is accepted either by the root's verification or by W's own
+/// map of `f` at the new slot. Either way W's grant on `f` is revoked first,
+/// while the books still place `f` in `/e`. So `/e` is dirty by W, W keeps
+/// no PTE on its page, and B's map of `/e` rolls the entry back.
+#[test]
+fn a_move_ends_the_write_grant_that_covered_the_old_dirent_page() {
+    for by_verification in [true, false] {
+        let k = raced_kernel(KernelConfig::default());
+        let k2 = Arc::clone(&k);
+        raced_run(10, move || {
+            let k = &*k2;
+            let w = k.register_libfs(100, 100);
+            let e = vetted_dir(k, &w, &[b"f"]);
+            let (f, f_loc, _) = e.kids[0];
+            k.map(w.actor, MapTarget::Dirent(f_loc), true).unwrap();
+            let ghost_loc = DirentLoc { page: e.page, slot: 1 };
+            let ghost = DirentRef::new(&w.handle, ghost_loc);
+            let d = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 100, 100);
+            ghost.publish(999_999, &ghost.prepare(&d).unwrap()).unwrap();
+
+            k.map(w.actor, MapTarget::Root, true).unwrap();
+            let moved = DirentLoc { page: e.loc.page, slot: 1 };
+            let m = DirentRef::new(&w.handle, moved);
+            m.publish(f, &m.prepare(&DirentRef::new(&w.handle, f_loc).load().unwrap()).unwrap())
+                .unwrap();
+            DirentRef::new(&w.handle, f_loc).clear().unwrap();
+            k.update_root(w.actor, None, Some(2), None).unwrap();
+            k.release(w.actor, ROOT_INO).unwrap();
+            if by_verification {
+                let v = k.register_libfs(100, 100);
+                k.map(v.actor, MapTarget::Root, false).unwrap();
+                k.unregister(v.actor);
+            } else {
+                k.map(w.actor, MapTarget::Dirent(moved), true).unwrap();
+            }
+            let revoked = KernelEvent::LeaseRevoked { ino: f, actor: w.actor };
+            assert_eq!(k.take_events(), [revoked], "by_verification = {by_verification}");
+            k.release(w.actor, f).unwrap();
+            assert_eq!(k.device().mmu_perm(w.actor, e.page).unwrap(), None);
+
+            let b = k.register_libfs(100, 100);
+            k.map(b.actor, MapTarget::Root, false).unwrap();
+            k.map(b.actor, MapTarget::Dirent(e.loc), false).unwrap();
+            let events = k.take_events();
+            assert!(events.contains(&KernelEvent::RolledBack { ino: e.ino }), "{events:?}");
+            assert_eq!(DirentRef::new(k.kernel_handle(), ghost_loc).ino().unwrap(), 0);
+            let w_contained =
+                |e: &KernelEvent| matches!(e, KernelEvent::Quarantined { actor, .. } if *actor == w.actor);
+            assert!(events.iter().any(w_contained), "{events:?}");
+            assert_mmu_matches_books(k);
+        });
+    }
+}
+
+/// Nobody has vetted `/e`, so its page is X's pool page and the books name
+/// no directory for `f`'s dirent. W maps `f` straight from its slot for
+/// write (which verifies `f`). It gets `f`'s pages but not that one:
+/// whatever it stored there would be charged to X, whose page it is. Once
+/// a verification places `f` in `/e`, the page comes with W's next grant.
+#[test]
+fn a_dirent_page_in_another_actors_unvetted_pool_page_is_not_granted() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(11, move || {
+        let k = &*k2;
+        let x = k.register_libfs(100, 100);
+        let e = built_dir(k, &x, &[b"f"]);
+        let (_, f_loc, _) = e.kids[0];
+        let w = k.register_libfs(100, 100);
+        k.map(w.actor, MapTarget::Dirent(f_loc), true).unwrap();
+        assert_eq!(k.device().mmu_perm(w.actor, e.page).unwrap(), None);
+        let ghost = DirentRef::new(&w.handle, DirentLoc { page: e.page, slot: 1 });
+        let d = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 100, 100);
+        assert!(ghost.prepare(&d).and_then(|g| ghost.publish(999_999, &g)).is_err());
+        vet(k, [MapTarget::Root, MapTarget::Dirent(e.loc)]);
+
+        k.map(w.actor, MapTarget::Dirent(f_loc), true).unwrap();
+        assert_eq!(k.device().mmu_perm(w.actor, e.page).unwrap(), Some(PagePerm::Write));
+        assert_mmu_matches_books(k);
+    });
+}
+
+/// After `recover` the books place `f` in `/e` (the walk claimed `/e`'s
+/// page for it) but hold no metadata for `/e` until somebody maps it. A
+/// write grant's end could mark no dirt there, and `/e` would be adopted
+/// clean. So W's write grant on `f` leaves the page out until `/e` is
+/// adopted.
+#[test]
+fn a_dirent_page_whose_directory_the_books_lack_is_not_granted() {
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    let built = Arc::new(PlMutex::new(None));
+    let out = Arc::clone(&built);
+    raced_run(12, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        *out.lock() = Some(vetted_dir(k, &a, &[b"f"]));
+    });
+    let e = built.lock().take().unwrap();
+    let dev = Arc::clone(k.device());
+    drop(k);
+    let k = KernelController::recover(dev, KernelConfig::default()).unwrap();
+    let k2 = Arc::clone(&k);
+    raced_run(13, move || {
+        let k = &*k2;
+        let (_, f_loc, _) = e.kids[0];
+        let w = k.register_libfs(100, 100);
+        k.map(w.actor, MapTarget::Dirent(f_loc), true).unwrap();
+        assert_eq!(k.device().mmu_perm(w.actor, e.page).unwrap(), None);
+        assert!(w.handle.write_untimed(e.page, 0, b"ghost").is_err());
+
+        let b = k.register_libfs(100, 100);
+        k.map(b.actor, MapTarget::Root, false).unwrap();
+        k.map(b.actor, MapTarget::Dirent(e.loc), false).unwrap();
+        k.map(w.actor, MapTarget::Dirent(f_loc), true).unwrap();
+        assert_eq!(k.device().mmu_perm(w.actor, e.page).unwrap(), Some(PagePerm::Write));
+        assert!(k.take_events().is_empty());
         assert_mmu_matches_books(k);
     });
 }

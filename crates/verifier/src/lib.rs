@@ -40,7 +40,7 @@ use std::collections::HashSet;
 use trio_fsapi::path::validate_name;
 use trio_layout::{
     walk_file, CoreFileType, DirPage, DirSlot, DirentData, DirentLoc, DirentRef, FilePages, Ino,
-    WalkError,
+    WalkError, ROOT_INO,
 };
 use trio_nvm::{ActorId, NvmHandle, PageId, ProtError, PAGE_SIZE};
 use trio_sim::{cost, in_sim, work, DetHashMap, DetHashSet};
@@ -321,6 +321,15 @@ impl Verifier {
         Verifier { h }
     }
 
+    /// The one move rule (I2, I3): whether `ino` still lives at `loc`, the
+    /// slot the kernel recorded for it. After a move it does not — the ino
+    /// may be adopted at its new slot; after a link it does — the ino would
+    /// be live twice. An unreadable slot holds nothing; the root lives in
+    /// the superblock and never moves.
+    pub fn still_at(&self, ino: Ino, loc: DirentLoc) -> bool {
+        ino == ROOT_INO || DirentRef::new(&self.h, loc).ino() == Ok(ino)
+    }
+
     /// Verifies one file's core state. Charges the verification CPU/NVM
     /// cost to the calling sim-thread (the kernel invokes this on the
     /// mapping path, so the requester pays — paper §6.5 measures exactly
@@ -492,12 +501,11 @@ impl Verifier {
                 let disconnected = match view.ino_provenance(child) {
                     // Its recorded slot is one the media lost, not the writer.
                     InoProvenance::InUse(loc) if unreadable.contains(&loc) => false,
-                    _ if view.is_mapped(child) => true,
-                    // A properly deleted or renamed child is either freed…
-                    InoProvenance::Unknown | InoProvenance::AllocatedTo(_) => false,
-                    // …or re-linked (rename), which is fine if that slot is
-                    // really live with this ino; otherwise it dangles.
-                    InoProvenance::InUse(loc) => DirentRef::new(&self.h, loc).ino() != Ok(child),
+                    // Re-linked elsewhere, and the books have followed it.
+                    InoProvenance::InUse(loc) if self.still_at(child, loc) => false,
+                    // Freed, or moved to a slot the books have not seen yet:
+                    // gone from here either way, so nobody may be using it.
+                    _ => view.is_mapped(child),
                 };
                 if disconnected {
                     report.violations.push(Violation::DisconnectedChild { ino: child });
@@ -542,23 +550,18 @@ impl Verifier {
             report.violations.push(Violation::DuplicateIno { ino: d.ino });
             entry_ok = false;
         }
-        // I2 on the child's inode number.
+        // I2 on the child's inode number: the dirty actor's fresh ino, or one
+        // the books place here — or placed at a slot that no longer holds it
+        // (moved here).
         match view.ino_provenance(d.ino) {
-            InoProvenance::Unknown => {
+            InoProvenance::AllocatedTo(a) if a == req.dirty_actor => {}
+            InoProvenance::InUse(known) if known == loc || !self.still_at(d.ino, known) => {}
+            // Never allocated, another LibFS's, or still live at its recorded
+            // slot: a fabricated ino or a hard link.
+            _ => {
                 report.violations.push(Violation::ForeignIno { ino: d.ino });
                 entry_ok = false;
             }
-            InoProvenance::AllocatedTo(a) if a != req.dirty_actor => {
-                report.violations.push(Violation::ForeignIno { ino: d.ino });
-                entry_ok = false;
-            }
-            InoProvenance::AllocatedTo(_) => {}
-            InoProvenance::InUse(known) if known != loc => {
-                // The ino lives elsewhere: hard-link / double reference.
-                report.violations.push(Violation::ForeignIno { ino: d.ino });
-                entry_ok = false;
-            }
-            InoProvenance::InUse(_) => {}
         }
         if entry_ok {
             report.children.push(ChildEntry {

@@ -31,13 +31,24 @@ same_bytes_as_ledger() {
 }
 
 # One line per gate: its title on the way in, the host seconds it took on
-# the way out (ROADMAP 2(a): the gate's own clock; EXPERIMENTS.md keeps a
-# measured row).
+# the way out (the gate's own clock; EXPERIMENTS.md keeps a measured row).
+# A stage given a ceiling in host seconds ($2) fails the gate when it takes
+# longer, so a campaign that silently grows tenfold cannot go unnoticed.
 stage() {
-    [ -z "${stage_name:-}" ] || echo "-- ${stage_name}: $((SECONDS - stage_t0)) s"
-    stage_name=$1 stage_t0=$SECONDS
+    end_stage
+    stage_name=$1 stage_ceiling=${2:-} stage_t0=$SECONDS
     echo
     echo "== $1 =="
+}
+
+end_stage() {
+    [ -n "${stage_name:-}" ] || return 0
+    local spent=$((SECONDS - stage_t0))
+    echo "-- ${stage_name}: ${spent} s"
+    if [ -n "$stage_ceiling" ] && [ "$spent" -gt "$stage_ceiling" ]; then
+        echo "FAIL: ${stage_name} took ${spent} s, over its ${stage_ceiling} s ceiling." >&2
+        exit 1
+    fi
 }
 
 stage "tier-1 over every crate, and the benchmark's build"
@@ -94,7 +105,9 @@ cargo test -q --no-default-features
 # <campaign> — and target/<campaign>-report.json keeps the counters and
 # the failures.
 
-stage "chaos campaign: worker kills under delegated traffic"
+# Ceiling 60 s: the stage measures 4–6 s warm (EXPERIMENTS.md "Gate host
+# clock"); the same holds for the two campaigns after it.
+stage "chaos campaign: worker kills under delegated traffic" 60
 # Delegation failure domains (DESIGN.md §16): 500 iterations crossing
 # worker-kill points (after-pop / mid-payload / before-reply) with
 # multi-LibFS traffic and stall injection. The test asserts no hangs,
@@ -103,14 +116,14 @@ stage "chaos campaign: worker kills under delegated traffic"
 # recovery-latency percentiles.
 TRIO_ITERS=500 cargo test -q --release --test chaos_delegation
 
-stage "adversary campaign: 2k grammar corruptions"
+stage "adversary campaign: 2k grammar corruptions" 60
 # The corruption fuzzer (DESIGN.md §14) drives every mutation production
 # through a hostile LibFS at a fixed seed: zero panics, zero hangs,
 # victim model-equivalence, and quarantine→repair→re-admission on every
 # confirmed violation; the report counts each production applied.
 TRIO_ITERS=2000 cargo test -q --release --test adversary_fuzz
 
-stage "media campaign: patrol routes + 500 seeded faults"
+stage "media campaign: patrol routes + 500 seeded faults" 60
 # Media-fault tolerance (DESIGN.md §19): the route-by-route patrol tests
 # plus the seeded campaign — poison and silent rot injected under live
 # delegated traffic, crash points planted inside the recovery repair. The
@@ -159,6 +172,6 @@ stage "sharing cost, Table 3 create-100 (logged, not gated)"
 # same loop run by one LibFS alone re-maps without rebuilding.
 cargo bench -q -p trio-bench --bench table3_sharing | grep -E '^create, 100 files|sole writer'
 
-echo "-- ${stage_name}: $((SECONDS - stage_t0)) s"
+end_stage
 echo
 echo "verify.sh: all gates passed in $SECONDS s."

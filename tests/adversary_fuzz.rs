@@ -37,6 +37,7 @@ use trio_kernel::{KernelConfig, KernelController};
 use trio_nvm::{DeviceConfig, NvmDevice, Topology};
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::SimRuntime;
+use trio_verifier::VIOLATION_KINDS;
 
 const MODEL_LEN: usize = 32 * 1024;
 const CAMPAIGN_SEED: u64 = 0x00F0_CCED;
@@ -221,4 +222,61 @@ fn seeded_corruption_campaign_holds_all_invariants() {
 #[test]
 fn adversary_iteration_is_deterministic_and_replayable() {
     campaign::assert_replays(CAMPAIGN_SEED, &[0, 1, 5], run_iteration);
+}
+
+/// Production `move_forge_back` on its own: the victim file moved into
+/// `/dir/moved` and forged back into the slot it left is live at two slots.
+/// Whichever directory an outside actor maps first, `/dir/moved` is judged
+/// to hold a link (`ForeignIno`) and expelled, and the file reads the model
+/// at the slot the kernel recorded for it.
+#[test]
+fn move_forge_back_is_a_link_in_either_order() {
+    use arckfs::adversary::{run_mutation, Mutation};
+    use trio_kernel::mapping::MapTarget;
+    for dest_first in [true, false] {
+        let dev = Arc::new(NvmDevice::new(DeviceConfig {
+            topology: Topology::new(1, 8 * 1024),
+            ..DeviceConfig::small()
+        }));
+        let kernel = KernelController::format(dev, KernelConfig::default());
+        let evil = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
+        let victim = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
+        let rt = SimRuntime::new(0x5EED);
+        let k = Arc::clone(&kernel);
+        rt.spawn("t", move || {
+            let model = vec![0xC3u8; 8192];
+            evil.mkdir("/dir", Mode(0o777)).unwrap();
+            write_file(&*evil, "/dir/victim", &model).unwrap();
+            evil.release_path("/dir").unwrap();
+            assert_eq!(read_file(&*victim, "/dir/victim").unwrap(), model);
+            let mut rng = campaign::Case { seed: 0, iter: 0 }.rng();
+            run_mutation(&evil, &mut rng, Mutation::MoveForgeBack, "/dir", "victim").unwrap();
+            let dir = evil.debug_file_pages("/dir").unwrap().0.unwrap();
+            let moved = evil.debug_file_pages("/dir/moved").unwrap().0.unwrap();
+            let moved_ino = evil.stat("/dir/moved").unwrap().ino;
+            for p in ["/dir/moved/victim", "/dir/moved", "/dir", "/"] {
+                evil.release_path(p).unwrap();
+            }
+            let _ = k.take_events();
+
+            let outsider = k.register_libfs(1000, 1000);
+            let mut order = [MapTarget::Dirent(moved), MapTarget::Dirent(dir)];
+            if !dest_first {
+                order.reverse();
+            }
+            for target in order {
+                let _ = k.map(outsider.actor, target, false);
+            }
+            let events = k.take_events();
+            let ctx = format!("dest_first = {dest_first}: {events:?}");
+            let foreign = VIOLATION_KINDS.iter().position(|v| *v == "foreign_ino").unwrap();
+            assert_eq!(k.resilience_stats().snapshot().by_kind[foreign], 1, "{ctx}");
+            assert!(events.contains(&KernelEvent::RolledBack { ino: moved_ino }), "{ctx}");
+            assert!(events.iter().any(|e| matches!(e, KernelEvent::Quarantined { .. })), "{ctx}");
+            assert_eq!(read_file(&*victim, "/dir/victim").unwrap(), model, "{ctx}");
+        });
+        rt.run();
+        assert!(kernel.quarantined_actors().is_empty());
+        campaign::oracle_tail(&kernel, campaign::Case { seed: 0, iter: 0 });
+    }
 }

@@ -1302,14 +1302,10 @@ fn store_after_release_is_caught_when_the_grant_goes() {
 
 /// A released grant is no mapping the verifier must respect (`is_mapped`,
 /// I3's "a child still in use cannot vanish"). R reads `/d/c` and lets go;
-/// W moves `c` out of `/d`, reads it at its new slot — which ends R's
-/// released grant and moves the kernel's record of `c` — and lets go of
-/// everything. The next map of `/d` finds `c` missing from the
-/// checkpoint's children: moved, not disconnected, since nobody is using
-/// it — and passes. (W's read is what lets the verifier follow the move: a
-/// known child moved across directories that nobody maps at its new slot is
-/// flagged `ForeignIno` by the destination — with eager release too —
-/// ROADMAP 4(a).)
+/// W moves `c` out of `/d` and lets go of everything. The next map of `/`
+/// finds `c` at a new slot while the slot the books record no longer holds
+/// it — moved, by the move rule — and the next map of `/d` finds it missing
+/// from the checkpoint's children, placed elsewhere; both pass.
 #[test]
 fn rename_away_from_released_grants_verifies_clean() {
     let (kernel, w, r) = world(100);
@@ -1322,7 +1318,6 @@ fn rename_away_from_released_grants_verifies_clean() {
         assert_eq!(read_file(&*r, "/d/c").unwrap(), b"moving out");
         r.release_path("/d/c").unwrap();
         w.rename("/d/c", "/c").unwrap();
-        assert_eq!(read_file(&*w, "/c").unwrap(), b"moving out");
         for p in ["/c", "/d", "/"] {
             w.release_path(p).unwrap();
         }
@@ -1339,4 +1334,232 @@ fn rename_away_from_released_grants_verifies_clean() {
     assert!(kernel.quarantined_actors().is_empty());
     assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
     assert_mmu_within_books(&kernel);
+}
+
+// ---------------------------------------------------------------------
+// The kernel knows where a file lives (DESIGN.md §14): one move rule —
+// after a move the recorded slot no longer holds the ino, after a link it
+// still does — and a file's place moves only in the kernel's books.
+// ---------------------------------------------------------------------
+
+/// W's tree for the move tests: `/a/c` and an empty `/b`, both vetted by
+/// R (who read `c`, so the kernel knows it) and given back by everyone.
+fn move_world(seed: u64) -> (Arc<KernelController>, Arc<ArckFs>, Arc<ArckFs>, SimRuntime) {
+    let (kernel, w, r) = world(100);
+    let rt = race_detected(&kernel, seed);
+    w.mkdir("/a", Mode(0o777)).unwrap();
+    w.mkdir("/b", Mode(0o777)).unwrap();
+    write_file(&*w, "/a/c", b"moving").unwrap();
+    for p in ["/a/c", "/a", "/b", "/"] {
+        w.release_path(p).unwrap();
+    }
+    (kernel, w, r, rt)
+}
+
+/// R's first look at the world: vets `/`, `/a`, `c` and `/b`, then lets go.
+fn vet_move_world(r: &ArckFs) {
+    assert_eq!(read_file(r, "/a/c").unwrap(), b"moving");
+    assert!(names(r, "/b").is_empty());
+    for p in ["/a/c", "/a", "/b", "/"] {
+        r.release_path(p).unwrap();
+    }
+}
+
+/// The violations of kind `kind` the kernel has counted.
+fn violations(kernel: &KernelController, kind: &str) -> u64 {
+    let i = trio_verifier::VIOLATION_KINDS.iter().position(|k| *k == kind).unwrap();
+    kernel.resilience_stats().snapshot().by_kind[i]
+}
+
+/// An honest rename across directories is not an attack. W moves
+/// `/a/c` to `/b/c` and lets go; R, another actor, then maps the
+/// destination first or the source first. Both directories pass, nobody is
+/// quarantined, and `c` lives at its new slot alone.
+#[test]
+fn an_honest_move_verifies_clean_in_either_order() {
+    for dest_first in [true, false] {
+        let (kernel, w, r, rt) = move_world(43);
+        let k = Arc::clone(&kernel);
+        rt.spawn("t", move || {
+            vet_move_world(&r);
+            w.rename("/a/c", "/b/c").unwrap();
+            for p in ["/a", "/b", "/"] {
+                w.release_path(p).unwrap();
+            }
+            let order = if dest_first { ["/b", "/a"] } else { ["/a", "/b"] };
+            for dir in order {
+                let _ = names(&r, dir);
+            }
+            assert!(names(&r, "/a").is_empty(), "dest_first = {dest_first}");
+            assert_eq!(names(&r, "/b"), ["c"], "dest_first = {dest_first}");
+            assert_eq!(read_file(&*r, "/b/c").unwrap(), b"moving");
+            let events = k.take_events();
+            assert!(events.is_empty(), "dest_first = {dest_first}: {events:?}");
+        });
+        rt.run();
+        assert!(kernel.quarantined_actors().is_empty());
+        assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
+        assert_mmu_within_books(&kernel);
+    }
+}
+
+/// The rule's other half: a real hard link — `c`'s dirent copied into `/b`
+/// while its recorded slot in `/a` still holds it, entry counts kept true —
+/// is `ForeignIno` whichever directory R maps first: `/b` is rolled back,
+/// W quarantined (and re-admitted), and `c` stays where it was.
+#[test]
+fn a_hard_link_is_still_a_foreign_ino() {
+    use trio_kernel::registry::KernelEvent as E;
+    use trio_layout::{DirPage, DirentRef};
+    for dest_first in [true, false] {
+        let (kernel, w, r, rt) = move_world(44);
+        let k = Arc::clone(&kernel);
+        rt.spawn("t", move || {
+            vet_move_world(&r);
+            w.create("/a/y", Mode(0o666)).unwrap();
+            w.create("/b/x", Mode(0o666)).unwrap();
+            let c_loc = w.debug_file_pages("/a/c").unwrap().0.unwrap();
+            let (b_loc, _, b_data) = w.debug_file_pages("/b").unwrap();
+            let mut link = DirentRef::new(w.handle(), c_loc).load().unwrap();
+            link.name = b"link".to_vec();
+            let slot = DirPage::load(w.handle(), b_data[0].unwrap()).unwrap().first_free().unwrap();
+            let l = DirentRef::new(w.handle(), slot);
+            l.publish(link.ino, &l.prepare(&link).unwrap()).unwrap();
+            DirentRef::new(w.handle(), b_loc.unwrap()).set_size(2).unwrap();
+            for p in ["/a/c", "/a", "/b", "/"] {
+                w.release_path(p).unwrap();
+            }
+            let b_ino = r.stat("/b").unwrap().ino;
+            let order = if dest_first { ["/b", "/a"] } else { ["/a", "/b"] };
+            for dir in order {
+                let _ = r.readdir(dir);
+            }
+            let events = k.take_events();
+            assert!(events.contains(&E::RolledBack { ino: b_ino }), "dest_first = {dest_first}: {events:?}");
+            let w_contained = |e: &E| matches!(e, E::Quarantined { actor, .. } if *actor == w.actor());
+            assert!(events.iter().any(w_contained), "dest_first = {dest_first}: {events:?}");
+            assert_eq!(violations(&k, "foreign_ino"), 1, "dest_first = {dest_first}");
+            assert_eq!(names(&r, "/a"), ["c", "y"]);
+            assert!(names(&r, "/b").is_empty());
+            assert_eq!(read_file(&*r, "/a/c").unwrap(), b"moving");
+        });
+        rt.run();
+        assert!(kernel.quarantined_actors().is_empty());
+        assert_mmu_within_books(&kernel);
+    }
+}
+
+/// A moved file's place moves in full: once R's map of `/b` has accepted
+/// the move, W's next write grant on `c` — whose dirent page is now `/b`'s —
+/// dirties `/b`, not `/a`. The sibling W forges through that grant is
+/// rolled back at R's next map of `/b`.
+#[test]
+fn a_moved_files_write_grant_dirties_its_new_directory() {
+    use trio_kernel::registry::KernelEvent as E;
+    use trio_layout::{CoreFileType, DirPage, DirentData, DirentRef};
+    let (kernel, w, r, rt) = move_world(45);
+    let k = Arc::clone(&kernel);
+    rt.spawn("t", move || {
+        vet_move_world(&r);
+        w.rename("/a/c", "/b/c").unwrap();
+        for p in ["/a", "/b", "/"] {
+            w.release_path(p).unwrap();
+        }
+        assert_eq!(names(&r, "/b"), ["c"]); // Accepts the move.
+        r.release_path("/b").unwrap();
+        assert!(k.take_events().is_empty());
+
+        let fd = w.open("/b/c", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        w.pwrite(fd, 0, b"M").unwrap();
+        let b_ino = w.stat("/b").unwrap().ino;
+        assert_eq!(k.writer_of(b_ino), None, "no write grant on `/b` itself");
+        let page = w.debug_file_pages("/b/c").unwrap().0.unwrap().page;
+        let slot = DirPage::load(w.handle(), page).unwrap().first_free().unwrap();
+        let ghost = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 1000, 1000);
+        let g = DirentRef::new(w.handle(), slot);
+        g.publish(999_999, &g.prepare(&ghost).unwrap()).unwrap();
+        w.close(fd).unwrap();
+        w.release_path("/b/c").unwrap();
+
+        assert_eq!(names(&r, "/b"), ["c"]);
+        let events = k.take_events();
+        assert!(events.contains(&E::RolledBack { ino: b_ino }), "{events:?}");
+        assert_eq!(read_file(&*r, "/b/c").unwrap(), b"Moving");
+    });
+    rt.run();
+    assert!(kernel.quarantined_actors().is_empty());
+    assert_mmu_within_books(&kernel);
+}
+
+/// A rollback restores a directory's last verified state — but not a
+/// child that has since moved out and been placed elsewhere. W moves `c`
+/// to `/b` and forges an entry in `/a`; R maps `/b` (the move is accepted)
+/// and then `/a`, whose rollback would bring `c`'s old entry back beside
+/// its new one. The restored entry is dropped with its count instead.
+#[test]
+fn a_rollback_does_not_bring_back_a_child_that_moved_out() {
+    use trio_kernel::registry::KernelEvent as E;
+    use trio_layout::{CoreFileType, DirPage, DirentData, DirentRef};
+    let (kernel, w, r, rt) = move_world(46);
+    let k = Arc::clone(&kernel);
+    rt.spawn("t", move || {
+        vet_move_world(&r);
+        w.rename("/a/c", "/b/c").unwrap();
+        let (_, _, a_data) = w.debug_file_pages("/a").unwrap();
+        let slot = DirPage::load(w.handle(), a_data[0].unwrap()).unwrap().first_free().unwrap();
+        let ghost = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 1000, 1000);
+        let g = DirentRef::new(w.handle(), slot);
+        g.publish(999_999, &g.prepare(&ghost).unwrap()).unwrap();
+        for p in ["/a", "/b", "/"] {
+            w.release_path(p).unwrap();
+        }
+        assert_eq!(names(&r, "/b"), ["c"]);
+        let a_ino = r.stat("/a").unwrap().ino;
+        assert!(names(&r, "/a").is_empty());
+        let events = k.take_events();
+        assert!(events.contains(&E::RolledBack { ino: a_ino }), "{events:?}");
+        assert_eq!(r.stat("/a/c").err(), Some(FsError::NotFound));
+        assert_eq!(r.stat("/a").unwrap().size, 0);
+        assert_eq!(read_file(&*r, "/b/c").unwrap(), b"moving");
+    });
+    rt.run();
+    assert!(kernel.quarantined_actors().is_empty());
+    assert_mmu_within_books(&kernel);
+}
+
+/// DESIGN.md §22, bug 1 — reachable since the move rule, still open, and
+/// pinned here as it stands. `/d` is vetted empty, so W's write grant on it
+/// covers no data page, and the page W's rename of `/x` into `/d` links in
+/// from its pool is in no grant's list. W's write grant on the moved `x`
+/// covers that page as its dirent page; when W lets go of `x`, the rule
+/// (§20) takes the page away — from the holder of `/d`'s live write grant,
+/// whose next entry there faults and re-maps. The fix (the covering set
+/// following the link) turns the `None` below into `Some(Write)`.
+#[test]
+fn bug_1_a_dirent_page_linked_after_the_parent_grant_is_taken_away() {
+    use trio_nvm::PagePerm;
+    let (kernel, w, r) = world(100);
+    let k = Arc::clone(&kernel);
+    let rt = SimRuntime::new(47);
+    rt.spawn("t", move || {
+        w.mkdir("/d", Mode(0o777)).unwrap();
+        write_file(&*w, "/x", b"x").unwrap();
+        for p in ["/x", "/d", "/"] {
+            w.release_path(p).unwrap();
+        }
+        assert_eq!(read_file(&*r, "/x").unwrap(), b"x");
+        assert!(names(&r, "/d").is_empty());
+        for p in ["/x", "/d", "/"] {
+            r.release_path(p).unwrap();
+        }
+        w.rename("/x", "/d/x").unwrap();
+        let fd = w.open("/d/x", OpenFlags::RDWR, Mode(0o666)).unwrap();
+        w.pwrite(fd, 0, b"X").unwrap();
+        w.close(fd).unwrap();
+        let page = w.debug_file_pages("/d/x").unwrap().0.unwrap().page;
+        w.release_path("/d/x").unwrap();
+        assert_eq!(k.writer_of(w.stat("/d").unwrap().ino), Some(w.actor()));
+        assert_eq!(k.device().mmu_perm(w.actor(), page).unwrap(), None::<PagePerm>);
+    });
+    rt.run();
 }
