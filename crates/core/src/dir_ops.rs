@@ -172,9 +172,7 @@ impl ArckFs {
                 // recycled into live files before the kernel walks them. So
                 // does one the kernel may know (`DirAux::is_fresh`).
                 let recycled = fs.kernel.reclaim_file(fs.actor, ino, first_index)?;
-                for p in recycled {
-                    fs.pages.put(p);
-                }
+                fs.pages.put_many(&recycled);
             }
             Ok(())
         })
@@ -212,14 +210,16 @@ impl ArckFs {
         Ok((e, first_index))
     }
 
-    /// Lists a directory from its aux table.
+    /// Lists a directory from its aux table, once a probe has shown the
+    /// grant still holds.
     pub(crate) fn readdir_node(&self, dir: &Arc<FileNode>) -> FsResult<Vec<DirEntry>> {
-        self.with_mapped(dir, false, |_| {
+        self.with_mapped(dir, false, |fs| {
             let g = dir.inner.read();
             if g.map == MapState::Unmapped {
                 return Err(FsError::Stale);
             }
             let aux = g.dir.as_ref().ok_or(FsError::NotDir)?;
+            fs.probe_dir(&g)?;
             let mut out: Vec<DirEntry> = aux
                 .entries()
                 .into_iter()

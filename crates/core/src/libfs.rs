@@ -589,15 +589,22 @@ impl ArckFs {
                     Ok(Some(fs.intern_node(e.ino, e.ftype, dir.ino, e.loc)))
                 }
                 None => {
-                    // Miss: probe the mapping (cheap) so a stale aux cannot
-                    // produce false negatives.
-                    if let Some(p) = g.index_pages.first() {
-                        fs.h.read_u64(*p, 0).map_err(Self::fault)?;
-                    }
+                    // Miss: a stale aux must not produce false negatives.
+                    fs.probe_dir(&g)?;
                     Ok(None)
                 }
             }
         })
+    }
+
+    /// One timed read of a directory's core state before an answer from its
+    /// aux alone: it faults (`Stale`) if another actor took the grant back,
+    /// so the caller re-maps instead of answering from what it last saw.
+    pub(crate) fn probe_dir(&self, g: &NodeInner) -> FsResult<()> {
+        if let Some(p) = g.index_pages.first() {
+            self.h.read_u64(*p, 0).map_err(Self::fault)?;
+        }
+        Ok(())
     }
 
     /// Resolves a full path to a node.
@@ -702,9 +709,7 @@ impl ArckFs {
             q.drain(..).collect()
         };
         let recycled = self.kernel.reclaim_batch(self.actor, &items)?;
-        for p in recycled {
-            self.pages.put(p);
-        }
+        self.pages.put_many(&recycled);
         Ok(())
     }
 }

@@ -106,6 +106,22 @@ impl PagePool {
         self.per_node[node].lock().push(page);
     }
 
+    /// Returns pool pages — unused, or recycled by the kernel from a
+    /// deleted file — with one lock per bucket: each bucket ends exactly as
+    /// one [`PagePool::put`] per page, in order, would leave it.
+    pub fn put_many(&self, pages: &[PageId]) {
+        let topo = self.kernel.device().topology();
+        let mut by_node: Vec<Vec<PageId>> = vec![Vec::new(); self.per_node.len()];
+        for p in pages {
+            by_node[topo.node_of(*p)].push(*p);
+        }
+        for (bucket, new) in self.per_node.iter().zip(by_node) {
+            if !new.is_empty() {
+                bucket.lock().extend(new);
+            }
+        }
+    }
+
     /// Pooled page count (tests).
     pub fn len(&self) -> usize {
         self.per_node.iter().map(|p| p.lock().len()).sum()
@@ -246,6 +262,28 @@ mod tests {
             assert_eq!(idle + taken.len() + pool.len(), total, "pages not conserved");
         });
         rt.run();
+    }
+
+    /// `put_many` leaves every bucket as one `put` per page would: the
+    /// later `take`s, which pop the top, hand out the same pages.
+    #[test]
+    fn put_many_is_n_puts() {
+        let kernel = kernel_on(DeviceConfig::eight_node(512));
+        let reg = kernel.register_libfs(1000, 1000);
+        let (one_by_one, batched) =
+            (PagePool::new(Arc::clone(&kernel), reg.actor), PagePool::new(kernel, reg.actor));
+        // Interleaved nodes, out of page order, a page on a node twice.
+        let pages: Vec<PageId> =
+            [700, 5, 1030, 6, 3000, 701, 4, 1031].into_iter().map(PageId).collect();
+        for p in &pages {
+            one_by_one.put(*p);
+        }
+        batched.put_many(&pages);
+        let buckets = |pool: &PagePool| -> Vec<Vec<PageId>> {
+            pool.per_node.iter().map(|b| b.lock().clone()).collect()
+        };
+        assert_eq!(buckets(&batched), buckets(&one_by_one));
+        assert_eq!(buckets(&batched)[0], [PageId(5), PageId(6), PageId(4)]);
     }
 
     /// The stripe-unit floor never turns an ask the device can meet into

@@ -30,6 +30,7 @@
 //! leaves: nothing here calls out while holding one, except a refill, which
 //! takes pool and provenance-shard locks under the one cache lock.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult};
@@ -91,6 +92,9 @@ pub(crate) struct PageAllocator {
     pins: SimMutex<PinState>,
     gc: Arc<EpochGc>,
     retirement: SimMutex<Retirement>,
+    /// Lock-free mirror of `retirement.pending`'s size, so a reclaim with
+    /// nothing condemned skips the `retirement` lock. Moves under it.
+    condemned: AtomicUsize,
 }
 
 impl PageAllocator {
@@ -129,6 +133,7 @@ impl PageAllocator {
             pins: SimMutex::new(PinState::default()),
             gc: Arc::new(EpochGc::new()),
             retirement: SimMutex::new(Retirement::default()),
+            condemned: AtomicUsize::new(0),
         }
     }
 
@@ -398,11 +403,23 @@ impl PageAllocator {
         }
     }
 
-    /// Splits `pages` into those free to change hands now and those a
-    /// checkpoint pins (which must go through [`PageAllocator::put_back`]).
-    pub(crate) fn split_pinned(&self, pages: Vec<PageId>) -> (Vec<PageId>, Vec<PageId>) {
-        let pins = self.pins.lock();
-        pages.into_iter().partition(|p| !pins.pinned.contains_key(&p.0))
+    /// Splits `pages` into those free to change hands now and those that
+    /// must take [`PageAllocator::put_back`]: pinned by a checkpoint, or
+    /// condemned by the patrol (which it retires). With nothing condemned
+    /// the second check is one relaxed load.
+    pub(crate) fn split_recyclable(&self, pages: Vec<PageId>) -> (Vec<PageId>, Vec<PageId>) {
+        let (free, mut held): (Vec<PageId>, Vec<PageId>) = {
+            let pins = self.pins.lock();
+            pages.into_iter().partition(|p| !pins.pinned.contains_key(&p.0))
+        };
+        if self.condemned.load(Ordering::Relaxed) == 0 {
+            return (free, held);
+        }
+        let r = self.retirement.lock();
+        let (free, condemned): (Vec<PageId>, Vec<PageId>) =
+            free.into_iter().partition(|p| !r.pending.contains(&p.0));
+        held.extend(condemned);
+        (free, held)
     }
 
     /// Pops one free frame, `near` node preferred (migration target). Give
@@ -428,7 +445,9 @@ impl PageAllocator {
 
     /// Condemns a frame that is in someone's hands: `put_back` retires it.
     pub(crate) fn retire_on_return(&self, page: PageId) {
-        self.retirement.lock().pending.insert(page.0);
+        if self.retirement.lock().pending.insert(page.0) {
+            self.condemned.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn is_retired(&self, page: PageId) -> bool {
@@ -440,6 +459,7 @@ impl PageAllocator {
         if !r.pending.remove(&page.0) {
             return false;
         }
+        self.condemned.fetch_sub(1, Ordering::Relaxed);
         let fresh = r.retired.insert(page.0);
         drop(r);
         let _ = self.dev.reset_page(page);

@@ -35,6 +35,7 @@
 //!   it (DESIGN.md §21): it posts the ino on the holder's recall page and
 //!   blocks until the holder lets go, with the lease expiry as deadline.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -43,7 +44,7 @@ use trio_layout::{
     walk_file, CoreFileType, DirPage, DirentLoc, DirentRef, FileHead, FilePages, IndexPageRef, Ino,
     ROOT_INO,
 };
-use trio_nvm::{ActorId, PageId, PagePerm, RegistryLockSite};
+use trio_nvm::{ActorId, PageId, RegistryLockSite};
 use trio_sim::sync::SimChannel;
 use trio_sim::{cost, in_sim, now, now_or_zero, work, Nanos};
 use trio_verifier::{InoProvenance, PageProvenance, ShadowAttr, VerifyRequest};
@@ -405,9 +406,9 @@ impl KernelController {
     /// Batched unlink reclamation: one trap amortized over many deleted
     /// files (the LibFS queues unlinks and flushes periodically). Items are
     /// `(ino, first_index)`. Reclaimed pages are *recycled into the
-    /// caller's pool* (provenance `AllocatedTo`, mapping preserved) rather
-    /// than freed, so delete/create churn costs no page-table traffic —
-    /// the LibFS owned write access to every one of them already.
+    /// caller's pool* (provenance `AllocatedTo`, a Write PTE kept where the
+    /// caller had one) rather than freed, so delete/create churn of files
+    /// built on the caller's own pool pages costs no page-table traffic.
     pub fn reclaim_batch(&self, actor: ActorId, items: &[(Ino, u64)]) -> FsResult<Vec<PageId>> {
         self.trap();
         self.check_not_quarantined(actor)?;
@@ -443,10 +444,16 @@ impl KernelController {
         // The dead file's books go with it, and its holders' mappings —
         // released grants' too — with the books. Nothing is left to vet,
         // and the chain's pages are scrubbed and recycled below: no dirt,
-        // no chain walk.
+        // no chain walk. The caller's own grant is reconciled last, once it
+        // is known which of its pages stay with it.
+        let mut own: Vec<PageId> = Vec::new();
         if let Some(mut meta) = reg.files.remove(&ino) {
             for ended in meta.holders().into_iter().filter_map(|a| meta.end_grant(a)) {
-                self.reconcile(&reg, ended.actor, ended.pages);
+                if ended.actor == actor {
+                    own = ended.pages;
+                } else {
+                    self.reconcile(&reg, ended.actor, ended.pages);
+                }
                 if ended.write && !ended.released {
                     self.end_lease_wait(&mut reg, ino, ended.actor, true);
                 }
@@ -462,43 +469,37 @@ impl KernelController {
         // Free the chain's pages, but only the dead file's own and the
         // caller's pool pages: never pages the books say belong to a
         // *different* file (a malicious LibFS could pass a foreign chain).
-        let mut freeable: Vec<PageId> = Vec::new();
-        if let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES) {
-            for p in pages.all_pages() {
-                match self.prov.get(p.0) {
-                    Some(PageProvenance::InFile(f)) if f == ino => freeable.push(p),
-                    Some(PageProvenance::AllocatedTo(a)) if a == actor => freeable.push(p),
-                    None | Some(_) => {}
-                }
-            }
-        }
+        let walked = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES);
+        let chain: Vec<PageId> = walked.map(|p| p.all_pages().collect()).unwrap_or_default();
+        let keys: Vec<u64> = chain.iter().map(|p| p.0).collect();
+        let freeable: Vec<PageId> = chain
+            .into_iter()
+            .zip(self.prov.get_batch(&keys))
+            .filter(|(_, prov)| match prov {
+                Some(PageProvenance::InFile(f)) => *f == ino,
+                Some(PageProvenance::AllocatedTo(a)) => *a == actor,
+                _ => false,
+            })
+            .map(|(p, _)| p)
+            .collect();
         // Recycle into the caller's pool: flip provenance, keep (or grant)
         // the caller's write mapping, scrub contents so stale dirents or
         // data cannot leak through the reuse. These frames do not come
-        // back to the allocator — they change hands to an actor that could
-        // already write every one of them — so this is not a `put_back`:
-        // no limbo, and a pending retirement catches the frame at its next
-        // real free.
-        let (recyclable, pinned) = self.alloc.split_pinned(freeable);
+        // back to the allocator — they change hands — so this is not a
+        // `put_back`: no limbo. Frames a checkpoint pins or the patrol
+        // condemned are the exception, and go back the one way.
+        let (recyclable, held) = self.alloc.split_recyclable(freeable);
         self.prov
             .insert_batch(recyclable.iter().map(|p| (p.0, PageProvenance::AllocatedTo(actor))));
+        if !own.is_empty() {
+            let kept: BTreeSet<PageId> = recyclable.iter().copied().collect();
+            own.retain(|p| !kept.contains(p));
+            self.reconcile(&reg, actor, own);
+        }
         drop(reg);
-        let pt = self.page_table(actor);
-        let ptes = pt.lock();
-        for p in &recyclable {
-            let _ = self.device().reset_page(*p);
-            let _ = ptes.remap(*p, PagePerm::Write);
-        }
-        drop(ptes);
-        if in_sim() {
-            // Page scrubbing is cheap relative to the PTE updates the
-            // reset+remap imply; charge the mapping cost once per page.
-            work(pagetable::program_ns(recyclable.len()) / 4);
-        }
-        if !pinned.is_empty() {
-            // Checkpoint-pinned pages cannot be recycled; they go back the
-            // ordinary way and wait out their pins.
-            self.alloc.put_back(&pinned, PutBack::Pool);
+        self.page_table(actor).lock().recycle(&recyclable);
+        if !held.is_empty() {
+            self.alloc.put_back(&held, PutBack::Pool);
         }
         Ok(recyclable)
     }

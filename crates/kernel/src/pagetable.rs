@@ -37,14 +37,17 @@
 //! whose absence made the holder fault `Stale` and re-map, so that re-map
 //! would fault again, forever.
 //!
-//! What is not a grant is not the rule's: pool pages (`remap` at
-//! allocation, reclamation and quarantine) and the superblock window (from
-//! `register` to `unregister`).
+//! What is not a grant is not the rule's: pool pages (`remap` at allocation
+//! and quarantine, [`PageTableGuard::recycle`] at reclamation) and the
+//! superblock window (from `register` to `unregister`).
 //!
 //! `NvmDevice::reset_page`, which wipes a frame's protections for *every*
-//! actor, is not here: it belongs to the allocator and `reclaim_one`, who
-//! call it on frames that are in nobody's grant any more, so there is no
-//! per-actor programming for it to race with.
+//! actor, is the allocator's, called on frames it holds and nobody is
+//! granted; outside `alloc.rs` the kernel reaches it only through here
+//! (`page-table-door` lint). `recycle` is the one scrub that changes a
+//! frame's hands: the dead file's frames are in nobody's grant any more, so
+//! the other actors' PTEs it drops have no programming to race with, and
+//! the recycler's own PTE is this guard's to keep.
 
 use std::sync::Arc;
 
@@ -168,6 +171,30 @@ impl PageTableGuard<'_> {
     /// a frame outside the device.
     pub(crate) fn remap(&self, page: PageId, perm: PagePerm) -> Result<(), ProtError> {
         self.dev().mmu_map(self.actor, page, perm)
+    }
+
+    /// Recycles a dead file's frames into the actor's pool (their
+    /// provenance already says `AllocatedTo` the actor): each is scrubbed
+    /// durably, in order, and loses every other actor's PTE. Only the
+    /// actor's own PTEs that grow to Write are written and charged, in
+    /// full and at the end, like [`PageTableGuard::apply`]'s: a pool page
+    /// that stays with its owner costs nothing.
+    pub(crate) fn recycle(&self, pages: &[PageId]) {
+        let grow: Vec<PageId> = pages
+            .iter()
+            .copied()
+            .filter(|p| {
+                let held = self.dev().reset_page_sparing(*p, self.actor);
+                held.is_ok_and(|held| held < Some(PagePerm::Write))
+            })
+            .collect();
+        if in_sim() {
+            work(program_ns(grow.len()));
+            self.kernel.charge_phase(|p| &p.map_ns, program_ns(grow.len()));
+        }
+        for page in grow {
+            self.write(page, Some(PagePerm::Write));
+        }
     }
 
     /// The read-only window every registered actor has on the superblock

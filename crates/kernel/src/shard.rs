@@ -122,6 +122,23 @@ impl<V: Copy> ShardedMap<V> {
         }
     }
 
+    /// The current value of every key, in input order, one lock per
+    /// touched shard.
+    pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<V>> {
+        let mut out = vec![None; keys.len()];
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); SHARD_COUNT];
+        for (i, k) in keys.iter().enumerate() {
+            buckets[self.shard_of(*k)].push(i);
+        }
+        for (s, bucket) in buckets.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            let shard = self.shards[s].lock();
+            for &i in bucket {
+                out[i] = shard.get(&keys[i]).copied();
+            }
+        }
+        out
+    }
+
     /// Removes every key, one lock per touched shard.
     pub fn remove_batch(&self, keys: impl Iterator<Item = u64>) {
         for (i, bucket) in self.grouped(keys) {
@@ -369,6 +386,8 @@ mod tests {
         assert_eq!(m.len(), 600); // key 7 overwritten, not duplicated
         assert!(m.all_match(0..600, |k, v| v == Some(k as u32)));
         assert!(!m.all_match(0..601, |_, v| v.is_some()));
+        // Input order, across shards and with a miss in between.
+        assert_eq!(m.get_batch(&[599, 600, 3, 300]), [Some(599), None, Some(3), Some(300)]);
         m.remove_batch(0..300);
         assert_eq!(m.len(), 300);
         let odd = m.collect_filter(|k, _| k % 2 == 1);

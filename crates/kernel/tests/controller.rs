@@ -1539,3 +1539,102 @@ fn a_dirent_page_whose_directory_the_books_lack_is_not_granted() {
         assert_mmu_matches_books(k);
     });
 }
+
+// ---------------------------------------------------------------------
+// Reclamation recycles in place (DESIGN.md §9): a frame that stays with
+// its owner costs no PTE write, one that changes hands costs one.
+// ---------------------------------------------------------------------
+
+/// Whether `actor` holds `page` writable and reads zeros there.
+fn writable_zeros(reg: &LibFsRegistration, page: PageId) -> bool {
+    let mut buf = vec![0xA5u8; trio_nvm::PAGE_SIZE];
+    reg.handle.read_untimed(page, 0, &mut buf).unwrap();
+    reg.handle.write_untimed(page, 0, &[0]).is_ok() && buf.iter().all(|b| *b == 0)
+}
+
+/// Two by-construction files — one pool page (an index page) and sixty-four
+/// (an index page and 63 data pages) — unlinked and reclaimed: no PTE is
+/// written or charged, and the two reclaims take the same virtual time up
+/// to the provenance shards they touch, not a term per page.
+#[test]
+fn reclaiming_pool_pages_writes_no_pte() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(14, move || {
+        let k = &*k2;
+        let a = k.register_libfs(100, 100);
+        k.map(a.actor, MapTarget::Root, true).unwrap();
+        let inos = k.alloc_inos(a.actor, 2).unwrap();
+        let regular = CoreFileType::Regular;
+        let (_, root_page, small) = create_in_empty_root(k, &a, b"s", inos[0], regular);
+        let big = DirentLoc { page: root_page, slot: 1 };
+        let r = DirentRef::new(&a.handle, big);
+        let d = DirentData::new(b"b", regular, Mode::RW, 100, 100);
+        r.publish(inos[1], &r.prepare(&d).unwrap()).unwrap();
+        let pages = k.alloc_pages(a.actor, 65, None).unwrap();
+        let (small_chain, big_chain) = (pages[..1].to_vec(), pages[1..].to_vec());
+        for (loc, chain) in [(small, &small_chain), (big, &big_chain)] {
+            DirentRef::new(&a.handle, loc).set_first_index(chain[0].0).unwrap();
+        }
+        let index = IndexPageRef::new(&a.handle, big_chain[0]);
+        for (i, p) in big_chain[1..].iter().enumerate() {
+            index.set_entry(i, p.0).unwrap();
+            a.handle.write_untimed(*p, 0, b"old bytes").unwrap();
+        }
+
+        let mut took = Vec::new();
+        for (ino, loc, chain) in [(inos[0], small, small_chain), (inos[1], big, big_chain)] {
+            DirentRef::new(&a.handle, loc).clear().unwrap();
+            let _ = k.take_phase_stats();
+            let t0 = now();
+            let recycled = k.reclaim_file(a.actor, ino, chain[0].0).unwrap();
+            took.push(now() - t0);
+            let p = k.take_phase_stats();
+            assert_eq!((p.map_ns, p.unmap_ns), (0, 0), "{} pages", chain.len());
+            assert_eq!(recycled, chain, "the chain, in walk order");
+            assert!(chain.iter().all(|p| writable_zeros(&a, *p)), "{}", chain.len());
+            assert_mmu_matches_books(k);
+        }
+        // 63 pages more; at most one more provenance shard, locked twice.
+        assert!(took[1] - took[0] <= 2 * cost::LOCK_UNCONTENDED_NS, "{took:?}");
+    });
+}
+
+/// R reclaims `g`, a vetted file (`InFile`) that W wrote and R only read,
+/// while both still hold read grants on it. R's two PTEs grow from read to
+/// write, one `MMU_PROGRAM_PAGE_NS` each (its grant's end unmaps nothing it
+/// keeps); W's two go. W's bytes are gone.
+#[test]
+fn reclaiming_a_read_file_pays_one_pte_per_page_that_grows() {
+    let k = raced_kernel(KernelConfig::default());
+    let k2 = Arc::clone(&k);
+    raced_run(15, move || {
+        let k = &*k2;
+        let pte = cost::MMU_PROGRAM_PAGE_NS;
+        let w = k.register_libfs(100, 100);
+        let e = vetted_dir(k, &w, &[b"g"]);
+        let (g, g_loc, chain) = e.kids[0];
+        let g_target = MapTarget::Dirent(g_loc);
+        k.map(w.actor, g_target, true).unwrap();
+        w.handle.write_untimed(chain[1], 0, b"w's bytes").unwrap();
+        k.release(w.actor, g).unwrap();
+        let r = k.register_libfs(100, 100);
+        k.map(r.actor, g_target, false).unwrap();
+        k.map(w.actor, g_target, false).unwrap();
+        assert_eq!(k.pages_of(g), chain.iter().map(|p| p.0).collect());
+
+        k.map(r.actor, MapTarget::Dirent(e.loc), true).unwrap();
+        DirentRef::new(&r.handle, g_loc).clear().unwrap();
+        let _ = k.take_phase_stats();
+        let recycled = k.reclaim_file(r.actor, g, chain[0].0).unwrap();
+        let p = k.take_phase_stats();
+        assert_eq!(recycled, chain);
+        assert_eq!((p.map_ns, p.unmap_ns), (2 * pte, 2 * pte), "R's two grow, W's two go");
+        for page in chain {
+            assert!(writable_zeros(&r, page), "{page:?}");
+            assert_eq!(k.device().mmu_perm(w.actor, page).unwrap(), None, "{page:?}");
+        }
+        assert!(k.take_events().is_empty());
+        assert_mmu_matches_books(k);
+    });
+}

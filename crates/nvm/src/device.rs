@@ -461,6 +461,16 @@ impl NvmDevice {
     /// Used when the kernel frees or re-allocates a page, so no data leaks
     /// across LibFSes.
     pub fn reset_page(&self, page: PageId) -> Result<(), ProtError> {
+        self.reset_page_sparing(page, KERNEL_ACTOR).map(drop)
+    }
+
+    /// [`Self::reset_page`], except that `keep`'s mapping stays as it was:
+    /// the frame changes hands *to* `keep`. Returns what `keep` holds on it.
+    pub fn reset_page_sparing(
+        &self,
+        page: PageId,
+        keep: ActorId,
+    ) -> Result<Option<PagePerm>, ProtError> {
         let mut slot = self.slot(page)?.lock();
         if let (Some(t), Some(d)) = (&self.tracker, slot.data.as_deref()) {
             // The disappearance of the old contents is itself a store, and a
@@ -472,11 +482,15 @@ impl NvmDevice {
             t.flush(page, 0, PAGE_SIZE);
             t.fence();
         }
+        let kept = slot.prot.perm_of(keep);
         slot.data = None;
         slot.prot = PageProt::default();
+        if let Some(perm) = kept {
+            slot.prot.map(keep, perm);
+        }
         slot.csum = None;
         self.scrub_page(page);
-        Ok(())
+        Ok(kept)
     }
 
     /// Copies a whole page (checkpointing). Privileged.
@@ -867,6 +881,22 @@ mod tests {
         d.mmu_map(b, PageId(3), PagePerm::Read).unwrap();
         d.copy_from_page(b, PageId(3), 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 6]);
+    }
+
+    #[test]
+    fn reset_page_sparing_keeps_one_mapping_only() {
+        let d = dev();
+        let (a, b) = (ActorId(1), ActorId(2));
+        d.mmu_map(a, PageId(3), PagePerm::Read).unwrap();
+        d.mmu_map(b, PageId(3), PagePerm::Write).unwrap();
+        d.copy_to_page(b, PageId(3), 0, b"secret").unwrap();
+        assert_eq!(d.reset_page_sparing(PageId(3), a), Ok(Some(PagePerm::Read)));
+        assert_eq!(d.mmu_perm(b, PageId(3)), Ok(None));
+        let mut buf = [7u8; 6];
+        d.copy_from_page(a, PageId(3), 0, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 6]);
+        assert_eq!(d.reset_page_sparing(PageId(3), b), Ok(None));
+        assert_eq!(d.mmu_perm(a, PageId(3)), Ok(None));
     }
 
     #[test]

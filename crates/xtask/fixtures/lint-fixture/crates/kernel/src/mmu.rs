@@ -1,5 +1,6 @@
-//! page-table-door fixture: the device's MMU interface named outside
-//! `crates/kernel/src/pagetable.rs`. Each live site below must trip; the
+//! page-table-door fixture: the device's MMU interface, and a scrub that
+//! drops every actor's PTEs, named outside `crates/kernel/src/pagetable.rs`
+//! (and the allocator's `alloc.rs`). Each live site below must trip; the
 //! grant table's `revoke_actor`, the door itself, the annotated site and
 //! the test module stay clean.
 
@@ -16,6 +17,10 @@ impl Ctl {
         self.device().revoke_actor(offender); // trips page-table-door
         // The grant table has a `revoke_actor` of its own: not a PTE in sight.
         self.delegation().grants().revoke_actor(offender);
+    }
+
+    pub fn scrub_behind_the_lock(&self, page: PageId) {
+        let _ = self.device().reset_page(page); // trips page-table-door
     }
 
     pub fn through_the_door_is_clean(&self, actor: ActorId, wants: &[(PageId, Option<PagePerm>)]) {

@@ -89,12 +89,12 @@
 //!   `.mmu_unmap(…)` and the device's `.revoke_actor(…)` are findings — a
 //!   PTE write that skipped the lock can land after the unmap that was
 //!   meant to undo it. The grant table's `revoke_actor` (receiver
-//!   `grants()`) is a different function and exempt. `reset_page`, which
-//!   wipes a frame's protections for every actor at once, is deliberately
-//!   not in the rule: it is the allocator's and `reclaim_one`'s, called on
-//!   frames that are in nobody's grant any more (`reclaim_one` ends every
-//!   holder's grant through the door first), so there is no per-actor
-//!   programming for it to race with and no per-actor lock it would fit.
+//!   `grants()`) is a different function and exempt. In
+//!   `crates/kernel/src`, `.reset_page(…)` and `.reset_page_sparing(…)`,
+//!   which wipe a frame's protections for every actor at once, are
+//!   findings outside `alloc.rs` (the allocator scrubs the frames it holds)
+//!   and `pagetable.rs` (reclamation recycles through the door); the
+//!   patrol's scrub of a free frame carries the one reasoned allow.
 //!
 //! Any rule can be suppressed per-site with `// lint: allow(<rule-id>)
 //! <reason>` on the flagged line or up to two lines above it; the reason is
@@ -373,6 +373,15 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
     // the kernel's `pagetable.rs` takes.
     let page_table_door_scope =
         shipped && !in_nvm && rel != Path::new("crates/kernel/src/pagetable.rs");
+    // …and so does every other kernel scrub of a frame, which wipes the
+    // PTEs of every actor at once, except the allocator's own.
+    let door_calls: &[&str] = if rel.starts_with("crates/kernel/src")
+        && rel != Path::new("crates/kernel/src/alloc.rs")
+    {
+        &["mmu_map", "mmu_unmap", "revoke_actor", "reset_page", "reset_page_sparing"]
+    } else {
+        &["mmu_map", "mmu_unmap", "revoke_actor"]
+    };
     // A module that declares itself hot-path (raw source, so the marker
     // lives in its doc comment) has sworn off the registry control lock
     // entirely (DESIGN.md §20).
@@ -595,9 +604,10 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
 
         // R12: the device's MMU interface is named behind the page-table
         // door only. `revoke_actor` is also the grant table's; that one is
-        // reached through `grants()`.
+        // reached through `grants()`. In the kernel, the scrubs that drop
+        // every actor's PTEs are the allocator's or the door's.
         if page_table_door_scope && i < test_region {
-            for m in ["mmu_map", "mmu_unmap", "revoke_actor"] {
+            for &m in door_calls {
                 let Some(pos) = find_call(line, m) else { continue };
                 let mut receiver = line[..pos - 1].trim();
                 if receiver.is_empty() {
@@ -1164,18 +1174,19 @@ mod tests {
         assert!(door_hits.contains(&line_of("raw.chunks_exact(DIRENT_SIZE)")));
         assert!(door_hits.contains(&line_of("for slot in 0..DIRENTS_PER_PAGE")));
         assert!(door_hits.contains(&line_of("loc.byte_off() + 16")));
-        // page-table-door: the three device calls trip; the grant table's
+        // page-table-door: the four device calls trip; the grant table's
         // `revoke_actor`, the door, the annotated site and the test module
         // stay clean.
         let pt_hits: Vec<_> =
             findings.iter().filter(|f| f.rule == Rule::PageTableDoor).map(|f| f.line).collect();
-        assert_eq!(pt_hits.len(), 3, "exactly the three live MMU sites: {pt_hits:?}");
+        assert_eq!(pt_hits.len(), 4, "exactly the four live MMU sites: {pt_hits:?}");
         let pt_src = fixture.join("crates").join("kernel").join("src").join("mmu.rs");
         let src = std::fs::read_to_string(&pt_src).unwrap();
         let line_of = |needle: &str| src.lines().position(|l| l.contains(needle)).unwrap() + 1;
         assert!(pt_hits.contains(&line_of("self.dev.mmu_map(actor, page, PagePerm::Write)")));
         assert!(pt_hits.contains(&line_of("self.device().mmu_unmap(actor, page)")));
         assert!(pt_hits.contains(&line_of("self.device().revoke_actor(offender)")));
+        assert!(pt_hits.contains(&line_of("self.device().reset_page(page)")));
     }
 
     /// 1-based line of the first raw line containing `needle` in the

@@ -450,6 +450,47 @@ fn migration_goes_ahead_under_a_released_read_grant() {
     rt.run();
 }
 
+/// A data page of a live pool-page file that the patrol condemned (poison
+/// it cannot repair in a page that is not the kernel's) is retired when the
+/// file is unlinked, not recycled into the unlinker's pool; every frame is
+/// still in exactly one place.
+#[test]
+fn condemned_page_of_an_unlinked_file_is_retired_not_recycled() {
+    let (dev, kernel, fs) = world(ArckFsConfig::no_delegation());
+    let rt = SimRuntime::new(0x5A);
+    rt.spawn("main", move || {
+        write_file(&*fs, "/c", &vec![0x5Au8; 2 * PAGE_SIZE]).unwrap();
+        let victim = fs.debug_file_pages("/c").unwrap().2[0].unwrap();
+        dev.poison_line(victim, 5);
+        for _ in 0..3 {
+            kernel.scrub_pass(PAGES as usize);
+        }
+        assert_eq!(kernel.retired_page_count(), 0, "condemned, not yet retired");
+        let retired = kernel.media_stats().snapshot().pages_retired;
+
+        fs.unlink("/c").unwrap();
+        assert_eq!(kernel.media_stats().snapshot().pages_retired, retired + 1);
+        assert_eq!(kernel.retired_page_count(), 1);
+        assert_eq!(dev.mmu_perm(fs.actor(), victim).unwrap(), None, "recycled into the pool");
+        // Handed out: the LibFS's pool and the root's chain, all its to write.
+        let mappings = dev.mappings();
+        let handed_out = mappings
+            .iter()
+            .filter(|(_, a, perm)| *a == fs.actor() && *perm == trio_nvm::PagePerm::Write)
+            .count();
+        assert!(mappings.iter().all(|(p, _, _)| *p != victim));
+        let idle = kernel.free_page_count()
+            + kernel.cached_page_count()
+            + kernel.limbo_page_count()
+            + kernel.deferred_page_count()
+            + kernel.retired_page_count();
+        assert_eq!(idle + handed_out, PAGES as usize - 2, "pages not conserved");
+        let audit = kernel.audit_mmu_against_books();
+        assert!(audit.is_clean(), "page tables disagree with the books: {audit:?}");
+    });
+    rt.run();
+}
+
 // ---------------------------------------------------------------------
 // Crash points inside the repair path.
 // ---------------------------------------------------------------------

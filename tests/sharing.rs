@@ -1018,6 +1018,28 @@ fn page_migration_in_between_rebuilds() {
     rt.run();
 }
 
+/// A reader whose grant a writer took back learns it from its next
+/// listing, not from a later lookup: the listing's probe faults (`Stale`),
+/// the reader re-maps and lists the writer's entry, not the table it built
+/// before.
+#[test]
+fn revoked_reader_lists_the_writers_new_entry() {
+    let rt = SimRuntime::new(36);
+    rt.spawn("t", || {
+        let (kernel, a, b) = reuse_world(100);
+        assert_eq!(b.readdir("/d").unwrap().len(), 40); // B holds `/d` for read.
+        a.create("/d/from-a", Mode(0o666)).unwrap(); // A's write grant revokes it.
+        a.release_path("/d").unwrap();
+        let before = aux_counts(&kernel).1;
+        let listed = names(&b, "/d");
+        assert!(listed.contains(&"from-a".to_string()), "listed the old aux: {listed:?}");
+        assert_eq!(listed.len(), 41);
+        assert_eq!(aux_counts(&kernel).1, before + 1, "`/d` rebuilt, once");
+        assert_mmu_within_books(&kernel);
+    });
+    rt.run();
+}
+
 /// A grant that ends under the holder — here at lease expiry, to a mere
 /// reader, so the sequence would still match — takes the aux with it: the
 /// `Stale` fault drops everything, as it always has. The root is not
