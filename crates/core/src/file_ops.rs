@@ -14,20 +14,16 @@ use trio_kernel::delegation::DelegationError;
 use trio_kernel::RetryPolicy;
 use trio_layout::{DirentRef, IndexPageRef, ENTRIES_PER_INDEX};
 use trio_nvm::{PageId, PAGE_SIZE};
-use trio_sim::{in_sim, now, now_or_zero};
+use trio_sim::{in_sim, now_or_zero};
 
 use crate::libfs::ArckFs;
 use crate::node::{FileNode, MapState, NodeInner};
 use crate::pool::STRIPE_PAGES;
 
-/// Static policy (paper §4.5): reads below this go direct.
-const STATIC_READ_MIN: usize = 32 * 1024;
-/// Static policy (paper §4.5): writes below this go direct.
-const STATIC_WRITE_MIN: usize = 256;
-/// Adaptive policy: accesses at/above this size always delegate.
+/// Accesses at/above this size always delegate.
 const ADAPTIVE_DELEGATE_BYTES: usize = 64 * 1024;
-/// Adaptive policy: accesses below this size never delegate; in between,
-/// node load and remoteness decide.
+/// Accesses below this size never delegate; in between, node load and
+/// remoteness decide.
 const ADAPTIVE_FLOOR_BYTES: usize = 4096;
 
 /// The delegation retry policy (DESIGN.md §16): a 5 ms budget for one
@@ -74,7 +70,7 @@ impl ArckFs {
             }
             let len = buf.len().min((g.size - off) as usize);
             let _r = node.range.acquire(off, len as u64, false);
-            fs.read_span(node, &g, off, &mut buf[..len])?;
+            fs.read_span(&g, off, &mut buf[..len])?;
             Ok(len)
         })
     }
@@ -121,7 +117,7 @@ impl ArckFs {
                 }
                 if off + len as u64 <= g.size && fs.span_allocated(&g, off, len) {
                     let _r = node.range.acquire(off, len as u64, true);
-                    fs.write_span(node, &g, off, src)?;
+                    fs.write_span(&g, off, src)?;
                     return Ok(len);
                 }
             }
@@ -132,7 +128,7 @@ impl ArckFs {
                 return Err(FsError::Stale);
             }
             fs.ensure_span(node, &mut g, off, len)?;
-            fs.write_span(node, &g, off, src)?;
+            fs.write_span(&g, off, src)?;
             if off + len as u64 > g.size {
                 g.size = off + len as u64;
                 g.mtime = now_or_zero();
@@ -201,13 +197,7 @@ impl ArckFs {
 
     /// Reads `[off, off+buf.len())`, filling holes with zeros, charging
     /// per contiguous run.
-    pub(crate) fn read_span(
-        &self,
-        node: &Arc<FileNode>,
-        g: &NodeInner,
-        off: u64,
-        buf: &mut [u8],
-    ) -> FsResult<()> {
+    pub(crate) fn read_span(&self, g: &NodeInner, off: u64, buf: &mut [u8]) -> FsResult<()> {
         let mut pos = 0usize;
         while pos < buf.len() {
             let abs = off as usize + pos;
@@ -234,7 +224,7 @@ impl ArckFs {
                 .collect::<FsResult<_>>()?;
             let run_cap = pages.len() * PAGE_SIZE - in_page;
             let n = run_cap.min(buf.len() - pos);
-            self.rw_extent_read(node, &pages, in_page, &mut buf[pos..pos + n])?;
+            self.rw_extent_read(&pages, in_page, &mut buf[pos..pos + n])?;
             pos += n;
         }
         Ok(())
@@ -242,13 +232,7 @@ impl ArckFs {
 
     /// Writes the source at `off`; every page in the span must be
     /// allocated.
-    pub(crate) fn write_span(
-        &self,
-        node: &Arc<FileNode>,
-        g: &NodeInner,
-        off: u64,
-        src: &WriteSrc<'_>,
-    ) -> FsResult<()> {
+    pub(crate) fn write_span(&self, g: &NodeInner, off: u64, src: &WriteSrc<'_>) -> FsResult<()> {
         let first = (off as usize) / PAGE_SIZE;
         let last = (off as usize + src.data.len() - 1) / PAGE_SIZE;
         let pages: Vec<PageId> = g.data_pages[first..=last]
@@ -256,90 +240,55 @@ impl ArckFs {
             .map(|p| p.ok_or(FsError::InvalidArgument))
             .collect::<FsResult<_>>()?;
         let in_page = (off as usize) % PAGE_SIZE;
-        self.rw_extent_write(node, &pages, in_page, src)
+        self.rw_extent_write(&pages, in_page, src)
     }
 
-    /// Whether this access should go through delegation. Static policy:
-    /// the paper's fixed size thresholds. Adaptive policy: huge accesses
-    /// always delegate (multi-node aggregation plus bounded per-node
-    /// concurrency both pay off), tiny ones never do (the ring round trip
-    /// dominates), and mid-sized accesses delegate only when a target
-    /// node's sampled load has reached the bandwidth-collapse knee — the
-    /// regime delegation exists to prevent — or the access would cross
-    /// sockets (the remote penalty exceeds the ring round trip).
-    fn route_delegated(
-        &self,
-        node: &Arc<FileNode>,
-        pages: &[PageId],
-        len: usize,
-        is_write: bool,
-    ) -> bool {
+    /// Whether this access should go through delegation (paper §4.5, with
+    /// a load-aware rule in place of the paper's fixed thresholds): huge
+    /// accesses always delegate (multi-node aggregation plus bounded
+    /// per-node concurrency both pay off), tiny ones never do (the ring
+    /// round trip dominates), and mid-sized accesses delegate only when a
+    /// target node's sampled load has reached the bandwidth-collapse knee —
+    /// the regime delegation exists to prevent — or the access would cross
+    /// sockets (the remote penalty exceeds the ring round trip). A pool in
+    /// degraded mode sheds everything but its probes (DESIGN.md §16).
+    fn route_delegated(&self, pages: &[PageId], len: usize, is_write: bool) -> bool {
         let pool = self.kernel.delegation();
-        if !self.cfg.delegation || !pool.is_started() || !in_sim() {
+        if !self.cfg.delegation || !pool.is_started() || !in_sim() || !pool.admit_delegated() {
             return false;
         }
-        // Failure-domain gates (DESIGN.md §16): a pool in degraded mode
-        // sheds everything but probes, and a file whose last delegation
-        // fell back stays direct until the pool recovers or its demotion
-        // window lapses.
-        if !pool.admit_delegated() || node.delegation_demoted(pool.recovery_epoch(), now()) {
-            return false;
-        }
-        match self.cfg.delegation_policy {
-            crate::libfs::DelegationPolicy::Static => {
-                len >= if is_write { STATIC_WRITE_MIN } else { STATIC_READ_MIN }
+        let delegate = 'decide: {
+            if len >= ADAPTIVE_DELEGATE_BYTES {
+                break 'decide true;
             }
-            crate::libfs::DelegationPolicy::Adaptive => {
-                let delegate = 'decide: {
-                    if len >= ADAPTIVE_DELEGATE_BYTES {
-                        break 'decide true;
-                    }
-                    if len < ADAPTIVE_FLOOR_BYTES {
-                        break 'decide false;
-                    }
-                    let dev = self.kernel.device();
-                    let topo = dev.topology();
-                    let home = trio_nvm::handle::home_node();
-                    let knee = if is_write { self.write_knee } else { self.read_knee };
-                    let mut remote = false;
-                    let mut last_node = usize::MAX;
-                    for p in pages {
-                        let n = topo.node_of(*p);
-                        if n == last_node {
-                            continue;
-                        }
-                        last_node = n;
-                        if dev.node_load_level(n, is_write) >= knee {
-                            break 'decide true;
-                        }
-                        remote |= n != home;
-                    }
-                    remote
-                };
-                self.stats.record_adaptive(delegate);
-                delegate
+            if len < ADAPTIVE_FLOOR_BYTES {
+                break 'decide false;
             }
-        }
+            let dev = self.kernel.device();
+            let topo = dev.topology();
+            let home = trio_nvm::handle::home_node();
+            let knee = if is_write { self.write_knee } else { self.read_knee };
+            let mut remote = false;
+            let mut last_node = usize::MAX;
+            for p in pages {
+                let n = topo.node_of(*p);
+                if n == last_node {
+                    continue;
+                }
+                last_node = n;
+                if dev.node_load_level(n, is_write) >= knee {
+                    break 'decide true;
+                }
+                remote |= n != home;
+            }
+            remote
+        };
+        self.stats.record_adaptive(delegate);
+        delegate
     }
 
-    /// On a whole-op delegation timeout, demote this file to direct
-    /// access for a few op-deadlines so a struggling pool is not hammered
-    /// with doomed submissions; the pool's recovery epoch re-promotes it
-    /// early when a worker restart or degraded-mode exit lands.
-    fn demote_after_fallback(&self, node: &Arc<FileNode>, len: usize) {
-        let pool = self.kernel.delegation();
-        let hold = DELEGATION_RETRY.base_window_ns(0, len).saturating_mul(4);
-        node.demote_delegation(pool.recovery_epoch(), now().saturating_add(hold));
-    }
-
-    fn rw_extent_read(
-        &self,
-        node: &Arc<FileNode>,
-        pages: &[PageId],
-        start: usize,
-        buf: &mut [u8],
-    ) -> FsResult<()> {
-        if self.route_delegated(node, pages, buf.len(), false) {
+    fn rw_extent_read(&self, pages: &[PageId], start: usize, buf: &mut [u8]) -> FsResult<()> {
+        if self.route_delegated(pages, buf.len(), false) {
             // Deadline-bounded with retry-with-backoff (inside the pool):
             // a stalled, wedged, or dead delegation thread must never hang
             // the client. Each retry is round-robined onto a different
@@ -354,7 +303,6 @@ impl ArckFs {
                 Err(DelegationError::Timeout) => {
                     self.stats.record_fallback();
                     crate::obs::fallback_dump();
-                    self.demote_after_fallback(node, buf.len());
                 }
             }
         }
@@ -363,14 +311,8 @@ impl ArckFs {
         Ok(())
     }
 
-    fn rw_extent_write(
-        &self,
-        node: &Arc<FileNode>,
-        pages: &[PageId],
-        start: usize,
-        src: &WriteSrc<'_>,
-    ) -> FsResult<()> {
-        if self.route_delegated(node, pages, src.data.len(), true) {
+    fn rw_extent_write(&self, pages: &[PageId], start: usize, src: &WriteSrc<'_>) -> FsResult<()> {
+        if self.route_delegated(pages, src.data.len(), true) {
             // Same protocol as reads. Retrying a possibly-executed write
             // is safe twice over: the bytes are idempotent (same data,
             // same location), and the pool's per-op idempotence token
@@ -389,7 +331,6 @@ impl ArckFs {
                 Err(DelegationError::Timeout) => {
                     self.stats.record_fallback();
                     crate::obs::fallback_dump();
-                    self.demote_after_fallback(node, src.data.len());
                 }
             }
         }

@@ -58,7 +58,7 @@ use trio_layout::CoreFileType;
 
 pub use fpfs::FpFs;
 pub use kvfs::KvFs;
-pub use libfs::{ArckFs, ArckFsConfig, DelegationPolicy};
+pub use libfs::{ArckFs, ArckFsConfig};
 
 impl FileSystem for ArckFs {
     fn open(&self, path: &str, flags: OpenFlags, mode: Mode) -> FsResult<Fd> {

@@ -21,38 +21,18 @@ use crate::journal::Journal;
 use crate::node::{DirAux, DirEntryAux, FileNode, MapState, NodeInner};
 use crate::pool::{InoPool, PagePool};
 
-/// How data operations choose between direct access and delegation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DelegationPolicy {
-    /// Fixed size thresholds (reads from 32 KiB, writes from 256 B) — the
-    /// paper's original policy, kept as the A/B baseline.
-    Static,
-    /// Load-aware routing: huge accesses always delegate (multi-node
-    /// aggregation), tiny ones never do (ring round-trip dominates), and
-    /// mid-sized accesses delegate only when the target node's observed
-    /// concurrency has reached the bandwidth-collapse knee or the access
-    /// would cross sockets.
-    Adaptive,
-}
-
 /// ArckFS tunables (paper §4.5 defaults).
 #[derive(Clone, Debug)]
 pub struct ArckFsConfig {
     /// Use the kernel delegation pool for large accesses.
     pub delegation: bool,
-    /// How eligible accesses are routed; see [`DelegationPolicy`].
-    pub delegation_policy: DelegationPolicy,
     /// Stripe file data pages across NUMA nodes.
     pub stripe: bool,
 }
 
 impl Default for ArckFsConfig {
     fn default() -> Self {
-        ArckFsConfig {
-            delegation: true,
-            delegation_policy: DelegationPolicy::Adaptive,
-            stripe: true,
-        }
+        ArckFsConfig { delegation: true, stripe: true }
     }
 }
 
@@ -60,13 +40,7 @@ impl ArckFsConfig {
     /// The paper's `ArckFS-no-dele` configuration: direct access only, no
     /// striping (single-node placement).
     pub fn no_delegation() -> Self {
-        ArckFsConfig { delegation: false, stripe: false, ..Default::default() }
-    }
-
-    /// The pre-adaptive configuration: fixed size thresholds (the A/B
-    /// reference for the adaptive policy).
-    pub fn static_thresholds() -> Self {
-        ArckFsConfig { delegation_policy: DelegationPolicy::Static, ..Default::default() }
+        ArckFsConfig { delegation: false, stripe: false }
     }
 }
 

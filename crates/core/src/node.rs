@@ -89,13 +89,6 @@ pub struct FileNode {
     pub inner: SimRwLock<NodeInner>,
     /// Range lock for concurrent disjoint writes (regular files).
     pub range: RangeLock,
-    /// Per-file delegation demotion (DESIGN.md §16): after a delegated
-    /// access to this file fell back, further accesses go direct until
-    /// the virtual deadline passes *or* the pool's recovery epoch
-    /// advances (a worker restart or degraded-mode exit). 0 = healthy.
-    demoted_until: AtomicU64,
-    /// Pool recovery epoch observed when the demotion was recorded.
-    demote_epoch: AtomicU64,
     /// Held shared by every operation on the file for as long as it runs
     /// (retries included), exclusively by a thread about to yield the
     /// grant to a lease recall (DESIGN.md §21): threads of one LibFS share
@@ -128,8 +121,6 @@ impl FileNode {
             place: SimRwLock::new(Placement { parent, loc }),
             inner: SimRwLock::new(NodeInner::unmapped()),
             range: RangeLock::new(),
-            demoted_until: AtomicU64::new(0),
-            demote_epoch: AtomicU64::new(0),
             gate: SimRwLock::with_costs((), 0, 0),
             open_fds: AtomicU32::new(0),
             recall_parked: AtomicBool::new(false),
@@ -168,29 +159,6 @@ impl FileNode {
     /// time) and must not cost the new one a hand-over.
     pub(crate) fn forget_recall(&self) {
         self.recall_parked.store(false, Ordering::SeqCst);
-    }
-
-    /// Demotes this file to direct access until `until` (virtual ns),
-    /// keyed to the delegation pool's current recovery `epoch`.
-    pub fn demote_delegation(&self, epoch: u64, until: u64) {
-        self.demote_epoch.store(epoch, std::sync::atomic::Ordering::Relaxed);
-        self.demoted_until.store(until.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether the file is still demoted. Re-promotes (and clears the
-    /// demotion) when the deadline passed or the pool recovered since the
-    /// demotion was recorded.
-    pub fn delegation_demoted(&self, pool_epoch: u64, now: u64) -> bool {
-        let until = self.demoted_until.load(std::sync::atomic::Ordering::Relaxed);
-        if until == 0 {
-            return false;
-        }
-        if now >= until || pool_epoch != self.demote_epoch.load(std::sync::atomic::Ordering::Relaxed)
-        {
-            self.demoted_until.store(0, std::sync::atomic::Ordering::Relaxed);
-            return false;
-        }
-        true
     }
 
     /// Drops the mapping and all aux state derived from it (after a

@@ -37,19 +37,19 @@
 //!
 //! # Failure domains (DESIGN.md §16)
 //!
-//! The pool is also a failure domain. Each worker carries a heartbeat
-//! epoch and an in-flight slot; [`DelegationPool::watchdog_scan`]
-//! (invoked from every client deadline miss, and callable directly)
-//! detects workers that died mid-request, re-dispatches the orphaned
-//! request to a healthy ring, and respawns the worker on its original
-//! ring. Writes carry a monotonic `(actor, seq)` idempotence token: a
-//! worker records the token only *after* the full request applied, and a
-//! re-dispatched or retried write whose token is already recorded is
-//! acknowledged without touching media — exactly-once application even
-//! when the first worker died between apply and reply. Under sustained
-//! failure or ring backpressure the pool enters a [`DegradedMode`] that
-//! sheds delegation to direct access, probing periodically so recovery
-//! re-promotes traffic.
+//! The pool is also a failure domain. Each worker carries a death flag
+//! and an in-flight slot; [`DelegationPool::watchdog_scan`] (invoked from
+//! every client deadline miss, and callable directly) reaps workers whose
+//! flag is set, re-dispatches the orphaned request to a healthy ring, and
+//! respawns the worker on its original ring. Writes carry a monotonic
+//! `(actor, seq)` idempotence token: a worker records the token only
+//! *after* the full request applied, and a re-dispatched or retried write
+//! whose token is already recorded is acknowledged without touching media
+//! — exactly-once application even when the first worker died between
+//! apply and reply. Under sustained failure or ring backpressure the pool
+//! enters a [`DegradedMode`] that sheds delegation to direct access,
+//! probing periodically so recovery re-promotes traffic. That breaker is
+//! the pool's one load-shedding rule.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -276,14 +276,15 @@ impl WorkerKillPlan {
 }
 
 /// Injectable delegation-thread faults. Always compiled, armed only by
-/// [`DelegationPool::inject_faults`], [`DelegationPool::arm_worker_kill`]
-/// and [`DelegationPool::inject_worker_kills`]; unarmed, a served request
-/// pays the `served` increment and four relaxed loads, draws nothing from
-/// the RNG and charges no virtual time (DESIGN.md §11).
+/// [`DelegationPool::inject_faults`] and [`DelegationPool::arm_worker_kill`];
+/// unarmed, a served request pays the `served` increment and three relaxed
+/// loads, draws nothing from the RNG and charges no virtual time
+/// (DESIGN.md §11).
 ///
 /// Draws come from each delegation thread's own deterministic RNG
 /// ([`trio_sim::rng`]), so a given `(seed, settings)` pair replays the same
-/// stalls, drops, and kills. The rate fields are "one in N"; zero disables.
+/// stalls and drops; a kill is a one-shot [`WorkerKillPlan`] and draws
+/// nothing. The rate fields are "one in N"; zero disables.
 pub struct DelegationFaults {
     /// Stall one in N served requests by `stall_ns` of virtual time.
     stall_one_in: AtomicU64,
@@ -298,9 +299,6 @@ pub struct DelegationFaults {
     kill_at_request: AtomicU64,
     /// The armed kill point (`WorkerKillPoint as u8`).
     kill_point: AtomicU8,
-    /// Randomly kill the serving worker one in N requests, at a kill
-    /// point drawn from the worker's RNG.
-    kill_one_in: AtomicU64,
 }
 
 impl Default for DelegationFaults {
@@ -313,7 +311,6 @@ impl Default for DelegationFaults {
             // 0 is a real pop index; "disarmed" must be the sentinel.
             kill_at_request: AtomicU64::new(KILL_UNSET),
             kill_point: AtomicU8::new(0),
-            kill_one_in: AtomicU64::new(0),
         }
     }
 }
@@ -322,16 +319,11 @@ impl DelegationFaults {
     /// Per-request kill decision, made right after the ring pop. The
     /// armed one-shot plan disarms itself when it fires so the respawned
     /// worker serves the re-dispatch instead of dying again.
-    fn draw_kill(&self) -> Option<WorkerKillPoint> {
+    fn take_kill(&self) -> Option<WorkerKillPoint> {
         let n = self.served.fetch_add(1, Ordering::Relaxed);
         if self.kill_at_request.load(Ordering::Relaxed) == n {
             self.kill_at_request.store(KILL_UNSET, Ordering::Relaxed);
             return WorkerKillPoint::from_index(self.kill_point.load(Ordering::Relaxed));
-        }
-        let one_in = self.kill_one_in.load(Ordering::Relaxed);
-        if one_in != 0 && trio_sim::rng::with_rng(|r| r.one_in(one_in)) {
-            let idx = trio_sim::rng::with_rng(|r| r.gen_range(3)) as u8;
-            return WorkerKillPoint::from_index(idx);
         }
         None
     }
@@ -356,19 +348,14 @@ struct Batch {
     done: bool,
 }
 
-/// One delegation worker's kernel-side health record. The worker bumps
-/// `epoch` every servicing loop (the heartbeat) and parks the request it
-/// is serving in `inflight`; a killed worker sets `died` and returns,
-/// leaving the orphan behind for the watchdog.
+/// One delegation worker's kernel-side health record. The worker parks the
+/// request it is serving in `inflight`; a killed worker sets `died` and
+/// returns, leaving the orphan behind for the watchdog.
 struct WorkerState {
     node: usize,
     /// Ring index within the node (stable across respawns).
     index: usize,
     ring: Arc<SimChannel<DelegReq>>,
-    /// Heartbeat: bumped on every ring pop.
-    epoch: AtomicU64,
-    /// Last heartbeat value the watchdog observed.
-    seen_epoch: AtomicU64,
     /// Set by a dying worker (the sim analogue of process exit — the
     /// watchdog's `waitpid`-equivalent ground truth).
     died: AtomicBool,
@@ -384,8 +371,6 @@ impl WorkerState {
             node,
             index,
             ring,
-            epoch: AtomicU64::new(0),
-            seen_epoch: AtomicU64::new(0),
             died: AtomicBool::new(false),
             died_at: AtomicU64::new(0),
             inflight: PlMutex::new(None),
@@ -433,9 +418,6 @@ struct Health {
     consec_successes: AtomicU64,
     backpressure_run: AtomicU64,
     degraded: AtomicBool,
-    /// Bumped on every degraded-mode exit and every worker restart; the
-    /// per-file demotion in the LibFS re-promotes when it advances.
-    recovery_epoch: AtomicU64,
     probe_tick: AtomicU64,
     enters: AtomicU64,
     exits: AtomicU64,
@@ -515,8 +497,6 @@ impl DelegationPool {
                     .map(move |(i, ring)| Arc::new(WorkerState::new(node, i, Arc::clone(ring))))
             })
             .collect();
-        let health = Health::default();
-        health.recovery_epoch.store(1, Ordering::Relaxed);
         let grants = Arc::new(GrantTable::new(Arc::clone(&stats)));
         DelegationPool {
             dev,
@@ -530,7 +510,7 @@ impl DelegationPool {
             next_seq: AtomicU64::new(0),
             idem: Arc::new(PlMutex::new(IdemTable::default())),
             grants,
-            health,
+            health: Health::default(),
             events,
             recovery_ns: PlMutex::new(Vec::new()),
             faults: Arc::new(DelegationFaults::default()),
@@ -565,12 +545,6 @@ impl DelegationPool {
         self.faults.kill_at_request.store(plan.at_request, Ordering::Relaxed);
     }
 
-    /// Random worker-kill mode: one in `one_in` served requests kills the
-    /// serving worker at an RNG-drawn kill point. Zero disables.
-    pub fn inject_worker_kills(&self, one_in: u64) {
-        self.faults.kill_one_in.store(one_in, Ordering::Relaxed);
-    }
-
     /// Requests popped so far across all workers (the replay coordinate
     /// of [`Self::arm_worker_kill`]).
     pub fn requests_served(&self) -> u64 {
@@ -599,10 +573,10 @@ impl DelegationPool {
         spawn("delegation", move || {
             trio_nvm::handle::set_home_node(ws.node);
             while let Some(req) = ws.ring.recv() {
-                // Heartbeat + in-flight parking: what the watchdog reads.
-                ws.epoch.fetch_add(1, Ordering::Relaxed);
+                // In-flight parking: the orphan the watchdog re-dispatches
+                // if this worker dies.
                 *ws.inflight.lock() = Some(req.clone());
-                let kill = faults.draw_kill();
+                let kill = faults.take_kill();
                 if kill == Some(WorkerKillPoint::AfterPop) {
                     // Dies with nothing applied: the orphan re-dispatch
                     // must run the request from scratch.
@@ -776,13 +750,12 @@ impl DelegationPool {
         })
     }
 
-    /// Watchdog pass over every worker: advances the heartbeat bookkeeping
-    /// and, for each worker whose death flag is set (the sim analogue of a
-    /// `waitpid` reap), re-dispatches its orphaned in-flight request to a
-    /// healthy ring and respawns the worker on its original ring. Invoked
-    /// from every client deadline miss — a dead worker is detected within
-    /// one retry window — and callable directly by harnesses. Returns the
-    /// number of deaths handled.
+    /// Watchdog pass over every worker: for each worker whose death flag is
+    /// set (the sim analogue of a `waitpid` reap), re-dispatches its
+    /// orphaned in-flight request to a healthy ring and respawns the worker
+    /// on its original ring. Invoked from every client deadline miss — a
+    /// dead worker is detected within one retry window — and callable
+    /// directly by harnesses. Returns the number of deaths handled.
     ///
     /// Workers that are merely wedged (alive but not replying — the drop
     /// fault) are left alone: killing a live thread is not modelled, and
@@ -790,8 +763,6 @@ impl DelegationPool {
     pub fn watchdog_scan(&self) -> usize {
         let mut deaths = 0;
         for ws in &self.workers {
-            let e = ws.epoch.load(Ordering::Relaxed);
-            ws.seen_epoch.store(e, Ordering::Relaxed);
             if !ws.died.load(Ordering::Acquire) {
                 continue;
             }
@@ -812,7 +783,6 @@ impl DelegationPool {
                 self.recovery_ns.lock().push(rec);
                 crate::obs::worker_restart(ws.node, ws.index as u64, rec);
                 self.push_event(KernelEvent::WorkerRestarted { node: ws.node, worker: ws.index });
-                self.health.recovery_epoch.fetch_add(1, Ordering::Relaxed);
             }
             if let Some(req) = orphan {
                 // Best-effort re-dispatch; a full ring drops the orphan
@@ -838,7 +808,6 @@ impl DelegationPool {
         let ok = self.health.consec_successes.fetch_add(1, Ordering::Relaxed) + 1;
         if ok >= RECOVER_AFTER_SUCCESSES && self.health.degraded.swap(false, Ordering::Relaxed) {
             self.health.exits.fetch_add(1, Ordering::Relaxed);
-            self.health.recovery_epoch.fetch_add(1, Ordering::Relaxed);
             self.stats.record_degraded(false);
             crate::obs::degraded_exit();
             self.push_event(KernelEvent::DelegationRecovered);
@@ -883,12 +852,6 @@ impl DelegationPool {
     /// Whether the pool is currently in degraded mode.
     pub fn degraded(&self) -> bool {
         self.health.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Bumped on every recovery (degraded-mode exit or worker restart);
-    /// per-file demotions re-promote when it advances.
-    pub fn recovery_epoch(&self) -> u64 {
-        self.health.recovery_epoch.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the degradation state machine.

@@ -61,7 +61,7 @@ impl RetryPolicy {
 
     /// The deterministic (jitter-free) window for `attempt` (0-based)
     /// with `remaining_bytes` of work left.
-    pub fn base_window_ns(&self, attempt: u32, remaining_bytes: usize) -> Nanos {
+    fn base_window_ns(&self, attempt: u32, remaining_bytes: usize) -> Nanos {
         let first =
             self.base_ns.saturating_add(self.per_byte_ns.saturating_mul(remaining_bytes as u64));
         let scaled = first.saturating_mul(1u64.checked_shl(attempt.min(32)).unwrap_or(u64::MAX));

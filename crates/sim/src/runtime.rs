@@ -173,7 +173,7 @@ struct ThreadSlot {
     join_waiters: Vec<usize>,
     os_handle: Option<thread::JoinHandle<()>>,
     /// Wake generation: bumped on every Blocked -> Ready transition so stale
-    /// timer entries (from [`Inner::block_current_timed`]) are discarded.
+    /// timed wake-ups (from [`Inner::block_current_timed`]) are discarded.
     gen: u64,
     /// Fault injection: set by [`JoinHandle::kill`]/[`SimRuntime::kill`]; the
     /// thread unwinds (cleanly, releasing its locks) at its next sim point.
@@ -185,18 +185,33 @@ struct ThreadSlot {
     vc: Vec<u64>,
 }
 
+/// One pending wake-up: `(time, seq, tid, timed)`. `seq` is unique, so
+/// the queue's order never looks past `(time, seq)`. A ready thread's entry
+/// has `timed == None`; a timed wake-up (from
+/// [`Inner::block_current_timed`]) carries the `gen` it was armed with, and
+/// is stale, and skipped, once the thread's `gen` moved on.
+type Wakeup = (Nanos, u64, usize, Option<u64>);
+
 pub(crate) struct SchedState {
     threads: Vec<ThreadSlot>,
-    ready: BinaryHeap<Reverse<(Nanos, u64, usize)>>,
-    /// Pending wake-up deadlines: `(deadline, seq, tid, gen)`. Entries whose
-    /// `gen` no longer matches the thread's are stale and skipped.
-    timers: BinaryHeap<Reverse<(Nanos, u64, usize, u64)>>,
+    /// Every pending wake-up, earliest `(time, seq)` first.
+    wakeups: BinaryHeap<Reverse<Wakeup>>,
     seq: u64,
     live: usize,
     events: u64,
     horizon: Nanos,
     panic_msg: Option<String>,
     finished: bool,
+}
+
+impl SchedState {
+    /// Queues a wake-up of `tid` at `at` behind every earlier-queued one of
+    /// the same time; `timed` as in [`Wakeup`].
+    fn push(&mut self, at: Nanos, tid: usize, timed: Option<u64>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.wakeups.push(Reverse((at, seq, tid, timed)));
+    }
 }
 
 pub(crate) struct Inner {
@@ -245,9 +260,7 @@ impl Inner {
         }
         st.threads[tid].time = t;
         st.threads[tid].state = RunState::Ready;
-        let seq = st.seq;
-        st.seq += 1;
-        st.ready.push(Reverse((t, seq, tid)));
+        st.push(t, tid, None);
         self.dispatch_then_park(st, Some(tid));
     }
 
@@ -271,10 +284,8 @@ impl Inner {
         st.events += 1;
         st.threads[tid].state = RunState::Blocked;
         let gen = st.threads[tid].gen;
-        let seq = st.seq;
-        st.seq += 1;
         let at = st.threads[tid].time.max(deadline);
-        st.timers.push(Reverse((at, seq, tid, gen)));
+        st.push(at, tid, Some(gen));
         self.dispatch_then_park(st, Some(tid));
     }
 
@@ -290,29 +301,16 @@ impl Inner {
         let t = st.threads[tid].time.max(at);
         st.threads[tid].time = t;
         st.threads[tid].state = RunState::Ready;
-        st.threads[tid].gen += 1; // Invalidate any pending timer entry.
-        let seq = st.seq;
-        st.seq += 1;
-        st.ready.push(Reverse((t, seq, tid)));
+        st.threads[tid].gen += 1; // Invalidate any pending timed wake-up.
+        st.push(t, tid, None);
     }
 
-    /// Picks the next thread to run: the smallest `(time, seq)` key across
-    /// the ready queue and the (validated) timer queue. Timer entries whose
-    /// generation is stale — the thread was notified before its deadline —
-    /// are discarded here.
+    /// Picks the next thread to run: the smallest `(time, seq)` wake-up.
+    /// Timed wake-ups whose generation is stale — the thread was notified
+    /// before its deadline — are discarded here.
     fn pop_next(st: &mut SchedState) -> Option<usize> {
-        loop {
-            let take_timer = match (st.ready.peek(), st.timers.peek()) {
-                (Some(Reverse(r)), Some(Reverse(t))) => (t.0, t.1) < (r.0, r.1),
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => return None,
-            };
-            if !take_timer {
-                let Reverse((_, _, tid)) = st.ready.pop().expect("peeked above");
-                return Some(tid);
-            }
-            let Reverse((at, _, tid, gen)) = st.timers.pop().expect("peeked above");
+        while let Some(Reverse((at, _, tid, timed))) = st.wakeups.pop() {
+            let Some(gen) = timed else { return Some(tid) };
             if st.threads[tid].state == RunState::Blocked && st.threads[tid].gen == gen {
                 // The timeout fires: wake the thread at its deadline.
                 if st.threads[tid].time < at {
@@ -322,6 +320,7 @@ impl Inner {
                 return Some(tid);
             }
         }
+        None
     }
 
     pub(crate) fn time_of(st: &SchedState, tid: usize) -> Nanos {
@@ -444,9 +443,7 @@ impl Inner {
             vc,
         });
         st.live += 1;
-        let seq = st.seq;
-        st.seq += 1;
-        st.ready.push(Reverse((start_time, seq, tid)));
+        st.push(start_time, tid, None);
 
         let park = Arc::clone(&st.threads[tid].park);
         let inner2 = Arc::clone(inner);
@@ -547,8 +544,7 @@ impl SimRuntime {
             inner: Arc::new(Inner {
                 sched: Mutex::new(SchedState {
                     threads: Vec::new(),
-                    ready: BinaryHeap::new(),
-                    timers: BinaryHeap::new(),
+                    wakeups: BinaryHeap::new(),
                     seq: 0,
                     live: 0,
                     events: 0,

@@ -12,6 +12,9 @@
 //!   `hazard-missing-flush`), each of which must FAIL with a type error
 //!   (`E0308`) — pinning that the ordering bugs the runtime sanitizer
 //!   catches dynamically genuinely do not compile under the typed API.
+//! * `lines [TREE]` — per crate under `crates/`, the Rust lines in `src/`
+//!   that carry code: not blank, not comment-only, and before the file's
+//!   first `#[cfg(test)]`. The size a simplicity change is measured by.
 //!
 //! Lint rules:
 //!
@@ -122,12 +125,18 @@ fn main() -> ExitCode {
             run_lint(&root)
         }
         Some("typestate-check") => run_typestate_check(),
+        Some("lines") => {
+            let root = args.get(1).map_or_else(workspace_root, PathBuf::from);
+            run_lines(&root)
+        }
         Some(other) => {
-            eprintln!("xtask: unknown command `{other}` (expected `lint` or `typestate-check`)");
+            eprintln!(
+                "xtask: unknown command `{other}` (expected `lint`, `typestate-check` or `lines`)"
+            );
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo xtask <lint [TREE] | typestate-check>");
+            eprintln!("usage: cargo xtask <lint [TREE] | typestate-check | lines [TREE]>");
             ExitCode::FAILURE
         }
     }
@@ -161,6 +170,57 @@ fn run_lint(root: &Path) -> ExitCode {
         println!("xtask lint: {} finding(s) in {scanned} files", findings.len());
         ExitCode::FAILURE
     }
+}
+
+// ---------------------------------------------------------------------------
+// lines: non-test code lines per crate
+// ---------------------------------------------------------------------------
+
+fn run_lines(root: &Path) -> ExitCode {
+    let crates = match crate_lines(root) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("xtask lines: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for (name, n) in &crates {
+        println!("{name:<12} {n:>6}");
+    }
+    println!("{:<12} {:>6}", "total", crates.iter().map(|c| c.1).sum::<usize>());
+    ExitCode::SUCCESS
+}
+
+/// [`code_lines`] summed over each `crates/<name>/src`, sorted by name.
+fn crate_lines(root: &Path) -> std::io::Result<Vec<(String, usize)>> {
+    let mut crates = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let dir = entry?.path();
+        let src = dir.join("src");
+        if !src.is_dir() {
+            continue;
+        }
+        let mut files = Vec::new();
+        collect_rs(&src, &mut files)?;
+        let mut n = 0;
+        for f in &files {
+            n += code_lines(&std::fs::read_to_string(f)?);
+        }
+        let name = dir.file_name().unwrap_or_default().to_string_lossy().into_owned();
+        crates.push((name, n));
+    }
+    crates.sort();
+    Ok(crates)
+}
+
+/// Lines of `src` that carry code: not blank once comments are masked, and
+/// before the first `#[cfg(test)]` (the unit-test tail, as in the lint).
+pub fn code_lines(src: &str) -> usize {
+    mask_source(src)
+        .lines()
+        .take_while(|l| !l.contains("#[cfg(test)]"))
+        .filter(|l| !l.trim().is_empty())
+        .count()
 }
 
 // ---------------------------------------------------------------------------
@@ -991,6 +1051,13 @@ mod tests {
         let m = mask_source(src);
         assert!(!m.contains("unsafe"));
         assert!(m.contains("code()"));
+    }
+
+    #[test]
+    fn code_lines_skip_comments_blanks_and_the_test_tail() {
+        let src = "//! doc\n\nfn a() {\n    // note\n    let s = \"x\"; // tail\n}\n\
+                   /* block\n   more */\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        assert_eq!(code_lines(src), 3);
     }
 
     #[test]

@@ -85,6 +85,11 @@ if cargo xtask lint crates/xtask/fixtures/lint-fixture > /dev/null 2>&1; then
 fi
 echo "OK: fixture crate still trips the lint."
 
+stage "non-test lines per crate (logged, not gated)"
+# What a simplicity change is measured by: per crate, the lines of
+# crates/*/src that carry code, up to each file's first #[cfg(test)].
+cargo xtask lines
+
 stage "typestate compile-fail fixture"
 # Compiler-checked persistence ordering (DESIGN.md §18): the raw-publish
 # rule (part of `cargo xtask lint` above) keeps shipped library code on

@@ -39,7 +39,7 @@ use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::SimRuntime;
 use trio_verifier::VIOLATION_KINDS;
 
-const MODEL_LEN: usize = 32 * 1024;
+const MODEL_LEN: usize = 64 * 1024;
 const CAMPAIGN_SEED: u64 = 0x00F0_CCED;
 
 /// One fuzz iteration, fully deterministic in its case.
@@ -57,7 +57,7 @@ fn run_iteration(case: Case) -> Tally {
             ..KernelConfig::default()
         },
     );
-    let evil = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::static_thresholds());
+    let evil = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::default());
     let victim = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
     let bystander = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
 

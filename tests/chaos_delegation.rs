@@ -41,7 +41,7 @@ use trio_sim::{work, RaceDetector, SimRuntime, MILLIS};
 const CHAOS_SEED: u64 = 0xC4A0_05ED;
 const CLIENTS: u64 = 3;
 const OPS_PER_CLIENT: u64 = 6;
-/// Large enough to clear both delegation thresholds.
+/// Large enough that every access delegates.
 const CHUNK: usize = 64 * 1024;
 /// Each client's file is 4 chunks; ops overwrite overlapping regions so
 /// a stale re-applied request would clobber newer data and fail the
@@ -418,7 +418,7 @@ fn quarantine_repairs_and_readmits_under_live_delegated_traffic() {
     let auditor = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::no_delegation());
     let writers: Vec<Arc<ArckFs>> = (0..2)
         .map(|c| {
-            ArckFs::mount(Arc::clone(&kernel), 2000 + c, 2000, ArckFsConfig::static_thresholds())
+            ArckFs::mount(Arc::clone(&kernel), 2000 + c, 2000, ArckFsConfig::default())
         })
         .collect();
 
@@ -539,37 +539,33 @@ fn degraded_mode_enters_and_recovers_visibly() {
         k.delegation().start();
         k.delegation().inject_faults(0, 0, 1); // Drop everything: wedge.
         let block = vec![0xABu8; CHUNK];
-        // One delegated write to a fresh file per turn: each op exhausts
-        // its retry budget, falls back to direct access (demoting that
-        // *file*), and counts one consecutive pool failure; the
-        // pool-level breaker opens after three. Fresh files matter —
-        // per-file demotion would otherwise shield the pool from ever
-        // seeing the repeat failures.
-        let wr = |path: &str| {
-            let fd = fs.open(path, OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
-            assert_eq!(fs.pwrite(fd, 0, &block).unwrap(), CHUNK);
-            fs.close(fd).unwrap();
+        // Every write goes to one file: each op exhausts its retry budget,
+        // falls back to direct access and counts one consecutive pool
+        // failure; the breaker opens on the third.
+        let fd = fs.open("/deg", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
+        let wr = |j: u64| {
+            assert_eq!(fs.pwrite(fd, (j % REGIONS) * CHUNK as u64, &block).unwrap(), CHUNK);
         };
-        let mut ops = 0u64;
-        while !k.delegation().degraded() {
-            wr(&format!("/deg-{ops}"));
-            ops += 1;
-            assert!(ops <= 16, "breaker never opened under a total wedge");
+        for op in 0..3 {
+            assert!(!k.delegation().degraded(), "breaker opened after {op} failed ops");
+            wr(op);
         }
+        assert!(k.delegation().degraded(), "breaker must open on the third failed op");
         assert!(k.degraded_mode().active, "kernel stats must surface DegradedMode");
         // Degraded ops route direct and stay correct.
         for j in 0..8u64 {
-            wr(&format!("/shed-{j}"));
+            wr(j);
         }
         // Heal the pool; probe traffic (1 in 16 eligible ops) must
         // re-promote after enough successes.
         k.delegation().inject_faults(0, 0, 0);
         let mut probes = 0u64;
         while k.delegation().degraded() {
-            wr(&format!("/probe-{probes}"));
+            wr(probes);
             probes += 1;
             assert!(probes <= 4096, "pool never recovered after faults were cleared");
         }
+        fs.close(fd).unwrap();
         k.delegation().shutdown();
     });
     rt.run();

@@ -40,7 +40,7 @@ fn delegated_io_survives_stalls_and_drops() {
         k.delegation().inject_faults(3, 20 * MILLIS, 4);
         let t0 = trio_sim::now();
         let fd = fs.open("/big", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
-        let chunk = 64 * 1024; // >= both delegation thresholds
+        let chunk = 64 * 1024; // every access this large delegates
         for i in 0..8u64 {
             let block: Vec<u8> = (0..chunk).map(|b| (b as u64 + i) as u8).collect();
             assert_eq!(fs.pwrite(fd, i * chunk as u64, &block).unwrap(), chunk);
@@ -80,6 +80,35 @@ fn fully_wedged_delegation_pool_degrades_to_direct_access() {
         assert_eq!(buf, data);
         fs.close(fd).unwrap();
         k.delegation().shutdown();
+    });
+    rt.run();
+}
+
+/// The pool's breaker is the only thing that sheds load: one fallback
+/// leaves no mark on the file it served. A 64 KiB write falls back under
+/// a total wedge, the pool heals before the breaker trips, and the same
+/// file's next 64 KiB write is delegated again.
+#[test]
+fn a_fallback_does_not_pin_the_file_to_direct_access() {
+    let (_, kernel, fs) = world(ArckFsConfig::default());
+    let rt = SimRuntime::new(37);
+    let k = Arc::clone(&kernel);
+    rt.spawn("main", move || {
+        let pool = k.delegation();
+        pool.start();
+        let data = vec![0x3Cu8; 64 * 1024];
+        let fd = fs.open("/f", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
+        pool.inject_faults(0, 0, 1); // Drop 1-in-1: total wedge.
+        assert_eq!(fs.pwrite(fd, 0, &data).unwrap(), data.len());
+        let s = pool.stats().snapshot();
+        assert_eq!(s.deleg_fallbacks, 1, "the wedged write falls back: {s:?}");
+        assert!(!pool.degraded(), "one failed op must not trip the breaker");
+        pool.inject_faults(0, 0, 0);
+        assert_eq!(fs.pwrite(fd, 0, &data).unwrap(), data.len());
+        let grown = pool.stats().snapshot().delegated_write_bytes - s.delegated_write_bytes;
+        assert_eq!(grown, data.len() as u64, "the healed pool serves the same file again");
+        fs.close(fd).unwrap();
+        pool.shutdown();
     });
     rt.run();
 }
@@ -134,7 +163,7 @@ fn poison_surfaces_through_delegated_reads() {
         let (_, _, data) = fs.debug_file_pages("/dp").unwrap();
         dev.poison_line(data[3].unwrap(), 5);
         let fd = fs.open("/dp", OpenFlags::RDWR, Mode(0o666)).unwrap();
-        let mut buf = vec![0u8; len]; // Delegated (>= read threshold).
+        let mut buf = vec![0u8; len]; // Delegated (64 KiB always is).
         assert_eq!(fs.pread(fd, 0, &mut buf).err(), Some(FsError::Corrupted));
         // Repair by rewriting the whole poisoned page (delegated write).
         assert_eq!(fs.pwrite(fd, 3 * 4096, &vec![0xEEu8; 4096]).unwrap(), 4096);
@@ -225,7 +254,6 @@ fn silent_run(track_persistence: bool, crash_at: Option<u64>) -> (Observed, u64)
         pool.start();
         if let Some(point) = crash_at {
             pool.inject_faults(0, 5 * MILLIS, 0);
-            pool.inject_worker_kills(0);
             dev.arm_crash_plan(FaultPlan::crash_at_point(point).with_torn_store());
         }
         let chunk = 64 * 1024;

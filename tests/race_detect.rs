@@ -125,11 +125,12 @@ fn read_write_without_edge_also_aborts() {
 
 #[test]
 fn arckfs_delegated_data_path_runs_clean() {
-    // The real §4.5 shape: client writes go through the delegation rings
-    // (Static policy => every write >= delegation_write_min delegates), so
-    // client-actor stores and kernel-side completions interleave on the
-    // same file. With every edge clocked, the whole path must be
-    // race-free — this is the "cross-LibFS race detector" acceptance run.
+    // The real §4.5 shape: 64 KiB client writes go through the delegation
+    // rings (every access that large delegates), and 64 B direct stores
+    // hit the same lines, so client-actor stores and kernel-side
+    // completions interleave on the same file. With every edge clocked,
+    // the whole path must be race-free — this is the "cross-LibFS race
+    // detector" acceptance run.
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
         topology: Topology::new(1, 32 * 1024),
         ..DeviceConfig::small()
@@ -137,7 +138,7 @@ fn arckfs_delegated_data_path_runs_clean() {
     let rd = Arc::new(RaceDetector::new());
     assert!(dev.set_race_detector(rd));
     let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
-    let fs = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::static_thresholds());
+    let fs = ArckFs::mount(Arc::clone(&kernel), 1000, 1000, ArckFsConfig::default());
 
     let rt = SimRuntime::new(0xD1CE);
     rt.enable_race_detection();
@@ -145,13 +146,16 @@ fn arckfs_delegated_data_path_runs_clean() {
     rt.spawn("client", move || {
         k.delegation().start();
         let fd = fs.open("/data", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
-        let block = vec![0x5Au8; 4096];
+        let block = vec![0x5Au8; 64 * 1024];
         for i in 0..16u64 {
-            fs.pwrite(fd, i * 4096, &block).unwrap(); // delegated
-            fs.pwrite(fd, i * 4096, &block[..64]).unwrap(); // direct, same lines
+            let off = i * block.len() as u64;
+            fs.pwrite(fd, off, &block).unwrap(); // delegated
+            fs.pwrite(fd, off, &block[..64]).unwrap(); // direct, same lines
         }
         let mut out = vec![0u8; 4096];
         assert_eq!(fs.pread(fd, 0, &mut out).unwrap(), 4096);
+        let s = k.path_stats().snapshot();
+        assert_eq!(s.delegated_write_bytes, 16 * block.len() as u64, "every block delegated");
         fs.close(fd).unwrap();
         k.delegation().shutdown();
     });
