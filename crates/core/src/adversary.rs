@@ -70,7 +70,7 @@ pub enum Mutation {
     /// Ring attack: a `DelegReq` whose run payload ranges reach past the
     /// grant window it references.
     DelegMalformedRun,
-    /// Ring attack: a read whose `read_len` asks the kernel thread to
+    /// Ring attack: a read whose run range asks the kernel thread to
     /// allocate far more than the run's pages can hold.
     DelegOversizedRead,
     /// Ring attack: submit the same (valid) request twice.
@@ -267,9 +267,7 @@ pub fn run_mutation(
                 1 => vic.ino().map_err(ArckFs::fault)?,    // aliased
                 _ => rng.next_u64() | 1,                   // wild
             };
-            let r = DirentRef::new(h, free);
-            let w = r.prepare(&evil).map_err(ArckFs::fault)?;
-            r.publish(ino, &w).map_err(ArckFs::fault)?;
+            DirentRef::new(h, free).link(&evil, ino).map_err(ArckFs::fault)?;
             Ok(format!("forged ino {ino} name {:?}", String::from_utf8_lossy(name)))
         }
         Mutation::DirentAlias => {
@@ -281,9 +279,7 @@ pub fn run_mutation(
                 dup.name = b"alias".to_vec();
             }
             let ino = dup.ino;
-            let r = DirentRef::new(h, free);
-            let w = r.prepare(&dup).map_err(ArckFs::fault)?;
-            r.publish(ino, &w).map_err(ArckFs::fault)?;
+            DirentRef::new(h, free).link(&dup, ino).map_err(ArckFs::fault)?;
             Ok(format!("aliased ino {ino} (same_name={same_name})"))
         }
         Mutation::SizeInflate => {
@@ -378,7 +374,6 @@ pub fn run_mutation(
                     start: 0,
                     // Payload range reaches past the grant window.
                     payload: 32..(PAGE_SIZE * 2),
-                    read_len: 0,
                 }],
                 grant: Some(gref),
                 tag: 0,
@@ -397,9 +392,8 @@ pub fn run_mutation(
                 runs: vec![DelegRun {
                     pages: vec![page],
                     start: 0,
-                    payload: 0..0,
                     // Allocation bomb: one page backing a gigabyte "read".
-                    read_len: 1 << 30,
+                    payload: 0..(1 << 30),
                 }],
                 grant: None,
                 tag: 0,
@@ -417,7 +411,7 @@ pub fn run_mutation(
                 actor: fs.actor(),
                 op_id: 0,
                 seq: 0,
-                runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128, read_len: 0 }],
+                runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128 }],
                 grant: Some(gref),
                 tag: 0,
                 reply,
@@ -428,7 +422,7 @@ pub fn run_mutation(
         }
         Mutation::DelegRunBomb => {
             let page = fs.debug_take_pool_page();
-            let run = DelegRun { pages: vec![page], start: 0, payload: 0..0, read_len: 1 };
+            let run = DelegRun { pages: vec![page], start: 0, payload: 0..1 };
             let runs: Vec<DelegRun> = (0..10_000).map(|_| run.clone()).collect();
             let req = |reply| DelegReq {
                 actor: fs.actor(),
@@ -456,7 +450,7 @@ pub fn run_mutation(
                 actor: fs.actor(),
                 op_id: 0,
                 seq: 0,
-                runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128, read_len: 0 }],
+                runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128 }],
                 grant: Some(gref),
                 tag: 0,
                 reply,
@@ -485,7 +479,7 @@ pub fn run_mutation(
                 actor: fs.actor(),
                 op_id: 0,
                 seq: 0,
-                runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128, read_len: 0 }],
+                runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128 }],
                 grant: Some(gref),
                 tag: 0,
                 reply,
@@ -531,8 +525,7 @@ pub fn run_mutation(
             let dest = trio_fsapi::path::join(dir_path, "moved");
             fs.mkdir(&dest, Mode(0o777))?;
             fs.rename(&victim_path, &trio_fsapi::path::join(&dest, victim))?;
-            let w = vic.prepare(&d).map_err(ArckFs::fault)?;
-            vic.publish(d.ino, &w).map_err(ArckFs::fault)?;
+            vic.link(&d, d.ino).map_err(ArckFs::fault)?;
             let n = count.size().map_err(ArckFs::fault)?;
             count.set_size(n + 1).map_err(ArckFs::fault)?;
             Ok(format!("moved ino {} to {dest} and forged it back", d.ino))

@@ -98,9 +98,7 @@ pub fn run_attack(fs: &ArckFs, attack: Attack, dir_path: &str, victim: &str) -> 
                 DirentData::new(b"a/b", CoreFileType::Regular, Mode::RW, 0, 0);
             evil.ino = vic_ino + 1_000_000; // Also fabricated, but the name
                                             // check fires regardless.
-            let r = DirentRef::new(h, free_slot);
-            let w = r.prepare(&evil).map_err(ArckFs::fault)?;
-            r.publish(evil.ino, &w).map_err(ArckFs::fault)?;
+            DirentRef::new(h, free_slot).link(&evil, evil.ino).map_err(ArckFs::fault)?;
             Ok(dir_ino)
         }
         Attack::IndexCycle => {
@@ -110,25 +108,20 @@ pub fn run_attack(fs: &ArckFs, attack: Attack, dir_path: &str, victim: &str) -> 
         }
         Attack::DuplicateName => {
             let dup = DirentRef::new(h, vic_loc).load().map_err(ArckFs::fault)?;
-            let r = DirentRef::new(h, free_slot);
             let mut d2 = dup.clone();
             d2.first_index = 0;
-            let w = r.prepare(&d2).map_err(ArckFs::fault)?;
-            r.publish(vic_ino + 2_000_000, &w).map_err(ArckFs::fault)?;
+            DirentRef::new(h, free_slot).link(&d2, vic_ino + 2_000_000).map_err(ArckFs::fault)?;
             Ok(dir_ino)
         }
         Attack::DoubleRefIno => {
             let d = DirentData::new(b"hardlink", CoreFileType::Regular, Mode::RW, 0, 0);
-            let r = DirentRef::new(h, free_slot);
-            let w = r.prepare(&d).map_err(ArckFs::fault)?;
-            r.publish(vic_ino, &w).map_err(ArckFs::fault)?; // Same ino, twice.
+            // Same ino, twice.
+            DirentRef::new(h, free_slot).link(&d, vic_ino).map_err(ArckFs::fault)?;
             Ok(dir_ino)
         }
         Attack::FabricatedIno => {
             let d = DirentData::new(b"ghost", CoreFileType::Regular, Mode::RW, 0, 0);
-            let r = DirentRef::new(h, free_slot);
-            let w = r.prepare(&d).map_err(ArckFs::fault)?;
-            r.publish(987_654_321, &w).map_err(ArckFs::fault)?;
+            DirentRef::new(h, free_slot).link(&d, 987_654_321).map_err(ArckFs::fault)?;
             Ok(dir_ino)
         }
         Attack::SizeLie => {

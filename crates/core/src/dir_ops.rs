@@ -114,9 +114,7 @@ impl ArckFs {
             }
         };
         let d = DirentData::new(name.as_bytes(), ftype, mode, self.uid, self.gid);
-        let dref = DirentRef::new(&self.h, loc);
-        let res = dref.prepare(&d).and_then(|w| dref.publish(ino, &w));
-        if let Err(e) = res {
+        if let Err(e) = DirentRef::new(&self.h, loc).link(&d, ino) {
             aux.with_bucket(name, |b| b.retain(|x| x.name != name));
             aux.put_slot(loc);
             self.inos.put(ino);
@@ -398,9 +396,7 @@ impl ArckFs {
         let guard = self.journal.begin_rename(&self.h, shard, e.loc, dloc, &src_img, || {
             self.pages.take(trio_nvm::handle::home_node())
         })?;
-        let dref = DirentRef::new(&self.h, dloc);
-        let w = dref.prepare(&moved).map_err(Self::fault)?;
-        dref.publish(e.ino, &w).map_err(Self::fault)?;
+        DirentRef::new(&self.h, dloc).link(&moved, e.ino).map_err(Self::fault)?;
         DirentRef::new(&self.h, e.loc).clear().map_err(Self::fault)?;
         guard.disarm().map_err(Self::fault)?;
 

@@ -448,11 +448,6 @@ impl RangeLock {
             self.cv.notify_all();
         }
     }
-
-    /// Held-range count (tests).
-    pub fn held_count(&self) -> usize {
-        self.state.lock().held.len()
-    }
 }
 
 impl Default for RangeLock {

@@ -91,7 +91,7 @@ const FANOUT_MIN_BYTES: usize = 8192;
 const MAX_RUNS_PER_REQ: usize = 4096;
 
 /// Hard ceiling on bytes per request. Reads allocate the reply buffer on
-/// the delegation thread, so an unchecked `read_len` is a kernel-side
+/// the delegation thread, so an unchecked read range is a kernel-side
 /// allocation bomb.
 const MAX_BYTES_PER_REQ: usize = 64 << 20;
 
@@ -119,28 +119,22 @@ const KILL_UNSET: u64 = u64::MAX;
 /// Worker-side admission check for one ring request. Everything here is
 /// normally guaranteed by [`DelegationPool::build_batches`], but the ring
 /// is writable by the (untrusted) client, so the worker re-validates:
-/// run/byte ceilings, payload slice bounds, and extent-capacity bounds.
-/// The MMU check still runs per page during the access itself.
+/// run/byte ceilings, each run's one byte range (ordered, inside the grant
+/// window for a write), and extent-capacity bounds. The MMU check still
+/// runs per page during the access itself.
 fn validate_req(req: &DelegReq) -> Result<(), ProtError> {
     if req.runs.is_empty() || req.runs.len() > MAX_RUNS_PER_REQ {
         return Err(ProtError::OutOfRange);
     }
-    let payload_len = req.grant.as_ref().map(|g| g.len);
+    let window = req.grant.as_ref().map_or(usize::MAX, |g| g.len);
     let mut total: usize = 0;
     for run in &req.runs {
-        if run.pages.is_empty() {
+        let bytes = &run.payload;
+        if run.pages.is_empty() || bytes.start > bytes.end || bytes.end > window {
             return Err(ProtError::OutOfRange);
         }
         let cap = run.pages.len() * PAGE_SIZE;
-        let span = match payload_len {
-            Some(pl) => {
-                if run.payload.start > run.payload.end || run.payload.end > pl {
-                    return Err(ProtError::OutOfRange);
-                }
-                run.payload.len()
-            }
-            None => run.read_len,
-        };
+        let span = bytes.len();
         if run.start >= cap || span > cap - run.start {
             return Err(ProtError::OutOfRange);
         }
@@ -163,10 +157,9 @@ pub struct DelegRun {
     pub pages: Vec<PageId>,
     /// Byte offset within the run at which the access starts.
     pub start: usize,
-    /// For writes: this run's byte range within the op's grant window.
+    /// The run's bytes: for a write, its range within the op's grant
+    /// window; for a read, its place in the caller's buffer.
     pub payload: std::ops::Range<usize>,
-    /// For reads: how many bytes to read.
-    pub read_len: usize,
 }
 
 /// One scatter-gather request: every run an extent access places on a
@@ -337,9 +330,6 @@ struct Batch {
     /// `ring_for`'s per-node round-robin and never reads this.
     slot: usize,
     req: DelegReq,
-    /// Read scatter list: `(offset into the caller's buffer, len)` per run,
-    /// in the same order the worker concatenates them.
-    scatter: Vec<(usize, usize)>,
     /// Bytes this batch moves — the unit the retry window is recomputed
     /// from (remaining work only, not the original op size).
     bytes: usize,
@@ -678,17 +668,17 @@ impl DelegationPool {
                         r
                     }
                     _ => {
-                        let total: usize = req.runs.iter().map(|r| r.read_len).sum();
+                        let total: usize = req.runs.iter().map(|r| r.payload.len()).sum();
                         let mut buf = vec![0u8; total];
                         let mut r = Ok(());
                         let mut off = 0;
                         for (i, run) in req.runs.iter().enumerate() {
-                            let dst = &mut buf[off..off + run.read_len];
+                            let dst = &mut buf[off..off + run.payload.len()];
                             if let Err(e) = h.read_extent(&run.pages, run.start, dst) {
                                 r = Err(e);
                                 break;
                             }
-                            off += run.read_len;
+                            off += dst.len();
                             if i == 0 && kill == Some(WorkerKillPoint::MidPayload) {
                                 killed_mid = true;
                                 break;
@@ -1026,17 +1016,15 @@ impl DelegationPool {
                     pages: pages[from_page..to_page].to_vec(),
                     start: byte_from - from_page * PAGE_SIZE,
                     payload: byte_from - start..byte_to - start,
-                    read_len: if grant.is_some() { 0 } else { byte_to - byte_from },
                 };
-                let scatter = (byte_from - start, byte_to - byte_from);
+                let bytes = run.payload.len();
                 let slot = next_slot[node];
                 next_slot[node] = (slot + 1) % threads.max(1);
                 from_page = to_page;
                 match batches.iter_mut().find(|b| b.node == node && b.slot == slot) {
                     Some(b) => {
                         b.req.runs.push(run);
-                        b.scatter.push(scatter);
-                        b.bytes += scatter.1;
+                        b.bytes += bytes;
                     }
                     None => batches.push(Batch {
                         node,
@@ -1050,8 +1038,7 @@ impl DelegationPool {
                             tag: batches.len(),
                             reply: Arc::clone(reply),
                         },
-                        scatter: vec![scatter],
-                        bytes: scatter.1,
+                        bytes,
                         submitted: 0,
                         done: false,
                     }),
@@ -1216,8 +1203,10 @@ impl DelegationPool {
                             Ok(Some(data)) => {
                                 if let Some(buf) = buf.as_deref_mut() {
                                     let mut off = 0;
-                                    for &(dst, n) in &b.scatter {
-                                        buf[dst..dst + n].copy_from_slice(&data[off..off + n]);
+                                    for run in &b.req.runs {
+                                        let n = run.payload.len();
+                                        buf[run.payload.clone()]
+                                            .copy_from_slice(&data[off..off + n]);
                                         off += n;
                                     }
                                 }
@@ -1387,5 +1376,27 @@ mod tests {
         assert_eq!(events.len(), EVENT_RING_CAPACITY);
         assert!(matches!(events[0], KernelEvent::WorkerDied { worker: 1, .. }));
         assert_eq!(pool.stats().snapshot().events_dropped, 1);
+    }
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)]
+    fn a_run_range_reversed_or_out_of_bounds_is_out_of_range() {
+        let req = |payload: std::ops::Range<usize>, grant: Option<GrantRef>| DelegReq {
+            actor: ActorId(1),
+            op_id: 0,
+            seq: 0,
+            runs: vec![DelegRun { pages: vec![PageId(9)], start: 0, payload }],
+            grant,
+            tag: 0,
+            reply: Arc::new(SimChannel::unbounded()),
+        };
+        let window = Some(GrantRef { grant_id: 1, start: 0, len: 128, epoch: 1 });
+        assert_eq!(validate_req(&req(0..PAGE_SIZE, None)), Ok(()));
+        assert_eq!(validate_req(&req(0..128, window)), Ok(()));
+        // A reversed read range, a read range past its one page, and a
+        // write range past its grant window.
+        for (payload, grant) in [(64..32, None), (0..PAGE_SIZE + 1, None), (0..129, window)] {
+            assert_eq!(validate_req(&req(payload, grant)), Err(ProtError::OutOfRange));
+        }
     }
 }

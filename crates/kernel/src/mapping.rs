@@ -274,7 +274,6 @@ impl KernelController {
                 meta.bump_seq(Some(actor));
             }
             let seq = meta.grant_seq;
-            meta.verified_pages = pages.clone();
             // The grant maps the file's dirent page writable: a page of the
             // parent's core state is now in hands other than its grantee's.
             if write {
@@ -353,7 +352,6 @@ impl KernelController {
         let granted = self.grant_frames(&reg, ino, actor, true, &pages)?;
         let meta = reg.files.get_mut(&ino).ok_or(FsError::Corrupted)?;
         meta.grant(actor, true, granted.clone(), lease_until);
-        meta.verified_pages = pages;
         meta.dirty = Dirty::Clean;
         let wants = reg.wants(actor, granted);
         let pt = self.page_table(actor);
@@ -833,7 +831,6 @@ impl KernelController {
             self.take_checkpoint_locked(reg, ino, &report.pages);
             if let Some(meta) = reg.files.get_mut(&ino) {
                 meta.dirty = Dirty::Clean;
-                meta.verified_pages = report.pages;
             }
             true
         } else {
@@ -981,9 +978,6 @@ impl KernelController {
             self.claim_pages_for_file(ino, &pages);
             if let Some(da) = dirty_actor {
                 self.reconcile(reg, da, pages.all_pages());
-            }
-            if let Some(meta) = reg.files.get_mut(&ino) {
-                meta.verified_pages = pages;
             }
         }
     }

@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use trio_layout::{CoreFileType, DirentLoc, FilePages, Ino, ROOT_INO};
+use trio_layout::{CoreFileType, DirentLoc, Ino, ROOT_INO};
 use trio_nvm::{ActorId, PageId, PagePerm};
 use trio_sim::sync::{SimChannel, SimMutex};
 use trio_sim::{DetHashMap, DetHashSet, Nanos};
@@ -222,8 +222,6 @@ pub struct FileMeta {
     pub seq_holder: Option<ActorId>,
     /// Rollback target.
     pub checkpoint: Option<Checkpoint>,
-    /// Pages in the file as of the last verification/adoption.
-    pub verified_pages: FilePages,
 }
 
 impl FileMeta {
@@ -243,7 +241,6 @@ impl FileMeta {
             grant_seq: 0,
             seq_holder: None,
             checkpoint: None,
-            verified_pages: FilePages::default(),
         }
     }
 

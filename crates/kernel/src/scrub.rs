@@ -43,7 +43,7 @@ use trio_layout::{
     SbHealth, SuperblockRef,
 };
 use trio_nvm::{ActorId, PageId, RegistryLockSite, CACHE_LINE, HIST_BUCKETS, KERNEL_ACTOR};
-use trio_sim::metrics::{bucket_index, quantile_ns, JsonObject};
+use trio_sim::metrics::{bucket_index, quantile_ns};
 use trio_sim::sync::SimMutex;
 use trio_sim::{now_or_zero, Nanos};
 use trio_verifier::PageProvenance;
@@ -172,30 +172,6 @@ impl MediaStatsSnapshot {
         quantile_ns(0, &self.repair_hist, 1, 2)
     }
 
-    /// 99th-percentile repair latency, in ns.
-    pub fn repair_p99_ns(&self) -> u64 {
-        quantile_ns(0, &self.repair_hist, 99, 100)
-    }
-
-    /// Machine-readable form for gate scripts: one key per counter, the
-    /// histogram as its total and quantiles, then `extra` (values already
-    /// JSON text).
-    pub fn to_json(&self, extra: &[(&str, String)]) -> String {
-        let mut w = JsonObject::new();
-        self.visit(|name, v| {
-            if name == "repair_hist" {
-                w.field("repairs", self.repairs());
-                w.field("repair_p50_ns", self.repair_p50_ns());
-                w.field("repair_p99_ns", self.repair_p99_ns());
-            } else {
-                w.value(name, v);
-            }
-        });
-        for (k, v) in extra {
-            w.field(k, v);
-        }
-        w.finish()
-    }
 }
 
 /// Handle to a running patrol daemon; stop it before the simulation runs
@@ -637,18 +613,13 @@ impl KernelController {
             self.alloc.put_back(&[fresh], PutBack::Pool);
             return false;
         }
-        // Provenance and verified pages follow the move; no live mapping
-        // holds the old frame (checked above), so no MMU surgery is needed.
+        // Provenance follows the move; no live mapping holds the old frame
+        // (checked above), so no MMU surgery is needed.
         self.prov.remove(old.0);
         self.prov.insert(fresh.0, PageProvenance::InFile(ino));
         if let Some(meta) = reg.files.get_mut(&ino) {
             // Whoever indexed the old frame must index again.
             meta.bump_seq(None);
-            for slot in meta.verified_pages.data_pages.iter_mut() {
-                if *slot == Some(old) {
-                    *slot = Some(fresh);
-                }
-            }
         }
         drop(reg);
         self.alloc.retire(old);

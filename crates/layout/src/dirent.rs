@@ -227,6 +227,13 @@ impl<'a> DirentRef<'a> {
         self.h.publish_u64(self.loc.page, self.loc.byte_off() + OFF_INO, ino, prepared)
     }
 
+    /// Both creation steps: [`Self::prepare`] the slot with `data`, then
+    /// [`Self::publish`] `ino` against prepare's witness — two persists,
+    /// with the entry invisible until the second.
+    pub fn link(&self, data: &DirentData, ino: Ino) -> Result<(), ProtError> {
+        self.publish(ino, &self.prepare(data)?)
+    }
+
     /// Deletion: atomically clears the inode number; the slot becomes free.
     pub fn clear(&self) -> Result<(), ProtError> {
         self.h.write_u64_persist(self.loc.page, self.loc.byte_off() + OFF_INO, 0)

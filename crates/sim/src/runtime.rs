@@ -199,7 +199,6 @@ pub(crate) struct SchedState {
     seq: u64,
     live: usize,
     events: u64,
-    horizon: Nanos,
     panic_msg: Option<String>,
     finished: bool,
 }
@@ -251,13 +250,6 @@ impl Inner {
         self.check_doomed(&mut st, tid);
         st.events += 1;
         let t = st.threads[tid].time.saturating_add(ns);
-        if t > st.horizon {
-            st.panic_msg.get_or_insert_with(|| {
-                format!("virtual-time horizon exceeded at {t}ns by thread {tid}")
-            });
-            drop(st);
-            panic!("{ABORT_MSG}");
-        }
         st.threads[tid].time = t;
         st.threads[tid].state = RunState::Ready;
         st.push(t, tid, None);
@@ -548,7 +540,6 @@ impl SimRuntime {
                     seq: 0,
                     live: 0,
                     events: 0,
-                    horizon: Nanos::MAX / 4,
                     panic_msg: None,
                     finished: false,
                 }),
@@ -566,12 +557,6 @@ impl SimRuntime {
     /// spawned earlier get a fresh clock lazily and appear unordered.
     pub fn enable_race_detection(&self) {
         self.inner.race.store(true, Ordering::Relaxed);
-    }
-
-    /// Caps the virtual clock; exceeding it aborts the simulation. Useful as
-    /// a runaway-loop backstop in tests.
-    pub fn set_horizon(&self, horizon: Nanos) {
-        self.inner.sched.lock().horizon = horizon;
     }
 
     /// Spawns a sim-thread starting at virtual time 0 (or at the spawning

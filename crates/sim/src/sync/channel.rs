@@ -6,12 +6,13 @@
 //! [`crate::cost::RING_HOP_NS`] to the receiving side's wake-up time.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::plock::Mutex as PlMutex;
 
 use crate::cost;
 use crate::race::VectorClock;
-use crate::runtime::{clock_acquire, clock_release_snapshot, with_inner};
+use crate::runtime::{clock_acquire, clock_release_snapshot, with_inner, Inner};
 use crate::time::Nanos;
 
 /// Outcome of [`SimChannel::recv_deadline`].
@@ -35,6 +36,33 @@ struct Chan<T> {
     send_waiters: VecDeque<usize>,
     recv_waiters: VecDeque<usize>,
     closed: bool,
+}
+
+impl<T> Chan<T> {
+    /// Whether a send would block.
+    fn full(&self) -> bool {
+        self.cap != 0 && self.q.len() >= self.cap
+    }
+
+    /// Enqueues `v` under the sender's clock and wakes the longest-waiting
+    /// receiver one ring hop later.
+    fn push(&mut self, inner: &Arc<Inner>, me: usize, v: T) {
+        self.q.push_back((v, clock_release_snapshot()));
+        if let Some(r) = self.recv_waiters.pop_front() {
+            inner.wake_from(me, r, cost::RING_HOP_NS);
+        }
+    }
+
+    /// Dequeues the oldest item, wakes the longest-waiting sender one ring
+    /// hop later, and acquires the item's send-time clock.
+    fn pop(&mut self, inner: &Arc<Inner>, me: usize) -> Option<T> {
+        let (item, clock) = self.q.pop_front()?;
+        if let Some(s) = self.send_waiters.pop_front() {
+            inner.wake_from(me, s, cost::RING_HOP_NS);
+        }
+        clock_acquire(&clock);
+        Some(item)
+    }
 }
 
 /// A multi-producer multi-consumer queue on the virtual clock.
@@ -111,14 +139,8 @@ impl<T> SimChannel<T> {
                 if st.closed {
                     return Outcome::Closed;
                 }
-                if st.cap == 0 || st.q.len() < st.cap {
-                    st.q.push_back((
-                        slot.take().expect("send value present"),
-                        clock_release_snapshot(),
-                    ));
-                    if let Some(r) = st.recv_waiters.pop_front() {
-                        inner.wake_from(me, r, cost::RING_HOP_NS);
-                    }
+                if !st.full() {
+                    st.push(inner, me, slot.take().expect("send value present"));
                     return Outcome::Sent;
                 }
                 st.send_waiters.push_back(me);
@@ -141,13 +163,10 @@ impl<T> SimChannel<T> {
     pub fn try_send(&self, v: T) -> Result<(), T> {
         with_inner(|inner, me| {
             let mut st = self.state.lock();
-            if st.closed || (st.cap != 0 && st.q.len() >= st.cap) {
+            if st.closed || st.full() {
                 return Err(v);
             }
-            st.q.push_back((v, clock_release_snapshot()));
-            if let Some(r) = st.recv_waiters.pop_front() {
-                inner.wake_from(me, r, cost::RING_HOP_NS);
-            }
+            st.push(inner, me, v);
             Ok(())
         })
     }
@@ -158,11 +177,7 @@ impl<T> SimChannel<T> {
         loop {
             let got = with_inner(|inner, me| {
                 let mut st = self.state.lock();
-                if let Some((item, clock)) = st.q.pop_front() {
-                    if let Some(s) = st.send_waiters.pop_front() {
-                        inner.wake_from(me, s, cost::RING_HOP_NS);
-                    }
-                    clock_acquire(&clock);
+                if let Some(item) = st.pop(inner, me) {
                     return Some(Some(item));
                 }
                 if st.closed {
@@ -206,11 +221,7 @@ impl<T> SimChannel<T> {
                 // clear it so a later sender never tries to wake a thread
                 // that already gave up.
                 st.recv_waiters.retain(|&w| w != me);
-                if let Some((item, clock)) = st.q.pop_front() {
-                    if let Some(s) = st.send_waiters.pop_front() {
-                        inner.wake_from(me, s, cost::RING_HOP_NS);
-                    }
-                    clock_acquire(&clock);
+                if let Some(item) = st.pop(inner, me) {
                     return Some(RecvDeadline::Ok(item));
                 }
                 if st.closed {
@@ -232,17 +243,7 @@ impl<T> SimChannel<T> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        with_inner(|inner, me| {
-            let mut st = self.state.lock();
-            let item = st.q.pop_front();
-            item.map(|(v, clock)| {
-                if let Some(s) = st.send_waiters.pop_front() {
-                    inner.wake_from(me, s, cost::RING_HOP_NS);
-                }
-                clock_acquire(&clock);
-                v
-            })
-        })
+        with_inner(|inner, me| self.state.lock().pop(inner, me))
     }
 
     /// Closes the channel: pending items stay receivable, new sends fail,

@@ -1,24 +1,10 @@
-//! Virtual-time mutex.
+//! Virtual-time mutex: the exclusive face of [`SimRwLock`].
 
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 
-use crate::plock::{self as parking_lot, Mutex as PlMutex};
-
-use crate::cost;
-use crate::race::VectorClock;
-use crate::runtime::{clock_acquire, clock_release, with_inner};
+use crate::plock as parking_lot;
+use crate::sync::{SimRwLock, SimRwLockWriteGuard};
 use crate::time::Nanos;
-
-struct VState {
-    held_by: Option<usize>,
-    waiters: VecDeque<usize>,
-    /// Race-detection clock: released into on unlock, acquired on lock, so
-    /// everything done under the mutex is happens-before-ordered for the
-    /// next owner. Empty (and untouched) unless the runtime enables
-    /// race detection.
-    clock: VectorClock,
-}
 
 /// A mutual-exclusion lock whose contention is accounted on the virtual
 /// clock.
@@ -27,6 +13,9 @@ struct VState {
 /// blocks the sim-thread until the holder releases, resuming no earlier than
 /// the release timestamp plus a hand-off cost. Waiters are served FIFO,
 /// which makes convoys deterministic.
+///
+/// It is a [`SimRwLock`] that only ever takes the exclusive half, so the
+/// two share one waiter queue, one hand-off and one race clock per lock.
 ///
 /// # Examples
 ///
@@ -47,137 +36,53 @@ struct VState {
 /// rt.run();
 /// assert_eq!(m.lock_uncontended().len(), 3);
 /// ```
-pub struct SimMutex<T> {
-    v: PlMutex<VState>,
-    data: PlMutex<T>,
-    acquire_ns: Nanos,
-    handoff_ns: Nanos,
-}
+pub struct SimMutex<T>(SimRwLock<T>);
 
 impl<T> SimMutex<T> {
     /// Creates a mutex with the default cost model
-    /// ([`cost::LOCK_UNCONTENDED_NS`], [`cost::LOCK_HANDOFF_NS`]).
+    /// ([`crate::cost::LOCK_UNCONTENDED_NS`], [`crate::cost::LOCK_HANDOFF_NS`]).
     pub fn new(data: T) -> Self {
-        Self::with_costs(data, cost::LOCK_UNCONTENDED_NS, cost::LOCK_HANDOFF_NS)
+        SimMutex(SimRwLock::new(data))
     }
 
     /// Creates a mutex with explicit acquire/hand-off costs — e.g. a cheap
     /// spinlock (KVFS, paper §5) versus a heavier queued lock.
     pub fn with_costs(data: T, acquire_ns: Nanos, handoff_ns: Nanos) -> Self {
-        SimMutex {
-            v: PlMutex::new(VState {
-                held_by: None,
-                waiters: VecDeque::new(),
-                clock: VectorClock::new(),
-            }),
-            data: PlMutex::new(data),
-            acquire_ns,
-            handoff_ns,
-        }
+        SimMutex(SimRwLock::with_costs(data, acquire_ns, handoff_ns))
     }
 
-    /// Acquires the lock on the virtual clock, blocking the calling
-    /// sim-thread while contended.
-    ///
-    /// Outside a sim-thread (setup/teardown code) this degrades to the
-    /// plain storage lock, asserting the virtual lock is free.
+    /// Acquires the lock on the virtual clock ([`SimRwLock::write`]).
     pub fn lock(&self) -> SimMutexGuard<'_, T> {
-        if !crate::in_sim() {
-            assert!(self.v.lock().held_by.is_none(), "SimMutex virtually held during non-sim access");
-            return SimMutexGuard { mutex: self, virtually_held: false, real: Some(self.data.lock()) };
-        }
-        with_inner(|inner, me| {
-            let mut v = self.v.lock();
-            if v.held_by.is_none() {
-                v.held_by = Some(me);
-                clock_acquire(&v.clock);
-                drop(v);
-                inner.charge(me, self.acquire_ns);
-            } else {
-                v.waiters.push_back(me);
-                drop(v);
-                // The releaser transfers ownership to us before waking us.
-                inner.block_current(me);
-                clock_acquire(&self.v.lock().clock);
-            }
-        });
-        SimMutexGuard { mutex: self, virtually_held: true, real: Some(self.data.lock()) }
+        SimMutexGuard { mutex: self, guard: self.0.write() }
     }
 
-    /// Attempts to acquire the lock without blocking: `None` if another
-    /// sim-thread virtually holds it. A successful acquisition charges the
-    /// uncontended cost; a failed one charges nothing (the probe models a
-    /// single atomic read). Background maintenance (the patrol scrubber)
-    /// uses this to stay strictly off any contended path.
+    /// Attempts to acquire the lock without blocking
+    /// ([`SimRwLock::try_write`]).
     pub fn try_lock(&self) -> Option<SimMutexGuard<'_, T>> {
-        if !crate::in_sim() {
-            if self.v.lock().held_by.is_some() {
-                return None;
-            }
-            return Some(SimMutexGuard {
-                mutex: self,
-                virtually_held: false,
-                real: Some(self.data.lock()),
-            });
-        }
-        let acquired = with_inner(|inner, me| {
-            let mut v = self.v.lock();
-            if v.held_by.is_none() {
-                v.held_by = Some(me);
-                clock_acquire(&v.clock);
-                drop(v);
-                inner.charge(me, self.acquire_ns);
-                true
-            } else {
-                false
-            }
-        });
-        acquired.then(|| SimMutexGuard {
-            mutex: self,
-            virtually_held: true,
-            real: Some(self.data.lock()),
-        })
+        self.0.try_write().map(|guard| SimMutexGuard { mutex: self, guard })
     }
 
-    /// Accesses the payload from outside the simulation (setup, teardown,
-    /// assertions after [`crate::SimRuntime::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sim-thread still virtually holds the lock.
-    pub fn lock_uncontended(&self) -> parking_lot::MutexGuard<'_, T> {
-        assert!(self.v.lock().held_by.is_none(), "SimMutex still virtually held");
-        self.data.lock()
+    /// Accesses the payload from outside the simulation
+    /// ([`SimRwLock::write_uncontended`]).
+    pub fn lock_uncontended(&self) -> parking_lot::RwLockWriteGuard<'_, T> {
+        self.0.write_uncontended()
     }
 
     /// Mutable access through an exclusive reference (no locking needed).
     pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-
-    fn unlock(&self) {
-        with_inner(|inner, me| {
-            let mut v = self.v.lock();
-            debug_assert_eq!(v.held_by, Some(me), "guard dropped by non-owner");
-            clock_release(&mut v.clock);
-            if let Some(next) = v.waiters.pop_front() {
-                v.held_by = Some(next);
-                inner.wake_from(me, next, self.handoff_ns);
-            } else {
-                v.held_by = None;
-            }
-        });
+        self.0.get_mut()
     }
 }
 
 /// RAII guard for [`SimMutex`]; releasing it performs the virtual unlock.
 pub struct SimMutexGuard<'a, T> {
-    pub(super) mutex: &'a SimMutex<T>,
-    virtually_held: bool,
-    real: Option<parking_lot::MutexGuard<'a, T>>,
+    mutex: &'a SimMutex<T>,
+    guard: SimRwLockWriteGuard<'a, T>,
 }
 
 impl<'a, T> SimMutexGuard<'a, T> {
+    /// The mutex this guard holds, for [`crate::sync::SimCondvar::wait`]'s
+    /// re-lock.
     pub(super) fn parent(&self) -> &'a SimMutex<T> {
         self.mutex
     }
@@ -186,30 +91,20 @@ impl<'a, T> SimMutexGuard<'a, T> {
 impl<T> Deref for SimMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.real.as_ref().expect("guard alive")
+        &self.guard
     }
 }
 
 impl<T> DerefMut for SimMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.real.as_mut().expect("guard alive")
-    }
-}
-
-impl<T> Drop for SimMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // Release the real lock before the virtual hand-off so the next
-        // owner (woken later) finds it free.
-        self.real = None;
-        if self.virtually_held {
-            self.mutex.unlock();
-        }
+        &mut self.guard
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plock::Mutex as PlMutex;
     use crate::{now, work, SimRuntime};
     use std::sync::Arc;
 
@@ -288,5 +183,67 @@ mod tests {
         });
         rt.run();
         assert_eq!(*m.lock_uncontended(), 7);
+    }
+
+    #[test]
+    fn contended_schedule_is_pinned() {
+        use crate::sync::{SimCondvar, SimRwLock};
+        // Six sim-threads under a fixed script: three lockers convoy on the
+        // mutex and read the rwlock between holds, a prober polls with
+        // `try_lock`, a waiter sleeps on the condvar until the setter (who
+        // also takes the rwlock exclusively) flips the flag.
+        let rt = SimRuntime::new(7);
+        let state = Arc::new((SimMutex::new((0u32, false)), SimCondvar::new()));
+        let rw = Arc::new(SimRwLock::new(0u64));
+        let s = Arc::clone(&state);
+        rt.spawn("waiter", move || {
+            let (m, cv) = &*s;
+            let mut g = m.lock();
+            while !g.1 {
+                g = cv.wait(g);
+            }
+            g.0 += 1;
+            work(50);
+        });
+        for i in 0..3u64 {
+            let (s, rw) = (Arc::clone(&state), Arc::clone(&rw));
+            rt.spawn("locker", move || {
+                work(10 * i);
+                for _ in 0..3 {
+                    let mut g = s.0.lock();
+                    work(100);
+                    g.0 += 1;
+                    drop(g);
+                    let r = rw.read();
+                    work(40 + *r);
+                }
+            });
+        }
+        let s = Arc::clone(&state);
+        rt.spawn("prober", move || {
+            work(25);
+            loop {
+                if let Some(mut g) = s.0.try_lock() {
+                    g.0 += 1;
+                    break;
+                }
+                work(60);
+            }
+        });
+        let (s, rw) = (Arc::clone(&state), Arc::clone(&rw));
+        rt.spawn("setter", move || {
+            work(500);
+            let mut w = rw.write();
+            work(80);
+            *w += 1;
+            drop(w);
+            s.0.lock().1 = true;
+            s.1.notify_one();
+        });
+        // Pinned from the schedule of the separate mutex this one replaced:
+        // the same charges, wake-ups and scheduler events, by construction.
+        assert_eq!(rt.run(), 2_685);
+        assert_eq!(rt.events(), 92);
+        assert_eq!(state.0.lock_uncontended().0, 11);
     }
 }

@@ -1,4 +1,5 @@
-//! Virtual-time readers–writer lock.
+//! Virtual-time readers–writer lock: the one virtual lock of this crate.
+//! [`crate::sync::SimMutex`] is its exclusive face.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
@@ -27,6 +28,12 @@ struct VState {
 /// Readers overlap in virtual time; writers are exclusive. Queueing is fair
 /// FIFO (a waiting writer blocks later readers), so neither side starves —
 /// mirroring the BRAVO-style locks ArckFS builds on (paper §4.5).
+///
+/// Every acquisition, shared or exclusive, blocking or not, goes through
+/// one acquire path and every release through one hand-off (`admit`), with
+/// one race clock per lock. A lock only ever taken exclusively is a FIFO
+/// mutex: free implies no waiters, and a release hands ownership straight
+/// to the head of the queue.
 ///
 /// # Examples
 ///
@@ -78,59 +85,59 @@ impl<T> SimRwLock<T> {
     /// Acquires shared access on the virtual clock. Outside a sim-thread
     /// this degrades to the plain storage lock.
     pub fn read(&self) -> SimRwLockReadGuard<'_, T> {
-        if !crate::in_sim() {
-            return SimRwLockReadGuard { lock: self, virtually_held: false, real: Some(self.data.read()) };
-        }
-        with_inner(|inner, me| {
-            let mut v = self.v.lock();
-            if v.writer.is_none() && v.waiters.is_empty() {
-                v.readers += 1;
-                clock_acquire(&v.clock);
-                drop(v);
-                inner.charge(me, self.acquire_ns);
-            } else {
-                v.waiters.push_back((me, false));
-                drop(v);
-                inner.block_current(me);
-                clock_acquire(&self.v.lock().clock);
-            }
-        });
-        SimRwLockReadGuard { lock: self, virtually_held: true, real: Some(self.data.read()) }
+        let virtually_held = crate::in_sim() && self.acquire(false, true);
+        SimRwLockReadGuard { lock: self, virtually_held, real: Some(self.data.read()) }
     }
 
-    /// Acquires exclusive access on the virtual clock. Outside a sim-thread
-    /// this degrades to the plain storage lock.
+    /// Acquires exclusive access on the virtual clock, blocking the calling
+    /// sim-thread while contended.
+    ///
+    /// Outside a sim-thread (setup/teardown code) this degrades to the
+    /// plain storage lock, asserting the virtual lock is free.
     pub fn write(&self) -> SimRwLockWriteGuard<'_, T> {
-        if !crate::in_sim() {
-            return SimRwLockWriteGuard { lock: self, virtually_held: false, real: Some(self.data.write()) };
+        let virtually_held = crate::in_sim();
+        if virtually_held {
+            self.acquire(true, true);
+        } else {
+            assert!(self.is_free(), "SimRwLock virtually held during non-sim access");
         }
-        with_inner(|inner, me| {
-            let mut v = self.v.lock();
-            if v.writer.is_none() && v.readers == 0 && v.waiters.is_empty() {
-                v.writer = Some(me);
-                clock_acquire(&v.clock);
-                drop(v);
-                inner.charge(me, self.acquire_ns);
-            } else {
-                v.waiters.push_back((me, true));
-                drop(v);
-                inner.block_current(me);
-                clock_acquire(&self.v.lock().clock);
-            }
-        });
-        SimRwLockWriteGuard { lock: self, virtually_held: true, real: Some(self.data.write()) }
+        SimRwLockWriteGuard { lock: self, virtually_held, real: Some(self.data.write()) }
     }
 
-    /// Accesses the payload from outside the simulation.
+    /// Attempts exclusive access without blocking: `None` if any sim-thread
+    /// virtually holds or awaits the lock. A successful acquisition charges
+    /// the uncontended cost; a failed one charges nothing (the probe models
+    /// a single atomic read). Background maintenance (the patrol scrubber)
+    /// uses this to stay strictly off any contended path.
+    pub fn try_write(&self) -> Option<SimRwLockWriteGuard<'_, T>> {
+        let virtually_held = crate::in_sim();
+        let acquired = if virtually_held { self.acquire(true, false) } else { self.is_free() };
+        acquired.then(|| SimRwLockWriteGuard {
+            lock: self,
+            virtually_held,
+            real: Some(self.data.write()),
+        })
+    }
+
+    /// Shared access from outside the simulation (setup, teardown,
+    /// assertions after [`crate::SimRuntime::run`]).
     ///
     /// # Panics
     ///
     /// Panics if a sim-thread still virtually holds the lock.
     pub fn read_uncontended(&self) -> parking_lot::RwLockReadGuard<'_, T> {
-        let v = self.v.lock();
-        assert!(v.writer.is_none() && v.readers == 0, "SimRwLock still virtually held");
-        drop(v);
+        assert!(self.is_free(), "SimRwLock still virtually held");
         self.data.read()
+    }
+
+    /// Exclusive access from outside the simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sim-thread still virtually holds the lock.
+    pub fn write_uncontended(&self) -> parking_lot::RwLockWriteGuard<'_, T> {
+        assert!(self.is_free(), "SimRwLock still virtually held");
+        self.data.write()
     }
 
     /// Mutable access through an exclusive reference (no locking needed).
@@ -138,25 +145,59 @@ impl<T> SimRwLock<T> {
         self.data.get_mut()
     }
 
+    fn is_free(&self) -> bool {
+        let v = self.v.lock();
+        v.writer.is_none() && v.readers == 0
+    }
+
+    /// The one acquire path, shared or `exclusive`. A free lock with nobody
+    /// queued is taken at the uncontended cost. Otherwise the caller joins
+    /// the FIFO and sleeps until a release hands it the lock (`admit`), or,
+    /// when it may not `wait`, gets `false` and pays nothing. Either way an
+    /// acquisition joins the lock's race clock.
+    fn acquire(&self, exclusive: bool, wait: bool) -> bool {
+        with_inner(|inner, me| {
+            let mut v = self.v.lock();
+            if v.writer.is_none() && v.waiters.is_empty() && (!exclusive || v.readers == 0) {
+                if exclusive {
+                    v.writer = Some(me);
+                } else {
+                    v.readers += 1;
+                }
+                clock_acquire(&v.clock);
+                drop(v);
+                inner.charge(me, self.acquire_ns);
+            } else if wait {
+                v.waiters.push_back((me, exclusive));
+                drop(v);
+                // The releaser transfers ownership to us before waking us.
+                inner.block_current(me);
+                clock_acquire(&self.v.lock().clock);
+            } else {
+                return false;
+            }
+            true
+        })
+    }
+
     /// Admits the next batch of waiters: either one writer or a maximal run
     /// of consecutive readers. Called with the virtual state locked.
     fn admit(&self, v: &mut VState, me: usize) {
         with_inner(|inner, _| {
-            if let Some(&(tid, is_writer)) = v.waiters.front() {
-                if is_writer {
-                    if v.readers == 0 && v.writer.is_none() {
-                        v.waiters.pop_front();
-                        v.writer = Some(tid);
-                        inner.wake_from(me, tid, self.handoff_ns);
-                    }
-                } else if v.writer.is_none() {
-                    while let Some(&(tid2, false)) = v.waiters.front() {
+            match v.waiters.front() {
+                Some(&(tid, true)) if v.readers == 0 && v.writer.is_none() => {
+                    v.waiters.pop_front();
+                    v.writer = Some(tid);
+                    inner.wake_from(me, tid, self.handoff_ns);
+                }
+                Some(&(_, false)) if v.writer.is_none() => {
+                    while let Some(&(tid, false)) = v.waiters.front() {
                         v.waiters.pop_front();
                         v.readers += 1;
-                        inner.wake_from(me, tid2, self.handoff_ns);
+                        inner.wake_from(me, tid, self.handoff_ns);
                     }
-                    let _ = tid;
                 }
+                _ => {}
             }
         });
     }
@@ -309,5 +350,38 @@ mod tests {
         });
         rt.run();
         assert_eq!(*l.read_uncontended(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn try_write_fails_under_a_reader_and_succeeds_after() {
+        let rt = SimRuntime::new(0);
+        let l = Arc::new(SimRwLock::with_costs(0u32, 0, 0));
+        let l2 = Arc::clone(&l);
+        rt.spawn("reader", move || {
+            let _g = l2.read();
+            work(1_000);
+        });
+        let l3 = Arc::clone(&l);
+        rt.spawn("prober", move || {
+            work(100); // Arrive while the reader sits inside.
+            assert!(l3.try_write().is_none());
+            assert_eq!(crate::now(), 100, "a failed probe charges nothing");
+            work(2_000); // Past the reader's release.
+            *l3.try_write().expect("free lock must try_write") = 7;
+        });
+        rt.run();
+        assert_eq!(*l.read_uncontended(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "virtually held during non-sim access")]
+    fn write_outside_sim_on_a_virtually_held_lock_panics() {
+        let rt = SimRuntime::new(0);
+        let l = Arc::new(SimRwLock::new(0u8));
+        let l2 = Arc::clone(&l);
+        // The guard is leaked, so the lock stays virtually held after the run.
+        rt.spawn("leaker", move || std::mem::forget(l2.write()));
+        rt.run();
+        let _g = l.write();
     }
 }
