@@ -53,6 +53,7 @@ fn dir_hash_table() {
             loc: DirentLoc { page: PageId(1 + i / 16), slot: (i % 16) as usize },
             ftype: CoreFileType::Regular,
             linked: 1,
+            node: Default::default(),
         });
     }
     let mut i = 0u64;
@@ -67,6 +68,7 @@ fn dir_hash_table() {
             loc: DirentLoc { page: PageId(1), slot: 0 },
             ftype: CoreFileType::Regular,
             linked: 1,
+            node: Default::default(),
         });
         aux.remove("transient");
     });

@@ -18,7 +18,7 @@ use trio_layout::{
 use trio_sim::{in_sim, now_or_zero};
 
 use crate::libfs::ArckFs;
-use crate::node::{DirAux, DirEntryAux, FileNode, MapState};
+use crate::node::{ChildLink, DirAux, DirEntryAux, FileNode, MapState};
 
 /// Unlinks of never-shared empty files queued before one batched kernel
 /// reclaim.
@@ -40,19 +40,20 @@ impl ArckFs {
         mode: Mode,
     ) -> FsResult<Arc<FileNode>> {
         trio_fsapi::path::validate_name(name)?;
-        let mut landed: Option<(Ino, DirentLoc, Arc<DirAux>)> = None;
+        let mut landed: Option<(Ino, DirentLoc, ChildLink, Arc<DirAux>)> = None;
         self.with_mapped(parent, true, |fs| {
             let g = parent.inner.read();
             if g.map != MapState::Write {
                 return Err(FsError::Stale);
             }
             let aux = g.dir.as_ref().ok_or(FsError::NotDir)?.clone();
-            let (ino, loc, touched) = run_once(&mut landed, || {
-                let (ino, loc) = fs.publish_entry(parent, &aux, name, ftype, mode)?;
-                Ok((ino, loc, Arc::clone(&aux)))
+            let (ino, loc, link, touched) = run_once(&mut landed, || {
+                let (ino, loc, link) = fs.publish_entry(parent, &aux, name, ftype, mode)?;
+                Ok((ino, loc, link, Arc::clone(&aux)))
             })?;
             fs.settle_dir_size(parent, &aux, &touched, 1)?;
             let n = fs.intern_node(ino, ftype, parent.ino, loc);
+            link.set(&n);
             // A file this LibFS just created is writable *by construction*:
             // its dirent page is mapped through the parent's write grant
             // and any pages it grows into come from the LibFS's own
@@ -76,7 +77,8 @@ impl ArckFs {
 
     /// The mutating half of `create_entry`: reserves a slot and the name
     /// in `aux`, then writes the dirent — prepare (ino 0), publish (§4.4).
-    /// Any failure leaves aux and core state as they were.
+    /// Returns the new entry's slot and its (empty) link to the child's
+    /// node. Any failure leaves aux and core state as they were.
     fn publish_entry(
         &self,
         parent: &Arc<FileNode>,
@@ -84,7 +86,7 @@ impl ArckFs {
         name: &str,
         ftype: CoreFileType,
         mode: Mode,
-    ) -> FsResult<(Ino, DirentLoc)> {
+    ) -> FsResult<(Ino, DirentLoc, ChildLink)> {
         // Reserve a slot, growing the directory as needed.
         let shard = if trio_sim::in_sim() { trio_sim::current_tid() } else { 0 };
         let loc = loop {
@@ -94,11 +96,13 @@ impl ArckFs {
             self.grow_dir(parent, aux)?;
         };
         // Reserve the name in the hash table (atomic exists+insert).
+        let link = ChildLink::default();
         let reserved = aux.with_bucket(name, |b| {
             if b.iter().any(|e| e.name == name) {
                 return false;
             }
-            b.push(DirEntryAux { name: name.to_string(), ino: 0, loc, ftype, linked: aux.epoch() });
+            let (name, linked, node) = (name.to_string(), aux.epoch(), link.clone());
+            b.push(DirEntryAux { name, ino: 0, loc, ftype, linked, node });
             true
         });
         if !reserved {
@@ -126,7 +130,7 @@ impl ArckFs {
                 e.ino = ino;
             }
         });
-        Ok((ino, loc))
+        Ok((ino, loc, link))
     }
 
     /// Removes a child. `want_dir` selects unlink (false) vs rmdir (true).
@@ -284,8 +288,11 @@ impl ArckFs {
 
     /// Renames `src` to `dst` (same LibFS), journaled for crash atomicity.
     pub(crate) fn rename_entry(&self, src: &str, dst: &str) -> FsResult<()> {
-        let (sp, sname) = self.resolve_parent(src)?;
-        let (dp, dname) = self.resolve_parent(dst)?;
+        let (sdir, sname) = trio_fsapi::path::split_parent(src)?;
+        let sp = self.resolve_dir(&sdir)?;
+        let (ddir, dname) = trio_fsapi::path::split_parent(dst)?;
+        // A rename within one directory walks its path once.
+        let dp = if ddir == sdir { Arc::clone(&sp) } else { self.resolve_dir(&ddir)? };
         trio_fsapi::path::validate_name(dname)?;
         self.ensure_mapped(&sp, true)?;
         self.ensure_mapped(&dp, true)?;
@@ -313,7 +320,7 @@ impl ArckFs {
         // settled before the fault is merely persisted again).
         // `retry_mapped` remaps `sp` after a fault; a fault on `dp`'s size
         // field must drop `dp`'s mapping too.
-        let mut moved: Option<(Ino, DirentLoc, Arc<DirAux>, Arc<DirAux>)> = None;
+        let mut moved: Option<(Arc<DirAux>, Arc<DirAux>)> = None;
         let mut dp_stale = false;
         // Both directories' gates, in ino order (two renames in opposite
         // directions must not wait on each other).
@@ -332,9 +339,9 @@ impl ArckFs {
             }
             let saux = sg.dir.as_ref().ok_or(FsError::NotDir)?.clone();
             let daux = dg.dir.as_ref().ok_or(FsError::NotDir)?.clone();
-            let (ino, dloc, stouched, dtouched) = run_once(&mut moved, || {
-                let (ino, dloc) = fs.move_entry(&dp, &saux, &daux, sname, dname)?;
-                Ok((ino, dloc, Arc::clone(&saux), Arc::clone(&daux)))
+            let (stouched, dtouched) = run_once(&mut moved, || {
+                fs.move_entry(&dp, &saux, &daux, sname, dname)?;
+                Ok((Arc::clone(&saux), Arc::clone(&daux)))
             })?;
             if sp.ino == dp.ino {
                 // Same directory: net entry count unchanged.
@@ -344,19 +351,13 @@ impl ArckFs {
                 fs.settle_dir_size(&dp, &daux, &dtouched, 1)
                     .inspect_err(|e| dp_stale = *e == FsError::Stale)?;
             }
-            // Update the interned node's placement.
-            if let Some(n) = fs.node_by_ino(ino) {
-                let mut place = n.place.write();
-                place.parent = dp.ino;
-                place.loc = Some(dloc);
-            }
             Ok(())
         })
     }
 
     /// The mutating half of `rename_entry`: reserves `dname` in `daux`,
-    /// moves `sname`'s dirent there under the undo journal, and drops the
-    /// old entry from `saux`. Returns the moved ino and its new slot.
+    /// moves `sname`'s dirent there under the undo journal, drops the old
+    /// entry from `saux`, and moves the child's node after it.
     fn move_entry(
         &self,
         dp: &Arc<FileNode>,
@@ -364,7 +365,7 @@ impl ArckFs {
         daux: &DirAux,
         sname: &str,
         dname: &str,
-    ) -> FsResult<(Ino, DirentLoc)> {
+    ) -> FsResult<()> {
         let e = saux.lookup(sname).ok_or(FsError::NotFound)?;
 
         // Reserve the destination slot and name.
@@ -375,13 +376,15 @@ impl ArckFs {
             }
             self.grow_dir(dp, daux)?;
         };
+        let link = ChildLink::default();
         let reserved = daux.with_bucket(dname, |b| {
             if b.iter().any(|x| x.name == dname) {
                 return false;
             }
             // Still unknown to the kernel only if it was in the source.
             let linked = if saux.is_fresh(&e) { daux.epoch() } else { 0 };
-            b.push(DirEntryAux { name: dname.to_string(), loc: dloc, linked, ..e.clone() });
+            let (name, node) = (dname.to_string(), link.clone());
+            b.push(DirEntryAux { name, loc: dloc, linked, node, ..e.clone() });
             true
         });
         if !reserved {
@@ -402,7 +405,17 @@ impl ArckFs {
 
         saux.remove(sname);
         saux.put_slot(e.loc);
-        Ok((e.ino, dloc))
+        // The node moves after its entry: `place` first, then the new
+        // entry's link, so no hit finds a carried node placed elsewhere
+        // (until then a hit interns it, which refreshes `place` itself).
+        if let Some(n) = e.node.get().cloned().or_else(|| self.node_by_ino(e.ino)) {
+            let mut place = n.place.write();
+            place.parent = dp.ino;
+            place.loc = Some(dloc);
+            drop(place);
+            link.set(&n);
+        }
+        Ok(())
     }
 
     // -----------------------------------------------------------------

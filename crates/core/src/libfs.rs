@@ -18,7 +18,7 @@ use trio_sim::{cost, in_sim, work, DetHashMap};
 
 use crate::fd::FdTable;
 use crate::journal::Journal;
-use crate::node::{DirAux, DirEntryAux, FileNode, MapState, NodeInner};
+use crate::node::{ChildLink, DirAux, DirEntryAux, FileNode, MapState, NodeInner};
 use crate::pool::{InoPool, PagePool};
 
 /// ArckFS tunables (paper §4.5 defaults).
@@ -216,6 +216,12 @@ impl ArckFs {
     // Node interning.
     // -----------------------------------------------------------------
 
+    /// The LibFS's one node for `ino`, found in or added to the node table
+    /// with its place refreshed to `(parent, loc)`. A walk comes here only
+    /// for an entry that does not carry its child's node yet (read back
+    /// from core state, or its node forgotten): the slow path of
+    /// [`ArckFs::lookup_child`], paying the shard lock and the `place`
+    /// lock that a carried node spares.
     pub(crate) fn intern_node(
         &self,
         ino: Ino,
@@ -228,8 +234,8 @@ impl ArckFs {
         }
         let shard = &self.nodes[ino as usize % NODE_SHARDS];
         {
-            // Hot path (open of a known file): read-locked all the way so
-            // concurrent opens of one file scale (MRPH).
+            // Read-locked while the node is known, so concurrent first
+            // hits on one file do not serialize.
             let map = shard.read();
             if let Some(n) = map.get(&ino) {
                 let unchanged = {
@@ -260,6 +266,7 @@ impl ArckFs {
         }
         let shard = &self.nodes[ino as usize % NODE_SHARDS];
         if let Some(n) = shard.write().remove(&ino) {
+            n.forget();
             n.invalidate();
         }
     }
@@ -397,7 +404,8 @@ impl ArckFs {
                         // (Verifier-grade garbage is skipped defensively.)
                         if let (Some(ftype), Some(name)) = (d.ftype(), d.name_str()) {
                             let name = name.to_string();
-                            entry(DirEntryAux { name, ino: d.ino, loc, ftype, linked: 0 });
+                            let node = ChildLink::default();
+                            entry(DirEntryAux { name, ino: d.ino, loc, ftype, linked: 0, node });
                         }
                     }
                 }
@@ -541,34 +549,71 @@ impl ArckFs {
     }
 
     /// Looks up one child in a directory's aux table, validating liveness
-    /// against core state so revoked mappings are detected.
+    /// against core state so revoked mappings are detected. A hit takes the
+    /// directory's inode lock once, shared, and probes one bucket: the
+    /// entry carries the child's node. Only an unmapped directory, or a
+    /// probe that finds the grant gone (`Stale`), takes the re-mapping
+    /// loop of [`ArckFs::retry_mapped`].
     pub(crate) fn lookup_child(
         &self,
         dir: &Arc<FileNode>,
         name: &str,
     ) -> FsResult<Option<Arc<FileNode>>> {
-        self.with_mapped(dir, false, |fs| {
+        self.poll_recalls();
+        let _op = dir.gate.read();
+        {
             let g = dir.inner.read();
-            let Some(aux) = g.dir.as_ref() else {
-                return Err(FsError::Stale);
-            };
-            match aux.lookup(name) {
-                Some(e) => {
-                    // Probe the dirent's ino: faults if our mapping was
-                    // revoked; reads 0 if the entry vanished under us.
-                    let live = DirentRef::new(&fs.h, e.loc).ino().map_err(Self::fault)?;
-                    if live != e.ino {
-                        return Err(FsError::Stale);
-                    }
-                    Ok(Some(fs.intern_node(e.ino, e.ftype, dir.ino, e.loc)))
+            if g.map != MapState::Unmapped {
+                match self.probe_child(dir, &g, name) {
+                    Err(FsError::Stale) => {}
+                    found => return found,
                 }
-                None => {
-                    // Miss: a stale aux must not produce false negatives.
-                    fs.probe_dir(&g)?;
-                    Ok(None)
-                }
+                drop(g);
+                dir.invalidate();
             }
-        })
+        }
+        self.retry_mapped(dir, false, |fs| fs.probe_child(dir, &dir.inner.read(), name))
+    }
+
+    /// The body of [`ArckFs::lookup_child`] under the directory's inode
+    /// lock `g`.
+    fn probe_child(
+        &self,
+        dir: &FileNode,
+        g: &NodeInner,
+        name: &str,
+    ) -> FsResult<Option<Arc<FileNode>>> {
+        let Some(aux) = g.dir.as_ref() else {
+            return Err(FsError::Stale);
+        };
+        let Some(e) = aux.lookup(name) else {
+            // Miss: a stale aux must not produce false negatives.
+            self.probe_dir(g)?;
+            return Ok(None);
+        };
+        // Probe the dirent's ino: faults if our mapping was revoked; reads
+        // 0 if the entry vanished under us.
+        let live = DirentRef::new(&self.h, e.loc).ino().map_err(Self::fault)?;
+        if live != e.ino {
+            return Err(FsError::Stale);
+        }
+        if let Some(n) = e.node.get() {
+            #[cfg(debug_assertions)]
+            {
+                let place = *n.place.peek();
+                assert!(
+                    place.parent == dir.ino && place.loc == Some(e.loc),
+                    "ino {}: carried node placed at {place:?}, its entry in {} at {:?}",
+                    e.ino,
+                    dir.ino,
+                    e.loc
+                );
+            }
+            return Ok(Some(Arc::clone(n)));
+        }
+        let n = self.intern_node(e.ino, e.ftype, dir.ino, e.loc);
+        e.node.set(&n);
+        Ok(Some(n))
     }
 
     /// One timed read of a directory's core state before an answer from its

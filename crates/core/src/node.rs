@@ -9,7 +9,7 @@
 //! tails, and the index tail.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use trio_layout::{CoreFileType, DirentLoc, Ino};
 use trio_nvm::PageId;
@@ -101,6 +101,9 @@ pub struct FileNode {
     open_fds: AtomicU32,
     /// …here, and honoured by whoever closes the last descriptor.
     recall_parked: AtomicBool,
+    /// Dropped from the LibFS's node table (`ArckFs::forget_node`): a
+    /// directory entry that still carries the node no longer hands it out.
+    forgotten: AtomicBool,
 }
 
 /// Where the file hangs in the tree.
@@ -124,7 +127,13 @@ impl FileNode {
             gate: SimRwLock::with_costs((), 0, 0),
             open_fds: AtomicU32::new(0),
             recall_parked: AtomicBool::new(false),
+            forgotten: AtomicBool::new(false),
         })
+    }
+
+    /// The node left the LibFS's node table: see [`ChildLink::get`].
+    pub(crate) fn forget(&self) {
+        self.forgotten.store(true, Ordering::Relaxed);
     }
 
     /// A descriptor was opened on the file.
@@ -200,6 +209,37 @@ pub struct DirEntryAux {
     /// The [`DirAux::epoch`] it was linked in; 0 for an entry read back from
     /// core state. See [`DirAux::is_fresh`].
     pub linked: u64,
+    /// The child's node, once this LibFS has interned it.
+    pub node: ChildLink,
+}
+
+/// A directory entry's link to its child's node, the way a dentry reaches
+/// its inode: a hit on the entry returns the node without the node table.
+/// Every clone of the entry shares the link, so the first hit that interns
+/// the node sets it for all later ones. Empty on an entry read back from
+/// core state and on a destination reserved by a rename until the move is
+/// done. Invariant: a node set here has `place` equal to
+/// `(directory ino, entry loc)`.
+#[derive(Clone, Default)]
+pub struct ChildLink(Arc<OnceLock<Arc<FileNode>>>);
+
+impl ChildLink {
+    /// The linked node, unless the LibFS has forgotten it since.
+    pub fn get(&self) -> Option<&Arc<FileNode>> {
+        self.0.get().filter(|n| !n.forgotten.load(Ordering::Relaxed))
+    }
+
+    /// Links `node`; a link once set stays (a racing setter interned the
+    /// same node).
+    pub(crate) fn set(&self, node: &Arc<FileNode>) {
+        let _ = self.0.set(Arc::clone(node));
+    }
+}
+
+impl std::fmt::Debug for ChildLink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.get().is_some() { "ChildLink(set)" } else { "ChildLink(empty)" })
+    }
 }
 
 /// Insertion tail for one directory data page (paper: per-page logging
@@ -482,6 +522,7 @@ mod tests {
             loc: DirentLoc { page: PageId(1), slot: 0 },
             ftype: CoreFileType::Regular,
             linked: 1,
+            node: ChildLink::default(),
         }));
         assert!(!aux.insert(DirEntryAux {
             name: "a".into(),
@@ -489,6 +530,7 @@ mod tests {
             loc: DirentLoc { page: PageId(1), slot: 1 },
             ftype: CoreFileType::Regular,
             linked: 1,
+            node: ChildLink::default(),
         }));
         assert_eq!(aux.lookup("a").unwrap().ino, 5);
         assert!(aux.lookup("b").is_none());
@@ -505,6 +547,7 @@ mod tests {
             loc: DirentLoc { page: PageId(1), slot: 0 },
             ftype: CoreFileType::Regular,
             linked,
+            node: ChildLink::default(),
         };
         assert!(aux.is_fresh(&e(aux.epoch())) && !aux.is_fresh(&e(0)));
         let old = e(aux.epoch());

@@ -233,6 +233,59 @@ fn rename_same_dir_and_across_dirs() {
     rt.run();
 }
 
+/// What one path component costs a walk that hits: the directory's inode
+/// lock read once, one bucket read, one hash probe. The entry carries the
+/// child's node, so no node-table or `place` lock is taken.
+const COMPONENT_NS: u64 = 2 * trio_sim::cost::LOCK_UNCONTENDED_NS + trio_sim::cost::HASH_OP_NS;
+
+/// Virtual time `f` takes on the sim clock.
+fn timed(f: impl FnOnce()) -> u64 {
+    let t0 = trio_sim::now();
+    f();
+    trio_sim::now() - t0
+}
+
+#[test]
+fn a_walk_pays_one_inode_lock_and_one_bucket_per_component() {
+    let (rt, fs) = world();
+    rt.spawn("t", move || {
+        for d in ["/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
+            fs.mkdir(d, Mode::RWX).unwrap();
+        }
+        fs.create("/f", Mode::RW).unwrap();
+        fs.create("/a/b/c/d/f", Mode::RW).unwrap();
+        let (shallow, deep) = ("/f", "/a/b/c/d/f");
+        // Warm: every directory on both paths mapped, every entry hit once.
+        fs.stat(shallow).unwrap();
+        fs.stat(deep).unwrap();
+        let one = timed(|| assert!(fs.stat(shallow).is_ok()));
+        let five = timed(|| assert!(fs.stat(deep).is_ok()));
+        assert_eq!(five - one, 4 * COMPONENT_NS, "stat {shallow}: {one} vns, {deep}: {five} vns");
+    });
+    rt.run();
+}
+
+#[test]
+fn a_same_directory_rename_walks_its_path_once() {
+    let (rt, fs) = world();
+    rt.spawn("t", move || {
+        for d in ["/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
+            fs.mkdir(d, Mode::RWX).unwrap();
+        }
+        fs.create("/a/f", Mode::RW).unwrap();
+        fs.create("/a/b/c/d/f", Mode::RW).unwrap();
+        // Warm: the journal's first rename allocates its page.
+        fs.rename("/a/f", "/a/g").unwrap();
+        fs.rename("/a/b/c/d/f", "/a/b/c/d/g").unwrap();
+        let two = timed(|| fs.rename("/a/g", "/a/f").unwrap());
+        let five = timed(|| fs.rename("/a/b/c/d/g", "/a/b/c/d/f").unwrap());
+        // Three components more on one walk, not on two.
+        assert_eq!(five - two, 3 * COMPONENT_NS, "rename in /a: {two} vns, in /a/b/c/d: {five} vns");
+        assert!(fs.stat("/a/b/c/d/f").is_ok() && fs.stat("/a/b/c/d/g").is_err());
+    });
+    rt.run();
+}
+
 #[test]
 fn stat_fields() {
     let (rt, fs) = world();

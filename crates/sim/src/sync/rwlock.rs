@@ -140,6 +140,16 @@ impl<T> SimRwLock<T> {
         self.data.write()
     }
 
+    /// Shared access off the virtual clock, whoever holds the lock: no
+    /// charge, no place in the queue, no race-clock edge — for debug
+    /// cross-checks inside the simulation, which must leave the timeline
+    /// as a release build has it. Blocks the host thread while a sim-thread
+    /// holds a write guard, so only for a lock whose write guards never
+    /// live across a yield.
+    pub fn peek(&self) -> parking_lot::RwLockReadGuard<'_, T> {
+        self.data.read()
+    }
+
     /// Mutable access through an exclusive reference (no locking needed).
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()

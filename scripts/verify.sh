@@ -177,6 +177,11 @@ stage "sharing cost, Table 3 create-100 (logged, not gated)"
 # same loop run by one LibFS alone re-maps without rebuilding.
 cargo bench -q -p trio-bench --bench table3_sharing | grep -E '^create, 100 files|sole writer'
 
+stage "Fig. 5(d) create / delete, one thread (logged, not gated)"
+# ROADMAP 5(c): the paper has ArckFS deleting 7.4–9.4× faster than NOVA;
+# the rows below show how far the metadata path is from that.
+cargo bench -q -p trio-bench --bench fig5_single_thread | sed -n '/^== (d)/,$p'
+
 end_stage
 echo
 echo "verify.sh: all gates passed in $SECONDS s."

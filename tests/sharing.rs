@@ -1425,6 +1425,42 @@ fn an_honest_move_verifies_clean_in_either_order() {
     }
 }
 
+/// A directory entry carries its child's node, so a walk that hits takes
+/// no node-table lock (DESIGN.md §22); the node must not outlive a move
+/// made by another LibFS. A walks `/a/b/c/f`, which warms every entry on
+/// the way, and lets go; B renames the middle directory `c` to `x`. A's
+/// `/a/b` is rebuilt from core state, whose entries carry no node: `c` is
+/// gone, `x` leads to `f`, and A's own rename of `f` after that answers
+/// from the slot it moved `f` to.
+#[test]
+fn a_carried_node_does_not_outlive_a_foreign_move() {
+    let (kernel, a, b) = world(100);
+    let rt = SimRuntime::new(48);
+    rt.spawn("t", move || {
+        for d in ["/a", "/a/b", "/a/b/c"] {
+            a.mkdir(d, Mode(0o777)).unwrap();
+        }
+        write_file(&*a, "/a/b/c/f", b"carried").unwrap();
+        let ino = a.stat("/a/b/c/f").unwrap().ino;
+        for p in ["/a/b/c/f", "/a/b/c", "/a/b", "/a", "/"] {
+            a.release_path(p).unwrap();
+        }
+        b.rename("/a/b/c", "/a/b/x").unwrap();
+        for p in ["/a/b", "/a", "/"] {
+            b.release_path(p).unwrap();
+        }
+        assert_eq!(a.stat("/a/b/c/f").err(), Some(FsError::NotFound));
+        assert_eq!(a.stat("/a/b/x/f").unwrap().ino, ino);
+        a.rename("/a/b/x/f", "/a/b/x/g").unwrap();
+        assert_eq!(a.stat("/a/b/x/g").unwrap().ino, ino);
+        assert_eq!(a.stat("/a/b/x/f").err(), Some(FsError::NotFound));
+        assert_eq!(read_file(&*a, "/a/b/x/g").unwrap(), b"carried");
+    });
+    rt.run();
+    assert!(kernel.quarantined_actors().is_empty());
+    assert_mmu_within_books(&kernel);
+}
+
 /// The rule's other half: a real hard link — `c`'s dirent copied into `/b`
 /// while its recorded slot in `/a` still holds it, entry counts kept true —
 /// is `ForeignIno` whichever directory R maps first: `/b` is rolled back,
