@@ -12,7 +12,7 @@ use std::sync::Arc;
 use trio_fsapi::{FsError, FsResult};
 use trio_kernel::delegation::DelegationError;
 use trio_kernel::RetryPolicy;
-use trio_layout::{DirentRef, IndexPageRef, ENTRIES_PER_INDEX};
+use trio_layout::{chain_capacity, index_slot, DirentRef, IndexPageRef};
 use trio_nvm::{PageId, PAGE_SIZE};
 use trio_sim::{in_sim, now_or_zero};
 
@@ -167,9 +167,9 @@ impl ArckFs {
                 if let Some(p) = g.data_pages[lp].take() {
                     // Clear the index slot durably *before* the page can be
                     // reused by anyone else.
-                    let ipage = g.index_pages[lp / ENTRIES_PER_INDEX];
-                    IndexPageRef::new(&self.h, ipage)
-                        .set_entry(lp % ENTRIES_PER_INDEX, 0)
+                    let (ipi, slot) = index_slot(lp);
+                    IndexPageRef::new(&self.h, g.index_pages[ipi])
+                        .set_entry(slot, 0)
                         .map_err(Self::fault)?;
                     freed.push(p);
                 }
@@ -370,7 +370,7 @@ impl ArckFs {
     ) -> FsResult<()> {
         let last_lp = (off as usize + len - 1) / PAGE_SIZE;
         // 1. Index pages.
-        while g.index_pages.len() * ENTRIES_PER_INDEX <= last_lp {
+        while chain_capacity(g.index_pages.len()) <= last_lp {
             let ip = self.pages.take(trio_nvm::handle::home_node())?;
             match g.index_pages.last() {
                 Some(prev) => {
@@ -413,8 +413,7 @@ impl ArckFs {
         let mut touched: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
         for &lp in &missing {
             let p = g.data_pages[lp].expect("just allocated");
-            let ipi = lp / ENTRIES_PER_INDEX;
-            let slot = lp % ENTRIES_PER_INDEX;
+            let (ipi, slot) = index_slot(lp);
             IndexPageRef::new(&self.h, g.index_pages[ipi])
                 .stage_entry(slot, p.0)
                 .map_err(Self::fault)?;

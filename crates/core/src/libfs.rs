@@ -372,7 +372,7 @@ impl ArckFs {
     /// The next free entry slot in the last index page: the first one no
     /// data page uses.
     fn index_tail_slot(g: &NodeInner) -> usize {
-        let full = g.index_pages.len().saturating_sub(1) * trio_layout::ENTRIES_PER_INDEX;
+        let full = trio_layout::chain_capacity(g.index_pages.len().saturating_sub(1));
         g.data_pages.len() - full
     }
 

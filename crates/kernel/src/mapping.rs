@@ -991,28 +991,22 @@ impl KernelController {
         first_index: u64,
         dirty_actor: Option<ActorId>,
     ) -> Vec<(PageId, usize)> {
-        let mut foreign = Vec::new();
         let Ok(pages) = walk_file(self.kernel_handle(), first_index, crate::MAX_INDEX_PAGES)
         else {
-            return foreign;
+            return Vec::new();
         };
-        for ipage in &pages.index_pages {
-            let Ok((entries, _)) = IndexPageRef::new(self.kernel_handle(), *ipage).load_all() else {
-                continue;
-            };
-            for (i, &e) in entries.iter().enumerate() {
-                let ok = e == 0
-                    || match self.prov.get(e) {
-                        Some(PageProvenance::InFile(f)) => f == ino,
-                        Some(PageProvenance::AllocatedTo(a)) => Some(a) == dirty_actor,
-                        _ => false,
-                    };
-                if !ok {
-                    foreign.push((*ipage, i));
-                }
-            }
-        }
-        foreign
+        let foreign = |p: PageId| match self.prov.get(p.0) {
+            Some(PageProvenance::InFile(f)) => f != ino,
+            Some(PageProvenance::AllocatedTo(a)) => Some(a) != dirty_actor,
+            _ => true,
+        };
+        pages
+            .data_pages
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.is_some_and(&foreign))
+            .filter_map(|(lp, _)| pages.slot_of(lp))
+            .collect()
     }
 
     /// Clears the foreign slots of `ino`'s chain.

@@ -568,50 +568,33 @@ impl KernelController {
         let Ok(pages) = self.current_pages(meta.dirent) else {
             return false;
         };
-        if !pages.data_pages.iter().flatten().any(|p| *p == old) {
+        // The owning index slot, from the walk's own position.
+        let lp = pages.data_pages.iter().position(|p| *p == Some(old));
+        let Some((ipage, slot)) = lp.and_then(|lp| pages.slot_of(lp)) else {
             return false;
-        }
+        };
         // A fresh frame, same node preferred.
         let Some(fresh) = self.alloc.take_fresh(self.dev.topology().node_of(old)) else {
             return false; // Device full: keep serving from the flaky frame.
         };
-        if self.dev.migrate_page(old, fresh).is_err() {
-            self.alloc.put_back(&[fresh], PutBack::Pool);
-            return false;
-        }
-        // Swing the owning index slot.
-        let mut swung = false;
-        'chain: for ipage in &pages.index_pages {
-            let ipr = IndexPageRef::new(&self.kh, *ipage);
-            let Ok((entries, _)) = ipr.load_all() else {
-                continue;
-            };
-            for (i, e) in entries.iter().enumerate() {
-                if *e == old.0 {
-                    if ipr.set_entry(i, fresh.0).is_ok() {
-                        swung = true;
-                        // The checkpoint's image of this index page still
-                        // points at the retired frame; refresh it so a
-                        // later rollback restores the migrated chain.
-                        if let Some(m) = reg.files.get_mut(&ino) {
-                            if let Some(ck) = m.checkpoint.as_mut() {
-                                if let Some(slot) =
-                                    ck.images.iter_mut().find(|(p, _)| *p == *ipage)
-                                {
-                                    if let Ok(img) = self.dev.snapshot_page(*ipage) {
-                                        slot.1 = img;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    break 'chain;
-                }
-            }
-        }
+        // The repair starts here and ends with the slot swung (or not).
+        let t0 = crate::obs::repair_begin(old.0);
+        let swung = self.dev.migrate_page(old, fresh).is_ok()
+            && IndexPageRef::new(&self.kh, ipage).set_entry(slot, fresh.0).is_ok();
+        crate::obs::repair_end(old.0, 4, t0);
         if !swung {
             self.alloc.put_back(&[fresh], PutBack::Pool);
             return false;
+        }
+        // The checkpoint's image of this index page still points at the
+        // retired frame; refresh it so a later rollback restores the
+        // migrated chain.
+        if let Some(ck) = reg.files.get_mut(&ino).and_then(|m| m.checkpoint.as_mut()) {
+            if let Some(image) = ck.images.iter_mut().find(|(p, _)| *p == ipage) {
+                if let Ok(img) = self.dev.snapshot_page(ipage) {
+                    image.1 = img;
+                }
+            }
         }
         // Provenance follows the move; no live mapping holds the old frame
         // (checked above), so no MMU surgery is needed.
@@ -626,7 +609,6 @@ impl KernelController {
         rep.migrated += 1;
         rep.retired += 1;
         self.media.record_repair(&self.media.pages_migrated, 1);
-        crate::obs::repair_end(old.0, 4, crate::obs::repair_begin(old.0));
         true
     }
 }

@@ -12,6 +12,18 @@ pub const ENTRIES_PER_INDEX: usize = PAGE_SIZE / 8 - 1;
 
 const NEXT_SLOT_OFF: usize = ENTRIES_PER_INDEX * 8;
 
+/// Where logical data page `lp` sits in a file's index chain, as
+/// `(index page, slot)`: slot `lp % ENTRIES_PER_INDEX` of the chain's
+/// `lp / ENTRIES_PER_INDEX`-th index page.
+pub const fn index_slot(lp: usize) -> (usize, usize) {
+    (lp / ENTRIES_PER_INDEX, lp % ENTRIES_PER_INDEX)
+}
+
+/// How many logical data pages a chain of `index_pages` index pages holds.
+pub const fn chain_capacity(index_pages: usize) -> usize {
+    index_pages * ENTRIES_PER_INDEX
+}
+
 /// Typed accessor over one index page.
 pub struct IndexPageRef<'a> {
     h: &'a NvmHandle,
@@ -92,6 +104,22 @@ mod tests {
     #[test]
     fn geometry() {
         assert_eq!(ENTRIES_PER_INDEX, 511);
+    }
+
+    #[test]
+    fn slot_geometry_crosses_an_index_page_boundary() {
+        assert_eq!(index_slot(0), (0, 0));
+        assert_eq!(index_slot(510), (0, 510));
+        assert_eq!(index_slot(511), (1, 0));
+        assert_eq!(index_slot(512), (1, 1));
+        assert_eq!(chain_capacity(0), 0);
+        assert_eq!(chain_capacity(1), 511);
+        assert_eq!(chain_capacity(2), 1022);
+        for lp in [510, 511, 512] {
+            let (page, slot) = index_slot(lp);
+            assert_eq!(chain_capacity(page) + slot, lp);
+            assert!(chain_capacity(page + 1) > lp);
+        }
     }
 
     #[test]

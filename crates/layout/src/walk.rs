@@ -9,7 +9,7 @@
 use trio_nvm::{NvmHandle, PageId, ProtError};
 use trio_sim::DetHashSet;
 
-use crate::index::{IndexPageRef, ENTRIES_PER_INDEX};
+use crate::index::{index_slot, IndexPageRef, ENTRIES_PER_INDEX};
 
 /// The pages making up one file's core state (excluding its dirent slot).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -29,6 +29,13 @@ impl FilePages {
     /// Number of live data pages.
     pub fn live_data_pages(&self) -> usize {
         self.data_pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// The index page and slot that hold logical data page `lp`
+    /// ([`index_slot`]), or `None` past the chain.
+    pub fn slot_of(&self, lp: usize) -> Option<(PageId, usize)> {
+        let (page, slot) = index_slot(lp);
+        self.index_pages.get(page).map(|p| (*p, slot))
     }
 
     /// Capacity in bytes covered by the data-page slots.
@@ -152,6 +159,12 @@ mod tests {
         assert_eq!(fp.index_pages, vec![PageId(2), PageId(3)]);
         assert_eq!(fp.data_pages.len(), ENTRIES_PER_INDEX + 1);
         assert_eq!(fp.data_pages[ENTRIES_PER_INDEX], Some(PageId(11)));
+        // The walk's own position names each slot: no re-read needed.
+        assert_eq!(fp.slot_of(0), Some((PageId(2), 0)));
+        assert_eq!(fp.slot_of(ENTRIES_PER_INDEX - 1), Some((PageId(2), ENTRIES_PER_INDEX - 1)));
+        assert_eq!(fp.slot_of(ENTRIES_PER_INDEX), Some((PageId(3), 0)));
+        assert_eq!(fp.slot_of(ENTRIES_PER_INDEX + 1), Some((PageId(3), 1)));
+        assert_eq!(fp.slot_of(2 * ENTRIES_PER_INDEX), None);
     }
 
     #[test]

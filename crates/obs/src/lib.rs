@@ -26,6 +26,14 @@
 //! simulated schedule: a run with and without the feature produces the
 //! same virtual timeline.
 //!
+//! The crate's one feature, `record`, is the one observability switch.
+//! Without it every recording entry point (the op ids, [`now_ns`],
+//! [`event`] / [`event_at`], [`record_latency`], [`trigger_dump`] and
+//! [`window_marker`]) returns at once and is inlined at its call site, so
+//! the compiler removes the call and an obs-off build carries no
+//! `trio_obs` symbol. Consumers call their hooks unconditionally; each
+//! consumer's `obs` feature only forwards to `record`.
+//!
 //! [`DelegReq::op_id`]: struct.DelegReq.html
 
 use std::cell::Cell;
@@ -34,6 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use trio_sim::metrics::{bucket_index, quantile_ns, quoted, JsonObject};
 use trio_sim::{in_sim, now};
+
+/// Whether recording is compiled in (the `record` feature).
+const ON: bool = cfg!(feature = "record");
 
 // ---------------------------------------------------------------------------
 // Vocabulary
@@ -166,27 +177,40 @@ thread_local! {
 }
 
 /// Draws a fresh process-unique op id (ids start at 1; 0 means "none").
+#[inline]
 pub fn next_op_id() -> u64 {
+    if !ON {
+        return 0;
+    }
     NEXT_OP.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 /// The op id of the span currently open on this thread (0 if none). Sim
 /// threads are real OS threads, so the thread-local follows each
 /// sim-thread exactly.
+#[inline]
 pub fn current_op() -> u64 {
+    if !ON {
+        return 0;
+    }
     CURRENT_OP.with(|c| c.get())
 }
 
 /// Installs `op` as this thread's current op, returning the previous
 /// value so nested spans can restore it.
+#[inline]
 pub fn set_current_op(op: u64) -> u64 {
+    if !ON {
+        return 0;
+    }
     CURRENT_OP.with(|c| c.replace(op))
 }
 
 /// Virtual now, or 0 outside the simulation (the recorder still orders
 /// events by generation, so non-sim events remain replayable).
+#[inline]
 pub fn now_ns() -> u64 {
-    if in_sim() {
+    if ON && in_sim() {
         now()
     } else {
         0
@@ -216,7 +240,11 @@ static HISTS: [[AtomicHist; STAGE_COUNT]; KIND_COUNT] =
     [const { [const { AtomicHist::new() }; STAGE_COUNT] }; KIND_COUNT];
 
 /// Records one span latency into the `(kind, stage)` histogram.
+#[inline]
 pub fn record_latency(kind: OpKind, stage: Stage, ns: u64) {
+    if !ON {
+        return;
+    }
     let h = &HISTS[kind as usize][stage as usize];
     h.count.fetch_add(1, Ordering::Relaxed);
     h.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -359,6 +387,7 @@ pub struct EventRec {
 }
 
 /// Records one span event stamped with the current virtual time.
+#[inline]
 pub fn event(op_id: u64, kind: OpKind, stage: Stage, phase: Phase, actor: u64, node: u32, aux: u64) {
     event_at(now_ns(), op_id, kind, stage, phase, actor, node, aux);
 }
@@ -366,6 +395,7 @@ pub fn event(op_id: u64, kind: OpKind, stage: Stage, phase: Phase, actor: u64, n
 /// Records one span event with an explicit timestamp (harness markers
 /// backdate their window-open to the barrier-release instant).
 #[allow(clippy::too_many_arguments)]
+#[inline]
 pub fn event_at(
     t_ns: u64,
     op_id: u64,
@@ -376,6 +406,9 @@ pub fn event_at(
     node: u32,
     aux: u64,
 ) {
+    if !ON {
+        return;
+    }
     let gen = HEAD.fetch_add(1, Ordering::Relaxed);
     let slot = &SLOTS[(gen % RECORDER_SLOTS as u64) as usize];
     slot.seq.store(2 * gen + 1, Ordering::Release);
@@ -522,8 +555,9 @@ pub fn dump_now(trigger: &str) -> std::io::Result<PathBuf> {
 /// Auto-dump entry point for the failure hooks: dumps at most once per
 /// trigger kind per process (reset via [`reset`]), swallowing IO errors
 /// — a failing dump must never take down the data path.
+#[inline]
 pub fn trigger_dump(t: Trigger) -> Option<PathBuf> {
-    if DUMPED[t as usize].swap(true, Ordering::Relaxed) {
+    if !ON || DUMPED[t as usize].swap(true, Ordering::Relaxed) {
         return None;
     }
     dump_now(t.as_str()).ok()
@@ -556,12 +590,14 @@ pub fn reset() {
 
 /// Harness hook: marks one measured workload window `[start, end)` in
 /// the recorder (`actor` = thread count, `aux` = ops completed).
+#[inline]
 pub fn window_marker(start_ns: u64, end_ns: u64, threads: u64, ops: u64) {
     event_at(start_ns, 0, OpKind::Harness, Stage::Window, Phase::Open, threads, u32::MAX, 0);
     event_at(end_ns, 0, OpKind::Harness, Stage::Window, Phase::Close, threads, u32::MAX, ops);
 }
 
 #[cfg(test)]
+#[cfg(feature = "record")]
 mod tests {
     use super::*;
 
@@ -648,5 +684,43 @@ mod tests {
         set_current_op(inner_prev);
         assert_eq!(current_op(), a);
         set_current_op(prev);
+    }
+}
+
+#[cfg(test)]
+#[cfg(not(feature = "record"))]
+mod off_tests {
+    use super::*;
+
+    #[test]
+    fn recording_compiled_out_records_nothing() {
+        let path = std::env::temp_dir().join(format!("trio-obs-off.{}.json", std::process::id()));
+        std::env::set_var("TRIO_OBS_TIMELINE", &path);
+        assert_eq!(next_op_id(), 0);
+        assert_eq!(set_current_op(7), 0);
+        assert_eq!(current_op(), 0);
+        let rt = trio_sim::SimRuntime::new(1);
+        rt.spawn("off", || {
+            trio_sim::work(100);
+            assert_eq!(now_ns(), 0, "virtual now is {} ns", now());
+        });
+        rt.run();
+        event(1, OpKind::Write, Stage::Syscall, Phase::Open, 1, 0, 4096);
+        event_at(5, 1, OpKind::Read, Stage::RingHop, Phase::Close, 1, 0, 9);
+        record_latency(OpKind::Write, Stage::Syscall, 512);
+        window_marker(1, 2, 3, 4);
+        for t in [
+            Trigger::DelegationTimeout,
+            Trigger::DelegationFallback,
+            Trigger::Violation,
+            Trigger::QuarantineEntry,
+        ] {
+            assert_eq!(trigger_dump(t), None);
+        }
+        assert_eq!(events_recorded(), 0);
+        assert!(collect_events().is_empty());
+        let snap = snapshot();
+        assert!(snap.hists.iter().all(HistSnapshot::is_empty));
+        assert!(!path.exists(), "an obs-off trigger_dump wrote {}", path.display());
     }
 }

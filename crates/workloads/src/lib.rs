@@ -116,14 +116,13 @@ pub fn run_parallel(
         for h in handles {
             h.join();
         }
-        let elapsed = trio_sim::now() - *start.lock();
+        let (t0, t1) = (*start.lock(), trio_sim::now());
         let t = *totals.lock();
         // Mark the measured window in the obs flight recorder so a dumped
         // timeline shows which spans fell inside it.
-        #[cfg(feature = "obs")]
-        trio_obs::window_marker(*start.lock(), trio_sim::now(), threads as u64, t.ops);
+        trio_obs::window_marker(t0, t1, threads as u64, t.ops);
         *out2.lock() =
-            Some(Measurement { elapsed_ns: elapsed.max(1), ops: t.ops, bytes: t.bytes, threads });
+            Some(Measurement { elapsed_ns: (t1 - t0).max(1), ops: t.ops, bytes: t.bytes, threads });
         teardown();
     });
     rt.run();
@@ -220,12 +219,11 @@ pub fn drive_phases(
             for h in handles {
                 h.join();
             }
-            let elapsed = trio_sim::now() - *start.lock();
+            let (t0, t1) = (*start.lock(), trio_sim::now());
             let t = *totals.lock();
-            #[cfg(feature = "obs")]
-            trio_obs::window_marker(*start.lock(), trio_sim::now(), threads as u64, t.ops);
+            trio_obs::window_marker(t0, t1, threads as u64, t.ops);
             out2.lock().push(Measurement {
-                elapsed_ns: elapsed.max(1),
+                elapsed_ns: (t1 - t0).max(1),
                 ops: t.ops,
                 bytes: t.bytes,
                 threads,

@@ -99,6 +99,10 @@
 //!   and `pagetable.rs` (reclamation recycles through the door); the
 //!   patrol's scrub of a free frame carries the one reasoned allow.
 //!
+//! Zero cost when observability is off is not a rule here: a lexical
+//! check could only approximate it, so `scripts/verify.sh` reads it off
+//! the built binary instead (no `trio_obs` symbol, DESIGN.md §15).
+//!
 //! Any rule can be suppressed per-site with `// lint: allow(<rule-id>)
 //! <reason>` on the flagged line or up to two lines above it; the reason is
 //! mandatory — a bare allow is itself reported.
@@ -309,7 +313,6 @@ pub enum Rule {
     SafetyComment,
     FlushFence,
     NoPanic,
-    ObsGate,
     PayloadMaterialize,
     RawPublish,
     HotPathRegistry,
@@ -326,7 +329,6 @@ impl Rule {
             Rule::SafetyComment => "safety-comment",
             Rule::FlushFence => "flush-fence",
             Rule::NoPanic => "no-panic",
-            Rule::ObsGate => "obs-gate",
             Rule::PayloadMaterialize => "no-payload-copy",
             Rule::RawPublish => "raw-publish",
             Rule::HotPathRegistry => "hot-path-registry",
@@ -409,14 +411,6 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
     // attacker-controlled bytes — not those crates' test trees.
     let no_panic_scope =
         rel.starts_with("crates/verifier/src") || rel.starts_with("crates/kernel/src");
-    // The zero-overhead-when-off story for `obs` rests on every hot-path
-    // crate funneling trio_obs through its cfg-gated `obs.rs` shim; a
-    // direct reference anywhere else would compile the symbol in (or break
-    // obs-off builds outright).
-    let obs_gate_scope = ["crates/nvm/src", "crates/core/src", "crates/kernel/src", "crates/verifier/src"]
-        .iter()
-        .any(|p| rel.starts_with(p))
-        && rel.file_name().is_none_or(|n| n != "obs.rs");
     // Zero-copy delegation (DESIGN.md §17): the submit path hands workers a
     // `GrantRef` into granted pages; constructing an owned byte payload
     // here is the copy the grant-window architecture exists to remove.
@@ -552,17 +546,7 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
             }
         }
 
-        // R6: `trio_obs` stays behind each crate's `obs.rs` feature shim,
-        // so obs-off builds carry zero observability symbols on the hot
-        // path.
-        if obs_gate_scope && contains_word(line, "trio_obs") {
-            emit(out, rel, &raw, i, Rule::ObsGate,
-                "direct `trio_obs` reference outside the crate's `obs.rs` shim; \
-                 route through `crate::obs::*` so obs-off builds stay symbol-free"
-                    .to_string());
-        }
-
-        // R7: no payload materialization on the delegation submit path.
+        // R6: no payload materialization on the delegation submit path.
         // Reads still need destination buffers (`vec![0u8; n]` is fine);
         // what's forbidden is constructing an *owned copy of the source
         // payload* instead of passing the grant window through.
@@ -587,7 +571,7 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
             }
         }
 
-        // R8: shipped library code must use the typestate persist pipeline;
+        // R7: shipped library code must use the typestate persist pipeline;
         // the untyped escape hatches and the raw flush/fence halves are
         // reserved for `trio-nvm` internals and test harnesses.
         if raw_publish_scope && i < test_region {
@@ -615,7 +599,7 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
             }
         }
 
-        // R9: modules annotated `lint: hot-path` never take the kernel's
+        // R8: modules annotated `lint: hot-path` never take the kernel's
         // registry control lock — neither directly nor through the
         // instrumented `reg_lock` wrapper. The mega-tenant scaling gate
         // rests on steady-state paths staying off that lock.
@@ -632,7 +616,7 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
             }
         }
 
-        // R10: no map or set keyed by `RandomState` in shipped library
+        // R9: no map or set keyed by `RandomState` in shipped library
         // code; its iteration order is not a function of the seed.
         if shipped && i < test_region {
             let ctor = ["HashMap", "HashSet"].iter().any(|ty| {
@@ -649,7 +633,7 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
             }
         }
 
-        // R11: a directory page is read through `trio_layout::DirPage` and a
+        // R10: a directory page is read through `trio_layout::DirPage` and a
         // slot written through `DirentRef`; tests in these files included.
         if layout_door_scope
             && (line.contains("chunks_exact(DIRENT_SIZE)")
@@ -662,7 +646,7 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
                  `DirPage`, a slot through `DirentRef` (DESIGN.md §3)".to_string());
         }
 
-        // R12: the device's MMU interface is named behind the page-table
+        // R11: the device's MMU interface is named behind the page-table
         // door only. `revoke_actor` is also the grant table's; that one is
         // reached through `grants()`. In the kernel, the scrubs that drop
         // every actor's PTEs are the allocator's or the door's.
@@ -1098,7 +1082,6 @@ mod tests {
             Rule::SafetyComment,
             Rule::FlushFence,
             Rule::NoPanic,
-            Rule::ObsGate,
             Rule::PayloadMaterialize,
             Rule::RawPublish,
             Rule::HotPathRegistry,

@@ -30,6 +30,18 @@ same_bytes_as_ledger() {
     echo "OK: $bench is byte-identical across two runs and to the committed $ledger."
 }
 
+# The release bench_datapath executable, built with extra cargo flags $@,
+# as cargo reports it: its file name carries a hash nobody should hard-code.
+bench_datapath_exe() {
+    cargo bench -q -p trio-bench --bench bench_datapath --no-run --message-format=json "$@" \
+        | sed -n 's/.*"executable":"\([^"]*\/bench_datapath-[^"]*\)".*/\1/p'
+}
+
+# How many symbols of executable $1 belong to trio-obs.
+obs_symbols() {
+    nm "$1" | grep -c trio_obs || true
+}
+
 # One line per gate: its title on the way in, the host seconds it took on
 # the way out (the gate's own clock; EXPERIMENTS.md keeps a measured row).
 # A stage given a ceiling in host seconds ($2) fails the gate when it takes
@@ -76,8 +88,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 stage "xtask lint"
 # Project-specific static pass (DESIGN.md §13, §14): raw-device-access,
-# no-std-sync, safety-comment, flush-fence, no-panic. Must be clean on
-# the workspace and must still flag every rule on its fixture crate.
+# no-std-sync, safety-comment, flush-fence, no-panic and the rules after
+# them. Must be clean on the workspace and must still flag every rule on
+# its fixture crate. Zero cost when obs is off is not a lint rule: the obs
+# stage below checks it on the built binary.
 cargo xtask lint
 if cargo xtask lint crates/xtask/fixtures/lint-fixture > /dev/null 2>&1; then
     echo "FAIL: xtask lint did not flag the rule-violating fixture." >&2
@@ -99,9 +113,10 @@ stage "typestate compile-fail fixture"
 cargo xtask typestate-check
 
 stage "the other feature leg, --no-default-features"
-# Everything but tests/obs_timeline.rs builds and passes without the span
-# weave.
-cargo test -q --no-default-features
+# Everything but tests/obs_timeline.rs builds and passes with recording
+# compiled out of trio-obs itself, and trio-obs's own off-state test checks
+# that its entry points then record nothing.
+cargo test -q --no-default-features -p trio-repro -p trio-obs
 
 # The three campaigns below run on one campaign driver (tests/common/campaign.rs):
 # TRIO_ITERS sizes each, every iteration ends on the MMU audit and the
@@ -138,14 +153,29 @@ stage "media campaign: patrol routes + 500 seeded faults" 60
 # 0.00%-delta check — no patrol thread exists unless a workload asks for one.
 TRIO_ITERS=500 cargo test -q --release --test media_campaign
 
-stage "obs-on bench leaves a flight-recorder timeline"
+stage "obs: no trio_obs symbol when off, a flight-recorder timeline when on"
+# Zero cost when off (DESIGN.md §15), proved on the binary: the obs-off
+# release bench_datapath holds no trio_obs symbol, because trio-obs's
+# recording entry points inline to nothing without its `record` feature.
+# The obs-on build must hold some, so the check cannot pass vacuously.
+off_exe=$(bench_datapath_exe)
+on_exe=$(bench_datapath_exe --features obs)
+test -x "$off_exe" && test -x "$on_exe"
+off_symbols=$(obs_symbols "$off_exe")
+on_symbols=$(obs_symbols "$on_exe")
+if [ "$off_symbols" -ne 0 ]; then
+    echo "FAIL: the obs-off bench_datapath holds $off_symbols trio_obs symbols." >&2
+    exit 1
+fi
+if [ "$on_symbols" -eq 0 ]; then
+    echo "FAIL: the obs-on bench_datapath holds no trio_obs symbol; the check above proves nothing." >&2
+    exit 1
+fi
+echo "OK: trio_obs symbols in bench_datapath: 0 obs-off, $on_symbols obs-on."
 # With the 'obs' feature on, bench_datapath leaves target/obs-timeline.json
-# behind (DESIGN.md §15) and asserts what it holds: events, and per-stage
-# histograms covering at least the ring hop and the worker service stage
+# behind and asserts what it holds: events, and per-stage histograms
+# covering at least the ring hop and the worker service stage
 # (tests/obs_timeline.rs puts the same serializer through a real parser).
-# The obs-off half of the gate is the xtask obs-gate lint above: no crate
-# outside its obs.rs shim may reference trio_obs, so the standalone obs-off
-# bench build stays symbol-free.
 rm -f target/obs-timeline.json
 TRIO_BENCH_OUT=/tmp/trio_obs_bench.$$ TRIO_SCALE=16 \
     cargo bench -p trio-bench --features obs --bench bench_datapath > /dev/null

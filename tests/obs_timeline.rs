@@ -239,6 +239,30 @@ fn assert_span(spans: &[(String, String, String)], kind: &str, stage: &str, phas
     );
 }
 
+/// Asserts every numa-transfer span in the timeline has width: its open
+/// is stamped when the transfer starts, before its close. A worker writes
+/// the two events back to back, so a close's open is the event before it.
+fn assert_transfers_open_before_close(timeline: &Json) {
+    let events = timeline.get("events").expect("events key").arr();
+    let field = |e: &Json, k: &str| e.get(k).unwrap().str().to_string();
+    let mut spans = 0;
+    for w in events.windows(2) {
+        let (open, close) = (&w[0], &w[1]);
+        if field(close, "stage") != "numa-transfer" || field(close, "phase") != "close" {
+            continue;
+        }
+        assert_eq!(field(open, "stage"), "numa-transfer");
+        assert_eq!(field(open, "phase"), "open");
+        let op = close.get("op").unwrap().num();
+        assert_eq!(open.get("op").unwrap().num(), op);
+        let t_open = open.get("t_ns").unwrap().num();
+        let t_close = close.get("t_ns").unwrap().num();
+        assert!(t_open < t_close, "op {op}: numa-transfer opens at {t_open}, closes at {t_close}");
+        spans += 1;
+    }
+    assert!(spans > 0, "timeline holds no numa-transfer span");
+}
+
 /// Scenario A's world at seed 7, driving the pool directly (the LibFS
 /// layer would fall back and emit a `delegation-fallback` dump on top): one
 /// healthy 64 KiB delegated write for the full submit → service → reply
@@ -313,6 +337,7 @@ fn forced_failures_auto_dump_replayable_timelines() {
     assert_span(&spans, "write", "worker-service", "close");
     assert_span(&spans, "write", "numa-transfer", "close");
     assert_span(&spans, "write", "ring-hop", "close");
+    assert_transfers_open_before_close(&timeline);
     // Stage histograms rode along and parse as objects with percentiles.
     let stages = timeline.get("stages").expect("stages key");
     let hop = stages.get("write/ring-hop").expect("ring-hop histogram");
@@ -373,6 +398,7 @@ fn forced_failures_auto_dump_replayable_timelines() {
     assert_span(&spans, "write", "ring-hop", "close");
     assert_span(&spans, "verify", "verifier-walk", "open");
     assert_span(&spans, "verify", "verifier-walk", "close");
+    assert_transfers_open_before_close(&timeline);
 
     // --- Scenario C: same seed, same timeline. -----------------------------
     // The determinism oracle: scenario A's healthy write, run twice from a
