@@ -166,12 +166,10 @@ fn main() {
         [
             loaded_snap.worker_deaths,
             loaded_snap.worker_restarts,
-            loaded_snap.deleg_redispatches,
-            loaded_snap.deleg_dedup_hits,
             loaded_snap.degraded_enters,
             loaded_snap.degraded_exits,
         ],
-        [0; 6],
+        [0; 4],
         "watchdog counters moved in a fault-free run: {loaded_snap:?}"
     );
     // Refills, frees, spills and grant churn run without the registry

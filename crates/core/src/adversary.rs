@@ -368,7 +368,6 @@ pub fn run_mutation(
             let req = |reply| DelegReq {
                 actor: fs.actor(),
                 op_id: 0,
-                seq: 0,
                 runs: vec![DelegRun {
                     pages: vec![page],
                     start: 0,
@@ -388,7 +387,6 @@ pub fn run_mutation(
             let req = |reply| DelegReq {
                 actor: fs.actor(),
                 op_id: 0,
-                seq: 0,
                 runs: vec![DelegRun {
                     pages: vec![page],
                     start: 0,
@@ -410,7 +408,6 @@ pub fn run_mutation(
             let req = |reply| DelegReq {
                 actor: fs.actor(),
                 op_id: 0,
-                seq: 0,
                 runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128 }],
                 grant: Some(gref),
                 tag: 0,
@@ -427,7 +424,6 @@ pub fn run_mutation(
             let req = |reply| DelegReq {
                 actor: fs.actor(),
                 op_id: 0,
-                seq: 0,
                 runs: runs.clone(),
                 grant: None,
                 tag: 0,
@@ -449,7 +445,6 @@ pub fn run_mutation(
             let req = |reply| DelegReq {
                 actor: fs.actor(),
                 op_id: 0,
-                seq: 0,
                 runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128 }],
                 grant: Some(gref),
                 tag: 0,
@@ -478,7 +473,6 @@ pub fn run_mutation(
             let req = |reply| DelegReq {
                 actor: fs.actor(),
                 op_id: 0,
-                seq: 0,
                 runs: vec![DelegRun { pages: vec![page], start: 0, payload: 0..128 }],
                 grant: Some(gref),
                 tag: 0,

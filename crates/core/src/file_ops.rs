@@ -314,10 +314,10 @@ impl ArckFs {
     fn rw_extent_write(&self, pages: &[PageId], start: usize, src: &WriteSrc<'_>) -> FsResult<()> {
         if self.route_delegated(pages, src.data.len(), true) {
             // Same protocol as reads. Retrying a possibly-executed write
-            // is safe twice over: the bytes are idempotent (same data,
-            // same location), and the pool's per-op idempotence token
-            // makes the application exactly-once even when a worker died
-            // after applying but before replying.
+            // is safe: every copy carries the bytes of one op-window
+            // snapshot for the same place, and the op's revoke drains any
+            // copy still in flight before the pool returns, so nothing
+            // lands after the direct fallback below.
             let pool = self.kernel.delegation();
             // Registered buffers submit by reference (the grant window);
             // only the legacy slice path materializes a transient grant.

@@ -37,28 +37,26 @@
 //!
 //! # Failure domains (DESIGN.md §16)
 //!
-//! The pool is also a failure domain. Each worker carries a death flag
-//! and an in-flight slot; [`DelegationPool::watchdog_scan`] (invoked from
-//! every client deadline miss, and callable directly) reaps workers whose
-//! flag is set, re-dispatches the orphaned request to a healthy ring, and
-//! respawns the worker on its original ring. Writes carry a monotonic
-//! `(actor, seq)` idempotence token: a worker records the token only
-//! *after* the full request applied, and a re-dispatched or retried write
-//! whose token is already recorded is acknowledged without touching media
-//! — exactly-once application even when the first worker died between
-//! apply and reply. Under sustained failure or ring backpressure the pool
+//! The pool is also a failure domain. Each worker carries a death flag;
+//! [`DelegationPool::watchdog_scan`] (invoked from every client deadline
+//! miss, and callable directly) reaps workers whose flag is set and
+//! respawns each on its original ring. A dead worker's request is not
+//! re-dispatched: the client's own retry, after its deadline, is the one
+//! recovery path. A retried write is safe however much of the first copy
+//! landed — every copy carries the bytes of one op-window snapshot, and
+//! the op's revoke drains or refuses any copy before the op returns
+//! (DESIGN.md §16). Under sustained failure or ring backpressure the pool
 //! enters a [`DegradedMode`] that sheds delegation to direct access,
 //! probing periodically so recovery re-promotes traffic. That breaker is
 //! the pool's one load-shedding rule.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use trio_nvm::{ActorId, NvmDevice, NvmHandle, PageId, PathStats, ProtError, PAGE_SIZE};
 use trio_sim::plock::Mutex as PlMutex;
 use trio_sim::sync::{RecvDeadline, SimChannel};
-use trio_sim::{in_sim, now, now_or_zero, spawn, DetHashSet, JoinHandle, Nanos};
+use trio_sim::{in_sim, now, now_or_zero, spawn, JoinHandle, Nanos};
 
 use crate::grant::{GrantRef, GrantTable};
 use crate::registry::KernelEvent;
@@ -94,11 +92,6 @@ const MAX_RUNS_PER_REQ: usize = 4096;
 /// the delegation thread, so an unchecked read range is a kernel-side
 /// allocation bomb.
 const MAX_BYTES_PER_REQ: usize = 64 << 20;
-
-/// Idempotence-token window: the most recently recorded write tokens the
-/// pool remembers. Sized far past any plausible in-flight retry horizon
-/// (tokens only matter while the op that minted them can still retry).
-const IDEM_WINDOW: usize = 8192;
 
 /// Consecutive whole-op delegation failures that trip degraded mode.
 const DEGRADE_AFTER_FAILURES: u64 = 3;
@@ -173,20 +166,13 @@ pub struct DelegReq {
     /// echo it into their span events so a timeline can stitch the
     /// client-side submit to the worker-side service.
     pub op_id: u64,
-    /// Idempotence token: monotonic per-pool write sequence (0 = none;
-    /// reads and raw submissions carry 0). Together with `actor` and
-    /// `tag` it names one batch of one write op; a worker records the
-    /// token after applying and skips any re-dispatch/retry that carries
-    /// an already-recorded token, so a write applies exactly once even
-    /// if the worker that applied it died before replying.
-    pub seq: u64,
     /// Node-contiguous runs, in extent order.
     pub runs: Vec<DelegRun>,
     /// For writes: the grant window holding the op's payload. Run payload
     /// ranges index *within* this window. The worker re-validates the
     /// grant (owner, epoch, bounds) on every dispatch and reads the bytes
     /// straight from the granted buffer — nothing is copied, and retries
-    /// and re-dispatches carry only this reference.
+    /// carry only this reference.
     pub grant: Option<GrantRef>,
     /// Which batch of the op this is; echoed in the reply.
     pub tag: usize,
@@ -197,10 +183,11 @@ pub struct DelegReq {
 /// Why a deadline-bounded delegated access did not complete.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DelegationError {
-    /// No reply arrived before the deadline (a delegation thread stalled
-    /// or dropped the request). The access may or may not have executed;
-    /// callers retry or fall back to direct access — both are safe because
-    /// a delegated write is idempotent (same bytes, same location).
+    /// No reply arrived before the deadline (a delegation thread stalled,
+    /// died, or dropped the request). The access may or may not have
+    /// executed, wholly or in part; the caller falls back to direct access.
+    /// For a write that is safe because the op's revoke has drained every
+    /// copy, and the direct write puts the same bytes in the same place.
     Timeout,
     /// The delegated access executed and faulted.
     Fault(ProtError),
@@ -216,17 +203,18 @@ impl std::fmt::Display for DelegationError {
 }
 
 /// Where inside request servicing a delegation worker is killed. The
-/// three points bracket the idempotence window: `AfterPop` dies before
-/// any byte is applied, `MidPayload` dies with the request partially
-/// applied (token not yet recorded), `BeforeReply` dies with everything
-/// applied and the idempotence token recorded but the reply unsent.
+/// three points cover how much of a request can land before its reply is
+/// lost: `AfterPop` dies before any byte is applied, `MidPayload` dies
+/// with the request partially applied, `BeforeReply` dies with everything
+/// applied but the reply unsent. In each case the client's retry serves
+/// the request again, whole.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerKillPoint {
     /// Immediately after popping the request off the ring.
     AfterPop = 0,
     /// After applying the first run of a multi-run payload.
     MidPayload = 1,
-    /// After full application (and token record), before the reply send.
+    /// After full application, before the reply send.
     BeforeReply = 2,
 }
 
@@ -310,8 +298,8 @@ impl Default for DelegationFaults {
 
 impl DelegationFaults {
     /// Per-request kill decision, made right after the ring pop. The
-    /// armed one-shot plan disarms itself when it fires so the respawned
-    /// worker serves the re-dispatch instead of dying again.
+    /// armed one-shot plan disarms itself when it fires so the client's
+    /// retry is served instead of dying again.
     fn take_kill(&self) -> Option<WorkerKillPoint> {
         let n = self.served.fetch_add(1, Ordering::Relaxed);
         if self.kill_at_request.load(Ordering::Relaxed) == n {
@@ -338,9 +326,9 @@ struct Batch {
     done: bool,
 }
 
-/// One delegation worker's kernel-side health record. The worker parks the
-/// request it is serving in `inflight`; a killed worker sets `died` and
-/// returns, leaving the orphan behind for the watchdog.
+/// One delegation worker's kernel-side health record. A killed worker sets
+/// `died` and returns; its request is lost with it, and the client that
+/// sent it retries after its deadline.
 struct WorkerState {
     node: usize,
     /// Ring index within the node (stable across respawns).
@@ -351,8 +339,6 @@ struct WorkerState {
     died: AtomicBool,
     /// Virtual time of death, for recovery-latency accounting.
     died_at: AtomicU64,
-    /// The request being serviced, if any; a dead worker's orphan.
-    inflight: PlMutex<Option<DelegReq>>,
 }
 
 impl WorkerState {
@@ -363,40 +349,14 @@ impl WorkerState {
             ring,
             died: AtomicBool::new(false),
             died_at: AtomicU64::new(0),
-            inflight: PlMutex::new(None),
         }
     }
 
     /// Marks this worker dead. Called by the worker itself at a kill
-    /// point; the in-flight slot is deliberately left populated — that is
-    /// the orphan the watchdog re-dispatches.
+    /// point.
     fn die(&self) {
         self.died_at.store(now_or_zero(), Ordering::Relaxed);
         self.died.store(true, Ordering::Release);
-    }
-}
-
-/// Bounded-window idempotence-token table (see [`DelegReq::seq`]).
-#[derive(Default)]
-struct IdemTable {
-    set: DetHashSet<(u64, u64, usize)>,
-    order: VecDeque<(u64, u64, usize)>,
-}
-
-impl IdemTable {
-    fn contains(&self, key: &(u64, u64, usize)) -> bool {
-        self.set.contains(key)
-    }
-
-    fn record(&mut self, key: (u64, u64, usize)) {
-        if self.set.insert(key) {
-            self.order.push_back(key);
-            if self.order.len() > IDEM_WINDOW {
-                if let Some(old) = self.order.pop_front() {
-                    self.set.remove(&old);
-                }
-            }
-        }
     }
 }
 
@@ -438,9 +398,6 @@ pub struct DelegationPool {
     reply_pool: PlMutex<Vec<Arc<SimChannel<DelegReply>>>>,
     /// One health record per worker, flattened node-major.
     workers: Vec<Arc<WorkerState>>,
-    /// Monotonic write-sequence source for idempotence tokens.
-    next_seq: AtomicU64,
-    idem: Arc<PlMutex<IdemTable>>,
     /// Live grant windows; shared with every worker for per-dispatch
     /// re-validation.
     grants: Arc<GrantTable>,
@@ -497,8 +454,6 @@ impl DelegationPool {
             stats,
             reply_pool: PlMutex::new(Vec::new()),
             workers,
-            next_seq: AtomicU64::new(0),
-            idem: Arc::new(PlMutex::new(IdemTable::default())),
             grants,
             health: Health::default(),
             events,
@@ -528,8 +483,8 @@ impl DelegationPool {
 
     /// Arms a one-shot worker-kill plan: the worker that pops the
     /// `plan.at_request`-th request (0-based, global pop order) dies at
-    /// `plan.point`. The plan disarms when it fires, so the re-dispatch
-    /// and any client retry are served by healthy workers.
+    /// `plan.point`. The plan disarms when it fires, so the client's retry
+    /// is served by a healthy worker.
     pub fn arm_worker_kill(&self, plan: WorkerKillPlan) {
         self.faults.kill_point.store(plan.point as u8, Ordering::Relaxed);
         self.faults.kill_at_request.store(plan.at_request, Ordering::Relaxed);
@@ -557,19 +512,15 @@ impl DelegationPool {
     fn spawn_worker(&self, ws: Arc<WorkerState>) -> JoinHandle {
         let dev = Arc::clone(&self.dev);
         let stats = Arc::clone(&self.stats);
-        let idem = Arc::clone(&self.idem);
         let grants = Arc::clone(&self.grants);
         let faults = Arc::clone(&self.faults);
         spawn("delegation", move || {
             trio_nvm::handle::set_home_node(ws.node);
             while let Some(req) = ws.ring.recv() {
-                // In-flight parking: the orphan the watchdog re-dispatches
-                // if this worker dies.
-                *ws.inflight.lock() = Some(req.clone());
                 let kill = faults.take_kill();
                 if kill == Some(WorkerKillPoint::AfterPop) {
-                    // Dies with nothing applied: the orphan re-dispatch
-                    // must run the request from scratch.
+                    // Dies with nothing applied: the client's retry runs
+                    // the request from scratch.
                     ws.die();
                     return;
                 }
@@ -582,29 +533,16 @@ impl DelegationPool {
                     // A wedged thread: the request vanishes and no
                     // reply is ever sent. Clients must use the
                     // deadline-bounded entry points to survive this.
-                    // Not an orphan — the thread lives on — so the
-                    // in-flight slot is cleared.
-                    *ws.inflight.lock() = None;
                     continue;
                 }
                 if let Err(e) = validate_req(&req) {
                     stats.record_deleg_rejected();
                     let _ = req.reply.send((req.tag, Err(e)));
-                    *ws.inflight.lock() = None;
                     continue;
                 }
                 let is_write = req.grant.is_some();
-                let key = (req.actor.0 as u64, req.seq, req.tag);
-                if is_write && req.seq != 0 && idem.lock().contains(&key) {
-                    // Already applied by a previous incarnation that died
-                    // before replying: acknowledge without touching media.
-                    stats.record_dedup_hit();
-                    let _ = req.reply.send((req.tag, Ok(None)));
-                    *ws.inflight.lock() = None;
-                    continue;
-                }
-                // Grant admission runs on *every* dispatch — first send,
-                // client retry, watchdog re-dispatch — so a window whose
+                // Grant admission runs on *every* dispatch — first send or
+                // client retry — so a window whose
                 // backing buffer was revoked, unregistered, or mutated
                 // (epoch bumped) in the meantime faults here instead of
                 // being read stale.
@@ -614,7 +552,6 @@ impl DelegationPool {
                         Err(e) => {
                             stats.record_grant_fault();
                             let _ = req.reply.send((req.tag, Err(e)));
-                            *ws.inflight.lock() = None;
                             continue;
                         }
                     },
@@ -652,9 +589,8 @@ impl DelegationPool {
                             }
                             stats.record_checksummed_bytes(data.len());
                             if i == 0 && kill == Some(WorkerKillPoint::MidPayload) {
-                                // Dies with the first run applied and the
-                                // token NOT recorded: the re-dispatch
-                                // re-applies the same bytes (idempotent).
+                                // Dies with the first run applied: the
+                                // client's retry re-applies the same bytes.
                                 killed_mid = true;
                                 break;
                             }
@@ -721,31 +657,25 @@ impl DelegationPool {
                     // pass's bytes (stale or not) are on media.
                     grants.unpin(g.grant_id);
                 }
-                if is_write && req.seq != 0 && result.is_ok() {
-                    // Token records only after the full apply: a death
-                    // before this line re-applies (byte-idempotent), a
-                    // death after it dedups.
-                    idem.lock().record(key);
-                }
                 if kill == Some(WorkerKillPoint::BeforeReply) {
-                    // Dies with everything applied and the token recorded
-                    // but the client still waiting: the re-dispatch must
-                    // reply via the dedup path without re-applying.
+                    // Dies with everything applied but the client still
+                    // waiting: the client's retry applies the same bytes
+                    // again, under the same live op window.
                     ws.die();
                     return;
                 }
                 let _ = req.reply.send((req.tag, result));
-                *ws.inflight.lock() = None;
             }
         })
     }
 
     /// Watchdog pass over every worker: for each worker whose death flag is
-    /// set (the sim analogue of a `waitpid` reap), re-dispatches its
-    /// orphaned in-flight request to a healthy ring and respawns the worker
-    /// on its original ring. Invoked from every client deadline miss — a
-    /// dead worker is detected within one retry window — and callable
-    /// directly by harnesses. Returns the number of deaths handled.
+    /// set (the sim analogue of a `waitpid` reap), respawns the worker on
+    /// its original ring. Invoked from every client deadline miss — a dead
+    /// worker is detected within one retry window — and callable directly
+    /// by harnesses. Returns the number of deaths handled. The request the
+    /// worker died with is not re-sent from here: its client re-submits it
+    /// when its own deadline passes.
     ///
     /// Workers that are merely wedged (alive but not replying — the drop
     /// fault) are left alone: killing a live thread is not modelled, and
@@ -757,15 +687,11 @@ impl DelegationPool {
                 continue;
             }
             deaths += 1;
-            let orphan = ws.inflight.lock().take();
             self.stats.record_worker_death();
             crate::obs::worker_death(ws.node, ws.index as u64);
             self.push_event(KernelEvent::WorkerDied { node: ws.node, worker: ws.index });
             self.note_op_failure();
-            // Respawn first so the orphan can even land back on this
-            // worker's own ring without waiting for a third party.
-            let restarted = in_sim() && !self.shutting_down.load(Ordering::Relaxed);
-            if restarted {
+            if in_sim() && !self.shutting_down.load(Ordering::Relaxed) {
                 ws.died.store(false, Ordering::Release);
                 let _ = self.spawn_worker(Arc::clone(ws));
                 self.stats.record_worker_restart();
@@ -773,18 +699,6 @@ impl DelegationPool {
                 self.recovery_ns.lock().push(rec);
                 crate::obs::worker_restart(ws.node, ws.index as u64, rec);
                 self.push_event(KernelEvent::WorkerRestarted { node: ws.node, worker: ws.index });
-            }
-            if let Some(req) = orphan {
-                // Best-effort re-dispatch; a full ring drops the orphan
-                // (the client's own retry covers it — double-enqueue is
-                // safe either way thanks to the idempotence token).
-                match self.ring_for(ws.node).try_send(req) {
-                    Ok(()) => {
-                        self.stats.record_redispatch();
-                        crate::obs::redispatch(ws.node, ws.index as u64);
-                    }
-                    Err(_) => self.stats.record_ring_backpressure(),
-                }
             }
         }
         deaths
@@ -920,10 +834,9 @@ impl DelegationPool {
     /// Returns a reply ring to the pool. Callers may only do this when
     /// every submitted batch was received — an abandoned ring with
     /// stragglers in flight must be dropped instead, or a late reply
-    /// would bleed into the next op. (The watchdog's re-dispatches keep
-    /// this sound: a re-dispatch only exists because the original worker
-    /// died without replying, so total replies never exceed the client's
-    /// own submissions.)
+    /// would bleed into the next op. (Only the client sends, and each
+    /// send gets at most one reply, so replies never exceed its own
+    /// submissions.)
     fn put_reply(&self, ch: Arc<SimChannel<DelegReply>>) {
         debug_assert!(ch.is_empty());
         let mut pool = self.reply_pool.lock();
@@ -993,7 +906,6 @@ impl DelegationPool {
         len: usize,
         grant: Option<&GrantRef>,
         reply: &Arc<SimChannel<DelegReply>>,
-        seq: u64,
     ) -> Vec<Batch> {
         let mut batches: Vec<Batch> = Vec::new();
         let mut next_slot: Vec<usize> = vec![0; self.rings.len()];
@@ -1032,7 +944,6 @@ impl DelegationPool {
                         req: DelegReq {
                             actor,
                             op_id: crate::obs::current_op(),
-                            seq,
                             runs: vec![run],
                             grant: grant.copied(),
                             tag: batches.len(),
@@ -1127,12 +1038,8 @@ impl DelegationPool {
         if len == 0 {
             return Ok(());
         }
-        // Idempotence tokens are minted per write op and shared by all of
-        // its batches (the batch tag disambiguates them).
-        let seq =
-            if grant.is_some() { self.next_seq.fetch_add(1, Ordering::Relaxed) + 1 } else { 0 };
         let reply = self.take_reply();
-        let mut batches = self.build_batches(actor, pages, start, len, grant, &reply, seq);
+        let mut batches = self.build_batches(actor, pages, start, len, grant, &reply);
         let mut sent = 0u64;
         let mut received = 0u64;
         let mut fault: Option<ProtError> = None;
@@ -1231,11 +1138,13 @@ impl DelegationPool {
                         if attempt >= budget {
                             break 'attempts;
                         }
-                        // A dead worker may be holding one of our batches
-                        // hostage: reap, re-dispatch its orphan, respawn —
-                        // then re-enqueue whatever is still missing (the
-                        // shared payload rides along untouched; a double
-                        // enqueue is defused by the idempotence token).
+                        // A dead worker may have taken one of our batches
+                        // with it: reap and respawn, then re-enqueue
+                        // whatever is still missing. This is the one
+                        // recovery path. The shared payload rides along
+                        // untouched, and a copy of a batch that is still
+                        // in flight carries the same bytes for the same
+                        // place.
                         self.watchdog_scan();
                         for b in batches.iter_mut().filter(|b| !b.done) {
                             self.stats.record_retry();
@@ -1310,7 +1219,7 @@ impl DelegationPool {
     /// by the [`RetryPolicy`] instead of hanging on a stalled, wedged, or
     /// dead delegation thread. Each retry window is recomputed from the
     /// bytes still outstanding and runs a watchdog scan first; retries
-    /// re-enqueue only the [`GrantRef`], and every re-dispatch re-resolves
+    /// re-enqueue only the [`GrantRef`], and every dispatch re-resolves
     /// it. Outside the simulation there is no virtual clock (and no
     /// injected fault can fire), so this degrades to the blocking variant.
     pub fn try_write_extent_granted(
@@ -1324,8 +1233,8 @@ impl DelegationPool {
         // The op dispatches an op-scoped child of `gref` and revokes it on
         // the way out: the revoke is a drain barrier, so when this returns
         // (success, fault, or timeout-then-fallback) no worker is still
-        // reading the window — a straggling duplicate can never re-apply
-        // stale bytes over whatever the caller writes next.
+        // reading the window — a straggling copy of a retried batch can
+        // never re-apply stale bytes over whatever the caller writes next.
         let op = self.grants.op_window(actor, &gref).map_err(DelegationError::Fault)?;
         let r = self.run_batches(actor, pages, start, op.len, Some(&op), None, Some(policy));
         self.grants.revoke(actor, op.grant_id);
@@ -1384,7 +1293,6 @@ mod tests {
         let req = |payload: std::ops::Range<usize>, grant: Option<GrantRef>| DelegReq {
             actor: ActorId(1),
             op_id: 0,
-            seq: 0,
             runs: vec![DelegRun { pages: vec![PageId(9)], start: 0, payload }],
             grant,
             tag: 0,

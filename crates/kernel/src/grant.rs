@@ -10,17 +10,16 @@
 //!
 //! The table is the trust boundary. Requests arrive over shared-memory
 //! rings a hostile LibFS can write directly, so a worker re-validates the
-//! grant on **every** dispatch — including the watchdog's orphan
-//! re-dispatches and client retries — checking existence, ownership,
-//! epoch, and window bounds before touching a byte, and re-checks the
-//! epoch after its pass. A submitter that mutates ([`GrantTable::update`]
-//! bumps the epoch), revokes, or unregisters a granted region mid-flight
-//! gets a clean [`ProtError::GrantRevoked`] instead of a torn write; a
-//! forged or foreign id gets the same. Revocation is tied to every exit
-//! path: op completion (transient grants), fallback-to-direct, LibFS
-//! unregister, and quarantine all pull the grant, so a dead worker's
-//! re-dispatched orphan can never read a buffer its owner has moved on
-//! from.
+//! grant on **every** dispatch — first sends and client retries alike —
+//! checking existence, ownership, epoch, and window bounds before touching
+//! a byte, and re-checks the epoch after its pass. A submitter that
+//! mutates ([`GrantTable::update`] bumps the epoch), revokes, or
+//! unregisters a granted region mid-flight gets a clean
+//! [`ProtError::GrantRevoked`] instead of a torn write; a forged or
+//! foreign id gets the same. Revocation is tied to every exit path: op
+//! completion (transient grants), fallback-to-direct, LibFS unregister,
+//! and quarantine all pull the grant, so a straggling copy of a retried
+//! request can never read a buffer its owner has moved on from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -183,8 +182,8 @@ impl GrantTable {
     /// LibFS cannot pull another's grants out from under its workers.
     ///
     /// Revocation is a **barrier**, not just a table delete. The grant is
-    /// first marked dying — every subsequent [`Self::resolve`] (a client
-    /// retry, a watchdog re-dispatch of an orphan) faults with
+    /// first marked dying — every subsequent [`Self::resolve`] (say, a
+    /// client retry's copy still queued on a ring) faults with
     /// [`ProtError::GrantRevoked`] — and then the call waits for already-
     /// admitted passes to unpin. Once `revoke` returns, no worker holds a
     /// snapshot of the window: whatever a straggling duplicate wrote has
@@ -250,9 +249,9 @@ impl GrantTable {
     /// lifetime is exactly one delegated op. The submit path dispatches
     /// the child, and revokes it the moment the op returns; since
     /// revocation drains pinned passes, that revoke is the op's
-    /// completion fence — no straggling duplicate (client retry, watchdog
-    /// re-dispatch) can still be reading the window after the op has
-    /// returned, even when the parent grant lives on for the next write.
+    /// completion fence — no straggling copy of a retried batch can still
+    /// be reading the window after the op has returned, even when the
+    /// parent grant lives on for the next write.
     pub(crate) fn op_window(&self, actor: ActorId, gref: &GrantRef) -> Result<GrantRef, ProtError> {
         let data = {
             let entries = self.shard_of(gref.grant_id).lock();
@@ -272,8 +271,8 @@ impl GrantTable {
     /// Worker-side admission: full re-validation of `gref` as presented by
     /// the (untrusted) ring, returning a consistent snapshot of the
     /// granted buffer. Checks existence, ownership, epoch, and that the
-    /// window fits the buffer. Runs on every dispatch — first send,
-    /// client retry, or watchdog re-dispatch alike.
+    /// window fits the buffer. Runs on every dispatch — first send or
+    /// client retry alike.
     ///
     /// A successful resolve **pins** the grant: the worker holds the pin
     /// across its media pass and must release it with [`Self::unpin`]
@@ -323,8 +322,8 @@ impl GrantTable {
 /// Compatibility entry points that take a plain byte slice. These sit
 /// *outside* the zero-copy submit path (and outside its lint scope): they
 /// materialize the payload into a **transient grant** — exactly one
-/// accounted copy per op, shared untouched across every batch, retry, and
-/// re-dispatch — and revoke it on the way out, success or not. Legacy
+/// accounted copy per op, shared untouched across every batch and retry —
+/// and revoke it on the way out, success or not. Legacy
 /// callers (the OdinFS baseline, hostile-endpoint tests, the LibFS's
 /// unregistered-buffer fallback) keep their slice-based API; the fio hot
 /// path uses registered buffers and never comes through here.
@@ -355,8 +354,8 @@ impl DelegationPool {
 
     /// Deadline-bounded delegated write from a plain slice; the transient
     /// grant lives exactly as long as the op (retries included) and is
-    /// revoked before any fallback-to-direct can run, so a late orphan
-    /// re-dispatch faults cleanly instead of re-reading a buffer the
+    /// revoked before any fallback-to-direct can run, so a late copy of a
+    /// retried batch faults cleanly instead of re-reading a buffer the
     /// client has moved on from.
     pub fn try_write_extent(
         &self,

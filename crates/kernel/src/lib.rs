@@ -578,9 +578,9 @@ impl KernelController {
     pub fn unregister(&self, actor: ActorId) {
         self.trap();
         // Pull every grant window the actor registered: a delegation
-        // worker (or watchdog re-dispatch) that touches one of its
-        // requests after this point faults cleanly instead of reading a
-        // buffer whose owner is gone.
+        // worker (serving a first send or a client retry) that touches one
+        // of its requests after this point faults cleanly instead of
+        // reading a buffer whose owner is gone.
         self.delegation.grants().revoke_actor(actor);
         // From here on the actor can allocate nothing.
         self.alloc.forget_actor(actor);

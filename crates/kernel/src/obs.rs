@@ -127,12 +127,6 @@ pub(crate) fn worker_restart(node: usize, worker: u64, recovery_ns: u64) {
     record_latency(OpKind::Harness, Stage::Failover, recovery_ns);
 }
 
-/// A dead worker's orphaned request was re-dispatched to a live ring.
-#[inline]
-pub(crate) fn redispatch(node: usize, worker: u64) {
-    event(0, OpKind::Harness, Stage::Retry, Phase::Close, worker, node as u32, 0);
-}
-
 /// The pool entered degraded mode after `failures` consecutive
 /// failures. Distinguished from worker deaths by `actor == u64::MAX`.
 #[inline]

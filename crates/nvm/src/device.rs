@@ -151,7 +151,7 @@ impl NvmDevice {
 
     /// Copies out of a page with a permission check, without charging time
     /// (the caller charges per extent). `off + buf.len()` must fit the page.
-    pub fn copy_from_page(
+    pub(crate) fn copy_from_page(
         &self,
         actor: ActorId,
         page: PageId,
@@ -176,7 +176,7 @@ impl NvmDevice {
     }
 
     /// Copies into a page with a permission check, without charging time.
-    pub fn copy_to_page(
+    pub(crate) fn copy_to_page(
         &self,
         actor: ActorId,
         page: PageId,
@@ -192,7 +192,7 @@ impl NvmDevice {
     /// describing someone else's bytes. `Some` requires a full-page store —
     /// the checksum covers the whole page, so a partial store cannot vouch
     /// for bytes it did not write.
-    pub fn copy_to_page_csum(
+    pub(crate) fn copy_to_page_csum(
         &self,
         actor: ActorId,
         page: PageId,

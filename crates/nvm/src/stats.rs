@@ -197,11 +197,6 @@ trio_sim::counters! {
         worker_deaths,
         /// Dead workers respawned by the watchdog.
         worker_restarts,
-        /// Orphaned in-flight requests re-dispatched after a worker death.
-        deleg_redispatches,
-        /// Write requests skipped because their idempotence token was already
-        /// recorded (the dead worker had applied them before dying).
-        deleg_dedup_hits,
         /// Transitions into degraded (direct-access) mode.
         degraded_enters,
         /// Transitions back out of degraded mode.
@@ -379,19 +374,6 @@ impl PathStats {
         Self::bump(&self.worker_restarts, 1);
     }
 
-    /// An orphaned request was re-dispatched to a healthy ring.
-    #[inline]
-    pub fn record_redispatch(&self) {
-        Self::bump(&self.deleg_redispatches, 1);
-    }
-
-    /// A retried write was skipped: its idempotence token was already
-    /// recorded, so the bytes are on media.
-    #[inline]
-    pub fn record_dedup_hit(&self) {
-        Self::bump(&self.deleg_dedup_hits, 1);
-    }
-
     /// The pool entered or left degraded (direct-access) mode.
     #[inline]
     pub fn record_degraded(&self, entered: bool) {
@@ -525,8 +507,6 @@ mod tests {
         s.record_event_dropped();
         s.record_worker_death();
         s.record_worker_restart();
-        s.record_redispatch();
-        s.record_dedup_hit();
         s.record_degraded(true);
         s.record_degraded(false);
         s.record_refill_retry();
@@ -564,8 +544,6 @@ mod tests {
         assert_eq!(snap.events_dropped, 1);
         assert_eq!(snap.worker_deaths, 1);
         assert_eq!(snap.worker_restarts, 1);
-        assert_eq!(snap.deleg_redispatches, 1);
-        assert_eq!(snap.deleg_dedup_hits, 1);
         assert_eq!(snap.degraded_enters, 1);
         assert_eq!(snap.degraded_exits, 1);
         assert_eq!(snap.refill_retries, 1);

@@ -4,21 +4,10 @@
 
 use std::sync::Mutex; // trips no-std-sync
 
-pub struct Dev;
-impl Dev {
-    pub fn copy_from_page(&self, _p: u64, _o: usize, _b: &mut [u8]) {}
-    pub fn copy_to_page(&self, _p: u64, _o: usize, _b: &[u8]) {}
-}
-
 pub struct H;
 impl H {
     pub fn flush(&self, _p: u64, _o: usize, _l: usize) {}
     pub fn fence(&self) {}
-}
-
-pub fn raw_access(dev: &Dev, buf: &mut [u8]) {
-    dev.copy_from_page(0, 0, buf); // trips raw-device-access
-    dev.copy_to_page(0, 0, buf); // trips raw-device-access
 }
 
 pub fn spawn_untracked() {

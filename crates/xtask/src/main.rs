@@ -18,9 +18,6 @@
 //!
 //! Lint rules:
 //!
-//! * **raw-device-access** — `NvmDevice::copy_from_page` / `copy_to_page`
-//!   bypass the protection *and* sanitizer hooks layered on the typed
-//!   handle API, so calling them is reserved to `crates/nvm` itself.
 //! * **no-std-sync** — every crate except `crates/sim` must block through
 //!   `trio_sim::sync` so the deterministic scheduler observes (and the race
 //!   detector clocks) every synchronization edge. A `std::sync` mutex or a
@@ -308,7 +305,6 @@ fn run_typestate_check() -> ExitCode {
 /// Stable rule identifiers, used in reports and in `lint: allow(<id>)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rule {
-    RawDeviceAccess,
     NoStdSync,
     SafetyComment,
     FlushFence,
@@ -324,7 +320,6 @@ pub enum Rule {
 impl Rule {
     pub fn id(self) -> &'static str {
         match self {
-            Rule::RawDeviceAccess => "raw-device-access",
             Rule::NoStdSync => "no-std-sync",
             Rule::SafetyComment => "safety-comment",
             Rule::FlushFence => "flush-fence",
@@ -453,18 +448,6 @@ fn lint_file(rel: &Path, src: &str, out: &mut Vec<Finding>) {
         lines.iter().position(|l| l.contains("#[cfg(test)]")).unwrap_or(usize::MAX);
 
     for (i, line) in lines.iter().enumerate() {
-        // R1: raw device byte access outside crates/nvm.
-        if !in_nvm {
-            for m in ["copy_from_page", "copy_to_page"] {
-                if find_call(line, m).is_some() {
-                    emit(out, rel, &raw, i, Rule::RawDeviceAccess, format!(
-                        "`{m}` bypasses the handle-layer protection and sanitizer \
-                         hooks; use `NvmHandle` read/write instead"
-                    ));
-                }
-            }
-        }
-
         // R2: std::sync blocking primitives / std::thread outside crates/sim.
         // (Arc, Weak, OnceLock and atomics stay legal everywhere: they don't
         // block, so the deterministic scheduler doesn't need to see them.)
@@ -1077,7 +1060,6 @@ mod tests {
             Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join("lint-fixture");
         let (findings, _) = lint_tree(&fixture).unwrap();
         for rule in [
-            Rule::RawDeviceAccess,
             Rule::NoStdSync,
             Rule::SafetyComment,
             Rule::FlushFence,

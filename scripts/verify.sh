@@ -87,9 +87,8 @@ stage "clippy, all targets"
 cargo clippy --workspace --all-targets -- -D warnings
 
 stage "xtask lint"
-# Project-specific static pass (DESIGN.md §13, §14): raw-device-access,
-# no-std-sync, safety-comment, flush-fence, no-panic and the rules after
-# them. Must be clean on the workspace and must still flag every rule on
+# Project-specific static pass (DESIGN.md §13, §14): no-std-sync,
+# safety-comment, flush-fence, no-panic and the rules after them. Must be clean on the workspace and must still flag every rule on
 # its fixture crate. Zero cost when obs is off is not a lint rule: the obs
 # stage below checks it on the built binary.
 cargo xtask lint
@@ -131,9 +130,9 @@ stage "chaos campaign: worker kills under delegated traffic" 60
 # Delegation failure domains (DESIGN.md §16): 500 iterations crossing
 # worker-kill points (after-pop / mid-payload / before-reply) with
 # multi-LibFS traffic and stall injection. The test asserts no hangs,
-# model equivalence (no lost or doubly-applied writes), kills in at least
-# half the iterations and every death recovered; the report carries
-# recovery-latency percentiles.
+# model equivalence (no lost or stale writes), kills in at least half the
+# iterations and every death recovered; the report carries the client
+# retries that recovered them and recovery-latency percentiles.
 TRIO_ITERS=500 cargo test -q --release --test chaos_delegation
 
 stage "adversary campaign: 2k grammar corruptions" 60

@@ -10,12 +10,14 @@
 //! - **No hangs**: the simulation's deadlock detector would panic if any
 //!   client blocked forever; every op completes within its retry budget
 //!   (or falls back to direct access) so `rt.run()` returns.
-//! - **No lost or doubly-applied writes**: each client replays its write
-//!   sequence against an in-DRAM model and the final file contents must
-//!   match byte for byte — a stale re-dispatched request applied after a
+//! - **No lost or stale writes**: each client replays its write sequence
+//!   against an in-DRAM model and the final file contents must match byte
+//!   for byte — a straggling copy of a retried request applied after a
 //!   newer overlapping write would diverge here.
 //! - **Recovery**: every worker death is matched by a restart, and
-//!   recovery latencies are recorded for the report.
+//!   recovery latencies are recorded for the report. The client's retry
+//!   is the one way a dead worker's request gets served again; the report
+//!   counts those retries.
 //!
 //! Every iteration replays from its `(seed, iteration)` case alone
 //! (`tests/common/campaign.rs`): a failure prints the line that replays
@@ -174,8 +176,7 @@ fn chaos_one(case: Case) -> Tally {
     let mut t = Tally::default();
     t.add("worker_deaths", s.worker_deaths);
     t.add("worker_restarts", s.worker_restarts);
-    t.add("redispatches", s.deleg_redispatches);
-    t.add("dedup_hits", s.deleg_dedup_hits);
+    t.add("retries", s.deleg_retries);
     t.add("fallbacks", s.deleg_fallbacks);
     t.add("degraded_enters", s.degraded_enters);
     t.add("degraded_exits", s.degraded_exits);
@@ -228,41 +229,64 @@ fn campaign_self_test_reports_a_failed_iteration_by_its_replay_line() {
     assert!(report.contains("\"iterations\": 5") && report.contains(line), "{report}");
 }
 
-/// Every kill point is survivable on its own: arm each deterministically
-/// against single-client traffic and check the exactly-once contract —
-/// `mid-payload` and `before-reply` kills leave a copy whose re-dispatch
-/// or retry must dedup rather than re-apply.
-#[test]
-fn each_kill_point_recovers_exactly_once() {
-    for (idx, point) in WorkerKillPoint::ALL.into_iter().enumerate() {
-        let (kernel, fses) = world();
-        let rt = SimRuntime::new(0xD1E + idx as u64);
-        let k = Arc::clone(&kernel);
-        let fs = Arc::clone(&fses[0]);
-        rt.spawn("kill-point", move || {
-            k.delegation().start();
-            // Kill on the second pop: the first write proves the healthy
-            // path, the second rides through death + recovery.
+/// One client writes four chunks and reads them back, with `kill`
+/// armed on the second pop (the first write proves the healthy path, the
+/// second rides through death and recovery). Returns the kernel once the
+/// sim has drained.
+fn kill_point_run(seed: u64, kill: Option<WorkerKillPoint>) -> Arc<KernelController> {
+    let (kernel, fses) = world();
+    let rt = SimRuntime::new(seed);
+    let k = Arc::clone(&kernel);
+    let fs = Arc::clone(&fses[0]);
+    rt.spawn("kill-point", move || {
+        k.delegation().start();
+        if let Some(point) = kill {
             k.delegation().arm_worker_kill(WorkerKillPlan::kill_at(1, point));
-            let fd = fs.open("/kp", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
-            for j in 0..4u64 {
-                let block = vec![j as u8 + 1; CHUNK];
-                assert_eq!(fs.pwrite(fd, j * CHUNK as u64, &block).unwrap(), CHUNK);
-            }
-            let mut got = vec![0u8; 4 * CHUNK];
-            assert_eq!(fs.pread(fd, 0, &mut got).unwrap(), got.len());
-            for j in 0..4usize {
-                assert!(
-                    got[j * CHUNK..(j + 1) * CHUNK].iter().all(|&b| b == j as u8 + 1),
-                    "chunk {j} corrupted across a {} kill",
-                    point.as_str()
-                );
-            }
-            fs.close(fd).unwrap();
-            k.delegation().shutdown();
-        });
-        rt.run();
+        }
+        let fd = fs.open("/kp", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
+        for j in 0..4u64 {
+            let block = vec![j as u8 + 1; CHUNK];
+            assert_eq!(fs.pwrite(fd, j * CHUNK as u64, &block).unwrap(), CHUNK);
+        }
+        let mut got = vec![0u8; 4 * CHUNK];
+        assert_eq!(fs.pread(fd, 0, &mut got).unwrap(), got.len());
+        for j in 0..4usize {
+            assert!(
+                got[j * CHUNK..(j + 1) * CHUNK].iter().all(|&b| b == j as u8 + 1),
+                "chunk {j} corrupted across a {kill:?} kill"
+            );
+        }
+        fs.close(fd).unwrap();
+        k.delegation().shutdown();
+    });
+    rt.run();
+    kernel
+}
+
+/// Every kill point is survivable on its own, and recovery has one path:
+/// against a fault-free twin of the same single-client run, the kill
+/// costs exactly one extra pop — the client's one retry of the lost
+/// batch. Nothing else re-sends it, no copy hits a revoked window, and
+/// the op never falls back to direct access.
+#[test]
+fn each_kill_point_recovers_through_one_client_retry() {
+    for (idx, point) in WorkerKillPoint::ALL.into_iter().enumerate() {
+        let seed = 0xD1E + idx as u64;
+        let twin = kill_point_run(seed, None).delegation().requests_served();
+        let kernel = kill_point_run(seed, Some(point));
+        assert_eq!(
+            kernel.delegation().requests_served(),
+            twin + 1,
+            "{}: a kill must cost exactly the client's one re-sent batch",
+            point.as_str()
+        );
         let s = kernel.delegation().stats().snapshot();
+        assert_eq!(
+            (s.deleg_retries, s.deleg_fallbacks, s.grant_faults),
+            (1, 0, 0),
+            "{}: (retries, fallbacks, grant faults)",
+            point.as_str()
+        );
         assert_eq!(s.worker_deaths, 1, "{} kill never fired", point.as_str());
         assert_eq!(s.worker_restarts, 1, "{} kill never recovered", point.as_str());
         let events = kernel.take_events();
@@ -281,7 +305,7 @@ fn each_kill_point_recovers_exactly_once() {
 
 /// A worker killed in the middle of reading payload bytes out of a live
 /// grant window must not strand the grant: the pinned pass is unwound,
-/// the op completes through re-dispatch/retry on a surviving worker, and
+/// the op completes through the client's retry on a surviving worker, and
 /// a subsequent in-place buffer update (epoch bump) plus write must land
 /// the *new* bytes — a zombie pass applying the old epoch after that
 /// point would be a stale-grant read.
@@ -341,14 +365,14 @@ fn worker_death_mid_grant_read_leaves_no_stale_grant_state() {
     assert_eq!(s.worker_restarts, 1, "and be recovered");
 }
 
-/// Client retry racing watchdog re-dispatch while the grant stays live:
+/// Client retry racing a stalled first copy while the grant stays live:
 /// stalls past the op deadline put two copies of the same granted
-/// request in flight. The idempotence window must apply it exactly once,
-/// and once the op returns, the revocation barrier guarantees no
-/// straggler still holds the old window — so an immediate epoch-bumped
-/// overwrite of the same region must win and stay won.
+/// request in flight, both carrying the bytes of one op-window snapshot.
+/// Once the op returns, the revocation barrier guarantees no straggler
+/// still holds the old window — so an immediate epoch-bumped overwrite of
+/// the same region must win and stay won.
 #[test]
-fn client_retry_racing_redispatch_applies_live_grant_exactly_once() {
+fn client_retry_racing_a_stalled_copy_applies_live_grant_once_for_good() {
     let (kernel, fses) = world();
     let rt = SimRuntime::new(0x6AA8);
     let k = Arc::clone(&kernel);
@@ -362,7 +386,7 @@ fn client_retry_racing_redispatch_applies_live_grant_exactly_once() {
         let gen1 = vec![0xC3u8; CHUNK];
         let buf = fs.register_write_buffer(&gen1).unwrap();
         // Stall the next requests past the 5 ms base deadline: the client
-        // retries while the watchdog re-dispatches the original — both
+        // retries while the stalled original is still queued — both
         // copies resolve the same live grant.
         k.delegation().inject_faults(5, 8 * MILLIS, 0);
         assert_eq!(fs.pwrite_registered(fd, 0, buf, 0, CHUNK).unwrap(), CHUNK);
