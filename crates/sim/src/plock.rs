@@ -5,8 +5,7 @@
 //! virtual-time protocol. To keep the workspace self-contained and buildable
 //! offline, this module re-implements the small API subset the code base
 //! uses — non-poisoning `lock()`/`read()`/`write()` that return guards
-//! directly, and a `Condvar` whose `wait` borrows the guard mutably — on top
-//! of the standard library. Poisoned locks are recovered transparently: the
+//! directly — on top of the standard library. Poisoned locks are recovered transparently: the
 //! simulation has its own panic propagation (the scheduler aborts every
 //! sim-thread on the first panic), so poisoning carries no extra signal.
 
@@ -33,16 +32,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking the calling OS thread.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard { g: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)) }
+        MutexGuard { g: self.inner.lock().unwrap_or_else(PoisonError::into_inner) }
     }
 
     /// Attempts to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { g: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                Some(MutexGuard { g: Some(p.into_inner()) })
-            }
+            Ok(g) => Some(MutexGuard { g }),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard { g: p.into_inner() }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -70,61 +67,25 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait` can move the std guard out and back.
-    g: Option<std::sync::MutexGuard<'a, T>>,
+    g: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.g.as_ref().expect("guard alive")
+        &self.g
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.g.as_mut().expect("guard alive")
+        &mut self.g
     }
 }
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// A condition variable pairing with [`Mutex`], `parking_lot`-style: `wait`
-/// borrows the guard mutably instead of consuming it.
-pub struct Condvar {
-    c: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar { c: std::sync::Condvar::new() }
-    }
-
-    /// Atomically releases the guard's mutex and blocks until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.g.take().expect("guard alive");
-        guard.g = Some(self.c.wait(g).unwrap_or_else(PoisonError::into_inner));
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.c.notify_one();
-    }
-
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.c.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
     }
 }
 
@@ -250,24 +211,5 @@ mod tests {
         let l = RwLock::new(vec![1]);
         l.write().push(2);
         assert_eq!(l.read().len(), 2);
-    }
-
-    #[test]
-    fn condvar_wait_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
     }
 }

@@ -11,12 +11,12 @@ use std::{
     cell::RefCell,
     cmp::Reverse,
     collections::BinaryHeap,
-    sync::atomic::{AtomicBool, Ordering},
-    sync::Arc,
-    thread,
+    sync::atomic::{AtomicBool, AtomicU8, Ordering},
+    sync::{Arc, OnceLock},
+    thread::{self, Thread},
 };
 
-use crate::plock::{Condvar, Mutex, MutexGuard};
+use crate::plock::{Mutex, MutexGuard};
 
 use crate::race::{vc_join, VectorClock};
 use crate::time::Nanos;
@@ -118,50 +118,54 @@ enum RunState {
     Done,
 }
 
+/// One thread's hand-off point: an atomic flag and the OS thread that waits
+/// on it. The flag says what the owner finds when it wakes; the park token
+/// (`thread::park` / `Thread::unpark`) only wakes it, so a stale or spurious
+/// wake-up re-reads the flag and parks again.
 struct Park {
-    flag: Mutex<ParkFlag>,
-    cvar: Condvar,
+    flag: AtomicU8,
+    /// Set once, under the sched lock, before anything can unpark this park.
+    owner: OnceLock<Thread>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ParkFlag {
-    Wait,
-    Go,
-    Abort,
-}
+const WAIT: u8 = 0;
+const GO: u8 = 1;
+const ABORT: u8 = 2;
 
 impl Park {
     fn new() -> Self {
-        Park { flag: Mutex::new(ParkFlag::Wait), cvar: Condvar::new() }
+        Park { flag: AtomicU8::new(WAIT), owner: OnceLock::new() }
     }
 
-    /// Blocks until unparked. Returns `true` when the simulation was aborted
-    /// and the thread must unwind.
+    fn set_owner(&self, owner: Thread) {
+        self.owner.set(owner).expect("a park has one owner");
+    }
+
+    /// Blocks the owner until unparked. Returns `true` when the simulation
+    /// was aborted and the thread must unwind.
     fn park(&self) -> bool {
-        let mut flag = self.flag.lock();
         loop {
-            match *flag {
-                ParkFlag::Go => {
-                    *flag = ParkFlag::Wait;
-                    return false;
-                }
-                ParkFlag::Abort => return true,
-                ParkFlag::Wait => self.cvar.wait(&mut flag),
+            match self.flag.compare_exchange(GO, WAIT, Ordering::Acquire, Ordering::Acquire) {
+                Ok(_) => return false,
+                Err(ABORT) => return true,
+                Err(_) => thread::park(),
             }
         }
     }
 
     fn unpark(&self) {
-        let mut flag = self.flag.lock();
-        if *flag != ParkFlag::Abort {
-            *flag = ParkFlag::Go;
-        }
-        self.cvar.notify_one();
+        // Go, unless the simulation already aborted (Go stays Go).
+        let _ = self.flag.compare_exchange(WAIT, GO, Ordering::Release, Ordering::Relaxed);
+        self.wake();
     }
 
     fn abort(&self) {
-        *self.flag.lock() = ParkFlag::Abort;
-        self.cvar.notify_one();
+        self.flag.store(ABORT, Ordering::Release);
+        self.wake();
+    }
+
+    fn wake(&self) {
+        self.owner.get().expect("a park's owner is set before it is unparked").unpark();
     }
 }
 
@@ -215,7 +219,8 @@ impl SchedState {
 
 pub(crate) struct Inner {
     pub(crate) sched: Mutex<SchedState>,
-    done_cvar: Condvar,
+    /// Where [`SimRuntime::run`]'s caller waits; [`Inner::finish`] unparks it.
+    done: Park,
     seed: u64,
     /// Vector-clock maintenance switch (off by default: zero overhead on
     /// the sync primitives unless a test opts in).
@@ -355,7 +360,8 @@ impl Inner {
         }
     }
 
-    /// Ends the simulation: aborts every parked thread and wakes `run()`.
+    /// Ends the simulation: aborts every parked thread and wakes `run()`'s
+    /// caller.
     fn finish(self: &Arc<Self>, mut st: MutexGuard<'_, SchedState>, me: Option<usize>) {
         st.finished = true;
         let parks: Vec<Arc<Park>> = st
@@ -369,7 +375,7 @@ impl Inner {
         for p in &parks {
             p.abort();
         }
-        self.done_cvar.notify_all();
+        self.done.unpark();
         if panicked && me.is_some() {
             panic!("{ABORT_MSG}");
         }
@@ -462,6 +468,8 @@ impl Inner {
                 inner2.retire(tid, panic_msg);
             })
             .expect("failed to spawn sim-thread");
+        // Under the sched lock, so no dispatch can unpark the thread first.
+        st.threads[tid].park.set_owner(handle.thread().clone());
         st.threads[tid].os_handle = Some(handle);
         drop(st);
         JoinHandle { inner: Arc::clone(inner), tid }
@@ -543,7 +551,7 @@ impl SimRuntime {
                     panic_msg: None,
                     finished: false,
                 }),
-                done_cvar: Condvar::new(),
+                done: Park::new(),
                 seed,
                 race: AtomicBool::new(false),
             }),
@@ -582,11 +590,16 @@ impl SimRuntime {
             if st.live == 0 {
                 st.finished = true;
             } else if !st.finished {
+                self.inner.done.set_owner(thread::current());
                 self.inner.dispatch_then_park(st, None);
                 st = self.inner.sched.lock();
             }
             while !st.finished {
-                self.inner.done_cvar.wait(&mut st);
+                drop(st);
+                // `finish` sets `finished` before it unparks, so a wake-up
+                // that finds it unset was a stale one.
+                self.inner.done.park();
+                st = self.inner.sched.lock();
             }
             handles = st.threads.iter_mut().filter_map(|t| t.os_handle.take()).collect();
         }
@@ -873,6 +886,70 @@ mod tests {
         }
         rt.run();
         assert_eq!(*order.lock(), vec!["a", "b", "a", "b"]);
+    }
+
+    /// `(name, time)` at every step of four threads working uneven slices;
+    /// when `nudge` is set, thread `b` sets its own OS park token first, so
+    /// its next hand-off wakes once for nothing.
+    fn hand_off_order(nudge: bool) -> (Vec<(&'static str, Nanos)>, u64) {
+        let rt = SimRuntime::new(5);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for (name, slice) in [("a", 30), ("b", 20), ("c", 30), ("d", 50)] {
+            let order = Arc::clone(&order);
+            rt.spawn(name, move || {
+                for k in 0..6 {
+                    if nudge && name == "b" && k % 2 == 0 {
+                        thread::current().unpark();
+                    }
+                    work(slice);
+                    order.lock().push((name, now()));
+                }
+            });
+        }
+        rt.run();
+        let order = order.lock().clone();
+        (order, rt.events())
+    }
+
+    #[test]
+    fn a_stale_park_token_does_not_reorder_the_hand_off() {
+        let twin = hand_off_order(false);
+        assert_eq!(twin.0.len(), 24);
+        assert_eq!(hand_off_order(true), twin);
+    }
+
+    #[test]
+    fn a_panic_aborts_parked_and_undispatched_threads_and_joins_them() {
+        let rt = SimRuntime::new(1);
+        // Every closure holds a clone; once `run` has joined every OS
+        // thread, all of them have been dropped.
+        let alive = Arc::new(());
+        for name in ["x", "y"] {
+            let alive = Arc::clone(&alive);
+            rt.spawn(name, move || {
+                let _alive = alive;
+                work(10);
+                work(1_000); // Parked here when the panic lands.
+                unreachable!("an aborted thread never resumes");
+            });
+        }
+        let alive2 = Arc::clone(&alive);
+        rt.spawn("bad", move || {
+            work(20);
+            // Queued at 20 behind nobody, but the panic comes first.
+            let alive = Arc::clone(&alive2);
+            spawn("never", move || {
+                let _alive = alive;
+                unreachable!("never dispatched");
+            });
+            panic!("boom at 20");
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.run()))
+            .expect_err("run must propagate the panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(msg, "simulation failed: boom at 20");
+        assert_eq!(Arc::strong_count(&alive), 1, "an OS thread outlived run()");
+        assert!(rt.inner.sched.lock().threads.iter().all(|t| t.os_handle.is_none()));
     }
 
     #[test]

@@ -8,6 +8,34 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Only one sim-thread runs at any instant (DESIGN.md §2), so a bench, which
+# runs one simulation after another, gains nothing from a second CPU and
+# pays a cross-CPU wake-up on every switch: the bench stages run on the
+# last CPU of the current affinity, as perfbench's do, or unpinned where
+# taskset cannot pin. The test legs and the campaigns run simulations side
+# by side on their test threads and stay unpinned (EXPERIMENTS.md
+# "Sim-thread hand-off").
+sim_cpu=
+if command -v taskset > /dev/null && affinity=$(taskset -cp $$ 2> /dev/null); then
+    # "pid N's current affinity list: 0,2-5": the last number is the CPU.
+    sim_cpu=${affinity##*[ ,-]}
+    taskset -c "$sim_cpu" true 2> /dev/null || sim_cpu=
+fi
+if [ -z "$sim_cpu" ]; then
+    echo "note: cannot pin with taskset here; the bench stages run unpinned."
+fi
+
+# Runs `cargo $@` after building what it runs: the build on every CPU, then
+# the run pinned to $sim_cpu.
+pinned_cargo() {
+    cargo "$@" --no-run
+    if [ -n "$sim_cpu" ]; then
+        taskset -c "$sim_cpu" cargo "$@"
+    else
+        cargo "$@"
+    fi
+}
+
 # Ledger gate (ROADMAP "same seed, same bytes"): runs bench $1 a second time
 # (extra environment in $4...) and requires its JSON to equal the first
 # run's, $2, and the committed $3, byte for byte. Virtual time is a function
@@ -17,7 +45,10 @@ cd "$(dirname "$0")/.."
 same_bytes_as_ledger() {
     local bench=$1 first=$2 ledger=$3
     shift 3
-    env "$@" TRIO_BENCH_OUT="$first.again" cargo bench -q -p trio-bench --bench "$bench" > /dev/null
+    (
+        [ $# -eq 0 ] || export "$@"
+        TRIO_BENCH_OUT="$first.again" pinned_cargo bench -q -p trio-bench --bench "$bench" > /dev/null
+    )
     if ! cmp "$first" "$first.again"; then
         echo "FAIL: two runs of $bench differ; something the clock or the allocator sees is not a function of the seed." >&2
         exit 1
@@ -124,8 +155,8 @@ cargo test -q --no-default-features -p trio-repro -p trio-obs
 # <campaign> — and target/<campaign>-report.json keeps the counters and
 # the failures.
 
-# Ceiling 60 s: the stage measures 4–6 s warm (EXPERIMENTS.md "Gate host
-# clock"); the same holds for the two campaigns after it.
+# Ceiling 60 s: the stage measures 2–4 s warm (EXPERIMENTS.md "Sim-thread
+# hand-off"); the same holds for the two campaigns after it.
 stage "chaos campaign: worker kills under delegated traffic" 60
 # Delegation failure domains (DESIGN.md §16): 500 iterations crossing
 # worker-kill points (after-pop / mid-payload / before-reply) with
@@ -177,7 +208,7 @@ echo "OK: trio_obs symbols in bench_datapath: 0 obs-off, $on_symbols obs-on."
 # (tests/obs_timeline.rs puts the same serializer through a real parser).
 rm -f target/obs-timeline.json
 TRIO_BENCH_OUT=/tmp/trio_obs_bench.$$ TRIO_SCALE=16 \
-    cargo bench -p trio-bench --features obs --bench bench_datapath > /dev/null
+    pinned_cargo bench -p trio-bench --features obs --bench bench_datapath > /dev/null
 rm -f /tmp/trio_obs_bench.$$
 test -s target/obs-timeline.json
 
@@ -187,7 +218,7 @@ stage "data-path bench == committed ledger"
 # zero payload copies, every delegated byte checksummed inline, a live read
 # lane, quiescent watchdog counters, registry_locks <= 10.
 TRIO_BENCH_OUT=/tmp/trio_datapath.$$ TRIO_SCALE=16 \
-    cargo bench -p trio-bench --bench bench_datapath
+    pinned_cargo bench -p trio-bench --bench bench_datapath
 same_bytes_as_ledger bench_datapath /tmp/trio_datapath.$$ BENCH_datapath.json TRIO_SCALE=16
 rm -f /tmp/trio_datapath.$$
 
@@ -197,19 +228,19 @@ stage "mega-tenant bench == committed ledger"
 # registry-lock budget, the recall, the lease-wait bound and the
 # per-tenant rate.
 TRIO_BENCH_OUT=/tmp/trio_megatenant.$$ \
-    cargo bench -p trio-bench --bench bench_megatenant
+    pinned_cargo bench -p trio-bench --bench bench_megatenant
 same_bytes_as_ledger bench_megatenant /tmp/trio_megatenant.$$ BENCH_megatenant.json
 rm -f /tmp/trio_megatenant.$$
 
 stage "sharing cost, Table 3 create-100 (logged, not gated)"
 # DESIGN.md §22: the paper's row still rebuilds on every hand-over; the
 # same loop run by one LibFS alone re-maps without rebuilding.
-cargo bench -q -p trio-bench --bench table3_sharing | grep -E '^create, 100 files|sole writer'
+pinned_cargo bench -q -p trio-bench --bench table3_sharing | grep -E '^create, 100 files|sole writer'
 
 stage "Fig. 5(d) create / delete, one thread (logged, not gated)"
 # ROADMAP 5(c): the paper has ArckFS deleting 7.4–9.4× faster than NOVA;
 # the rows below show how far the metadata path is from that.
-cargo bench -q -p trio-bench --bench fig5_single_thread | sed -n '/^== (d)/,$p'
+pinned_cargo bench -q -p trio-bench --bench fig5_single_thread | sed -n '/^== (d)/,$p'
 
 end_stage
 echo
