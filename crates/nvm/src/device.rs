@@ -22,6 +22,9 @@ const SFENCE_NS: Nanos = 30;
 /// bandwidth model already covers the media cost).
 const CLWB_LINE_NS: Nanos = 8;
 
+/// Page slots per lazily built chunk: 512 slots cover 2 MiB of device.
+const SLOT_CHUNK: usize = 512;
+
 /// Device construction parameters.
 #[derive(Clone, Debug)]
 pub struct DeviceConfig {
@@ -54,6 +57,7 @@ impl DeviceConfig {
     }
 }
 
+#[derive(Default)]
 struct PageSlot {
     /// Lazily allocated contents; `None` reads as zeros.
     data: Option<Box<[u8]>>,
@@ -65,6 +69,13 @@ struct PageSlot {
     /// it, and the verifier only checks pages whose sidecar is present.
     csum: Option<u64>,
 }
+
+/// What a page in an unbuilt chunk reads as: zeros, no mapping, no
+/// checksum.
+static EMPTY_SLOT: PageSlot = PageSlot { data: None, prot: PageProt::EMPTY, csum: None };
+
+/// [`SLOT_CHUNK`] page slots, built by the first store into one of them.
+type SlotChunk = OnceLock<Box<[Mutex<PageSlot>]>>;
 
 impl PageSlot {
     fn ensure_data(&mut self) -> &mut [u8] {
@@ -78,7 +89,10 @@ impl PageSlot {
 pub struct NvmDevice {
     topo: Topology,
     model: BandwidthModel,
-    pages: Vec<Mutex<PageSlot>>,
+    /// Page slots in chunks of [`SLOT_CHUNK`]. Only a store into one of a
+    /// chunk's pages builds it; a read of a page in an unbuilt chunk
+    /// answers from [`EMPTY_SLOT`], and a sweep skips the chunk.
+    slots: Box<[SlotChunk]>,
     loads: Vec<Mutex<NodeLoad>>,
     tracker: Option<PersistTracker>,
     /// Optional cross-actor race detector (see [`trio_sim::race`]); when
@@ -95,17 +109,16 @@ pub struct NvmDevice {
 }
 
 impl NvmDevice {
-    /// Builds a device; memory is committed lazily per page.
+    /// Builds a device. Memory is committed lazily: page contents per
+    /// page, and page slots (mappings, checksum) per chunk of
+    /// [`SLOT_CHUNK`] pages on the first store into one of them. A device
+    /// costs what was stored into, plus one empty cell per chunk.
     pub fn new(config: DeviceConfig) -> Self {
-        let total = config.topology.total_pages() as usize;
-        let mut pages = Vec::with_capacity(total);
-        for _ in 0..total {
-            pages.push(Mutex::new(PageSlot { data: None, prot: PageProt::default(), csum: None }));
-        }
+        let chunks = (config.topology.total_pages() as usize).div_ceil(SLOT_CHUNK);
         NvmDevice {
             topo: config.topology,
             model: config.model,
-            pages,
+            slots: (0..chunks).map(|_| OnceLock::new()).collect(),
             loads: (0..config.topology.nodes).map(|_| Mutex::new(NodeLoad::default())).collect(),
             tracker: config.track_persistence.then(PersistTracker::new),
             race: OnceLock::new(),
@@ -124,8 +137,54 @@ impl NvmDevice {
         &self.model
     }
 
+    /// `page`'s slot index, if the device has that page.
+    fn index(&self, page: PageId) -> Result<usize, ProtError> {
+        if page.0 < self.topo.total_pages() {
+            Ok(page.0 as usize)
+        } else {
+            Err(ProtError::OutOfRange)
+        }
+    }
+
+    /// `page`'s slot, building its chunk first if no store has: for paths
+    /// that store into the slot.
     fn slot(&self, page: PageId) -> Result<&Mutex<PageSlot>, ProtError> {
-        self.pages.get(page.0 as usize).ok_or(ProtError::OutOfRange)
+        let i = self.index(page)?;
+        let (c, first) = (i / SLOT_CHUNK, i / SLOT_CHUNK * SLOT_CHUNK);
+        let end = (self.topo.total_pages() as usize).min(first + SLOT_CHUNK);
+        let chunk = self.slots[c].get_or_init(|| (first..end).map(|_| Mutex::default()).collect());
+        Ok(&chunk[i - first])
+    }
+
+    /// `page`'s slot if a store has built its chunk, `None` if not.
+    fn built(&self, page: PageId) -> Result<Option<&Mutex<PageSlot>>, ProtError> {
+        let i = self.index(page)?;
+        Ok(self.slots[i / SLOT_CHUNK].get().map(|chunk| &chunk[i % SLOT_CHUNK]))
+    }
+
+    /// Runs `read` on `page`'s slot under its lock, or on [`EMPTY_SLOT`]
+    /// when its chunk is unbuilt: a read builds nothing.
+    fn peek<R>(&self, page: PageId, read: impl FnOnce(&PageSlot) -> R) -> Result<R, ProtError> {
+        Ok(match self.built(page)? {
+            Some(slot) => read(&slot.lock()),
+            None => read(&EMPTY_SLOT),
+        })
+    }
+
+    /// Every slot of every built chunk with its page, in page order: all a
+    /// whole-device sweep has to visit.
+    fn built_slots(&self) -> impl Iterator<Item = (PageId, &Mutex<PageSlot>)> {
+        let built = self.slots.iter().enumerate().filter_map(|(c, chunk)| Some((c, chunk.get()?)));
+        built.flat_map(|(c, chunk)| {
+            let first = c * SLOT_CHUNK;
+            chunk.iter().enumerate().map(move |(i, slot)| (PageId((first + i) as u64), slot))
+        })
+    }
+
+    /// Chunks of page slots built so far. For diagnostics and tests only:
+    /// no behaviour depends on it.
+    pub fn resident_slot_chunks(&self) -> usize {
+        self.slots.iter().filter(|chunk| chunk.get().is_some()).count()
     }
 
     /// Charges virtual time for moving `bytes` at `node`, sampling the
@@ -161,18 +220,19 @@ impl NvmDevice {
         if off + buf.len() > PAGE_SIZE {
             return Err(ProtError::OutOfRange);
         }
-        let slot = self.slot(page)?.lock();
-        slot.prot.check(actor, false)?;
-        self.poison_check_read(page, off, buf.len())?;
-        if let Some(t) = &self.tracker {
-            t.recovery_read_check(page, off, buf.len());
-        }
-        self.race_check(actor, page, off, buf.len(), false);
-        match &slot.data {
-            Some(d) => buf.copy_from_slice(&d[off..off + buf.len()]),
-            None => buf.fill(0),
-        }
-        Ok(())
+        self.peek(page, |slot| {
+            slot.prot.check(actor, false)?;
+            self.poison_check_read(page, off, buf.len())?;
+            if let Some(t) = &self.tracker {
+                t.recovery_read_check(page, off, buf.len());
+            }
+            self.race_check(actor, page, off, buf.len(), false);
+            match &slot.data {
+                Some(d) => buf.copy_from_slice(&d[off..off + buf.len()]),
+                None => buf.fill(0),
+            }
+            Ok(())
+        })?
     }
 
     /// Copies into a page with a permission check, without charging time.
@@ -222,7 +282,7 @@ impl NvmDevice {
     /// The integrity sidecar recorded for `page`, if still valid.
     /// Privileged (verifier walk).
     pub fn page_csum(&self, page: PageId) -> Result<Option<u64>, ProtError> {
-        Ok(self.slot(page)?.lock().csum)
+        self.peek(page, |slot| slot.csum)
     }
 
     /// Installs a cross-actor race detector. Returns `false` (and leaves
@@ -299,7 +359,7 @@ impl NvmDevice {
         buf: &mut [u8],
     ) -> Result<(), ProtError> {
         // Fault before paying the media cost, as a real MMU would.
-        self.slot(page)?.lock().prot.check(actor, false)?;
+        self.peek(page, |slot| slot.prot.check(actor, false))??;
         self.charge_transfer(self.topo.node_of(page), buf.len(), false, home);
         self.copy_from_page(actor, page, off, buf)
     }
@@ -313,7 +373,7 @@ impl NvmDevice {
         off: usize,
         data: &[u8],
     ) -> Result<(), ProtError> {
-        self.slot(page)?.lock().prot.check(actor, true)?;
+        self.peek(page, |slot| slot.prot.check(actor, true))??;
         self.charge_transfer(self.topo.node_of(page), data.len(), true, home);
         self.copy_to_page(actor, page, off, data)
     }
@@ -438,21 +498,22 @@ impl NvmDevice {
 
     /// Revokes `actor`'s mapping of `page`.
     pub fn mmu_unmap(&self, actor: ActorId, page: PageId) -> Result<bool, ProtError> {
-        Ok(self.slot(page)?.lock().prot.unmap(actor))
+        Ok(self.built(page)?.is_some_and(|slot| slot.lock().prot.unmap(actor)))
     }
 
     /// Current permission of `actor` on `page`.
     pub fn mmu_perm(&self, actor: ActorId, page: PageId) -> Result<Option<PagePerm>, ProtError> {
-        Ok(self.slot(page)?.lock().prot.perm_of(actor))
+        self.peek(page, |slot| slot.prot.perm_of(actor))
     }
 
     /// Every mapping on the device as `(page, actor, permission)`, in page
-    /// order. Privileged and slow (one pass over every page slot): for the
-    /// kernel's audit of its page tables against its books.
+    /// order. Privileged: for the kernel's audit of its page tables against
+    /// its books. One pass over the built slot chunks, so it costs what
+    /// was ever stored into, not the device size.
     pub fn mappings(&self) -> Vec<(PageId, ActorId, PagePerm)> {
         let mut out = Vec::new();
-        for (i, slot) in self.pages.iter().enumerate() {
-            out.extend(slot.lock().prot.iter().map(|(a, perm)| (PageId(i as u64), a, perm)));
+        for (page, slot) in self.built_slots() {
+            out.extend(slot.lock().prot.iter().map(|(a, perm)| (page, a, perm)));
         }
         out
     }
@@ -466,12 +527,18 @@ impl NvmDevice {
 
     /// [`Self::reset_page`], except that `keep`'s mapping stays as it was:
     /// the frame changes hands *to* `keep`. Returns what `keep` holds on it.
+    /// A page no store has built a slot for is already clear: only its
+    /// poison is scrubbed.
     pub fn reset_page_sparing(
         &self,
         page: PageId,
         keep: ActorId,
     ) -> Result<Option<PagePerm>, ProtError> {
-        let mut slot = self.slot(page)?.lock();
+        let Some(slot) = self.built(page)? else {
+            self.scrub_page(page);
+            return Ok(None);
+        };
+        let mut slot = slot.lock();
         if let (Some(t), Some(d)) = (&self.tracker, slot.data.as_deref()) {
             // The disappearance of the old contents is itself a store, and a
             // scrub must be durable before the page is recycled: otherwise a
@@ -495,8 +562,7 @@ impl NvmDevice {
 
     /// Copies a whole page (checkpointing). Privileged.
     pub fn snapshot_page(&self, page: PageId) -> Result<Box<[u8]>, ProtError> {
-        let slot = self.slot(page)?.lock();
-        Ok(match &slot.data {
+        self.peek(page, |slot| match &slot.data {
             Some(d) => d.clone(),
             None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
         })
@@ -536,7 +602,7 @@ impl NvmDevice {
         // Sidecar checksums are volatile kernel metadata (like the MMU
         // table): reboot loses them all, and the verifier simply has no
         // sidecar to check until fresh delegated writes repopulate them.
-        for slot in &self.pages {
+        for (_, slot) in self.built_slots() {
             slot.lock().csum = None;
         }
         let lost = t.drain_for_crash();
@@ -555,9 +621,10 @@ impl NvmDevice {
 
     /// Drops every MMU mapping on the device (except nothing — the kernel
     /// actor never needs one). Recovery uses this to model the loss of all
-    /// volatile page-table state at reboot.
+    /// volatile page-table state at reboot. Visits only built slot chunks:
+    /// it costs what was touched, not the device size.
     pub fn clear_mappings(&self) {
-        for slot in &self.pages {
+        for (_, slot) in self.built_slots() {
             slot.lock().prot = PageProt::default();
         }
     }
@@ -567,9 +634,11 @@ impl NvmDevice {
     /// kernel confirms an integrity violation it pulls the offending
     /// LibFS's page tables in one sweep, so no further store can land
     /// anywhere — not even on pages the kernel's books say are clean.
+    /// Visits only built slot chunks (an unbuilt one holds no mapping), so
+    /// it costs what was touched, not the device size.
     pub fn revoke_actor(&self, actor: ActorId) -> usize {
         let mut revoked = 0;
-        for slot in &self.pages {
+        for (_, slot) in self.built_slots() {
             if slot.lock().prot.unmap(actor) {
                 revoked += 1;
             }
@@ -701,13 +770,14 @@ impl NvmDevice {
     /// Reads the raw slot (privileged, poison-blind): a poisoned line is
     /// the *other* failure mode, surfaced by [`Self::page_poisoned_lines`].
     pub fn page_csum_ok(&self, page: PageId) -> Result<Option<bool>, ProtError> {
-        let slot = self.slot(page)?.lock();
-        let Some(want) = slot.csum else { return Ok(None) };
-        let got = match &slot.data {
-            Some(d) => crate::checksum::checksum(d),
-            None => crate::checksum::checksum(&[0u8; PAGE_SIZE]),
-        };
-        Ok(Some(got == want))
+        self.peek(page, |slot| {
+            let want = slot.csum?;
+            let got = match &slot.data {
+                Some(d) => crate::checksum::checksum(d),
+                None => crate::checksum::checksum(&[0u8; PAGE_SIZE]),
+            };
+            Some(got == want)
+        })
     }
 
     /// Moves a page's contents and integrity sidecar to another page in
@@ -721,14 +791,13 @@ impl NvmDevice {
         if self.page_has_poison(from) {
             return Err(ProtError::Poisoned);
         }
-        let (img, csum) = {
-            let slot = self.slot(from)?.lock();
+        let (img, csum) = self.peek(from, |slot| {
             let img: Box<[u8]> = match &slot.data {
                 Some(d) => d.clone(),
                 None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
             };
             (img, slot.csum)
-        };
+        })?;
         let mut dst = self.slot(to)?.lock();
         if let Some(t) = &self.tracker {
             t.record_store(to, 0, PAGE_SIZE, dst.data.as_deref());
@@ -762,7 +831,7 @@ impl NvmDevice {
     /// loudly on every subsequent read beats silently returning rot.
     /// Returns the number of lines newly fenced off.
     pub fn fence_off_page(&self, page: PageId) -> usize {
-        if self.slot(page).is_err() {
+        if self.index(page).is_err() {
             return 0;
         }
         let mut set = self.poisoned.lock();
@@ -1039,6 +1108,134 @@ mod tests {
         d.mmu_map(a, PageId(0), PagePerm::Write).unwrap();
         let buf = [0u8; 64];
         assert_eq!(d.copy_to_page(a, PageId(0), PAGE_SIZE - 32, &buf), Err(ProtError::OutOfRange));
+    }
+
+    /// perfbench's geometry: 8 nodes of 32 Ki pages, 512 slot chunks.
+    fn perfbench_sized() -> NvmDevice {
+        NvmDevice::new(DeviceConfig::eight_node(32 << 10))
+    }
+
+    #[test]
+    fn a_fresh_device_builds_no_slot_chunk() {
+        let d = perfbench_sized();
+        assert_eq!(d.slots.len(), 512);
+        assert_eq!(d.resident_slot_chunks(), 0);
+    }
+
+    #[test]
+    fn reads_and_resets_of_an_untouched_page_build_nothing() {
+        let d = perfbench_sized();
+        let (a, p) = (ActorId(1), PageId(100_000));
+        let mut buf = [7u8; 16];
+        assert_eq!(d.copy_from_page(a, p, 0, &mut buf), Err(ProtError::NotMapped));
+        assert_eq!(d.read(a, 0, p, 0, &mut buf), Err(ProtError::NotMapped));
+        assert_eq!(d.write(a, 0, p, 0, &buf), Err(ProtError::NotMapped));
+        d.read(KERNEL_ACTOR, 0, p, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 16]);
+        assert_eq!(d.read_u64(KERNEL_ACTOR, p, 8), Ok(0));
+        assert_eq!(d.mmu_perm(a, p), Ok(None));
+        assert_eq!(d.mmu_unmap(a, p), Ok(false));
+        assert_eq!(d.page_csum(p), Ok(None));
+        assert_eq!(d.page_csum_ok(p), Ok(None));
+        assert_eq!(d.snapshot_page(p).unwrap(), vec![0u8; PAGE_SIZE].into_boxed_slice());
+        assert_eq!(d.fence_off_page(p), PAGE_SIZE / CACHE_LINE);
+        assert_eq!(d.copy_from_page(KERNEL_ACTOR, p, 0, &mut buf), Err(ProtError::Poisoned));
+        d.reset_page(p).unwrap();
+        assert_eq!(d.poisoned_lines(), 0, "a reset of an untouched page scrubs its poison");
+        assert_eq!(d.reset_page_sparing(p, a), Ok(None));
+        assert!(d.mappings().is_empty());
+        assert_eq!(d.revoke_actor(a), 0);
+        d.clear_mappings();
+        assert_eq!(d.crash().lost_lines, 0);
+        assert_eq!(d.resident_slot_chunks(), 0);
+    }
+
+    #[test]
+    fn one_store_builds_exactly_one_chunk() {
+        let (a, p, q) = (ActorId(1), PageId(70_000), PageId(200_000));
+        type Store = fn(&NvmDevice, ActorId, PageId, PageId);
+        let stores: [(&str, Store); 7] = [
+            ("write", |d, _, p, _| d.write(KERNEL_ACTOR, 0, p, 8, b"x").unwrap()),
+            ("write_u64_persist", |d, _, p, _| d.write_u64_persist(KERNEL_ACTOR, p, 8, 1).unwrap()),
+            ("mmu_map", |d, a, p, _| d.mmu_map(a, p, PagePerm::Read).unwrap()),
+            ("restore_page", |d, _, p, _| d.restore_page(p, &[1u8; PAGE_SIZE]).unwrap()),
+            ("migrate_page", |d, _, p, q| d.migrate_page(q, p).unwrap()),
+            ("rot_byte", |d, _, p, _| assert!(!d.rot_byte(p, 3))),
+            ("corrupt_for_test", |d, _, p, _| d.corrupt_for_test(p, 3).unwrap()),
+        ];
+        for (name, store) in stores {
+            let d = perfbench_sized();
+            store(&d, a, p, q);
+            assert_eq!(d.resident_slot_chunks(), 1, "{name} builds its page's chunk only");
+        }
+        let d = perfbench_sized();
+        d.mmu_map(a, p, PagePerm::Write).unwrap();
+        d.copy_to_page(a, p, 0, b"same chunk").unwrap();
+        d.mmu_map(a, PageId(p.0 + 1), PagePerm::Write).unwrap();
+        assert_eq!(d.resident_slot_chunks(), 1);
+        d.mmu_map(a, q, PagePerm::Write).unwrap();
+        assert_eq!(d.resident_slot_chunks(), 2);
+    }
+
+    #[test]
+    fn sweeps_keep_page_order_across_chunks_and_a_partial_last_chunk() {
+        // 1 400 pages: chunks of 512, 512 and a partial 376.
+        let d = NvmDevice::new(DeviceConfig { topology: Topology::new(2, 700), ..DeviceConfig::small() });
+        assert_eq!(d.slots.len(), 3);
+        let (a, b) = (ActorId(1), ActorId(2));
+        let pages = [1399, 1024, 1023, 600, 511, 3].map(PageId);
+        for p in pages {
+            d.mmu_map(a, p, PagePerm::Write).unwrap();
+        }
+        d.mmu_map(b, PageId(1023), PagePerm::Read).unwrap();
+        assert_eq!(d.resident_slot_chunks(), 3);
+        let got: Vec<(PageId, ActorId, PagePerm)> = d.mappings();
+        let want: Vec<(PageId, ActorId, PagePerm)> = [
+            (3, a, PagePerm::Write),
+            (511, a, PagePerm::Write),
+            (600, a, PagePerm::Write),
+            (1023, a, PagePerm::Write),
+            (1023, b, PagePerm::Read),
+            (1024, a, PagePerm::Write),
+            (1399, a, PagePerm::Write),
+        ]
+        .map(|(p, who, perm)| (PageId(p), who, perm))
+        .to_vec();
+        assert_eq!(got, want);
+        assert_eq!(d.revoke_actor(a), pages.len());
+        assert_eq!(d.mappings(), vec![(PageId(1023), b, PagePerm::Read)]);
+        d.clear_mappings();
+        assert!(d.mappings().is_empty());
+    }
+
+    #[test]
+    fn a_page_past_the_end_is_out_of_range_everywhere() {
+        let d = NvmDevice::new(DeviceConfig { topology: Topology::new(2, 700), ..DeviceConfig::small() });
+        let (a, ok) = (ActorId(1), PageId(5));
+        for p in [PageId(1400), PageId(1535), PageId(u64::MAX)] {
+            let mut buf = [0u8; 8];
+            let oor = Err(ProtError::OutOfRange);
+            assert_eq!(d.copy_from_page(KERNEL_ACTOR, p, 0, &mut buf), oor);
+            assert_eq!(d.copy_to_page(KERNEL_ACTOR, p, 0, &buf), oor);
+            assert_eq!(d.read(KERNEL_ACTOR, 0, p, 0, &mut buf), oor);
+            assert_eq!(d.write(KERNEL_ACTOR, 0, p, 0, &buf), oor);
+            assert_eq!(d.mmu_map(a, p, PagePerm::Write), oor);
+            assert_eq!(d.mmu_unmap(a, p), Err(ProtError::OutOfRange));
+            assert_eq!(d.mmu_perm(a, p), Err(ProtError::OutOfRange));
+            assert_eq!(d.page_csum(p), Err(ProtError::OutOfRange));
+            assert_eq!(d.page_csum_ok(p), Err(ProtError::OutOfRange));
+            assert_eq!(d.reset_page(p), oor);
+            assert_eq!(d.reset_page_sparing(p, a), Err(ProtError::OutOfRange));
+            assert_eq!(d.snapshot_page(p).err(), Some(ProtError::OutOfRange));
+            assert_eq!(d.restore_page(p, &[0u8; PAGE_SIZE]), oor);
+            assert_eq!(d.corrupt_for_test(p, 0), oor);
+            assert_eq!(d.migrate_page(p, ok), oor);
+            assert_eq!(d.migrate_page(ok, p), oor);
+            assert!(!d.rot_byte(p, 0));
+            assert_eq!(d.fence_off_page(p), 0);
+        }
+        assert_eq!(d.poisoned_lines(), 0);
+        assert_eq!(d.resident_slot_chunks(), 0);
     }
 
     #[test]

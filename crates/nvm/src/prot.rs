@@ -69,6 +69,9 @@ pub struct PageProt {
 }
 
 impl PageProt {
+    /// No mappings: the record of a page nobody has mapped.
+    pub const EMPTY: PageProt = PageProt { entries: Vec::new() };
+
     /// Grants (or upgrades/downgrades) `actor`'s permission.
     pub fn map(&mut self, actor: ActorId, perm: PagePerm) {
         match self.entries.iter_mut().find(|(a, _)| *a == actor) {

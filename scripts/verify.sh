@@ -155,8 +155,9 @@ cargo test -q --no-default-features -p trio-repro -p trio-obs
 # <campaign> — and target/<campaign>-report.json keeps the counters and
 # the failures.
 
-# Ceiling 60 s: the stage measures 2–4 s warm (EXPERIMENTS.md "Sim-thread
-# hand-off"); the same holds for the two campaigns after it.
+# Ceiling 60 s: the stage measures 4–6 s warm on a busy 2-CPU container
+# (EXPERIMENTS.md "A device that costs what it touches"); the same holds
+# for the two campaigns after it.
 stage "chaos campaign: worker kills under delegated traffic" 60
 # Delegation failure domains (DESIGN.md §16): 500 iterations crossing
 # worker-kill points (after-pop / mid-payload / before-reply) with

@@ -128,6 +128,44 @@ fn lsm_database_survives_fs_level_crash() {
     dev.take_sanitize_report(43).expect_clean("lsm_database_survives_fs_level_crash");
 }
 
+/// Recovery on perfbench's geometry (8 nodes × 32 Ki pages, 512 chunks of
+/// page slots) builds slots only where the file system stored: its scrub
+/// of every free page finds an untouched page already clear, and a
+/// remount adds only the chunks of the pages it maps.
+#[test]
+fn recovery_at_perfbench_geometry_builds_only_touched_slot_chunks() {
+    let dev = Arc::new(NvmDevice::new(DeviceConfig::eight_node(32 << 10)));
+    let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
+    let fs = ArckFs::mount(kernel, 1000, 1000, ArckFsConfig::no_delegation());
+    let body = |i: usize| vec![i as u8 + 1; 3 * 4096 + 100];
+    let rt = SimRuntime::new(46);
+    rt.spawn("writer", move || {
+        fs.mkdir("/d", Mode(0o777)).unwrap();
+        for i in 0..8 {
+            write_file(&*fs, &format!("/d/f{i}"), &body(i)).unwrap();
+        }
+    });
+    rt.run();
+    let written = dev.resident_slot_chunks();
+    dev.crash();
+
+    let kernel = KernelController::recover(Arc::clone(&dev), KernelConfig::default()).unwrap();
+    assert!(kernel.fsck().is_empty(), "the recovered tree is clean");
+    let recovered = dev.resident_slot_chunks();
+    let fs = ArckFs::mount(kernel, 1000, 1000, ArckFsConfig::no_delegation());
+    let rt = SimRuntime::new(47);
+    rt.spawn("reader", move || {
+        for i in 0..8 {
+            assert_eq!(read_file(&*fs, &format!("/d/f{i}")).unwrap(), body(i));
+        }
+    });
+    rt.run();
+    let remounted = dev.resident_slot_chunks();
+    eprintln!("slot chunks: {written} written, {recovered} recovered, {remounted} remounted of 512");
+    assert_eq!(recovered, written, "recovery's scrub of the free pages builds no chunk");
+    assert!(written <= 16 && remounted <= 2 * written, "{remounted} of 512 chunks built");
+}
+
 /// Core state is one format read one way (DESIGN.md §3): the verifier, a
 /// LibFS rebuilding its aux, the kernel's checkpoint and the kernel's
 /// recovery name the same children of the same directory — three pages of
