@@ -76,6 +76,10 @@ pub fn walk_file(
     let mut out = FilePages::default();
     let mut seen_index = DetHashSet::default();
     let mut seen_data = DetHashSet::default();
+    // Holes seen since the last live slot: pushed only when a live slot
+    // follows, so `data_pages` ends at the allocated extent and never
+    // holds (or reserves) a trailing run of holes.
+    let mut holes = 0;
     let mut cur = first_index;
     while cur != 0 {
         if cur >= total {
@@ -93,7 +97,7 @@ pub fn walk_file(
         for (i, &e) in entries.iter().enumerate() {
             debug_assert!(i < ENTRIES_PER_INDEX);
             if e == 0 {
-                out.data_pages.push(None);
+                holes += 1;
             } else {
                 if e >= total {
                     return Err(WalkError::PageOutOfRange(PageId(e)));
@@ -101,14 +105,12 @@ pub fn walk_file(
                 if !seen_data.insert(e) || seen_index.contains(&e) {
                     return Err(WalkError::DuplicateDataPage(PageId(e)));
                 }
+                out.data_pages.extend(std::iter::repeat_n(None, holes));
+                holes = 0;
                 out.data_pages.push(Some(PageId(e)));
             }
         }
         cur = next;
-    }
-    // Trim trailing holes so data_pages.len() tracks the allocated extent.
-    while matches!(out.data_pages.last(), Some(None)) {
-        out.data_pages.pop();
     }
     Ok(out)
 }
@@ -145,6 +147,15 @@ mod tests {
         assert_eq!(fp.index_pages, vec![PageId(2)]);
         assert_eq!(fp.data_pages, vec![Some(PageId(10)), None, Some(PageId(11))]);
         assert_eq!(fp.live_data_pages(), 2);
+    }
+
+    #[test]
+    fn a_one_page_file_keeps_no_slot_buffer_for_its_trailing_holes() {
+        let h = handle();
+        IndexPageRef::new(&h, PageId(2)).set_entry(0, 10).unwrap();
+        let fp = walk_file(&h, 2, 16).unwrap();
+        assert_eq!(fp.data_pages, vec![Some(PageId(10))]);
+        assert!(fp.data_pages.capacity() <= 8, "capacity {}", fp.data_pages.capacity());
     }
 
     #[test]

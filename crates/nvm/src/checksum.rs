@@ -74,6 +74,26 @@ impl SeaHasher {
         self.next = (self.next + 1) % 4;
     }
 
+    /// Absorbs whole 32-byte blocks, one word into each lane per block,
+    /// with the lanes held in locals; the stream must be at lane 0 with no
+    /// tail buffered. The same words into the same lanes as four
+    /// [`Self::absorb`] calls each, without the store and reload of
+    /// `lanes[next]` between them. Returns what is left, under 32 bytes.
+    fn absorb_blocks<'a>(&mut self, data: &'a [u8]) -> &'a [u8] {
+        debug_assert!(self.next == 0 && self.tail_len == 0);
+        let (blocks, rest) = data.as_chunks::<32>();
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for block in blocks {
+            let (words, _) = block.as_chunks::<8>();
+            a = diffuse(a ^ u64::from_le_bytes(words[0]));
+            b = diffuse(b ^ u64::from_le_bytes(words[1]));
+            c = diffuse(c ^ u64::from_le_bytes(words[2]));
+            d = diffuse(d ^ u64::from_le_bytes(words[3]));
+        }
+        self.lanes = [a, b, c, d];
+        rest
+    }
+
     /// Absorbs `data` into the state.
     pub fn write(&mut self, data: &[u8]) {
         self.written += data.len() as u64;
@@ -95,14 +115,23 @@ impl SeaHasher {
             self.tail_len = 0;
             self.absorb(w);
         }
-        let mut chunks = rest.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.absorb(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        // Single words up to lane 0, then whole blocks, then single words.
+        while self.next != 0 {
+            let Some((word, after)) = rest.split_first_chunk::<8>() else { break };
+            self.absorb(u64::from_le_bytes(*word));
+            rest = after;
         }
-        for (i, &b) in chunks.remainder().iter().enumerate() {
+        if self.next == 0 {
+            rest = self.absorb_blocks(rest);
+        }
+        let (words, tail) = rest.as_chunks::<8>();
+        for word in words {
+            self.absorb(u64::from_le_bytes(*word));
+        }
+        for (i, &b) in tail.iter().enumerate() {
             self.tail |= (b as u64) << (8 * i);
         }
-        self.tail_len = chunks.remainder().len();
+        self.tail_len = tail.len();
     }
 
     /// Finalizes: folds the lanes, the buffered tail, and the stream
@@ -180,6 +209,66 @@ mod tests {
         assert_eq!(mid, checksum(b"abc"));
         h.write(b"def");
         assert_eq!(h.finish(), checksum(b"abcdef"));
+    }
+
+    /// The one-word-at-a-time construction the digest is defined by: the
+    /// `k`-th whole word of the stream goes into lane `k % 4`, the last
+    /// partial word (zero-padded) into the next lane, then the fold.
+    fn reference(stream: &[u8]) -> u64 {
+        let mut lanes = SEED;
+        let (words, tail) = stream.as_chunks::<8>();
+        for (k, word) in words.iter().enumerate() {
+            lanes[k % 4] = diffuse(lanes[k % 4] ^ u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            let k = words.len() % 4;
+            lanes[k] = diffuse(lanes[k] ^ u64::from_le_bytes(w));
+        }
+        diffuse(lanes[0] ^ lanes[1] ^ lanes[2] ^ lanes[3] ^ stream.len() as u64)
+    }
+
+    #[test]
+    fn block_absorption_matches_the_one_word_reference() {
+        // xorshift64: lengths, bytes and chunk sizes, the same every run.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..400 {
+            // A lead of 0..40 bytes starts the bulk of the stream at every
+            // lane and with every tail length buffered.
+            let lead = (next() % 40) as usize;
+            let len = lead + (next() % 9000) as usize;
+            let stream: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let want = reference(&stream);
+            assert_eq!(checksum(&stream), want, "one-shot, len {len}");
+            let mut h = SeaHasher::new();
+            h.write(&stream[..lead]);
+            let mut rest = &stream[lead..];
+            while !rest.is_empty() {
+                let n = (1 + next() % 100) as usize;
+                let n = if next() % 4 == 0 { n * 37 } else { n }.min(rest.len());
+                h.write(&rest[..n]);
+                rest = &rest[n..];
+            }
+            assert_eq!(h.finish(), want, "chunked, len {len}, lead {lead}");
+        }
+    }
+
+    #[test]
+    fn digests_on_media_do_not_change() {
+        // Superblock and journal checksums are stored: these digests are
+        // part of the media format.
+        let pat: Vec<u8> = (0..10_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(checksum(&[0u8; 4096]), 0x7ad6_3487_02da_2905);
+        assert_eq!(checksum(b"hello"), 0x0220_7565_1d74_6789);
+        assert_eq!(checksum(&pat), 0x1915_0766_133e_29b7);
+        assert_eq!(checksum(&pat[..4093]), 0x4ea8_62eb_6665_7246);
     }
 
     #[test]

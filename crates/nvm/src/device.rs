@@ -59,7 +59,11 @@ impl DeviceConfig {
 
 #[derive(Default)]
 struct PageSlot {
-    /// Lazily allocated contents; `None` reads as zeros.
+    /// The page's written prefix, in whole cache lines; every byte past it
+    /// reads as zero, and `None` (no store yet) is the empty prefix. A
+    /// store grows it ([`PageSlot::store`]), a read never does
+    /// ([`PageSlot::load`]), so a page costs the lines up to its last
+    /// store, not 4 KiB.
     data: Option<Box<[u8]>>,
     prot: PageProt,
     /// Data checksum recorded by a delegation worker's streaming write pass
@@ -74,12 +78,60 @@ struct PageSlot {
 /// checksum.
 static EMPTY_SLOT: PageSlot = PageSlot { data: None, prot: PageProt::EMPTY, csum: None };
 
+/// What a page reads as past its written prefix.
+static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 /// [`SLOT_CHUNK`] page slots, built by the first store into one of them.
 type SlotChunk = OnceLock<Box<[Mutex<PageSlot>]>>;
 
 impl PageSlot {
-    fn ensure_data(&mut self) -> &mut [u8] {
-        self.data.get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice())
+    /// The written prefix.
+    fn written(&self) -> &[u8] {
+        self.data.as_deref().unwrap_or_default()
+    }
+
+    /// The one store rule: writes `bytes` at `off`, first growing the
+    /// written prefix to cover them. It grows by doubling, in whole lines,
+    /// up to `PAGE_SIZE`, so a page filled line by line reallocates a
+    /// handful of times, not once per line. A full-page store into a short
+    /// prefix takes the bytes as they are, without zero-filling first; a
+    /// store the prefix already covers copies in place.
+    fn store(&mut self, off: usize, bytes: &[u8]) {
+        let (end, have) = (off + bytes.len(), self.written().len());
+        if end > have {
+            if off == 0 && end == PAGE_SIZE {
+                self.data = Some(bytes.into());
+                return;
+            }
+            let len = end.next_multiple_of(CACHE_LINE).max(2 * have).min(PAGE_SIZE);
+            let mut grown = Vec::with_capacity(len);
+            grown.extend_from_slice(self.written());
+            grown.resize(len, 0);
+            self.data = Some(grown.into_boxed_slice());
+        }
+        self.data.get_or_insert_default()[off..end].copy_from_slice(bytes);
+    }
+
+    /// Fills `buf` with the page's bytes at `off`: the prefix's, then
+    /// zeros. A read that starts past the prefix is all zeros.
+    fn load(&self, off: usize, buf: &mut [u8]) {
+        let written = self.written().get(off..).unwrap_or_default();
+        let have = written.len().min(buf.len());
+        buf[..have].copy_from_slice(&written[..have]);
+        buf[have..].fill(0);
+    }
+
+    /// One byte of the page.
+    fn byte(&self, off: usize) -> u8 {
+        self.written().get(off).copied().unwrap_or(0)
+    }
+
+    /// The whole page: the prefix, then zeros.
+    fn image(&self) -> Box<[u8]> {
+        let mut img = Vec::with_capacity(PAGE_SIZE);
+        img.extend_from_slice(self.written());
+        img.resize(PAGE_SIZE, 0);
+        img.into_boxed_slice()
     }
 }
 
@@ -109,10 +161,11 @@ pub struct NvmDevice {
 }
 
 impl NvmDevice {
-    /// Builds a device. Memory is committed lazily: page contents per
-    /// page, and page slots (mappings, checksum) per chunk of
-    /// [`SLOT_CHUNK`] pages on the first store into one of them. A device
-    /// costs what was stored into, plus one empty cell per chunk.
+    /// Builds a device. Memory is committed lazily: page contents as each
+    /// page's written prefix, in whole cache lines up to its last store,
+    /// and page slots (mappings, checksum) per chunk of [`SLOT_CHUNK`]
+    /// pages on the first store into one of them. A device costs what was
+    /// stored into, plus one empty cell per chunk; a read builds nothing.
     pub fn new(config: DeviceConfig) -> Self {
         let chunks = (config.topology.total_pages() as usize).div_ceil(SLOT_CHUNK);
         NvmDevice {
@@ -187,6 +240,12 @@ impl NvmDevice {
         self.slots.iter().filter(|chunk| chunk.get().is_some()).count()
     }
 
+    /// Page-content bytes held, summed over every page's written prefix.
+    /// For diagnostics and tests only: no behaviour depends on it.
+    pub fn resident_page_bytes(&self) -> usize {
+        self.built_slots().map(|(_, slot)| slot.lock().written().len()).sum()
+    }
+
     /// Charges virtual time for moving `bytes` at `node`, sampling the
     /// node's concurrency level. Public so multi-page extent operations can
     /// charge once per node-contiguous run instead of per page.
@@ -227,10 +286,7 @@ impl NvmDevice {
                 t.recovery_read_check(page, off, buf.len());
             }
             self.race_check(actor, page, off, buf.len(), false);
-            match &slot.data {
-                Some(d) => buf.copy_from_slice(&d[off..off + buf.len()]),
-                None => buf.fill(0),
-            }
+            slot.load(off, buf);
             Ok(())
         })?
     }
@@ -272,9 +328,9 @@ impl NvmDevice {
         self.poison_check_write(page, off, data.len())?;
         self.race_check(actor, page, off, data.len(), true);
         if let Some(t) = &self.tracker {
-            t.record_store_data(page, off, data, slot.data.as_deref());
+            t.record_store_data(page, off, data, slot.written());
         }
-        slot.ensure_data()[off..off + data.len()].copy_from_slice(data);
+        slot.store(off, data);
         slot.csum = csum;
         Ok(())
     }
@@ -545,7 +601,7 @@ impl NvmDevice {
             // later crash would revert still-unflushed lines to the previous
             // owner's data (a security leak, and stale garbage in any file
             // that reuses the page without rewriting every line).
-            t.record_store(page, 0, PAGE_SIZE, Some(d));
+            t.record_store(page, 0, PAGE_SIZE, d);
             t.flush(page, 0, PAGE_SIZE);
             t.fence();
         }
@@ -560,12 +616,11 @@ impl NvmDevice {
         Ok(kept)
     }
 
-    /// Copies a whole page (checkpointing). Privileged.
+    /// Copies a whole page (checkpointing). Privileged. The image is always
+    /// `PAGE_SIZE` bytes: the written prefix, then zeros, so callers read
+    /// fixed offsets whatever the prefix's length.
     pub fn snapshot_page(&self, page: PageId) -> Result<Box<[u8]>, ProtError> {
-        self.peek(page, |slot| match &slot.data {
-            Some(d) => d.clone(),
-            None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
-        })
+        self.peek(page, PageSlot::image)
     }
 
     /// Restores a page image (rollback). Privileged; leaves mappings alone.
@@ -573,12 +628,12 @@ impl NvmDevice {
         assert_eq!(image.len(), PAGE_SIZE);
         let mut slot = self.slot(page)?.lock();
         if let Some(t) = &self.tracker {
-            t.record_store(page, 0, PAGE_SIZE, slot.data.as_deref());
+            t.record_store(page, 0, PAGE_SIZE, slot.written());
             // Rollback writes are made durable on the spot.
             t.flush(page, 0, PAGE_SIZE);
             t.fence();
         }
-        slot.ensure_data().copy_from_slice(image);
+        slot.store(0, image);
         slot.csum = None;
         // A full-page restore rewrites every line, repairing media errors.
         self.scrub_page(page);
@@ -612,8 +667,7 @@ impl NvmDevice {
                 affected_pages.push(*page); // Drain is sorted by (page, off).
             }
             if let Ok(slot) = self.slot(*page) {
-                let mut slot = slot.lock();
-                slot.ensure_data()[*off..*off + img.len()].copy_from_slice(img);
+                slot.lock().store(*off, img);
             }
         }
         CrashReport { lost_lines: lost.len(), affected_pages, points_seen, crash_point }
@@ -723,7 +777,8 @@ impl NvmDevice {
             return Err(ProtError::OutOfRange);
         }
         let mut slot = self.slot(page)?.lock();
-        slot.ensure_data()[off] ^= 0x40;
+        let b = slot.byte(off) ^ 0x40;
+        slot.store(off, &[b]);
         Ok(())
     }
 }
@@ -772,11 +827,10 @@ impl NvmDevice {
     pub fn page_csum_ok(&self, page: PageId) -> Result<Option<bool>, ProtError> {
         self.peek(page, |slot| {
             let want = slot.csum?;
-            let got = match &slot.data {
-                Some(d) => crate::checksum::checksum(d),
-                None => crate::checksum::checksum(&[0u8; PAGE_SIZE]),
-            };
-            Some(got == want)
+            let (mut h, written) = (crate::checksum::SeaHasher::new(), slot.written());
+            h.write(written);
+            h.write(&ZEROS[written.len()..]);
+            Some(h.finish() == want)
         })
     }
 
@@ -791,20 +845,14 @@ impl NvmDevice {
         if self.page_has_poison(from) {
             return Err(ProtError::Poisoned);
         }
-        let (img, csum) = self.peek(from, |slot| {
-            let img: Box<[u8]> = match &slot.data {
-                Some(d) => d.clone(),
-                None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
-            };
-            (img, slot.csum)
-        })?;
+        let (img, csum) = self.peek(from, |slot| (slot.image(), slot.csum))?;
         let mut dst = self.slot(to)?.lock();
         if let Some(t) = &self.tracker {
-            t.record_store(to, 0, PAGE_SIZE, dst.data.as_deref());
+            t.record_store(to, 0, PAGE_SIZE, dst.written());
             t.flush(to, 0, PAGE_SIZE);
             t.fence();
         }
-        dst.ensure_data().copy_from_slice(&img);
+        dst.store(0, &img);
         dst.csum = csum;
         drop(dst);
         self.scrub_page(to);
@@ -820,8 +868,9 @@ impl NvmDevice {
     pub fn rot_byte(&self, page: PageId, off: usize) -> bool {
         let Ok(slot) = self.slot(page) else { return false };
         let mut slot = slot.lock();
-        let data = slot.ensure_data();
-        data[off % PAGE_SIZE] ^= 0xFF;
+        let off = off % PAGE_SIZE;
+        let b = slot.byte(off) ^ 0xFF;
+        slot.store(off, &[b]);
         slot.csum.is_some()
     }
 
@@ -1236,6 +1285,146 @@ mod tests {
         }
         assert_eq!(d.poisoned_lines(), 0);
         assert_eq!(d.resident_slot_chunks(), 0);
+    }
+
+    /// Maps `p` writable for actor 1, and returns that actor.
+    fn mapped(d: &NvmDevice, p: PageId) -> ActorId {
+        let a = ActorId(1);
+        d.mmu_map(a, p, PagePerm::Write).unwrap();
+        a
+    }
+
+    /// `p`'s bytes at `off`, read through the permission-checked path.
+    fn bytes(d: &NvmDevice, p: PageId, off: usize, len: usize) -> Vec<u8> {
+        let mut buf = vec![0xEEu8; len];
+        d.copy_from_page(KERNEL_ACTOR, p, off, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn a_store_builds_a_prefix_up_to_its_last_line_only() {
+        let stores = [(0, 1), (0, 64), (8, 8), (100, 5), (1000, 24), (4088, 8), (0, PAGE_SIZE)];
+        for (off, len) in stores {
+            let d = dev();
+            let p = PageId(7);
+            let a = mapped(&d, p);
+            d.copy_to_page(a, p, off, &vec![0xA1u8; len]).unwrap();
+            let prefix = d.resident_page_bytes();
+            let most = (off + len).next_multiple_of(CACHE_LINE);
+            assert!(prefix >= off + len && prefix <= most, "{off}+{len}: {prefix}");
+            assert!(prefix.is_multiple_of(CACHE_LINE), "{off}+{len}: {prefix}");
+        }
+        let d = dev();
+        let (p, q) = (PageId(1), PageId(2));
+        let a = mapped(&d, p);
+        // Growth doubles: a page filled line by line ends at one page.
+        for line in 0..PAGE_SIZE / CACHE_LINE {
+            d.copy_to_page(a, p, line * CACHE_LINE, &[line as u8; CACHE_LINE]).unwrap();
+        }
+        assert_eq!(d.resident_page_bytes(), PAGE_SIZE);
+        let lines = bytes(&d, p, 0, PAGE_SIZE);
+        assert!(lines.chunks(CACHE_LINE).enumerate().all(|(i, l)| l == [i as u8; CACHE_LINE]));
+        // Reads, snapshots and checksum checks of another page add nothing.
+        mapped(&d, q);
+        bytes(&d, q, 0, PAGE_SIZE);
+        d.snapshot_page(q).unwrap();
+        d.page_csum_ok(q).unwrap();
+        assert_eq!(d.resident_page_bytes(), PAGE_SIZE);
+    }
+
+    #[test]
+    fn reads_return_the_prefix_then_zeros() {
+        let d = dev();
+        let p = PageId(3);
+        let a = mapped(&d, p);
+        let body: Vec<u8> = (1..=100).collect();
+        d.copy_to_page(a, p, 20, &body).unwrap();
+        assert_eq!(d.resident_page_bytes(), 128);
+        // Inside the prefix.
+        assert_eq!(bytes(&d, p, 20, 100), body);
+        assert_eq!(bytes(&d, p, 0, 20), vec![0u8; 20]);
+        // Straddling its end: the prefix's bytes, then zeros.
+        let mut want = body[80..].to_vec();
+        want.resize(60, 0);
+        assert_eq!(bytes(&d, p, 100, 60), want);
+        // Starting at and past its end, up to the page's last byte.
+        assert_eq!(bytes(&d, p, 128, 64), vec![0u8; 64]);
+        assert_eq!(bytes(&d, p, 3000, 1096), vec![0u8; 1096]);
+        assert_eq!(d.read_u64(KERNEL_ACTOR, p, 4088), Ok(0));
+        let img = d.snapshot_page(p).unwrap();
+        assert_eq!(img.len(), PAGE_SIZE);
+        assert_eq!(&img[20..120], &body[..]);
+        assert!(img[..20].iter().chain(&img[120..]).all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_short_prefix_hashes_as_its_whole_page() {
+        let d = dev();
+        let p = PageId(4);
+        let a = mapped(&d, p);
+        d.copy_to_page(a, p, 0, &[0x5Au8; 200]).unwrap();
+        let whole = crate::checksum::checksum(&d.snapshot_page(p).unwrap());
+        assert!(d.resident_page_bytes() < PAGE_SIZE);
+        d.slot(p).unwrap().lock().csum = Some(whole);
+        assert_eq!(d.page_csum_ok(p), Ok(Some(true)));
+        d.slot(p).unwrap().lock().csum = Some(crate::checksum::checksum(&[0x5Au8; 200]));
+        assert_eq!(d.page_csum_ok(p), Ok(Some(false)), "the zero tail is hashed too");
+    }
+
+    #[test]
+    fn restore_over_a_longer_prefix_zeroes_its_old_tail() {
+        let d = dev();
+        let p = PageId(5);
+        let a = mapped(&d, p);
+        d.copy_to_page(a, p, 0, b"short").unwrap();
+        let snap = d.snapshot_page(p).unwrap();
+        assert_eq!(snap.len(), PAGE_SIZE);
+        d.copy_to_page(a, p, 3000, b"long tail").unwrap();
+        d.restore_page(p, &snap).unwrap();
+        assert_eq!(bytes(&d, p, 0, 5), b"short");
+        assert_eq!(bytes(&d, p, 3000, 9), vec![0u8; 9]);
+        assert_eq!(d.snapshot_page(p).unwrap(), snap);
+    }
+
+    #[test]
+    fn a_crash_reverts_a_store_that_grew_the_prefix() {
+        let d = NvmDevice::new(DeviceConfig { track_persistence: true, ..DeviceConfig::small() });
+        let p = PageId(6);
+        let a = mapped(&d, p);
+        d.copy_to_page(a, p, 0, b"durable!").unwrap();
+        d.flush(p, 0, 8);
+        d.fence();
+        let before = d.snapshot_page(p).unwrap();
+        // Straddles the first line into new ones, and lands far past the prefix.
+        d.copy_to_page(a, p, 60, &[0x77u8; 100]).unwrap();
+        d.copy_to_page(a, p, 2048, b"volatile").unwrap();
+        assert_eq!(d.crash().lost_lines, 4);
+        assert_eq!(d.snapshot_page(p).unwrap(), before);
+    }
+
+    #[test]
+    fn rot_and_corruption_past_the_prefix_flip_exactly_one_byte() {
+        let d = dev();
+        let p = PageId(8);
+        let a = mapped(&d, p);
+        d.copy_to_page(a, p, 0, &[0x11u8; 64]).unwrap();
+        let clean = d.snapshot_page(p).unwrap();
+        type Flip = fn(&NvmDevice, PageId, usize);
+        let flips: [(Flip, u8); 2] = [
+            (|d, p, off| assert!(!d.rot_byte(p, off)), 0xFF),
+            (|d, p, off| d.corrupt_for_test(p, off).unwrap(), 0x40),
+        ];
+        for (flip, mask) in flips {
+            for off in [10, 64, 1000, PAGE_SIZE - 1] {
+                flip(&d, p, off);
+                let img = d.snapshot_page(p).unwrap();
+                let diff: Vec<usize> = (0..PAGE_SIZE).filter(|&i| img[i] != clean[i]).collect();
+                assert_eq!(diff, vec![off]);
+                assert_eq!(img[off], clean[off] ^ mask);
+                flip(&d, p, off);
+                assert_eq!(d.snapshot_page(p).unwrap(), clean);
+            }
+        }
     }
 
     #[test]

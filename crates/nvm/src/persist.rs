@@ -152,7 +152,8 @@ impl PersistTracker {
 
     /// Records pre-images for the lines of `page` covered by
     /// `[off, off+len)`, given the page's current (pre-store) contents.
-    /// `current` is the full page; `None` means the page reads as zeros.
+    /// `current` is the page's written prefix, in whole lines: a line past
+    /// it reads as zeros, so an empty `current` is an all-zero page.
     ///
     /// Counts one persistence point. Stores after a freeze still record
     /// pre-images (they will be reverted by the crash): for a line that was
@@ -162,7 +163,7 @@ impl PersistTracker {
     /// A store into a `Flushed` line demotes it back to `Dirty` (the
     /// queued write-back no longer covers the new bytes) and records a
     /// [`HazardKind::StoreWhileFlushed`] hazard.
-    pub fn record_store(&self, page: PageId, off: usize, len: usize, current: Option<&[u8]>) {
+    pub fn record_store(&self, page: PageId, off: usize, len: usize, current: &[u8]) {
         self.record_store_inner(page, off, len, current, None);
     }
 
@@ -172,7 +173,7 @@ impl PersistTracker {
     /// words are patched into the pre-images the crash will restore).
     /// The data path uses this variant; metadata-free internal writes
     /// (rollback, page reset) keep the length-only form and never tear.
-    pub fn record_store_data(&self, page: PageId, off: usize, data: &[u8], current: Option<&[u8]>) {
+    pub fn record_store_data(&self, page: PageId, off: usize, data: &[u8], current: &[u8]) {
         self.record_store_inner(page, off, data.len(), current, Some(data));
     }
 
@@ -181,7 +182,7 @@ impl PersistTracker {
         page: PageId,
         off: usize,
         len: usize,
-        current: Option<&[u8]>,
+        current: &[u8],
         new_data: Option<&[u8]>,
     ) {
         debug_assert!(off + len <= PAGE_SIZE);
@@ -196,8 +197,8 @@ impl PersistTracker {
             match lines.entry((page.0, line as u16)) {
                 std::collections::hash_map::Entry::Vacant(v) => {
                     let mut img = [0u8; CACHE_LINE];
-                    if let Some(cur) = current {
-                        img.copy_from_slice(&cur[line * CACHE_LINE..(line + 1) * CACHE_LINE]);
+                    if let Some(cur) = current.get(line * CACHE_LINE..(line + 1) * CACHE_LINE) {
+                        img.copy_from_slice(cur);
                     }
                     v.insert(LineState { preimage: img, phase: LinePhase::Dirty });
                 }
@@ -402,7 +403,7 @@ mod tests {
     #[test]
     fn store_flush_fence_leaves_nothing_tracked() {
         let t = PersistTracker::new();
-        t.record_store(PageId(3), 10, 100, None);
+        t.record_store(PageId(3), 10, 100, &[]);
         assert_eq!(t.dirty_lines(), 2); // Lines 0 and 1 (bytes 10..110).
         t.flush(PageId(3), 0, 128);
         // Flushed but not fenced: still revertible.
@@ -414,7 +415,7 @@ mod tests {
     #[test]
     fn fence_without_flush_keeps_dirty_lines() {
         let t = PersistTracker::new();
-        t.record_store(PageId(1), 0, 64, None);
+        t.record_store(PageId(1), 0, 64, &[]);
         t.fence(); // No flush: the fence has nothing to retire.
         assert_eq!(t.dirty_lines(), 1);
     }
@@ -424,10 +425,10 @@ mod tests {
         let t = PersistTracker::new();
         let mut page = vec![0u8; PAGE_SIZE];
         page[0] = 0xAA;
-        t.record_store(PageId(1), 0, 8, Some(&page));
+        t.record_store(PageId(1), 0, 8, &page);
         // A second store to the same line must not overwrite the pre-image.
         page[0] = 0xBB;
-        t.record_store(PageId(1), 8, 8, Some(&page));
+        t.record_store(PageId(1), 8, 8, &page);
         let drained = t.drain_for_crash();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].2[0], 0xAA);
@@ -436,11 +437,11 @@ mod tests {
     #[test]
     fn store_into_flushed_line_demotes_it() {
         let t = PersistTracker::new();
-        t.record_store(PageId(2), 0, 8, None);
+        t.record_store(PageId(2), 0, 8, &[]);
         t.flush(PageId(2), 0, 8);
         // The store lands after the clwb was queued: the line must go back
         // to Dirty so the following fence does NOT make it durable.
-        t.record_store(PageId(2), 8, 8, None);
+        t.record_store(PageId(2), 8, 8, &[]);
         t.fence();
         assert_eq!(t.dirty_lines(), 1);
     }
@@ -448,7 +449,7 @@ mod tests {
     #[test]
     fn partial_flush_then_fence_keeps_other_lines() {
         let t = PersistTracker::new();
-        t.record_store(PageId(0), 0, 256, None); // Lines 0..4.
+        t.record_store(PageId(0), 0, 256, &[]); // Lines 0..4.
         t.flush(PageId(0), 0, 64); // Only line 0.
         t.fence();
         assert_eq!(t.dirty_lines(), 3);
@@ -457,9 +458,9 @@ mod tests {
     #[test]
     fn drain_is_sorted() {
         let t = PersistTracker::new();
-        t.record_store(PageId(9), 128, 64, None);
-        t.record_store(PageId(2), 0, 64, None);
-        t.record_store(PageId(9), 0, 64, None);
+        t.record_store(PageId(9), 128, 64, &[]);
+        t.record_store(PageId(2), 0, 64, &[]);
+        t.record_store(PageId(9), 0, 64, &[]);
         let d = t.drain_for_crash();
         let keys: Vec<(u64, usize)> = d.iter().map(|(p, off, _)| (p.0, *off)).collect();
         assert_eq!(keys, vec![(2, 0), (9, 0), (9, 128)]);
@@ -469,13 +470,13 @@ mod tests {
     fn freeze_stops_fences_from_retiring() {
         let t = PersistTracker::new();
         t.arm(FaultPlan::crash_at_point(2));
-        t.record_store(PageId(0), 0, 8, None); // point 0
+        t.record_store(PageId(0), 0, 8, &[]); // point 0
         t.flush(PageId(0), 0, 8); // point 1
         t.fence(); // point 2 — plan fires *at* this fence, so the
                    // retirement itself is already lost.
         assert_eq!(t.fired_at(), Some(2));
         assert_eq!(t.dirty_lines(), 1);
-        t.record_store(PageId(0), 64, 8, None); // point 3, still recorded
+        t.record_store(PageId(0), 64, 8, &[]); // point 3, still recorded
         t.flush(PageId(0), 64, 8); // point 4
         t.fence(); // point 5, no durable effect
         assert_eq!(t.dirty_lines(), 2);
@@ -491,7 +492,7 @@ mod tests {
         t.arm(FaultPlan::crash_at_point(0).with_torn_store());
         let page = vec![0x11u8; PAGE_SIZE];
         let data = [0x22u8; 32];
-        t.record_store_data(PageId(1), 64, &data, Some(&page)); // point 0, fires
+        t.record_store_data(PageId(1), 64, &data, &page); // point 0, fires
         let drained = t.drain_for_crash();
         assert_eq!(drained.len(), 1);
         let (p, off, img) = &drained[0];
@@ -507,7 +508,7 @@ mod tests {
         let t = PersistTracker::new();
         t.arm(FaultPlan::crash_at_point(0).with_torn_store());
         let page = vec![0x11u8; PAGE_SIZE];
-        t.record_store_data(PageId(1), 0, &[0x22u8; 8], Some(&page)); // atomic
+        t.record_store_data(PageId(1), 0, &[0x22u8; 8], &page); // atomic
         let drained = t.drain_for_crash();
         assert!(drained[0].2[..8].iter().all(|&b| b == 0x11), "8-byte store is atomic");
     }
@@ -517,8 +518,8 @@ mod tests {
         let t = PersistTracker::new();
         t.arm(FaultPlan::crash_at_point(0).with_torn_store());
         let page = vec![0x11u8; PAGE_SIZE];
-        t.record_store_data(PageId(1), 0, &[0x22u8; 32], Some(&page)); // point 0, tears
-        t.record_store_data(PageId(2), 0, &[0x33u8; 32], Some(&page)); // point 1, whole store lost
+        t.record_store_data(PageId(1), 0, &[0x22u8; 32], &page); // point 0, tears
+        t.record_store_data(PageId(2), 0, &[0x33u8; 32], &page); // point 1, whole store lost
         let drained = t.drain_for_crash();
         assert_eq!(drained.len(), 2);
         assert!(drained[1].2[..32].iter().all(|&b| b == 0x11), "post-freeze store fully reverts");
@@ -528,10 +529,10 @@ mod tests {
     fn fence_before_freeze_is_durable() {
         let t = PersistTracker::new();
         t.arm(FaultPlan::crash_at_point(3));
-        t.record_store(PageId(0), 0, 8, None); // point 0
+        t.record_store(PageId(0), 0, 8, &[]); // point 0
         t.flush(PageId(0), 0, 8); // point 1
         t.fence(); // point 2 — durable before the freeze
-        t.record_store(PageId(0), 64, 8, None); // point 3 — freeze fires
+        t.record_store(PageId(0), 64, 8, &[]); // point 3 — freeze fires
         assert_eq!(t.fired_at(), Some(3));
         assert_eq!(t.dirty_lines(), 1);
     }
@@ -547,7 +548,7 @@ mod tests {
         #[test]
         fn clean_protocol_records_no_hazards() {
             let t = PersistTracker::new();
-            t.record_store(PageId(1), 0, 100, None);
+            t.record_store(PageId(1), 0, 100, &[]);
             t.flush(PageId(1), 0, 100);
             t.fence();
             t.quiesce_check();
@@ -557,8 +558,8 @@ mod tests {
         #[test]
         fn missing_flush_and_fence_flagged_at_quiesce() {
             let t = PersistTracker::new();
-            t.record_store(PageId(1), 0, 8, None); // Never flushed.
-            t.record_store(PageId(2), 0, 8, None);
+            t.record_store(PageId(1), 0, 8, &[]); // Never flushed.
+            t.record_store(PageId(2), 0, 8, &[]);
             t.flush(PageId(2), 0, 8); // Flushed, never fenced.
             t.quiesce_check();
             assert_eq!(kinds(&t), vec![HazardKind::MissingFlush, HazardKind::MissingFence]);
@@ -567,7 +568,7 @@ mod tests {
         #[test]
         fn redundant_flush_flagged() {
             let t = PersistTracker::new();
-            t.record_store(PageId(1), 0, 8, None);
+            t.record_store(PageId(1), 0, 8, &[]);
             t.flush(PageId(1), 0, 8);
             t.flush(PageId(1), 0, 8);
             assert_eq!(kinds(&t), vec![HazardKind::RedundantFlush]);
@@ -576,7 +577,7 @@ mod tests {
         #[test]
         fn flushing_clean_lines_is_not_redundant() {
             let t = PersistTracker::new();
-            t.record_store(PageId(1), 0, 8, None);
+            t.record_store(PageId(1), 0, 8, &[]);
             // A range flush covering clean neighbours is normal.
             t.flush(PageId(1), 0, PAGE_SIZE);
             t.fence();
@@ -586,16 +587,16 @@ mod tests {
         #[test]
         fn store_while_flushed_flagged() {
             let t = PersistTracker::new();
-            t.record_store(PageId(1), 0, 8, None);
+            t.record_store(PageId(1), 0, 8, &[]);
             t.flush(PageId(1), 0, 8);
-            t.record_store(PageId(1), 8, 8, None);
+            t.record_store(PageId(1), 8, 8, &[]);
             assert_eq!(kinds(&t), vec![HazardKind::StoreWhileFlushed]);
         }
 
         #[test]
         fn publish_dependency_checked() {
             let t = PersistTracker::new();
-            t.record_store(PageId(5), 0, 8, None);
+            t.record_store(PageId(5), 0, 8, &[]);
             t.assert_durable(PageId(5), 0, 8); // Dirty: hazard.
             t.flush(PageId(5), 0, 8);
             t.assert_durable(PageId(5), 0, 8); // Flushed, unfenced: hazard.
@@ -610,7 +611,7 @@ mod tests {
         #[test]
         fn recovery_reads_of_nondurable_lines_flagged() {
             let t = PersistTracker::new();
-            t.record_store(PageId(7), 0, 8, None);
+            t.record_store(PageId(7), 0, 8, &[]);
             t.recovery_read_check(PageId(7), 0, 8); // Mode off: clean.
             t.set_recovery_mode(true);
             t.recovery_read_check(PageId(7), 0, 8); // Dirty line: hazard.
@@ -623,16 +624,16 @@ mod tests {
         fn nothing_is_recorded_between_the_freeze_and_the_crash() {
             let t = PersistTracker::new();
             t.arm(FaultPlan::crash_at_point(2));
-            t.record_store(PageId(1), 0, 8, None); // point 0
+            t.record_store(PageId(1), 0, 8, &[]); // point 0
             t.flush(PageId(1), 0, 8); // point 1
             t.fence(); // point 2 — fires; the line stays Flushed for good
-            t.record_store(PageId(1), 8, 8, None); // would be store-while-flushed
+            t.record_store(PageId(1), 8, 8, &[]); // would be store-while-flushed
             t.assert_durable(PageId(1), 0, 8); // would be publish-before-persist
             t.quiesce_check();
             assert!(kinds(&t).is_empty());
             // The crash thaws the tracker: recovery's own stores are checked.
             t.drain_for_crash();
-            t.record_store(PageId(1), 0, 8, None);
+            t.record_store(PageId(1), 0, 8, &[]);
             t.flush(PageId(1), 0, 8);
             t.flush(PageId(1), 0, 8);
             assert_eq!(kinds(&t), vec![HazardKind::RedundantFlush]);
@@ -641,7 +642,7 @@ mod tests {
         #[test]
         fn hazards_carry_replayable_points() {
             let t = PersistTracker::new();
-            t.record_store(PageId(1), 0, 8, None); // point 0
+            t.record_store(PageId(1), 0, 8, &[]); // point 0
             t.flush(PageId(1), 0, 8); // point 1
             t.flush(PageId(1), 0, 8); // point 2 — redundant
             let h = t.take_hazards();

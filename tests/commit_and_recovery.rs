@@ -166,6 +166,52 @@ fn recovery_at_perfbench_geometry_builds_only_touched_slot_chunks() {
     assert!(written <= 16 && remounted <= 2 * written, "{remounted} of 512 chunks built");
 }
 
+/// A small file costs the bytes written into it (DESIGN.md §2, `trio-nvm`
+/// row): at perfbench's geometry, 1 024 fsynced 1 KiB files keep about
+/// their own size in device pages through a crash, recovery and a remount
+/// that reads every one back. Whole pages would cost a 4 KiB data page and
+/// a 4 KiB index page a file.
+#[test]
+fn small_files_cost_their_written_bytes_through_crash_and_remount() {
+    const FILES: usize = 1024;
+    let dev = Arc::new(NvmDevice::new(DeviceConfig {
+        track_persistence: true,
+        ..DeviceConfig::eight_node(32 << 10)
+    }));
+    let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
+    let fs = ArckFs::mount(kernel, 1000, 1000, ArckFsConfig::no_delegation());
+    let body = |i: usize| vec![(i % 251) as u8 + 1; 1024];
+    let rt = SimRuntime::new(48);
+    rt.spawn("writer", move || {
+        fs.mkdir("/m", Mode(0o777)).unwrap();
+        for i in 0..FILES {
+            let flags = OpenFlags::CREATE | OpenFlags::WRONLY;
+            let fd = fs.open(&format!("/m/f{i}"), flags, Mode::RW).unwrap();
+            fs.pwrite(fd, 0, &body(i)).unwrap();
+            fs.fsync(fd).unwrap();
+            fs.close(fd).unwrap();
+        }
+    });
+    rt.run();
+    let written = dev.resident_page_bytes();
+    dev.crash();
+
+    let kernel = KernelController::recover(Arc::clone(&dev), KernelConfig::default()).unwrap();
+    assert!(kernel.fsck().is_empty(), "the recovered tree is clean");
+    let fs = ArckFs::mount(kernel, 1000, 1000, ArckFsConfig::no_delegation());
+    let rt = SimRuntime::new(49);
+    rt.spawn("reader", move || {
+        for i in 0..FILES {
+            assert_eq!(read_file(&*fs, &format!("/m/f{i}")).unwrap(), body(i));
+        }
+    });
+    rt.run();
+    let remounted = dev.resident_page_bytes();
+    eprintln!("page bytes: {written} written, {remounted} after the remount, {FILES} files");
+    let bound = FILES * (3 << 10);
+    assert!(written <= bound && remounted <= bound, "{written} / {remounted} > {bound}");
+}
+
 /// Core state is one format read one way (DESIGN.md §3): the verifier, a
 /// LibFS rebuilding its aux, the kernel's checkpoint and the kernel's
 /// recovery name the same children of the same directory — three pages of
