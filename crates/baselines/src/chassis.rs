@@ -31,7 +31,7 @@ pub struct Dentry {
 
 /// The chassis. One per mounted baseline.
 pub struct VfsChassis {
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "one sharded map, spelled out once")]
     shards: Box<[SimRwLock<DetHashMap<(u64, String), Arc<Dentry>>>]>,
     /// Global dcache modification lock.
     pub dcache_mod: SimMutex<()>,

@@ -12,11 +12,6 @@
 //! stored for real in the emulated NVM, so LevelDB and Filebench run
 //! bit-faithfully on every baseline.
 
-// The whole crate is plain safe Rust over the typed NvmHandle API; the
-// xtask lint (safety-comment rule) found zero unsafe blocks, and this
-// attribute keeps it that way.
-#![forbid(unsafe_code)]
-
 pub mod chassis;
 pub mod profile;
 pub mod simplefs;

@@ -44,7 +44,7 @@ struct InodeData {
 }
 
 struct Inode {
-    #[allow(dead_code)] // Diagnostic identity.
+    #[allow(dead_code, reason = "diagnostic identity")]
     ino: u64,
     rwsem: SimRwLock<InodeData>,
     /// NOVA/OdinFS per-inode log tail (serializes that inode's metadata
@@ -65,7 +65,7 @@ pub struct BaselineFs {
     profile: FsProfile,
     h: NvmHandle,
     chassis: VfsChassis,
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "one sharded map, spelled out once")]
     inodes: Box<[SimRwLock<DetHashMap<u64, Arc<Inode>>>]>,
     next_ino: AtomicU64,
     journal_global: SimMutex<()>,
@@ -251,6 +251,10 @@ impl BaselineFs {
     fn free_pages(&self, pages: &[PageId]) {
         let topo = self.h.device().topology();
         for p in pages {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the baseline FS has no per-actor page tables; freeing a page scrubs it"
+            )]
             let _ = self.h.device().reset_page(*p);
             self.pools[topo.node_of(*p)].lock().push(*p);
         }

@@ -140,6 +140,7 @@ fn verifier_speed() {
     r.set_size(160).unwrap();
 
     let verifier = Verifier::new(NvmHandle::new(dev, KERNEL_ACTOR));
+    #[allow(clippy::disallowed_methods, reason = "an empty set; nothing iterates it")]
     let ck: HashSet<u64> = HashSet::new();
     bench("verify_dir_160_entries", || {
         let req = VerifyRequest {

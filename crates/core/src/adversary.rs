@@ -231,7 +231,10 @@ pub fn run_mutation(
             // The victim slot is already live (published in a previous
             // op), so its image really is durable — the adversary only
             // forges the witness, not the durability.
-            // lint: allow(raw-publish) adversary mints a witness for an already-durable victim slot
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "adversary mints a witness for an already-durable victim slot"
+            )]
             // lint: allow(layout-door) the forged witness names the slot's raw bytes; no accessor hands out a span
             let slot = h.assume_durable(vic_loc.page, vic_loc.byte_off(), trio_layout::DIRENT_SIZE);
             match field {

@@ -28,7 +28,7 @@ const SHARDS: usize = 64;
 /// The customized full-path-indexing view over an [`ArckFs`] mount.
 pub struct FpFs {
     fs: Arc<ArckFs>,
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "one sharded map, spelled out once")]
     table: Box<[SimMutex<DetHashMap<String, Arc<FileNode>>>]>,
 }
 

@@ -55,7 +55,7 @@ pub struct KvFs {
     fs: Arc<ArckFs>,
     dir: Arc<crate::node::FileNode>,
     dir_path: String,
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "one sharded map, spelled out once")]
     table: Box<[SimMutex<DetHashMap<String, Arc<KvNode>>>]>,
 }
 

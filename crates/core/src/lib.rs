@@ -36,6 +36,11 @@
 //! rt.run();
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "unit tests program the MMU directly, keep std sets")
+)]
+
 pub mod adversary;
 pub mod attack;
 pub mod dir_ops;

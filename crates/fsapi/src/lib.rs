@@ -9,11 +9,6 @@
 //! kernel state. Workload generators are written against this trait only,
 //! so every experiment runs unchanged on every file system.
 
-// The whole crate is plain safe Rust over the typed NvmHandle API; the
-// xtask lint (safety-comment rule) found zero unsafe blocks, and this
-// attribute keeps it that way.
-#![forbid(unsafe_code)]
-
 pub mod error;
 pub mod path;
 pub mod types;

@@ -114,6 +114,10 @@ impl PageAllocator {
         let pools = (0..topo.nodes)
             .map(|node| {
                 let first = topo.first_page_of(node).0;
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the allocator scrubs the frames it holds"
+                )]
                 let mut pool: Vec<PageId> = (first..first + topo.pages_per_node as u64)
                     .rev()
                     .map(PageId)
@@ -321,6 +325,7 @@ impl PageAllocator {
         };
         // A page the device refuses to scrub (out of range) is dropped,
         // never recycled: leaking it is safe, its contents would not be.
+        #[allow(clippy::disallowed_methods, reason = "the allocator scrubs the frames it holds")]
         let scrubbed: Vec<PageId> =
             live.iter().copied().filter(|p| self.dev.reset_page(*p).is_ok()).collect();
         let pay = || {
@@ -462,6 +467,7 @@ impl PageAllocator {
         self.condemned.fetch_sub(1, Ordering::Relaxed);
         let fresh = r.retired.insert(page.0);
         drop(r);
+        #[allow(clippy::disallowed_methods, reason = "the allocator scrubs the frames it holds")]
         let _ = self.dev.reset_page(page);
         if fresh {
             self.media.record_retired();

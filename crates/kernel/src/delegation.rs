@@ -847,7 +847,7 @@ impl DelegationPool {
 
     /// Splits `[start, start+len)` over `pages` into node-contiguous runs.
     /// Returns `(node, page_range, byte_range_within_extent)` tuples.
-    #[allow(clippy::needless_range_loop)] // `pi` marks run boundaries
+    #[allow(clippy::needless_range_loop, reason = "`pi` marks run boundaries")]
     fn split_runs(
         &self,
         pages: &[PageId],
@@ -897,7 +897,10 @@ impl DelegationPool {
     /// concurrently, and that is what lifts the node to the concurrency
     /// level its bandwidth model rewards. Small runs stay whole: one chunk,
     /// one hop.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "an op's actor, pages, extent and grant, as the submit path holds them"
+    )]
     fn build_batches(
         &self,
         actor: ActorId,
@@ -999,7 +1002,10 @@ impl DelegationPool {
     ///
     /// This wrapper also feeds the degradation state machine and
     /// auto-dumps the obs flight recorder when the whole op times out.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "an op's actor, pages, extent and grant, as the submit path holds them"
+    )]
     fn run_batches(
         &self,
         actor: ActorId,
@@ -1024,7 +1030,10 @@ impl DelegationPool {
         r
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "an op's actor, pages, extent and grant, as the submit path holds them"
+    )]
     fn run_batches_inner(
         &self,
         actor: ActorId,
@@ -1288,7 +1297,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::reversed_empty_ranges)]
+    #[allow(clippy::reversed_empty_ranges, reason = "the reversed range is the input under test")]
     fn a_run_range_reversed_or_out_of_bounds_is_out_of_range() {
         let req = |payload: std::ops::Range<usize>, grant: Option<GrantRef>| DelegReq {
             actor: ActorId(1),

@@ -109,8 +109,11 @@ impl GrantTable {
         if trio_sim::in_sim() {
             trio_sim::work(200);
         } else {
-            // lint: allow(no-std-sync) bare scheduler hint on the non-sim
-            // drain path; nothing blocks, so there is no edge to track
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "bare scheduler hint on the non-sim drain path; nothing blocks, so there \
+                          is no edge to track"
+            )]
             std::thread::yield_now();
         }
     }

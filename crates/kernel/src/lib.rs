@@ -17,6 +17,15 @@
 //! kernel-owned state (root-inode updates, chmod/chown, reclamation).
 //! Every public entry point charges the syscall trap cost.
 
+// The repair-or-reject contract (DESIGN.md §14): code that parses
+// attacker-controlled bytes turns every failure into a `Violation` or an
+// `FsError`, never a panic. Unit tests are exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "unit tests race a grant revoke on host threads")
+)]
+
 pub(crate) mod alloc;
 pub mod delegation;
 pub mod grant;
@@ -187,8 +196,11 @@ impl KernelController {
         let kh = NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR);
         let sb = SuperblockRef::new(&kh);
         let topo = dev.topology();
-        // lint: allow(no-panic) format runs on a fresh device the kernel
-        // just built; page 0 always exists and no LibFS is registered yet.
+        #[allow(
+            clippy::expect_used,
+            reason = "format runs on a fresh device the kernel just built; page 0 always exists \
+                      and no LibFS is registered yet"
+        )]
         sb.format(topo.total_pages(), ROOT_INO + 1).expect("kernel formats the superblock");
 
         // Page 0 is the superblock, the last page its replica; everything

@@ -1044,7 +1044,7 @@ impl KernelController {
             .is_none()
             .then(|| (head.first_index().unwrap_or(0), head.size().unwrap_or(0)));
         // The verifier's request type takes a std set (perfbench builds one).
-        // lint: allow(no-random-state) only the verifier iterates it, sorted
+        #[allow(clippy::disallowed_methods, reason = "only the verifier iterates it, sorted")]
         let mut children = std::collections::HashSet::new();
         if ftype == CoreFileType::Directory {
             for dp in pages.data_pages.iter().flatten() {

@@ -44,7 +44,7 @@
 //! `NvmDevice::reset_page`, which wipes a frame's protections for *every*
 //! actor, is the allocator's, called on frames it holds and nobody is
 //! granted; outside `alloc.rs` the kernel reaches it only through here
-//! (`page-table-door` lint). `recycle` is the one scrub that changes a
+//! (`page-table-door` in clippy.toml). `recycle` is the one scrub that changes a
 //! frame's hands: the dead file's frames are in nobody's grant any more, so
 //! the other actors' PTEs it drops have no programming to race with, and
 //! the recycler's own PTE is this guard's to keep.
@@ -115,6 +115,10 @@ pub(crate) struct PageTableGuard<'a> {
     _held: SimMutexGuard<'a, ()>,
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the page-table door: a guard holds its actor's page-table lock"
+)]
 impl PageTableGuard<'_> {
     fn dev(&self) -> &NvmDevice {
         self.kernel.device()
@@ -222,8 +226,7 @@ pub(crate) fn superblock_window(dev: &NvmDevice) -> [PageId; 2] {
 
 impl KernelController {
     /// The door to `actor`'s PTEs: `page_table(actor).lock()` is the only
-    /// way the kernel edits them (`cargo xtask lint`, rule
-    /// `page-table-door`).
+    /// way the kernel edits them (clippy.toml, `page-table-door`).
     pub(crate) fn page_table(&self, actor: ActorId) -> PageTable<'_> {
         PageTable { kernel: self, actor, lock: self.page_tables.of(actor) }
     }

@@ -336,7 +336,7 @@ impl KernelController {
             Some(PageProvenance::Free) | None => {
                 let t0 = crate::obs::repair_begin(page.0);
                 let t = now_or_zero();
-                // lint: allow(page-table-door) the books give the frame to nobody
+                #[allow(clippy::disallowed_methods, reason = "the books give the frame to nobody")]
                 if self.dev.reset_page(page).is_ok() {
                     rep.pool_scrubs += 1;
                     self.media

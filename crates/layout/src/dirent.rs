@@ -43,7 +43,7 @@ const OFF_SIZE: usize = 16;
 const OFF_MTIME: usize = 24;
 const OFF_ATTR: usize = 32;
 const OFF_OWNER: usize = 40;
-#[allow(dead_code)]
+#[allow(dead_code, reason = "names the reserved word so the slot map has no gap")]
 const OFF_RESERVED: usize = 48;
 const OFF_NAME: usize = 56;
 

@@ -21,11 +21,6 @@
 //! See `Db`'s method docs; end-to-end usage lives in `tests/` and the
 //! `table5_leveldb` bench.
 
-// The whole crate is plain safe Rust over the typed NvmHandle API; the
-// xtask lint (safety-comment rule) found zero unsafe blocks, and this
-// attribute keeps it that way.
-#![forbid(unsafe_code)]
-
 pub mod bench;
 pub mod sstable;
 pub mod wal;

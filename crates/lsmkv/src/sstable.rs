@@ -98,7 +98,10 @@ impl Table {
 
     /// Point lookup: index binary search + one value `pread`.
     /// `Ok(Some(None))` is a tombstone hit.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the nested Option is the tombstone, documented above"
+    )]
     pub fn get(&self, fs: &dyn FileSystem, key: &[u8]) -> FsResult<Option<Option<Vec<u8>>>> {
         let Ok(i) = self.index.binary_search_by(|(k, _, _)| k.as_slice().cmp(key)) else {
             return Ok(None);
@@ -122,7 +125,10 @@ impl Table {
     }
 
     /// Full scan (compaction input).
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a (key, value-or-tombstone) list; an alias would hide the tombstone"
+    )]
     pub fn scan(&self, fs: &dyn FileSystem) -> FsResult<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
         let mut out = Vec::with_capacity(self.index.len());
         let fd = fs.open(&self.path, OpenFlags::RDONLY, Mode::empty())?;

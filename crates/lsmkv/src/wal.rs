@@ -70,7 +70,10 @@ impl Wal {
     }
 
     /// Reads every intact record from the start (recovery).
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a (key, value-or-tombstone) list; an alias would hide the tombstone"
+    )]
     pub fn replay(&self, fs: &dyn FileSystem) -> FsResult<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
         let size = fs.fstat(self.fd)?.size;
         let mut data = vec![0u8; size as usize];

@@ -170,8 +170,8 @@ impl NvmHandle {
     /// Untyped escape hatch: [`Self::publish_u64`] with raw
     /// `(page, off, len)` dependency tuples and no compile-time evidence.
     /// Reserved for `trio-nvm` internals and test harnesses that
-    /// deliberately construct hazards — the `raw-publish` xtask lint
-    /// forbids it elsewhere.
+    /// deliberately construct hazards — clippy.toml disallows it elsewhere
+    /// (`raw-publish`).
     pub fn publish_u64_raw(
         &self,
         page: PageId,
@@ -187,7 +187,7 @@ impl NvmHandle {
     /// (e.g. a slot published in a previous mount). On a tracked device the
     /// claim is checked immediately: a forged witness records the same
     /// `publish-before-persist` hazard a raw early publish would.
-    /// Restricted by the `raw-publish` lint outside `trio-nvm`.
+    /// Disallowed by clippy.toml outside `trio-nvm` (`raw-publish`).
     pub fn assume_durable(&self, page: PageId, off: usize, len: usize) -> Durable<Span> {
         self.dev.sanitize_assert_durable(page, off, len);
         Durable::new(Span::new(page, off, len))
@@ -195,7 +195,7 @@ impl NvmHandle {
 
     /// `clwb` + bookkeeping for a range. Raw half of the typestate
     /// pipeline — outside `trio-nvm`, use [`Self::flush_dirty`] (the
-    /// `raw-publish` lint enforces this in shipped crates).
+    /// clippy.toml's `raw-publish` entries enforce this).
     pub fn flush(&self, page: PageId, off: usize, len: usize) {
         self.dev.flush(page, off, len);
     }
@@ -283,7 +283,7 @@ impl NvmHandle {
         Ok(Durable::new(ExtentProof::new(data.len())))
     }
 
-    #[allow(clippy::needless_range_loop)] // `pi` also derives byte offsets
+    #[allow(clippy::needless_range_loop, reason = "`pi` also derives byte offsets")]
     fn extent_op<B: ?Sized>(
         &self,
         pages: &[PageId],

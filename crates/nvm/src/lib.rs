@@ -22,6 +22,11 @@
 //! optional cache-line-granularity persistence tracking with crash
 //! injection for crash-consistency tests.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the raw persist and MMU interface that clippy.toml keeps out of other crates"
+)]
+
 pub mod checksum;
 pub mod device;
 pub mod fault;

@@ -34,8 +34,8 @@
 //! the typestate encoding (and every `assume_durable` escape hatch) is
 //! telling the truth. Token construction is private to `trio-nvm`;
 //! outside code obtains them only from handle methods that perform the
-//! matching hardware step, and the `raw-publish` xtask lint forbids the
-//! untyped escape hatches outside this crate.
+//! matching hardware step, and clippy.toml disallows the untyped escape
+//! hatches outside this crate (`raw-publish`).
 //!
 //! The types are zero-cost on the data path: a token is just the range
 //! it witnesses (or an empty marker for extent proofs), no heap, no

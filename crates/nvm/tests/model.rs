@@ -3,6 +3,11 @@
 //! sequences, crash injection never resurrects flushed data, and the
 //! bandwidth model behaves sanely over its whole domain.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the device model is driven through its raw MMU and persist API"
+)]
+
 use std::sync::Arc;
 
 use trio_nvm::{

@@ -365,7 +365,7 @@ struct Slot {
     words: [AtomicU64; 5],
 }
 
-#[allow(clippy::declare_interior_mutable_const)] // inline-const array seed
+#[allow(clippy::declare_interior_mutable_const, reason = "inline-const array seed")]
 const SLOT_INIT: Slot =
     Slot { seq: AtomicU64::new(0), words: [const { AtomicU64::new(0) }; 5] };
 
@@ -394,7 +394,7 @@ pub fn event(op_id: u64, kind: OpKind, stage: Stage, phase: Phase, actor: u64, n
 
 /// Records one span event with an explicit timestamp (harness markers
 /// backdate their window-open to the barrier-release instant).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one argument per field of the recorded event")]
 #[inline]
 pub fn event_at(
     t_ns: u64,

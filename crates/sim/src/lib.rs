@@ -44,6 +44,12 @@
 //! assert_eq!(*counter.lock_uncontended(), 4);
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "trio_sim::sync and the runtime are built on std's locks and threads"
+)]
+
 pub mod cost;
 pub mod metrics;
 pub mod plock;
@@ -70,7 +76,7 @@ pub use time::{Nanos, MICROS, MILLIS, SECONDS};
 /// The hasher of every map in shipped code: std's SipHash under fixed keys.
 /// `RandomState` draws fresh keys per map, so iteration order — and with it
 /// anything a loop over a map does to the virtual clock or to a pool —
-/// differs from one run to the next (`cargo xtask lint`, `no-random-state`).
+/// differs from one run to the next (clippy.toml, `no-random-state`).
 pub type DetState = std::hash::BuildHasherDefault<std::hash::DefaultHasher>;
 /// [`std::collections::HashMap`] whose iteration order is a function of its
 /// history alone. Construct with `DetHashMap::default()`.

@@ -6,11 +6,6 @@
 //! microbenchmarks, the FxMark metadata suite (Table 2), and Filebench
 //! personalities (Table 4).
 
-// The whole crate is plain safe Rust over the typed NvmHandle API; the
-// xtask lint (safety-comment rule) found zero unsafe blocks, and this
-// attribute keeps it that way.
-#![forbid(unsafe_code)]
-
 pub mod filebench;
 pub mod fio;
 pub mod fxmark;

@@ -115,13 +115,18 @@ done
 stage "clippy, all targets"
 # --all-targets: rustc's `unexpected_cfgs` shows only where test targets
 # are compiled, and a test gated on a feature nobody declares never runs.
+# Seven project rules are clippy's (DESIGN.md §13): the disallowed types
+# and methods of clippy.toml, the no-panic attributes of trio-kernel and
+# trio-verifier, and the workspace `[lints]` table (`forbid(unsafe_code)`,
+# and every `#[allow]` gives a reason).
 cargo clippy --workspace --all-targets -- -D warnings
 
 stage "xtask lint"
-# Project-specific static pass (DESIGN.md §13, §14): no-std-sync,
-# safety-comment, flush-fence, no-panic and the rules after them. Must be clean on the workspace and must still flag every rule on
-# its fixture crate. Zero cost when obs is off is not a lint rule: the obs
-# stage below checks it on the built binary.
+# The lexical pass keeps the three rules no compiler check expresses yet
+# (DESIGN.md §13): no-payload-copy, hot-path-registry and layout-door. Must
+# be clean on the workspace and must still flag every rule on its fixture
+# crate. Zero cost when obs is off is not a lint rule: the obs stage below
+# checks it on the built binary.
 cargo xtask lint
 if cargo xtask lint crates/xtask/fixtures/lint-fixture > /dev/null 2>&1; then
     echo "FAIL: xtask lint did not flag the rule-violating fixture." >&2
@@ -135,12 +140,22 @@ stage "non-test lines per crate (logged, not gated)"
 cargo xtask lines
 
 stage "typestate compile-fail fixture"
-# Compiler-checked persistence ordering (DESIGN.md §18): the raw-publish
-# rule (part of `cargo xtask lint` above) keeps shipped library code on
+# Compiler-checked persistence ordering (DESIGN.md §18): clippy.toml's
+# raw-publish entries (the clippy stage above) keep shipped library code on
 # the typed Dirty -> Flushed -> Durable pipeline, and typestate-check
 # proves each hazard class (publish-before-persist, missing-fence,
 # missing-flush) fails to compile — with a type error, not incidentally.
+# Both fixture checks build into target/fixtures.
 cargo xtask typestate-check
+
+stage "clippy compile-fail fixture"
+# Each rule clippy took over bites: one clippy run over
+# crates/xtask/fixtures/clippy-fixture, against the root clippy.toml
+# (CLIPPY_CONF_DIR), must report each case at its marked line and nothing
+# on the reasoned-allow twins, and every clippy.toml entry needs a case:
+# clippy only warns about a path that stops resolving (a renamed method),
+# even under -D warnings, and the entry then checks nothing.
+cargo xtask clippy-check
 
 stage "the other feature leg, --no-default-features"
 # Everything but tests/obs_timeline.rs builds and passes with recording

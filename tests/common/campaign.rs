@@ -16,8 +16,10 @@
 //!   p50 / p99, and the failures go to `target/<campaign>-report.json`;
 //!   only then does [`run`] assert that nothing failed.
 
-// Each test target compiles the whole module and uses its own part of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test target compiles the whole module and uses its own part of it"
+)]
 
 use std::any::Any;
 use std::collections::BTreeMap;

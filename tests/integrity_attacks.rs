@@ -4,6 +4,8 @@
 //! the next cross-LibFS map and leave the victim with a consistent
 //! (rolled-back) view.
 
+#![allow(clippy::disallowed_methods, reason = "an attacking LibFS persists through the raw API")]
+
 use std::sync::Arc;
 
 use arckfs::attack::{run_attack, Attack, ALL_ATTACKS};

@@ -4,6 +4,11 @@
 //! and simulator determinism. Every case derives from a printed seed, so a
 //! failure reproduces by construction.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "property tests program the MMU directly and keep plain std sets"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

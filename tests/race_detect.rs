@@ -15,6 +15,8 @@
 //! Detection is opt-in per runtime (`enable_race_detection`) and per
 //! device (`set_race_detector`), so the perf-sensitive suites pay nothing.
 
+#![allow(clippy::disallowed_methods, reason = "the detector's worlds program the MMU directly")]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 

@@ -8,6 +8,8 @@
 //! pair; the unmutated protocol must produce a report with zero hazards
 //! (a positive assertion, not just the absence of a panic).
 
+#![allow(clippy::disallowed_methods, reason = "each mutant is built on the raw persist API")]
+
 use std::sync::Arc;
 
 use trio_nvm::{
@@ -79,7 +81,6 @@ fn dropped_fence_mutant_is_caught() {
     let (dev, h) = world();
     let image = [0xCDu8; SLOT_LEN];
     h.write_untimed(PAGE, 0, &image).unwrap();
-    // lint: allow(flush-fence) deliberate dropped-fence mutant under test
     h.flush(PAGE, 0, SLOT_LEN);
     // Mutation: no fence, and commit via a plain store (the atomic-persist
     // helper would fence as a side effect and mask the bug).
