@@ -41,7 +41,7 @@ use trio_sim::{in_sim, rng::with_rng, DetHashMap};
 
 use crate::fault::FaultPlan;
 use crate::sanitize::{Hazard, HazardKind};
-use crate::topology::{PageId, CACHE_LINE, PAGE_SIZE};
+use crate::topology::{lines_covering, PageId, CACHE_LINE, PAGE_SIZE};
 
 /// Sentinel for "no plan armed" / "plan never fired".
 const UNSET: u64 = u64::MAX;
@@ -190,10 +190,8 @@ impl PersistTracker {
             return;
         }
         let point = self.point_tick();
-        let first = off / CACHE_LINE;
-        let last = (off + len - 1) / CACHE_LINE;
         let mut lines = self.lines.lock();
-        for line in first..=last {
+        for line in lines_covering(off, len) {
             match lines.entry((page.0, line as u16)) {
                 std::collections::hash_map::Entry::Vacant(v) => {
                     let mut img = [0u8; CACHE_LINE];
@@ -243,7 +241,7 @@ impl PersistTracker {
         let draw = if in_sim() { with_rng(|r| r.gen_range(cuts as u64)) } else { cuts as u64 / 2 };
         let (start, end) = (off, first_cut + 8 * draw as usize);
         debug_assert!(end < store_end && end.is_multiple_of(8));
-        for line in start / CACHE_LINE..=(end - 1) / CACHE_LINE {
+        for line in lines_covering(start, end - start) {
             let Some(st) = lines.get_mut(&(page.0, line as u16)) else { continue };
             let lo = start.max(line * CACHE_LINE);
             let hi = end.min((line + 1) * CACHE_LINE);
@@ -265,10 +263,8 @@ impl PersistTracker {
         }
         debug_assert!(off + len <= PAGE_SIZE);
         self.point_tick();
-        let first = off / CACHE_LINE;
-        let last = (off + len - 1) / CACHE_LINE;
         let mut lines = self.lines.lock();
-        for line in first..=last {
+        for line in lines_covering(off, len) {
             if let Some(e) = lines.get_mut(&(page.0, line as u16)) {
                 match e.phase {
                     LinePhase::Dirty => e.phase = LinePhase::Flushed,
@@ -355,10 +351,8 @@ impl PersistTracker {
         if len == 0 || !self.recovery_mode.load(Ordering::Relaxed) {
             return;
         }
-        let first = off / CACHE_LINE;
-        let last = (off + len - 1) / CACHE_LINE;
         let lines = self.lines.lock();
-        let mut bad: Vec<u16> = (first..=last)
+        let mut bad: Vec<u16> = lines_covering(off, len)
             .map(|l| l as u16)
             .filter(|l| lines.contains_key(&(page.0, *l)))
             .collect();
@@ -376,10 +370,8 @@ impl PersistTracker {
         if len == 0 {
             return;
         }
-        let first = off / CACHE_LINE;
-        let last = (off + len - 1) / CACHE_LINE;
         let lines = self.lines.lock();
-        let mut bad: Vec<u16> = (first..=last)
+        let mut bad: Vec<u16> = lines_covering(off, len)
             .map(|l| l as u16)
             .filter(|l| lines.contains_key(&(page.0, *l)))
             .collect();
