@@ -435,7 +435,7 @@ impl ArckFs {
             );
             spans.push(span);
         }
-        let _links = self.h.fence_flushed(self.h.flush_dirty(self.h.dirty_spans(spans)));
+        let _links = self.h.persist_dirty(self.h.dirty_spans(spans));
         Ok(())
     }
 

@@ -87,7 +87,8 @@ impl NvmHandle {
     // Durable, with publish_u64 as the only dependent commit point.
     // Each method performs exactly the hardware step its raw predecessor
     // did — same stores, same clwb/sfence costs, same sanitizer events —
-    // the tokens only add compile-time ordering evidence.
+    // except that a range's clwbs are charged at the fence that retires
+    // it, with the fence, as one sim point.
     // -----------------------------------------------------------------
 
     /// Untimed store returning a [`Dirty`] token for the written range —
@@ -130,19 +131,30 @@ impl NvmHandle {
     /// `clwb` of every range the token carries, consuming [`Dirty`] into
     /// [`Flushed`]. One flush call per span: callers batching stores that
     /// share cache lines should carry one coalesced span (the sanitizer
-    /// flags per-line re-flushes as `redundant-flush`).
+    /// flags per-line re-flushes as `redundant-flush`). Charges nothing:
+    /// the token carries the staged line count to [`Self::fence_flushed`],
+    /// so no sim point may run before that fence (debug builds assert it).
     pub fn flush_dirty<T: Spans>(&self, d: Dirty<T>) -> Flushed<T> {
         let t = d.into_inner();
-        t.for_each(&mut |page, off, len| self.dev.flush(page, off, len));
-        Flushed::new(t)
+        let mut lines = 0;
+        t.for_each(&mut |page, off, len| lines += self.dev.stage(page, off, len));
+        Flushed::new(t, lines)
     }
 
-    /// `sfence`, consuming [`Flushed`] into a [`Durable`] witness. The
+    /// `sfence`, consuming [`Flushed`] into a [`Durable`] witness, and the
+    /// charge for the token's staged `clwb`s with it: one sim point. The
     /// fence is global: one call retires every staged line, so join
     /// tokens with [`Flushed::and`] rather than fencing per range.
     pub fn fence_flushed<T>(&self, f: Flushed<T>) -> Durable<T> {
-        self.dev.fence();
-        Durable::new(f.into_inner())
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            f.staged_at(),
+            trio_sim::now_or_zero(),
+            "a sim point ran between flush_dirty and fence_flushed: the deferred clwb charge is not exact"
+        );
+        let (t, lines) = f.into_parts();
+        self.dev.fence_staged(lines);
+        Durable::new(t)
     }
 
     /// Flush + fence in one step (the common single-range persist).
@@ -223,9 +235,10 @@ impl NvmHandle {
     }
 
     /// Writes a byte range spanning `pages` starting at byte `start`.
-    /// Data is flushed per page and fenced before returning
+    /// Data is staged for write-back per page and fenced before returning
     /// (persistent-write model), so the returned [`Durable`] witness is
-    /// minted by construction.
+    /// minted by construction. The pages' `clwb`s are charged at the
+    /// fence, with it: one sim point for the barrier, not one per page.
     pub fn write_extent(
         &self,
         pages: &[PageId],
@@ -233,6 +246,7 @@ impl NvmHandle {
         data: &[u8],
     ) -> Result<Durable<ExtentProof>, ProtError> {
         let mut data_mut = data; // Only read; unified helper wants one buffer type.
+        let mut lines = 0;
         self.extent_op(
             pages,
             start,
@@ -240,12 +254,12 @@ impl NvmHandle {
             true,
             |page, off, pos, len, me, b: &mut &[u8]| {
                 me.dev.copy_to_page(me.actor, page, off, &b[pos..pos + len])?;
-                me.dev.flush(page, off, len);
+                lines += me.dev.stage(page, off, len);
                 Ok(())
             },
             &mut data_mut,
         )?;
-        self.dev.fence();
+        self.dev.fence_staged(lines);
         Ok(Durable::new(ExtentProof::new(data.len())))
     }
 
@@ -256,7 +270,8 @@ impl NvmHandle {
     /// Partial head/tail segments cannot vouch for bytes outside the write,
     /// so they invalidate the sidecar exactly as an ordinary store would.
     /// Used by delegation workers, where the payload arrives by grant
-    /// reference and this is the only traversal the data ever gets.
+    /// reference and this is the only traversal the data ever gets. The
+    /// `clwb`s are charged at the fence, as in [`Self::write_extent`].
     pub fn write_extent_hashed(
         &self,
         pages: &[PageId],
@@ -264,6 +279,7 @@ impl NvmHandle {
         data: &[u8],
     ) -> Result<Durable<ExtentProof>, ProtError> {
         let mut data_mut = data;
+        let mut lines = 0;
         self.extent_op(
             pages,
             start,
@@ -274,12 +290,12 @@ impl NvmHandle {
                 let csum =
                     (off == 0 && len == PAGE_SIZE).then(|| crate::checksum::checksum(seg));
                 me.dev.copy_to_page_csum(me.actor, page, off, seg, csum)?;
-                me.dev.flush(page, off, len);
+                lines += me.dev.stage(page, off, len);
                 Ok(())
             },
             &mut data_mut,
         )?;
-        self.dev.fence();
+        self.dev.fence_staged(lines);
         Ok(Durable::new(ExtentProof::new(data.len())))
     }
 
@@ -336,8 +352,11 @@ impl NvmHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceConfig;
+    use crate::device::{DeviceConfig, CLWB_LINE_NS, SFENCE_NS};
     use crate::prot::PagePerm;
+    use crate::sanitize::SanitizeReport;
+    use trio_sim::plock::Mutex;
+    use trio_sim::{Nanos, SimRuntime};
 
     fn setup() -> (Arc<NvmDevice>, NvmHandle) {
         let dev = Arc::new(NvmDevice::new(DeviceConfig::small()));
@@ -404,6 +423,195 @@ mod tests {
         set_home_node(3);
         assert_eq!(home_node(), 3);
         set_home_node(0);
+    }
+
+    /// What one persist path cost, alone in a sim-thread on a fresh
+    /// tracked device: virtual time, scheduler events, persistence points
+    /// and the sanitizer's report.
+    #[derive(Debug, PartialEq)]
+    struct Cost {
+        ns: Nanos,
+        events: u64,
+        points: u64,
+        report: SanitizeReport,
+    }
+
+    fn cost_of(op: impl FnOnce(&NvmHandle) + Send + 'static) -> Cost {
+        let dev = Arc::new(NvmDevice::new(DeviceConfig {
+            track_persistence: true,
+            ..DeviceConfig::small()
+        }));
+        for p in 0..8 {
+            dev.mmu_map(ActorId(1), PageId(p), PagePerm::Write).unwrap();
+        }
+        let h = NvmHandle::new(Arc::clone(&dev), ActorId(1));
+        let rt = Arc::new(SimRuntime::new(1));
+        let seen = Arc::new(Mutex::new((0, 0)));
+        let (rt2, seen2) = (Arc::clone(&rt), Arc::clone(&seen));
+        rt.spawn("op", move || {
+            let (t0, e0) = (trio_sim::now(), rt2.events());
+            op(&h);
+            *seen2.lock() = (trio_sim::now() - t0, rt2.events() - e0);
+        });
+        rt.run();
+        let (ns, events) = *seen.lock();
+        Cost { ns, events, points: dev.persistence_points(), report: dev.take_sanitize_report(1) }
+    }
+
+    /// Checks one persist path against the raw per-range sequence it
+    /// replaced: the clock advances by the same sum (its `transfer`, plus
+    /// `lines` × `CLWB_LINE_NS`, plus `SFENCE_NS`), the tracker sees the
+    /// same points and hazards, and the barrier is one scheduler event
+    /// where the raw sequence had one per `clwb` range (`ranges`) plus the
+    /// fence.
+    fn barrier_is_one_sim_point(
+        transfer: Cost,
+        lines: u64,
+        ranges: u64,
+        typed: impl FnOnce(&NvmHandle) + Send + 'static,
+        raw: impl FnOnce(&NvmHandle) + Send + 'static,
+    ) -> Cost {
+        let (typed, raw) = (cost_of(typed), cost_of(raw));
+        assert_eq!(typed.ns, transfer.ns + lines * CLWB_LINE_NS + SFENCE_NS);
+        assert_eq!(typed.ns, raw.ns);
+        assert_eq!(typed.events, transfer.events + 1);
+        assert_eq!(raw.events, transfer.events + ranges + 1);
+        assert_eq!((typed.points, &typed.report), (raw.points, &raw.report));
+        typed
+    }
+
+    fn no_transfer() -> Cost {
+        cost_of(|_| {})
+    }
+
+    fn transfer(bytes: usize) -> Cost {
+        cost_of(move |h| h.device().charge_transfer(0, bytes, true, home_node()))
+    }
+
+    const PAGES: [PageId; 3] = [PageId(1), PageId(2), PageId(3)];
+
+    #[test]
+    fn write_extent_over_three_pages_is_one_barrier() {
+        // 100..4096 of the first page (63 lines), the whole second (64),
+        // 0..600 of the third (10).
+        let data: Vec<u8> = (0..2 * PAGE_SIZE + 500).map(|i| i as u8).collect();
+        let (len, raw_data) = (data.len(), data.clone());
+        barrier_is_one_sim_point(
+            transfer(len),
+            63 + 64 + 10,
+            3,
+            move |h| {
+                h.write_extent(&PAGES, 100, &data).unwrap();
+            },
+            move |h| {
+                h.device().charge_transfer(0, len, true, home_node());
+                let segs = [(100, PAGE_SIZE - 100), (0, PAGE_SIZE), (0, 600)];
+                let mut pos = 0;
+                for (page, (off, n)) in PAGES.into_iter().zip(segs) {
+                    h.write_untimed(page, off, &raw_data[pos..pos + n]).unwrap();
+                    h.flush(page, off, n);
+                    pos += n;
+                }
+                h.fence();
+            },
+        );
+    }
+
+    #[test]
+    fn write_extent_hashed_is_one_barrier() {
+        let data = vec![0x5Au8; 3 * PAGE_SIZE];
+        let raw_data = data.clone();
+        barrier_is_one_sim_point(
+            transfer(data.len()),
+            3 * 64,
+            3,
+            move |h| {
+                h.write_extent_hashed(&PAGES, 0, &data).unwrap();
+            },
+            move |h| {
+                h.device().charge_transfer(0, raw_data.len(), true, home_node());
+                for (page, chunk) in PAGES.into_iter().zip(raw_data.chunks(PAGE_SIZE)) {
+                    h.write_untimed(page, 0, chunk).unwrap();
+                    h.flush(page, 0, PAGE_SIZE);
+                }
+                h.fence();
+            },
+        );
+    }
+
+    #[test]
+    fn persist_dirty_of_two_spans_is_one_barrier() {
+        barrier_is_one_sim_point(
+            no_transfer(),
+            2 + 1,
+            2,
+            |h| {
+                let a = h.write_dirty(PageId(4), 32, &[1; 64]).unwrap();
+                let b = h.store_u64_dirty(PageId(5), 8, 7).unwrap();
+                let _durable = h.persist_dirty(a.and(b));
+            },
+            |h| {
+                h.write_untimed(PageId(4), 32, &[1; 64]).unwrap();
+                h.write_untimed(PageId(5), 8, &7u64.to_le_bytes()).unwrap();
+                h.flush(PageId(4), 32, 64);
+                h.flush(PageId(5), 8, 8);
+                h.fence();
+            },
+        );
+    }
+
+    #[test]
+    fn joined_flushed_tokens_are_one_barrier() {
+        // The second store lands in a line the first flush staged: the
+        // sanitizer's `store-while-flushed` must come out of both paths.
+        let cost = barrier_is_one_sim_point(
+            no_transfer(),
+            2 + 1,
+            2,
+            |h| {
+                let a = h.flush_dirty(h.write_dirty(PageId(6), 0, &[2; 128]).unwrap());
+                let b = h.flush_dirty(h.store_u64_dirty(PageId(6), 120, 9).unwrap());
+                let _durable = h.fence_flushed(a.and(b));
+            },
+            |h| {
+                h.write_untimed(PageId(6), 0, &[2; 128]).unwrap();
+                h.flush(PageId(6), 0, 128);
+                h.write_untimed(PageId(6), 120, &9u64.to_le_bytes()).unwrap();
+                h.flush(PageId(6), 120, 8);
+                h.fence();
+            },
+        );
+        assert!(!cost.report.is_clean());
+    }
+
+    #[test]
+    fn write_u64_persist_is_one_barrier() {
+        barrier_is_one_sim_point(
+            no_transfer(),
+            1,
+            1,
+            |h| h.write_u64_persist(PageId(7), 16, 42).unwrap(),
+            |h| {
+                h.write_untimed(PageId(7), 16, &42u64.to_le_bytes()).unwrap();
+                h.flush(PageId(7), 16, 8);
+                h.fence();
+            },
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a sim point ran between flush_dirty and fence_flushed")]
+    fn a_sim_point_between_stage_and_fence_is_caught() {
+        let (dev, h) = setup();
+        dev.mmu_map(ActorId(1), PageId(0), PagePerm::Write).unwrap();
+        let rt = SimRuntime::new(0);
+        rt.spawn("t", move || {
+            let staged = h.flush_dirty(h.store_u64_dirty(PageId(0), 0, 1).unwrap());
+            trio_sim::work(1);
+            let _durable = h.fence_flushed(staged);
+        });
+        rt.run();
     }
 
     #[test]

@@ -314,3 +314,36 @@ fn delegated_write_copies_payload_exactly_once_across_retries() {
     // still go store, flush, fence in order.
     dev.take_sanitize_report(33).expect_clean("delegated write across retries");
 }
+
+/// A delegated 64 KiB write is one persist barrier on its worker: the
+/// sixteen pages' `clwb`s are charged at the fence, with it, as one sim
+/// point (DESIGN.md §2). Its exact scheduler-event count pins that, so
+/// per-page sim points coming back fail here with a number, not as a
+/// drift in host time: charged per page, the same write took 49 events.
+#[test]
+fn delegated_64k_pwrite_takes_a_pinned_number_of_sim_events() {
+    let (dev, kernel, fs) = world(ArckFsConfig::default());
+    let rt = Arc::new(SimRuntime::new(40));
+    let (k, rt2) = (Arc::clone(&kernel), Arc::clone(&rt));
+    let seen = Arc::new(trio_sim::plock::Mutex::new(None));
+    let seen2 = Arc::clone(&seen);
+    rt.spawn("main", move || {
+        k.delegation().start();
+        let fd = fs.open("/f", OpenFlags::CREATE | OpenFlags::RDWR, Mode(0o666)).unwrap();
+        let data = vec![0x5Au8; 64 * 1024];
+        fs.pwrite(fd, 0, &data).unwrap(); // allocate the pages
+        let base = k.path_stats().snapshot();
+        let e0 = rt2.events();
+        assert_eq!(fs.pwrite(fd, 0, &data).unwrap(), data.len());
+        let events = rt2.events() - e0;
+        let snap = k.path_stats().snapshot().delta(&base);
+        fs.close(fd).unwrap();
+        k.delegation().shutdown();
+        *seen2.lock() = Some((events, snap));
+    });
+    rt.run();
+    let (events, snap) = seen.lock().take().expect("the writer ran");
+    assert_eq!(snap.delegated_write_bytes, 64 * 1024, "{snap:?}");
+    assert_eq!(events, 33, "scheduler events of one delegated 64 KiB pwrite");
+    dev.take_sanitize_report(40).expect_clean("delegated 64 KiB pwrite");
+}
