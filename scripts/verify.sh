@@ -40,8 +40,8 @@ pinned_cargo() {
 # (extra environment in $4...) and requires its JSON to equal the first
 # run's, $2, and the committed $3, byte for byte. Virtual time is a function
 # of the seed, so equality is the whole regression check: unarmed injection
-# hooks, zero-sized typestate tokens and an idle scrubber cost exactly
-# nothing, and a PR that moves a figure regenerates $3 in the same change.
+# hooks, typestate tokens and an idle scrubber cost exactly nothing, and a
+# PR that moves a figure regenerates $3 in the same change.
 same_bytes_as_ledger() {
     local bench=$1 first=$2 ledger=$3
     shift 3
