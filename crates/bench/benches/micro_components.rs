@@ -70,7 +70,7 @@ fn dir_hash_table() {
             linked: 1,
             node: Default::default(),
         });
-        aux.remove("transient");
+        aux.with_bucket("transient", |b| b.retain(|e| e.name != "transient"));
     });
 }
 

@@ -60,11 +60,7 @@ impl ArckFs {
             return Ok(0);
         }
         let _span = crate::obs::syscall_span(false, self.actor.0, buf.len() as u64);
-        self.with_mapped(node, false, |fs| {
-            let g = node.inner.read();
-            if g.map == MapState::Unmapped {
-                return Err(FsError::Stale);
-            }
+        self.with_mapped(node, false, |fs, g| {
             if off >= g.size {
                 return Ok(0);
             }
@@ -107,22 +103,17 @@ impl ArckFs {
         }
         let _span = crate::obs::syscall_span(true, self.actor.0, data.len() as u64);
         let len = data.len();
-        self.with_mapped(node, true, |fs| {
+        self.with_mapped(node, true, |fs, g| {
             // Fast path: in-place overwrite of an allocated span — shared
             // inode lock, exclusive range lock (concurrent disjoint writes).
-            {
-                let g = node.inner.read();
-                if g.map != MapState::Write {
-                    return Err(FsError::Stale);
-                }
-                if off + len as u64 <= g.size && fs.span_allocated(&g, off, len) {
-                    let _r = node.range.acquire(off, len as u64, true);
-                    fs.write_span(&g, off, src)?;
-                    return Ok(len);
-                }
+            if off + len as u64 <= g.size && fs.span_allocated(&g, off, len) {
+                let _r = node.range.acquire(off, len as u64, true);
+                fs.write_span(&g, off, src)?;
+                return Ok(len);
             }
             // Slow path: append/extend — exclusive inode lock (paper: one
             // thread appends at a time).
+            drop(g);
             let mut g = node.inner.write();
             if g.map != MapState::Write {
                 return Err(FsError::Stale);
@@ -140,7 +131,8 @@ impl ArckFs {
 
     /// Truncates (or sparsely extends) to `size`.
     pub(crate) fn truncate_node(&self, node: &Arc<FileNode>, size: u64) -> FsResult<()> {
-        self.with_mapped(node, true, |fs| {
+        self.with_mapped(node, true, |fs, g| {
+            drop(g);
             let mut g = node.inner.write();
             if g.map != MapState::Write {
                 return Err(FsError::Stale);

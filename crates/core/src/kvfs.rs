@@ -69,7 +69,7 @@ impl KvFs {
             Err(e) => return Err(e),
         }
         let dir = fs.resolve_node(dir_path)?;
-        fs.ensure_mapped(&dir, true)?;
+        drop(fs.ensure_mapped(&dir, true)?);
         Ok(Arc::new(KvFs {
             fs,
             dir,
@@ -106,8 +106,7 @@ impl KvFs {
         if fnode.ftype != CoreFileType::Regular {
             return Err(FsError::IsDir);
         }
-        self.fs.ensure_mapped(&fnode, true)?;
-        let g = fnode.inner.read();
+        let g = self.fs.ensure_mapped(&fnode, true)?;
         if g.data_pages.len() > KV_PAGES || g.size as usize > KV_MAX_BYTES {
             return Err(FsError::InvalidArgument); // Too big for KVFS.
         }
@@ -191,7 +190,7 @@ impl KvFs {
     fn recover_stale(&self, name: &str, node: &KvNode) -> FsResult<()> {
         self.shard(name).lock().remove(name);
         self.fs.forget_node(node.ino);
-        self.fs.with_mapped(&self.dir, true, |fs| {
+        self.fs.with_mapped(&self.dir, true, |fs, _| {
             DirentRef::new(&fs.h, node.loc).ino().map(drop).map_err(ArckFs::fault)
         })
     }

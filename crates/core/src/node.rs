@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use trio_layout::{CoreFileType, DirentLoc, Ino};
 use trio_nvm::PageId;
-use trio_sim::sync::{SimCondvar, SimMutex, SimRwLock};
+use trio_sim::sync::{SimCondvar, SimMutex, SimRwLock, SimRwLockReadGuard};
 use trio_sim::{cost, in_sim, work};
 
 /// How (and whether) the file is currently mapped by this LibFS.
@@ -26,6 +26,19 @@ pub enum MapState {
     /// Exclusive write grant held.
     Write,
 }
+
+impl MapState {
+    /// Whether this mapping serves an access that writes (`write`) or only
+    /// reads.
+    pub fn grants(self, write: bool) -> bool {
+        matches!((self, write), (MapState::Write, _) | (MapState::Read, false))
+    }
+}
+
+/// A node's inode lock read: what `ArckFs::ensure_mapped` hands an
+/// operation, which reads its aux state through it and takes the lock no
+/// second time.
+pub(crate) type InodeRead<'a> = SimRwLockReadGuard<'a, NodeInner>;
 
 /// Mutable aux state guarded by the per-file readers-writer "inode lock".
 pub struct NodeInner {
@@ -311,41 +324,29 @@ impl DirAux {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn bucket_of(&self, name: &str) -> &SimRwLock<Vec<DirEntryAux>> {
-        &self.buckets[hash_name(name) as usize % DIR_BUCKETS]
-    }
-
-    /// Hash-table lookup; charges the probe cost. Read-locked so
-    /// concurrent opens of hot names scale (paper's MRPH behaviour).
-    pub fn lookup(&self, name: &str) -> Option<DirEntryAux> {
+    /// The bucket `name` hashes to, with the hash probe charged: every
+    /// table operation pays it once.
+    fn probe(&self, name: &str) -> &SimRwLock<Vec<DirEntryAux>> {
         if in_sim() {
             work(cost::HASH_OP_NS);
         }
-        let b = self.bucket_of(name).read();
-        b.iter().find(|e| e.name == name).cloned()
+        &self.buckets[hash_name(name) as usize % DIR_BUCKETS]
+    }
+
+    /// Hash-table lookup. Read-locked so concurrent opens of hot names
+    /// scale (paper's MRPH behaviour).
+    pub fn lookup(&self, name: &str) -> Option<DirEntryAux> {
+        self.probe(name).read().iter().find(|e| e.name == name).cloned()
     }
 
     /// Inserts an entry; returns `false` if the name already exists.
     pub fn insert(&self, e: DirEntryAux) -> bool {
-        if in_sim() {
-            work(cost::HASH_OP_NS);
-        }
-        let mut b = self.bucket_of(&e.name).write();
+        let mut b = self.probe(&e.name).write();
         if b.iter().any(|x| x.name == e.name) {
             return false;
         }
         b.push(e);
         true
-    }
-
-    /// Removes an entry by name.
-    pub fn remove(&self, name: &str) -> Option<DirEntryAux> {
-        if in_sim() {
-            work(cost::HASH_OP_NS);
-        }
-        let mut b = self.bucket_of(name).write();
-        let i = b.iter().position(|e| e.name == name)?;
-        Some(b.swap_remove(i))
     }
 
     /// Runs `f` with the bucket for `name` locked exclusively — the create
@@ -355,11 +356,7 @@ impl DirAux {
         name: &str,
         f: impl FnOnce(&mut Vec<DirEntryAux>) -> R,
     ) -> R {
-        if in_sim() {
-            work(cost::HASH_OP_NS);
-        }
-        let mut b = self.bucket_of(name).write();
-        f(&mut b)
+        f(&mut self.probe(name).write())
     }
 
     /// Snapshot of all entries (readdir).
@@ -534,7 +531,7 @@ mod tests {
         }));
         assert_eq!(aux.lookup("a").unwrap().ino, 5);
         assert!(aux.lookup("b").is_none());
-        assert_eq!(aux.remove("a").unwrap().ino, 5);
+        aux.with_bucket("a", |b| b.retain(|e| e.name != "a"));
         assert!(aux.lookup("a").is_none());
     }
 
