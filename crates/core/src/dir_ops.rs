@@ -15,13 +15,15 @@ use trio_layout::{
     CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, Ino, SuperblockRef,
     ENTRIES_PER_INDEX, ROOT_INO,
 };
+use trio_nvm::PAGE_SIZE;
 use trio_sim::{in_sim, now_or_zero};
 
 use crate::libfs::ArckFs;
 use crate::node::{ChildLink, DirAux, DirEntryAux, FileNode, InodeRead, MapState};
+use crate::pool::STRIPE_PAGES;
 
-/// Unlinks of never-shared empty files queued before one batched kernel
-/// reclaim.
+/// Unlinks of never-shared files of at most one stripe unit queued before
+/// one batched kernel reclaim.
 const RECLAIM_BATCH: usize = 32;
 
 impl ArckFs {
@@ -141,20 +143,28 @@ impl ArckFs {
         name: &str,
         want_dir: bool,
     ) -> FsResult<()> {
-        let mut gone: Option<(DirEntryAux, u64, Arc<DirAux>)> = None;
+        let mut gone: Option<(DirEntryAux, u64, u64, Arc<DirAux>)> = None;
         self.with_mapped(parent, true, |fs, g| {
             let aux = g.dir.as_ref().ok_or(FsError::NotDir)?.clone();
-            let (entry, first_index, touched) = run_once(&mut gone, || {
-                let (entry, first_index) = fs.clear_entry(&aux, name, want_dir)?;
-                Ok((entry, first_index, Arc::clone(&aux)))
+            let (entry, first_index, size, touched) = run_once(&mut gone, || {
+                let (entry, first_index, size) = fs.clear_entry(&aux, name, want_dir)?;
+                Ok((entry, first_index, size, Arc::clone(&aux)))
             })?;
             let ino = entry.ino;
             fs.settle_dir_size(parent, &aux, &touched, -1)?;
             fs.forget_node(ino);
-            if first_index == 0 && touched.is_fresh(&entry) {
-                // Empty file the kernel has never seen: only the ino needs
-                // reclaiming — batch it (this is the hot unlink path, e.g.
-                // FxMark MWUL).
+            if size <= (STRIPE_PAGES * PAGE_SIZE) as u64 && touched.is_fresh(&entry) {
+                // A file the kernel has never seen, of at most one stripe
+                // unit: its ino and chain wait in the batch (the hot unlink
+                // path, e.g. FxMark MWUL and Varmail). Its pages keep
+                // `AllocatedTo(actor)` and sit in no pool and no live file
+                // until `reclaim_one` walks the chain. Every path that gives
+                // the directory's grant back — `yield_node` (a release or a
+                // recall) and `unmount` — flushes the batch first; a grant
+                // revoked at lease expiry finds no trace of the file in the
+                // directory. The bound keeps what waits small: a larger
+                // file's pages would be missed for 32 unlinks while the pool
+                // maps new ones.
                 let flush_now = {
                     let mut q = fs.reclaim.lock();
                     q.push((ino, first_index));
@@ -164,10 +174,8 @@ impl ArckFs {
                     fs.flush_reclaim()?;
                 }
             } else {
-                // A file with pages reclaims eagerly: its chain head is only
-                // meaningful *now* — deferring would let the pages be
-                // recycled into live files before the kernel walks them. So
-                // does one the kernel may know (`DirAux::is_fresh`).
+                // One the kernel may know (`DirAux::is_fresh`), or a larger
+                // file, reclaims at once.
                 let recycled = fs.kernel.reclaim_file(fs.actor, ino, first_index)?;
                 fs.pages.put_many(&recycled);
             }
@@ -177,14 +185,14 @@ impl ArckFs {
 
     /// The mutating half of `remove_entry`: checks the entry, clears its
     /// dirent and drops it from `aux`, all under one hold of its bucket.
-    /// Returns it and its chain head.
+    /// Returns it, its chain head and its size.
     fn clear_entry(
         &self,
         aux: &DirAux,
         name: &str,
         want_dir: bool,
-    ) -> FsResult<(DirEntryAux, u64)> {
-        let (e, first_index) = aux.with_bucket(name, |b| {
+    ) -> FsResult<(DirEntryAux, u64, u64)> {
+        let (e, first_index, size) = aux.with_bucket(name, |b| {
             let i = b.iter().position(|e| e.name == name).ok_or(FsError::NotFound)?;
             match (b[i].ftype, want_dir) {
                 (CoreFileType::Directory, false) => return Err(FsError::IsDir),
@@ -192,22 +200,20 @@ impl ArckFs {
                 _ => {}
             }
             let dref = DirentRef::new(&self.h, b[i].loc);
-            if want_dir {
+            let size = dref.size().map_err(Self::fault)?;
+            if want_dir && size != 0 {
                 // rmdir: the directory must be empty (semantic attack #2 of
                 // §2.3.2 — removing non-empty directories — is what I3
                 // protects against across LibFSes; within one LibFS we just
                 // refuse).
-                let sz = dref.size().map_err(Self::fault)?;
-                if sz != 0 {
-                    return Err(FsError::NotEmpty);
-                }
+                return Err(FsError::NotEmpty);
             }
             let first_index = dref.first_index().map_err(Self::fault)?;
             dref.clear().map_err(Self::fault)?;
-            Ok((b.swap_remove(i), first_index))
+            Ok((b.swap_remove(i), first_index, size))
         })?;
         aux.put_slot(e.loc);
-        Ok((e, first_index))
+        Ok((e, first_index, size))
     }
 
     /// Lists a directory from its aux table, once a probe has shown the

@@ -73,24 +73,25 @@ impl FileSystem for ArckFs {
         } else {
             let dir = self.resolve_dir(&comps[..comps.len() - 1])?;
             let name = comps[comps.len() - 1];
-            match self.lookup_child(&dir, name)? {
-                Some(n) => {
-                    if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                        return Err(FsError::Exists);
-                    }
-                    n
-                }
-                None if flags.contains(OpenFlags::CREATE) => {
-                    match self.create_entry(&dir, name, CoreFileType::Regular, mode) {
-                        Ok(n) => n,
-                        // A concurrent creator won the race: reuse theirs.
-                        Err(FsError::Exists) => {
-                            self.lookup_child(&dir, name)?.ok_or(FsError::NotFound)?
+            loop {
+                match self.lookup_child(&dir, name)? {
+                    Some(n) => {
+                        if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
+                            return Err(FsError::Exists);
                         }
-                        Err(e) => return Err(e),
+                        break n;
                     }
+                    None if flags.contains(OpenFlags::CREATE) => {
+                        match self.create_entry(&dir, name, CoreFileType::Regular, mode) {
+                            Ok(n) => break n,
+                            // A concurrent creator holds the name: look again
+                            // once its create has landed (or failed).
+                            Err(FsError::Exists) if !flags.contains(OpenFlags::EXCL) => {}
+                            Err(e) => return Err(e),
+                        }
+                    }
+                    None => return Err(FsError::NotFound),
                 }
-                None => return Err(FsError::NotFound),
             }
         };
         if node.ftype == CoreFileType::Directory && flags.writable() {

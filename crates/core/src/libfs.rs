@@ -359,6 +359,12 @@ impl ArckFs {
         self.pages.take(trio_nvm::handle::home_node()).expect("pool page available")
     }
 
+    /// Whether `page` waits in the LibFS's pool (test support: a page of
+    /// an unlinked file is there once the kernel has reclaimed it).
+    pub fn debug_pool_holds(&self, page: PageId) -> bool {
+        self.pages.holds(page)
+    }
+
     /// Scans a directory's data pages into a fresh hash table + tails.
     fn build_dir_aux(&self, g: &NodeInner) -> FsResult<DirAux> {
         let aux = DirAux::new();
@@ -600,8 +606,10 @@ impl ArckFs {
         let Some(aux) = g.dir.as_ref() else {
             return Err(FsError::Stale);
         };
-        let Some(e) = aux.lookup(name) else {
-            // Miss: a stale aux must not produce false negatives.
+        // A miss, or a name reserved by a create still in flight (ino 0,
+        // its dirent not yet published): nothing to intern. A stale aux
+        // must not produce false negatives.
+        let Some(e) = aux.lookup(name).filter(|e| e.ino != 0) else {
             self.probe_dir(g)?;
             return Ok(None);
         };

@@ -122,6 +122,12 @@ impl PagePool {
         }
     }
 
+    /// Whether `page` is pooled (tests).
+    pub fn holds(&self, page: PageId) -> bool {
+        let node = self.kernel.device().topology().node_of(page);
+        self.per_node[node].lock().contains(&page)
+    }
+
     /// Pooled page count (tests).
     pub fn len(&self) -> usize {
         self.per_node.iter().map(|p| p.lock().len()).sum()

@@ -580,6 +580,64 @@ fn concurrent_creates_in_shared_directory() {
     rt.run();
 }
 
+/// A lookup that lands inside a create of the same name — the name
+/// reserved (ino 0), its dirent not yet published — finds nothing and
+/// interns nothing: the creator's own `stat` afterwards finds its file,
+/// and so does every later one. The lookup starts 0–790 vns into the
+/// create, one offset a world.
+#[test]
+fn a_stat_racing_a_create_of_its_name_interns_nothing() {
+    for offset in (0..800).step_by(10) {
+        let (rt, fs) = world();
+        rt.spawn("creator", move || {
+            fs.mkdir("/d", Mode::RWX).unwrap();
+            fs.create("/d/w", Mode::RW).unwrap();
+            let racer = Arc::clone(&fs);
+            let h = trio_sim::spawn("racer", move || {
+                trio_sim::work(offset);
+                let _ = racer.stat("/d/x");
+            });
+            fs.create("/d/x", Mode::RW).unwrap();
+            let st = fs.stat("/d/x");
+            h.join();
+            let ino =
+                st.unwrap_or_else(|e| panic!("offset {offset}: stat after create: {e:?}")).ino;
+            assert_ne!(ino, 0, "offset {offset}");
+            assert_eq!(fs.stat("/d/x").map(|s| s.ino), Ok(ino), "offset {offset}");
+        });
+        rt.run();
+    }
+}
+
+/// Two threads `open(CREATE)` one name, the second 0–790 vns after the
+/// first: one creates it, the other opens what it created.
+#[test]
+fn racing_open_creates_of_one_name_share_its_ino() {
+    for offset in (0..800).step_by(10) {
+        let (rt, fs) = world();
+        rt.spawn("first", move || {
+            fs.mkdir("/d", Mode::RWX).unwrap();
+            fs.create("/d/w", Mode::RW).unwrap();
+            let open = |fs: &ArckFs| {
+                let fd = fs.open("/d/y", OpenFlags::CREATE | OpenFlags::RDWR, Mode::RW).unwrap();
+                let ino = fs.fstat(fd).unwrap().ino;
+                fs.close(fd).unwrap();
+                ino
+            };
+            let second = Arc::clone(&fs);
+            let h = trio_sim::spawn("second", move || {
+                trio_sim::work(offset);
+                assert_eq!(open(&second), second.stat("/d/y").unwrap().ino, "offset {offset}");
+            });
+            let ino = open(&fs);
+            h.join();
+            assert_eq!(fs.stat("/d/y").map(|s| s.ino), Ok(ino), "offset {offset}");
+            assert_eq!(fs.readdir("/d").unwrap().len(), 2, "offset {offset}");
+        });
+        rt.run();
+    }
+}
+
 #[test]
 fn concurrent_readers_share() {
     let (rt, fs) = world();

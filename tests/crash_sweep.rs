@@ -46,6 +46,8 @@ enum Op {
     Write { path: String, off: u64, data: Vec<u8> },
     Rename(String, String),
     Unlink(String),
+    /// `release_path`: gives the grant back, flushing the unlink batch.
+    Release(String),
 }
 
 fn blob(rng: &mut SimRng, min: usize, max: usize) -> Vec<u8> {
@@ -102,6 +104,10 @@ fn gen_trace(seed: u64) -> Vec<Op> {
     ops.push(Op::Unlink("/b/f4".into()));
     let off = sizes["/b/g0"];
     write(&mut ops, &mut sizes, &mut rng, "/b/g0", off, 300, 700); // append
+    // The unlinks of g1 and f4 wait in the LibFS's reclaim batch: the
+    // release flushes it, so the kernel's reclaim of their chains runs
+    // inside the trace.
+    ops.push(Op::Release("/a".into()));
     ops
 }
 
@@ -139,6 +145,7 @@ impl Model {
             Op::Unlink(p) => {
                 self.files.remove(p).expect("unlink target exists");
             }
+            Op::Release(_) => {}
         }
     }
 }
@@ -148,6 +155,7 @@ fn touched(op: &Op) -> Vec<&str> {
         Op::Mkdir(p) | Op::Create(p) | Op::Unlink(p) => vec![p],
         Op::Write { path, .. } => vec![path],
         Op::Rename(s, d) => vec![s, d],
+        Op::Release(_) => vec![],
     }
 }
 
@@ -177,6 +185,7 @@ fn exec(fs: &ArckFs, op: &Op) {
         })(),
         Op::Rename(s, d) => fs.rename(s, d),
         Op::Unlink(p) => fs.unlink(p),
+        Op::Release(p) => fs.release_path(p),
     };
     r.unwrap_or_else(|e| panic!("op {op:?} failed: {e:?}"));
 }
@@ -368,6 +377,8 @@ fn check_equiv(
             ),
             Some(None) => panic!("in-flight unlink {p} left a directory\n{ctx}"),
         },
+        // Changes no path: the checks above cover it.
+        Op::Release(_) => {}
     }
 }
 

@@ -452,8 +452,11 @@ fn migration_goes_ahead_under_a_released_read_grant() {
 
 /// A data page of a live pool-page file that the patrol condemned (poison
 /// it cannot repair in a page that is not the kernel's) is retired when the
-/// file is unlinked, not recycled into the unlinker's pool; every frame is
-/// still in exactly one place.
+/// file's reclaim runs, not recycled into the unlinker's pool; every frame
+/// is still in exactly one place. The file is small and the kernel has
+/// never seen it, so its unlink waits in the LibFS's reclaim batch: until
+/// the release of `/` flushes it, the frame is still the LibFS's, in no
+/// pool.
 #[test]
 fn condemned_page_of_an_unlinked_file_is_retired_not_recycled() {
     let (dev, kernel, fs) = world(ArckFsConfig::no_delegation());
@@ -469,6 +472,11 @@ fn condemned_page_of_an_unlinked_file_is_retired_not_recycled() {
         let retired = kernel.media_stats().snapshot().pages_retired;
 
         fs.unlink("/c").unwrap();
+        assert!(!fs.debug_pool_holds(victim), "recycled before the batch ran");
+        assert_eq!(kernel.media_stats().snapshot().pages_retired, retired, "retired at the unlink");
+        assert_eq!(kernel.retired_page_count(), 0);
+        fs.release_path("/").unwrap();
+        assert!(!fs.debug_pool_holds(victim), "recycled into the pool");
         assert_eq!(kernel.media_stats().snapshot().pages_retired, retired + 1);
         assert_eq!(kernel.retired_page_count(), 1);
         assert_eq!(dev.mmu_perm(fs.actor(), victim).unwrap(), None, "recycled into the pool");

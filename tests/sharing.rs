@@ -8,7 +8,7 @@ use arckfs::{ArckFs, ArckFsConfig};
 use trio_sim::plock::Mutex;
 use trio_fsapi::{read_file, write_file, FileSystem, FsError, Mode, OpenFlags, SetAttr};
 use trio_kernel::{KernelConfig, KernelController};
-use trio_nvm::{DeviceConfig, NvmDevice, Topology};
+use trio_nvm::{DeviceConfig, NvmDevice, PageId, PagePerm, Topology};
 use trio_sim::{SimRuntime, MILLIS};
 
 fn world(lease_ms: u64) -> (Arc<KernelController>, Arc<ArckFs>, Arc<ArckFs>) {
@@ -810,6 +810,63 @@ fn idle_holder_revoked_after_an_unlink_is_not_flagged() {
         use trio_kernel::registry::KernelEvent as E;
         let events = k.take_events();
         assert!(matches!(events[..], [E::LeaseRevoked { .. }]), "{events:?}");
+    });
+    rt.run();
+    assert_mmu_within_books(&kernel);
+    assert_eq!(kernel.resilience_stats().snapshot().total_violations(), 0);
+}
+
+/// [`idle_holder_revoked_after_an_unlink_is_not_flagged`] with a batched
+/// unlink of a file that has pages: `/shared/new` holds 1 KiB when A
+/// unlinks it, so its chain waits in A's batch through the revocation at
+/// expiry. The directory still verifies, A's page tables stay within the
+/// books, and the flush that comes later hands the chain to A's pool
+/// without the kernel gaining or losing a frame.
+#[test]
+fn idle_holder_revoked_after_a_small_file_unlink_is_not_flagged() {
+    let (kernel, a, b) = world(5);
+    let rt = SimRuntime::new(27);
+    let k = Arc::clone(&kernel);
+    rt.spawn("t", move || {
+        a.mkdir("/shared", Mode(0o777)).unwrap();
+        for i in 0..4 {
+            a.create(&format!("/shared/f{i}"), Mode(0o666)).unwrap();
+        }
+        a.release_path("/shared").unwrap();
+        a.release_path("/").unwrap();
+        b.create("/shared/b0", Mode(0o666)).unwrap();
+        b.release_path("/shared").unwrap();
+        a.unlink("/shared/f0").unwrap();
+        write_file(&*a, "/shared/new", &[7u8; 1024]).unwrap();
+        let (_, index, data) = a.debug_file_pages("/shared/new").unwrap();
+        let chain: Vec<PageId> = index.into_iter().chain(data.into_iter().flatten()).collect();
+        a.unlink("/shared/new").unwrap(); // Never seen by the kernel: batched.
+        assert!(chain.iter().all(|p| !a.debug_pool_holds(*p)), "reclaimed at the unlink");
+        b.create("/shared/b1", Mode(0o666)).unwrap();
+        let names: Vec<String> =
+            b.readdir("/shared").unwrap().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["b0", "b1", "f1", "f2", "f3"]);
+        use trio_kernel::registry::KernelEvent as E;
+        let events = k.take_events();
+        assert!(matches!(events[..], [E::LeaseRevoked { .. }]), "{events:?}");
+        assert_eq!(k.resilience_stats().snapshot().total_violations(), 0);
+        assert_mmu_within_books(&k);
+
+        let idle = |k: &KernelController| {
+            k.free_page_count()
+                + k.cached_page_count()
+                + k.limbo_page_count()
+                + k.deferred_page_count()
+                + k.retired_page_count()
+        };
+        let before = idle(&k);
+        a.release_path("/").unwrap();
+        assert_eq!(idle(&k), before, "the flush moved frames to or from the kernel");
+        let dev = k.device();
+        for p in &chain {
+            assert!(a.debug_pool_holds(*p), "{p:?} not back in A's pool");
+            assert_eq!(dev.mmu_perm(a.actor(), *p).unwrap(), Some(PagePerm::Write));
+        }
     });
     rt.run();
     assert_mmu_within_books(&kernel);
