@@ -363,7 +363,7 @@ impl ArckFs {
         let last_lp = (off as usize + len - 1) / PAGE_SIZE;
         // 1. Index pages.
         while chain_capacity(g.index_pages.len()) <= last_lp {
-            let ip = self.pages.take(trio_nvm::handle::home_node())?;
+            let ip = self.pages.take_lone(trio_nvm::handle::home_node())?;
             match g.index_pages.last() {
                 Some(prev) => {
                     IndexPageRef::new(&self.h, *prev).set_next(ip.0).map_err(Self::fault)?;
@@ -394,8 +394,13 @@ impl ArckFs {
         for &lp in &missing {
             by_node.entry(self.placement_node(node.ino, lp)).or_default().push(lp);
         }
+        // A run of one page may be lent by a sibling bucket; a longer run
+        // keeps its stripe node (DESIGN.md §12 "Two layers").
         for (nodeid, lps) in by_node {
-            let pages = self.pages.take_many(nodeid, lps.len())?;
+            let pages = match lps.len() {
+                1 => vec![self.pages.take_lone(nodeid)?],
+                n => self.pages.take_many(nodeid, n)?,
+            };
             for (lp, p) in lps.into_iter().zip(pages) {
                 g.data_pages[lp] = Some(p);
             }

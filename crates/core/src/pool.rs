@@ -76,11 +76,33 @@ impl PagePool {
         Ok(self.take_many(node, 1)?[0])
     }
 
+    /// Takes one file page (an index page, or a data run of one page) on
+    /// `node`. A dry bucket lends from a sibling before anyone traps: the
+    /// caller's home bucket first, so the write that follows is local, then
+    /// `home + 1, home + 2, …`, one lock each. Only when every bucket is dry
+    /// does it refill `node`.
+    ///
+    /// Runs of two or more pages, directory and journal pages keep strict
+    /// placement (DESIGN.md §12 "Two layers"). A borrowed page stays
+    /// `AllocatedTo(actor)`, and `put` / `put_many` send it back to the
+    /// bucket of its own node.
+    pub fn take_lone(&self, node: usize) -> FsResult<PageId> {
+        Ok(self.take_from(node, 1, true)?[0])
+    }
+
     /// Takes `n` pages on `node`, refilling from the kernel as needed.
-    /// Refills run *outside* the pool lock so one thread's kernel trip
-    /// (batched MMU programming) never convoys its siblings.
     pub fn take_many(&self, node: usize, n: usize) -> FsResult<Vec<PageId>> {
-        let node = node % self.per_node.len();
+        self.take_from(node, n, false)
+    }
+
+    /// The one take loop: `n` pages from `node`'s bucket, else one page a
+    /// sibling lends (`lend`, lone takes only), else a refill. Refills run
+    /// *outside* the pool lock so one thread's kernel trip (batched MMU
+    /// programming) never convoys its siblings.
+    fn take_from(&self, node: usize, n: usize, lend: bool) -> FsResult<Vec<PageId>> {
+        debug_assert!(!lend || n == 1, "only a lone page is lent");
+        let nodes = self.per_node.len();
+        let node = node % nodes;
         loop {
             // The deficit must be computed under the same lock hold as the
             // availability check: a sibling's refill landing between two
@@ -95,6 +117,13 @@ impl PagePool {
                 }
                 pool.len()
             };
+            if lend {
+                let home = trio_nvm::handle::home_node() % nodes;
+                let mut siblings = (0..nodes).map(|i| (home + i) % nodes).filter(|b| *b != node);
+                if let Some(page) = siblings.find_map(|b| self.per_node[b].lock().pop()) {
+                    return Ok(vec![page]);
+                }
+            }
             let refill = self.refill(node, n - have)?;
             self.per_node[node].lock().extend(refill);
         }
@@ -265,6 +294,109 @@ mod tests {
                 + kernel.deferred_page_count()
                 + kernel.retired_page_count();
             let total = kernel.device().topology().total_pages() as usize - 2;
+            assert_eq!(idle + taken.len() + pool.len(), total, "pages not conserved");
+        });
+        rt.run();
+    }
+
+    /// Stocks `pool`'s bucket `node` with `n` pages granted by the kernel.
+    fn stock(kernel: &KernelController, pool: &PagePool, node: usize, n: usize) {
+        pool.put_many(&kernel.alloc_pages(pool.actor, n, Some(node)).unwrap());
+    }
+
+    /// What the kernel has mapped and refilled so far.
+    fn traps(kernel: &KernelController) -> (u64, u64) {
+        let s = kernel.path_stats().snapshot();
+        (s.alloc_refills, s.alloc_mapped_pages)
+    }
+
+    /// A lone file page asked from a dry bucket comes from the caller's
+    /// home bucket, then from the next sibling, and never traps.
+    #[test]
+    fn lone_page_borrows_home_then_next_sibling() {
+        let kernel = kernel_on(DeviceConfig::eight_node(512));
+        let reg = kernel.register_libfs(1000, 1000);
+        let pool = PagePool::new(Arc::clone(&kernel), reg.actor);
+        let rt = SimRuntime::new(24);
+        rt.spawn("t", move || {
+            trio_nvm::handle::set_home_node(2);
+            let node_of = |p: PageId| kernel.device().topology().node_of(p);
+            stock(&kernel, &pool, 2, 1);
+            stock(&kernel, &pool, 3, 1);
+            stock(&kernel, &pool, 7, 1);
+            let before = traps(&kernel);
+            assert_eq!(node_of(pool.take_lone(5).unwrap()), 2, "the home bucket lends first");
+            assert_eq!(node_of(pool.take_lone(5).unwrap()), 3, "then home + 1");
+            assert_eq!(node_of(pool.take_lone(2).unwrap()), 7, "the asked bucket is skipped");
+            assert_eq!(traps(&kernel), before, "a borrow maps nothing");
+            assert!(pool.is_empty());
+            assert_eq!(node_of(pool.take_lone(4).unwrap()), 4, "a dry pool refills the asked node");
+            assert_ne!(traps(&kernel), before);
+        });
+        rt.run();
+    }
+
+    /// A two-page run and a `take` (directory and journal pages) keep
+    /// strict placement: a dry bucket refills its own node even while a
+    /// sibling holds enough.
+    #[test]
+    fn runs_and_directory_pages_refill_their_own_node() {
+        let kernel = kernel_on(DeviceConfig::eight_node(512));
+        let reg = kernel.register_libfs(1000, 1000);
+        let pool = PagePool::new(Arc::clone(&kernel), reg.actor);
+        let rt = SimRuntime::new(25);
+        rt.spawn("t", move || {
+            trio_nvm::handle::set_home_node(2);
+            let node_of = |p: PageId| kernel.device().topology().node_of(p);
+            stock(&kernel, &pool, 2, 2 * STRIPE_PAGES);
+            let (refills, mapped) = traps(&kernel);
+            let run = pool.take_many(5, 2).unwrap();
+            assert!(run.iter().all(|p| node_of(*p) == 5), "a run borrowed: {run:?}");
+            assert_eq!(node_of(pool.take(6).unwrap()), 6, "a directory page borrowed");
+            let after = traps(&kernel);
+            assert_eq!(after.0, refills + 2, "one refill per dry node");
+            assert_eq!(after.1, mapped + 2 * STRIPE_PAGES as u64, "a stripe unit per refill");
+        });
+        rt.run();
+    }
+
+    /// Sixteen lone-page takers meet at a dry bucket while one sibling
+    /// holds half as many pages: no page is handed out twice, none goes
+    /// missing, and the sibling's stock is spent before anyone traps.
+    #[test]
+    fn lone_page_herd_on_a_dry_bucket_conserves_pages() {
+        let kernel = kernel_on(DeviceConfig::eight_node(512));
+        let reg = kernel.register_libfs(1000, 1000);
+        let pool = Arc::new(PagePool::new(Arc::clone(&kernel), reg.actor));
+        let rt = SimRuntime::new(26);
+        rt.spawn("herd", move || {
+            stock(&kernel, &pool, 3, 8);
+            let barrier = Arc::new(SimBarrier::new(16));
+            let takers: Vec<_> = (0..16)
+                .map(|_| {
+                    let (pool, barrier) = (Arc::clone(&pool), Arc::clone(&barrier));
+                    let got = Arc::new(SimMutex::new(None));
+                    let slot = Arc::clone(&got);
+                    let h = trio_sim::spawn("taker", move || {
+                        barrier.wait();
+                        *slot.lock() = Some(pool.take_lone(0).unwrap());
+                    });
+                    (h, got)
+                })
+                .collect();
+            let mut taken = BTreeSet::new();
+            for (h, got) in takers {
+                h.join();
+                assert!(taken.insert(got.lock().expect("took a page")), "a page handed out twice");
+            }
+            let topo = kernel.device().topology();
+            assert_eq!(taken.iter().filter(|p| topo.node_of(**p) == 3).count(), 8);
+            let idle = kernel.free_page_count()
+                + kernel.cached_page_count()
+                + kernel.limbo_page_count()
+                + kernel.deferred_page_count()
+                + kernel.retired_page_count();
+            let total = topo.total_pages() as usize - 2;
             assert_eq!(idle + taken.len() + pool.len(), total, "pages not conserved");
         });
         rt.run();
