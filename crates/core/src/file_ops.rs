@@ -436,12 +436,9 @@ impl ArckFs {
         Ok(())
     }
 
-    /// Publishes the size and mtime fields (8-byte atomic persists).
+    /// Publishes the size and mtime fields: one line, one fence.
     pub(crate) fn publish_size(&self, node: &Arc<FileNode>, g: &NodeInner) -> FsResult<()> {
         let loc = node.place.read().loc.ok_or(FsError::Corrupted)?;
-        let dref = DirentRef::new(&self.h, loc);
-        dref.set_size(g.size).map_err(Self::fault)?;
-        dref.set_mtime(g.mtime).map_err(Self::fault)?;
-        Ok(())
+        DirentRef::new(&self.h, loc).set_size_mtime(g.size, g.mtime).map_err(Self::fault)
     }
 }

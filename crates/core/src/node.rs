@@ -131,11 +131,34 @@ pub struct Placement {
 impl FileNode {
     /// Creates an unmapped node.
     pub fn new(ino: Ino, ftype: CoreFileType, parent: Ino, loc: Option<DirentLoc>) -> Arc<Self> {
+        Self::with_inner(ino, ftype, Placement { parent, loc }, NodeInner::unmapped())
+    }
+
+    /// The node of a file this LibFS has just created at `loc`: built
+    /// whole, writable *by construction* — its dirent page is mapped
+    /// through the parent's write grant and any pages it grows into come
+    /// from the LibFS's own (already mapped) pool, so no kernel map call is
+    /// needed until another LibFS claims it, the essence of direct access
+    /// for metadata (paper §4.2) — empty, and for a directory with a fresh
+    /// aux.
+    pub(crate) fn created(
+        ino: Ino,
+        ftype: CoreFileType,
+        parent: Ino,
+        loc: DirentLoc,
+        mtime: u64,
+    ) -> Arc<Self> {
+        let dir = (ftype == CoreFileType::Directory).then(|| Arc::new(DirAux::new()));
+        let inner = NodeInner { map: MapState::Write, mtime, dir, ..NodeInner::unmapped() };
+        Self::with_inner(ino, ftype, Placement { parent, loc: Some(loc) }, inner)
+    }
+
+    fn with_inner(ino: Ino, ftype: CoreFileType, place: Placement, inner: NodeInner) -> Arc<Self> {
         Arc::new(FileNode {
             ino,
             ftype,
-            place: SimRwLock::new(Placement { parent, loc }),
-            inner: SimRwLock::new(NodeInner::unmapped()),
+            place: SimRwLock::new(place),
+            inner: SimRwLock::new(inner),
             range: RangeLock::new(),
             gate: SimRwLock::with_costs((), 0, 0),
             open_fds: AtomicU32::new(0),

@@ -494,10 +494,16 @@ impl NvmDevice {
         v: u64,
         deps: &dyn crate::typestate::Spans,
     ) -> Result<(), ProtError> {
+        self.sanitize_assert_spans(deps);
+        self.write_u64_persist(actor, page, off, v)
+    }
+
+    /// Re-checks every range of a typed witness against the tracker: a
+    /// line not yet durable records a `publish-before-persist` hazard.
+    pub(crate) fn sanitize_assert_spans(&self, deps: &dyn crate::typestate::Spans) {
         if let Some(t) = &self.tracker {
             deps.for_each(&mut |dp, doff, dlen| t.assert_durable(dp, doff, dlen));
         }
-        self.write_u64_persist(actor, page, off, v)
     }
 
     /// Re-checks a range an [`crate::NvmHandle::assume_durable`] caller
@@ -735,6 +741,13 @@ impl NvmDevice {
     /// Persistence points observed so far (0 without tracking).
     pub fn persistence_points(&self) -> u64 {
         self.tracker.as_ref().map(|t| t.points_seen()).unwrap_or(0)
+    }
+
+    /// Fences observed so far, the subset of the persistence points that
+    /// retire lines (0 without tracking): what an op's fence count is read
+    /// from.
+    pub fn fences_seen(&self) -> u64 {
+        self.tracker.as_ref().map(|t| t.fences_seen()).unwrap_or(0)
     }
 
     /// Whether an armed crash plan has fired, and at which point.

@@ -179,6 +179,27 @@ impl NvmHandle {
         self.dev.publish_u64_spans(self.actor, page, off, v, deps.witness())
     }
 
+    /// [`Self::publish_u64`] without its own barrier: the commit word for
+    /// an op that retires several stores in one fence. The witness is
+    /// checked as the word is stored — on a tracked device each witnessed
+    /// range is re-checked against the tracker then, as `publish_u64`
+    /// does — and the word comes back [`Dirty`], to be joined into the
+    /// caller's fence. It only type-checks against a [`Durable`] witness,
+    /// so a commit word staged before the bytes it commits were fenced is
+    /// a compile error here too. The word is visible from its store on,
+    /// durable only at that fence: everything else the fence retires must
+    /// be a state recovery accepts without it (DESIGN.md §18 "Epochs").
+    pub fn stage_publish_u64<T: Spans>(
+        &self,
+        page: PageId,
+        off: usize,
+        v: u64,
+        deps: &Durable<T>,
+    ) -> Result<Dirty<Span>, ProtError> {
+        self.dev.sanitize_assert_spans(deps.witness());
+        self.store_u64_dirty(page, off, v)
+    }
+
     /// Untyped escape hatch: [`Self::publish_u64`] with raw
     /// `(page, off, len)` dependency tuples and no compile-time evidence.
     /// Reserved for `trio-nvm` internals and test harnesses that

@@ -69,6 +69,8 @@ pub struct PersistTracker {
     lines: Mutex<DetHashMap<(u64, u16), LineState>>,
     /// Persistence points observed so far (stores + flushes + fences).
     points: AtomicU64,
+    /// Fences among those points.
+    fences: AtomicU64,
     /// Point index at which to freeze durability; `UNSET` = disarmed.
     crash_at: AtomicU64,
     /// Once set, fences no longer promote flushed lines to durable.
@@ -140,6 +142,11 @@ impl PersistTracker {
     /// Persistence points observed so far.
     pub fn points_seen(&self) -> u64 {
         self.points.load(Ordering::Relaxed)
+    }
+
+    /// Fences observed so far.
+    pub fn fences_seen(&self) -> u64 {
+        self.fences.load(Ordering::Relaxed)
     }
 
     /// The point at which the armed plan fired, if it has.
@@ -285,6 +292,7 @@ impl PersistTracker {
     /// fence never retired anything.
     pub fn fence(&self) {
         self.point_tick();
+        self.fences.fetch_add(1, Ordering::Relaxed);
         if self.is_frozen() {
             return;
         }

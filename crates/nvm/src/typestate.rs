@@ -89,6 +89,14 @@ impl<A: Spans, B: Spans> Spans for (A, B) {
     }
 }
 
+impl<A: Spans> Spans for Option<A> {
+    fn for_each(&self, f: &mut dyn FnMut(PageId, usize, usize)) {
+        if let Some(a) = self {
+            a.for_each(f)
+        }
+    }
+}
+
 impl Spans for Vec<Span> {
     fn for_each(&self, f: &mut dyn FnMut(PageId, usize, usize)) {
         for s in self {
@@ -172,6 +180,12 @@ impl<T> Dirty<T> {
     pub fn and<U>(self, other: Dirty<U>) -> Dirty<(T, U)> {
         Dirty((self.0, other.0))
     }
+
+    /// [`Self::and`] with a token that a path may not have (a store it
+    /// made only on some branch).
+    pub fn and_some<U>(self, other: Option<Dirty<U>>) -> Dirty<(T, Option<U>)> {
+        Dirty((self.0, other.map(|d| d.0)))
+    }
 }
 
 impl<T> Flushed<T> {
@@ -222,6 +236,24 @@ impl<T> Durable<T> {
     /// depends on separately fenced ranges).
     pub fn and<U>(self, other: Durable<U>) -> Durable<(T, U)> {
         Durable((self.0, other.0))
+    }
+}
+
+impl<A, B> Durable<(A, B)> {
+    /// The two witnesses one fence retired together: each half is as
+    /// durable as the pair. A commit word that depends on one half alone
+    /// is checked against that half only, so a store since the fence into
+    /// a line of the other half (an arm word rewriting its record's line
+    /// 0) is not mistaken for a dependency gone volatile.
+    pub fn split(self) -> (Durable<A>, Durable<B>) {
+        (Durable(self.0 .0), Durable(self.0 .1))
+    }
+}
+
+impl<A> Durable<Option<A>> {
+    /// The witness of a store a path may not have made.
+    pub fn transpose(self) -> Option<Durable<A>> {
+        self.0.map(Durable)
     }
 }
 

@@ -28,6 +28,17 @@ pub fn well_typed_joined_commit(h: &NvmHandle) -> Result<(), ProtError> {
     h.publish_u64(PageId(3), 8, 1, &both)
 }
 
+/// Several stores retired by one fence, one of them a commit word staged
+/// against a witness fenced before it — the metadata ops' epoch shape
+/// (DESIGN.md §18 "Epochs"). Also always compiled.
+pub fn well_typed_staged_commit(h: &NvmHandle) -> Result<(), ProtError> {
+    let prepared = h.persist_dirty(h.write_dirty(PageId(3), 0, &[0xAB; 256])?);
+    let commit = h.stage_publish_u64(PageId(3), 0, 42, &prepared)?;
+    let line = h.store_u64_dirty(PageId(4), 16, 1)?;
+    let _retired = h.persist_dirty(commit.and(line));
+    Ok(())
+}
+
 /// Hazard class 1: the commit word goes live against bytes that were
 /// never persisted at all. The runtime sanitizer calls this
 /// `publish-before-persist`; here the `Dirty` token simply is not a
@@ -57,4 +68,16 @@ pub fn missing_flush(h: &NvmHandle) -> Result<(), ProtError> {
     let dirty = h.write_dirty(PageId(3), 0, &[0xAB; 256])?;
     let durable = h.fence_flushed(dirty); // E0308: Dirty is not Flushed
     h.publish_u64(PageId(3), 0, 42, &durable)
+}
+
+/// Hazard class 1, staged: a commit word joined into a fence with the
+/// bytes it commits, instead of after their own. Its store would land
+/// before they are durable — `publish-before-persist` — so staging it
+/// against the `Dirty` token must not type-check either.
+#[cfg(feature = "hazard-stage-before-persist")]
+pub fn stage_before_persist(h: &NvmHandle) -> Result<(), ProtError> {
+    let dirty = h.write_dirty(PageId(3), 0, &[0xAB; 256])?;
+    let commit = h.stage_publish_u64(PageId(3), 0, 42, &dirty)?; // E0308: Dirty is not Durable
+    let _retired = h.persist_dirty(dirty.and(commit));
+    Ok(())
 }

@@ -208,8 +208,12 @@ fn run_fixture_check(check: &str, fixture: &str, cases: &[Case]) -> ExitCode {
 
 /// Hazard-class features of `fixtures/typestate-fixture`; each must make
 /// the fixture fail to compile with a type error.
-const TYPESTATE_HAZARDS: [&str; 3] =
-    ["hazard-publish-before-persist", "hazard-missing-fence", "hazard-missing-flush"];
+const TYPESTATE_HAZARDS: [&str; 4] = [
+    "hazard-publish-before-persist",
+    "hazard-missing-fence",
+    "hazard-missing-flush",
+    "hazard-stage-before-persist",
+];
 
 fn run_typestate_check() -> ExitCode {
     let compiles = |ok: bool, err: &str| {

@@ -152,8 +152,10 @@ fn rename_journal_recovers_the_half_done_move() {
         let dst = DirPage::load(fs2.handle(), page).unwrap().first_free().unwrap();
         let jpage = fs2.debug_take_pool_page();
         let journal = arckfs::journal::Journal::new();
-        let guard = journal
-            .begin_rename(fs2.handle(), 0, src, dst, &img, || Ok(jpage))
+        let (guard, _) = journal
+            .begin_rename(fs2.handle(), 0, src, dst, &img, fs2.handle().dirty_spans(Vec::new()), || {
+                Ok(jpage)
+            })
             .unwrap();
         // Half-done move, fully persisted, but journal still armed.
         let mut moved = DirentData::decode_bytes(&img);
@@ -227,8 +229,10 @@ fn armed_rename_world(
         let dst = DirPage::load(fs2.handle(), page).unwrap().first_free().unwrap();
         let jpage = fs2.debug_take_pool_page();
         let journal = arckfs::journal::Journal::new();
-        let guard = journal
-            .begin_rename(fs2.handle(), 0, src, dst, &img, || Ok(jpage))
+        let (guard, _) = journal
+            .begin_rename(fs2.handle(), 0, src, dst, &img, fs2.handle().dirty_spans(Vec::new()), || {
+                Ok(jpage)
+            })
             .unwrap();
         let mut moved = DirentData::decode_bytes(&img);
         moved.name = b"moved".to_vec();
