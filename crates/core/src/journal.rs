@@ -155,9 +155,9 @@ fn rewrite_record(h: &NvmHandle, page: PageId, r: &RawRecord, state: u64) -> Res
     l0[OFF_DST_SLOT..OFF_DST_SLOT + 8].copy_from_slice(&(r.dst.slot as u64).to_le_bytes());
     let seal = body_csum(&r.src, &r.dst, &r.image);
     l0[OFF_CSUM..OFF_CSUM + 8].copy_from_slice(&seal.to_le_bytes());
-    let a = h.flush_dirty(h.write_dirty(page, 0, &l0)?);
-    let b = h.flush_dirty(h.write_dirty(page, OFF_IMAGE, &r.image)?);
-    let _durable = h.fence_flushed(a.and(b));
+    let a = h.write_dirty(page, 0, &l0)?;
+    let b = h.write_dirty(page, OFF_IMAGE, &r.image)?;
+    let _durable = h.persist_dirty(a.and(b));
     Ok(())
 }
 
@@ -182,8 +182,7 @@ pub type JournalShardSlot = Arc<SimMutex<Option<(PageId, PageId)>>>;
 
 /// The sharded, mirrored undo journal.
 pub struct Journal {
-    /// `(primary, mirror)` per shard; `primary == mirror` means the shard
-    /// runs unmirrored (single-page legacy harnesses).
+    /// `(primary, mirror)` per shard, once its first rename attached them.
     shards: Box<[JournalShardSlot]>,
 }
 
@@ -205,23 +204,15 @@ impl Journal {
         let mut out = Vec::new();
         for s in self.shards.iter() {
             if let Some((p, m)) = *s.lock() {
-                out.push(p);
-                if m != p {
-                    out.push(m);
-                }
+                out.extend([p, m]);
             }
         }
         out
     }
 
-    /// The `(primary, mirror)` pairs currently attached; `None` mirror
-    /// means the shard is unmirrored.
-    pub fn page_pairs(&self) -> Vec<(PageId, Option<PageId>)> {
-        self.shards
-            .iter()
-            .filter_map(|s| *s.lock())
-            .map(|(p, m)| (p, (m != p).then_some(m)))
-            .collect()
+    /// The `(primary, mirror)` pairs currently attached.
+    pub fn page_pairs(&self) -> Vec<(PageId, PageId)> {
+        self.shards.iter().filter_map(|s| *s.lock()).collect()
     }
 
     /// Arms a rename record on both copies and returns a guard, with the
@@ -236,8 +227,7 @@ impl Journal {
     /// failed ones included.
     ///
     /// `alloc` provides the shard's NVM pages on first use (called twice:
-    /// primary, then mirror; returning the same page twice degrades the
-    /// shard to unmirrored operation).
+    /// primary, then mirror; the two must be distinct pages).
     #[allow(
         clippy::too_many_arguments,
         reason = "the record's fields, the fence it joins and its pages' source"
@@ -265,9 +255,10 @@ impl Journal {
         // dirties that copy's line 0) — a record cannot go live before its
         // body is durable.
         let bodies = pair.and_then(|(p, m)| {
+            debug_assert_ne!(p, m, "a journal shard needs two pages");
             let bp = store_body(h, p, src, dst, src_image, csum).map_err(fault)?;
-            match (m != p).then(|| store_body(h, m, src, dst, src_image, csum)).transpose() {
-                Ok(bm) => Ok(((p, m), bp.and_some(bm))),
+            match store_body(h, m, src, dst, src_image, csum) {
+                Ok(bm) => Ok(((p, m), bp.and(bm))),
                 Err(e) => {
                     let _durable = h.persist_dirty(bp);
                     Err(fault(e))
@@ -295,10 +286,9 @@ impl Journal {
             _slot: guard,
         };
         let arm_p = h.stage_publish_u64(primary, OFF_STATE, 1, &bp).map_err(fault)?;
-        let arm_m = bm.transpose().map(|bm| h.stage_publish_u64(mirror, OFF_STATE, 1, &bm));
-        match arm_m.transpose() {
+        match h.stage_publish_u64(mirror, OFF_STATE, 1, &bm) {
             Ok(arm_m) => {
-                let _armed = h.persist_dirty(arm_p.and_some(arm_m));
+                let _armed = h.persist_dirty(arm_p.and(arm_m));
                 Ok((rec, with))
             }
             Err(e) => {
@@ -308,13 +298,6 @@ impl Journal {
         }
     }
 
-    /// Legacy single-copy scan: every page is treated as an unmirrored
-    /// shard. Returns the number of armed renames undone.
-    pub fn recover(h: &NvmHandle, pages: &[PageId]) -> Result<usize, ProtError> {
-        let pairs: Vec<(PageId, Option<PageId>)> = pages.iter().map(|&p| (p, None)).collect();
-        Ok(Self::recover_pairs(h, &pairs)?.undone)
-    }
-
     /// Scans the journal page pairs of a crashed LibFS and undoes any
     /// armed rename: restores the src dirent pre-image and clears the dst
     /// dirent. Falls back to the mirror when the primary is poisoned or
@@ -322,39 +305,34 @@ impl Journal {
     /// one (media repair). Runs with a privileged (kernel) handle.
     pub fn recover_pairs(
         h: &NvmHandle,
-        pairs: &[(PageId, Option<PageId>)],
+        pairs: &[(PageId, PageId)],
     ) -> Result<JournalRecovery, ProtError> {
         let mut out = JournalRecovery::default();
         for &(primary, mirror) in pairs {
             let rp = read_raw(h, primary);
-            let rm = mirror.map(|m| read_raw(h, m));
-            let armed = matches!(&rp, Ok(r) if r.state == 1)
-                || matches!(&rm, Some(Ok(r)) if r.state == 1);
+            let rm = read_raw(h, mirror);
+            let armed =
+                matches!(&rp, Ok(r) if r.state == 1) || matches!(&rm, Ok(r) if r.state == 1);
             if !armed {
                 // Idle shard: twin-repair a poisoned copy so the journal
                 // page stays usable (bit rot on an idle body is repaired
                 // lazily by the next rename's body rewrite).
-                if let Some(m) = mirror {
-                    match (&rp, &rm) {
-                        (Ok(r), Some(Err(_))) => {
-                            rewrite_record(h, m, r, r.state)?;
-                            out.repaired += 1;
-                        }
-                        (Err(_), Some(Ok(r))) => {
-                            rewrite_record(h, primary, r, r.state)?;
-                            out.repaired += 1;
-                        }
-                        _ => {}
+                match (&rp, &rm) {
+                    (Ok(r), Err(_)) => {
+                        rewrite_record(h, mirror, r, r.state)?;
+                        out.repaired += 1;
                     }
+                    (Err(_), Ok(r)) => {
+                        rewrite_record(h, primary, r, r.state)?;
+                        out.repaired += 1;
+                    }
+                    _ => {}
                 }
                 continue;
             }
             // Pick a sealed body: primary first, then the mirror.
             let p_good = rp.as_ref().ok().filter(|r| r.body_valid()).cloned();
-            let m_good = match &rm {
-                Some(Ok(r)) if r.body_valid() => Some(r.clone()),
-                _ => None,
-            };
+            let m_good = rm.as_ref().ok().filter(|r| r.body_valid()).cloned();
             let Some(r) = p_good.clone().or(m_good.clone()) else {
                 // Both twins destroyed: nothing trustworthy to undo from.
                 out.unrecoverable += 1;
@@ -367,7 +345,8 @@ impl Journal {
             DirentRef::new(h, r.dst).clear()?;
             let restored = DirentRef::new(h, r.src).restore_image(&r.image)?;
             if p_good.is_some() {
-                h.publish_u64(primary, OFF_STATE, 0, &restored)?;
+                let disarm = h.stage_publish_u64(primary, OFF_STATE, 0, &restored)?;
+                let _disarmed = h.persist_dirty(disarm);
             } else {
                 // Bad primary: full rewrite from the good twin repairs the
                 // media and lands it disarmed in the same pass (ordered
@@ -375,13 +354,11 @@ impl Journal {
                 rewrite_record(h, primary, &r, 0)?;
                 out.repaired += 1;
             }
-            if let Some(m) = mirror {
-                if m_good.is_some() {
-                    h.write_u64_persist(m, OFF_STATE, 0)?;
-                } else {
-                    rewrite_record(h, m, &r, 0)?;
-                    out.repaired += 1;
-                }
+            if m_good.is_some() {
+                let _disarmed = h.persist_dirty(h.store_u64_dirty(mirror, OFF_STATE, 0)?);
+            } else {
+                rewrite_record(h, mirror, &r, 0)?;
+                out.repaired += 1;
             }
             out.undone += 1;
         }
@@ -448,11 +425,9 @@ impl JournalGuard<'_> {
     fn clear_state<T: Spans>(&self, deps: &Durable<T>) -> Result<(), ProtError> {
         let h = &self.h;
         let p = h.stage_publish_u64(self.primary, OFF_STATE, 0, deps)?;
-        let m = (self.mirror != self.primary)
-            .then(|| h.stage_publish_u64(self.mirror, OFF_STATE, 0, deps));
-        match m.transpose() {
+        match h.stage_publish_u64(self.mirror, OFF_STATE, 0, deps) {
             Ok(m) => {
-                let _durable = h.persist_dirty(p.and_some(m));
+                let _durable = h.persist_dirty(p.and(m));
                 Ok(())
             }
             Err(e) => {
@@ -558,21 +533,8 @@ mod tests {
         let (g, w) = j.begin_rename(&h, 0, src, dst, &image, none(&h), paired_alloc()).unwrap();
         g.disarm(&w).unwrap();
         assert_eq!(Journal::recover_pairs(&h, &j.page_pairs()).unwrap().undone, 0);
-        // Flat legacy scan over both twins agrees.
-        assert_eq!(Journal::recover(&h, &j.pages()).unwrap(), 0);
-    }
-
-    #[test]
-    fn single_page_alloc_degrades_to_unmirrored() {
-        let h = setup();
-        let j = Journal::new();
-        let src = DirentLoc { page: PageId(2), slot: 0 };
-        let dst = DirentLoc { page: PageId(3), slot: 0 };
-        let image = [9u8; DIRENT_SIZE];
-        let (g, w) = j.begin_rename(&h, 0, src, dst, &image, none(&h), || Ok(PageId(10))).unwrap();
-        g.disarm(&w).unwrap();
-        assert_eq!(j.pages(), vec![PageId(10)]);
-        assert_eq!(j.page_pairs(), vec![(PageId(10), None)]);
+        assert_eq!(j.pages(), vec![PageId(10), PageId(11)]);
+        assert_eq!(j.page_pairs(), vec![(PageId(10), PageId(11))]);
     }
 
     #[test]

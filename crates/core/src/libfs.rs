@@ -129,18 +129,20 @@ impl ArckFs {
         &self.root
     }
 
-    /// Pages backing this LibFS's rename undo journal. A recovery agent
-    /// scans these (with a privileged handle) after the LibFS dies — see
-    /// [`crate::journal::Journal::recover`]. In a full system the kernel
-    /// would record them at allocation time; here the harness carries them
-    /// across the crash.
+    /// Pages backing this LibFS's rename undo journal, both copies of
+    /// every shard (corruption harnesses aim at these; recovery scans
+    /// [`Self::journal_page_pairs`]).
     pub fn journal_pages(&self) -> Vec<PageId> {
         self.journal.pages()
     }
 
     /// Journal `(primary, mirror)` pairs for twin-aware recovery and the
     /// kernel patrol scrubber's twin-repair registration (DESIGN.md §19).
-    pub fn journal_page_pairs(&self) -> Vec<(PageId, Option<PageId>)> {
+    /// A recovery agent scans them with a privileged handle after the
+    /// LibFS dies ([`crate::journal::Journal::recover_pairs`]). In a full
+    /// system the kernel would record them at allocation time; here the
+    /// harness carries them across the crash.
+    pub fn journal_page_pairs(&self) -> Vec<(PageId, PageId)> {
         self.journal.page_pairs()
     }
 
@@ -149,26 +151,24 @@ impl ArckFs {
     /// pair, the record's line budget, a body validator, and — crucially —
     /// the shard's own lock, so a repair can never interleave with an
     /// arm/disarm in flight. Shards lazily allocate on their first rename,
-    /// so call this after the journal has seen traffic; unallocated and
-    /// unmirrored shards are skipped. Returns how many pairs were
-    /// registered.
+    /// so call this after the journal has seen traffic; unallocated shards
+    /// are skipped. Returns how many pairs were registered.
     pub fn register_journal_twins(&self) -> usize {
         let mut registered = 0;
         for slot in self.journal.shard_slots() {
             let pair = *slot.lock();
             if let Some((primary, mirror)) = pair {
-                if primary != mirror
-                    && self
-                        .kernel
-                        .register_journal_twin(
-                            self.actor,
-                            primary,
-                            mirror,
-                            crate::journal::record_media_ok,
-                            crate::journal::RECORD_LINES,
-                            Arc::clone(&slot),
-                        )
-                        .is_ok()
+                if self
+                    .kernel
+                    .register_journal_twin(
+                        self.actor,
+                        primary,
+                        mirror,
+                        crate::journal::record_media_ok,
+                        crate::journal::RECORD_LINES,
+                        Arc::clone(&slot),
+                    )
+                    .is_ok()
                 {
                     registered += 1;
                 }

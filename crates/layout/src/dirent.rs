@@ -238,8 +238,8 @@ impl<'a> DirentRef<'a> {
     /// [`Self::prepare`] (or a join that includes it); on a tracked
     /// device the tracker re-checks every witnessed range.
     pub fn publish<T: Spans>(&self, ino: Ino, prepared: &Durable<T>) -> Result<(), ProtError> {
-        debug_assert_ne!(ino, 0);
-        self.h.publish_u64(self.loc.page, self.loc.byte_off() + OFF_INO, ino, prepared)
+        let _published = self.h.persist_dirty(self.stage_publish(ino, prepared)?);
+        Ok(())
     }
 
     /// Both creation steps: [`Self::prepare`] the slot with `data`, then
@@ -264,7 +264,8 @@ impl<'a> DirentRef<'a> {
 
     /// Deletion: atomically clears the inode number; the slot becomes free.
     pub fn clear(&self) -> Result<(), ProtError> {
-        self.h.write_u64_persist(self.loc.page, self.loc.byte_off() + OFF_INO, 0)
+        let _cleared = self.h.persist_dirty(self.stage_clear()?);
+        Ok(())
     }
 
     /// [`Self::clear`]'s store, not yet flushed: the slot reads as free
@@ -275,7 +276,7 @@ impl<'a> DirentRef<'a> {
 
     /// Atomically updates the size field.
     pub fn set_size(&self, size: u64) -> Result<(), ProtError> {
-        self.h.write_u64_persist(self.loc.page, self.loc.byte_off() + OFF_SIZE, size)
+        self.set_word(OFF_SIZE, size)
     }
 
     /// Stores the size and mtime words, not yet flushed. They are adjacent
@@ -302,20 +303,29 @@ impl<'a> DirentRef<'a> {
         size: u64,
         data: &Durable<T>,
     ) -> Result<(), ProtError> {
-        self.h.publish_u64(self.loc.page, self.loc.byte_off() + OFF_SIZE, size, data)
+        let off = self.loc.byte_off() + OFF_SIZE;
+        let word = self.h.stage_publish_u64(self.loc.page, off, size, data)?;
+        let _durable = self.h.persist_dirty(word);
+        Ok(())
     }
 
     /// Atomically publishes a new index-chain head (first append/truncate
     /// to empty).
     pub fn set_first_index(&self, page: u64) -> Result<(), ProtError> {
-        self.h.write_u64_persist(self.loc.page, self.loc.byte_off() + OFF_FIRST_INDEX, page)
+        self.set_word(OFF_FIRST_INDEX, page)
     }
 
     /// Atomically rewrites the attr word (chmod — note the kernel's shadow
     /// table, not this cached copy, is the I4 ground truth).
     pub fn set_attr(&self, mode: Mode, ftype_raw: u8, name_len: u8) -> Result<(), ProtError> {
-        let w = attr_word(mode, ftype_raw, name_len);
-        self.h.write_u64_persist(self.loc.page, self.loc.byte_off() + OFF_ATTR, w)
+        self.set_word(OFF_ATTR, attr_word(mode, ftype_raw, name_len))
+    }
+
+    /// Stores and persists the slot's word at `off`: one barrier.
+    fn set_word(&self, off: usize, v: u64) -> Result<(), ProtError> {
+        let word = self.h.store_u64_dirty(self.loc.page, self.loc.byte_off() + off, v)?;
+        let _durable = self.h.persist_dirty(word);
+        Ok(())
     }
 
     /// Reads size.

@@ -49,7 +49,7 @@ impl<'a> IndexPageRef<'a> {
     /// Atomically publishes data-page slot `i` (appends commit this way).
     pub fn set_entry(&self, i: usize, v: u64) -> Result<(), ProtError> {
         assert!(i < ENTRIES_PER_INDEX);
-        self.h.write_u64_persist(self.page, i * 8, v)
+        self.set_word(i * 8, v)
     }
 
     /// Stores data-page slot `i` without persisting it: one of a batch the
@@ -72,7 +72,13 @@ impl<'a> IndexPageRef<'a> {
 
     /// Atomically publishes the next-index-page pointer.
     pub fn set_next(&self, v: u64) -> Result<(), ProtError> {
-        self.h.write_u64_persist(self.page, NEXT_SLOT_OFF, v)
+        self.set_word(NEXT_SLOT_OFF, v)
+    }
+
+    /// Stores and persists the word at `off`: one barrier.
+    fn set_word(&self, off: usize, v: u64) -> Result<(), ProtError> {
+        let _durable = self.h.persist_dirty(self.h.store_u64_dirty(self.page, off, v)?);
+        Ok(())
     }
 
     /// Reads all 511 entries plus next in one bulk access (aux-state

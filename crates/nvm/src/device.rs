@@ -437,67 +437,6 @@ impl NvmDevice {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// 8-byte atomic durable store: store + `clwb` + `sfence`, charged as
-    /// one persist barrier at the fence. This is the publication primitive
-    /// of §4.4 (e.g. flipping an inode number from 0 to its final value
-    /// commits a creation).
-    pub fn write_u64_persist(
-        &self,
-        actor: ActorId,
-        page: PageId,
-        off: usize,
-        v: u64,
-    ) -> Result<(), ProtError> {
-        if !off.is_multiple_of(8) {
-            return Err(ProtError::Misaligned);
-        }
-        self.copy_to_page(actor, page, off, &v.to_le_bytes())?;
-        let lines = self.stage(page, off, 8);
-        self.fence_staged(lines);
-        Ok(())
-    }
-
-    /// [`Self::write_u64_persist`] with declared publication dependencies:
-    /// the byte ranges that must already be durable when this commit store
-    /// becomes visible (§4.4 "prepare, persist, then publish"). On a
-    /// tracked device each dependency line is checked and a
-    /// not-yet-durable one records a `publish-before-persist` hazard;
-    /// on an untracked one the dependencies are documentation.
-    pub fn publish_u64(
-        &self,
-        actor: ActorId,
-        page: PageId,
-        off: usize,
-        v: u64,
-        deps: &[(PageId, usize, usize)],
-    ) -> Result<(), ProtError> {
-        if let Some(t) = &self.tracker {
-            for &(dp, doff, dlen) in deps {
-                t.assert_durable(dp, doff, dlen);
-            }
-        }
-        self.write_u64_persist(actor, page, off, v)
-    }
-
-    /// [`Self::publish_u64`] for the typestate API (DESIGN.md §18): the
-    /// dependencies arrive as a [`crate::typestate::Spans`] witness
-    /// instead of a slice, so the typed commit point enumerates them
-    /// without materializing a `Vec`. Identical store + `clwb` + `sfence`
-    /// sequence; on a tracked device each witnessed line is re-checked
-    /// against the tracker (the oracle for forged `assume_durable`
-    /// witnesses).
-    pub fn publish_u64_spans(
-        &self,
-        actor: ActorId,
-        page: PageId,
-        off: usize,
-        v: u64,
-        deps: &dyn crate::typestate::Spans,
-    ) -> Result<(), ProtError> {
-        self.sanitize_assert_spans(deps);
-        self.write_u64_persist(actor, page, off, v)
-    }
-
     /// Re-checks every range of a typed witness against the tracker: a
     /// line not yet durable records a `publish-before-persist` hazard.
     pub(crate) fn sanitize_assert_spans(&self, deps: &dyn crate::typestate::Spans) {
@@ -1004,7 +943,7 @@ mod tests {
         let a = ActorId(1);
         d.mmu_map(a, PageId(0), PagePerm::Write).unwrap();
         assert_eq!(d.read_u64(a, PageId(0), 4), Err(ProtError::Misaligned));
-        d.write_u64_persist(a, PageId(0), 8, 0xDEAD_BEEF).unwrap();
+        d.copy_to_page(a, PageId(0), 8, &0xDEAD_BEEFu64.to_le_bytes()).unwrap();
         assert_eq!(d.read_u64(a, PageId(0), 8), Ok(0xDEAD_BEEF));
     }
 
@@ -1226,9 +1165,8 @@ mod tests {
     fn one_store_builds_exactly_one_chunk() {
         let (a, p, q) = (ActorId(1), PageId(70_000), PageId(200_000));
         type Store = fn(&NvmDevice, ActorId, PageId, PageId);
-        let stores: [(&str, Store); 7] = [
+        let stores: [(&str, Store); 6] = [
             ("write", |d, _, p, _| d.write(KERNEL_ACTOR, 0, p, 8, b"x").unwrap()),
-            ("write_u64_persist", |d, _, p, _| d.write_u64_persist(KERNEL_ACTOR, p, 8, 1).unwrap()),
             ("mmu_map", |d, a, p, _| d.mmu_map(a, p, PagePerm::Read).unwrap()),
             ("restore_page", |d, _, p, _| d.restore_page(p, &[1u8; PAGE_SIZE]).unwrap()),
             ("migrate_page", |d, _, p, q| d.migrate_page(q, p).unwrap()),

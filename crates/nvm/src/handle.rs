@@ -11,7 +11,7 @@ use std::sync::Arc;
 use crate::device::NvmDevice;
 use crate::prot::{ActorId, ProtError};
 use crate::topology::{NodeId, PageId, PAGE_SIZE};
-use crate::typestate::{Dirty, Durable, ExtentProof, Flushed, Span, Spans};
+use crate::typestate::{Dirty, Durable, ExtentProof, Span, Spans};
 
 thread_local! {
     static HOME_NODE: Cell<NodeId> = const { Cell::new(0) };
@@ -77,18 +77,13 @@ impl NvmHandle {
         self.dev.read_u64(self.actor, page, off)
     }
 
-    /// 8-byte atomic durable store (§4.4 publication primitive).
-    pub fn write_u64_persist(&self, page: PageId, off: usize, v: u64) -> Result<(), ProtError> {
-        self.dev.write_u64_persist(self.actor, page, off, v)
-    }
-
     // -----------------------------------------------------------------
-    // Typestate persist pipeline (DESIGN.md §18): Dirty -> Flushed ->
-    // Durable, with publish_u64 as the only dependent commit point.
-    // Each method performs exactly the hardware step its raw predecessor
-    // did — same stores, same clwb/sfence costs, same sanitizer events —
-    // except that a range's clwbs are charged at the fence that retires
-    // it, with the fence, as one sim point.
+    // Typestate persist pipeline (DESIGN.md §18): Dirty -> Durable through
+    // persist_dirty, the one barrier, with stage_publish_u64 as the only
+    // dependent commit word. Each method performs exactly the hardware
+    // step its raw predecessor did — same stores, same clwb/sfence costs,
+    // same sanitizer events — except that a barrier's clwbs are charged
+    // at its fence, with it, as one sim point.
     // -----------------------------------------------------------------
 
     /// Untimed store returning a [`Dirty`] token for the written range —
@@ -104,8 +99,8 @@ impl NvmHandle {
     }
 
     /// 8-byte store (no flush, no fence) returning its [`Dirty`] token:
-    /// for protocols that batch several word stores under one flush/fence
-    /// pair (e.g. the rename journal record).
+    /// for protocols that batch several word stores under one
+    /// [`Self::persist_dirty`] (e.g. the rename journal record).
     pub fn store_u64_dirty(
         &self,
         page: PageId,
@@ -128,67 +123,32 @@ impl NvmHandle {
         Dirty::new(spans)
     }
 
-    /// `clwb` of every range the token carries, consuming [`Dirty`] into
-    /// [`Flushed`]. One flush call per span: callers batching stores that
-    /// share cache lines should carry one coalesced span (the sanitizer
-    /// flags per-line re-flushes as `redundant-flush`). Charges nothing:
-    /// the token carries the staged line count to [`Self::fence_flushed`],
-    /// so no sim point may run before that fence (debug builds assert it).
-    pub fn flush_dirty<T: Spans>(&self, d: Dirty<T>) -> Flushed<T> {
+    /// `clwb` of every range the token carries, then `sfence`, consuming
+    /// [`Dirty`] into a [`Durable`] witness: one sim point, which charges
+    /// the ranges' `clwb`s with the fence. One flush per span: callers
+    /// batching stores that share cache lines should carry one coalesced
+    /// span (the sanitizer flags per-line re-flushes as `redundant-flush`).
+    /// The fence is global, so join tokens with [`Dirty::and`] rather than
+    /// persisting per range.
+    pub fn persist_dirty<T: Spans>(&self, d: Dirty<T>) -> Durable<T> {
         let t = d.into_inner();
         let mut lines = 0;
         t.for_each(&mut |page, off, len| lines += self.dev.stage(page, off, len));
-        Flushed::new(t, lines)
-    }
-
-    /// `sfence`, consuming [`Flushed`] into a [`Durable`] witness, and the
-    /// charge for the token's staged `clwb`s with it: one sim point. The
-    /// fence is global: one call retires every staged line, so join
-    /// tokens with [`Flushed::and`] rather than fencing per range.
-    pub fn fence_flushed<T>(&self, f: Flushed<T>) -> Durable<T> {
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            f.staged_at(),
-            trio_sim::now_or_zero(),
-            "a sim point ran between flush_dirty and fence_flushed: the deferred clwb charge is not exact"
-        );
-        let (t, lines) = f.into_parts();
         self.dev.fence_staged(lines);
         Durable::new(t)
     }
 
-    /// Flush + fence in one step (the common single-range persist).
-    pub fn persist_dirty<T: Spans>(&self, d: Dirty<T>) -> Durable<T> {
-        self.fence_flushed(self.flush_dirty(d))
-    }
-
-    /// [`Self::write_u64_persist`] as a dependent commit point: the typed
-    /// §4.4 publication primitive. The store only type-checks with a
-    /// [`Durable`] witness, so publish-before-persist, missing-flush and
-    /// missing-fence are compile errors. On a tracked device every witnessed
-    /// range is additionally re-checked against the persistence tracker —
-    /// the runtime oracle that the token (or an [`Self::assume_durable`]
-    /// escape) is truthful.
-    pub fn publish_u64<T: Spans>(
-        &self,
-        page: PageId,
-        off: usize,
-        v: u64,
-        deps: &Durable<T>,
-    ) -> Result<(), ProtError> {
-        self.dev.publish_u64_spans(self.actor, page, off, v, deps.witness())
-    }
-
-    /// [`Self::publish_u64`] without its own barrier: the commit word for
-    /// an op that retires several stores in one fence. The witness is
+    /// The §4.4 commit word: an 8-byte store that only type-checks against
+    /// a [`Durable`] witness for the bytes it commits, so a commit before
+    /// its dependencies were persisted is a compile error. The witness is
     /// checked as the word is stored — on a tracked device each witnessed
-    /// range is re-checked against the tracker then, as `publish_u64`
-    /// does — and the word comes back [`Dirty`], to be joined into the
-    /// caller's fence. It only type-checks against a [`Durable`] witness,
-    /// so a commit word staged before the bytes it commits were fenced is
-    /// a compile error here too. The word is visible from its store on,
-    /// durable only at that fence: everything else the fence retires must
-    /// be a state recovery accepts without it (DESIGN.md §18 "Epochs").
+    /// range is re-checked against the persistence tracker, the runtime
+    /// oracle that the token (or an [`Self::assume_durable`] escape) is
+    /// truthful — and the word comes back [`Dirty`], for the caller's next
+    /// [`Self::persist_dirty`], alone or joined with other stores. The
+    /// word is visible from its store on, durable only at that fence:
+    /// everything else the fence retires must be a state recovery accepts
+    /// without it (DESIGN.md §18 "Epochs").
     pub fn stage_publish_u64<T: Spans>(
         &self,
         page: PageId,
@@ -200,11 +160,12 @@ impl NvmHandle {
         self.store_u64_dirty(page, off, v)
     }
 
-    /// Untyped escape hatch: [`Self::publish_u64`] with raw
-    /// `(page, off, len)` dependency tuples and no compile-time evidence.
-    /// Reserved for `trio-nvm` internals and test harnesses that
-    /// deliberately construct hazards — clippy.toml disallows it elsewhere
-    /// (`raw-publish`).
+    /// Untyped escape hatch: a durable commit word whose dependencies are
+    /// raw `(page, off, len)` tuples, with no compile-time evidence; on a
+    /// tracked device each is checked as [`Self::stage_publish_u64`]
+    /// checks its witness. Reserved for `trio-nvm` internals and test
+    /// harnesses that deliberately construct hazards — clippy.toml
+    /// disallows it elsewhere (`raw-publish`).
     pub fn publish_u64_raw(
         &self,
         page: PageId,
@@ -212,7 +173,11 @@ impl NvmHandle {
         v: u64,
         deps: &[(PageId, usize, usize)],
     ) -> Result<(), ProtError> {
-        self.dev.publish_u64(self.actor, page, off, v, deps)
+        for &(dp, doff, dlen) in deps {
+            self.dev.sanitize_assert_durable(dp, doff, dlen);
+        }
+        let _durable = self.persist_dirty(self.store_u64_dirty(page, off, v)?);
+        Ok(())
     }
 
     /// Escape hatch minting a [`Durable`] witness from a *claim* instead
@@ -227,14 +192,14 @@ impl NvmHandle {
     }
 
     /// `clwb` + bookkeeping for a range. Raw half of the typestate
-    /// pipeline — outside `trio-nvm`, use [`Self::flush_dirty`] (the
+    /// pipeline — outside `trio-nvm`, use [`Self::persist_dirty`] (the
     /// clippy.toml's `raw-publish` entries enforce this).
     pub fn flush(&self, page: PageId, off: usize, len: usize) {
         self.dev.flush(page, off, len);
     }
 
     /// `sfence`. Raw half of the typestate pipeline — outside `trio-nvm`,
-    /// use [`Self::fence_flushed`].
+    /// use [`Self::persist_dirty`].
     pub fn fence(&self) {
         self.dev.fence();
     }
@@ -439,6 +404,15 @@ mod tests {
     }
 
     #[test]
+    fn a_word_store_must_be_aligned() {
+        let (dev, h) = setup();
+        dev.mmu_map(ActorId(1), PageId(0), PagePerm::Write).unwrap();
+        assert_eq!(h.store_u64_dirty(PageId(0), 4, 1), Err(ProtError::Misaligned));
+        let _durable = h.persist_dirty(h.store_u64_dirty(PageId(0), 8, 0xDEAD_BEEF).unwrap());
+        assert_eq!(h.read_u64(PageId(0), 8), Ok(0xDEAD_BEEF));
+    }
+
+    #[test]
     fn home_node_tls_defaults_to_zero() {
         assert_eq!(home_node(), 0);
         set_home_node(3);
@@ -581,58 +555,31 @@ mod tests {
         );
     }
 
+    /// The commit word every layout `set_*` / `publish` / `clear` stores:
+    /// after its dependency's own barrier, the word's store, `clwb` and
+    /// `sfence` cost what the raw sequence does, as one sim point, and the
+    /// witness it was checked against holds.
     #[test]
-    fn joined_flushed_tokens_are_one_barrier() {
-        // The second store lands in a line the first flush staged: the
-        // sanitizer's `store-while-flushed` must come out of both paths.
+    fn a_commit_word_is_one_barrier() {
+        let dep = |h: &NvmHandle| h.persist_dirty(h.write_dirty(PageId(7), 64, &[3; 64]).unwrap());
         let cost = barrier_is_one_sim_point(
-            no_transfer(),
-            2 + 1,
-            2,
-            |h| {
-                let a = h.flush_dirty(h.write_dirty(PageId(6), 0, &[2; 128]).unwrap());
-                let b = h.flush_dirty(h.store_u64_dirty(PageId(6), 120, 9).unwrap());
-                let _durable = h.fence_flushed(a.and(b));
-            },
-            |h| {
-                h.write_untimed(PageId(6), 0, &[2; 128]).unwrap();
-                h.flush(PageId(6), 0, 128);
-                h.write_untimed(PageId(6), 120, &9u64.to_le_bytes()).unwrap();
-                h.flush(PageId(6), 120, 8);
-                h.fence();
-            },
-        );
-        assert!(!cost.report.is_clean());
-    }
-
-    #[test]
-    fn write_u64_persist_is_one_barrier() {
-        barrier_is_one_sim_point(
-            no_transfer(),
+            cost_of(move |h| {
+                dep(h);
+            }),
             1,
             1,
-            |h| h.write_u64_persist(PageId(7), 16, 42).unwrap(),
-            |h| {
+            move |h| {
+                let d = dep(h);
+                let _durable = h.persist_dirty(h.stage_publish_u64(PageId(7), 16, 42, &d).unwrap());
+            },
+            move |h| {
+                dep(h);
                 h.write_untimed(PageId(7), 16, &42u64.to_le_bytes()).unwrap();
                 h.flush(PageId(7), 16, 8);
                 h.fence();
             },
         );
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "a sim point ran between flush_dirty and fence_flushed")]
-    fn a_sim_point_between_stage_and_fence_is_caught() {
-        let (dev, h) = setup();
-        dev.mmu_map(ActorId(1), PageId(0), PagePerm::Write).unwrap();
-        let rt = SimRuntime::new(0);
-        rt.spawn("t", move || {
-            let staged = h.flush_dirty(h.store_u64_dirty(PageId(0), 0, 1).unwrap());
-            trio_sim::work(1);
-            let _durable = h.fence_flushed(staged);
-        });
-        rt.run();
+        assert!(cost.report.is_clean(), "{}", cost.report);
     }
 
     #[test]

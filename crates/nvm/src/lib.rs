@@ -48,4 +48,4 @@ pub use sanitize::{Hazard, HazardKind, SanitizeReport};
 pub use stats::{PathStats, PathStatsSnapshot, RegistryLockSite, HIST_BUCKETS};
 pub use prot::{ActorId, PagePerm, ProtError, KERNEL_ACTOR};
 pub use topology::{NodeId, PageId, Topology, CACHE_LINE, PAGE_SIZE};
-pub use typestate::{Dirty, Durable, ExtentProof, Flushed, Span, Spans};
+pub use typestate::{Dirty, Durable, ExtentProof, Span, Spans};

@@ -4,32 +4,31 @@
 //! publish* — is a strict pipeline: stores dirty cache lines, `clwb`
 //! stages them for write-back, `sfence` makes the staged lines durable,
 //! and only then may a commit word that *depends* on those bytes go
-//! live. The PR 3 sanitizer checks this dynamically, but only on paths a
-//! test happens to drive. Following SquirrelFS (arXiv 2406.09649), this
-//! module encodes the pipeline in the type system so the two hazard
-//! classes the sanitizer most often catches — publish-before-persist and
-//! missing-fence — are unrepresentable at compile time:
+//! live. The persistence sanitizer checks this dynamically, but only on
+//! paths a test happens to drive. Following SquirrelFS (arXiv
+//! 2406.09649), this module encodes the pipeline in the type system so the
+//! hazard classes the sanitizer most often catches — publish-before-persist,
+//! and a flush or a fence left out — are unrepresentable at compile time:
 //!
 //! ```text
-//! write_dirty ─► Dirty<T> ─flush_dirty─► Flushed<T> ─fence_flushed─► Durable<T>
-//!                                                                        │
-//!                    publish_u64(page, off, v, &Durable<T>)  ◄────────────┘
+//! write_dirty ─► Dirty<T> ─persist_dirty─► Durable<T>
+//!                   ▲                           │
+//!                   └── stage_publish_u64(page, off, v, &Durable<T>)
 //! ```
 //!
-//! * [`Dirty`] — bytes stored but not yet staged for write-back. Affine:
-//!   the only way forward is [`crate::NvmHandle::flush_dirty`], which
-//!   consumes it. `#[must_use]`: dropping one silently loses the proof
-//!   obligation, so the compiler flags it.
-//! * [`Flushed`] — staged by `clwb`, still not durable (write-backs may
-//!   sit in the memory controller). Consumed by
-//!   [`crate::NvmHandle::fence_flushed`].
-//! * [`Durable`] — minted only at an `sfence`. The typed commit point
-//!   [`crate::NvmHandle::publish_u64`] demands `&Durable<T>`, so a
-//!   publish whose dependencies were never flushed or never fenced is a
-//!   type error, not a runtime hazard.
+//! * [`Dirty`] — bytes stored but not yet durable. Affine: the only way
+//!   forward is [`crate::NvmHandle::persist_dirty`], which consumes it,
+//!   stages every range (`clwb`) and fences (`sfence`) in one step, so no
+//!   typed path flushes without fencing. `#[must_use]`: dropping one
+//!   silently loses the proof obligation, so the compiler flags it.
+//! * [`Durable`] — minted only at an `sfence`. The typed commit word
+//!   [`crate::NvmHandle::stage_publish_u64`] demands `&Durable<T>`, so a
+//!   commit whose dependencies were never persisted is a type error, not
+//!   a runtime hazard; the word itself comes back [`Dirty`], for the next
+//!   `persist_dirty`.
 //!
 //! Tokens carry the byte ranges they witness via [`Spans`], so a tracked
-//! device re-checks every typed publish against the per-cache-line
+//! device re-checks every typed commit against the per-cache-line
 //! tracker: the runtime sanitizer stays the oracle that
 //! the typestate encoding (and every `assume_durable` escape hatch) is
 //! telling the truth. Token construction is private to `trio-nvm`;
@@ -38,14 +37,10 @@
 //! hatches outside this crate (`raw-publish`).
 //!
 //! The types are cheap on the data path: a token is the range it
-//! witnesses (or an empty marker for extent proofs), and a [`Flushed`]
-//! one also carries the count of lines it staged; no heap, no `Drop`
-//! impl. A pipeline method charges the same virtual time as the raw
-//! `flush`/`fence` calls it replaces, but charges a range's `clwb`s at
+//! witnesses (or an empty marker for extent proofs); no heap, no `Drop`
+//! impl. `persist_dirty` charges the same virtual time as the raw
+//! `flush`/`fence` calls it replaces, but charges the ranges' `clwb`s at
 //! the fence, with it, as one sim point (DESIGN.md §2).
-
-#[cfg(debug_assertions)]
-use trio_sim::Nanos;
 
 use crate::topology::PageId;
 
@@ -135,35 +130,16 @@ impl Spans for ExtentProof {
     fn for_each(&self, _f: &mut dyn FnMut(PageId, usize, usize)) {}
 }
 
-/// Bytes stored but not yet staged for write-back. A crash now reverts
-/// them. Consume with [`crate::NvmHandle::flush_dirty`] (or
-/// [`crate::NvmHandle::persist_dirty`] for flush + fence in one step).
-#[must_use = "a Dirty token is a pending proof obligation: flush it (flush_dirty) \
+/// Bytes stored but not yet durable. A crash now reverts them. Consume
+/// with [`crate::NvmHandle::persist_dirty`].
+#[must_use = "a Dirty token is a pending proof obligation: persist it (persist_dirty) \
               or the stored bytes may never become durable (hazard: missing-flush)"]
 #[derive(Debug, PartialEq, Eq)]
 pub struct Dirty<T>(T);
 
-/// Bytes staged by `clwb` but not yet retired by `sfence`. A crash now
-/// may or may not keep them. Consume with
-/// [`crate::NvmHandle::fence_flushed`], which charges the staged lines'
-/// `clwb`s together with the fence.
-#[must_use = "a Flushed token is a pending proof obligation: fence it \
-              (fence_flushed) or the staged lines may never become durable \
-              (hazard: missing-fence)"]
-#[derive(Debug, PartialEq, Eq)]
-pub struct Flushed<T> {
-    spans: T,
-    /// Cache lines staged, still to be charged at the fence.
-    lines: u64,
-    /// Virtual time at staging: the fence checks that no sim point ran
-    /// since, which is what makes its deferred `clwb` charge exact.
-    #[cfg(debug_assertions)]
-    staged_at: Nanos,
-}
-
 /// Witness that the carried ranges were flushed and then retired by an
-/// `sfence`: the bytes survive any later crash. The typed commit point
-/// [`crate::NvmHandle::publish_u64`] accepts only this.
+/// `sfence`: the bytes survive any later crash. The typed commit word
+/// [`crate::NvmHandle::stage_publish_u64`] accepts only this.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Durable<T>(T);
 
@@ -176,7 +152,7 @@ impl<T> Dirty<T> {
         self.0
     }
 
-    /// Joins two dirty tokens: flush the pair with one `flush_dirty`.
+    /// Joins two dirty tokens: persist the pair with one `persist_dirty`.
     pub fn and<U>(self, other: Dirty<U>) -> Dirty<(T, U)> {
         Dirty((self.0, other.0))
     }
@@ -185,39 +161,6 @@ impl<T> Dirty<T> {
     /// made only on some branch).
     pub fn and_some<U>(self, other: Option<Dirty<U>>) -> Dirty<(T, Option<U>)> {
         Dirty((self.0, other.map(|d| d.0)))
-    }
-}
-
-impl<T> Flushed<T> {
-    pub(crate) fn new(spans: T, lines: u64) -> Self {
-        Flushed {
-            spans,
-            lines,
-            #[cfg(debug_assertions)]
-            staged_at: trio_sim::now_or_zero(),
-        }
-    }
-
-    /// The witnessed ranges and the number of cache lines staged for them.
-    pub(crate) fn into_parts(self) -> (T, u64) {
-        (self.spans, self.lines)
-    }
-
-    /// When the earliest of the carried ranges was staged.
-    #[cfg(debug_assertions)]
-    pub(crate) fn staged_at(&self) -> Nanos {
-        self.staged_at
-    }
-
-    /// Joins two flushed tokens: one fence retires both and charges the
-    /// lines of both.
-    pub fn and<U>(self, other: Flushed<U>) -> Flushed<(T, U)> {
-        Flushed {
-            spans: (self.spans, other.spans),
-            lines: self.lines + other.lines,
-            #[cfg(debug_assertions)]
-            staged_at: self.staged_at.min(other.staged_at),
-        }
     }
 }
 
@@ -231,12 +174,6 @@ impl<T> Durable<T> {
     pub fn witness(&self) -> &T {
         &self.0
     }
-
-    /// Joins two durability witnesses into one (for a publish that
-    /// depends on separately fenced ranges).
-    pub fn and<U>(self, other: Durable<U>) -> Durable<(T, U)> {
-        Durable((self.0, other.0))
-    }
 }
 
 impl<A, B> Durable<(A, B)> {
@@ -247,13 +184,6 @@ impl<A, B> Durable<(A, B)> {
     /// 0) is not mistaken for a dependency gone volatile.
     pub fn split(self) -> (Durable<A>, Durable<B>) {
         (Durable(self.0 .0), Durable(self.0 .1))
-    }
-}
-
-impl<A> Durable<Option<A>> {
-    /// The witness of a store a path may not have made.
-    pub fn transpose(self) -> Option<Durable<A>> {
-        self.0.map(Durable)
     }
 }
 

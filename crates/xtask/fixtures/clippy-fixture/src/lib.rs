@@ -8,9 +8,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::collections::{HashMap, HashSet};
-use trio_nvm::{ActorId, Dirty, NvmDevice, NvmHandle, PageId, PagePerm, Span};
+use trio_nvm::{ActorId, NvmDevice, NvmHandle, PageId, PagePerm};
 
-pub fn trips(h: &NvmHandle, d: &NvmDevice, w: Dirty<Span>, p: PageId, a: ActorId, x: Option<u8>) {
+pub fn trips(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>) {
     let _ = std::sync::Mutex::new(0); // trips: `std::sync::Mutex`
     let _ = std::sync::RwLock::new(0); // trips: `std::sync::RwLock`
     let _ = std::sync::Condvar::new(); // trips: `std::sync::Condvar`
@@ -40,7 +40,7 @@ pub fn trips(h: &NvmHandle, d: &NvmDevice, w: Dirty<Span>, p: PageId, a: ActorId
     let _ = d.reset_page_sparing(p, a); // trips: `trio_nvm::NvmDevice::reset_page_sparing`
     let _ = x.unwrap(); // trips: used `unwrap()`
     let _ = x.expect("some"); // trips: used `expect()`
-    h.flush_dirty(w); // trips: unused `trio_nvm::Flushed`
+    h.dirty_spans(Vec::new()); // trips: unused `trio_nvm::Dirty`
     #[allow(clippy::disallowed_methods)] // trips: without specifying a reason
     let _ = HashSet::<u8>::new();
     // `forbid` admits no allow, so this case has no twin.
@@ -50,8 +50,8 @@ pub fn trips(h: &NvmHandle, d: &NvmDevice, w: Dirty<Span>, p: PageId, a: ActorId
 
 #[allow(clippy::disallowed_types, clippy::disallowed_methods, reason = "twins of `trips`")]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "twins of `trips`")]
-#[allow(unused_must_use, reason = "twin of the bare `flush_dirty` in `trips`")]
-pub fn allowed(h: &NvmHandle, d: &NvmDevice, w: Dirty<Span>, p: PageId, a: ActorId, x: Option<u8>) {
+#[allow(unused_must_use, reason = "twin of the dropped `Dirty` in `trips`")]
+pub fn allowed(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>) {
     let _ = std::sync::Mutex::new(0);
     let _ = std::sync::RwLock::new(0);
     let _ = std::sync::Condvar::new();
@@ -81,6 +81,6 @@ pub fn allowed(h: &NvmHandle, d: &NvmDevice, w: Dirty<Span>, p: PageId, a: Actor
     let _ = d.reset_page_sparing(p, a);
     let _ = x.unwrap();
     let _ = x.expect("some");
-    h.flush_dirty(w);
+    h.dirty_spans(Vec::new());
     panic!("never");
 }

@@ -142,9 +142,10 @@ cargo xtask lines
 stage "typestate compile-fail fixture"
 # Compiler-checked persistence ordering (DESIGN.md §18): clippy.toml's
 # raw-publish entries (the clippy stage above) keep shipped library code on
-# the typed Dirty -> Flushed -> Durable pipeline, and typestate-check
-# proves each hazard class (publish-before-persist, missing-fence,
-# missing-flush) fails to compile — with a type error, not incidentally.
+# the typed Dirty -> Durable pipeline (persist_dirty is its one barrier,
+# stage_publish_u64 its one commit word), and typestate-check proves that
+# publish-before-persist fails to compile — with a type error, not
+# incidentally. A missing flush or fence has no typed spelling at all.
 # Both fixture checks build into target/fixtures.
 cargo xtask typestate-check
 

@@ -150,11 +150,12 @@ fn rename_journal_recovers_the_half_done_move() {
         let src_ino = DirentRef::new(fs2.handle(), src).ino().unwrap();
         // Destination: next free slot.
         let dst = DirPage::load(fs2.handle(), page).unwrap().first_free().unwrap();
-        let jpage = fs2.debug_take_pool_page();
+        let jpair = (fs2.debug_take_pool_page(), fs2.debug_take_pool_page());
+        let mut jpages = [jpair.0, jpair.1].into_iter().map(Ok);
         let journal = arckfs::journal::Journal::new();
         let (guard, _) = journal
             .begin_rename(fs2.handle(), 0, src, dst, &img, fs2.handle().dirty_spans(Vec::new()), || {
-                Ok(jpage)
+                jpages.next().unwrap()
             })
             .unwrap();
         // Half-done move, fully persisted, but journal still armed.
@@ -167,7 +168,7 @@ fn rename_journal_recovers_the_half_done_move() {
         std::mem::forget(guard); // Crash before disarm.
         // Recovery undoes the rename from the journal.
         let undone =
-            arckfs::journal::Journal::recover(fs2.handle(), &[jpage]).unwrap();
+            arckfs::journal::Journal::recover_pairs(fs2.handle(), &[jpair]).unwrap().undone;
         assert_eq!(undone, 1);
         assert_eq!(DirentRef::new(fs2.handle(), src).ino().unwrap(), src_ino);
         assert_eq!(DirentRef::new(fs2.handle(), dst).ino().unwrap(), 0);
@@ -210,10 +211,10 @@ fn crash_loses_nothing_when_everything_is_flushed() {
 
 /// Builds a world frozen in the §4.4 rename crash window: journal armed,
 /// destination published, source cleared, disarm never reached. Returns
-/// `(device, src_loc, dst_loc, journal_page, victim_ino)`.
+/// `(device, src_loc, dst_loc, journal_pair, victim_ino)`.
 fn armed_rename_world(
     seed: u64,
-) -> (Arc<NvmDevice>, DirentLoc, DirentLoc, trio_nvm::PageId, u64) {
+) -> (Arc<NvmDevice>, DirentLoc, DirentLoc, (trio_nvm::PageId, trio_nvm::PageId), u64) {
     let (dev, _, fs) = tracked_world();
     let rt = SimRuntime::new(seed);
     let out = Arc::new(trio_sim::plock::Mutex::new(None));
@@ -227,11 +228,12 @@ fn armed_rename_world(
         let img = DirentRef::new(fs2.handle(), src).image().unwrap();
         let src_ino = DirentRef::new(fs2.handle(), src).ino().unwrap();
         let dst = DirPage::load(fs2.handle(), page).unwrap().first_free().unwrap();
-        let jpage = fs2.debug_take_pool_page();
+        let jpair = (fs2.debug_take_pool_page(), fs2.debug_take_pool_page());
+        let mut jpages = [jpair.0, jpair.1].into_iter().map(Ok);
         let journal = arckfs::journal::Journal::new();
         let (guard, _) = journal
             .begin_rename(fs2.handle(), 0, src, dst, &img, fs2.handle().dirty_spans(Vec::new()), || {
-                Ok(jpage)
+                jpages.next().unwrap()
             })
             .unwrap();
         let mut moved = DirentData::decode_bytes(&img);
@@ -241,11 +243,11 @@ fn armed_rename_world(
         dref.publish(src_ino, &w).unwrap();
         DirentRef::new(fs2.handle(), src).clear().unwrap();
         std::mem::forget(guard); // Crash before disarm.
-        *o2.lock() = Some((src, dst, jpage, src_ino));
+        *o2.lock() = Some((src, dst, jpair, src_ino));
     });
     rt.run();
-    let (src, dst, jpage, src_ino) = out.lock().take().unwrap();
-    (dev, src, dst, jpage, src_ino)
+    let (src, dst, jpair, src_ino) = out.lock().take().unwrap();
+    (dev, src, dst, jpair, src_ino)
 }
 
 /// Running journal recovery twice is a no-op the second time: same
@@ -253,17 +255,18 @@ fn armed_rename_world(
 #[test]
 fn journal_recovery_is_idempotent() {
     use arckfs::journal::Journal;
-    let (dev, src, dst, jpage, src_ino) = armed_rename_world(21);
+    let (dev, src, dst, jpair, src_ino) = armed_rename_world(21);
     let kh = trio_nvm::NvmHandle::new(Arc::clone(&dev), trio_nvm::KERNEL_ACTOR);
-    assert_eq!(Journal::recover(&kh, &[jpage]).unwrap(), 1);
+    let journal = |dev: &NvmDevice| [jpair.0, jpair.1].map(|p| dev.snapshot_page(p).unwrap());
+    assert_eq!(Journal::recover_pairs(&kh, &[jpair]).unwrap().undone, 1);
     assert_eq!(DirentRef::new(&kh, src).ino().unwrap(), src_ino);
     assert_eq!(DirentRef::new(&kh, dst).ino().unwrap(), 0);
     let dirents_after_first = dev.snapshot_page(src.page).unwrap();
-    let journal_after_first = dev.snapshot_page(jpage).unwrap();
+    let journal_after_first = journal(&dev);
     // Second run: journal is disarmed; nothing changes.
-    assert_eq!(Journal::recover(&kh, &[jpage]).unwrap(), 0);
+    assert_eq!(Journal::recover_pairs(&kh, &[jpair]).unwrap().undone, 0);
     assert_eq!(dev.snapshot_page(src.page).unwrap(), dirents_after_first);
-    assert_eq!(dev.snapshot_page(jpage).unwrap(), journal_after_first);
+    assert_eq!(journal(&dev), journal_after_first);
     dev.take_sanitize_report(21).expect_clean("journal_recovery_is_idempotent");
 }
 
@@ -276,20 +279,20 @@ fn crash_mid_journal_recovery_then_recover_again_converges() {
     use trio_nvm::fault::FaultPlan;
     // Measure recovery's own persistence-point span on a throwaway world.
     let span = {
-        let (dev, _, _, jpage, _) = armed_rename_world(22);
+        let (dev, _, _, jpair, _) = armed_rename_world(22);
         let kh = trio_nvm::NvmHandle::new(Arc::clone(&dev), trio_nvm::KERNEL_ACTOR);
         let p0 = dev.persistence_points();
-        Journal::recover(&kh, &[jpage]).unwrap();
+        Journal::recover_pairs(&kh, &[jpair]).unwrap();
         dev.persistence_points() - p0
     };
     assert!(span >= 3, "recovery should span several persistence points, got {span}");
     for k in 0..span {
-        let (dev, src, dst, jpage, src_ino) = armed_rename_world(22);
+        let (dev, src, dst, jpair, src_ino) = armed_rename_world(22);
         let kh = trio_nvm::NvmHandle::new(Arc::clone(&dev), trio_nvm::KERNEL_ACTOR);
         dev.arm_crash_plan(FaultPlan::crash_at_point(dev.persistence_points() + k));
-        Journal::recover(&kh, &[jpage]).unwrap();
+        Journal::recover_pairs(&kh, &[jpair]).unwrap();
         let report = dev.crash();
-        let undone = Journal::recover(&kh, &[jpage]).unwrap();
+        let undone = Journal::recover_pairs(&kh, &[jpair]).unwrap().undone;
         let s = DirentRef::new(&kh, src).ino().unwrap();
         let d = DirentRef::new(&kh, dst).ino().unwrap();
         assert_eq!(

@@ -410,9 +410,7 @@ fn sweep_one(case: Case, torn: bool) -> Tally {
     // walk will read), then the kernel's provenance-rebuilding walk.
     // Recovery-mode read checks flag any recovery read of a line that is
     // not durable (i.e. one recovery itself dirtied and has not yet fenced
-    // — a crash-idempotence bug). Twin-aware recovery (`recover_pairs`) is
-    // the production path; the legacy single-copy scan stays covered by
-    // crash_consistency.rs.
+    // — a crash-idempotence bug).
     dev.set_recovery_mode(true);
     let kh = NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR);
     arckfs::journal::Journal::recover_pairs(&kh, &jpairs)

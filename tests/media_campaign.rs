@@ -108,11 +108,8 @@ fn patrol_twin_repairs_registered_journal_shard() {
         fs.rename("/a", "/b").unwrap(); // Populates one journal shard.
         let registered = fs.register_journal_twins();
         assert!(registered >= 1, "no mirrored shard to register");
-        let (primary, mirror) = fs
-            .journal_page_pairs()
-            .into_iter()
-            .find_map(|(p, m)| m.map(|m| (p, m)))
-            .expect("mirrored shard exists");
+        let (primary, mirror) =
+            fs.journal_page_pairs().into_iter().next().expect("mirrored shard exists");
         for (victim, healthy) in [(primary, mirror), (mirror, primary)] {
             dev.poison_line(victim, 0); // Line 0 holds the record header.
             let rep = kernel.scrub_pass(PAGES as usize);
@@ -573,7 +570,7 @@ fn campaign_iter(case: Case) -> Tally {
     rt.run();
 
     // Fault injection, seeded and replayable.
-    let jpair = fs.journal_page_pairs().into_iter().find_map(|(p, m)| m.map(|m| (p, m)));
+    let jpair = fs.journal_page_pairs().into_iter().next();
     let (_, _, dpages) = fs.debug_file_pages("/data").unwrap();
     let mut meta_faults = 0u64;
     let mut data_faults = 0u64;
@@ -651,7 +648,7 @@ fn campaign_iter(case: Case) -> Tally {
         if !dev.page_poisoned_lines(p).is_empty() || !dev.page_poisoned_lines(m).is_empty() {
             meta_ok = false;
         }
-        if arckfs::journal::Journal::recover_pairs(&kh, &[(p, Some(m))]).is_err() {
+        if arckfs::journal::Journal::recover_pairs(&kh, &[(p, m)]).is_err() {
             meta_ok = false;
         }
     }

@@ -68,9 +68,9 @@ fn unmutated_protocol_is_report_clean() {
 fn dropped_flush_mutant_is_caught() {
     let report = run_protocol(true, false, false);
     // The fence retires nothing (the image lines were never flushed), so
-    // quiescence finds them still Dirty. Note the publish's own
-    // write_u64_persist made its dependency check pass for line 0 — lines
-    // 1..3 of the slot carry the diagnostic.
+    // quiescence finds them still Dirty. Note the commit word's own
+    // flush and fence make line 0 durable — lines 1..3 of the slot carry
+    // the diagnostic.
     let hz = report.of_kind(HazardKind::MissingFlush);
     assert!(!hz.is_empty(), "dropped flush must surface missing-flush, got: {report}");
     assert!(hz.iter().all(|h| h.page == PAGE.0), "hazards name the slot page: {report}");
@@ -126,9 +126,8 @@ fn typed_pipeline_is_report_clean() {
     // as the runtime oracle for the typed API — must agree it is clean.
     let (dev, h) = world();
     let image = [0xABu8; SLOT_LEN];
-    let dirty = h.write_dirty(PAGE, 0, &image).unwrap();
-    let durable = h.fence_flushed(h.flush_dirty(dirty));
-    h.publish_u64(PAGE, 0, 42, &durable).unwrap();
+    let durable = h.persist_dirty(h.write_dirty(PAGE, 0, &image).unwrap());
+    let _committed = h.persist_dirty(h.stage_publish_u64(PAGE, 0, 42, &durable).unwrap());
     dev.sanitize_quiesce_check();
     let report = dev.take_sanitize_report(SEED);
     assert!(report.is_clean(), "typed pipeline must satisfy the oracle, got: {report}");
@@ -137,19 +136,18 @@ fn typed_pipeline_is_report_clean() {
 #[test]
 fn typed_api_redundant_flush_mutant_is_caught() {
     // The typestate lattice orders publish after persist but does not (and
-    // cannot cheaply) prove two witnesses cover disjoint lines — a doubled
-    // flush of the same staged span still type-checks and must therefore
+    // cannot cheaply) prove the spans of one barrier cover disjoint lines —
+    // a doubled span in one persist still type-checks and must therefore
     // remain a *runtime* catch. This pins the sanitizer-as-oracle division
     // of labour: the mutant compiles, the oracle flags it.
     let (dev, h) = world();
     let image = [0xEEu8; SLOT_LEN];
     let first = h.write_dirty(PAGE, 0, &image).unwrap();
-    let _staged = h.flush_dirty(first);
-    // Mutation: re-describe the same bytes as a fresh span set and flush
-    // again before any fence retires the first write-back.
+    // Mutation: re-describe the same bytes as a fresh span set, joined into
+    // the same barrier, so its lines are flushed twice before the fence.
     let again = h.dirty_spans(vec![Span::new(PAGE, 0, SLOT_LEN)]);
-    let durable = h.fence_flushed(h.flush_dirty(again));
-    h.publish_u64(PAGE, 0, 42, &durable).unwrap();
+    let durable = h.persist_dirty(first.and(again));
+    let _committed = h.persist_dirty(h.stage_publish_u64(PAGE, 0, 42, &durable).unwrap());
     dev.sanitize_quiesce_check();
     let report = dev.take_sanitize_report(SEED);
     assert!(
@@ -185,10 +183,14 @@ fn every_hazard_class_is_statically_rejected_or_runtime_caught() {
         HazardKind::ReadNotDurable,
     ] {
         match kind {
-            // Unrepresentable in the typed API: tokens encode the ordering.
-            HazardKind::MissingFlush => statically_rejected("hazard-missing-flush"),
-            HazardKind::MissingFence => statically_rejected("hazard-missing-fence"),
-            HazardKind::PublishBeforePersist => {
+            // Unrepresentable in the typed API: `persist_dirty` is its one
+            // way from `Dirty` to `Durable`, and flushes and fences in one
+            // step, so a flush or fence left out can only surface as a
+            // commit word staged against a `Dirty` token — the fixture's
+            // one compile-fail case.
+            HazardKind::MissingFlush
+            | HazardKind::MissingFence
+            | HazardKind::PublishBeforePersist => {
                 statically_rejected("hazard-publish-before-persist")
             }
             // Representable in the typed API: the sanitizer stays the oracle.
