@@ -264,7 +264,7 @@ impl ArckFs {
         }
         // Re-resolve through the parent on staleness.
         for _ in 0..4 {
-            let loc = node.place.read().loc.ok_or(FsError::Stale)?;
+            let loc = node.placement().loc.ok_or(FsError::Stale)?;
             match DirentRef::new(&self.h, loc).load_stat() {
                 Ok(d) => {
                     if d.ino != node.ino {
@@ -285,7 +285,7 @@ impl ArckFs {
                 }
                 Err(_) => {
                     // Parent mapping revoked: remap the parent directory.
-                    let parent_ino = node.place.read().parent;
+                    let parent_ino = node.placement().parent;
                     let parent = self.node_by_ino(parent_ino).ok_or(FsError::Stale)?;
                     parent.invalidate();
                     drop(self.ensure_mapped(&parent, false)?);
@@ -550,7 +550,7 @@ impl ArckFs {
                 let ipage = self.pages.take(home)?;
                 IndexPageRef::new(&self.h, ipage).set_entry(0, dpage.0).map_err(Self::fault)?;
                 // Publish the chain head.
-                match dir.place.read().loc {
+                match dir.placement().loc {
                     Some(loc) => DirentRef::new(&self.h, loc)
                         .set_first_index(ipage.0)
                         .map_err(Self::fault)?,
@@ -595,8 +595,8 @@ impl ArckFs {
         a: DirBump<'_>,
         b: Option<DirBump<'_>>,
     ) -> (Durable<T>, FsResult<()>) {
-        let loc_a = a.dir.place.read().loc;
-        let loc_b = b.as_ref().map(|b| b.dir.place.read().loc);
+        let loc_a = a.dir.placement().loc;
+        let loc_b = b.as_ref().map(|b| b.dir.placement().loc);
         // Size locks in ino order: two renames in opposite directions take
         // them alike.
         let (first, second) = match &b {

@@ -371,7 +371,7 @@ impl ArckFs {
                 None => {
                     // A node whose placement vanished (e.g. rebuilt after a
                     // fault from damaged core state) must error, not abort.
-                    let loc = node.place.read().loc.ok_or(FsError::Corrupted)?;
+                    let loc = node.placement().loc.ok_or(FsError::Corrupted)?;
                     DirentRef::new(&self.h, loc).set_first_index(ip.0).map_err(Self::fault)?;
                 }
             }
@@ -438,7 +438,7 @@ impl ArckFs {
 
     /// Publishes the size and mtime fields: one line, one fence.
     pub(crate) fn publish_size(&self, node: &Arc<FileNode>, g: &NodeInner) -> FsResult<()> {
-        let loc = node.place.read().loc.ok_or(FsError::Corrupted)?;
+        let loc = node.placement().loc.ok_or(FsError::Corrupted)?;
         DirentRef::new(&self.h, loc).set_size_mtime(g.size, g.mtime).map_err(Self::fault)
     }
 }

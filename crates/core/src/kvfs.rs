@@ -114,7 +114,7 @@ impl KvFs {
         for (i, p) in g.data_pages.iter().enumerate() {
             pages[i] = *p;
         }
-        let loc = fnode.place.read().loc.expect("kv files are non-root");
+        let loc = fnode.placement().loc.expect("kv files are non-root");
         let node = Arc::new(KvNode {
             loc,
             ino: fnode.ino,
@@ -131,7 +131,7 @@ impl KvFs {
     /// Creates the file and its KV aux in one step.
     fn create(&self, name: &str) -> FsResult<Arc<KvNode>> {
         let fnode = self.fs.create_entry(&self.dir, name, CoreFileType::Regular, Mode::RW)?;
-        let loc = fnode.place.read().loc.expect("created with a dirent");
+        let loc = fnode.placement().loc.expect("created with a dirent");
         // KVFS maintains its own private aux for this file; drop the
         // generic view's cached node so a later POSIX-path access rebuilds
         // from core state instead of trusting a stale page index.

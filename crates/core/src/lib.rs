@@ -200,7 +200,7 @@ impl FileSystem for ArckFs {
         match self.kernel.setattr(self.actor, node.ino, attr) {
             Err(FsError::NotFound) => {
                 use trio_kernel::mapping::MapTarget;
-                let target = node.place.read().loc.map_or(MapTarget::Root, MapTarget::Dirent);
+                let target = node.placement().loc.map_or(MapTarget::Root, MapTarget::Dirent);
                 self.kernel.map(self.actor, target, true)?;
                 self.kernel.setattr(self.actor, node.ino, attr)
             }

@@ -198,7 +198,7 @@ impl ArckFs {
     ) -> FsResult<(Option<DirentLoc>, Vec<PageId>, Vec<Option<PageId>>)> {
         let node = self.resolve_node(path)?;
         let g = self.ensure_mapped(&node, false)?;
-        let loc = node.place.read().loc;
+        let loc = node.placement().loc;
         let mut data = g.data_pages.clone();
         if let Some(aux) = &g.dir {
             // Directories grown in place track their pages in the aux
@@ -219,8 +219,8 @@ impl ArckFs {
     /// with its place refreshed to `(parent, loc)`. A walk comes here only
     /// for an entry that does not carry its child's node yet (read back
     /// from core state, or its node forgotten): the slow path of
-    /// [`ArckFs::lookup_child`], paying the shard lock and the `place`
-    /// lock that a carried node spares.
+    /// [`ArckFs::lookup_child`], paying the shard lock that a carried node
+    /// spares (and `place`'s lock when the file has moved).
     pub(crate) fn intern_node(
         &self,
         ino: Ino,
@@ -237,11 +237,8 @@ impl ArckFs {
             // hits on one file do not serialize.
             let map = shard.read();
             if let Some(n) = map.get(&ino) {
-                let unchanged = {
-                    let place = n.place.read();
-                    place.parent == parent && place.loc == Some(loc)
-                };
-                if !unchanged {
+                let place = n.placement();
+                if place.parent != parent || place.loc != Some(loc) {
                     // Rename moved the slot: refresh under the write lock.
                     let mut place = n.place.write();
                     place.parent = parent;
@@ -318,7 +315,7 @@ impl ArckFs {
         if g.map.grants(write) {
             return Ok(());
         }
-        let target = node.place.read().loc.map_or(MapTarget::Root, MapTarget::Dirent);
+        let target = node.placement().loc.map_or(MapTarget::Root, MapTarget::Dirent);
         node.forget_recall();
         let grant = self.kernel.map(self.actor, target, write)?;
         let map = if write { MapState::Write } else { MapState::Read };

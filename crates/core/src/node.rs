@@ -95,9 +95,10 @@ pub struct FileNode {
     pub ino: Ino,
     /// Type.
     pub ftype: CoreFileType,
-    /// Parent ino and dirent slot (slot is `None` for root). Renames move
-    /// it, hence the lock (read-mostly: hot-file opens only read it).
-    pub place: SimRwLock<Placement>,
+    /// Parent ino and dirent slot (slot is `None` for root). Renames and
+    /// interns move it under the lock; everyone else reads it through
+    /// [`FileNode::placement`].
+    pub(crate) place: SimRwLock<Placement>,
     /// The inode lock (paper: readers-writer).
     pub inner: SimRwLock<NodeInner>,
     /// Range lock for concurrent disjoint writes (regular files).
@@ -165,6 +166,17 @@ impl FileNode {
             recall_parked: AtomicBool::new(false),
             forgotten: AtomicBool::new(false),
         })
+    }
+
+    /// Where the file hangs now: `place` read free of its lock, or under
+    /// it while a rename or an intern moves the file.
+    pub fn placement(&self) -> Placement {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a two-word copy with no sim point; a held lock falls back to it"
+        )]
+        let free = self.place.read_free(|p| *p);
+        free.unwrap_or_else(|| *self.place.read())
     }
 
     /// The node left the LibFS's node table: see [`ChildLink::get`].
@@ -356,10 +368,20 @@ impl DirAux {
         &self.buckets[hash_name(name) as usize % DIR_BUCKETS]
     }
 
-    /// Hash-table lookup. Read-locked so concurrent opens of hot names
-    /// scale (paper's MRPH behaviour).
+    /// Hash-table lookup: the probe, then the bucket's chain read free of
+    /// its lock, as a dcache chain is read (DESIGN.md §9), so concurrent
+    /// opens of hot names scale (paper's MRPH behaviour). While a writer
+    /// holds the bucket the chain is read under its lock instead, after
+    /// the same one probe. The caller holds the directory's inode lock.
     pub fn lookup(&self, name: &str) -> Option<DirEntryAux> {
-        self.probe(name).read().iter().find(|e| e.name == name).cloned()
+        let bucket = self.probe(name);
+        let find = |b: &Vec<DirEntryAux>| b.iter().find(|e| e.name == name).cloned();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the chain is found and one entry cloned, with no sim point; a held bucket falls back to its lock"
+        )]
+        let free = bucket.read_free(find);
+        free.unwrap_or_else(|| find(&bucket.read()))
     }
 
     /// Inserts an entry; returns `false` if the name already exists.

@@ -79,8 +79,9 @@ impl PagePool {
     /// Takes one file page (an index page, or a data run of one page) on
     /// `node`. A dry bucket lends from a sibling before anyone traps: the
     /// caller's home bucket first, so the write that follows is local, then
-    /// `home + 1, home + 2, …`, one lock each. Only when every bucket is dry
-    /// does it refill `node`.
+    /// `home + 1, home + 2, …`; a sibling read dry costs nothing, and only
+    /// the one that lends is locked. Only when every bucket is dry does it
+    /// refill `node`.
     ///
     /// Runs of two or more pages, directory and journal pages keep strict
     /// placement (DESIGN.md §12 "Two layers"). A borrowed page stays
@@ -120,13 +121,27 @@ impl PagePool {
             if lend {
                 let home = trio_nvm::handle::home_node() % nodes;
                 let mut siblings = (0..nodes).map(|i| (home + i) % nodes).filter(|b| *b != node);
-                if let Some(page) = siblings.find_map(|b| self.per_node[b].lock().pop()) {
+                if let Some(page) = siblings.find_map(|b| self.lend_from(b)) {
                     return Ok(vec![page]);
                 }
             }
             let refill = self.refill(node, n - have)?;
             self.per_node[node].lock().extend(refill);
         }
+    }
+
+    /// One page from sibling bucket `b`, locked only if a read free of its
+    /// lock shows it stocked (or a holder keeps it from being read).
+    fn lend_from(&self, b: usize) -> Option<PageId> {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a length read with no sim point; a held bucket is locked as before"
+        )]
+        let dry = self.per_node[b].read_free(Vec::is_empty);
+        if dry == Some(true) {
+            return None;
+        }
+        self.per_node[b].lock().pop()
     }
 
     /// Returns an unused pool page (never linked into a file).

@@ -291,14 +291,18 @@ fn a_rename_onto_itself_is_a_no_op() {
 /// One uncontended lock taken or given back.
 const LOCK_NS: u64 = trio_sim::cost::LOCK_UNCONTENDED_NS;
 
-/// One operation on a directory's hash table: the probe and its bucket's
-/// lock.
-const BUCKET_NS: u64 = trio_sim::cost::HASH_OP_NS + LOCK_NS;
+/// One hash probe of a directory's table. A lookup pays it alone: it
+/// reads its bucket free of the lock unless a writer holds it.
+const PROBE_NS: u64 = trio_sim::cost::HASH_OP_NS;
+
+/// One operation that changes a directory's hash table: the probe and its
+/// bucket's lock.
+const BUCKET_NS: u64 = PROBE_NS + LOCK_NS;
 
 /// What one path component costs a walk that hits: the directory's inode
-/// lock read once and one bucket operation. The entry carries the child's
-/// node, so no node-table or `place` lock is taken.
-const COMPONENT_NS: u64 = LOCK_NS + BUCKET_NS;
+/// lock read once and one probe. The entry carries the child's node, so no
+/// node-table lock is taken, and no lock is taken for its `place`.
+const COMPONENT_NS: u64 = LOCK_NS + PROBE_NS;
 
 /// Virtual time `f` takes on the sim clock.
 fn timed(f: impl FnOnce()) -> u64 {
@@ -308,7 +312,7 @@ fn timed(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn a_walk_pays_one_inode_lock_and_one_bucket_per_component() {
+fn a_walk_pays_one_inode_lock_and_one_probe_per_component() {
     let (rt, fs) = world();
     rt.spawn("t", move || {
         for d in ["/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
@@ -323,6 +327,38 @@ fn a_walk_pays_one_inode_lock_and_one_bucket_per_component() {
         let one = timed(|| assert!(fs.stat(shallow).is_ok()));
         let five = timed(|| assert!(fs.stat(deep).is_ok()));
         assert_eq!(five - one, 4 * COMPONENT_NS, "stat {shallow}: {one} vns, {deep}: {five} vns");
+    });
+    rt.run();
+}
+
+/// A lookup that meets a writer in its bucket pays exactly the locked
+/// path: its one probe, then the wait for the writer's release and the
+/// lock's hand-off, and nothing after. Uncontended it pays the probe alone.
+#[test]
+fn a_lookup_that_meets_a_bucket_writer_pays_the_locked_path() {
+    use arckfs::node::{ChildLink, DirAux, DirEntryAux};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const HOLD_NS: u64 = 1_000;
+    let rt = SimRuntime::new(11);
+    let aux = Arc::new(DirAux::new());
+    let loc = DirentLoc { page: trio_nvm::PageId(1), slot: 0 };
+    let (name, ftype, node) = ("a".to_string(), CoreFileType::Regular, ChildLink::default());
+    assert!(aux.insert(DirEntryAux { name, ino: 5, loc, ftype, linked: 1, node }));
+    let released = Arc::new(AtomicU64::new(0));
+    let (w, r) = (Arc::clone(&aux), Arc::clone(&released));
+    rt.spawn("writer", move || {
+        trio_sim::work(500);
+        w.with_bucket("a", |_| trio_sim::work(HOLD_NS));
+        r.store(trio_sim::now(), Ordering::Relaxed);
+    });
+    rt.spawn("reader", move || {
+        let free = timed(|| assert_eq!(aux.lookup("a").unwrap().ino, 5));
+        assert_eq!(free, PROBE_NS, "an uncontended lookup");
+        trio_sim::work(1_000 - trio_sim::now()); // Inside the writer's hold.
+        let start = trio_sim::now();
+        let met = timed(|| assert_eq!(aux.lookup("a").unwrap().ino, 5));
+        let wait = released.load(Ordering::Relaxed) - start;
+        assert_eq!(met, wait + trio_sim::cost::LOCK_HANDOFF_NS, "a lookup beside a writer");
     });
     rt.run();
 }
@@ -409,8 +445,8 @@ fn spare_slot(fs: &ArckFs) -> DirentLoc {
 /// `unlink` reads its directory's inode lock once and checks, clears and
 /// drops the entry under one bucket operation. Its stores are one fence:
 /// the entry's clear with `d`'s line. The other locks: the slot tails, the
-/// size lock, `d`'s place, the node-table shard and the file's inode lock
-/// as its node is forgotten, the reclaim queue.
+/// size lock, the node-table shard and the file's inode lock as its node is
+/// forgotten, the reclaim queue. `d`'s place is read free of its lock.
 #[test]
 fn unlink_reads_its_directory_once_and_probes_the_bucket_once() {
     dir_world(|fs, d| {
@@ -422,7 +458,7 @@ fn unlink_reads_its_directory_once_and_probes_the_bucket_once() {
         let locks = unlink - stores;
         assert_eq!(
             locks,
-            COMPONENT_NS + LOCK_NS + BUCKET_NS + 6 * LOCK_NS,
+            COMPONENT_NS + LOCK_NS + BUCKET_NS + 5 * LOCK_NS,
             "unlink: {unlink} vns, {stores} of them stores"
         );
     });
@@ -433,8 +469,9 @@ fn unlink_reads_its_directory_once_and_probes_the_bucket_once() {
 /// in once the dirent is published, each under the bucket's lock
 /// (DESIGN.md §22 "Every op"). Its stores are two fences: the slot's
 /// prepare, then its publish with `d`'s line. The other locks: the slot
-/// tails, the ino pool, the size lock, `d`'s place, and the node-table
-/// shard written once for the new node, which is built whole.
+/// tails, the ino pool, the size lock, and the node-table shard written
+/// once for the new node, which is built whole. `d`'s place is read free
+/// of its lock.
 #[test]
 fn create_reads_its_directory_once() {
     dir_world(|fs, d| {
@@ -450,20 +487,20 @@ fn create_reads_its_directory_once() {
         let locks = create - stores;
         assert_eq!(
             locks,
-            COMPONENT_NS + LOCK_NS + 2 * BUCKET_NS + 5 * LOCK_NS,
+            COMPONENT_NS + LOCK_NS + 2 * BUCKET_NS + 4 * LOCK_NS,
             "create: {create} vns, {stores} of them stores"
         );
     });
 }
 
-/// A rename within one directory reads its inode lock once and takes
-/// three bucket operations: the source found once and moved, the
-/// destination reserved (which is its existence check), the source
-/// dropped. The stores are a journaled move's, timed by a journal of the
-/// test's own: the bodies with the destination's prepare, the arm words,
-/// the move with `d`'s line, the disarm. The other locks: the slot tails
-/// twice, the size lock and `d`'s place for its line, and the moved node's
-/// place.
+/// A rename within one directory reads its inode lock once, looks the
+/// source up once (a probe, its bucket read free of the lock) and takes
+/// two bucket operations: the destination reserved (which is its existence
+/// check), the source dropped. The stores are a journaled move's, timed by
+/// a journal of the test's own: the bodies with the destination's prepare,
+/// the arm words, the move with `d`'s line, the disarm. The other locks:
+/// the slot tails twice, the size lock for `d`'s line (its place is read
+/// free), and the moved node's place, written.
 #[test]
 fn a_same_directory_rename_takes_a_fixed_set_of_locks() {
     dir_world(|fs, d| {
@@ -494,7 +531,7 @@ fn a_same_directory_rename_takes_a_fixed_set_of_locks() {
         let locks = rename - stores;
         assert_eq!(
             locks,
-            COMPONENT_NS + LOCK_NS + 3 * BUCKET_NS + 5 * LOCK_NS,
+            COMPONENT_NS + LOCK_NS + PROBE_NS + 2 * BUCKET_NS + 4 * LOCK_NS,
             "rename: {rename} vns, {stores} of them stores"
         );
         assert!(fs.stat("/d/h").is_ok() && fs.stat("/d/b").is_err());
@@ -558,8 +595,8 @@ fn each_metadata_op_fences_once_per_ordering_point() {
 }
 
 /// `stat` reads the one line of its dirent that holds every stat field,
-/// not the whole 256-byte slot: past the walk and the node's `place`, it
-/// costs what reading that line costs.
+/// not the whole 256-byte slot: past the walk, it costs what reading that
+/// line costs. The node's `place` is read free of its lock.
 #[test]
 fn stat_pays_one_line() {
     dir_world(|fs, _| {
@@ -569,7 +606,7 @@ fn stat_pays_one_line() {
         let line = timed(|| h.read(a.page, a.byte_off(), &mut line).unwrap());
         fs.stat("/d/a").unwrap();
         let stat = timed(|| assert!(fs.stat("/d/a").is_ok()));
-        assert_eq!(stat - line, 2 * COMPONENT_NS + LOCK_NS, "stat: {stat} vns, {line} of them the line");
+        assert_eq!(stat - line, 2 * COMPONENT_NS, "stat: {stat} vns, {line} of them the line");
     });
 }
 

@@ -112,6 +112,16 @@ impl<T: ?Sized> RwLock<T> {
         RwLockReadGuard { g: self.inner.read().unwrap_or_else(PoisonError::into_inner) }
     }
 
+    /// Attempts shared access without blocking: `None` while a writer
+    /// holds the lock.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.inner.try_read() {
+            Ok(g) => Some(RwLockReadGuard { g }),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockReadGuard { g: p.into_inner() }),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Acquires exclusive access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard { g: self.inner.write().unwrap_or_else(PoisonError::into_inner) }

@@ -8,7 +8,7 @@
 //! `(virtual_time, sequence)` key, making execution deterministic.
 
 use std::{
-    cell::RefCell,
+    cell::{Cell, RefCell},
     cmp::Reverse,
     collections::BinaryHeap,
     sync::atomic::{AtomicBool, AtomicU8, Ordering},
@@ -23,6 +23,37 @@ use crate::time::Nanos;
 
 thread_local! {
     static CURRENT: RefCell<Option<(Arc<Inner>, usize)>> = const { RefCell::new(None) };
+    /// How many [`crate::sync::SimRwLock::read_free`] bodies the calling
+    /// thread is inside. A sim point there panics ([`ReadFreeScope`]).
+    static READ_FREE_DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// The calling thread runs a read-free body until this drops. A read-free
+/// read is validated only because no other sim-thread runs between its
+/// check and its end, so every sim point (`advance` and the blocking
+/// paths) refuses to run inside one.
+pub(crate) struct ReadFreeScope(());
+
+impl ReadFreeScope {
+    pub(crate) fn enter() -> Self {
+        READ_FREE_DEPTH.with(|d| d.set(d.get() + 1));
+        ReadFreeScope(())
+    }
+}
+
+impl Drop for ReadFreeScope {
+    fn drop(&mut self) {
+        READ_FREE_DEPTH.with(|d| d.set(d.get() - 1));
+    }
+}
+
+/// Panics at a sim point inside a read-free body.
+fn assert_not_read_free() {
+    assert_eq!(
+        READ_FREE_DEPTH.with(Cell::get),
+        0,
+        "sim point inside SimRwLock::read_free: a validated read must not yield"
+    );
 }
 
 /// Returns true when the calling OS thread is a sim-thread.
@@ -251,6 +282,7 @@ impl Inner {
     }
 
     fn advance(self: &Arc<Self>, tid: usize, ns: Nanos) {
+        assert_not_read_free();
         let mut st = self.sched.lock();
         self.check_doomed(&mut st, tid);
         st.events += 1;
@@ -264,6 +296,7 @@ impl Inner {
     /// Parks the calling thread without queueing it; some other thread must
     /// later call [`Inner::make_ready`] for it. Used by sync primitives.
     pub(crate) fn block_current(self: &Arc<Self>, tid: usize) {
+        assert_not_read_free();
         let mut st = self.sched.lock();
         self.check_doomed(&mut st, tid);
         st.events += 1;
@@ -276,6 +309,7 @@ impl Inner {
     /// out is for the caller's predicate to decide (the primitive re-checks
     /// its state on resume, as with any wake-up).
     pub(crate) fn block_current_timed(self: &Arc<Self>, tid: usize, deadline: Nanos) {
+        assert_not_read_free();
         let mut st = self.sched.lock();
         self.check_doomed(&mut st, tid);
         st.events += 1;

@@ -62,6 +62,12 @@ impl<T> SimMutex<T> {
         self.0.try_write().map(|guard| SimMutexGuard { mutex: self, guard })
     }
 
+    /// Reads the payload without taking the lock, unless a sim-thread
+    /// holds it ([`SimRwLock::read_free`]).
+    pub fn read_free<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.0.read_free(f)
+    }
+
     /// Accesses the payload from outside the simulation
     /// ([`SimRwLock::write_uncontended`]).
     pub fn lock_uncontended(&self) -> parking_lot::RwLockWriteGuard<'_, T> {

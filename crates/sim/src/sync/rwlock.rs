@@ -8,7 +8,7 @@ use crate::plock::{self as parking_lot, Mutex as PlMutex, RwLock as PlRwLock};
 
 use crate::cost;
 use crate::race::VectorClock;
-use crate::runtime::{clock_acquire, clock_release, with_inner};
+use crate::runtime::{clock_acquire, clock_release, with_inner, ReadFreeScope};
 use crate::time::Nanos;
 
 struct VState {
@@ -117,6 +117,52 @@ impl<T> SimRwLock<T> {
             virtually_held,
             real: Some(self.data.write()),
         })
+    }
+
+    /// A validated read, not an acquisition (seqlock-style): runs `f` on
+    /// the data unless a sim-thread holds the lock exclusively, in which
+    /// case it is `None` and the caller takes the lock instead. It succeeds
+    /// beside readers and beside a queued writer. It joins the lock's race
+    /// clock, so what the last writer did before its release happens-before
+    /// what the caller does next. It takes no place in the queue, charges
+    /// nothing and is no sim point: a relaxed load is free in this model.
+    ///
+    /// The read is validated only because no other sim-thread runs between
+    /// the check and the end of `f`, so a sim point inside `f` panics.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use trio_sim::{SimRuntime, sync::SimRwLock, work};
+    ///
+    /// let rt = SimRuntime::new(0);
+    /// let l = Arc::new(SimRwLock::new(7u32));
+    /// let l2 = Arc::clone(&l);
+    /// rt.spawn("writer", move || {
+    ///     let _g = l2.write();
+    ///     work(100);
+    /// });
+    /// rt.spawn("reader", move || {
+    ///     assert_eq!(l.read_free(|v| *v), None); // the writer sits inside
+    ///     work(200);
+    ///     assert_eq!(l.read_free(|v| *v), Some(7));
+    /// });
+    /// rt.run();
+    /// ```
+    pub fn read_free<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        {
+            let v = self.v.lock();
+            if v.writer.is_some() {
+                return None;
+            }
+            clock_acquire(&v.clock);
+        }
+        // Past the writer check nobody holds the storage lock exclusively;
+        // blocking on it here would stall the whole scheduler.
+        let data = self.data.try_read().expect("read_free: storage lock held past the writer check");
+        let _scope = ReadFreeScope::enter();
+        Some(f(&data))
     }
 
     /// Shared access from outside the simulation (setup, teardown,
@@ -381,6 +427,84 @@ mod tests {
         });
         rt.run();
         assert_eq!(*l.read_uncontended(), 7);
+    }
+
+    #[test]
+    fn read_free_is_refused_while_a_writer_holds_across_work() {
+        let rt = SimRuntime::new(0);
+        let l = Arc::new(SimRwLock::with_costs(0u32, 0, 0));
+        let l2 = Arc::clone(&l);
+        rt.spawn("writer", move || {
+            let mut g = l2.write();
+            work(1_000);
+            *g = 1;
+        });
+        let l3 = Arc::clone(&l);
+        rt.spawn("reader", move || {
+            work(100); // Arrive while the writer sits inside.
+            assert_eq!(l3.read_free(|v| *v), None);
+            work(2_000); // Past the writer's release.
+            assert_eq!(l3.read_free(|v| *v), Some(1));
+        });
+        rt.run();
+    }
+
+    #[test]
+    fn read_free_succeeds_beside_readers_and_a_queued_writer() {
+        let rt = SimRuntime::new(0);
+        let l = Arc::new(SimRwLock::with_costs(5u32, 0, 0));
+        let l2 = Arc::clone(&l);
+        rt.spawn("reader", move || {
+            let _g = l2.read();
+            work(1_000);
+        });
+        let l3 = Arc::clone(&l);
+        rt.spawn("writer", move || {
+            work(10); // Queues behind the reader.
+            *l3.write() = 6;
+        });
+        let l4 = Arc::clone(&l);
+        rt.spawn("free", move || {
+            work(100);
+            // A reader inside and a writer queued: the data is still the
+            // reader's, and `read` would have queued behind the writer.
+            assert_eq!(l4.read_free(|v| *v), Some(5));
+        });
+        rt.run();
+        assert_eq!(*l.read_uncontended(), 6);
+    }
+
+    #[test]
+    fn read_free_charges_nothing_and_is_no_sim_point() {
+        let run = |reads: usize| {
+            let rt = SimRuntime::new(0);
+            let l = Arc::new(SimRwLock::new(3u32));
+            for _ in 0..2 {
+                let l = Arc::clone(&l);
+                rt.spawn("t", move || {
+                    work(10);
+                    let t0 = crate::now();
+                    for _ in 0..reads {
+                        assert_eq!(l.read_free(|v| *v), Some(3));
+                    }
+                    assert_eq!(crate::now(), t0);
+                    work(10);
+                });
+            }
+            (rt.run(), rt.events())
+        };
+        assert_eq!(run(100), run(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "sim point inside SimRwLock::read_free")]
+    fn a_sim_point_inside_read_free_panics() {
+        let rt = SimRuntime::new(0);
+        let l = Arc::new(SimRwLock::new(0u8));
+        rt.spawn("t", move || {
+            l.read_free(|_| work(1));
+        });
+        rt.run();
     }
 
     #[test]

@@ -9,8 +9,9 @@
 
 use std::collections::{HashMap, HashSet};
 use trio_nvm::{ActorId, NvmDevice, NvmHandle, PageId, PagePerm};
+use trio_sim::sync::{SimMutex, SimRwLock};
 
-pub fn trips(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>) {
+pub fn trips(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>, l: &SimRwLock<u8>, m: &SimMutex<u8>) {
     let _ = std::sync::Mutex::new(0); // trips: `std::sync::Mutex`
     let _ = std::sync::RwLock::new(0); // trips: `std::sync::RwLock`
     let _ = std::sync::Condvar::new(); // trips: `std::sync::Condvar`
@@ -38,6 +39,8 @@ pub fn trips(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>)
     let _ = d.revoke_actor(a); // trips: `trio_nvm::NvmDevice::revoke_actor`
     let _ = d.reset_page(p); // trips: `trio_nvm::NvmDevice::reset_page`
     let _ = d.reset_page_sparing(p, a); // trips: `trio_nvm::NvmDevice::reset_page_sparing`
+    let _ = l.read_free(|v| *v); // trips: `trio_sim::sync::SimRwLock::read_free`
+    let _ = m.read_free(|v| *v); // trips: `trio_sim::sync::SimMutex::read_free`
     let _ = x.unwrap(); // trips: used `unwrap()`
     let _ = x.expect("some"); // trips: used `expect()`
     h.dirty_spans(Vec::new()); // trips: unused `trio_nvm::Dirty`
@@ -51,7 +54,7 @@ pub fn trips(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>)
 #[allow(clippy::disallowed_types, clippy::disallowed_methods, reason = "twins of `trips`")]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "twins of `trips`")]
 #[allow(unused_must_use, reason = "twin of the dropped `Dirty` in `trips`")]
-pub fn allowed(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>) {
+pub fn allowed(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8>, l: &SimRwLock<u8>, m: &SimMutex<u8>) {
     let _ = std::sync::Mutex::new(0);
     let _ = std::sync::RwLock::new(0);
     let _ = std::sync::Condvar::new();
@@ -79,6 +82,8 @@ pub fn allowed(h: &NvmHandle, d: &NvmDevice, p: PageId, a: ActorId, x: Option<u8
     let _ = d.revoke_actor(a);
     let _ = d.reset_page(p);
     let _ = d.reset_page_sparing(p, a);
+    let _ = l.read_free(|v| *v);
+    let _ = m.read_free(|v| *v);
     let _ = x.unwrap();
     let _ = x.expect("some");
     h.dirty_spans(Vec::new());

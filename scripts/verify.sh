@@ -115,7 +115,7 @@ done
 stage "clippy, all targets"
 # --all-targets: rustc's `unexpected_cfgs` shows only where test targets
 # are compiled, and a test gated on a feature nobody declares never runs.
-# Seven project rules are clippy's (DESIGN.md §13): the disallowed types
+# Eight project rules are clippy's (DESIGN.md §13): the disallowed types
 # and methods of clippy.toml, the no-panic attributes of trio-kernel and
 # trio-verifier, and the workspace `[lints]` table (`forbid(unsafe_code)`,
 # and every `#[allow]` gives a reason).

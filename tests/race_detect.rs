@@ -9,7 +9,8 @@
 //! * genuinely unsynchronized cross-actor writes abort with a replayable
 //!   diagnostic,
 //! * every legal ordering construct (mutex hand-off, channel send/recv —
-//!   the delegation-ring shape) suppresses the report,
+//!   the delegation-ring shape, a read-free read after a writer's release)
+//!   suppresses the report,
 //! * the real ArckFS data path, with delegation forced on, runs clean.
 //!
 //! Detection is opt-in per runtime (`enable_race_detection`) and per
@@ -24,7 +25,7 @@ use arckfs::{ArckFs, ArckFsConfig};
 use trio_fsapi::{FileSystem, Mode, OpenFlags};
 use trio_kernel::{KernelConfig, KernelController};
 use trio_nvm::{ActorId, DeviceConfig, NvmDevice, NvmHandle, PageId, PagePerm, Topology};
-use trio_sim::sync::{SimChannel, SimMutex};
+use trio_sim::sync::{SimChannel, SimMutex, SimRwLock};
 use trio_sim::{work, RaceDetector, SimRuntime};
 
 const PAGE: PageId = PageId(5);
@@ -105,6 +106,39 @@ fn channel_handoff_orders_the_ring_shape() {
         hb.write_untimed(PAGE, 0, b"response").unwrap();
     });
     rt.run(); // No panic: the message carries the submitter's clock.
+}
+
+/// A read free of the lock joins its race clock: an NVM write under the
+/// write lock, then the other actor's read after a `read_free` that found
+/// the lock free, is ordered. The same pair without that read, which is
+/// what a `read_free` that joins no clock leaves, is a race.
+#[test]
+fn read_free_carries_the_writers_release_edge() {
+    let pair = |read_free: bool| {
+        let rt = SimRuntime::new(4);
+        rt.enable_race_detection();
+        let (_dev, ha, hb) = shared_device();
+        let lock = Arc::new(SimRwLock::new(0u64));
+        let l = Arc::clone(&lock);
+        rt.spawn("libfs-a", move || {
+            let mut g = l.write();
+            ha.write_untimed(PAGE, 0, b"aaaaaaaa").unwrap();
+            *g = 1;
+        });
+        rt.spawn("libfs-b", move || {
+            work(50);
+            if read_free {
+                assert_eq!(lock.read_free(|v| *v), Some(1));
+            }
+            let mut buf = [0u8; 8];
+            hb.read_untimed(PAGE, 0, &mut buf).unwrap();
+        });
+        catch_unwind(AssertUnwindSafe(|| rt.run()))
+    };
+    assert!(pair(true).is_ok(), "the read-free read orders the pair");
+    let err = pair(false).expect_err("without the edge the pair races");
+    let msg = err.downcast_ref::<String>().expect("string panic");
+    assert!(msg.contains("data race on NVM page 5 cache line 0"), "{msg}");
 }
 
 #[test]
