@@ -77,10 +77,10 @@ fn main() {
     println!("# Data-path smoke bench (virtual time, seed 42)");
 
     // Scenario 1: the gate metric.
-    #[cfg(feature = "obs")]
-    let obs_base = trio_obs::snapshot();
     let world = World::build("ArckFS", 8, 64 * 1024);
     let stats = world.path_stats().expect("ArckFS world has a kernel");
+    #[cfg(feature = "obs")]
+    let recorder = world.recorder();
     let wl = Arc::new(Fio {
         op: FioOp::Write,
         block: 64 * 1024,
@@ -99,19 +99,17 @@ fn main() {
         "64 KiB writes must take the delegated path"
     );
     #[cfg(feature = "obs")]
-    let obs_base = {
-        let snap = trio_obs::snapshot();
-        for line in snap.delta(&obs_base).table_lines() {
-            println!("# obs {line}");
-        }
-        snap
-    };
+    for line in recorder.get().expect("measured").snapshot().table_lines() {
+        println!("# obs {line}");
+    }
 
     // Scenario 2: three phases against one live kernel — loaded small
     // writes (fig6(f) shape at one rung), delegated 64 KiB reads, then
     // truncate/re-extend churn over the free-page cache.
     let world = World::build("ArckFS", 8, 128 * 1024);
     let stats = world.path_stats().expect("ArckFS world has a kernel");
+    #[cfg(feature = "obs")]
+    let recorder = world.recorder();
     let threads = 112;
     let read_threads = 8;
     let phases: Vec<(Arc<dyn Workload>, usize)> = vec![
@@ -191,17 +189,18 @@ fn main() {
     println!("# wrote {out}");
 
     // With obs on, also print the per-stage latency table for scenario 2
-    // (EXPERIMENTS.md's breakdown table comes from here) and leave the
+    // (EXPERIMENTS.md's breakdown table comes from here) and leave its
     // timeline artifact behind (DESIGN.md §15): it must hold events and
     // cover at least the ring hop and the worker's service of a write.
     #[cfg(feature = "obs")]
     {
         use trio_obs::{OpKind, Stage};
-        let snap = trio_obs::snapshot();
-        for line in snap.delta(&obs_base).table_lines() {
+        let recorder = recorder.get().expect("measured");
+        let snap = recorder.snapshot();
+        for line in snap.table_lines() {
             println!("# obs {line}");
         }
-        assert!(trio_obs::events_recorded() > 0, "obs timeline has no events");
+        assert!(!recorder.events().is_empty(), "obs timeline has no events");
         for stage in [Stage::RingHop, Stage::WorkerService] {
             assert!(
                 !snap.stage(OpKind::Write, stage).is_empty(),
@@ -209,7 +208,7 @@ fn main() {
                 stage.as_str()
             );
         }
-        let path = trio_obs::dump_now("bench-datapath").expect("write obs timeline");
+        let path = recorder.dump("bench-datapath").expect("write obs timeline");
         println!("# wrote {}", path.display());
     }
 }

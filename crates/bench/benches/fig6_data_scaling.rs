@@ -15,7 +15,7 @@ use trio_workloads::fio::{Fio, FioOp};
 fn panel(title: &str, fs_list: &[&str], nodes: usize, block: usize, op: FioOp, threads: &[usize]) {
     print_thread_header(title, threads);
     #[cfg(feature = "obs")]
-    let obs_base = trio_obs::snapshot();
+    let mut obs = trio_obs::ObsSnapshot::default();
     let max_threads = *threads.iter().max().unwrap();
     for fs in fs_list {
         let mut vals = Vec::new();
@@ -29,8 +29,12 @@ fn panel(title: &str, fs_list: &[&str], nodes: usize, block: usize, op: FioOp, t
                 (max_threads * 2 * file_bytes as usize / 4096 / nodes).max(16 * 1024);
             let world = World::build(fs, nodes, pages_per_node);
             let stats = world.path_stats();
+            #[cfg(feature = "obs")]
+            let recorder = world.recorder();
             let wl = Arc::new(Fio { op, block, file_bytes, ops_per_thread: ops });
             vals.push(world.measure(wl, t, 42).gib_per_sec());
+            #[cfg(feature = "obs")]
+            obs.add(&recorder.get().expect("measured").snapshot());
             if t == max_threads {
                 top_stats = stats.map(|s| s.snapshot());
             }
@@ -43,7 +47,7 @@ fn panel(title: &str, fs_list: &[&str], nodes: usize, block: usize, op: FioOp, t
     // Per-stage latency breakdown for the whole panel (all FSes, all
     // rungs); EXPERIMENTS.md's fig6 table reads the (f) panel of this.
     #[cfg(feature = "obs")]
-    for line in trio_obs::snapshot().delta(&obs_base).table_lines() {
+    for line in obs.table_lines() {
         println!("# obs {line}");
     }
 }

@@ -24,7 +24,7 @@ fn main() {
     for bench in ALL_FXMARK {
         print_thread_header(bench.name(), &threads);
         #[cfg(feature = "obs")]
-        let obs_base = trio_obs::snapshot();
+        let mut obs = trio_obs::ObsSnapshot::default();
         for fs in &fs_list {
             let mut vals = Vec::new();
             let mut top_stats = None;
@@ -34,8 +34,12 @@ fn main() {
                 let ops = (20_000 / t as u64).clamp(40, 400);
                 let world = World::build(fs, 8, PAGES_PER_NODE);
                 let stats = world.path_stats();
+                #[cfg(feature = "obs")]
+                let recorder = world.recorder();
                 let wl = Arc::new(FxMark { bench, ops_per_thread: ops, pool_files: 64 });
                 vals.push(world.measure(wl, t, 42).ops_per_usec());
+                #[cfg(feature = "obs")]
+                obs.add(&recorder.get().expect("measured").snapshot());
                 if t == max_threads {
                     top_stats = stats.map(|s| s.snapshot());
                 }
@@ -47,7 +51,7 @@ fn main() {
         }
         // Per-stage latency breakdown across the panel's delegated ops.
         #[cfg(feature = "obs")]
-        for line in trio_obs::snapshot().delta(&obs_base).table_lines() {
+        for line in obs.table_lines() {
             println!("# obs {line}");
         }
     }

@@ -77,6 +77,10 @@ pub struct World {
     pub nodes: usize,
     /// OdinFS's delegation pool (baselines only).
     baseline_delegation: Option<Arc<trio_kernel::delegation::DelegationPool>>,
+    /// The flight recorder of the simulation the world is measured in,
+    /// once it starts.
+    #[cfg(feature = "obs")]
+    recorder: Arc<std::sync::OnceLock<trio_obs::Recorder>>,
 }
 
 impl World {
@@ -88,7 +92,7 @@ impl World {
             model: BandwidthModel::default(),
             track_persistence: false,
         }));
-        match fs_name {
+        let (kernel, fs, baseline_delegation) = match fs_name {
             "ArckFS" | "ArckFS-nd" | "KVFS" | "FPFS" | "ArckFS-tg" => {
                 let kernel = KernelController::format(Arc::clone(&dev), KernelConfig::default());
                 let cfg = if fs_name == "ArckFS-nd" {
@@ -101,7 +105,7 @@ impl World {
                     "FPFS" => FpFs::new(arck),
                     _ => arck,
                 };
-                World { dev, kernel: Some(kernel), fs, nodes, baseline_delegation: None }
+                (Some(kernel), fs, None)
             }
             other => {
                 let delegation = if other == "OdinFS" {
@@ -112,9 +116,19 @@ impl World {
                 } else {
                     None
                 };
-                let fs = trio_baselines::build(other, Arc::clone(&dev), delegation.clone());
-                World { dev, kernel: None, fs, nodes, baseline_delegation: delegation }
+                let fs: Arc<dyn FileSystem> =
+                    trio_baselines::build(other, Arc::clone(&dev), delegation.clone());
+                (None, fs, delegation)
             }
+        };
+        World {
+            dev,
+            kernel,
+            fs,
+            nodes,
+            baseline_delegation,
+            #[cfg(feature = "obs")]
+            recorder: Arc::default(),
         }
     }
 
@@ -124,41 +138,18 @@ impl World {
         self.kernel.as_ref().map(|k| Arc::clone(k.path_stats()))
     }
 
+    /// The flight recorder of the simulation that `measure` or
+    /// `measure_phases` runs. Grab the cell before the call consumes the
+    /// world, read it after.
+    #[cfg(feature = "obs")]
+    pub fn recorder(&self) -> Arc<std::sync::OnceLock<trio_obs::Recorder>> {
+        Arc::clone(&self.recorder)
+    }
+
     /// Runs `workload` on this world with the right delegation lifecycle.
-    pub fn measure(
-        self,
-        workload: Arc<dyn Workload>,
-        threads: usize,
-        seed: u64,
-    ) -> Measurement {
-        let nodes = self.nodes;
-        let kernel = self.kernel.clone();
-        let kernel2 = self.kernel.clone();
-        let pool = self.baseline_delegation.clone();
-        let pool2 = self.baseline_delegation.clone();
-        drive(
-            Arc::clone(&self.fs),
-            workload,
-            threads,
-            nodes,
-            seed,
-            move || {
-                if let Some(k) = &kernel {
-                    let _ = k.delegation().start();
-                }
-                if let Some(p) = &pool {
-                    let _ = p.start();
-                }
-            },
-            move || {
-                if let Some(k) = &kernel2 {
-                    k.delegation().shutdown();
-                }
-                if let Some(p) = &pool2 {
-                    p.shutdown();
-                }
-            },
-        )
+    pub fn measure(self, workload: Arc<dyn Workload>, threads: usize, seed: u64) -> Measurement {
+        let (start, stop) = self.lifecycle();
+        drive(Arc::clone(&self.fs), workload, threads, self.nodes, seed, start, stop)
     }
 
     /// Runs several workload phases back to back on this world inside one
@@ -170,33 +161,38 @@ impl World {
         phases: Vec<(Arc<dyn Workload>, usize)>,
         seed: u64,
     ) -> Vec<Measurement> {
-        let nodes = self.nodes;
+        let (start, stop) = self.lifecycle();
+        trio_workloads::drive_phases(Arc::clone(&self.fs), phases, self.nodes, seed, start, stop)
+    }
+
+    /// The harness's first and last steps inside the simulation: start the
+    /// delegation pools (and note the run's recorder), then shut them down.
+    fn lifecycle(&self) -> (impl FnOnce() + Send + 'static, impl FnOnce() + Send + 'static) {
         let kernel = self.kernel.clone();
         let kernel2 = self.kernel.clone();
         let pool = self.baseline_delegation.clone();
         let pool2 = self.baseline_delegation.clone();
-        trio_workloads::drive_phases(
-            Arc::clone(&self.fs),
-            phases,
-            nodes,
-            seed,
-            move || {
-                if let Some(k) = &kernel {
-                    let _ = k.delegation().start();
-                }
-                if let Some(p) = &pool {
-                    let _ = p.start();
-                }
-            },
-            move || {
-                if let Some(k) = &kernel2 {
-                    k.delegation().shutdown();
-                }
-                if let Some(p) = &pool2 {
-                    p.shutdown();
-                }
-            },
-        )
+        #[cfg(feature = "obs")]
+        let recorder = self.recorder();
+        let start = move || {
+            #[cfg(feature = "obs")]
+            let _ = recorder.set(trio_obs::recorder().expect("the harness runs on a sim-thread"));
+            if let Some(k) = &kernel {
+                let _ = k.delegation().start();
+            }
+            if let Some(p) = &pool {
+                let _ = p.start();
+            }
+        };
+        let stop = move || {
+            if let Some(k) = &kernel2 {
+                k.delegation().shutdown();
+            }
+            if let Some(p) = &pool2 {
+                p.shutdown();
+            }
+        };
+        (start, stop)
     }
 }
 

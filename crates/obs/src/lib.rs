@@ -1,8 +1,9 @@
 //! Op-level observability for the delegated data path (DESIGN.md §15).
 //!
-//! Three pieces, all dependency-free and lock-free on the record path:
+//! Three pieces, all dependency-free, kept per simulation in one
+//! [`Recorder`] that each `SimRuntime` owns:
 //!
-//! * **Spans.** Every syscall-layer op draws a process-unique op id; the
+//! * **Spans.** Every syscall-layer op draws a runtime-unique op id; the
 //!   id rides the delegation ring inside [`DelegReq::op_id`] so the
 //!   kernel workers and the verifier stamp their events with the op that
 //!   caused them. Each span stage emits an open and a close [`event`].
@@ -13,18 +14,19 @@
 //!   samples — with an explicit zero-latency counter so 0 ns sim hops
 //!   are never aliased with 1 ns ones.
 //! * **Flight recorder.** A bounded ring of the last
-//!   [`RECORDER_SLOTS`] events, written with a seqlock-per-slot protocol
-//!   (writers never block; a reader skips slots caught mid-write). On a
-//!   delegation timeout, a delegation fallback, a verification
-//!   violation, or a quarantine entry, the recorder auto-dumps a
-//!   replayable JSON timeline to `target/obs-timeline.json` (override
-//!   with `TRIO_OBS_TIMELINE`) — once per trigger kind per process, so a
-//!   fuzz campaign cannot grind on file IO.
+//!   [`RECORDER_SLOTS`] events. On a delegation timeout, a delegation
+//!   fallback, a verification violation, or a quarantine entry, the
+//!   recorder auto-dumps a replayable JSON timeline to
+//!   `target/obs-timeline.json` (override with `TRIO_OBS_TIMELINE`) —
+//!   once per trigger kind per process, so a fuzz campaign cannot grind
+//!   on file IO.
 //!
-//! Everything here records *real* work only through relaxed atomics and
-//! never charges virtual time, so enabling `obs` cannot perturb the
-//! simulated schedule: a run with and without the feature produces the
-//! same virtual timeline.
+//! A runtime runs one sim-thread at a time, so its recorder sees its
+//! events in the schedule's order: a seeded run records the same timeline
+//! whatever else runs in the process. Nothing is recorded outside a
+//! sim-thread. Recording never charges virtual time, so enabling `obs`
+//! cannot perturb the simulated schedule: a run with and without the
+//! feature produces the same virtual timeline.
 //!
 //! The crate's one feature, `record`, is the one observability switch.
 //! Without it every recording entry point (the op ids, [`now_ns`],
@@ -39,9 +41,11 @@
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use trio_sim::metrics::{bucket_index, quantile_ns, quoted, JsonObject};
-use trio_sim::{in_sim, now};
+use trio_sim::plock::Mutex;
+use trio_sim::{in_sim, now, SimRuntime};
 
 /// Whether recording is compiled in (the `record` feature).
 const ON: bool = cfg!(feature = "record");
@@ -167,22 +171,150 @@ impl Phase {
 }
 
 // ---------------------------------------------------------------------------
-// Op ids
+// The recorder
 // ---------------------------------------------------------------------------
 
-static NEXT_OP: AtomicU64 = AtomicU64::new(0);
+/// Bounded event capacity: the recorder keeps the last this-many span
+/// events and overwrites the oldest.
+pub const RECORDER_SLOTS: usize = 4096;
+
+/// One simulation's flight recorder, kept in its [`SimRuntime::slot`]: the
+/// event ring, the stage histograms and the op-id counter. A clone is a
+/// handle to the same recorder, readable after the runtime's `run`.
+#[derive(Clone, Default)]
+pub struct Recorder(Arc<Mutex<Log>>);
+
+#[derive(Default)]
+struct Log {
+    /// The last [`RECORDER_SLOTS`] events; generation `g` sits at
+    /// `g % RECORDER_SLOTS`.
+    ring: Vec<EventRec>,
+    /// Events recorded so far: the next event's generation.
+    head: u64,
+    hists: ObsSnapshot,
+    /// The last op id drawn.
+    last_op: u64,
+}
+
+/// Events recorded in this process across runtimes: perfbench reads it
+/// around a series of runs, outside any one of them.
+static EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Runs `f` on the calling sim-thread's recorder. Nothing is recorded
+/// outside a sim-thread, or with recording compiled out (`None`).
+#[inline]
+fn with_log<R>(f: impl FnOnce(&mut Log) -> R) -> Option<R> {
+    if !ON {
+        return None;
+    }
+    trio_sim::runtime::with_slot(|r: &Recorder| f(&mut r.0.lock()))
+}
+
+/// The calling sim-thread's recorder (`None` outside a sim-thread).
+#[inline]
+pub fn recorder() -> Option<Recorder> {
+    if !ON {
+        return None;
+    }
+    trio_sim::runtime::with_slot(Recorder::clone)
+}
+
+impl Recorder {
+    /// `rt`'s recorder.
+    pub fn of(rt: &SimRuntime) -> Recorder {
+        rt.slot::<Recorder>().clone()
+    }
+
+    /// Every stage histogram.
+    pub fn snapshot(&self) -> ObsSnapshot {
+        self.0.lock().hists.clone()
+    }
+
+    /// The events the ring holds, oldest first.
+    pub fn events(&self) -> Vec<EventRec> {
+        self.0.lock().events()
+    }
+
+    /// The replayable timeline as a JSON string: the ring's events oldest
+    /// first, one per line, then the non-empty stage histograms.
+    pub fn timeline_json(&self, trigger: &str) -> String {
+        let log = self.0.lock();
+        let mut w = JsonObject::new();
+        w.field("trigger", quoted(trigger))
+            .field("now_ns", now_ns())
+            .field("events_recorded", log.head)
+            .field("events_overwritten", log.head.saturating_sub(RECORDER_SLOTS as u64))
+            .objects("events", log.events(), |o, e| {
+                o.field("gen", e.generation)
+                    .field("op", e.op_id)
+                    .field("t_ns", e.t_ns)
+                    .field("kind", quoted(e.kind.as_str()))
+                    .field("stage", quoted(e.stage.as_str()))
+                    .field("phase", quoted(e.phase.as_str()))
+                    .field("actor", e.actor)
+                    .field("node", e.node)
+                    .field("aux", e.aux);
+            })
+            .object("stages", |o| {
+                for (kind, stage, h) in log.hists.stages() {
+                    o.object(&format!("{}/{}", kind.as_str(), stage.as_str()), |o| h.write_json(o));
+                }
+            });
+        w.finish() + "\n"
+    }
+
+    /// Writes the timeline to [`timeline_path`] and returns the path. The
+    /// write goes to a temp file first and renames into place, so a
+    /// concurrent reader never sees a half-written artifact.
+    pub fn dump(&self, trigger: &str) -> std::io::Result<PathBuf> {
+        let path = timeline_path();
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        std::fs::write(&tmp, self.timeline_json(trigger))?;
+        std::fs::rename(&tmp, &path)?;
+        Ok(path)
+    }
+}
+
+impl Log {
+    fn push(&mut self, e: EventRec) {
+        let i = (e.generation % RECORDER_SLOTS as u64) as usize;
+        if i == self.ring.len() {
+            self.ring.push(e);
+        } else {
+            self.ring[i] = e;
+        }
+        self.head += 1;
+        EVENTS.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn events(&self) -> Vec<EventRec> {
+        let mut evs = self.ring.clone();
+        evs.rotate_left((self.head % RECORDER_SLOTS as u64) as usize);
+        evs
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Op ids
+// ---------------------------------------------------------------------------
 
 thread_local! {
     static CURRENT_OP: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Draws a fresh process-unique op id (ids start at 1; 0 means "none").
+/// Draws a fresh op id, unique within the calling sim-thread's runtime
+/// (ids start at 1; 0 means "none", and is what a caller outside a
+/// sim-thread gets).
 #[inline]
 pub fn next_op_id() -> u64 {
-    if !ON {
-        return 0;
-    }
-    NEXT_OP.fetch_add(1, Ordering::Relaxed) + 1
+    with_log(|l| {
+        l.last_op += 1;
+        l.last_op
+    })
+    .unwrap_or(0)
 }
 
 /// The op id of the span currently open on this thread (0 if none). Sim
@@ -206,8 +338,7 @@ pub fn set_current_op(op: u64) -> u64 {
     CURRENT_OP.with(|c| c.replace(op))
 }
 
-/// Virtual now, or 0 outside the simulation (the recorder still orders
-/// events by generation, so non-sim events remain replayable).
+/// Virtual now, or 0 outside the simulation.
 #[inline]
 pub fn now_ns() -> u64 {
     if ON && in_sim() {
@@ -225,39 +356,48 @@ pub fn now_ns() -> u64 {
 /// reach ~4.3 s — far past any delegation deadline.
 pub const OBS_HIST_BUCKETS: usize = 32;
 
-trio_sim::counters! {
-    /// One `(kind, stage)` latency histogram.
-    struct AtomicHist => pub struct HistSnapshot {
-        /// Samples recorded at exactly 0 ns (below every log bucket).
-        zero,
-        count,
-        sum_ns,
-        buckets: [OBS_HIST_BUCKETS],
-    }
+/// One `(kind, stage)` latency histogram.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct HistSnapshot {
+    /// Samples recorded at exactly 0 ns (below every log bucket).
+    pub zero: u64,
+    pub count: u64,
+    pub sum_ns: u64,
+    pub buckets: [u64; OBS_HIST_BUCKETS],
 }
-
-static HISTS: [[AtomicHist; STAGE_COUNT]; KIND_COUNT] =
-    [const { [const { AtomicHist::new() }; STAGE_COUNT] }; KIND_COUNT];
 
 /// Records one span latency into the `(kind, stage)` histogram.
 #[inline]
 pub fn record_latency(kind: OpKind, stage: Stage, ns: u64) {
-    if !ON {
-        return;
-    }
-    let h = &HISTS[kind as usize][stage as usize];
-    h.count.fetch_add(1, Ordering::Relaxed);
-    h.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    if ns == 0 {
-        h.zero.fetch_add(1, Ordering::Relaxed);
-    } else {
-        h.buckets[bucket_index(ns, OBS_HIST_BUCKETS)].fetch_add(1, Ordering::Relaxed);
-    }
+    with_log(|l| {
+        let h = &mut l.hists.hists[kind as usize * STAGE_COUNT + stage as usize];
+        h.count += 1;
+        h.sum_ns += ns;
+        if ns == 0 {
+            h.zero += 1;
+        } else {
+            h.buckets[bucket_index(ns, OBS_HIST_BUCKETS)] += 1;
+        }
+    });
 }
 
 impl HistSnapshot {
     pub fn is_empty(&self) -> bool {
         self.count == 0
+    }
+
+    /// Counter-wise difference vs an earlier snapshot.
+    pub fn delta(&self, earlier: &HistSnapshot) -> HistSnapshot {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    fn zip(&self, other: &HistSnapshot, f: fn(u64, u64) -> u64) -> HistSnapshot {
+        HistSnapshot {
+            zero: f(self.zero, other.zero),
+            count: f(self.count, other.count),
+            sum_ns: f(self.sum_ns, other.sum_ns),
+            buckets: std::array::from_fn(|i| f(self.buckets[i], other.buckets[i])),
+        }
     }
 
     /// Mean latency in ns (0 when empty).
@@ -293,15 +433,21 @@ impl HistSnapshot {
     }
 }
 
-/// All `(kind, stage)` histograms at one instant.
-#[derive(Clone, Debug, Default)]
+/// All `(kind, stage)` histograms of one recorder at one instant.
+#[derive(Clone, Debug)]
 pub struct ObsSnapshot {
     hists: Vec<HistSnapshot>, // KIND_COUNT × STAGE_COUNT, kind-major
 }
 
-/// Captures every stage histogram (relaxed loads; exact once quiesced).
+impl Default for ObsSnapshot {
+    fn default() -> Self {
+        ObsSnapshot { hists: vec![HistSnapshot::default(); KIND_COUNT * STAGE_COUNT] }
+    }
+}
+
+/// The calling sim-thread's stage histograms (all empty outside one).
 pub fn snapshot() -> ObsSnapshot {
-    ObsSnapshot { hists: HISTS.iter().flatten().map(AtomicHist::snapshot).collect() }
+    with_log(|l| l.hists.clone()).unwrap_or_default()
 }
 
 impl ObsSnapshot {
@@ -312,13 +458,15 @@ impl ObsSnapshot {
 
     /// Counter-wise difference vs an earlier snapshot.
     pub fn delta(&self, earlier: &ObsSnapshot) -> ObsSnapshot {
-        let hists = self
-            .hists
-            .iter()
-            .zip(earlier.hists.iter())
-            .map(|(a, b)| a.delta(b))
-            .collect();
+        let hists = self.hists.iter().zip(&earlier.hists).map(|(a, b)| a.delta(b)).collect();
         ObsSnapshot { hists }
+    }
+
+    /// Adds another recorder's counts (a bench's table over its runs).
+    pub fn add(&mut self, other: &ObsSnapshot) {
+        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
+            *a = a.zip(b, u64::saturating_add);
+        }
     }
 
     /// The non-empty histograms with their `(kind, stage)` key, kind-major.
@@ -349,30 +497,10 @@ impl ObsSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder
+// Events
 // ---------------------------------------------------------------------------
 
-/// Bounded event capacity: the recorder keeps the last this-many span
-/// events and overwrites the oldest.
-pub const RECORDER_SLOTS: usize = 4096;
-
-/// One recorder slot: a per-slot seqlock (`seq` odd ⇒ a writer is mid
-/// store; even and non-zero ⇒ stable, with generation `seq/2 - 1`) plus
-/// the packed event words.
-struct Slot {
-    seq: AtomicU64,
-    /// `[op_id, t_ns, actor, node<<32 | stage<<16 | kind<<8 | phase, aux]`
-    words: [AtomicU64; 5],
-}
-
-#[allow(clippy::declare_interior_mutable_const, reason = "inline-const array seed")]
-const SLOT_INIT: Slot =
-    Slot { seq: AtomicU64::new(0), words: [const { AtomicU64::new(0) }; 5] };
-
-static SLOTS: [Slot; RECORDER_SLOTS] = [SLOT_INIT; RECORDER_SLOTS];
-static HEAD: AtomicU64 = AtomicU64::new(0);
-
-/// One decoded flight-recorder event.
+/// One flight-recorder event.
 #[derive(Clone, Debug)]
 pub struct EventRec {
     pub generation: u64,
@@ -406,66 +534,15 @@ pub fn event_at(
     node: u32,
     aux: u64,
 ) {
-    if !ON {
-        return;
-    }
-    let gen = HEAD.fetch_add(1, Ordering::Relaxed);
-    let slot = &SLOTS[(gen % RECORDER_SLOTS as u64) as usize];
-    slot.seq.store(2 * gen + 1, Ordering::Release);
-    slot.words[0].store(op_id, Ordering::Relaxed);
-    slot.words[1].store(t_ns, Ordering::Relaxed);
-    slot.words[2].store(actor, Ordering::Relaxed);
-    let packed = ((node as u64) << 32)
-        | ((stage as u64) << 16)
-        | ((kind as u64) << 8)
-        | phase as u64;
-    slot.words[3].store(packed, Ordering::Relaxed);
-    slot.words[4].store(aux, Ordering::Relaxed);
-    slot.seq.store(2 * gen + 2, Ordering::Release);
+    with_log(|l| {
+        let generation = l.head;
+        l.push(EventRec { generation, op_id, t_ns, actor, node, stage, kind, phase, aux });
+    });
 }
 
-/// Total events ever recorded (events beyond [`RECORDER_SLOTS`] have
-/// overwritten the oldest slots).
+/// Total events ever recorded in this process, over every runtime.
 pub fn events_recorded() -> u64 {
-    HEAD.load(Ordering::Relaxed)
-}
-
-/// Snapshot of every stable slot, oldest first. Slots caught mid-write
-/// (or torn by a concurrent wrap-around) are skipped — the recorder is a
-/// diagnostic, not a ledger.
-pub fn collect_events() -> Vec<EventRec> {
-    let mut out = Vec::new();
-    for slot in SLOTS.iter() {
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 == 0 || s1 % 2 == 1 {
-            continue;
-        }
-        let words: Vec<u64> = slot.words.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-        let s2 = slot.seq.load(Ordering::Acquire);
-        if s2 != s1 {
-            continue;
-        }
-        let packed = words[3];
-        let (Some(stage), Some(kind)) = (
-            Stage::from_index((packed >> 16 & 0xffff) as usize),
-            OpKind::from_index((packed >> 8 & 0xff) as usize),
-        ) else {
-            continue;
-        };
-        out.push(EventRec {
-            generation: s1 / 2 - 1,
-            op_id: words[0],
-            t_ns: words[1],
-            actor: words[2],
-            node: (packed >> 32) as u32,
-            stage,
-            kind,
-            phase: if packed & 0xff == 0 { Phase::Open } else { Phase::Close },
-            aux: words[4],
-        });
-    }
-    out.sort_by_key(|e| e.generation);
-    out
+    EVENTS.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -492,6 +569,9 @@ impl Trigger {
     }
 }
 
+/// One dump-once latch per trigger kind, per process: the timeline lands
+/// in one file per process, and a fuzz campaign must not grind on file IO
+/// writing one timeline per iteration.
 static DUMPED: [AtomicBool; 4] = [const { AtomicBool::new(false) }; 4];
 
 /// Where the timeline lands: `$TRIO_OBS_TIMELINE`, else
@@ -510,82 +590,17 @@ pub fn timeline_path() -> PathBuf {
         .join("obs-timeline.json")
 }
 
-/// The replayable timeline as a JSON string: the recorder's events oldest
-/// first, one per line, then the non-empty stage histograms.
-pub fn timeline_json(trigger: &str) -> String {
-    let recorded = events_recorded();
-    let mut w = JsonObject::new();
-    w.field("trigger", quoted(trigger))
-        .field("now_ns", now_ns())
-        .field("events_recorded", recorded)
-        .field("events_overwritten", recorded.saturating_sub(RECORDER_SLOTS as u64))
-        .objects("events", collect_events(), |o, e| {
-            o.field("gen", e.generation)
-                .field("op", e.op_id)
-                .field("t_ns", e.t_ns)
-                .field("kind", quoted(e.kind.as_str()))
-                .field("stage", quoted(e.stage.as_str()))
-                .field("phase", quoted(e.phase.as_str()))
-                .field("actor", e.actor)
-                .field("node", e.node)
-                .field("aux", e.aux);
-        })
-        .object("stages", |o| {
-            for (kind, stage, h) in snapshot().stages() {
-                o.object(&format!("{}/{}", kind.as_str(), stage.as_str()), |o| h.write_json(o));
-            }
-        });
-    w.finish() + "\n"
-}
-
-/// Writes the timeline unconditionally (bench artifacts). Returns the
-/// path written. The write goes to a temp file first and renames into
-/// place, so a concurrent reader never sees a half-written artifact.
-pub fn dump_now(trigger: &str) -> std::io::Result<PathBuf> {
-    let path = timeline_path();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, timeline_json(trigger))?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(path)
-}
-
-/// Auto-dump entry point for the failure hooks: dumps at most once per
-/// trigger kind per process (reset via [`reset`]), swallowing IO errors
-/// — a failing dump must never take down the data path.
+/// Auto-dump entry point for the failure hooks: dumps the calling
+/// sim-thread's recorder at most once per trigger kind per process,
+/// swallowing IO errors — a failing dump must never take down the data
+/// path.
 #[inline]
 pub fn trigger_dump(t: Trigger) -> Option<PathBuf> {
-    if !ON || DUMPED[t as usize].swap(true, Ordering::Relaxed) {
+    let rec = recorder()?;
+    if DUMPED[t as usize].swap(true, Ordering::Relaxed) {
         return None;
     }
-    dump_now(t.as_str()).ok()
-}
-
-/// Test/bench helper: zeroes the op-id counter, the recorder, every
-/// histogram, and the dump-once latches, so two identical seeded runs in
-/// one process dump identical timelines. Callers must be quiesced (no
-/// concurrent spans).
-pub fn reset() {
-    NEXT_OP.store(0, Ordering::Relaxed);
-    HEAD.store(0, Ordering::Relaxed);
-    for slot in SLOTS.iter() {
-        slot.seq.store(0, Ordering::Relaxed);
-    }
-    for kh in HISTS.iter() {
-        for h in kh.iter() {
-            h.zero.store(0, Ordering::Relaxed);
-            h.count.store(0, Ordering::Relaxed);
-            h.sum_ns.store(0, Ordering::Relaxed);
-            for b in h.buckets.iter() {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-    for d in DUMPED.iter() {
-        d.store(false, Ordering::Relaxed);
-    }
+    rec.dump(t.as_str()).ok()
 }
 
 /// Harness hook: marks one measured workload window `[start, end)` in
@@ -601,54 +616,56 @@ pub fn window_marker(start_ns: u64, end_ns: u64, threads: u64, ops: u64) {
 mod tests {
     use super::*;
 
-    // The recorder and histograms are process globals, and `cargo test`
-    // runs #[test] fns on concurrent threads: every test here must
-    // tolerate foreign events, so assertions filter by a kind/stage pair
-    // the test owns or use deltas.
+    /// Runs `f` on a sim-thread of a fresh runtime; returns its recorder.
+    fn in_runtime(f: impl FnOnce() + Send + 'static) -> Recorder {
+        let rt = SimRuntime::new(1);
+        rt.spawn("obs", f);
+        rt.run();
+        Recorder::of(&rt)
+    }
 
     #[test]
     fn record_latency_separates_zero_from_one_ns() {
-        let before = snapshot();
-        record_latency(OpKind::Verify, Stage::VerifierWalk, 0);
-        record_latency(OpKind::Verify, Stage::VerifierWalk, 1);
-        record_latency(OpKind::Verify, Stage::VerifierWalk, 1);
-        let d = snapshot().delta(&before);
-        let h = d.stage(OpKind::Verify, Stage::VerifierWalk);
+        let rec = in_runtime(|| {
+            record_latency(OpKind::Verify, Stage::VerifierWalk, 0);
+            record_latency(OpKind::Verify, Stage::VerifierWalk, 1);
+            record_latency(OpKind::Verify, Stage::VerifierWalk, 1);
+        });
+        let snap = rec.snapshot();
+        let h = snap.stage(OpKind::Verify, Stage::VerifierWalk);
         assert_eq!(h.zero, 1);
         assert_eq!(h.buckets[0], 2);
         assert_eq!(h.count, 3);
+        assert_eq!(snap.table_lines().len(), 1, "{:?}", snap.table_lines());
     }
 
     #[test]
     fn recorder_keeps_events_and_survives_wraparound() {
-        let marker = 0xC0FFEE;
-        for i in 0..(RECORDER_SLOTS as u64 + 50) {
-            event_at(i, marker, OpKind::Read, Stage::RingHop, Phase::Open, 7, 3, i);
+        let rec = in_runtime(|| {
+            for i in 0..(RECORDER_SLOTS as u64 + 50) {
+                event_at(i, 9, OpKind::Read, Stage::RingHop, Phase::Open, 7, 3, i);
+            }
+        });
+        let evs = rec.events();
+        assert_eq!(evs.len(), RECORDER_SLOTS);
+        let gens: Vec<u64> = evs.iter().map(|e| e.generation).collect();
+        assert_eq!(gens, (50..RECORDER_SLOTS as u64 + 50).collect::<Vec<_>>());
+        for e in &evs {
+            assert_eq!((e.t_ns, e.aux), (e.generation, e.generation));
+            assert_eq!((e.op_id, e.actor, e.node), (9, 7, 3));
+            assert_eq!((e.kind, e.stage, e.phase), (OpKind::Read, Stage::RingHop, Phase::Open));
         }
-        let evs: Vec<EventRec> =
-            collect_events().into_iter().filter(|e| e.op_id == marker).collect();
-        // The ring holds at most RECORDER_SLOTS events; ours may share it
-        // with other tests' events, but the *newest* of ours must survive
-        // and generations must be strictly increasing.
-        assert!(!evs.is_empty());
-        assert!(evs.len() <= RECORDER_SLOTS);
-        for w in evs.windows(2) {
-            assert!(w[0].generation < w[1].generation);
-        }
-        let last = evs.last().unwrap();
-        assert_eq!(last.aux, RECORDER_SLOTS as u64 + 49);
-        assert_eq!(last.node, 3);
-        assert_eq!(last.actor, 7);
-        assert_eq!(last.stage, Stage::RingHop);
-        assert_eq!(last.kind, OpKind::Read);
     }
 
     #[test]
     fn timeline_json_is_balanced_and_tagged() {
-        event(42, OpKind::Write, Stage::Syscall, Phase::Open, 1, 0, 4096);
-        record_latency(OpKind::Write, Stage::Syscall, 512);
-        let j = timeline_json("unit-test");
+        let rec = in_runtime(|| {
+            event(42, OpKind::Write, Stage::Syscall, Phase::Open, 1, 0, 4096);
+            record_latency(OpKind::Write, Stage::Syscall, 512);
+        });
+        let j = rec.timeline_json("unit-test");
         assert!(j.contains("\"trigger\": \"unit-test\""));
+        assert!(j.contains("\"events_recorded\": 1,"));
         assert!(j.contains("\"stage\": \"syscall\""));
         assert!(j.contains("write/syscall"));
         // Balanced braces/brackets outside strings — cheap structural
@@ -673,17 +690,21 @@ mod tests {
     }
 
     #[test]
-    fn op_id_nesting_restores_previous() {
-        let a = next_op_id();
-        let prev = set_current_op(a);
-        assert_eq!(current_op(), a);
-        let b = next_op_id();
-        assert!(b > a);
-        let inner_prev = set_current_op(b);
-        assert_eq!(inner_prev, a);
-        set_current_op(inner_prev);
-        assert_eq!(current_op(), a);
-        set_current_op(prev);
+    fn op_ids_start_at_one_and_nesting_restores_previous() {
+        in_runtime(|| {
+            let a = next_op_id();
+            assert_eq!(a, 1);
+            let prev = set_current_op(a);
+            assert_eq!(current_op(), a);
+            let b = next_op_id();
+            assert_eq!(b, 2);
+            let inner_prev = set_current_op(b);
+            assert_eq!(inner_prev, a);
+            set_current_op(inner_prev);
+            assert_eq!(current_op(), a);
+            set_current_op(prev);
+        });
+        assert_eq!(next_op_id(), 0, "no op id outside a sim-thread");
     }
 }
 
@@ -696,31 +717,33 @@ mod off_tests {
     fn recording_compiled_out_records_nothing() {
         let path = std::env::temp_dir().join(format!("trio-obs-off.{}.json", std::process::id()));
         std::env::set_var("TRIO_OBS_TIMELINE", &path);
-        assert_eq!(next_op_id(), 0);
-        assert_eq!(set_current_op(7), 0);
-        assert_eq!(current_op(), 0);
-        let rt = trio_sim::SimRuntime::new(1);
+        let rt = SimRuntime::new(1);
         rt.spawn("off", || {
+            assert_eq!(next_op_id(), 0);
+            assert_eq!(set_current_op(7), 0);
+            assert_eq!(current_op(), 0);
             trio_sim::work(100);
             assert_eq!(now_ns(), 0, "virtual now is {} ns", now());
+            event(1, OpKind::Write, Stage::Syscall, Phase::Open, 1, 0, 4096);
+            event_at(5, 1, OpKind::Read, Stage::RingHop, Phase::Close, 1, 0, 9);
+            record_latency(OpKind::Write, Stage::Syscall, 512);
+            window_marker(1, 2, 3, 4);
+            for t in [
+                Trigger::DelegationTimeout,
+                Trigger::DelegationFallback,
+                Trigger::Violation,
+                Trigger::QuarantineEntry,
+            ] {
+                assert_eq!(trigger_dump(t), None);
+            }
+            assert!(recorder().is_none());
+            assert!(snapshot().hists.iter().all(HistSnapshot::is_empty));
         });
         rt.run();
-        event(1, OpKind::Write, Stage::Syscall, Phase::Open, 1, 0, 4096);
-        event_at(5, 1, OpKind::Read, Stage::RingHop, Phase::Close, 1, 0, 9);
-        record_latency(OpKind::Write, Stage::Syscall, 512);
-        window_marker(1, 2, 3, 4);
-        for t in [
-            Trigger::DelegationTimeout,
-            Trigger::DelegationFallback,
-            Trigger::Violation,
-            Trigger::QuarantineEntry,
-        ] {
-            assert_eq!(trigger_dump(t), None);
-        }
         assert_eq!(events_recorded(), 0);
-        assert!(collect_events().is_empty());
-        let snap = snapshot();
-        assert!(snap.hists.iter().all(HistSnapshot::is_empty));
+        let rec = Recorder::of(&rt);
+        assert!(rec.events().is_empty());
+        assert!(rec.snapshot().hists.iter().all(HistSnapshot::is_empty));
         assert!(!path.exists(), "an obs-off trigger_dump wrote {}", path.display());
     }
 }

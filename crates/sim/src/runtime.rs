@@ -8,6 +8,7 @@
 //! `(virtual_time, sequence)` key, making execution deterministic.
 
 use std::{
+    any::Any,
     cell::{Cell, RefCell},
     cmp::Reverse,
     collections::BinaryHeap,
@@ -256,6 +257,8 @@ pub(crate) struct Inner {
     /// Vector-clock maintenance switch (off by default: zero overhead on
     /// the sync primitives unless a test opts in).
     race: AtomicBool,
+    /// [`SimRuntime::slot`]'s value, made on first use.
+    slot: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 /// Message used to unwind a sim-thread when the whole simulation aborts
@@ -588,6 +591,7 @@ impl SimRuntime {
                 done: Park::new(),
                 seed,
                 race: AtomicBool::new(false),
+                slot: OnceLock::new(),
             }),
         }
     }
@@ -664,6 +668,24 @@ impl SimRuntime {
     pub fn seed(&self) -> u64 {
         self.inner.seed
     }
+
+    /// The runtime's one slot for state that a crate above this one keeps
+    /// per simulation (trio-obs's flight recorder), made with `T::default()`
+    /// on first use and dropped with the runtime. Its sim-threads reach it
+    /// through [`with_slot`], anyone holding the runtime through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slot already holds a value of another type.
+    pub fn slot<T: Any + Default + Send + Sync>(&self) -> &T {
+        self.inner.slot()
+    }
+}
+
+/// Runs `f` on the calling sim-thread's [`SimRuntime::slot`]; `None`
+/// outside a sim-thread.
+pub fn with_slot<T: Any + Default + Send + Sync, R>(f: impl FnOnce(&T) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|(inner, _)| f(inner.slot())))
 }
 
 pub(crate) fn with_inner<R>(f: impl FnOnce(&Arc<Inner>, usize) -> R) -> R {
@@ -754,6 +776,11 @@ pub fn current_seed() -> u64 {
 impl Inner {
     pub(crate) fn seed(&self) -> u64 {
         self.seed
+    }
+
+    fn slot<T: Any + Default + Send + Sync>(&self) -> &T {
+        let any = self.slot.get_or_init(|| Box::new(T::default()));
+        any.downcast_ref().expect("a runtime's slot holds a value of another type")
     }
 
     /// Lazily initializes `tid`'s own vector-clock component (so enabling

@@ -112,6 +112,13 @@ for features in "" "--features obs"; do
         --target-dir target/perfbench/check $features
 done
 
+stage "obs timelines, on parallel test threads and on one"
+# Each SimRuntime owns its flight recorder (DESIGN.md §15), so a seeded
+# run dumps the same timeline whatever runs beside it: the timeline tests
+# pass under the default test threads and under --test-threads=1 alike.
+cargo test -q --test obs_timeline
+cargo test -q --test obs_timeline -- --test-threads=1
+
 stage "clippy, all targets"
 # --all-targets: rustc's `unexpected_cfgs` shows only where test targets
 # are compiled, and a test gated on a feature nobody declares never runs.

@@ -605,11 +605,11 @@ fn degraded_mode_enters_and_recovers_visibly() {
     let events = kernel.take_events();
     assert!(events.iter().any(|e| matches!(e, KernelEvent::DelegationDegraded)));
     assert!(events.iter().any(|e| matches!(e, KernelEvent::DelegationRecovered)));
-    // The transition must be visible in the obs timeline as failover
-    // spans (degraded-enter opens, degraded-exit closes).
+    // The transition must be visible in this runtime's obs timeline as
+    // failover spans (degraded-enter opens, degraded-exit closes).
     #[cfg(feature = "obs")]
     {
-        let j = trio_obs::timeline_json("chaos-degraded");
+        let j = trio_obs::Recorder::of(&rt).timeline_json("chaos-degraded");
         assert!(
             j.contains("\"stage\": \"failover\""),
             "degraded transitions missing from the obs timeline"

@@ -1,8 +1,10 @@
 //! The obs flight recorder end to end: a forced delegation timeout and a
 //! forced quarantine entry must each auto-dump a replayable JSON timeline
-//! whose spans cover the delegated op pipeline, and every JSON emitter on
-//! the observability path must produce output a real parser accepts (the
-//! workspace hand-rolls its JSON, so this is the regression net for it).
+//! whose spans cover the delegated op pipeline, a seeded run must dump the
+//! same timeline alone, twice or beside another runtime, and every JSON
+//! emitter on the observability path must produce output a real parser
+//! accepts (the workspace hand-rolls its JSON, so this is the regression
+//! net for it).
 #![cfg(feature = "obs")]
 
 use std::sync::Arc;
@@ -267,8 +269,8 @@ fn assert_transfers_open_before_close(timeline: &Json) {
 /// layer would fall back and emit a `delegation-fallback` dump on top): one
 /// healthy 64 KiB delegated write for the full submit → service → reply
 /// span chain, then — with `then_wedge` — a total-wedge drop fault so the
-/// next op times out and auto-dumps.
-fn delegated_write(then_wedge: bool) {
+/// next op times out and auto-dumps. Returns the run's recorder.
+fn delegated_write(then_wedge: bool) -> trio_obs::Recorder {
     let dev = Arc::new(NvmDevice::new(DeviceConfig {
         topology: Topology::new(2, 32 * 1024),
         ..DeviceConfig::small()
@@ -308,12 +310,12 @@ fn delegated_write(then_wedge: bool) {
         k.delegation().shutdown();
     });
     rt.run();
+    trio_obs::Recorder::of(&rt)
 }
 
-/// One test fn for all three scenarios: the dump path (env override + the
-/// once-per-trigger latches), the recorder and the op-id counter are
-/// process-global state, so the stories must run in a controlled order,
-/// with a reset in between.
+/// One test fn for all three scenarios: A and B share the dump path (the
+/// env override), which is process-wide, as are the once-per-trigger
+/// latches, so they run in a controlled order.
 #[test]
 fn forced_failures_auto_dump_replayable_timelines() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -323,7 +325,6 @@ fn forced_failures_auto_dump_replayable_timelines() {
     let _ = std::fs::remove_file(&path);
 
     // --- Scenario A: forced delegation timeout. ---------------------------
-    trio_obs::reset();
     delegated_write(true);
     let text = std::fs::read_to_string(&path).expect("timeout must auto-dump a timeline");
     let timeline = Parser::parse(&text).expect("timeline must be valid JSON");
@@ -349,7 +350,6 @@ fn forced_failures_auto_dump_replayable_timelines() {
     // report is written through the pool, mallory corrupts its index
     // chain, and the verifier walk on alice's next map quarantines her —
     // dumping a timeline that spans syscalls, the ring, and the walk.
-    trio_obs::reset();
     let _ = std::fs::remove_file(&path);
     {
         let dev = Arc::new(NvmDevice::new(DeviceConfig {
@@ -401,14 +401,10 @@ fn forced_failures_auto_dump_replayable_timelines() {
     assert_transfers_open_before_close(&timeline);
 
     // --- Scenario C: same seed, same timeline. -----------------------------
-    // The determinism oracle: scenario A's healthy write, run twice from a
-    // reset, must dump byte-identical timelines — op ids, generations,
-    // virtual timestamps and stage histograms included.
-    let healthy_run = || {
-        trio_obs::reset();
-        delegated_write(false);
-        trio_obs::timeline_json("determinism")
-    };
+    // The determinism oracle: scenario A's healthy write, run twice, must
+    // dump byte-identical timelines — op ids, generations, virtual
+    // timestamps and stage histograms included.
+    let healthy_run = || delegated_write(false).timeline_json("determinism");
     let (first, second) = (healthy_run(), healthy_run());
     assert!(first.contains("\"stage\": \"worker-service\""), "the write must have been traced");
     if first != second {
@@ -417,6 +413,27 @@ fn forced_failures_auto_dump_replayable_timelines() {
     }
 
     std::env::remove_var("TRIO_OBS_TIMELINE");
+}
+
+/// Each runtime records only its own sim-threads' events: two seeded runs
+/// side by side, on two OS threads, each dump a solo run's timeline byte
+/// for byte.
+#[test]
+fn concurrent_runtimes_record_apart() {
+    let solo = delegated_write(false).timeline_json("side-by-side");
+    #[allow(clippy::disallowed_methods, reason = "two simulations side by side, one per OS thread")]
+    let pair: Vec<String> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| delegated_write(false).timeline_json("side-by-side")))
+            .collect();
+        runs.into_iter().map(|r| r.join().expect("run")).collect()
+    });
+    for timeline in pair {
+        if timeline != solo {
+            let differing = solo.lines().zip(timeline.lines()).find(|(a, b)| a != b);
+            panic!("a run beside another dumped a different timeline; first differing line: {differing:?}");
+        }
+    }
 }
 
 /// `PathStatsSnapshot::to_json` round-trips through a real JSON parser
@@ -463,9 +480,9 @@ fn path_stats_json_round_trips_through_a_real_parser() {
 /// an empty recorder (edge case: empty `events` array).
 #[test]
 fn timeline_json_round_trips_through_a_real_parser() {
-    let j = trio_obs::timeline_json("parser-check");
+    let j = trio_obs::Recorder::default().timeline_json("parser-check");
     let v = Parser::parse(&j).expect("timeline_json must be valid JSON");
     assert_eq!(v.get("trigger").unwrap().str(), "parser-check");
-    assert!(v.get("events").unwrap().arr().len() <= trio_obs::RECORDER_SLOTS);
+    assert!(v.get("events").unwrap().arr().is_empty());
     assert!(v.get("stages").is_some());
 }
