@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use trio_fsapi::{DirEntry, FsError, FsResult, Mode, Stat};
 use trio_layout::{
-    CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, SuperblockRef,
+    CoreFileType, DirentData, DirentLoc, DirentRef, FileHead, IndexPageRef, SuperblockRef,
     ENTRIES_PER_INDEX, ROOT_INO,
 };
 use trio_nvm::{Dirty, Durable, Span, Spans, PAGE_SIZE};
@@ -251,15 +251,14 @@ impl ArckFs {
     /// Stats a node by reading its dirent (or the superblock for root).
     pub(crate) fn stat_node(&self, node: &Arc<FileNode>) -> FsResult<Stat> {
         if node.ino == ROOT_INO {
-            let sb = SuperblockRef::new(&self.h);
             return Ok(Stat {
                 ino: ROOT_INO,
                 ftype: trio_fsapi::FileType::Directory,
-                size: sb.root_size().map_err(Self::fault)?,
+                size: FileHead::new(&self.h, None).size().map_err(Self::fault)?,
                 mode: Mode(0o777),
                 uid: 0,
                 gid: 0,
-                mtime: sb.root_mtime().map_err(Self::fault)?,
+                mtime: SuperblockRef::new(&self.h).root_mtime().map_err(Self::fault)?,
             });
         }
         // Re-resolve through the parent on staleness.

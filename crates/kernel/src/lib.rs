@@ -51,8 +51,8 @@ use std::sync::Arc;
 
 use trio_fsapi::{FsError, FsResult, Mode, SetAttr};
 use trio_layout::{
-    walk_file, CoreFileType, DirPage, DirSlot, DirentLoc, DirentRef, FileHead, FilePages, Ino,
-    SuperblockRef, DIRENT_SIZE, ROOT_INO,
+    walk_file, CoreFileType, DirPage, DirSlot, DirentLoc, DirentRef, FileHead, FilePages, HeadId,
+    Ino, SuperblockRef, ROOT_INO,
 };
 use trio_nvm::{
     ActorId, NodeId, NvmDevice, NvmHandle, PageId, PagePerm, PathStats, RegistryLockSite,
@@ -311,7 +311,7 @@ impl KernelController {
 
         // Breadth-first walk of the committed tree. Queue entries carry the
         // dirent location so broken files can be trimmed in place.
-        let root_fi = sb.root_first_index().map_err(|_| FsError::Corrupted)?;
+        let root_fi = FileHead::new(&kh, None).first_index().map_err(|_| FsError::Corrupted)?;
         let mut queue: VecDeque<(Ino, u64, CoreFileType, Option<DirentLoc>)> = VecDeque::new();
         queue.push_back((ROOT_INO, root_fi, CoreFileType::Directory, None));
         let mut seen: DetHashSet<Ino> = DetHashSet::default();
@@ -325,8 +325,7 @@ impl KernelController {
                 .ok()
                 .filter(|pages| !pages.all_pages().any(|p| used.contains(&p.0)));
             let Some(pages) = pages else {
-                head.set_first_index(0).map_err(|_| FsError::Corrupted)?;
-                head.set_size(0).map_err(|_| FsError::Corrupted)?;
+                head.trim().map_err(|_| FsError::Corrupted)?;
                 continue;
             };
             for p in pages.all_pages() {
@@ -348,7 +347,7 @@ impl KernelController {
                         // a whole-slot store heals the line, the neighbours
                         // keep their files, the loss is counted.
                         DirSlot::Unreadable(loc, _) => {
-                            let _ = DirentRef::new(&kh, loc).restore_image(&[0; DIRENT_SIZE]);
+                            let _ = DirentRef::new(&kh, loc).wipe();
                             lost_slots += 1;
                         }
                         DirSlot::Live(loc, d, _) => match d.ftype() {
@@ -400,34 +399,19 @@ impl KernelController {
             self.live_dirents().into_iter().map(|(i, loc)| (i, Some(loc))).collect();
         targets.insert(0, (ROOT_INO, None));
         for (ino, dirent) in targets {
-            let (ftype, first_index) = match dirent {
-                None => {
-                    let sb = SuperblockRef::new(&self.kh);
-                    match sb.root_first_index() {
-                        Ok(fi) => (CoreFileType::Directory, fi),
-                        Err(cause) => {
-                            bad.push((ino, vec![Violation::UnreadableAttr { ino, cause }]));
-                            continue;
-                        }
-                    }
+            let head = match FileHead::new(&self.kh, dirent).load() {
+                Ok(HeadId { ino: found, ftype, first_index }) if found == ino => {
+                    ftype.map(|ft| (ft, first_index)).map_err(|raw| Violation::BadFileType { raw })
                 }
-                Some(loc) => match DirentRef::new(&self.kh, loc).load() {
-                    Ok(d) if d.ino == ino => match d.ftype() {
-                        Some(ft) => (ft, d.first_index),
-                        None => {
-                            bad.push((ino, vec![Violation::BadFileType { raw: d.ftype_raw }]));
-                            continue;
-                        }
-                    },
-                    Ok(d) => {
-                        bad.push((ino, vec![Violation::InoMismatch { expected: ino, found: d.ino }]));
-                        continue;
-                    }
-                    Err(cause) => {
-                        bad.push((ino, vec![Violation::UnreadableAttr { ino, cause }]));
-                        continue;
-                    }
-                },
+                Ok(h) => Err(Violation::InoMismatch { expected: ino, found: h.ino }),
+                Err(cause) => Err(Violation::UnreadableAttr { ino, cause }),
+            };
+            let (ftype, first_index) = match head {
+                Ok(typed) => typed,
+                Err(v) => {
+                    bad.push((ino, vec![v]));
+                    continue;
+                }
             };
             let req = VerifyRequest {
                 ino,
@@ -740,16 +724,18 @@ impl KernelController {
                 return Err(FsError::PermissionDenied);
             }
         }
+        // A failed store is a media fault, as in `alloc_inos`: the
+        // superblock's two copies are both unreadable.
         let _sb_guard = self.sb_lock.lock();
-        let sb = SuperblockRef::new(&self.kh);
+        let head = FileHead::new(&self.kh, None);
         if let Some(fi) = first_index {
-            sb.set_root_first_index(fi).map_err(|_| FsError::NoSpace)?;
+            head.set_first_index(fi).map_err(|_| FsError::Corrupted)?;
         }
         if let Some(s) = size {
-            sb.set_root_size(s).map_err(|_| FsError::NoSpace)?;
+            head.set_size(s).map_err(|_| FsError::Corrupted)?;
         }
         if let Some(t) = mtime {
-            sb.set_root_mtime(t).map_err(|_| FsError::NoSpace)?;
+            SuperblockRef::new(&self.kh).set_root_mtime(t).map_err(|_| FsError::Corrupted)?;
         }
         Ok(())
     }
@@ -789,7 +775,7 @@ impl KernelController {
             let dref = DirentRef::new(&self.kh, loc);
             if let Ok(d) = dref.load() {
                 dref.set_attr(new_mode, d.ftype_raw, d.name.len() as u8)
-                    .map_err(|_| FsError::NoSpace)?;
+                    .map_err(|_| FsError::Corrupted)?;
             }
         }
         Ok(())

@@ -42,7 +42,6 @@ use std::sync::Arc;
 use trio_fsapi::{FsError, FsResult};
 use trio_layout::{
     walk_file, CoreFileType, DirPage, DirentLoc, DirentRef, FileHead, FilePages, IndexPageRef, Ino,
-    ROOT_INO,
 };
 use trio_nvm::{ActorId, PageId, RegistryLockSite};
 use trio_sim::sync::SimChannel;
@@ -126,21 +125,12 @@ impl KernelController {
         loop {
             let mut reg = self.reg_lock(RegistryLockSite::Map);
             // ---- Identify the file from its committed core state. ----
-            let (ino, ftype) = match dirent {
-                None => {
-                    // An unreadable superblock has no root to map.
-                    head.first_index().map_err(|_| FsError::NotFound)?;
-                    (ROOT_INO, CoreFileType::Directory)
-                }
-                Some(loc) => {
-                    let d =
-                        DirentRef::new(self.kernel_handle(), loc).load().map_err(|_| FsError::NotFound)?;
-                    if d.ino == 0 {
-                        return Err(FsError::NotFound);
-                    }
-                    (d.ino, d.ftype().ok_or(FsError::Corrupted)?)
-                }
-            };
+            // An unreadable head (slot or superblock) has no file to map.
+            let id = head.load().map_err(|_| FsError::NotFound)?;
+            if id.ino == 0 {
+                return Err(FsError::NotFound);
+            }
+            let (ino, ftype) = (id.ino, id.ftype.map_err(|_| FsError::Corrupted)?);
 
             self.adopt_file(&mut reg, ino, ftype, dirent)?;
             // The file and the directory the books place its dirent in.
@@ -900,17 +890,13 @@ impl KernelController {
         if in_sim() {
             work(ck.images.len() as u64 * cost::CHECKPOINT_PAGE_NS);
         }
-        // 2. Restore the dirent slot / root fields.
-        if let (Some(loc), Some(img)) = (dirent, ck.dirent_image) {
-            let _ = DirentRef::new(self.kernel_handle(), loc).restore_image(&img);
-        }
+        // 2. Restore the head: the dirent slot, or the root's fields.
         let head = FileHead::new(self.kernel_handle(), dirent);
-        if let Some((fi, size)) = ck.root_fields {
+        if let Some(img) = &ck.head {
             // registry → sb_lock is the sanctioned order (sb_lock is a
             // leaf; its holders never take the registry).
-            let _sb_guard = self.sb_lock.lock();
-            let _ = head.set_first_index(fi);
-            let _ = head.set_size(size);
+            let _sb_guard = head.in_superblock().then(|| self.sb_lock.lock());
+            let _ = head.restore(img);
         }
         // 3. Reconcile: clear slots whose pages no longer belong here.
         let fi = head.first_index().unwrap_or(0);
@@ -934,7 +920,7 @@ impl KernelController {
                     let _ = DirentRef::new(self.kernel_handle(), *cloc).clear();
                 }
                 if !moved.is_empty() {
-                    let _sb_guard = dirent.is_none().then(|| self.sb_lock.lock());
+                    let _sb_guard = head.in_superblock().then(|| self.sb_lock.lock());
                     let _ = head.set_size(head.size().unwrap_or(0).saturating_sub(moved.len() as u64));
                 }
                 for (cino, cfi, cloc) in children {
@@ -959,9 +945,7 @@ impl KernelController {
                         if broken {
                             // Trim the child to empty rather than leave a
                             // dangling chain.
-                            let chead = FileHead::new(self.kernel_handle(), Some(cloc));
-                            let _ = chead.set_first_index(0);
-                            let _ = chead.set_size(0);
+                            let _ = FileHead::new(self.kernel_handle(), Some(cloc)).trim();
                         } else {
                             self.trim_foreign_slots(cino, cfi, dirty_actor);
                         }
@@ -1037,12 +1021,7 @@ impl KernelController {
         if in_sim() {
             work(images.len() as u64 * cost::CHECKPOINT_PAGE_NS);
         }
-        let dirent_image =
-            dirent.and_then(|loc| DirentRef::new(self.kernel_handle(), loc).image().ok());
-        let head = FileHead::new(self.kernel_handle(), dirent);
-        let root_fields = dirent
-            .is_none()
-            .then(|| (head.first_index().unwrap_or(0), head.size().unwrap_or(0)));
+        let head = FileHead::new(self.kernel_handle(), dirent).image();
         // The verifier's request type takes a std set (perfbench builds one).
         #[allow(clippy::disallowed_methods, reason = "only the verifier iterates it, sorted")]
         let mut children = std::collections::HashSet::new();
@@ -1053,7 +1032,7 @@ impl KernelController {
                 }
             }
         }
-        let new_ck = Checkpoint { images, dirent_image, root_fields, children };
+        let new_ck = Checkpoint { images, head, children };
         // Pin new, unpin old.
         let new_pages: Vec<PageId> = new_ck.images.iter().map(|(p, _)| *p).collect();
         let old_pages: Vec<PageId> = reg

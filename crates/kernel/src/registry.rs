@@ -87,10 +87,9 @@ pub struct Checkpoint {
     /// Page images: index pages for regular files; index *and* data pages
     /// for directories.
     pub images: Vec<(PageId, Box<[u8]>)>,
-    /// Image of the file's 256-byte dirent slot (None for root).
-    pub dirent_image: Option<[u8; trio_layout::DIRENT_SIZE]>,
-    /// Root only: superblock fields at checkpoint time.
-    pub root_fields: Option<(u64, u64)>, // (first_index, size)
+    /// The file's head: its dirent slot, or the root's superblock fields
+    /// (`None`: the slot could not be read).
+    pub head: Option<trio_layout::HeadImage>,
     /// Directories: live child inos at checkpoint time (for I3).
     pub children: HashSet<Ino>,
 }

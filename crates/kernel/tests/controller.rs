@@ -10,7 +10,8 @@ use trio_kernel::mapping::MapTarget;
 use trio_kernel::registry::KernelEvent;
 use trio_kernel::{KernelConfig, KernelController, LibFsRegistration};
 use trio_layout::{
-    CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef, ROOT_INO,
+    superblock_replica_page, CoreFileType, DirentData, DirentLoc, DirentRef, IndexPageRef,
+    ROOT_INO,
 };
 use trio_nvm::{DeviceConfig, NvmDevice, NvmHandle, PageId, PagePerm};
 use trio_sim::plock::Mutex as PlMutex;
@@ -177,7 +178,31 @@ fn fabricated_ino_detected_and_rolled_back() {
         assert_eq!(ghost, 0, "rollback erased the fabricated entry");
         let good = DirentRef::new(&b.handle, DirentLoc { page: dpage, slot: 0 }).load().unwrap();
         assert_eq!(good.name_str(), Some("good"));
-        let _ = g;
+        // The root's head lives in the superblock: rollback put back the
+        // checkpoint's entry count, not the lied 2.
+        assert_eq!(g.size, 1, "rollback restored the root's size");
+    });
+    rt.run();
+}
+
+/// A kernel store into the superblock that fails is a media fault, not a
+/// full disk: with both copies of the record line poisoned, `update_root`
+/// answers `Corrupted` for each field it may write.
+#[test]
+fn update_root_reports_a_lost_superblock_as_corrupted() {
+    let rt = SimRuntime::new(1);
+    let k = new_kernel();
+    let k2 = Arc::clone(&k);
+    rt.spawn("main", move || {
+        let a = k2.register_libfs(100, 100);
+        k2.map(a.actor, MapTarget::Root, true).unwrap();
+        let dev = k2.device();
+        for page in [PageId(0), superblock_replica_page(dev.topology().total_pages())] {
+            dev.poison_line(page, 0);
+        }
+        assert_eq!(k2.update_root(a.actor, Some(0), None, None), Err(FsError::Corrupted));
+        assert_eq!(k2.update_root(a.actor, None, Some(0), None), Err(FsError::Corrupted));
+        assert_eq!(k2.update_root(a.actor, None, None, Some(0)), Err(FsError::Corrupted));
     });
     rt.run();
 }

@@ -212,9 +212,15 @@ impl<'a> DirentRef<'a> {
     }
 
     /// [`Self::stage_image`] persisted: rollback putting a saved image
-    /// back, recovery zeroing a lost slot.
+    /// back, a rename's undo.
     pub fn restore_image(&self, img: &[u8; DIRENT_SIZE]) -> Result<Durable<Span>, ProtError> {
         Ok(self.h.persist_dirty(self.stage_image(img)?))
+    }
+
+    /// Zeroes the whole slot, durably: recovery giving up a lost slot. The
+    /// store covers every line of the slot, so it heals a poisoned one.
+    pub fn wipe(&self) -> Result<Durable<Span>, ProtError> {
+        self.restore_image(&[0; DIRENT_SIZE])
     }
 
     /// Creation step 1 (§4.4), not yet flushed: writes the whole slot with
@@ -595,7 +601,7 @@ mod tests {
         // A whole-slot store heals the line; the slot reads as written.
         let lost = DirentRef::new(&h, DirentLoc { page: PageId(7), slot: 5 });
         assert_eq!(lost.image(), Err(ProtError::Poisoned));
-        lost.restore_image(&[0; DIRENT_SIZE]).unwrap();
+        lost.wipe().unwrap();
         assert_eq!(h.device().poisoned_lines(), 0);
         let (live, free, bad) = census(&DirPage::load(&h, PageId(7)).unwrap());
         assert_eq!((live.len(), free, bad), (15, vec![5], vec![]));

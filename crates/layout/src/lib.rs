@@ -40,7 +40,7 @@ pub use dirent::{
     DirPage, DirSlot, DirentData, DirentLoc, DirentRef, DIRENTS_PER_PAGE, DIRENT_SIZE,
     MAX_NAME,
 };
-pub use head::FileHead;
+pub use head::{FileHead, HeadId, HeadImage};
 pub use index::{chain_capacity, index_slot, IndexPageRef, ENTRIES_PER_INDEX};
 pub use superblock::{superblock_replica_page, SbHealth, SuperblockRef};
 pub use walk::{walk_file, FilePages, WalkError};

@@ -38,7 +38,9 @@
 //! A LibFS maps both copies read-only at mount; only the kernel
 //! controller writes them. The root directory has no parent dirent, so
 //! its inode fields live here (it is always a directory with mode 0o777,
-//! uid/gid 0 in this reproduction).
+//! uid/gid 0 in this reproduction). Its chain head and size are read and
+//! written through [`crate::FileHead`] only, so their accessors are
+//! private to this crate.
 
 use trio_nvm::{checksum::checksum, NvmHandle, PageId, ProtError, CACHE_LINE};
 
@@ -220,22 +222,22 @@ impl<'a> SuperblockRef<'a> {
     }
 
     /// Head of the root directory's index-page chain (0 = empty root).
-    pub fn root_first_index(&self) -> Result<u64, ProtError> {
+    pub(crate) fn root_first_index(&self) -> Result<u64, ProtError> {
         self.read_word(OFF_ROOT_FIRST_INDEX)
     }
 
     /// Atomically publishes a new root index head.
-    pub fn set_root_first_index(&self, page: u64) -> Result<(), ProtError> {
+    pub(crate) fn set_root_first_index(&self, page: u64) -> Result<(), ProtError> {
         self.write_word(OFF_ROOT_FIRST_INDEX, page)
     }
 
     /// Live entries in the root directory.
-    pub fn root_size(&self) -> Result<u64, ProtError> {
+    pub(crate) fn root_size(&self) -> Result<u64, ProtError> {
         self.read_word(OFF_ROOT_SIZE)
     }
 
     /// Updates the root entry count.
-    pub fn set_root_size(&self, n: u64) -> Result<(), ProtError> {
+    pub(crate) fn set_root_size(&self, n: u64) -> Result<(), ProtError> {
         self.write_word(OFF_ROOT_SIZE, n)
     }
 

@@ -301,3 +301,50 @@ fn four_readers_of_a_directory_agree() {
         recovered.live_dirents().into_iter().filter(|(_, loc)| in_d(loc)).map(|(i, _)| i).collect();
     assert_eq!(live, listed);
 }
+
+/// `fsck` names what is wrong with a head it cannot trust, and walks no
+/// further: a garbage type byte, an ino that is not the one the books hold
+/// at that slot, a slot whose line the media lost. The root's own walk may
+/// report more; only these three entries are checked.
+#[test]
+fn fsck_names_each_untrusted_head() {
+    use trio_layout::DirentRef;
+    use trio_nvm::{NvmHandle, ProtError, CACHE_LINE, KERNEL_ACTOR};
+    use trio_verifier::Violation;
+
+    let (kernel, fs, _) = world();
+    let dev = Arc::clone(kernel.device());
+    let rt = SimRuntime::new(50);
+    rt.spawn("writer", move || {
+        for name in ["/typed", "/renumbered", "/lost"] {
+            write_file(&*fs, name, b"head").unwrap();
+        }
+    });
+    rt.run();
+    drop(kernel);
+    dev.crash();
+    let kernel = KernelController::recover(Arc::clone(&dev), KernelConfig::default()).unwrap();
+    assert!(kernel.fsck().is_empty(), "the recovered tree is clean");
+
+    let kh = NvmHandle::new(Arc::clone(&dev), KERNEL_ACTOR);
+    let live = kernel.live_dirents();
+    let at = |name: &[u8]| {
+        let named = |(_, loc): &&(u64, _)| DirentRef::new(&kh, *loc).load().unwrap().name == name;
+        *live.iter().find(named).unwrap()
+    };
+    let (typed, renumbered, lost) = (at(b"typed"), at(b"renumbered"), at(b"lost"));
+    let d = DirentRef::new(&kh, typed.1).load().unwrap();
+    DirentRef::new(&kh, typed.1).set_attr(d.mode, 0xEE, d.name.len() as u8).unwrap();
+    let mut d = DirentRef::new(&kh, renumbered.1).load().unwrap();
+    d.ino = 4242;
+    DirentRef::new(&kh, renumbered.1).restore_image(&d.encode_bytes()).unwrap();
+    dev.poison_line(lost.1.page, (lost.1.byte_off() / CACHE_LINE) as u16);
+
+    let bad = kernel.fsck();
+    let reported = |ino, v: Violation| bad.iter().any(|(i, vs)| *i == ino && vs.contains(&v));
+    assert!(reported(typed.0, Violation::BadFileType { raw: 0xEE }), "{bad:?}");
+    let mismatch = Violation::InoMismatch { expected: renumbered.0, found: 4242 };
+    assert!(reported(renumbered.0, mismatch), "{bad:?}");
+    let unreadable = Violation::UnreadableAttr { ino: lost.0, cause: ProtError::Poisoned };
+    assert!(reported(lost.0, unreadable), "{bad:?}");
+}
